@@ -1,0 +1,65 @@
+"""Report-byte regression guard.
+
+Pins the SHA-256 of the bytes ``netsynth synth --report`` writes for every
+fixture, for ``random_lts(0..39, 24, 6)`` and for the reachability graphs
+of ``random_brac_net(0..9)``, under both pipelines.  A refactor of the
+pipelines must leave every digest in ``fixtures/report_digests.json``
+unchanged.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from netsynth.cli import run
+from netsynth.lts import serialize_lts
+from netsynth.oracle import random_brac_net, random_lts
+from netsynth.petri import reachability_graph
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+DIGESTS = json.loads((FIXTURES / "report_digests.json").read_text())
+
+
+def family_inputs(family: str) -> dict[str, str]:
+    """Case name -> .lts text for one input family."""
+    if family == "fixture":
+        return {f"fixture/{p.stem}": p.read_text()
+                for p in sorted(FIXTURES.glob("*.lts"))}
+    if family == "random_lts":
+        return {f"random_lts/{i}": serialize_lts(random_lts(i, 24, 6))
+                for i in range(40)}
+    return {f"random_brac_net/{i}": serialize_lts(
+                reachability_graph(random_brac_net(i), 100_000))
+            for i in range(10)}
+
+
+def report_digest(pipeline: str, lts_file: pathlib.Path,
+                  workdir: pathlib.Path) -> str:
+    report = workdir / "report.json"
+    run(["synth", str(lts_file), "--class", pipeline,
+         "-o", str(workdir / "out.pn"), "--report", str(report)])
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+def family_digests(family: str, pipeline: str,
+                   workdir: pathlib.Path) -> dict[str, str]:
+    out = {}
+    lts_file = workdir / "input.lts"
+    for name, text in family_inputs(family).items():
+        lts_file.write_text(text)
+        out[f"{pipeline}/{name}"] = report_digest(pipeline, lts_file, workdir)
+    return out
+
+
+@pytest.mark.parametrize("pipeline", ["wpi", "brac"])
+@pytest.mark.parametrize("family",
+                         ["fixture", "random_lts", "random_brac_net"])
+def test_report_bytes_unchanged(family, pipeline, tmp_path):
+    got = family_digests(family, pipeline, tmp_path)
+    expected = {k: v for k, v in DIGESTS.items()
+                if k.startswith(f"{pipeline}/{family}/")}
+    assert len(expected) == len(got)
+    changed = sorted(k for k in got if got[k] != expected.get(k))
+    assert not changed, f"report bytes changed: {changed}"
