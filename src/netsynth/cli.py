@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 synthesis impossible or a check failed (witness
-printed), 2 invalid input, 3 a configured cap was exceeded.  Reports are
+printed), 2 invalid input, 3 a configured cap was exceeded, 4 internal
+error (a solver limit or a broken invariant; never a verdict).  Reports are
 deterministic JSON (schema 1, no timestamps): identical invocations produce
 byte-identical outputs.
 """
@@ -27,6 +28,7 @@ OK = 0
 IMPOSSIBLE = 1
 INVALID = 2
 CAP = 3
+INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -130,14 +132,14 @@ def _cmd_synth(args) -> int:
                           selfloop_cap=args.selfloop_cap,
                           ssp_combo_cap=args.ssp_combo_cap,
                           rg_cap=args.rg_cap,
-                          prune=args.prune,
-                          jobs=args.jobs)
+                          prune=args.prune)
     run = synthesize_brac if args.target_class == "brac" else synthesize_wpi
     report = run(lts, cfg)
     if args.report:
         _emit_json(args.report, report.to_json(lts.labels))
     if report.ok:
-        assert report.net is not None
+        if report.net is None:
+            raise AssertionError("success reported without a net")
         _write(args.output, serialize_net(report.net))
         if args.dot:
             _write(args.dot, render_dot(report.net))
@@ -230,8 +232,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--rg-cap", type=int, default=100_000)
     p.add_argument("--prune", action="store_true",
                    help="greedily drop redundant places")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap (results never depend on scheduling)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("check", help="classify a .pn file")
@@ -275,6 +275,9 @@ def run(argv: list[str]) -> int:
     except (LtsError, PetriNetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
+    except (RuntimeError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

@@ -353,7 +353,8 @@ def lift_homogeneous_to_integer(solution: Solution,
         raise ValueError("can only lift a feasible solution")
     scale = lcm(*(v.denominator for v in solution.assignment.values()), 1)
     lifted = {k: v * scale for k, v in solution.assignment.items()}
-    assert all(v.denominator == 1 for v in lifted.values())
+    if any(v.denominator != 1 for v in lifted.values()):
+        raise AssertionError("lifted solution is not integral")
     if not system.satisfied_by(lifted):
         raise AssertionError("lifted solution failed re-substitution")
     return Solution(FEASIBLE, lifted, pivots=solution.pivots)
@@ -402,15 +403,17 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
         pivots += relax.pivots
         if not relax.feasible:
             continue
-        assert relax.assignment is not None
+        values = relax.assignment
+        if values is None:
+            raise AssertionError("feasible relaxation without a witness")
         frac_var = None
         for v in system.variables:
-            if relax.assignment[v].denominator != 1:
+            if values[v].denominator != 1:
                 frac_var = v
                 break
         if frac_var is None:
-            return Solution(FEASIBLE, dict(relax.assignment), pivots=pivots)
-        value = relax.assignment[frac_var]
+            return Solution(FEASIBLE, dict(values), pivots=pivots)
+        value = values[frac_var]
         lo = Fraction(floor(value))
         hi = Fraction(ceil(value))
         up = bounds + (make_row({frac_var: 1}, ">=", hi, tag="branch-up"),)

@@ -123,12 +123,6 @@ class Lts:
     def self_loop_labels(self) -> frozenset[int]:
         return frozenset(t for s, t, s2 in self.edges if s == s2)
 
-    def state_name(self, s: int) -> str:
-        return self.states[s]
-
-    def label_name(self, t: int) -> str:
-        return self.labels[t]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -286,15 +280,12 @@ def spanning_tree(lts: Lts) -> SpanningTree:
         if s == lts.initial:
             continue
         p, t = parent[s]
-        assert parikh[p] is not None
-        parikh[s] = parikh[p] + ParikhVector.unit(t)
+        prefix = parikh[p]
+        if prefix is None:
+            raise AssertionError("tree parent visited after its child")
+        parikh[s] = prefix + ParikhVector.unit(t)
     return SpanningTree(lts=lts, parent=parent,
                         parikh=tuple(parikh))  # type: ignore[arg-type]
-
-
-def parikh_of_state(tree: SpanningTree, state: int) -> ParikhVector:
-    """Parikh vector of the unique tree walk to ``state``."""
-    return tree.parikh[state]
 
 
 def parikh_of_edge(tree: SpanningTree, edge: tuple[int, int, int]) -> ParikhVector:

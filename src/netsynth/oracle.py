@@ -96,7 +96,8 @@ def brute_force_region(lts: Lts, problem: SeparationProblem,
     region = Region(r0=int(r0_min[best]),
                     b=tuple(int(x) for x in b[best]),
                     f=tuple(int(x) for x in f[best]))
-    assert region.is_valid(lts, tree) and region.solves(tree, problem)
+    if not (region.is_valid(lts, tree) and region.solves(tree, problem)):
+        raise AssertionError("weight table yielded a non-solving region")
     return region
 
 
@@ -131,8 +132,9 @@ def random_lts(seed: int, max_states: int = 8, max_labels: int = 4) -> Lts:
     lines = ["initial s0"] + [f"s{s} {label_names[l]} s{t}"
                               for s, l, t in edges]
     lts = parse_lts("\n".join(lines))
-    report = validate(lts)
-    assert report.ok
+    if not validate(lts).ok:
+        raise AssertionError("generated LTS is not deterministic and "
+                             "reachable")
     return lts
 
 
@@ -210,5 +212,6 @@ def random_brac_net(seed: int, max_rings: int = 2,
     net = PetriNet(places=tuple(place_names), transitions=tuple(trans_names),
                    consume=consume, produce=produce, m0=tuple(tokens))
     flags = classify_net(net)
-    assert flags.brac and flags.plain
+    if not (flags.brac and flags.plain):
+        raise AssertionError("generated net is not plain BRAC")
     return net

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, ParikhVector, SpanningTree
@@ -218,49 +218,59 @@ class SystemContext:
         return LinearSystem(self.variables, tuple(rows), flags)
 
 
-def _context(lts, tree, basis) -> SystemContext:
-    return SystemContext(lts, tree, basis)
-
-
-def essp_system_wpi(lts: Lts, tree: SpanningTree, basis: list[ParikhVector],
-                    graph: RelationGraph, essp: ESSP,
-                    doi_choice: Mapping[tuple[int, int], str] = {},
-                    ctx: Optional[SystemContext] = None) -> LinearSystem:
+def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
+                    doi_choice: Mapping[tuple[int, int], str] = {}) \
+        -> LinearSystem:
     """Event separation system with comparability rows at the ESSP label.
 
     All rows are homogeneous, so a rational solution lifts to integers.
     """
-    ctx = ctx or _context(lts, tree, basis)
     rows = [ctx.essp_row(essp)]
     rows += ctx.base_rows()
     rows += ctx.relation_rows(graph, essp.label, doi_choice)
     return ctx.system(rows)
 
 
-def ssp_system_wpi(lts: Lts, tree: SpanningTree, basis: list[ParikhVector],
-                   graph: RelationGraph, ssp: SSP, label: int, sign: str,
-                   doi_choice: Mapping[tuple[int, int], str] = {},
-                   ctx: Optional[SystemContext] = None) -> LinearSystem:
+def ssp_system_wpi(ctx: SystemContext, graph: RelationGraph, ssp: SSP,
+                   label: int, sign: str,
+                   doi_choice: Mapping[tuple[int, int], str] = {}) \
+        -> LinearSystem:
     """State separation system keyed to one candidate label and sign.
 
     The disequality over the Parikh difference is split by the caller into
     its two strict branches.
     """
-    ctx = ctx or _context(lts, tree, basis)
     rows = [ctx.ssp_row(ssp, sign)]
     rows += ctx.base_rows()
     rows += ctx.relation_rows(graph, label, doi_choice)
     return ctx.system(rows)
 
 
-def _fix(ctx: SystemContext, var: str, value: int, tag: str) -> Row:
+def _fix(var: str, value: int, tag: str) -> Row:
     return make_row({var: 1}, "=", value, tag=tag)
 
 
-def brac_block_systems(lts: Lts, tree: SpanningTree,
-                       basis: list[ParikhVector], graph: RelationGraph,
-                       pair: tuple[int, int],
-                       ctx: Optional[SystemContext] = None) \
+def _block_system(ctx: SystemContext, consumers: list[int],
+                  no_produce: list[int], label: int,
+                  states: list[int]) -> LinearSystem:
+    """0/1 place consumed by exactly ``consumers``, disabling ``label``.
+
+    ``no_produce`` labels get a zero produce weight; ``states`` are those
+    where the place must be short of ``label``'s consume weight.
+    """
+    names = ctx.lts.labels
+    rows = [_fix(ctx.bvar[m], 1, f"block:B:{names[m]}") for m in consumers]
+    rows += [_fix(ctx.fvar[m], 0, f"block:F:{names[m]}")
+             for m in no_produce]
+    rows += [_fix(ctx.bvar[t], 0, f"outside:{names[t]}")
+             for t in range(len(names)) if t not in consumers]
+    rows += [ctx.essp_row(ESSP(s, label)) for s in states]
+    rows += ctx.base_rows()
+    return ctx.system(rows, zero_one=True)
+
+
+def brac_block_systems(ctx: SystemContext, graph: RelationGraph,
+                       pair: tuple[int, int]) \
         -> tuple[LinearSystem, LinearSystem]:
     """The two systems of an asymmetric choice block for ``pair=(lo, hi)``.
 
@@ -272,49 +282,24 @@ def brac_block_systems(lts: Lts, tree: SpanningTree,
     non-self-loop ``lo`` block are pinned to zero since its members must
     strictly consume.
     """
-    ctx = ctx or _context(lts, tree, basis)
+    lts = ctx.lts
     lo, hi = pair
     lo_members = graph.classes[graph.rep[lo]]
     hi_members = graph.classes[graph.rep[hi]]
-    inside = set(lo_members) | set(hi_members)
-
-    rows1: list[Row] = []
-    for m in sorted(inside):
-        rows1.append(_fix(ctx, ctx.bvar[m], 1, f"block:B:{lts.labels[m]}"))
-    if lo not in lts.self_loop_labels:
-        for m in lo_members:
-            rows1.append(_fix(ctx, ctx.fvar[m], 0,
-                              f"block:F:{lts.labels[m]}"))
-    for t in range(len(lts.labels)):
-        if t not in inside:
-            rows1.append(_fix(ctx, ctx.bvar[t], 0,
-                              f"outside:{lts.labels[t]}"))
-    for s in range(len(lts.states)):
-        if lo not in lts.enabled[s]:
-            rows1.append(ctx.essp_row(ESSP(s, lo)))
-    rows1 += ctx.base_rows()
-    sys1 = ctx.system(rows1, zero_one=True)
-
-    rows2: list[Row] = []
-    for m in hi_members:
-        rows2.append(_fix(ctx, ctx.bvar[m], 1, f"block:B:{lts.labels[m]}"))
-    for t in range(len(lts.labels)):
-        if t not in set(hi_members):
-            rows2.append(_fix(ctx, ctx.bvar[t], 0,
-                              f"outside:{lts.labels[t]}"))
-    for s in range(len(lts.states)):
-        if hi not in lts.enabled[s] and lo in lts.enabled[s]:
-            rows2.append(ctx.essp_row(ESSP(s, hi)))
-    rows2 += ctx.base_rows()
-    sys2 = ctx.system(rows2, zero_one=True)
-    return sys1, sys2
+    states = range(len(lts.states))
+    shared = _block_system(
+        ctx, sorted(set(lo_members) | set(hi_members)),
+        [] if lo in lts.self_loop_labels else lo_members, lo,
+        [s for s in states if lo not in lts.enabled[s]])
+    private = _block_system(
+        ctx, hi_members, [], hi,
+        [s for s in states
+         if hi not in lts.enabled[s] and lo in lts.enabled[s]])
+    return shared, private
 
 
-def brac_ssp_system_freechoice(lts: Lts, tree: SpanningTree,
-                               basis: list[ParikhVector],
-                               graph: RelationGraph, ssp: SSP, label: int,
-                               sign: str,
-                               ctx: Optional[SystemContext] = None) \
+def brac_ssp_system_freechoice(ctx: SystemContext, graph: RelationGraph,
+                               ssp: SSP, label: int, sign: str) \
         -> LinearSystem:
     """State separation through a free-choice place.
 
@@ -322,27 +307,25 @@ def brac_ssp_system_freechoice(lts: Lts, tree: SpanningTree,
     all if that class takes part in an asymmetric choice; residual doi
     edges count as disjointness here.
     """
-    ctx = ctx or _context(lts, tree, basis)
+    names = ctx.lts.labels
     key = graph.rep[label]
     members = set(graph.classes[key])
     involved = {x for pair in graph.included_edges() for x in pair}
     rows = [ctx.ssp_row(ssp, sign)]
     rows += ctx.class_tie_rows(graph)
-    for t in range(len(lts.labels)):
-        if t not in members:
-            rows.append(make_row({ctx.bvar[t]: 1}, "=", 0,
-                                 tag=f"outside:{lts.labels[t]}"))
+    rows += [_fix(ctx.bvar[t], 0, f"outside:{names[t]}")
+             for t in range(len(names)) if t not in members]
     if key in involved:
-        rows.append(make_row({ctx.bvar[key]: 1}, "=", 0,
-                             tag=f"choice-free:{lts.labels[key]}"))
+        rows.append(_fix(ctx.bvar[key], 0, f"choice-free:{names[key]}"))
     rows += ctx.base_rows()
     return ctx.system(rows, zero_one=True)
 
 
 def solution_to_region(solution: Solution, lts: Lts) -> Region:
     """Read an integral solver assignment back into a region."""
-    assert solution.assignment is not None
     values = solution.assignment
+    if values is None:
+        raise ValueError("an infeasible solution has no region")
 
     def as_int(name: str) -> int:
         v = values.get(name, Fraction(0))

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from netsynth.linsys import (LinearSystem, Solution,
                              lift_homogeneous_to_integer, solve_integer,
@@ -26,7 +27,8 @@ from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, PetriNet, classify_net, isomorphic,
                             net_from_regions, reachability_graph)
 from netsynth.relations import (Contradiction, DISJOINT, DOI, Edge, INCLUDED,
-                                MatchingFailure, build_relation_graph,
+                                MatchingFailure, RelationGraph,
+                                build_relation_graph,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
@@ -53,12 +55,11 @@ class SynthesisConfig:
     ssp_combo_cap: int = 4096
     rg_cap: int = 100_000
     prune: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         if self.target_class not in (WPI, BRAC):
             raise ValueError(f"unknown target class {self.target_class!r}")
-        for name in ("selfloop_cap", "ssp_combo_cap", "rg_cap", "jobs"):
+        for name in ("selfloop_cap", "ssp_combo_cap", "rg_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -152,15 +153,13 @@ def verify_solution(net: PetriNet, lts: Lts, target_class: str,
                               classes=flags, target_ok=target_ok)
 
 
-def _prepare(lts: Lts):
+def _prepare(lts: Lts) -> SystemContext:
     report = validate(lts)
     if not report.ok:
         raise ValueError("LTS must be deterministic and reachable; "
                          "run validate first")
     tree = spanning_tree(lts)
-    basis = cycle_basis(lts, tree)
-    ctx = SystemContext(lts, tree, basis)
-    return tree, basis, ctx
+    return SystemContext(lts, tree, cycle_basis(lts, tree))
 
 
 def _relation_stage(lts: Lts, brac: bool):
@@ -185,7 +184,8 @@ def _region_from(solution: Solution, system: LinearSystem,
         solution = lift_homogeneous_to_integer(solution, system)
     region = solution_to_region(solution, ctx.lts)
     region = normalize_region(region, ctx.lts, ctx.tree)
-    assert region.is_valid(ctx.lts, ctx.tree)
+    if not region.is_valid(ctx.lts, ctx.tree):
+        raise AssertionError("a solved system gave an invalid region")
     return region
 
 
@@ -219,6 +219,26 @@ def _interpretation_order(k: int) -> list[int]:
     return sorted(range(1 << k), key=lambda v: (bin(v).count("1"), v))
 
 
+def _separate_state(ctx: SystemContext, reps: list[int], ssp: SSP,
+                    build: Callable[[SSP, int, str], LinearSystem],
+                    solve: Callable[[LinearSystem], Solution]) \
+        -> tuple[Optional[Region], list[str]]:
+    """Try ``build(ssp, label, sign)`` for every label and both signs.
+
+    Returns the region of the first feasible system, or None, together
+    with the tags of the systems tried.
+    """
+    tags = []
+    for a in reps:
+        for sign in ("<", ">"):
+            system = build(ssp, a, sign)
+            tags.append(f"{system.rows[0].tag}:{ctx.lts.labels[a]}:{sign}")
+            sol = solve(system)
+            if sol.feasible:
+                return _region_from(sol, system, ctx), tags
+    return None, tags
+
+
 def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         -> SynthesisReport:
     """Synthesis towards weighted comparable presets.
@@ -230,7 +250,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     regions verify wins.
     """
     cfg = cfg or SynthesisConfig(target_class=WPI)
-    tree, basis, ctx = _prepare(lts)
+    ctx = _prepare(lts)
     graph = _relation_stage(lts, brac=False)
     if isinstance(graph, Contradiction):
         return SynthesisReport(FAILURE, WPI,
@@ -258,36 +278,23 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         for essp in essps:
             if pool.solves(essp):
                 continue
-            system = essp_system_wpi(lts, tree, basis, graph, essp,
-                                     choice, ctx=ctx)
+            system = essp_system_wpi(ctx, graph, essp, choice)
             sol = solve_rational(system)
             if not sol.feasible:
                 witness = _problem_witness(essp, lts, [system.rows[0].tag])
                 break
             pool.add(_region_from(sol, system, ctx))
         if witness is None:
+            build = partial(ssp_system_wpi, ctx, graph, doi_choice=choice)
             for ssp in ssps:
                 if pool.solves(ssp):
                     continue
-                tags = []
-                solved = False
-                for a in reps:
-                    for sign in ("<", ">"):
-                        system = ssp_system_wpi(lts, tree, basis, graph,
-                                                ssp, a, sign, choice,
-                                                ctx=ctx)
-                        tags.append(f"{system.rows[0].tag}:"
-                                    f"{lts.labels[a]}:{sign}")
-                        sol = solve_rational(system)
-                        if sol.feasible:
-                            pool.add(_region_from(sol, system, ctx))
-                            solved = True
-                            break
-                    if solved:
-                        break
-                if not solved:
+                region, tags = _separate_state(ctx, reps, ssp, build,
+                                               solve_rational)
+                if region is None:
                     witness = _problem_witness(ssp, lts, tags)
                     break
+                pool.add(region)
         if witness is not None:
             if first_witness is None:
                 first_witness = witness
@@ -346,8 +353,51 @@ def _maybe_prune(report: SynthesisReport, lts: Lts,
 
 
 def _integer_cap(lts: Lts) -> int:
-    # any solving region can stay below this many tokens at desk scale
+    """Branch-and-bound bound on R0 for the 0/1 systems of the BRAC target.
+
+    In these systems B and F are 0/1, and R0 appears only in edge rows,
+    which bound it from below, and in ESSP rows, which bound it from above;
+    cycle, tie, fixing and SSP rows are free of it.
+    An edge row at state s reads R0 >= B_t + psi(s).(B - F), which is at
+    most 1 + depth(s).  Lowering R0 of any solution to its largest lower
+    bound (or 0) keeps every row, so some solution has
+    R0 <= tree depth + 1 <= |S| < 2|S|.  No branch holding it is pruned,
+    so "cap-exceeded" under this bound means the system is infeasible.
+    """
     return 2 * len(lts.states)
+
+
+def _brac_essp_regions(ctx: SystemContext, graph: RelationGraph,
+                       doi_choice: dict[tuple[int, int], str], label: int,
+                       solve: Callable[[LinearSystem], Solution]) \
+        -> tuple[list[Region], Optional[ESSP]]:
+    """0/1 regions for the event separations of ``label``, one by one.
+
+    Returns the regions found and the first unsolvable problem, or None
+    when every problem is solved.
+    """
+    lts = ctx.lts
+    regions: list[Region] = []
+    for s in range(len(lts.states)):
+        essp = ESSP(s, label)
+        if label in lts.enabled[s] or \
+                any(r.solves(ctx.tree, essp) for r in regions):
+            continue
+        base = essp_system_wpi(ctx, graph, essp, doi_choice)
+        system = ctx.system(base.rows, zero_one=True)
+        sol = solve(system)
+        if not sol.feasible:
+            return regions, essp
+        regions.append(_region_from(sol, system, ctx))
+    return regions, None
+
+
+def _block_witness(lts: Lts, pair: tuple[int, int], label: int,
+                   detail: str) -> dict:
+    return {"kind": "essp-block",
+            "pair": [lts.labels[pair[0]], lts.labels[pair[1]]],
+            "label": lts.labels[label],
+            "detail": detail}
 
 
 def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
@@ -362,7 +412,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     separations are assigned to choice blocks by bounded enumeration.
     """
     cfg = cfg or SynthesisConfig(target_class=BRAC)
-    tree, basis, ctx = _prepare(lts)
+    ctx = _prepare(lts)
     icap = _integer_cap(lts)
     graph = _relation_stage(lts, brac=True)
     if isinstance(graph, Contradiction):
@@ -377,118 +427,67 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     solid_labels = {x for pair in solid_pairs for x in pair}
     out_doi = {lo for lo, _ in doi_pairs}
     in_doi = {hi for _, hi in doi_pairs}
-    assert not (out_doi & in_doi), "doi chains must be resolved"
+    if out_doi & in_doi:
+        raise AssertionError("doi chains must be resolved")
 
+    solve = partial(solve_integer, cap=icap)
     pool = _RegionPool(ctx)
     all_disjoint = {pair: "disjoint" for pair in doi_pairs}
-    lam: list[tuple[int, int]] = []
-    lam_solutions: dict[tuple[int, int], Region] = {}
+    # feasible inclusion candidates and the shared region of each
+    lam: dict[tuple[int, int], Region] = {}
     gate_regions: dict[int, list[Region]] = {}
     blocks: list[dict] = []
-
-    def cap_report(sol: Solution) -> Optional[SynthesisReport]:
-        if sol.status == "cap-exceeded":
-            return SynthesisReport(CAP_EXCEEDED, BRAC, cap="integer-cap")
-        return None
-
-    def essps_of(label: int) -> list[ESSP]:
-        return [ESSP(s, label) for s in range(len(lts.states))
-                if label not in lts.enabled[s]]
 
     # event separation, representative label by label
     for a in reps:
         if a in solid_labels:
             continue
-        if a in out_doi:
-            unsolved = None
-            probe_regions: list[Region] = []
-            for essp in essps_of(a):
-                if any(r.solves(tree, essp) for r in probe_regions):
-                    continue
-                base = essp_system_wpi(lts, tree, basis, graph, essp,
-                                       all_disjoint, ctx=ctx)
-                system = ctx.system(base.rows, zero_one=True)
-                sol = solve_integer(system, cap=icap)
-                if capped := cap_report(sol):
-                    return capped
-                if not sol.feasible:
-                    unsolved = essp
-                    break
-                probe_regions.append(_region_from(sol, system, ctx))
-            if unsolved is None:
-                for r in probe_regions:
-                    pool.add(r)
-                continue
-            # some outgoing doi edge must be a proper inclusion
-            any_candidate = False
-            for lo, hi in doi_pairs:
-                if lo != a:
-                    continue
-                shared, _ = brac_block_systems(lts, tree, basis, graph,
-                                               (lo, hi), ctx=ctx)
-                sol = solve_integer(shared, cap=icap)
-                if capped := cap_report(sol):
-                    return capped
-                if sol.feasible:
-                    lam.append((lo, hi))
-                    lam_solutions[(lo, hi)] = _region_from(sol, shared, ctx)
-                    any_candidate = True
-            if not any_candidate:
-                return SynthesisReport(
-                    FAILURE, BRAC,
-                    witness=_problem_witness(
-                        unsolved, lts,
-                        ["all-disjoint"] +
-                        [f"inclusion:{lts.labels[hi]}"
-                         for lo, hi in doi_pairs if lo == a]))
-        else:
-            solved_by: list[Region] = []
-            for essp in essps_of(a):
-                if any(r.solves(tree, essp) for r in solved_by):
-                    continue
-                base = essp_system_wpi(lts, tree, basis, graph, essp,
-                                       all_disjoint, ctx=ctx)
-                system = ctx.system(base.rows, zero_one=True)
-                sol = solve_integer(system, cap=icap)
-                if capped := cap_report(sol):
-                    return capped
-                if not sol.feasible:
-                    return SynthesisReport(
-                        FAILURE, BRAC,
-                        witness=_problem_witness(essp, lts,
-                                                 [system.rows[0].tag]))
-                solved_by.append(_region_from(sol, system, ctx))
+        regions, unsolved = _brac_essp_regions(ctx, graph, all_disjoint, a,
+                                               solve)
+        if unsolved is None:
             if a in in_doi:
                 # a doi target may end up matched, in which case the block
                 # places replace these; pooled only after the matching
-                gate_regions[a] = solved_by
+                gate_regions[a] = regions
             else:
-                for r in solved_by:
+                for r in regions:
                     pool.add(r)
+            continue
+        if a not in out_doi:
+            return SynthesisReport(
+                FAILURE, BRAC,
+                witness=_problem_witness(unsolved, lts,
+                                         [ctx.essp_row(unsolved).tag]))
+        # some outgoing doi edge must be a proper inclusion
+        targets = [hi for lo, hi in doi_pairs if lo == a]
+        for hi in targets:
+            shared, _ = brac_block_systems(ctx, graph, (a, hi))
+            sol = solve(shared)
+            if sol.feasible:
+                lam[(a, hi)] = _region_from(sol, shared, ctx)
+        if not any((a, hi) in lam for hi in targets):
+            return SynthesisReport(
+                FAILURE, BRAC,
+                witness=_problem_witness(
+                    unsolved, lts,
+                    ["all-disjoint"] +
+                    [f"inclusion:{lts.labels[hi]}" for hi in targets]))
 
     # asymmetric choice blocks from strengthened inclusions
-    for lo, hi in solid_pairs:
-        shared_sys, private_sys = brac_block_systems(lts, tree, basis,
-                                                     graph, (lo, hi),
-                                                     ctx=ctx)
-        entry = {"pair": (lo, hi), "systems": [shared_sys, private_sys],
-                 "indices": []}
-        for which, system in enumerate(entry["systems"]):
-            sol = solve_integer(system, cap=icap)
-            if capped := cap_report(sol):
-                return capped
+    for pair in solid_pairs:
+        systems = brac_block_systems(ctx, graph, pair)
+        indices = []
+        for label, system in zip(pair, systems):
+            sol = solve(system)
             if not sol.feasible:
-                label = (lo, hi)[which]
                 return SynthesisReport(
                     FAILURE, BRAC,
-                    witness={"kind": "essp-block",
-                             "pair": [lts.labels[lo], lts.labels[hi]],
-                             "label": lts.labels[label],
-                             "detail": "no single region covers the "
-                                       "block's event separations"})
-            entry["indices"].append(pool.add(_region_from(sol, system,
-                                                          ctx)))
-        blocks.append(entry)
+                    witness=_block_witness(
+                        lts, pair, label,
+                        "no single region covers the block's event "
+                        "separations"))
+            indices.append(pool.add(_region_from(sol, system, ctx)))
+        blocks.append({"pair": pair, "systems": systems, "indices": indices})
 
     # inclusion matching for self-loop labels
     matching: dict[int, int] = {}
@@ -504,65 +503,44 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                          "detail": "no inclusion target assignment covers "
                                    "every self-loop needing one"})
         matching = result
+    matching_names = {lts.labels[k]: lts.labels[v]
+                      for k, v in matching.items()}
     for lo, hi in doi_pairs:
-        if matching.get(lo) == hi:
-            graph.set_edge(lo, hi, Edge(INCLUDED, lo, hi, "strengthened"))
-        else:
-            graph.set_edge(lo, hi, Edge(DISJOINT, lo, hi, "strengthened"))
-    for lo, hi in sorted(matching.items()):
-        shared_region = lam_solutions[(lo, hi)]
-        shared_sys, private_sys = brac_block_systems(lts, tree, basis,
-                                                     graph, (lo, hi),
-                                                     ctx=ctx)
-        sol = solve_integer(private_sys, cap=icap)
-        if capped := cap_report(sol):
-            return capped
+        kind = INCLUDED if matching.get(lo) == hi else DISJOINT
+        graph.set_edge(lo, hi, Edge(kind, lo, hi, "strengthened"))
+    for pair in sorted(matching.items()):
+        systems = brac_block_systems(ctx, graph, pair)
+        sol = solve(systems[1])
         if not sol.feasible:
             return SynthesisReport(
                 FAILURE, BRAC, inclusion_candidates=lam_names,
-                matching={lts.labels[k]: lts.labels[v]
-                          for k, v in matching.items()},
-                witness={"kind": "essp-block",
-                         "pair": [lts.labels[lo], lts.labels[hi]],
-                         "label": lts.labels[hi],
-                         "detail": "no single private region covers the "
-                                   "matched block"})
+                matching=matching_names,
+                witness=_block_witness(lts, pair, pair[1],
+                                       "no single private region covers "
+                                       "the matched block"))
         # shared and private place replace the target's provisional
         # per-problem regions: its preset may hold at most two places
-        gate_regions.pop(hi, None)
-        i1 = pool.add(shared_region)
-        i2 = pool.add(_region_from(sol, private_sys, ctx))
-        blocks.append({"pair": (lo, hi),
-                       "systems": [shared_sys, private_sys],
-                       "indices": [i1, i2]})
+        gate_regions.pop(pair[1], None)
+        indices = [pool.add(lam[pair]),
+                   pool.add(_region_from(sol, systems[1], ctx))]
+        blocks.append({"pair": pair, "systems": systems, "indices": indices})
     for label in sorted(gate_regions):
         for r in gate_regions[label]:
             pool.add(r)
 
     # state separation: free-choice first, then block assignment
+    build = partial(brac_ssp_system_freechoice, ctx, graph)
     ssps = [p for p in enumerate_separation_problems(lts)
             if isinstance(p, SSP)]
     leftovers: list[SSP] = []
     for ssp in ssps:
         if pool.solves(ssp):
             continue
-        solved = False
-        for a in reps:
-            for sign in ("<", ">"):
-                system = brac_ssp_system_freechoice(lts, tree, basis,
-                                                    graph, ssp, a, sign,
-                                                    ctx=ctx)
-                sol = solve_integer(system, cap=icap)
-                if capped := cap_report(sol):
-                    return capped
-                if sol.feasible:
-                    pool.add(_region_from(sol, system, ctx))
-                    solved = True
-                    break
-            if solved:
-                break
-        if not solved:
+        region, _ = _separate_state(ctx, reps, ssp, build, solve)
+        if region is None:
             leftovers.append(ssp)
+        else:
+            pool.add(region)
 
     if leftovers:
         if not blocks:
@@ -574,8 +552,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                                         icap)
         if failed is not None:
             failed.inclusion_candidates = lam_names
-            failed.matching = {lts.labels[k]: lts.labels[v]
-                               for k, v in matching.items()}
+            failed.matching = matching_names
             return failed
 
     net = net_from_regions(lts.labels,
@@ -589,8 +566,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                          "included" if matching.get(lo) == hi
                          else "disjoint") for lo, hi in doi_pairs],
         inclusion_candidates=lam_names,
-        matching={lts.labels[k]: lts.labels[v]
-                  for k, v in matching.items()},
+        matching=matching_names,
         verification=record)
     if not record.ok:
         report.witness = {"kind": "verification",
@@ -641,9 +617,6 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
                 sol = solve_integer(ctx.system(rows, zero_one=True),
                                     cap=icap)
                 cache[key] = sol
-            if sol.status == "cap-exceeded":
-                return SynthesisReport(CAP_EXCEEDED, BRAC,
-                                       cap="integer-cap")
             if not sol.feasible:
                 ok = False
                 break

@@ -153,15 +153,13 @@ def test_criterion_4_case6_dichotomy():
         graph, _ = quotient_by_equivalence(build_relation_graph(case6b))
         graph = strengthen_wpi(graph)
         tree = spanning_tree(case6b)
-        basis = cycle_basis(case6b, tree)
+        ctx = SystemContext(case6b, tree, cycle_basis(case6b, tree))
         c = case6b.labels.index("c")
         b = case6b.labels.index("b")
         essp = ESSP(case6b.states.index("s0"), c)
-        system = essp_system_wpi(case6b, tree, basis, graph, essp,
-                                 {(c, b): "disjoint"})
+        system = essp_system_wpi(ctx, graph, essp, {(c, b): "disjoint"})
         assert not solve_rational(system).feasible
-        system = essp_system_wpi(case6b, tree, basis, graph, essp,
-                                 {(c, b): "included"})
+        system = essp_system_wpi(ctx, graph, essp, {(c, b): "included"})
         assert solve_rational(system).feasible
 
 

@@ -126,6 +126,20 @@ class TestSynth:
                     "--rg-cap", "5", "-o", str(tmp_path / "n.pn")])
         assert code == 3
 
+    @pytest.mark.parametrize("error", [RuntimeError("pivot limit exceeded"),
+                                       AssertionError("invariant broken")])
+    def test_internal_error_exit_4(self, monkeypatch, capsys, error):
+        # solver limits and broken invariants must not read as a verdict
+        def broken(lts, cfg):
+            raise error
+        monkeypatch.setattr("netsynth.cli.synthesize_wpi", broken)
+        assert run(["synth", fx("fig1.lts"), "--class", "wpi"]) == 4
+        assert capsys.readouterr().err == f"internal error: {error}\n"
+
+    def test_jobs_option_removed(self):
+        assert run(["synth", fx("fig1.lts"), "--class", "wpi",
+                    "--jobs", "2"]) == 2
+
 
 class TestCheck:
     def test_fig1_net_is_brac(self, capsys):

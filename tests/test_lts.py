@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netsynth.lts import (LtsError, ParikhVector, cycle_basis,
-                          parikh_of_edge, parikh_of_state, parse_lts,
-                          serialize_lts, spanning_tree, validate)
+                          parikh_of_edge, parse_lts, serialize_lts,
+                          spanning_tree, validate)
 
 from conftest import load_lts
 
@@ -114,7 +114,7 @@ class TestSpanningTree:
         tree = spanning_tree(genx)
         s3 = genx.states.index("s3")
         s7 = genx.states.index("s7")
-        assert parikh_of_state(tree, s3) == parikh_of_state(tree, s7)
+        assert tree.parikh[s3] == tree.parikh[s7]
 
     def test_tiebreak_prefers_smaller_source(self):
         # both s1 and s2 reach s3 at depth 2; s1 must win
@@ -127,16 +127,16 @@ class TestSpanningTree:
 class TestParikh:
     def test_fig1_s9(self, fig1):
         tree = spanning_tree(fig1)
-        vec = parikh_of_state(tree, fig1.states.index("s9"))
+        vec = tree.parikh[fig1.states.index("s9")]
         assert names(fig1, vec) == {"a": 2, "c": 2}
 
     def test_initial_zero(self, fig1):
         tree = spanning_tree(fig1)
-        assert parikh_of_state(tree, fig1.initial).is_zero()
+        assert tree.parikh[fig1.initial].is_zero()
 
     def test_fig1_s7(self, fig1):
         tree = spanning_tree(fig1)
-        vec = parikh_of_state(tree, fig1.states.index("s7"))
+        vec = tree.parikh[fig1.states.index("s7")]
         assert names(fig1, vec) == {"a": 2, "d": 1, "e": 1}
 
     def test_fig1_chord_zero(self, fig1):
@@ -171,8 +171,8 @@ class TestParikh:
                 total = total + parikh_of_edge(tree, e)
                 word = word + ParikhVector.unit(e[1])
                 s = e[2]
-            expected = (parikh_of_state(tree, fig1.initial) + word
-                        - parikh_of_state(tree, s))
+            expected = (tree.parikh[fig1.initial] + word
+                        - tree.parikh[s])
             assert total == expected
 
 

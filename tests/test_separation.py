@@ -15,12 +15,12 @@ from netsynth.separation import (ESSP, Region, SSP, SystemContext,
 
 def stage(lts, brac=False):
     tree = spanning_tree(lts)
-    basis = cycle_basis(lts, tree)
+    ctx = SystemContext(lts, tree, cycle_basis(lts, tree))
     graph, _ = quotient_by_equivalence(build_relation_graph(lts))
     graph = strengthen_wpi(graph)
     if brac:
         graph = strengthen_brac(graph)
-    return tree, basis, graph
+    return ctx, graph
 
 
 def sid(lts, name):
@@ -72,17 +72,17 @@ class TestEnumerate:
 
 class TestEsspSystemWpi:
     def test_fig1_s13_a_admits_published_region(self, fig1):
-        tree, basis, graph = stage(fig1)
+        ctx, graph = stage(fig1)
         essp = ESSP(sid(fig1, "s13"), lid(fig1, "a"))
-        system = essp_system_wpi(fig1, tree, basis, graph, essp)
+        system = essp_system_wpi(ctx, graph, essp)
         region = region_of(fig1, {"r0": 2, "b": {"a": 1}, "f": {"f": 1}})
         assert system.satisfied_by(assignment_of(fig1, region))
         assert solve_rational(system).feasible
 
     def test_all_rows_homogeneous(self, fig1):
-        tree, basis, graph = stage(fig1)
+        ctx, graph = stage(fig1)
         essp = ESSP(sid(fig1, "s13"), lid(fig1, "a"))
-        system = essp_system_wpi(fig1, tree, basis, graph, essp)
+        system = essp_system_wpi(ctx, graph, essp)
         assert system.homogeneous
 
     def test_genx_generic_rows_already_infeasible(self, genx):
@@ -96,9 +96,9 @@ class TestEsspSystemWpi:
 
     def test_empty_cycle_basis_system(self):
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s2\n")
-        tree, basis, graph = stage(lts)
-        assert basis == []
-        system = essp_system_wpi(lts, tree, basis, graph,
+        ctx, graph = stage(lts)
+        assert ctx.basis == []
+        system = essp_system_wpi(ctx, graph,
                                  ESSP(sid(lts, "s0"), lid(lts, "b")))
         assert not any(r.tag.startswith("cycle") for r in system.rows)
         assert solve_rational(system).feasible
@@ -107,18 +107,16 @@ class TestEsspSystemWpi:
 class TestSspSystemWpi:
     def test_fig1_s4_s5_admits_published_region(self, fig1):
         # the published region consumes d, so it lives in the d-keyed system
-        tree, basis, graph = stage(fig1)
+        ctx, graph = stage(fig1)
         ssp = SSP(sid(fig1, "s4"), sid(fig1, "s5"))
-        system = ssp_system_wpi(fig1, tree, basis, graph, ssp,
-                                lid(fig1, "d"), ">")
+        system = ssp_system_wpi(ctx, graph, ssp, lid(fig1, "d"), ">")
         region = region_of(fig1, {"r0": 0, "f": {"a": 1}, "b": {"d": 1}})
         assert system.satisfied_by(assignment_of(fig1, region))
         assert solve_rational(system).feasible
         # some keyed system solves the pair; first feasible key wins
         solved = [fig1.labels[rep] for rep in sorted(graph.classes)
                   if any(solve_rational(
-                      ssp_system_wpi(fig1, tree, basis, graph, ssp, rep,
-                                     sign)).feasible
+                      ssp_system_wpi(ctx, graph, ssp, rep, sign)).feasible
                       for sign in ("<", ">"))]
         assert "d" in solved
 
@@ -135,12 +133,11 @@ class TestSspSystemWpi:
 
     def test_equal_parikh_infeasible(self):
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s2\ns0 b s3\ns3 a s4\n")
-        tree, basis, graph = stage(lts)
+        ctx, graph = stage(lts)
         s2, s4 = sid(lts, "s2"), sid(lts, "s4")
-        assert tree.parikh[s2] == tree.parikh[s4]
+        assert ctx.tree.parikh[s2] == ctx.tree.parikh[s4]
         for sign in ("<", ">"):
-            system = ssp_system_wpi(lts, tree, basis, graph, SSP(s2, s4),
-                                    0, sign)
+            system = ssp_system_wpi(ctx, graph, SSP(s2, s4), 0, sign)
             assert not solve_rational(system).feasible
 
 
@@ -148,25 +145,25 @@ class TestSolutionsAreRegions:
     def test_every_feasible_system_yields_valid_region(self, fig1):
         from netsynth.linsys import lift_homogeneous_to_integer
         from netsynth.separation import solution_to_region
-        tree, basis, graph = stage(fig1)
+        ctx, graph = stage(fig1)
         for essp in (p for p in enumerate_separation_problems(fig1)
                      if isinstance(p, ESSP))        :
             if graph.rep[essp.label] != essp.label:
                 continue
-            system = essp_system_wpi(fig1, tree, basis, graph, essp)
+            system = essp_system_wpi(ctx, graph, essp)
             sol = solve_rational(system)
             assert sol.feasible
             lifted = lift_homogeneous_to_integer(sol, system)
             region = solution_to_region(lifted, fig1)
-            assert region.is_valid(fig1, tree)
-            assert region.solves(tree, essp)
+            assert region.is_valid(fig1, ctx.tree)
+            assert region.solves(ctx.tree, essp)
 
 
 class TestBracBlockSystems:
     def test_fig1_ba_block(self, fig1):
-        tree, basis, graph = stage(fig1, brac=True)
+        ctx, graph = stage(fig1, brac=True)
         b, a = lid(fig1, "b"), lid(fig1, "a")
-        sys1, sys2 = brac_block_systems(fig1, tree, basis, graph, (b, a))
+        sys1, sys2 = brac_block_systems(ctx, graph, (b, a))
         sol1 = solve_integer(sys1, cap=30)
         sol2 = solve_integer(sys2, cap=30)
         assert sol1.feasible and sol2.feasible
@@ -175,19 +172,19 @@ class TestBracBlockSystems:
         assert sol2.assignment["B_a"] == 1 and sol2.assignment["B_b"] == 0
 
     def test_fig1_cd_block(self, fig1):
-        tree, basis, graph = stage(fig1, brac=True)
+        ctx, graph = stage(fig1, brac=True)
         c, d = lid(fig1, "c"), lid(fig1, "d")
-        sys1, sys2 = brac_block_systems(fig1, tree, basis, graph, (c, d))
+        sys1, sys2 = brac_block_systems(ctx, graph, (c, d))
         assert solve_integer(sys1, cap=30).feasible
         assert solve_integer(sys2, cap=30).feasible
 
     def test_block_without_private_problems_trivially_feasible(self):
         # wide label enabled wherever the narrow one is: no private rows
         lts = parse_lts("initial s0\ns0 a s1\ns0 b s2\ns1 a s2\n")
-        tree, basis, graph = stage(lts, brac=True)
+        ctx, graph = stage(lts, brac=True)
         a, b = lid(lts, "a"), lid(lts, "b")
         pair = (b, a) if (b, a) in graph.included_edges() else (a, b)
-        _, sys2 = brac_block_systems(lts, tree, basis, graph, pair)
+        _, sys2 = brac_block_systems(ctx, graph, pair)
         strict = [r for r in sys2.rows if r.rel == "<"]
         wide = pair[1]
         expected = [s for s in range(len(lts.states))
@@ -196,16 +193,16 @@ class TestBracBlockSystems:
         assert len(strict) == len(expected)
 
     def test_non_self_loop_narrow_label_produce_pinned(self, fig1):
-        tree, basis, graph = stage(fig1, brac=True)
+        ctx, graph = stage(fig1, brac=True)
         b, a = lid(fig1, "b"), lid(fig1, "a")
-        sys1, _ = brac_block_systems(fig1, tree, basis, graph, (b, a))
+        sys1, _ = brac_block_systems(ctx, graph, (b, a))
         sol = solve_integer(sys1, cap=30)
         assert sol.assignment["F_b"] == 0
 
     def test_self_loop_narrow_label_produce_free(self, brac7):
-        tree, basis, graph = stage(brac7, brac=True)
+        ctx, graph = stage(brac7, brac=True)
         c, e = lid(brac7, "c"), lid(brac7, "e")
-        sys1, _ = brac_block_systems(brac7, tree, basis, graph, (c, e))
+        sys1, _ = brac_block_systems(ctx, graph, (c, e))
         sol = solve_integer(sys1, cap=30)
         assert sol.feasible
         # the self-loop keeps the shared place's count: consume = produce
@@ -214,23 +211,22 @@ class TestBracBlockSystems:
 
 class TestBracFreechoice:
     def test_fig1_s4_s5_solvable_by_some_label(self, fig1):
-        tree, basis, graph = stage(fig1, brac=True)
+        ctx, graph = stage(fig1, brac=True)
         ssp = SSP(sid(fig1, "s4"), sid(fig1, "s5"))
         feasible = []
         for rep in sorted(graph.classes):
             for sign in ("<", ">"):
-                system = brac_ssp_system_freechoice(fig1, tree, basis,
-                                                    graph, ssp, rep, sign)
+                system = brac_ssp_system_freechoice(ctx, graph, ssp, rep,
+                                                    sign)
                 if solve_integer(system, cap=30).feasible:
                     feasible.append((fig1.labels[rep], sign))
         assert feasible
 
     def test_choice_involved_labels_cannot_consume(self, fig1):
-        tree, basis, graph = stage(fig1, brac=True)
+        ctx, graph = stage(fig1, brac=True)
         ssp = SSP(sid(fig1, "s4"), sid(fig1, "s5"))
         a = lid(fig1, "a")
-        system = brac_ssp_system_freechoice(fig1, tree, basis, graph, ssp,
-                                            a, ">")
+        system = brac_ssp_system_freechoice(ctx, graph, ssp, a, ">")
         sol = solve_integer(system, cap=30)
         if sol.feasible:
             for name in "abcd":
@@ -239,12 +235,12 @@ class TestBracFreechoice:
     def test_equal_parikh_infeasible_for_all_labels(self, genx):
         # relations on this system contradict, so build a plain graph
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s2\ns0 b s3\ns3 a s4\n")
-        tree, basis, graph = stage(lts, brac=True)
+        ctx, graph = stage(lts, brac=True)
         ssp = SSP(sid(lts, "s2"), sid(lts, "s4"))
         for rep in sorted(graph.classes):
             for sign in ("<", ">"):
-                system = brac_ssp_system_freechoice(lts, tree, basis,
-                                                    graph, ssp, rep, sign)
+                system = brac_ssp_system_freechoice(ctx, graph, ssp, rep,
+                                                    sign)
                 assert not solve_integer(system, cap=30).feasible
 
 
