@@ -275,7 +275,7 @@ def run(argv: list[str]) -> int:
     except (LtsError, PetriNetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
-    except (RuntimeError, AssertionError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL
 

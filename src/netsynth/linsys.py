@@ -1,8 +1,11 @@
 """Exact rational linear systems and solvers.
 
 Systems mix weak, strict, equality and (caller-split) disequality rows over
-nonnegative variables.  Rational feasibility is decided by an exact simplex
-over `fractions.Fraction`; strict rows are handled by maximising one shared
+nonnegative variables.  Variables are plain column positions: a row holds
+``(column, coefficient)`` pairs and a solution is one value per column, so
+the solver never sees a variable name (``dump_lp`` takes names only to
+print).  Rational feasibility is decided by an exact simplex over
+`fractions.Fraction`; strict rows are handled by maximising one shared
 slack.  Homogeneous solutions lift to integers by denominator clearing, and a
 0/1-aware branch-and-bound gives bounded integer feasibility.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
 
@@ -28,16 +31,15 @@ _MAX_PIVOTS = 2_000_000
 
 @dataclass(frozen=True)
 class Row:
-    """One linear constraint ``sum(coef * var) rel const``."""
+    """One linear constraint ``sum(coef * x[column]) rel const``."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
+    coeffs: tuple[tuple[int, Fraction], ...]
     rel: str
     const: Fraction
     tag: str = ""
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> bool:
-        lhs = sum((c * assignment.get(v, Fraction(0)) for v, c in self.coeffs),
-                  Fraction(0))
+    def evaluate(self, values: Sequence[Fraction]) -> bool:
+        lhs = sum((c * values[j] for j, c in self.coeffs), Fraction(0))
         if self.rel == "<=":
             return lhs <= self.const
         if self.rel == "<":
@@ -53,55 +55,50 @@ class Row:
         raise ValueError(f"unknown relation {self.rel!r}")
 
 
-def make_row(coeffs: Mapping[str, int | Fraction], rel: str,
+def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
              const: int | Fraction = 0, tag: str = "") -> Row:
     if rel not in RELATIONS:
         raise ValueError(f"unknown relation {rel!r}")
-    items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items()
-                         if Fraction(c) != 0))
+    items = tuple(sorted((j, Fraction(c)) for j, c in coeffs.items()
+                         if c != 0))
     return Row(items, rel, Fraction(const), tag)
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Inequality system over nonnegative variables.
+    """Inequality system over ``columns`` nonnegative variables.
 
-    ``zero_one`` flags variables additionally bounded to {0, 1}; the bound
+    ``zero_one`` flags columns additionally bounded to {0, 1}; the bound
     rows are materialised by the solvers, not stored.
     """
 
-    variables: tuple[str, ...]
+    columns: int
     rows: tuple[Row, ...]
-    zero_one: frozenset[str] = frozenset()
+    zero_one: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        declared = set(self.variables)
         for row in self.rows:
-            for v, _ in row.coeffs:
-                if v not in declared:
+            for j, _ in row.coeffs:
+                if not 0 <= j < self.columns:
                     raise ValueError(f"row {row.tag!r} references "
-                                     f"undeclared variable {v!r}")
+                                     f"undeclared column {j}")
 
     @property
     def homogeneous(self) -> bool:
         return all(r.const == 0 for r in self.rows) and not self.zero_one
 
-    def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
-        if any(assignment.get(v, Fraction(0)) < 0 for v in self.variables):
+    def satisfied_by(self, values: Sequence[Fraction]) -> bool:
+        if any(v < 0 for v in values):
             return False
-        if any(not (0 <= assignment.get(v, Fraction(0)) <= 1)
-               for v in self.zero_one):
+        if any(values[j] > 1 for j in self.zero_one):
             return False
-        return all(r.evaluate(assignment) for r in self.rows)
-
-    def violated_rows(self, assignment: Mapping[str, Fraction]) -> list[Row]:
-        return [r for r in self.rows if not r.evaluate(assignment)]
+        return all(r.evaluate(values) for r in self.rows)
 
 
 @dataclass
 class Solution:
     status: str
-    assignment: Optional[dict[str, Fraction]] = None
+    assignment: Optional[tuple[Fraction, ...]] = None  # one value per column
     pivots: int = 0
 
     @property
@@ -109,44 +106,43 @@ class Solution:
         return self.status == FEASIBLE
 
 
-def dump_lp(system: LinearSystem) -> str:
-    """Debug dump in an LP-like line format (documented, not versioned)."""
+def dump_lp(system: LinearSystem, names: Sequence[str]) -> str:
+    """Debug dump in an LP-like line format (documented, not versioned).
+
+    ``names[j]`` is printed for column ``j``.
+    """
     out = ["min 0"]
     for i, row in enumerate(system.rows, 1):
-        terms = " ".join(f"{c} {v}" for v, c in row.coeffs) or "0"
+        terms = " ".join(f"{c} {names[j]}" for j, c in row.coeffs) or "0"
         tag = f"  # {row.tag}" if row.tag else ""
         out.append(f"r{i}: {terms} {row.rel} {row.const}{tag}")
     if system.zero_one:
-        out.append("binary: " + " ".join(sorted(system.zero_one)))
-    out.append("vars: " + " ".join(system.variables))
+        out.append("binary: " + " ".join(names[j]
+                                         for j in sorted(system.zero_one)))
+    out.append("vars: " + " ".join(names))
     return "\n".join(out)
 
 
-_DELTA = "__delta__"
+def _leq_form(system: LinearSystem, rows: Sequence[Row]) \
+        -> tuple[list[list[Fraction]], list[Fraction], bool]:
+    """Rewrite ``rows`` and the 0/1 bounds to ``M z <= b`` with z >= 0.
 
-
-def _leq_form(system: LinearSystem,
-              extra_rows: Iterable[Row] = ()) -> tuple[list[str], list[list[Fraction]], list[Fraction], bool]:
-    """Rewrite to ``M z <= b`` with z >= 0.
-
-    Strict rows receive a shared slack variable maximised by the solver;
-    a feasible strict system is one where the slack optimum is positive.
+    Strict rows receive a shared slack variable, the last column, maximised
+    by the solver; a feasible strict system is one where the slack optimum
+    is positive.
     """
-    rows = list(system.rows) + list(extra_rows)
     has_strict = any(r.rel in ("<", ">") for r in rows)
-    variables = list(system.variables) + ([_DELTA] if has_strict else [])
-    index = {v: i for i, v in enumerate(variables)}
-    nvar = len(variables)
+    nvar = system.columns + has_strict
 
     matrix: list[list[Fraction]] = []
     rhs: list[Fraction] = []
 
     def emit(coeffs, const, strict=False):
         dense = [Fraction(0)] * nvar
-        for v, c in coeffs:
-            dense[index[v]] += c
+        for j, c in coeffs:
+            dense[j] += c
         if strict:
-            dense[index[_DELTA]] += 1
+            dense[-1] += 1
         matrix.append(dense)
         rhs.append(const)
 
@@ -156,19 +152,19 @@ def _leq_form(system: LinearSystem,
         if row.rel == "<=":
             emit(row.coeffs, row.const)
         elif row.rel == ">=":
-            emit([(v, -c) for v, c in row.coeffs], -row.const)
+            emit([(j, -c) for j, c in row.coeffs], -row.const)
         elif row.rel == "=":
             emit(row.coeffs, row.const)
-            emit([(v, -c) for v, c in row.coeffs], -row.const)
+            emit([(j, -c) for j, c in row.coeffs], -row.const)
         elif row.rel == "<":
             emit(row.coeffs, row.const, strict=True)
         elif row.rel == ">":
-            emit([(v, -c) for v, c in row.coeffs], -row.const, strict=True)
-    for v in sorted(system.zero_one):
-        emit([(v, Fraction(1))], Fraction(1))
+            emit([(j, -c) for j, c in row.coeffs], -row.const, strict=True)
+    for j in sorted(system.zero_one):
+        emit([(j, Fraction(1))], Fraction(1))
     if has_strict:
-        emit([(_DELTA, Fraction(1))], Fraction(1))
-    return variables, matrix, rhs, has_strict
+        emit([(nvar - 1, Fraction(1))], Fraction(1))
+    return matrix, rhs, has_strict
 
 
 class _Simplex:
@@ -312,10 +308,11 @@ def solve_rational(system: LinearSystem, extra_rows: Iterable[Row] = ()) -> Solu
     Strict rows are feasible iff the shared strictness slack admits a
     positive optimum; the returned witness always re-substitutes cleanly.
     """
-    variables, matrix, rhs, has_strict = _leq_form(system, extra_rows)
+    extra = tuple(extra_rows)
+    matrix, rhs, has_strict = _leq_form(system, system.rows + extra)
     if not matrix:
-        return Solution(FEASIBLE, {v: Fraction(0) for v in system.variables})
-    objective = [Fraction(0)] * len(variables)
+        return Solution(FEASIBLE, (Fraction(0),) * system.columns)
+    objective = [Fraction(0)] * len(matrix[0])
     if has_strict:
         objective[-1] = Fraction(1)
     simplex = _Simplex(matrix, rhs, objective)
@@ -324,20 +321,11 @@ def solve_rational(system: LinearSystem, extra_rows: Iterable[Row] = ()) -> Solu
         return Solution(INFEASIBLE, pivots=simplex.pivots)
     if has_strict and optimum <= 0:
         return Solution(INFEASIBLE, pivots=simplex.pivots)
-    assignment = {v: witness[i] for i, v in enumerate(variables)
-                  if v != _DELTA}
-    for v in system.variables:
-        assignment.setdefault(v, Fraction(0))
-    extra = list(extra_rows)
-    if not _check(system, assignment, extra):
+    values = tuple(witness[:system.columns])
+    if not (system.satisfied_by(values)
+            and all(r.evaluate(values) for r in extra)):
         raise AssertionError("simplex witness failed re-substitution")
-    return Solution(FEASIBLE, assignment, pivots=simplex.pivots)
-
-
-def _check(system: LinearSystem, assignment, extra_rows) -> bool:
-    if not system.satisfied_by(assignment):
-        return False
-    return all(r.evaluate(assignment) for r in extra_rows)
+    return Solution(FEASIBLE, values, pivots=simplex.pivots)
 
 
 def lift_homogeneous_to_integer(solution: Solution,
@@ -351,9 +339,9 @@ def lift_homogeneous_to_integer(solution: Solution,
         raise ValueError("system is not homogeneous")
     if not solution.feasible or solution.assignment is None:
         raise ValueError("can only lift a feasible solution")
-    scale = lcm(*(v.denominator for v in solution.assignment.values()), 1)
-    lifted = {k: v * scale for k, v in solution.assignment.items()}
-    if any(v.denominator != 1 for v in lifted.values()):
+    scale = lcm(*(v.denominator for v in solution.assignment), 1)
+    lifted = tuple(v * scale for v in solution.assignment)
+    if any(v.denominator != 1 for v in lifted):
         raise AssertionError("lifted solution is not integral")
     if not system.satisfied_by(lifted):
         raise AssertionError("lifted solution failed re-substitution")
@@ -377,7 +365,7 @@ def integerize_strict(system: LinearSystem) -> LinearSystem:
             rows.append(Row(row.coeffs, ">=", row.const + 1, row.tag))
         else:
             rows.append(row)
-    return LinearSystem(system.variables, tuple(rows), system.zero_one)
+    return LinearSystem(system.columns, tuple(rows), system.zero_one)
 
 
 def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
@@ -385,7 +373,7 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
 
     0/1-flagged variables carry their bounds already; remaining variables
     are branched on fractional relaxation values, down-branch first, in
-    variable order.  Branches pushing a lower bound beyond ``cap`` are
+    column order.  Branches pushing a lower bound beyond ``cap`` are
     pruned; if the search ends infeasible after such pruning the result is
     reported as cap-exceeded rather than infeasible.
     """
@@ -406,18 +394,14 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
         values = relax.assignment
         if values is None:
             raise AssertionError("feasible relaxation without a witness")
-        frac_var = None
-        for v in system.variables:
-            if values[v].denominator != 1:
-                frac_var = v
-                break
-        if frac_var is None:
-            return Solution(FEASIBLE, dict(values), pivots=pivots)
-        value = values[frac_var]
-        lo = Fraction(floor(value))
-        hi = Fraction(ceil(value))
-        up = bounds + (make_row({frac_var: 1}, ">=", hi, tag="branch-up"),)
-        down = bounds + (make_row({frac_var: 1}, "<=", lo, tag="branch-down"),)
+        frac = next((j for j, v in enumerate(values) if v.denominator != 1),
+                    None)
+        if frac is None:
+            return Solution(FEASIBLE, values, pivots=pivots)
+        lo = Fraction(floor(values[frac]))
+        hi = Fraction(ceil(values[frac]))
+        up = bounds + (make_row({frac: 1}, ">=", hi, tag="branch-up"),)
+        down = bounds + (make_row({frac: 1}, "<=", lo, tag="branch-down"),)
         if hi > cap:
             capped = True
         else:

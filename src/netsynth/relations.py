@@ -166,9 +166,6 @@ class RelationGraph:
         return sorted((e.lo, e.hi) for e in self.edges.values()
                       if e.kind == INCLUDED)
 
-    def label(self, i: int) -> str:
-        return self.names[i]
-
 
 def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
     """Enabledness relation and deactivation flag of labels ``a`` and ``b``.

@@ -5,7 +5,9 @@ weights to labels such that every edge fires like a Petri net place.  State
 separation demands different counts for two states, event separation
 demands an insufficient count where a label is disabled.  Both become
 linear systems over R(s0), B and F, expressed through spanning-tree Parikh
-vectors, with one zero-effect row per cycle-basis vector.
+vectors, with one zero-effect row per cycle-basis vector.  `SystemContext`
+alone fixes which column holds which of them; `solution_to_region` reads a
+solution vector back in the same layout.
 
 WPI systems add, relative to one label, comparability rows from the
 relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
@@ -14,7 +16,6 @@ relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
@@ -94,22 +95,27 @@ def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
 
 
 class SystemContext:
-    """Shared row material for all systems over one LTS and tree."""
+    """Shared row material for all systems over one LTS and tree.
+
+    Owns the column layout of every system it builds: column 0 is R0,
+    columns 1..n are B and n+1..2n are F, each in label index order.
+    ``names`` spells the columns out for ``dump_lp``.
+    """
 
     def __init__(self, lts: Lts, tree: SpanningTree,
                  basis: list[ParikhVector]):
         self.lts = lts
         self.tree = tree
         self.basis = basis
-        self.variables = tuple(
-            ["R0"] + [f"B_{n}" for n in lts.labels]
-            + [f"F_{n}" for n in lts.labels])
-        self.bvar = tuple(f"B_{n}" for n in lts.labels)
-        self.fvar = tuple(f"F_{n}" for n in lts.labels)
+        n = len(lts.labels)
+        self.bvar = tuple(range(1, n + 1))
+        self.fvar = tuple(range(n + 1, 2 * n + 1))
+        self.names = ("R0",) + tuple(f"B_{x}" for x in lts.labels) \
+            + tuple(f"F_{x}" for x in lts.labels)
         self._base = self._build_base_rows()
 
-    def _state_coeffs(self, state: int) -> dict[str, int]:
-        coeffs: dict[str, int] = {"R0": 1}
+    def _state_coeffs(self, state: int) -> dict[int, int]:
+        coeffs: dict[int, int] = {0: 1}  # R0
         for label, count in self.tree.parikh[state].counts:
             coeffs[self.fvar[label]] = coeffs.get(self.fvar[label], 0) + count
             coeffs[self.bvar[label]] = coeffs.get(self.bvar[label], 0) - count
@@ -150,7 +156,7 @@ class SystemContext:
         if sign not in ("<", ">"):
             raise ValueError("sign must be '<' or '>'")
         delta = self.tree.parikh[ssp.s1] - self.tree.parikh[ssp.s2]
-        coeffs: dict[str, int] = {}
+        coeffs: dict[int, int] = {}
         for label, count in delta.counts:
             coeffs[self.fvar[label]] = count
             coeffs[self.bvar[label]] = -count
@@ -213,9 +219,8 @@ class SystemContext:
         return rows
 
     def system(self, rows, zero_one=False) -> LinearSystem:
-        flags = frozenset(self.bvar) | frozenset(self.fvar) if zero_one \
-            else frozenset()
-        return LinearSystem(self.variables, tuple(rows), flags)
+        flags = frozenset(self.bvar + self.fvar) if zero_one else frozenset()
+        return LinearSystem(len(self.names), tuple(rows), flags)
 
 
 def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
@@ -246,8 +251,8 @@ def ssp_system_wpi(ctx: SystemContext, graph: RelationGraph, ssp: SSP,
     return ctx.system(rows)
 
 
-def _fix(var: str, value: int, tag: str) -> Row:
-    return make_row({var: 1}, "=", value, tag=tag)
+def _fix(column: int, value: int, tag: str) -> Row:
+    return make_row({column: 1}, "=", value, tag=tag)
 
 
 def _block_system(ctx: SystemContext, consumers: list[int],
@@ -322,22 +327,17 @@ def brac_ssp_system_freechoice(ctx: SystemContext, graph: RelationGraph,
 
 
 def solution_to_region(solution: Solution, lts: Lts) -> Region:
-    """Read an integral solver assignment back into a region."""
+    """Read an integral solution in `SystemContext`'s layout into a region."""
     values = solution.assignment
     if values is None:
         raise ValueError("an infeasible solution has no region")
-
-    def as_int(name: str) -> int:
-        v = values.get(name, Fraction(0))
+    for j, v in enumerate(values):
         if v.denominator != 1:
-            raise ValueError(f"non-integral value for {name}: {v}")
-        return int(v)
-
-    return Region(
-        r0=as_int("R0"),
-        b=tuple(as_int(f"B_{n}") for n in lts.labels),
-        f=tuple(as_int(f"F_{n}") for n in lts.labels),
-    )
+            raise ValueError(f"non-integral value in column {j}: {v}")
+    n = len(lts.labels)
+    return Region(r0=int(values[0]),
+                  b=tuple(int(v) for v in values[1:n + 1]),
+                  f=tuple(int(v) for v in values[n + 1:2 * n + 1]))
 
 
 def normalize_region(region: Region, lts: Lts, tree: SpanningTree) -> Region:

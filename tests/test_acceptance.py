@@ -223,33 +223,32 @@ def test_criterion_6_class_predicates():
 def test_criterion_7_lp_sanity():
     with criterion(7, "intro system splits rationals from integers; "
                       "lifting exact on 500 homogeneous systems"):
-        intro = LinearSystem(("x", "y"), (
-            make_row({"x": 1, "y": -1}, "<=", -1),
-            make_row({"x": -1}, "<=", 0),
-            make_row({"x": 1, "y": 1}, "<=", 2),
-            make_row({"x": -4}, "<=", -2)))
+        x, y = 0, 1
+        intro = LinearSystem(2, (
+            make_row({x: 1, y: -1}, "<=", -1),
+            make_row({x: -1}, "<=", 0),
+            make_row({x: 1, y: 1}, "<=", 2),
+            make_row({x: -4}, "<=", -2)))
         from fractions import Fraction
         sol = solve_rational(intro)
         assert sol.feasible
-        assert intro.satisfied_by({"x": Fraction(1, 2),
-                                   "y": Fraction(3, 2)})
+        assert intro.satisfied_by((Fraction(1, 2), Fraction(3, 2)))
         assert solve_integer(intro).status == "infeasible"
 
         rng = random.Random(99)
         lifted = 0
         for _ in range(500):
             nvar = rng.randint(1, 5)
-            variables = tuple(f"v{i}" for i in range(nvar))
             rows = tuple(
-                make_row({v: rng.randint(-3, 3) for v in variables},
+                make_row({j: rng.randint(-3, 3) for j in range(nvar)},
                          rng.choice(["<=", ">=", "=", "<", ">"]), 0)
                 for _ in range(rng.randint(1, 6)))
-            system = LinearSystem(variables, rows)
+            system = LinearSystem(nvar, rows)
             sol = solve_rational(system)
             if not sol.feasible:
                 continue
             out = lift_homogeneous_to_integer(sol, system)
-            assert all(v.denominator == 1 for v in out.assignment.values())
+            assert all(v.denominator == 1 for v in out.assignment)
             assert system.satisfied_by(out.assignment)
             lifted += 1
         assert lifted >= 100

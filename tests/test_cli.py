@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -127,7 +130,9 @@ class TestSynth:
         assert code == 3
 
     @pytest.mark.parametrize("error", [RuntimeError("pivot limit exceeded"),
-                                       AssertionError("invariant broken")])
+                                       AssertionError("invariant broken"),
+                                       KeyError("no interpretation for doi "
+                                                "edge c->a")])
     def test_internal_error_exit_4(self, monkeypatch, capsys, error):
         # solver limits and broken invariants must not read as a verdict
         def broken(lts, cfg):
@@ -135,6 +140,23 @@ class TestSynth:
         monkeypatch.setattr("netsynth.cli.synthesize_wpi", broken)
         assert run(["synth", fx("fig1.lts"), "--class", "wpi"]) == 4
         assert capsys.readouterr().err == f"internal error: {error}\n"
+
+    @pytest.mark.parametrize("name, cls", [("fig1", "brac"),
+                                           ("case6a", "wpi")])
+    def test_same_report_under_python_O(self, tmp_path, name, cls):
+        # -O strips assert statements: no outcome may depend on them
+        def argv(tag):
+            return ["synth", fx(f"{name}.lts"), "--class", cls,
+                    "-o", str(tmp_path / f"{tag}.pn"),
+                    "--report", str(tmp_path / f"{tag}.json")]
+        assert run(argv("plain")) == 0
+        src = pathlib.Path(__file__).parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "netsynth.cli", *argv("opt")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "opt.json").read_bytes() == \
+            (tmp_path / "plain.json").read_bytes()
 
     def test_jobs_option_removed(self):
         assert run(["synth", fx("fig1.lts"), "--class", "wpi",

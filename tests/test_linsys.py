@@ -10,10 +10,14 @@ from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE,
 
 
 def system(rows, variables=None, zero_one=()):
+    """Build from name-keyed rows; column j is ``variables[j]``."""
     if variables is None:
         variables = sorted({v for coeffs, _, _ in rows for v in coeffs})
-    built = tuple(make_row(c, rel, const) for c, rel, const in rows)
-    return LinearSystem(tuple(variables), built, frozenset(zero_one))
+    col = {v: j for j, v in enumerate(variables)}
+    built = tuple(make_row({col[v]: c for v, c in coeffs.items()}, rel, const)
+                  for coeffs, rel, const in rows)
+    return LinearSystem(len(variables), built,
+                        frozenset(col[v] for v in zero_one))
 
 
 # x+1 <= y <= x+y <= 2 <= 4x: rationally solvable, no integer solutions
@@ -31,11 +35,11 @@ class TestRational:
         assert sol.feasible
         assert INTRO.satisfied_by(sol.assignment)
         # the half-integral witness is a valid solution of this system
-        assert INTRO.satisfied_by({"x": Fraction(1, 2), "y": Fraction(3, 2)})
+        assert INTRO.satisfied_by((Fraction(1, 2), Fraction(3, 2)))  # x, y
 
     def test_empty_system(self):
-        sol = solve_rational(LinearSystem((), ()))
-        assert sol.feasible and sol.assignment == {}
+        sol = solve_rational(LinearSystem(0, ()))
+        assert sol.feasible and sol.assignment == ()
 
     def test_contradictory_bounds(self):
         sys_ = system([({"x": 1}, ">=", 1), ({"x": 1}, "<=", 0)])
@@ -45,7 +49,7 @@ class TestRational:
         sys_ = system([({"x": 1, "y": -1}, "<", 0)])
         sol = solve_rational(sys_)
         assert sol.feasible
-        assert sol.assignment["x"] < sol.assignment["y"]
+        assert sol.assignment[0] < sol.assignment[1]  # x < y
 
     def test_strict_on_zero_infeasible(self):
         sys_ = system([({"x": 1}, "<", 0)])
@@ -76,13 +80,12 @@ class TestRational:
         feasible = 0
         for _ in range(120):
             nvar = rng.randint(1, 4)
-            variables = tuple(f"v{i}" for i in range(nvar))
             rows = []
             for _ in range(rng.randint(1, 6)):
-                coeffs = {v: rng.randint(-3, 3) for v in variables}
+                coeffs = {j: rng.randint(-3, 3) for j in range(nvar)}
                 rel = rng.choice(["<=", ">=", "=", "<", ">"])
                 rows.append(make_row(coeffs, rel, rng.randint(-4, 4)))
-            sys_ = LinearSystem(variables, tuple(rows))
+            sys_ = LinearSystem(nvar, tuple(rows))
             sol = solve_rational(sys_)
             if sol.feasible:
                 feasible += 1
@@ -95,12 +98,12 @@ class TestLifting:
         sys_ = system([({"B_a": 2, "F_f": -2}, "=", 0),
                        ({"B_a": -1}, "<", 0)])
         sol = solve_rational(sys_)
-        halved = {k: v / 2 for k, v in sol.assignment.items()}
+        halved = tuple(v / 2 for v in sol.assignment)
         assert sys_.satisfied_by(halved)
         from netsynth.linsys import Solution
         lifted = lift_homogeneous_to_integer(Solution(FEASIBLE, halved),
                                              sys_)
-        assert all(v.denominator == 1 for v in lifted.assignment.values())
+        assert all(v.denominator == 1 for v in lifted.assignment)
         assert sys_.satisfied_by(lifted.assignment)
 
     def test_integer_solution_unchanged(self):
@@ -119,13 +122,12 @@ class TestLifting:
         lifted_count = 0
         for _ in range(100):
             nvar = rng.randint(1, 5)
-            variables = tuple(f"v{i}" for i in range(nvar))
             rows = []
             for _ in range(rng.randint(1, 5)):
-                coeffs = {v: rng.randint(-3, 3) for v in variables}
+                coeffs = {j: rng.randint(-3, 3) for j in range(nvar)}
                 rows.append(make_row(coeffs,
                                      rng.choice(["<=", ">=", "=", "<"]), 0))
-            sys_ = LinearSystem(variables, tuple(rows))
+            sys_ = LinearSystem(nvar, tuple(rows))
             sol = solve_rational(sys_)
             if not sol.feasible:
                 # homogeneous: integers cannot do better than rationals
@@ -134,7 +136,7 @@ class TestLifting:
             lifted = lift_homogeneous_to_integer(sol, sys_)
             assert sys_.satisfied_by(lifted.assignment)
             assert all(v.denominator == 1
-                       for v in lifted.assignment.values())
+                       for v in lifted.assignment)
             lifted_count += 1
         assert lifted_count > 20
 
@@ -149,7 +151,7 @@ class TestInteger:
                       zero_one=("B_a", "F_a"))
         sol = solve_integer(sys_)
         assert sol.feasible
-        assert sol.assignment == {"B_a": 1, "F_a": 1}
+        assert sol.assignment == (1, 1)  # B_a, F_a
 
     def test_strict_rows_integerized(self):
         sys_ = system([({"x": 1}, "<", 3), ({"x": 1}, ">", 1)])
@@ -157,13 +159,13 @@ class TestInteger:
         assert {(r.rel, r.const) for r in rewritten.rows} == \
             {("<=", 2), (">=", 2)}
         sol = solve_integer(sys_)
-        assert sol.assignment["x"] == 2
+        assert sol.assignment[0] == 2
 
     def test_branching_down_first(self):
         # both 1 and 2 work; the down branch must win
         sys_ = system([({"x": 2}, ">=", 3), ({"x": 1}, "<=", 2)])
         sol = solve_integer(sys_)
-        assert sol.assignment["x"] == 2
+        assert sol.assignment[0] == 2
 
     def test_cap_exceeded_reported_distinctly(self):
         # 3x - 3y = 1 admits rationals but integers only beyond any bound
@@ -183,16 +185,15 @@ class TestExhaustiveCrossCheck:
         agree_feasible = agree_infeasible = 0
         for _ in range(200):
             nvar = rng.randint(1, 4)
-            variables = tuple(f"v{i}" for i in range(nvar))
             rows = tuple(
-                make_row({v: rng.randint(-2, 2) for v in variables},
+                make_row({j: rng.randint(-2, 2) for j in range(nvar)},
                          rng.choice(["<=", ">=", "=", "<", ">"]),
                          rng.randint(-2, 2))
                 for _ in range(rng.randint(1, 5)))
-            sys_ = LinearSystem(variables, rows, frozenset(variables))
+            sys_ = LinearSystem(nvar, rows, frozenset(range(nvar)))
             truth = any(
-                sys_.satisfied_by({v: Fraction(bits >> i & 1)
-                                   for i, v in enumerate(variables)})
+                sys_.satisfied_by(tuple(Fraction(bits >> i & 1)
+                                        for i in range(nvar)))
                 for bits in range(1 << nvar))
             got = solve_integer(sys_)
             assert got.feasible == truth
@@ -208,11 +209,11 @@ class TestDump:
     def test_format(self):
         sys_ = system([({"B_a": 1, "F_a": -1}, "<=", 0)],
                       zero_one=("B_a",))
-        text = dump_lp(sys_)
+        text = dump_lp(sys_, ("B_a", "F_a"))
         assert text.splitlines()[0] == "min 0"
         assert "r1: 1 B_a -1 F_a <= 0" in text
         assert "binary: B_a" in text
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
-            LinearSystem(("x",), (make_row({"y": 1}, "<=", 0),))
+            LinearSystem(1, (make_row({1: 1}, "<=", 0),))

@@ -41,11 +41,12 @@ def region_of(lts, mapping):
     return Region(mapping.get("r0", 0), tuple(b), tuple(f))
 
 
-def assignment_of(lts, region):
-    values = {"R0": Fraction(region.r0)}
-    for t, name in enumerate(lts.labels):
-        values[f"B_{name}"] = Fraction(region.b[t])
-        values[f"F_{name}"] = Fraction(region.f[t])
+def assignment_of(ctx, region):
+    values = [Fraction(0)] * len(ctx.names)
+    values[0] = Fraction(region.r0)  # column 0 is R0
+    for t in range(len(ctx.lts.labels)):
+        values[ctx.bvar[t]] = Fraction(region.b[t])
+        values[ctx.fvar[t]] = Fraction(region.f[t])
     return values
 
 
@@ -76,7 +77,7 @@ class TestEsspSystemWpi:
         essp = ESSP(sid(fig1, "s13"), lid(fig1, "a"))
         system = essp_system_wpi(ctx, graph, essp)
         region = region_of(fig1, {"r0": 2, "b": {"a": 1}, "f": {"f": 1}})
-        assert system.satisfied_by(assignment_of(fig1, region))
+        assert system.satisfied_by(assignment_of(ctx, region))
         assert solve_rational(system).feasible
 
     def test_all_rows_homogeneous(self, fig1):
@@ -111,7 +112,7 @@ class TestSspSystemWpi:
         ssp = SSP(sid(fig1, "s4"), sid(fig1, "s5"))
         system = ssp_system_wpi(ctx, graph, ssp, lid(fig1, "d"), ">")
         region = region_of(fig1, {"r0": 0, "f": {"a": 1}, "b": {"d": 1}})
-        assert system.satisfied_by(assignment_of(fig1, region))
+        assert system.satisfied_by(assignment_of(ctx, region))
         assert solve_rational(system).feasible
         # some keyed system solves the pair; first feasible key wins
         solved = [fig1.labels[rep] for rep in sorted(graph.classes)
@@ -141,22 +142,38 @@ class TestSspSystemWpi:
             assert not solve_rational(system).feasible
 
 
+# labels first appear as t10, t2, t1: index order is not name order
+UNSORTED_LABELS = """initial s0
+s0 t10 s1
+s0 t2 s2
+s1 t2 s3
+s2 t10 s3
+s3 t1 s0
+"""
+
+
 class TestSolutionsAreRegions:
     def test_every_feasible_system_yields_valid_region(self, fig1):
-        from netsynth.linsys import lift_homogeneous_to_integer
+        from netsynth.linsys import dump_lp, lift_homogeneous_to_integer
         from netsynth.separation import solution_to_region
-        ctx, graph = stage(fig1)
-        for essp in (p for p in enumerate_separation_problems(fig1)
-                     if isinstance(p, ESSP))        :
-            if graph.rep[essp.label] != essp.label:
-                continue
-            system = essp_system_wpi(ctx, graph, essp)
-            sol = solve_rational(system)
-            assert sol.feasible
-            lifted = lift_homogeneous_to_integer(sol, system)
-            region = solution_to_region(lifted, fig1)
-            assert region.is_valid(fig1, ctx.tree)
-            assert region.solves(ctx.tree, essp)
+        for lts in (fig1, parse_lts(UNSORTED_LABELS)):
+            ctx, graph = stage(lts)
+            for essp in (p for p in enumerate_separation_problems(lts)
+                         if isinstance(p, ESSP)):
+                if graph.rep[essp.label] != essp.label:
+                    continue
+                system = essp_system_wpi(ctx, graph, essp)
+                sol = solve_rational(system)
+                assert sol.feasible
+                lifted = lift_homogeneous_to_integer(sol, system)
+                region = solution_to_region(lifted, lts)
+                assert region.is_valid(lts, ctx.tree)
+                assert region.solves(ctx.tree, essp)
+            text = dump_lp(system, ctx.names).splitlines()
+            assert text[1].startswith("r1: 1 R0 ")
+            assert text[-1] == "vars: " + " ".join(
+                ["R0"] + [f"B_{x}" for x in lts.labels]
+                + [f"F_{x}" for x in lts.labels])
 
 
 class TestBracBlockSystems:
@@ -168,8 +185,9 @@ class TestBracBlockSystems:
         sol2 = solve_integer(sys2, cap=30)
         assert sol1.feasible and sol2.feasible
         # shared place consumed by both labels, private only by the wide one
-        assert sol1.assignment["B_b"] == 1 and sol1.assignment["B_a"] == 1
-        assert sol2.assignment["B_a"] == 1 and sol2.assignment["B_b"] == 0
+        bb, ba = ctx.bvar[b], ctx.bvar[a]
+        assert sol1.assignment[bb] == 1 and sol1.assignment[ba] == 1
+        assert sol2.assignment[ba] == 1 and sol2.assignment[bb] == 0
 
     def test_fig1_cd_block(self, fig1):
         ctx, graph = stage(fig1, brac=True)
@@ -197,7 +215,7 @@ class TestBracBlockSystems:
         b, a = lid(fig1, "b"), lid(fig1, "a")
         sys1, _ = brac_block_systems(ctx, graph, (b, a))
         sol = solve_integer(sys1, cap=30)
-        assert sol.assignment["F_b"] == 0
+        assert sol.assignment[ctx.fvar[b]] == 0
 
     def test_self_loop_narrow_label_produce_free(self, brac7):
         ctx, graph = stage(brac7, brac=True)
@@ -206,7 +224,7 @@ class TestBracBlockSystems:
         sol = solve_integer(sys1, cap=30)
         assert sol.feasible
         # the self-loop keeps the shared place's count: consume = produce
-        assert sol.assignment["F_c"] == sol.assignment["B_c"] == 1
+        assert sol.assignment[ctx.fvar[c]] == sol.assignment[ctx.bvar[c]] == 1
 
 
 class TestBracFreechoice:
@@ -230,7 +248,7 @@ class TestBracFreechoice:
         sol = solve_integer(system, cap=30)
         if sol.feasible:
             for name in "abcd":
-                assert sol.assignment[f"B_{name}"] == 0
+                assert sol.assignment[ctx.bvar[lid(fig1, name)]] == 0
 
     def test_equal_parikh_infeasible_for_all_labels(self, genx):
         # relations on this system contradict, so build a plain graph

@@ -347,16 +347,18 @@ class TestIntegerCapBound:
     @staticmethod
     def brute_force(system, n_states):
         binary = sorted(system.zero_one)
-        assert set(system.variables) == {"R0", *binary}
+        assert set(range(system.columns)) == {0, *binary}  # column 0 is R0
         # rows without R0 decide a weight choice before R0 is enumerated
         weight_rows = [r for r in system.rows
-                       if all(v != "R0" for v, _ in r.coeffs)]
+                       if all(j != 0 for j, _ in r.coeffs)]
         for bits in itertools.product((0, 1), repeat=len(binary)):
-            values = dict(zip(binary, bits))
+            values = [0] * system.columns
+            for j, bit in zip(binary, bits):
+                values[j] = bit
             if not all(r.evaluate(values) for r in weight_rows):
                 continue
             for r0 in range(n_states + 1):
-                values["R0"] = r0
+                values[0] = r0
                 if system.satisfied_by(values):
                     return True
         return False
