@@ -163,6 +163,20 @@ class TestSynth:
                     "--jobs", "2"]) == 2
 
 
+class TestInvalidLts:
+    @pytest.mark.parametrize("argv", [
+        ["relations", "BAD"],
+        ["synth", "BAD", "--class", "wpi"],
+        ["verify", fx("fig1-net.pn"), "BAD", "--class", "brac"],
+    ], ids=["relations", "synth", "verify"])
+    def test_exit_2_with_message(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.lts"
+        bad.write_text("initial s0\ns0 a s1\ns0 a s2\n")
+        assert run([str(bad) if a == "BAD" else a for a in argv]) == 2
+        assert capsys.readouterr().err == \
+            "error: LTS must be deterministic and reachable\n"
+
+
 class TestCheck:
     def test_fig1_net_is_brac(self, capsys):
         code, payload = run_json(capsys, ["check", fx("fig1-net.pn"),

@@ -1,12 +1,18 @@
+import hashlib
 import itertools
+import json
+import pathlib
+from dataclasses import replace
 
 import pytest
 
-from netsynth.linsys import solve_integer
-from netsynth.lts import parse_lts
+import netsynth.synthesis
+from netsynth.cli import run
+from netsynth.linsys import LinearSystem, make_row, solve_integer
+from netsynth.lts import parse_lts, serialize_lts
 from netsynth.oracle import OracleBound, brute_force_region, random_lts
 from netsynth.petri import reachability_graph, serialize_net
-from netsynth.relations import DOI, Contradiction
+from netsynth.relations import DOI, Contradiction, MatchingFailure
 from netsynth.separation import (ESSP, SSP, brac_block_systems,
                                  brac_ssp_system_freechoice,
                                  enumerate_separation_problems,
@@ -14,6 +20,8 @@ from netsynth.separation import (ESSP, SSP, brac_block_systems,
 from netsynth.synthesis import (SynthesisConfig, _integer_cap, _prepare,
                                 _relation_stage, synthesize_brac,
                                 synthesize_wpi, verify_solution)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def consume_vector(net, label):
@@ -399,3 +407,78 @@ class TestIntegerCapBound:
                 verdicts.append(feasible)
         # both verdicts occur, so neither side is trivially constant
         assert True in verdicts and False in verdicts
+
+
+def _fail_matching(monkeypatch):
+    monkeypatch.setattr(
+        "netsynth.synthesis.resolve_inclusion_matching",
+        lambda lam: MatchingFailure(tuple(sorted({lo for lo, _ in lam}))))
+
+
+def _fail_matched_private_block(monkeypatch):
+    # (c, e) is a doi pair of brac7: its shared system serves the inclusion
+    # probe, and only the matched-block stage solves its private system
+    real = netsynth.synthesis.brac_block_systems
+
+    def blocks(ctx, graph, pair):
+        shared, private = real(ctx, graph, pair)
+        if [ctx.lts.labels[x] for x in pair] == ["c", "e"]:
+            never = (make_row({0: 1}, ">=", 1), make_row({0: 1}, "<=", 0))
+            private = LinearSystem(private.columns, private.rows + never,
+                                   private.zero_one)
+        return shared, private
+    monkeypatch.setattr("netsynth.synthesis.brac_block_systems", blocks)
+
+
+def _fail_verification(monkeypatch):
+    real = netsynth.synthesis.verify_solution
+    monkeypatch.setattr("netsynth.synthesis.verify_solution",
+                        lambda *args: replace(real(*args), target_ok=False))
+
+
+class TestRareBracExits:
+    """Report bytes of the BRAC exits that no digest input reaches.
+
+    On the fixtures and ``random_lts(0..299, 24, 6)`` the BRAC pipeline
+    ends only at a contradiction, an ``essp`` or ``essp-block`` witness,
+    free-choice leftovers or a success.  Two small random inputs reach the
+    inclusion probe and the block-assignment search; brac7 with one stage
+    forced to fail reaches the matching, matched-block and verification
+    exits.  Each case pins the SHA-256 of its ``synth --report`` bytes.
+    """
+
+    CASES = {
+        "random_lts/305": (lambda: serialize_lts(random_lts(305, 8, 3)),
+                           None, "essp",
+                           "ae6f71c5d51684beaefcbadc8da6759d"
+                           "19d707ae1c5e018c0e399982d44c2655"),
+        "random_lts/331": (lambda: serialize_lts(random_lts(331, 8, 4)),
+                           None, "ssp",
+                           "4cd722c16d853906e4a6a7dab59236b7"
+                           "94fcb29ad5542278976d613c4cceedbf"),
+        "brac7/matching": (lambda: (FIXTURES / "brac7.lts").read_text(),
+                           _fail_matching, "matching",
+                           "b0061a895ceb7ad424f5708d23fece00"
+                           "e4072585f3a2b87dfde0448fbd0644ec"),
+        "brac7/matched-block": (lambda: (FIXTURES / "brac7.lts").read_text(),
+                                _fail_matched_private_block, "essp-block",
+                                "4e6b71f932bfce159c80508c5cce8d1a"
+                                "49f8c94c5c30a583404368565e38b0bd"),
+        "brac7/verification": (lambda: (FIXTURES / "brac7.lts").read_text(),
+                               _fail_verification, "verification",
+                               "3a106d548fcd5548bbcc42b813a270a8"
+                               "10f8eed5549249810f531805af2a5886"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_pinned(self, case, monkeypatch, tmp_path):
+        text, force, kind, digest = self.CASES[case]
+        lts_file, report = tmp_path / "in.lts", tmp_path / "report.json"
+        lts_file.write_text(text())
+        if force is not None:
+            force(monkeypatch)
+        assert run(["synth", str(lts_file), "--class", "brac",
+                    "-o", str(tmp_path / "out.pn"),
+                    "--report", str(report)]) == 1
+        assert json.loads(report.read_text())["witness"]["kind"] == kind
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
