@@ -55,6 +55,13 @@ def _load_lts(path: str) -> Lts:
     return parse_lts(_read(path))
 
 
+def _load_valid_lts(path: str) -> Lts:
+    lts = _load_lts(path)
+    if not validate(lts).ok:
+        raise LtsError("LTS must be deterministic and reachable")
+    return lts
+
+
 def _cmd_validate(args) -> int:
     lts = _load_lts(args.file)
     report = validate(lts)
@@ -77,11 +84,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    lts = _load_lts(args.file)
-    if not validate(lts).ok:
-        print("error: LTS must be deterministic and reachable",
-              file=sys.stderr)
-        return INVALID
+    lts = _load_valid_lts(args.file)
     pairs = []
     for a in range(len(lts.labels)):
         for b in range(a + 1, len(lts.labels)):
@@ -123,11 +126,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    lts = _load_lts(args.file)
-    if not validate(lts).ok:
-        print("error: LTS must be deterministic and reachable",
-              file=sys.stderr)
-        return INVALID
+    lts = _load_valid_lts(args.file)
     cfg = SynthesisConfig(target_class=args.target_class,
                           selfloop_cap=args.selfloop_cap,
                           ssp_combo_cap=args.ssp_combo_cap,
@@ -175,11 +174,7 @@ def _cmd_rg(args) -> int:
 
 def _cmd_verify(args) -> int:
     net = parse_net(_read(args.net))
-    lts = _load_lts(args.lts)
-    if not validate(lts).ok:
-        print("error: LTS must be deterministic and reachable",
-              file=sys.stderr)
-        return INVALID
+    lts = _load_valid_lts(args.lts)
     try:
         record = verify_solution(net, lts, args.target_class, args.rg_cap)
     except CapExceeded as exc:
@@ -276,7 +271,8 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return INTERNAL
 
 

@@ -9,6 +9,8 @@ per-problem systems for free labels, a feasibility probe plus maximum
 matching for self-loop inclusion edges, and a bounded assignment search for
 state separations that no free-choice place can solve.
 
+A stage that proves no net exists, or hits a cap, raises ``_Unsolvable``;
+each pipeline catches it in one place and builds its failure report there.
 Every reported success has been re-verified: the reachability graph of the
 output is isomorphic to the input and the net lies in the target class.
 """
@@ -122,6 +124,16 @@ class SynthesisReport:
         }
 
 
+class _Unsolvable(Exception):
+    """A synthesis stage proved that no net exists, or a cap was hit."""
+
+    def __init__(self, witness: Optional[dict] = None,
+                 cap: Optional[str] = None):
+        super().__init__(witness or cap)
+        self.witness = witness
+        self.cap = cap
+
+
 def _contradiction_witness(c: Contradiction, names) -> dict:
     return {"kind": "contradiction",
             "rule": c.rule,
@@ -140,6 +152,11 @@ def _problem_witness(problem, lts: Lts, tried: list[str]) -> dict:
             "systems_tried": tried}
 
 
+def _verification_witness(record: VerificationRecord) -> dict:
+    return {"kind": "verification",
+            "detail": record.mismatch or "class check failed"}
+
+
 def verify_solution(net: PetriNet, lts: Lts, target_class: str,
                     rg_cap: int = 100_000) -> VerificationRecord:
     """Regenerate the reachability graph and re-check class membership."""
@@ -151,6 +168,12 @@ def verify_solution(net: PetriNet, lts: Lts, target_class: str,
     target_ok = target_class.upper() in flags
     return VerificationRecord(isomorphic=iso, mismatch=mismatch,
                               classes=flags, target_ok=target_ok)
+
+
+def _verified_net(lts: Lts, regions: list[Region], target_class: str,
+                  cfg: SynthesisConfig) -> tuple[PetriNet, VerificationRecord]:
+    net = net_from_regions(lts.labels, [region_to_place(r) for r in regions])
+    return net, verify_solution(net, lts, target_class, cfg.rg_cap)
 
 
 def _prepare(lts: Lts) -> SystemContext:
@@ -176,6 +199,12 @@ def _relation_stage(lts: Lts, brac: bool):
     if brac:
         graph = strengthen_brac(graph)
     return graph
+
+
+def _doi_pairs(graph: RelationGraph) -> list[tuple[int, int]]:
+    """The residual doi edges as (lo, hi), in edge-key order."""
+    return [(e.lo, e.hi) for _, e in sorted(graph.edges.items())
+            if e.kind == DOI]
 
 
 def _region_from(solution: Solution, system: LinearSystem,
@@ -251,73 +280,65 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     """
     cfg = cfg or SynthesisConfig(target_class=WPI)
     ctx = _prepare(lts)
-    graph = _relation_stage(lts, brac=False)
-    if isinstance(graph, Contradiction):
-        return SynthesisReport(FAILURE, WPI,
-                               witness=_contradiction_witness(graph,
-                                                              lts.labels))
-    doi_pairs = [(e.lo, e.hi) for key, e in sorted(graph.edges.items())
-                 if e.kind == DOI]
-    if len(doi_pairs) > cfg.selfloop_cap:
-        return SynthesisReport(CAP_EXCEEDED, WPI, cap="selfloop-cap")
-
-    reps = sorted(graph.classes)
-    problems = enumerate_separation_problems(lts)
-    ssps = [p for p in problems if isinstance(p, SSP)]
-    essps = [p for p in problems
-             if isinstance(p, ESSP) and graph.rep[p.label] == p.label]
-
-    first_witness: Optional[dict] = None
     tried = 0
-    for mask in _interpretation_order(len(doi_pairs)):
-        tried += 1
-        choice = {pair: ("included" if mask >> i & 1 else "disjoint")
-                  for i, pair in enumerate(doi_pairs)}
-        pool = _RegionPool(ctx)
-        witness = None
-        for essp in essps:
-            if pool.solves(essp):
+    try:
+        graph = _relation_stage(lts, brac=False)
+        if isinstance(graph, Contradiction):
+            raise _Unsolvable(_contradiction_witness(graph, lts.labels))
+        doi_pairs = _doi_pairs(graph)
+        if len(doi_pairs) > cfg.selfloop_cap:
+            raise _Unsolvable(cap="selfloop-cap")
+
+        reps = sorted(graph.classes)
+        problems = enumerate_separation_problems(lts)
+        ssps = [p for p in problems if isinstance(p, SSP)]
+        essps = [p for p in problems
+                 if isinstance(p, ESSP) and graph.rep[p.label] == p.label]
+
+        first_witness: Optional[dict] = None
+        for mask in _interpretation_order(len(doi_pairs)):
+            tried += 1
+            choice = {pair: ("included" if mask >> i & 1 else "disjoint")
+                      for i, pair in enumerate(doi_pairs)}
+            pool = _RegionPool(ctx)
+            try:
+                for essp in essps:
+                    if pool.solves(essp):
+                        continue
+                    system = essp_system_wpi(ctx, graph, essp, choice)
+                    sol = solve_rational(system)
+                    if not sol.feasible:
+                        raise _Unsolvable(_problem_witness(
+                            essp, lts, [system.rows[0].tag]))
+                    pool.add(_region_from(sol, system, ctx))
+                build = partial(ssp_system_wpi, ctx, graph, doi_choice=choice)
+                for ssp in ssps:
+                    if pool.solves(ssp):
+                        continue
+                    region, tags = _separate_state(ctx, reps, ssp, build,
+                                                   solve_rational)
+                    if region is None:
+                        raise _Unsolvable(_problem_witness(ssp, lts, tags))
+                    pool.add(region)
+                net, record = _verified_net(lts, pool.regions, WPI, cfg)
+                if not record.ok:
+                    raise _Unsolvable(_verification_witness(record))
+            except _Unsolvable as exc:
+                first_witness = first_witness or exc.witness
                 continue
-            system = essp_system_wpi(ctx, graph, essp, choice)
-            sol = solve_rational(system)
-            if not sol.feasible:
-                witness = _problem_witness(essp, lts, [system.rows[0].tag])
-                break
-            pool.add(_region_from(sol, system, ctx))
-        if witness is None:
-            build = partial(ssp_system_wpi, ctx, graph, doi_choice=choice)
-            for ssp in ssps:
-                if pool.solves(ssp):
-                    continue
-                region, tags = _separate_state(ctx, reps, ssp, build,
-                                               solve_rational)
-                if region is None:
-                    witness = _problem_witness(ssp, lts, tags)
-                    break
-                pool.add(region)
-        if witness is not None:
-            if first_witness is None:
-                first_witness = witness
-            continue
-        net = net_from_regions(lts.labels,
-                               [region_to_place(r) for r in pool.regions])
-        record = verify_solution(net, lts, WPI, cfg.rg_cap)
-        if not record.ok:
-            if first_witness is None:
-                first_witness = {"kind": "verification",
-                                 "detail": record.mismatch
-                                 or "class check failed"}
-            continue
-        interp = [(lts.labels[lo], lts.labels[hi], choice[(lo, hi)])
-                  for lo, hi in doi_pairs]
-        report = SynthesisReport(SUCCESS, WPI, net=net,
-                                 regions=list(pool.regions),
-                                 interpretation=interp,
-                                 verification=record,
-                                 interpretations_tried=tried)
-        return _maybe_prune(report, lts, cfg)
-    return SynthesisReport(FAILURE, WPI, witness=first_witness,
-                           interpretations_tried=tried)
+            interp = [(lts.labels[lo], lts.labels[hi], choice[(lo, hi)])
+                      for lo, hi in doi_pairs]
+            report = SynthesisReport(SUCCESS, WPI, net=net,
+                                     regions=list(pool.regions),
+                                     interpretation=interp,
+                                     verification=record,
+                                     interpretations_tried=tried)
+            return _maybe_prune(report, lts, cfg)
+        raise _Unsolvable(first_witness)
+    except _Unsolvable as exc:
+        return SynthesisReport(CAP_EXCEEDED if exc.cap else FAILURE, WPI,
+                               witness=exc.witness, cap=exc.cap,
+                               interpretations_tried=tried)
 
 
 def _maybe_prune(report: SynthesisReport, lts: Lts,
@@ -343,12 +364,9 @@ def _maybe_prune(report: SynthesisReport, lts: Lts,
                 keep = candidate
         except CapExceeded:
             pass  # removal grows or unbounds the graph; keep the place
-    pruned = [regions[j] for j in keep]
-    net = net_from_regions(lts.labels, [region_to_place(r) for r in pruned])
-    report.net = net
-    report.regions = pruned
-    report.verification = verify_solution(net, lts, report.target_class,
-                                          cfg.rg_cap)
+    report.regions = [regions[j] for j in keep]
+    report.net, report.verification = _verified_net(
+        lts, report.regions, report.target_class, cfg)
     return report
 
 
@@ -392,12 +410,28 @@ def _brac_essp_regions(ctx: SystemContext, graph: RelationGraph,
     return regions, None
 
 
-def _block_witness(lts: Lts, pair: tuple[int, int], label: int,
-                   detail: str) -> dict:
-    return {"kind": "essp-block",
-            "pair": [lts.labels[pair[0]], lts.labels[pair[1]]],
-            "label": lts.labels[label],
-            "detail": detail}
+def _brac_block(ctx: SystemContext, graph: RelationGraph,
+                pair: tuple[int, int], pool: _RegionPool,
+                solve: Callable[[LinearSystem], Solution], detail: str,
+                shared: Optional[Region] = None) -> dict:
+    """Pool the shared and the private place of the choice block ``pair``.
+
+    A ``shared`` region that is already solved is pooled as it is, and
+    only the private system is solved.  An infeasible block system raises
+    an ``essp-block`` witness naming its label and ``detail``.
+    """
+    systems = brac_block_systems(ctx, graph, pair)
+    regions = [] if shared is None else [shared]
+    for label, system in list(zip(pair, systems))[len(regions):]:
+        sol = solve(system)
+        if not sol.feasible:
+            raise _Unsolvable({"kind": "essp-block",
+                               "pair": [ctx.lts.labels[x] for x in pair],
+                               "label": ctx.lts.labels[label],
+                               "detail": detail})
+        regions.append(_region_from(sol, system, ctx))
+    return {"pair": pair, "systems": systems,
+            "indices": [pool.add(r) for r in regions]}
 
 
 def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
@@ -414,222 +448,174 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     cfg = cfg or SynthesisConfig(target_class=BRAC)
     ctx = _prepare(lts)
     icap = _integer_cap(lts)
-    graph = _relation_stage(lts, brac=True)
-    if isinstance(graph, Contradiction):
-        return SynthesisReport(FAILURE, BRAC,
-                               witness=_contradiction_witness(graph,
-                                                              lts.labels))
-    graph = graph.copy()
-    reps = sorted(graph.classes)
-    doi_pairs = [(e.lo, e.hi) for key, e in sorted(graph.edges.items())
-                 if e.kind == DOI]
-    solid_pairs = graph.included_edges()
-    solid_labels = {x for pair in solid_pairs for x in pair}
-    out_doi = {lo for lo, _ in doi_pairs}
-    in_doi = {hi for _, hi in doi_pairs}
-    if out_doi & in_doi:
-        raise AssertionError("doi chains must be resolved")
+    # bound when the matching stage starts: earlier failures report neither
+    lam_names: list[tuple[str, str]] = []
+    matching_names: dict[str, str] = {}
+    try:
+        graph = _relation_stage(lts, brac=True)
+        if isinstance(graph, Contradiction):
+            raise _Unsolvable(_contradiction_witness(graph, lts.labels))
+        graph = graph.copy()
+        reps = sorted(graph.classes)
+        doi_pairs = _doi_pairs(graph)
+        solid_pairs = graph.included_edges()
+        solid_labels = {x for pair in solid_pairs for x in pair}
+        out_doi = {lo for lo, _ in doi_pairs}
+        in_doi = {hi for _, hi in doi_pairs}
+        if out_doi & in_doi:
+            raise AssertionError("doi chains must be resolved")
 
-    solve = partial(solve_integer, cap=icap)
-    pool = _RegionPool(ctx)
-    all_disjoint = {pair: "disjoint" for pair in doi_pairs}
-    # feasible inclusion candidates and the shared region of each
-    lam: dict[tuple[int, int], Region] = {}
-    gate_regions: dict[int, list[Region]] = {}
-    blocks: list[dict] = []
+        solve = partial(solve_integer, cap=icap)
+        pool = _RegionPool(ctx)
+        all_disjoint = {pair: "disjoint" for pair in doi_pairs}
+        # feasible inclusion candidates and the shared region of each
+        lam: dict[tuple[int, int], Region] = {}
+        gate_regions: dict[int, list[Region]] = {}
 
-    # event separation, representative label by label
-    for a in reps:
-        if a in solid_labels:
-            continue
-        regions, unsolved = _brac_essp_regions(ctx, graph, all_disjoint, a,
-                                               solve)
-        if unsolved is None:
-            if a in in_doi:
-                # a doi target may end up matched, in which case the block
-                # places replace these; pooled only after the matching
-                gate_regions[a] = regions
-            else:
-                for r in regions:
-                    pool.add(r)
-            continue
-        if a not in out_doi:
-            return SynthesisReport(
-                FAILURE, BRAC,
-                witness=_problem_witness(unsolved, lts,
-                                         [ctx.essp_row(unsolved).tag]))
-        # some outgoing doi edge must be a proper inclusion
-        targets = [hi for lo, hi in doi_pairs if lo == a]
-        for hi in targets:
-            shared, _ = brac_block_systems(ctx, graph, (a, hi))
-            sol = solve(shared)
-            if sol.feasible:
-                lam[(a, hi)] = _region_from(sol, shared, ctx)
-        if not any((a, hi) in lam for hi in targets):
-            return SynthesisReport(
-                FAILURE, BRAC,
-                witness=_problem_witness(
+        # event separation, representative label by label
+        for a in reps:
+            if a in solid_labels:
+                continue
+            regions, unsolved = _brac_essp_regions(ctx, graph, all_disjoint,
+                                                   a, solve)
+            if unsolved is None:
+                if a in in_doi:
+                    # a doi target may end up matched, in which case the
+                    # block places replace these; pooled after the matching
+                    gate_regions[a] = regions
+                else:
+                    for r in regions:
+                        pool.add(r)
+                continue
+            if a not in out_doi:
+                raise _Unsolvable(_problem_witness(
+                    unsolved, lts, [ctx.essp_row(unsolved).tag]))
+            # some outgoing doi edge must be a proper inclusion
+            targets = [hi for lo, hi in doi_pairs if lo == a]
+            for hi in targets:
+                shared, _ = brac_block_systems(ctx, graph, (a, hi))
+                sol = solve(shared)
+                if sol.feasible:
+                    lam[(a, hi)] = _region_from(sol, shared, ctx)
+            if not any((a, hi) in lam for hi in targets):
+                raise _Unsolvable(_problem_witness(
                     unsolved, lts,
                     ["all-disjoint"] +
                     [f"inclusion:{lts.labels[hi]}" for hi in targets]))
 
-    # asymmetric choice blocks from strengthened inclusions
-    for pair in solid_pairs:
-        systems = brac_block_systems(ctx, graph, pair)
-        indices = []
-        for label, system in zip(pair, systems):
-            sol = solve(system)
-            if not sol.feasible:
-                return SynthesisReport(
-                    FAILURE, BRAC,
-                    witness=_block_witness(
-                        lts, pair, label,
-                        "no single region covers the block's event "
-                        "separations"))
-            indices.append(pool.add(_region_from(sol, system, ctx)))
-        blocks.append({"pair": pair, "systems": systems, "indices": indices})
+        # asymmetric choice blocks from strengthened inclusions
+        blocks = [_brac_block(ctx, graph, pair, pool, solve,
+                              "no single region covers the block's event "
+                              "separations")
+                  for pair in solid_pairs]
 
-    # inclusion matching for self-loop labels
-    matching: dict[int, int] = {}
-    lam_names = [(lts.labels[x], lts.labels[y]) for x, y in lam]
-    if lam:
-        result = resolve_inclusion_matching(lam)
-        if isinstance(result, MatchingFailure):
-            return SynthesisReport(
-                FAILURE, BRAC, inclusion_candidates=lam_names,
-                witness={"kind": "matching",
-                         "unmatched": [lts.labels[u]
-                                       for u in result.unmatched],
-                         "detail": "no inclusion target assignment covers "
-                                   "every self-loop needing one"})
-        matching = result
-    matching_names = {lts.labels[k]: lts.labels[v]
-                      for k, v in matching.items()}
-    for lo, hi in doi_pairs:
-        kind = INCLUDED if matching.get(lo) == hi else DISJOINT
-        graph.set_edge(lo, hi, Edge(kind, lo, hi, "strengthened"))
-    for pair in sorted(matching.items()):
-        systems = brac_block_systems(ctx, graph, pair)
-        sol = solve(systems[1])
-        if not sol.feasible:
-            return SynthesisReport(
-                FAILURE, BRAC, inclusion_candidates=lam_names,
-                matching=matching_names,
-                witness=_block_witness(lts, pair, pair[1],
-                                       "no single private region covers "
-                                       "the matched block"))
-        # shared and private place replace the target's provisional
-        # per-problem regions: its preset may hold at most two places
-        gate_regions.pop(pair[1], None)
-        indices = [pool.add(lam[pair]),
-                   pool.add(_region_from(sol, systems[1], ctx))]
-        blocks.append({"pair": pair, "systems": systems, "indices": indices})
-    for label in sorted(gate_regions):
-        for r in gate_regions[label]:
-            pool.add(r)
+        # inclusion matching for self-loop labels
+        lam_names = [(lts.labels[x], lts.labels[y]) for x, y in lam]
+        matching: dict[int, int] = {}
+        if lam:
+            result = resolve_inclusion_matching(lam)
+            if isinstance(result, MatchingFailure):
+                raise _Unsolvable({
+                    "kind": "matching",
+                    "unmatched": [lts.labels[u] for u in result.unmatched],
+                    "detail": "no inclusion target assignment covers "
+                              "every self-loop needing one"})
+            matching = result
+        matching_names = {lts.labels[k]: lts.labels[v]
+                          for k, v in matching.items()}
+        for lo, hi in doi_pairs:
+            kind = INCLUDED if matching.get(lo) == hi else DISJOINT
+            graph.set_edge(lo, hi, Edge(kind, lo, hi, "strengthened"))
+        for pair in sorted(matching.items()):
+            blocks.append(_brac_block(ctx, graph, pair, pool, solve,
+                                      "no single private region covers "
+                                      "the matched block", shared=lam[pair]))
+            # the block places replace the target's provisional
+            # per-problem regions: its preset may hold at most two places
+            gate_regions.pop(pair[1], None)
+        for label in sorted(gate_regions):
+            for r in gate_regions[label]:
+                pool.add(r)
 
-    # state separation: free-choice first, then block assignment
-    build = partial(brac_ssp_system_freechoice, ctx, graph)
-    ssps = [p for p in enumerate_separation_problems(lts)
-            if isinstance(p, SSP)]
-    leftovers: list[SSP] = []
-    for ssp in ssps:
-        if pool.solves(ssp):
-            continue
-        region, _ = _separate_state(ctx, reps, ssp, build, solve)
-        if region is None:
-            leftovers.append(ssp)
-        else:
-            pool.add(region)
+        # state separation: free-choice first, then block assignment
+        build = partial(brac_ssp_system_freechoice, ctx, graph)
+        leftovers: list[SSP] = []
+        for ssp in enumerate_separation_problems(lts):
+            if not isinstance(ssp, SSP) or pool.solves(ssp):
+                continue
+            region, _ = _separate_state(ctx, reps, ssp, build, solve)
+            if region is None:
+                leftovers.append(ssp)
+            else:
+                pool.add(region)
+        if leftovers:
+            if not blocks:
+                raise _Unsolvable(_problem_witness(
+                    leftovers[0], lts, ["freechoice:all-labels"]))
+            _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg, icap)
+    except _Unsolvable as exc:
+        return SynthesisReport(CAP_EXCEEDED if exc.cap else FAILURE, BRAC,
+                               witness=exc.witness, cap=exc.cap,
+                               inclusion_candidates=lam_names,
+                               matching=matching_names)
 
-    if leftovers:
-        if not blocks:
-            return SynthesisReport(
-                FAILURE, BRAC,
-                witness=_problem_witness(leftovers[0], lts,
-                                         ["freechoice:all-labels"]))
-        failed = _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg,
-                                        icap)
-        if failed is not None:
-            failed.inclusion_candidates = lam_names
-            failed.matching = matching_names
-            return failed
-
-    net = net_from_regions(lts.labels,
-                           [region_to_place(r) for r in pool.regions])
-    record = verify_solution(net, lts, BRAC, cfg.rg_cap)
+    net, record = _verified_net(lts, pool.regions, BRAC, cfg)
     report = SynthesisReport(
         SUCCESS if record.ok else FAILURE, BRAC,
         net=net if record.ok else None,
         regions=list(pool.regions),
+        witness=None if record.ok else _verification_witness(record),
         interpretation=[(lts.labels[lo], lts.labels[hi],
                          "included" if matching.get(lo) == hi
                          else "disjoint") for lo, hi in doi_pairs],
         inclusion_candidates=lam_names,
         matching=matching_names,
         verification=record)
-    if not record.ok:
-        report.witness = {"kind": "verification",
-                          "detail": record.mismatch or "class check failed"}
-        return report
-    return _maybe_prune(report, lts, cfg)
+    return _maybe_prune(report, lts, cfg) if record.ok else report
 
 
 def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
                            blocks: list[dict], leftovers: list[SSP],
-                           cfg: SynthesisConfig, icap: int) \
-        -> Optional[SynthesisReport]:
+                           cfg: SynthesisConfig, icap: int) -> None:
     """Re-solve block systems with disequality rows, in all combinations.
 
     Each unsolved state separation is assigned to one block system with one
     sign branch; combinations come in index order and count against the
-    combination cap.  Returns None once an assignment works, otherwise the
-    failure or cap report.
+    combination cap.  Replaces the pooled block places once an assignment
+    works; otherwise raises the failure or the cap.
     """
     lts = ctx.lts
-    systems: list[tuple[int, int]] = []
-    for bi in range(len(blocks)):
-        systems.append((bi, 0))
-        systems.append((bi, 1))
-    choices = [(si, sign) for si in range(len(systems))
+    # (system, pool index) of every block place, block by block
+    targets = [(system, index) for block in blocks
+               for system, index in zip(block["systems"], block["indices"])]
+    choices = [(si, sign) for si in range(len(targets))
                for sign in ("<", ">")]
-    combos = 0
     cache: dict[tuple, Solution] = {}
-    for assignment in itertools.product(choices, repeat=len(leftovers)):
-        combos += 1
+    for combos, assignment in enumerate(
+            itertools.product(choices, repeat=len(leftovers)), 1):
         if combos > cfg.ssp_combo_cap:
-            return SynthesisReport(CAP_EXCEEDED, BRAC, cap="ssp-combo-cap")
+            raise _Unsolvable(cap="ssp-combo-cap")
         grouped: dict[int, list[tuple[SSP, str]]] = {}
         for ssp, (si, sign) in zip(leftovers, assignment):
             grouped.setdefault(si, []).append((ssp, sign))
         solutions: dict[int, Region] = {}
-        ok = True
         for si, extras in sorted(grouped.items()):
-            bi, which = systems[si]
-            system = blocks[bi]["systems"][which]
+            system = targets[si][0]
             key = (si, frozenset((ssp.s1, ssp.s2, sign)
                                  for ssp, sign in extras))
-            if key in cache:
-                sol = cache[key]
-            else:
+            if key not in cache:
                 rows = list(system.rows) + [ctx.ssp_row(ssp, sign)
                                             for ssp, sign in extras]
-                sol = solve_integer(ctx.system(rows, zero_one=True),
-                                    cap=icap)
-                cache[key] = sol
-            if not sol.feasible:
-                ok = False
+                cache[key] = solve_integer(ctx.system(rows, zero_one=True),
+                                           cap=icap)
+            if not cache[key].feasible:
                 break
-            solutions[si] = _region_from(sol, system, ctx)
-        if ok:
-            for si, region in sorted(solutions.items()):
-                bi, which = systems[si]
-                pool.replace(blocks[bi]["indices"][which], region)
-            return None
-    return SynthesisReport(
-        FAILURE, BRAC,
-        witness=_problem_witness(
-            leftovers[0], lts,
-            [f"block:{lts.labels[blocks[bi]['pair'][0]]}:"
-             f"{lts.labels[blocks[bi]['pair'][1]]}"
-             for bi in range(len(blocks))]))
+            solutions[si] = _region_from(cache[key], system, ctx)
+        else:
+            for si, region in solutions.items():
+                pool.replace(targets[si][1], region)
+            return
+    raise _Unsolvable(_problem_witness(
+        leftovers[0], lts,
+        [f"block:{lts.labels[block['pair'][0]]}:"
+         f"{lts.labels[block['pair'][1]]}" for block in blocks]))

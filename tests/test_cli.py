@@ -139,22 +139,25 @@ class TestSynth:
             raise error
         monkeypatch.setattr("netsynth.cli.synthesize_wpi", broken)
         assert run(["synth", fx("fig1.lts"), "--class", "wpi"]) == 4
-        assert capsys.readouterr().err == f"internal error: {error}\n"
+        assert capsys.readouterr().err == \
+            f"internal error: {type(error).__name__}: {error}\n"
 
-    @pytest.mark.parametrize("name, cls", [("fig1", "brac"),
-                                           ("case6a", "wpi")])
-    def test_same_report_under_python_O(self, tmp_path, name, cls):
+    @pytest.mark.parametrize("name, cls, code", [("fig1", "brac", 0),
+                                                 ("case6a", "wpi", 0),
+                                                 ("genx", "brac", 1)],
+                             ids=["fig1-brac", "case6a-wpi", "genx-brac"])
+    def test_same_report_under_python_O(self, tmp_path, name, cls, code):
         # -O strips assert statements: no outcome may depend on them
         def argv(tag):
             return ["synth", fx(f"{name}.lts"), "--class", cls,
                     "-o", str(tmp_path / f"{tag}.pn"),
                     "--report", str(tmp_path / f"{tag}.json")]
-        assert run(argv("plain")) == 0
+        assert run(argv("plain")) == code
         src = pathlib.Path(__file__).parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "netsynth.cli", *argv("opt")],
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
         assert (tmp_path / "opt.json").read_bytes() == \
             (tmp_path / "plain.json").read_bytes()
 

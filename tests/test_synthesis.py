@@ -263,8 +263,9 @@ class TestFailureWitnesses:
 class TestBlockAssignment:
     """Direct checks of the state-separation-to-block assignment search.
 
-    No fixture reaches this stage organically (free-choice places cover
-    their separations), so the search is driven with manufactured
+    No fixture reaches this stage (free-choice places cover their
+    separations); ``random_lts(331, 8, 4)`` does, and ``TestRareBracExits``
+    pins its report.  Here the search is driven with manufactured
     leftovers.
     """
 
@@ -307,30 +308,28 @@ class TestBlockAssignment:
 
     def test_assignment_failure_witnessed(self, brac7):
         from netsynth.separation import SSP
-        from netsynth.synthesis import (SynthesisConfig,
+        from netsynth.synthesis import (SynthesisConfig, _Unsolvable,
                                         _assign_ssps_to_blocks)
         ctx, pool, blocks = self._pipeline_state(brac7)
         # a pair with zero Parikh difference can never be separated
         hopeless = SSP(brac7.states.index("s1"), brac7.states.index("s1"))
         cfg = SynthesisConfig(target_class="brac")
-        outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless],
-                                         cfg, 16)
-        assert outcome is not None
-        assert outcome.outcome == "failure"
-        assert outcome.witness["kind"] == "ssp"
+        with pytest.raises(_Unsolvable) as outcome:
+            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg, 16)
+        assert outcome.value.cap is None
+        assert outcome.value.witness["kind"] == "ssp"
 
     def test_assignment_combo_cap(self, brac7):
         from netsynth.separation import SSP
-        from netsynth.synthesis import (SynthesisConfig,
+        from netsynth.synthesis import (SynthesisConfig, _Unsolvable,
                                         _assign_ssps_to_blocks)
         ctx, pool, blocks = self._pipeline_state(brac7)
         hopeless = SSP(brac7.states.index("s1"), brac7.states.index("s1"))
         cfg = SynthesisConfig(target_class="brac", ssp_combo_cap=2)
-        outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless],
-                                         cfg, 16)
-        assert outcome is not None
-        assert outcome.outcome == "cap-exceeded"
-        assert outcome.cap == "ssp-combo-cap"
+        with pytest.raises(_Unsolvable) as outcome:
+            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg, 16)
+        assert outcome.value.cap == "ssp-combo-cap"
+        assert outcome.value.witness is None
 
 
 class TestPrune:
