@@ -5,13 +5,16 @@ nonnegative variables.  Variables are plain column positions: a row holds
 ``(column, coefficient)`` pairs and a solution is one value per column, so
 the solver never sees a variable name (``dump_lp`` takes names only to
 print).  Rational feasibility is decided by an exact simplex over
-`fractions.Fraction`; strict rows are handled by maximising one shared
-slack.  Homogeneous solutions lift to integers by denominator clearing, and a
-0/1-aware branch-and-bound gives bounded integer feasibility.
+`fractions.Fraction` that reads the sparse rows straight into its dual
+tableau; strict rows are handled by maximising one shared slack, the only
+reason for an artificial column.  Homogeneous solutions lift to integers by
+denominator clearing, and a 0/1-aware branch-and-bound gives bounded integer
+feasibility.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -19,7 +22,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
 
-RELATIONS = ("<=", "<", "=", ">=", ">", "!=")
+_OPERATORS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt, "!=": operator.ne}
+RELATIONS = tuple(_OPERATORS)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -39,20 +44,10 @@ class Row:
     tag: str = ""
 
     def evaluate(self, values: Sequence[Fraction]) -> bool:
+        if self.rel not in _OPERATORS:
+            raise ValueError(f"unknown relation {self.rel!r}")
         lhs = sum((c * values[j] for j, c in self.coeffs), Fraction(0))
-        if self.rel == "<=":
-            return lhs <= self.const
-        if self.rel == "<":
-            return lhs < self.const
-        if self.rel == "=":
-            return lhs == self.const
-        if self.rel == ">=":
-            return lhs >= self.const
-        if self.rel == ">":
-            return lhs > self.const
-        if self.rel == "!=":
-            return lhs != self.const
-        raise ValueError(f"unknown relation {self.rel!r}")
+        return _OPERATORS[self.rel](lhs, self.const)
 
 
 def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
@@ -123,48 +118,12 @@ def dump_lp(system: LinearSystem, names: Sequence[str]) -> str:
     return "\n".join(out)
 
 
-def _leq_form(system: LinearSystem, rows: Sequence[Row]) \
-        -> tuple[list[list[Fraction]], list[Fraction], bool]:
-    """Rewrite ``rows`` and the 0/1 bounds to ``M z <= b`` with z >= 0.
-
-    Strict rows receive a shared slack variable, the last column, maximised
-    by the solver; a feasible strict system is one where the slack optimum
-    is positive.
-    """
-    has_strict = any(r.rel in ("<", ">") for r in rows)
-    nvar = system.columns + has_strict
-
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def emit(coeffs, const, strict=False):
-        dense = [Fraction(0)] * nvar
-        for j, c in coeffs:
-            dense[j] += c
-        if strict:
-            dense[-1] += 1
-        matrix.append(dense)
-        rhs.append(const)
-
-    for row in rows:
-        if row.rel == "!=":
-            raise ValueError("split '!=' rows before solving")
-        if row.rel == "<=":
-            emit(row.coeffs, row.const)
-        elif row.rel == ">=":
-            emit([(j, -c) for j, c in row.coeffs], -row.const)
-        elif row.rel == "=":
-            emit(row.coeffs, row.const)
-            emit([(j, -c) for j, c in row.coeffs], -row.const)
-        elif row.rel == "<":
-            emit(row.coeffs, row.const, strict=True)
-        elif row.rel == ">":
-            emit([(j, -c) for j, c in row.coeffs], -row.const, strict=True)
-    for j in sorted(system.zero_one):
-        emit([(j, Fraction(1))], Fraction(1))
-    if has_strict:
-        emit([(nvar - 1, Fraction(1))], Fraction(1))
-    return matrix, rhs, has_strict
+# How the simplex reads each relation: ``(sign, strict)`` copies, each the
+# primal row ``sign * coeffs <= sign * const``, plus the shared slack when
+# strict.  ``=`` gives two copies; ``!=`` must be split by the caller.
+_LEQ_COPIES = {"<=": ((1, False),), ">=": ((-1, False),),
+               "=": ((1, False), (-1, False)),
+               "<": ((1, True),), ">": ((-1, True),)}
 
 
 class _Simplex:
@@ -173,46 +132,54 @@ class _Simplex:
     The many-row feasibility problem ``max delta, M z <= b, z >= 0`` is
     solved through its dual ``min b.y, M^T y >= c, y >= 0`` whose row count
     equals the (small) variable count; the primal witness is read off the
-    reduced costs of the surplus columns.
+    reduced costs of the surplus columns.  ``M`` is never built: each row's
+    ``(column, coef)`` pairs are written straight into the tableau.  The
+    objective ``c`` is zero, or the unit vector of the shared strictness
+    slack ``delta`` when a row is strict; the slack's tableau row then
+    starts on the one artificial column.
     """
 
-    def __init__(self, matrix, rhs, objective):
-        # D rows: one per primal variable; D columns: y per primal row,
-        # then surplus, then artificials where the rhs (= c) is positive.
-        self.n_rows = len(objective)
-        self.n_y = len(matrix)
+    def __init__(self, system: LinearSystem, rows: Sequence[Row]):
+        copies = []
+        for row in rows:
+            if row.rel not in _LEQ_COPIES:
+                raise ValueError(f"split {row.rel!r} rows before solving")
+            copies += [(row, sign, strict)
+                       for sign, strict in _LEQ_COPIES[row.rel]]
+        zero_one = sorted(system.zero_one)
+        self.strict = any(strict for _, _, strict in copies)
+        # D rows: one per primal variable, the slack last; D columns: y per
+        # primal row (the copies, the 0/1 bounds, then delta <= 1), then
+        # surplus, then the artificial when strict.
+        self.n_rows = n = system.columns + self.strict
+        self.n_y = m = len(copies) + len(zero_one) + self.strict
+        self.ncols = m + n + self.strict
         self.pivots = 0
-        ncols = self.n_y + self.n_rows
-        tableau = []
-        basis = []
-        art_cols: dict[int, int] = {}
-        for j in range(self.n_rows):
-            row = [matrix[i][j] for i in range(self.n_y)]
-            surplus = [Fraction(0)] * self.n_rows
-            surplus[j] = Fraction(-1)
-            row += surplus
-            cj = objective[j]
-            if cj == 0:
-                # Negate so the surplus column is the identity column.
-                row = [-x for x in row]
-                row[self.n_y + j] = Fraction(1)
-                basis.append(self.n_y + j)
-            else:
-                art_cols[j] = ncols
-                ncols += 1
-                basis.append(art_cols[j])
-            row.append(abs(cj))
-            tableau.append(row)
-        for j, col in art_cols.items():
-            for i, row in enumerate(tableau):
-                while len(row) <= ncols:
-                    row.insert(len(row) - 1, Fraction(0))
-                row[col] = Fraction(1 if i == j else 0)
+        zero, one = Fraction(0), Fraction(1)
+        tableau = [[zero] * (self.ncols + 1) for _ in range(n)]
+        costs = [zero] * self.ncols  # b on the y columns
+        # Every row but the slack's is negated, so that its surplus column
+        # is an identity column and starts the basis.
+        for i, (row, sign, strict) in enumerate(copies):
+            for j, c in row.coeffs:
+                tableau[j][i] -= sign * c
+            if strict:
+                tableau[-1][i] = one
+            costs[i] = sign * row.const
+        for i, j in enumerate(zero_one, len(copies)):
+            tableau[j][i] = -one
+            costs[i] = one
+        for j in range(system.columns):
+            tableau[j][m + j] = one
+        self.basis = [m + j for j in range(system.columns)]
+        if self.strict:
+            slack = tableau[-1]
+            slack[m - 1] = costs[m - 1] = one
+            slack[m + n - 1] = -one
+            slack[-2] = slack[-1] = one  # artificial column and rhs
+            self.basis.append(self.ncols - 1)
         self.tableau = tableau
-        self.basis = basis
-        self.ncols = ncols
-        self.artificial = set(art_cols.values())
-        self.rhs_dual = rhs  # objective coefficients of the y columns
+        self.costs = costs
 
     def _objective_row(self, costs):
         obj = list(costs) + [Fraction(0)]
@@ -243,23 +210,11 @@ class _Simplex:
                 obj[idx] -= f * row[idx]
         self.basis[r] = k
 
-    def _drive_out_artificials(self, obj):
-        for r in range(self.n_rows):
-            if self.basis[r] in self.artificial:
-                row = self.tableau[r]
-                for k in range(self.ncols):
-                    if k not in self.artificial and row[k] != 0:
-                        self._pivot(obj, r, k)
-                        break
-                # A fully zero row is a redundant constraint; the basic
-                # artificial stays at level zero and never re-enters.
-
-    def _run(self, obj, forbidden):
+    def _run(self, obj, ncols):
+        """Bland's rule with entering columns among the first ``ncols``."""
         while True:
             enter = -1
-            for k in range(self.ncols):
-                if k in forbidden:
-                    continue
+            for k in range(ncols):
                 if obj[k] < 0:
                     enter = k
                     break
@@ -281,25 +236,24 @@ class _Simplex:
 
     def solve(self):
         """Return (status, optimum, primal_witness)."""
-        if self.artificial:
-            costs = [Fraction(0)] * self.ncols
-            for c in self.artificial:
-                costs[c] = Fraction(1)
-            obj = self._objective_row(costs)
-            status = self._run(obj, forbidden=set())
-            if status != "optimal" or -obj[-1] != 0:
+        real = self.n_y + self.n_rows  # every column but the artificial
+        if self.strict:
+            obj = self._objective_row([Fraction(0)] * real + [Fraction(1)])
+            if self._run(obj, self.ncols) != "optimal" or obj[-1] != 0:
                 return INFEASIBLE, None, None
-            self._drive_out_artificials(obj)
-        costs = [Fraction(0)] * self.ncols
-        for j in range(self.n_y):
-            costs[j] = self.rhs_dual[j]
-        obj = self._objective_row(costs)
-        status = self._run(obj, forbidden=self.artificial)
-        if status == "unbounded":
+            if real in self.basis:
+                # Drive the artificial out.  A fully zero row is a redundant
+                # constraint; the artificial stays at level zero and never
+                # re-enters.
+                r = self.basis.index(real)
+                k = next((k for k in range(real)
+                          if self.tableau[r][k] != 0), None)
+                if k is not None:
+                    self._pivot(obj, r, k)
+        obj = self._objective_row(self.costs)
+        if self._run(obj, real) == "unbounded":
             return INFEASIBLE, None, None
-        optimum = -obj[-1]
-        witness = [obj[self.n_y + j] for j in range(self.n_rows)]
-        return FEASIBLE, optimum, witness
+        return FEASIBLE, -obj[-1], obj[self.n_y:real]
 
 
 def solve_rational(system: LinearSystem, extra_rows: Iterable[Row] = ()) -> Solution:
@@ -309,17 +263,12 @@ def solve_rational(system: LinearSystem, extra_rows: Iterable[Row] = ()) -> Solu
     positive optimum; the returned witness always re-substitutes cleanly.
     """
     extra = tuple(extra_rows)
-    matrix, rhs, has_strict = _leq_form(system, system.rows + extra)
-    if not matrix:
+    rows = system.rows + extra
+    if not rows and not system.zero_one:
         return Solution(FEASIBLE, (Fraction(0),) * system.columns)
-    objective = [Fraction(0)] * len(matrix[0])
-    if has_strict:
-        objective[-1] = Fraction(1)
-    simplex = _Simplex(matrix, rhs, objective)
+    simplex = _Simplex(system, rows)
     status, optimum, witness = simplex.solve()
-    if status != FEASIBLE:
-        return Solution(INFEASIBLE, pivots=simplex.pivots)
-    if has_strict and optimum <= 0:
+    if status != FEASIBLE or (simplex.strict and optimum <= 0):
         return Solution(INFEASIBLE, pivots=simplex.pivots)
     values = tuple(witness[:system.columns])
     if not (system.satisfied_by(values)

@@ -221,8 +221,6 @@ def classify_net(net: PetriNet) -> NetClass:
                 rac = False
             if not (ppost[p] == ppost[q] or n_block(p, q) or n_block(q, p)):
                 brac = False
-    rac = rac and plain
-    brac = brac and plain
     return NetClass(plain=plain, mg=mg, cf=cf, ec=ec, efc=efc, wpi=wpi,
                     wac=wac, ac=ac, rac=rac, brac=brac)
 
@@ -247,6 +245,7 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     mapping = {lts.initial: other.initial}
     queue = [(lts.initial, other.initial)]
     head = 0
+    index = {name: i for i, name in enumerate(lts.labels)}
     relabel = {name: i for i, name in enumerate(other.labels)}
     while head < len(queue):
         s1, s2 = queue[head]
@@ -257,8 +256,7 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
             diff = sorted((en1 ^ en2))[0]
             return Mismatch("enabled labels differ", (s1, s2), diff)
         for name in sorted(en1):
-            t1 = lts.labels.index(name)
-            n1 = lts.successor[(s1, t1)]
+            n1 = lts.successor[(s1, index[name])]
             n2 = other.successor[(s2, relabel[name])]
             if n1 in mapping:
                 if mapping[n1] != n2:

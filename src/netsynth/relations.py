@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from netsynth.lts import Lts
 
@@ -337,6 +337,25 @@ def quotient_by_equivalence(graph: RelationGraph) \
     return out, dict(reps)
 
 
+def _triangles(g: RelationGraph) \
+        -> Iterator[tuple[int, int, int, int, str]]:
+    """Applicable triangle rules as ``(lo, hi, c, config, action)``.
+
+    Doi edges, then third labels, are scanned in index order.
+    """
+    for lo, hi in g.doi_edges():
+        for c in g.nodes:
+            if c in (lo, hi):
+                continue
+            key = (g.code_from(lo, c), g.code_from(hi, c))
+            config, action, needs_original = _TRIANGLE[key]
+            if action is None:
+                continue
+            if needs_original and g.edge(lo, c).origin != ORIGINAL:
+                continue
+            yield lo, hi, c, config, action
+
+
 def _find_contradiction(g: RelationGraph, brac: bool) -> Optional[Contradiction]:
     if brac:
         incident: dict[int, tuple[int, int]] = {}
@@ -348,16 +367,8 @@ def _find_contradiction(g: RelationGraph, brac: bool) -> Optional[Contradiction]
                         f"label {g.names[x]} sits on two preset inclusions, "
                         "impossible with one- or two-place presets")
                 incident[x] = (lo, hi)
-    for lo, hi in g.doi_edges():
-        for c in g.nodes:
-            if c in (lo, hi):
-                continue
-            key = (g.code_from(lo, c), g.code_from(hi, c))
-            config, action, needs_original = _TRIANGLE[key]
-            if action != _CONTRA:
-                continue
-            if needs_original and g.edge(lo, c).origin != ORIGINAL:
-                continue
+    for lo, hi, c, config, action in _triangles(g):
+        if action == _CONTRA:
             return Contradiction((lo, hi, c), f"triangle-{config}",
                                  f"doi edge {g.names[lo]}->{g.names[hi]} "
                                  f"with third label {g.names[c]}")
@@ -365,22 +376,15 @@ def _find_contradiction(g: RelationGraph, brac: bool) -> Optional[Contradiction]
 
 
 def _apply_one_resolution(g: RelationGraph, brac: bool) -> bool:
-    for lo, hi in g.doi_edges():
-        for c in g.nodes:
-            if c in (lo, hi):
-                continue
-            key = (g.code_from(lo, c), g.code_from(hi, c))
-            config, action, needs_original = _TRIANGLE[key]
-            if action in (None, _CONTRA):
-                continue
-            if needs_original and g.edge(lo, c).origin != ORIGINAL:
-                continue
-            if action == _TO_DISJOINT:
-                g.set_edge(lo, hi, Edge(DISJOINT, lo, hi, STRENGTHENED))
-            else:
-                g.set_edge(lo, hi, Edge(INCLUDED, lo, hi, STRENGTHENED,
-                                        provenance=(c, config)))
-            return True
+    for lo, hi, c, config, action in _triangles(g):
+        if action == _CONTRA:
+            continue
+        if action == _TO_DISJOINT:
+            g.set_edge(lo, hi, Edge(DISJOINT, lo, hi, STRENGTHENED))
+        else:
+            g.set_edge(lo, hi, Edge(INCLUDED, lo, hi, STRENGTHENED,
+                                    provenance=(c, config)))
+        return True
     if brac:
         touched = {x for lo, hi in g.included_edges() for x in (lo, hi)}
         for lo, hi in g.doi_edges():
