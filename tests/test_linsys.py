@@ -229,12 +229,15 @@ class TestPivotSequence:
     """
 
     FAMILIES = {
-        # family -> (seed, relations, constants, every column 0/1)
-        "weak": (1, ("<=", ">="), (-4, 4), False),
-        "strict": (2, ("<=", ">=", "<", ">"), (-4, 4), False),
-        "equality": (3, ("<=", ">=", "="), (-4, 4), False),
-        "zero-one": (4, ("<=", ">=", "=", "<", ">"), (-2, 2), True),
-        "homogeneous": (5, ("<=", ">=", "=", "<", ">"), (0, 0), False),
+        # family -> (seed, relations, constants, every column 0/1,
+        #            coefficients and constants rational)
+        "weak": (1, ("<=", ">="), (-4, 4), False, False),
+        "strict": (2, ("<=", ">=", "<", ">"), (-4, 4), False, False),
+        "equality": (3, ("<=", ">=", "="), (-4, 4), False, False),
+        "zero-one": (4, ("<=", ">=", "=", "<", ">"), (-2, 2), True, False),
+        "homogeneous": (5, ("<=", ">=", "=", "<", ">"), (0, 0), False,
+                        False),
+        "rational": (6, ("<=", ">=", "=", "<", ">"), (-3, 3), False, True),
     }
 
     DIGESTS = {
@@ -248,23 +251,38 @@ class TestPivotSequence:
             "53a1dfb8d62d5cffb7c6b704319c9ea62e3d9785670658ee9ac7acc8beed6197",
         "homogeneous":
             "8da9d953fbe7f943d011a1b0715808cc0c04e1d250cbdc15a7759b7d159c927e",
+        "rational":
+            "0a7133ed7fa7cc3137fdf78ff7185ac9561bfc7361faecae24ca3a22b58522a2",
     }
 
     @staticmethod
     def digest(family):
-        seed, rels, (lo, hi), binary = TestPivotSequence.FAMILIES[family]
+        seed, rels, (lo, hi), binary, rational = \
+            TestPivotSequence.FAMILIES[family]
         rng = random.Random(seed)
+
+        def number(lo, hi):
+            if rational:
+                return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+            return rng.randint(lo, hi)
+
         h = hashlib.sha256()
         for _ in range(60):
             nvar = rng.randint(1, 6)
             rows = tuple(
-                make_row({j: rng.randint(-3, 3) for j in range(nvar)},
-                         rng.choice(rels), rng.randint(lo, hi))
+                make_row({j: number(-3, 3) for j in range(nvar)},
+                         rng.choice(rels), number(lo, hi))
                 for _ in range(rng.randint(1, 8)))
             sys_ = LinearSystem(nvar, rows,
                                 frozenset(range(nvar)) if binary
                                 else frozenset())
-            for sol in (solve_rational(sys_), solve_integer(sys_, cap=16)):
+            for solve in (solve_rational,
+                          lambda s: solve_integer(s, cap=16)):
+                try:
+                    sol = solve(sys_)
+                except ValueError as exc:  # integer search on rational rows
+                    h.update(f"ValueError {exc}\n".encode())
+                    continue
                 values = " ".join(map(str, sol.assignment or ()))
                 h.update(f"{sol.status} {sol.pivots} {values}\n".encode())
         return h.hexdigest()
