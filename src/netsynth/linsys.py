@@ -4,12 +4,17 @@ Systems mix weak, strict, equality and (caller-split) disequality rows over
 nonnegative variables.  Variables are plain column positions: a row holds
 ``(column, coefficient)`` pairs and a solution is one value per column, so
 the solver never sees a variable name (``dump_lp`` takes names only to
-print).  Rational feasibility is decided by an exact simplex over
-`fractions.Fraction` that reads the sparse rows straight into its dual
-tableau; strict rows are handled by maximising one shared slack, the only
-reason for an artificial column.  Homogeneous solutions lift to integers by
-denominator clearing, and a 0/1-aware branch-and-bound gives bounded integer
-feasibility.
+print).  Each row also keeps an integer form, computed once: its
+coefficients and constant times the lcm of their denominators.
+
+Rational feasibility is decided by an exact integer-tableau simplex that
+reads the integer rows straight into its dual tableau and never touches a
+`fractions.Fraction`; strict rows are handled by maximising one shared
+slack, the only reason for an artificial column.  The witness comes out as
+integer numerators over one denominator and is re-substituted into the
+integer rows; only the returned assignment is built from Fractions.
+Homogeneous solutions lift to integers by denominator clearing, and a
+0/1-aware branch-and-bound gives bounded integer feasibility.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from functools import cached_property
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
@@ -43,11 +49,31 @@ class Row:
     const: Fraction
     tag: str = ""
 
+    @cached_property
+    def integer(self) -> tuple[int, tuple[tuple[int, int], ...], int]:
+        """``(scale, coeffs, const)``: the row times ``scale``, the lcm of
+        its denominators, so the row is integral exactly when ``scale`` is 1.
+
+        Computed once, when first read; rows never solved do not pay for it.
+        """
+        scale = lcm(self.const.denominator,
+                    *(c.denominator for _, c in self.coeffs))
+        return (scale,
+                tuple((j, c.numerator * (scale // c.denominator))
+                      for j, c in self.coeffs),
+                self.const.numerator * (scale // self.const.denominator))
+
     def evaluate(self, values: Sequence[Fraction]) -> bool:
         if self.rel not in _OPERATORS:
             raise ValueError(f"unknown relation {self.rel!r}")
         lhs = sum((c * values[j] for j, c in self.coeffs), Fraction(0))
         return _OPERATORS[self.rel](lhs, self.const)
+
+    def holds(self, num: Sequence[int], den: int) -> bool:
+        """Whether the row holds at ``x[j] = num[j] / den``, ``den > 0``."""
+        _, coeffs, const = self.integer
+        lhs = sum(c * num[j] for j, c in coeffs)
+        return _OPERATORS[self.rel](lhs, const * den)
 
 
 def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
@@ -83,11 +109,15 @@ class LinearSystem:
         return all(r.const == 0 for r in self.rows) and not self.zero_one
 
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
-        if any(v < 0 for v in values):
-            return False
-        if any(values[j] > 1 for j in self.zero_one):
-            return False
-        return all(r.evaluate(values) for r in self.rows)
+        den = lcm(*(v.denominator for v in values))
+        return self.holds([v.numerator * (den // v.denominator)
+                           for v in values], den)
+
+    def holds(self, num: Sequence[int], den: int) -> bool:
+        """Whether every row and bound holds at ``x[j] = num[j] / den``."""
+        return (all(v >= 0 for v in num)
+                and all(num[j] <= den for j in self.zero_one)
+                and all(r.holds(num, den) for r in self.rows))
 
 
 @dataclass
@@ -126,17 +156,44 @@ _LEQ_COPIES = {"<=": ((1, False),), ">=": ((-1, False),),
                "<": ((1, True),), ">": ((-1, True),)}
 
 
+def _eliminate(row, den, pivot_row, pivot, a):
+    """``row/den - (a/den) * pivot_row/pivot`` over one positive denominator.
+
+    ``pivot > 0``; the result is divided by the gcd of its entries and its
+    denominator.
+    """
+    new = [pivot * x - a * y for x, y in zip(row, pivot_row)]
+    den *= pivot
+    g = gcd(den, *new)
+    if g > 1:
+        new = [x // g for x in new]
+        den //= g
+    return new, den
+
+
 class _Simplex:
-    """Primal simplex (Bland's rule) over exact rationals.
+    """Primal simplex (Bland's rule) on an exact integer tableau.
 
     The many-row feasibility problem ``max delta, M z <= b, z >= 0`` is
     solved through its dual ``min b.y, M^T y >= c, y >= 0`` whose row count
     equals the (small) variable count; the primal witness is read off the
     reduced costs of the surplus columns.  ``M`` is never built: each row's
-    ``(column, coef)`` pairs are written straight into the tableau.  The
+    integer ``(column, coef)`` pairs are written straight into the tableau.
+    Scaling a primal row by its ``scale`` multiplies one dual column by a
+    positive number, which changes no pivot and not the witness.  The
     objective ``c`` is zero, or the unit vector of the shared strictness
     slack ``delta`` when a row is strict; the slack's tableau row then
     starts on the one artificial column.
+
+    Tableau row ``i`` holds the integers ``tableau[i]`` over one positive
+    denominator ``den[i]``, and the objective row likewise ``obj`` over
+    ``obj_den`` (fraction-free pivoting after Edmonds, 1967).  A pivot
+    keeps the pivot row's integers, negated if the pivot entry is negative,
+    and makes that entry its denominator; every other row with a nonzero in
+    the entering column is eliminated by cross-multiplication and divided
+    by its gcd, and rows with a zero there are not touched.  The ratio test
+    compares by cross-multiplication, so every pivot is the one the
+    rational tableau would make.
     """
 
     def __init__(self, system: LinearSystem, rows: Sequence[Row]):
@@ -155,92 +212,98 @@ class _Simplex:
         self.n_y = m = len(copies) + len(zero_one) + self.strict
         self.ncols = m + n + self.strict
         self.pivots = 0
-        zero, one = Fraction(0), Fraction(1)
-        tableau = [[zero] * (self.ncols + 1) for _ in range(n)]
-        costs = [zero] * self.ncols  # b on the y columns
+        tableau = [[0] * (self.ncols + 1) for _ in range(n)]
+        costs = [0] * self.ncols  # b on the y columns
         # Every row but the slack's is negated, so that its surplus column
         # is an identity column and starts the basis.
         for i, (row, sign, strict) in enumerate(copies):
-            for j, c in row.coeffs:
+            scale, coeffs, const = row.integer
+            for j, c in coeffs:
                 tableau[j][i] -= sign * c
             if strict:
-                tableau[-1][i] = one
-            costs[i] = sign * row.const
+                tableau[-1][i] = scale
+            costs[i] = sign * const
         for i, j in enumerate(zero_one, len(copies)):
-            tableau[j][i] = -one
-            costs[i] = one
+            tableau[j][i] = -1
+            costs[i] = 1
         for j in range(system.columns):
-            tableau[j][m + j] = one
+            tableau[j][m + j] = 1
         self.basis = [m + j for j in range(system.columns)]
         if self.strict:
             slack = tableau[-1]
-            slack[m - 1] = costs[m - 1] = one
-            slack[m + n - 1] = -one
-            slack[-2] = slack[-1] = one  # artificial column and rhs
+            slack[m - 1] = costs[m - 1] = 1
+            slack[m + n - 1] = -1
+            slack[-2] = slack[-1] = 1  # artificial column and rhs
             self.basis.append(self.ncols - 1)
         self.tableau = tableau
+        self.den = [1] * n
         self.costs = costs
 
-    def _objective_row(self, costs):
-        obj = list(costs) + [Fraction(0)]
+    def _set_objective(self, costs):
+        self.obj, self.obj_den = list(costs) + [0], 1
         for i, bi in enumerate(self.basis):
             cb = costs[bi]
             if cb != 0:
-                row = self.tableau[i]
-                for k in range(self.ncols + 1):
-                    obj[k] -= cb * row[k]
-        return obj
+                self.obj, self.obj_den = _eliminate(
+                    self.obj, self.obj_den, self.tableau[i], self.den[i],
+                    cb * self.obj_den)
 
-    def _pivot(self, obj, r, k):
+    def _pivot(self, r, k):
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded")
-        row = self.tableau[r]
+        tableau, den = self.tableau, self.den
+        row = tableau[r]
         piv = row[k]
-        self.tableau[r] = [x / piv for x in row]
-        row = self.tableau[r]
+        if piv < 0:
+            row = tableau[r] = [-x for x in row]
+            piv = -piv
+        den[r] = piv
         for i in range(self.n_rows):
-            if i != r and self.tableau[i][k] != 0:
-                f = self.tableau[i][k]
-                self.tableau[i] = [a - f * b
-                                   for a, b in zip(self.tableau[i], row)]
-        if obj[k] != 0:
-            f = obj[k]
-            for idx in range(self.ncols + 1):
-                obj[idx] -= f * row[idx]
+            a = tableau[i][k]
+            if i != r and a != 0:
+                tableau[i], den[i] = _eliminate(tableau[i], den[i], row, piv,
+                                                a)
+        a = self.obj[k]
+        if a != 0:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, row,
+                                                piv, a)
         self.basis[r] = k
 
-    def _run(self, obj, ncols):
+    def _run(self, ncols):
         """Bland's rule with entering columns among the first ``ncols``."""
+        tableau, basis = self.tableau, self.basis
         while True:
-            enter = -1
-            for k in range(ncols):
-                if obj[k] < 0:
-                    enter = k
-                    break
+            obj = self.obj
+            enter = next((k for k in range(ncols) if obj[k] < 0), -1)
             if enter < 0:
                 return "optimal"
+            # least rhs/a over a > 0, then least basic column; the rows'
+            # denominators cancel in the ratio
             leave = -1
-            best = None
             for i in range(self.n_rows):
-                a = self.tableau[i][enter]
+                a = tableau[i][enter]
                 if a > 0:
-                    ratio = self.tableau[i][-1] / a
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
+                    rhs = tableau[i][-1]
+                    if leave < 0:
+                        leave, best_rhs, best_a = i, rhs, a
+                        continue
+                    cmp = rhs * best_a - best_rhs * a
+                    if cmp < 0 or cmp == 0 and basis[i] < basis[leave]:
+                        leave, best_rhs, best_a = i, rhs, a
             if leave < 0:
                 return "unbounded"
-            self._pivot(obj, leave, enter)
+            self._pivot(leave, enter)
 
     def solve(self):
-        """Return (status, optimum, primal_witness)."""
+        """Return the primal witness as ``(numerators, denominator)``, with
+        the strictness slack last when there is one, or None if infeasible.
+        """
         real = self.n_y + self.n_rows  # every column but the artificial
         if self.strict:
-            obj = self._objective_row([Fraction(0)] * real + [Fraction(1)])
-            if self._run(obj, self.ncols) != "optimal" or obj[-1] != 0:
-                return INFEASIBLE, None, None
+            self._set_objective([0] * real + [1])
+            if self._run(self.ncols) != "optimal" or self.obj[-1] != 0:
+                return None
             if real in self.basis:
                 # Drive the artificial out.  A fully zero row is a redundant
                 # constraint; the artificial stays at level zero and never
@@ -249,32 +312,36 @@ class _Simplex:
                 k = next((k for k in range(real)
                           if self.tableau[r][k] != 0), None)
                 if k is not None:
-                    self._pivot(obj, r, k)
-        obj = self._objective_row(self.costs)
-        if self._run(obj, real) == "unbounded":
-            return INFEASIBLE, None, None
-        return FEASIBLE, -obj[-1], obj[self.n_y:real]
+                    self._pivot(r, k)
+        self._set_objective(self.costs)
+        # unbounded dual: the rows are infeasible; with strict rows, a
+        # slack optimum -obj[-1] <= 0 means no row can be strict
+        if self._run(real) == "unbounded" or \
+                self.strict and self.obj[-1] >= 0:
+            return None
+        return self.obj[self.n_y:real], self.obj_den
 
 
 def solve_rational(system: LinearSystem, extra_rows: Iterable[Row] = ()) -> Solution:
     """Exact rational feasibility of a (possibly strict) system.
 
     Strict rows are feasible iff the shared strictness slack admits a
-    positive optimum; the returned witness always re-substitutes cleanly.
+    positive optimum.  The witness is re-substituted into the integer rows
+    before it is returned.
     """
     extra = tuple(extra_rows)
     rows = system.rows + extra
     if not rows and not system.zero_one:
         return Solution(FEASIBLE, (Fraction(0),) * system.columns)
     simplex = _Simplex(system, rows)
-    status, optimum, witness = simplex.solve()
-    if status != FEASIBLE or (simplex.strict and optimum <= 0):
+    witness = simplex.solve()
+    if witness is None:
         return Solution(INFEASIBLE, pivots=simplex.pivots)
-    values = tuple(witness[:system.columns])
-    if not (system.satisfied_by(values)
-            and all(r.evaluate(values) for r in extra)):
+    num, den = witness[0][:system.columns], witness[1]
+    if not (system.holds(num, den) and all(r.holds(num, den) for r in extra)):
         raise AssertionError("simplex witness failed re-substitution")
-    return Solution(FEASIBLE, values, pivots=simplex.pivots)
+    return Solution(FEASIBLE, tuple(Fraction(v, den) for v in num),
+                    pivots=simplex.pivots)
 
 
 def lift_homogeneous_to_integer(solution: Solution,
@@ -288,13 +355,13 @@ def lift_homogeneous_to_integer(solution: Solution,
         raise ValueError("system is not homogeneous")
     if not solution.feasible or solution.assignment is None:
         raise ValueError("can only lift a feasible solution")
-    scale = lcm(*(v.denominator for v in solution.assignment), 1)
-    lifted = tuple(v * scale for v in solution.assignment)
-    if any(v.denominator != 1 for v in lifted):
-        raise AssertionError("lifted solution is not integral")
-    if not system.satisfied_by(lifted):
+    scale = lcm(*(v.denominator for v in solution.assignment))
+    lifted = [v.numerator * (scale // v.denominator)
+              for v in solution.assignment]
+    if not system.holds(lifted, 1):
         raise AssertionError("lifted solution failed re-substitution")
-    return Solution(FEASIBLE, lifted, pivots=solution.pivots)
+    return Solution(FEASIBLE, tuple(map(Fraction, lifted)),
+                    pivots=solution.pivots)
 
 
 def integerize_strict(system: LinearSystem) -> LinearSystem:
@@ -305,8 +372,7 @@ def integerize_strict(system: LinearSystem) -> LinearSystem:
     """
     rows = []
     for row in system.rows:
-        if any(c.denominator != 1 for _, c in row.coeffs) or \
-                row.const.denominator != 1:
+        if row.integer[0] != 1:
             raise ValueError("integerize requires integral rows")
         if row.rel == "<":
             rows.append(Row(row.coeffs, "<=", row.const - 1, row.tag))
