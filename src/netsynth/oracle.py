@@ -6,6 +6,9 @@ solver and oracle cross-check each other.  Generators are deterministic per
 seed; the net generator composes free-choice blocks and N-shaped asymmetric
 choice blocks into token-conservative rings, keeping reachability graphs
 small and the class membership guaranteed by construction.
+
+Only the region oracle needs numpy, and it imports it when first called,
+so that ``import netsynth`` does not load it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from netsynth.lts import Lts, parse_lts, spanning_tree, validate
 from netsynth.petri import PetriNet, classify_net
@@ -42,6 +43,8 @@ def _weight_table(lts: Lts, max_value: int):
     admissible initial count, and whether some initial count up to the
     bound makes the row a region.
     """
+    import numpy as np
+
     ns, nl = len(lts.states), len(lts.labels)
     if ns * nl > 64:
         raise ValueError("oracle guard: too large, |S|*|Labels| > 64")
@@ -84,6 +87,8 @@ def brute_force_region(lts: Lts, problem: SeparationProblem,
     with every edge and nonnegative everywhere, and returns the first
     solving region in lexicographic (r0, B, F) order, or None.
     """
+    import numpy as np
+
     b, f, pot, r0_min, valid, tree = _weight_table(lts, bound.max_value)
     if isinstance(problem, SSP):
         ok = valid & (pot[:, problem.s1] != pot[:, problem.s2])

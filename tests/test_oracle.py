@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from netsynth.linsys import solve_rational
@@ -8,6 +13,17 @@ from netsynth.petri import classify_net, reachability_graph
 from netsynth.separation import (ESSP, SSP, SystemContext,
                                  enumerate_separation_problems)
 from netsynth.synthesis import synthesize_brac, verify_solution
+
+
+def test_import_does_not_load_numpy():
+    # only the brute-force oracle needs numpy; it imports it when called
+    src = pathlib.Path(__file__).parents[1] / "src"
+    code = ("import sys, netsynth, netsynth.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBruteForce:
