@@ -4,8 +4,8 @@ Systems mix weak, strict, equality and (caller-split) disequality rows over
 nonnegative variables.  Variables are plain column positions: a row holds
 ``(column, coefficient)`` pairs and a solution is one value per column, so
 the solver never sees a variable name (``dump_lp`` takes names only to
-print).  Each row also keeps an integer form, computed once: its
-coefficients and constant times the lcm of their denominators.
+print).  Each row also has an integer form, computed once on first use:
+its coefficients and constant times the lcm of their denominators.
 
 Rational feasibility is decided by an exact integer-tableau simplex that
 reads the integer rows straight into its dual tableau and never touches a
@@ -109,9 +109,16 @@ class LinearSystem:
         return all(r.const == 0 for r in self.rows) and not self.zero_one
 
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
-        den = lcm(*(v.denominator for v in values))
-        return self.holds([v.numerator * (den // v.denominator)
-                           for v in values], den)
+        """Whether ``values`` satisfy the system, in Fractions.
+
+        It does not read the integer forms the solver uses, so tests can
+        check the solver against it.
+        """
+        if any(v < 0 for v in values):
+            return False
+        if any(values[j] > 1 for j in self.zero_one):
+            return False
+        return all(r.evaluate(values) for r in self.rows)
 
     def holds(self, num: Sequence[int], den: int) -> bool:
         """Whether every row and bound holds at ``x[j] = num[j] / den``."""
@@ -285,10 +292,7 @@ class _Simplex:
                 a = tableau[i][enter]
                 if a > 0:
                     rhs = tableau[i][-1]
-                    if leave < 0:
-                        leave, best_rhs, best_a = i, rhs, a
-                        continue
-                    cmp = rhs * best_a - best_rhs * a
+                    cmp = -1 if leave < 0 else rhs * best_a - best_rhs * a
                     if cmp < 0 or cmp == 0 and basis[i] < basis[leave]:
                         leave, best_rhs, best_a = i, rhs, a
             if leave < 0:
