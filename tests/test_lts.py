@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, strategies as st
 from netsynth.lts import (LtsError, ParikhVector, cycle_basis,
                           parikh_of_edge, parse_lts, serialize_lts,
                           spanning_tree, validate)
+from netsynth.oracle import random_brac_net, random_lts
+from netsynth.petri import reachability_graph
 
-from conftest import load_lts
+from conftest import FIXTURES, load_lts
 
 
 def names(lts, vec):
@@ -195,6 +199,28 @@ class TestParikhVectorAlgebra:
         assert v1.leq(v2) and v1.lneq(v2) and not v2.leq(v1)
 
 
+@functools.cache
+def basis_graphs():
+    """Name -> LTS: the fixtures, ``random_lts(0..299, 24, 6)``, the graphs
+    of ``random_brac_net(0..99)`` and the three scale-ladder nets."""
+    graphs = {f"fixture/{p.stem}": parse_lts(p.read_text())
+              for p in sorted(FIXTURES.glob("*.lts"))}
+    graphs.update((f"random_lts/{i}", random_lts(i, 24, 6))
+                  for i in range(300))
+    graphs.update((f"random_brac_net/{i}",
+                   reachability_graph(random_brac_net(i), 100_000))
+                  for i in range(100))
+    graphs.update((f"ladder/{s}",
+                   reachability_graph(random_brac_net(s, 6, 4), 100_000))
+                  for s in (44, 17, 38))
+    return graphs
+
+
+# SHA-256 over ``basis_graphs()`` of every ``[v.counts for v in basis]``
+BASIS_DIGEST = \
+    "3c6588c30993022c238a5b0b8fb8968f2da9f5221d5ef1b694b10b04ce6cad74"
+
+
 class TestCycleBasis:
     def test_fig1(self, fig1):
         tree = spanning_tree(fig1)
@@ -252,3 +278,12 @@ class TestCycleBasis:
     def test_deterministic(self, fig1):
         tree = spanning_tree(fig1)
         assert cycle_basis(fig1, tree) == cycle_basis(fig1, tree)
+
+    def test_basis_unchanged(self):
+        """Pins the exact vectors and their order, which every system's
+        cycle rows follow."""
+        h = hashlib.sha256()
+        for name, lts in basis_graphs().items():
+            basis = cycle_basis(lts, spanning_tree(lts))
+            h.update(f"{name} {[v.counts for v in basis]}\n".encode())
+        assert h.hexdigest() == BASIS_DIGEST
