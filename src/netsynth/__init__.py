@@ -9,7 +9,7 @@ free-choice blocks or two-block asymmetric choices).
 from netsynth.lts import (Lts, SpanningTree, ParikhVector, ValidationReport,
                           parse_lts, serialize_lts, validate, spanning_tree,
                           parikh_of_edge, cycle_basis)
-from netsynth.linsys import (LinearSystem, Row, Solution, Rational, make_row,
+from netsynth.linsys import (LinearSystem, Row, Solution, make_row,
                              solve_rational, solve_integer,
                              lift_homogeneous_to_integer, dump_lp)
 from netsynth.relations import (PairRelation, RelationGraph, Contradiction,

@@ -4,15 +4,15 @@ Systems mix weak, strict, equality and (caller-split) disequality rows over
 nonnegative variables.  Variables are plain column positions: a row holds
 ``(column, coefficient)`` pairs and a solution is one value per column, so
 the solver never sees a variable name (``dump_lp`` takes names only to
-print).  Each row also has an integer form, computed once on first use:
-its coefficients and constant times the lcm of their denominators.
+print).  Rows are integral: ``make_row`` multiplies a rational row by the
+lcm of its denominators, once, and records that lcm as ``Row.scale``.
 
 Rational feasibility is decided by an exact integer-tableau simplex that
-reads the integer rows straight into its dual tableau and never touches a
+reads the rows straight into its dual tableau and never touches a
 `fractions.Fraction`; strict rows are handled by maximising one shared
 slack, the only reason for an artificial column.  The witness comes out as
 integer numerators over one denominator and is re-substituted into the
-integer rows; only the returned assignment is built from Fractions.
+rows; only the returned assignment is built from Fractions.
 Homogeneous solutions lift to integers by denominator clearing, and a
 0/1-aware branch-and-bound gives bounded integer feasibility.
 """
@@ -22,11 +22,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
-
-Rational = Fraction
 
 _OPERATORS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
               ">=": operator.ge, ">": operator.gt, "!=": operator.ne}
@@ -42,26 +39,18 @@ _MAX_PIVOTS = 2_000_000
 
 @dataclass(frozen=True)
 class Row:
-    """One linear constraint ``sum(coef * x[column]) rel const``."""
+    """One linear constraint ``sum(coef * x[column]) rel const``.
 
-    coeffs: tuple[tuple[int, Fraction], ...]
+    Coefficients and constant are integers.  ``scale`` is the positive
+    number a rational row was multiplied by to make it so, the lcm of its
+    denominators; the row was given in integers exactly when it is 1.
+    """
+
+    coeffs: tuple[tuple[int, int], ...]
     rel: str
-    const: Fraction
+    const: int
     tag: str = ""
-
-    @cached_property
-    def integer(self) -> tuple[int, tuple[tuple[int, int], ...], int]:
-        """``(scale, coeffs, const)``: the row times ``scale``, the lcm of
-        its denominators, so the row is integral exactly when ``scale`` is 1.
-
-        Computed once, when first read; rows never solved do not pay for it.
-        """
-        scale = lcm(self.const.denominator,
-                    *(c.denominator for _, c in self.coeffs))
-        return (scale,
-                tuple((j, c.numerator * (scale // c.denominator))
-                      for j, c in self.coeffs),
-                self.const.numerator * (scale // self.const.denominator))
+    scale: int = 1
 
     def evaluate(self, values: Sequence[Fraction]) -> bool:
         if self.rel not in _OPERATORS:
@@ -71,18 +60,20 @@ class Row:
 
     def holds(self, num: Sequence[int], den: int) -> bool:
         """Whether the row holds at ``x[j] = num[j] / den``, ``den > 0``."""
-        _, coeffs, const = self.integer
-        lhs = sum(c * num[j] for j, c in coeffs)
-        return _OPERATORS[self.rel](lhs, const * den)
+        lhs = sum(c * num[j] for j, c in self.coeffs)
+        return _OPERATORS[self.rel](lhs, self.const * den)
 
 
 def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
              const: int | Fraction = 0, tag: str = "") -> Row:
+    """The row ``coeffs rel const`` times the lcm of its denominators."""
     if rel not in RELATIONS:
         raise ValueError(f"unknown relation {rel!r}")
-    items = tuple(sorted((j, Fraction(c)) for j, c in coeffs.items()
-                         if c != 0))
-    return Row(items, rel, Fraction(const), tag)
+    items = sorted((j, c) for j, c in coeffs.items() if c != 0)
+    scale = lcm(const.denominator, *(c.denominator for _, c in items))
+    return Row(tuple((j, c.numerator * (scale // c.denominator))
+                     for j, c in items), rel,
+               const.numerator * (scale // const.denominator), tag, scale)
 
 
 @dataclass(frozen=True)
@@ -111,8 +102,8 @@ class LinearSystem:
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
         """Whether ``values`` satisfy the system, in Fractions.
 
-        It does not read the integer forms the solver uses, so tests can
-        check the solver against it.
+        It does not use the integer re-substitution the solver uses
+        (``holds``), so tests can check the solver against it.
         """
         if any(v < 0 for v in values):
             return False
@@ -224,12 +215,11 @@ class _Simplex:
         # Every row but the slack's is negated, so that its surplus column
         # is an identity column and starts the basis.
         for i, (row, sign, strict) in enumerate(copies):
-            scale, coeffs, const = row.integer
-            for j, c in coeffs:
+            for j, c in row.coeffs:
                 tableau[j][i] -= sign * c
             if strict:
-                tableau[-1][i] = scale
-            costs[i] = sign * const
+                tableau[-1][i] = row.scale
+            costs[i] = sign * row.const
         for i, j in enumerate(zero_one, len(copies)):
             tableau[j][i] = -1
             costs[i] = 1
@@ -330,8 +320,8 @@ def solve_rational(system: LinearSystem, extra_rows: Iterable[Row] = ()) -> Solu
     """Exact rational feasibility of a (possibly strict) system.
 
     Strict rows are feasible iff the shared strictness slack admits a
-    positive optimum.  The witness is re-substituted into the integer rows
-    before it is returned.
+    positive optimum.  The witness is re-substituted into the rows before it
+    is returned.
     """
     extra = tuple(extra_rows)
     rows = system.rows + extra
@@ -371,12 +361,12 @@ def lift_homogeneous_to_integer(solution: Solution,
 def integerize_strict(system: LinearSystem) -> LinearSystem:
     """Rewrite strict rows for integer search: ``< c`` becomes ``<= c-1``.
 
-    Only sound when all coefficients and constants are integral, which every
-    synthesis system satisfies.
+    Only sound on rows given in integers (``scale`` 1), which every
+    synthesis row is.
     """
     rows = []
     for row in system.rows:
-        if row.integer[0] != 1:
+        if row.scale != 1:
             raise ValueError("integerize requires integral rows")
         if row.rel == "<":
             rows.append(Row(row.coeffs, "<=", row.const - 1, row.tag))
@@ -417,8 +407,7 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
                     None)
         if frac is None:
             return Solution(FEASIBLE, values, pivots=pivots)
-        lo = Fraction(floor(values[frac]))
-        hi = Fraction(ceil(values[frac]))
+        lo, hi = floor(values[frac]), ceil(values[frac])
         up = bounds + (make_row({frac: 1}, ">=", hi, tag="branch-up"),)
         down = bounds + (make_row({frac: 1}, "<=", lo, tag="branch-down"),)
         if hi > cap:

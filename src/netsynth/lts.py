@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Optional
 
 _NAME = re.compile(r"[A-Za-z0-9_]+$")
@@ -43,9 +43,6 @@ class ParikhVector:
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.counts)
-
-    def __getitem__(self, label: int) -> int:
-        return self.to_dict().get(label, 0)
 
     def __add__(self, other: "ParikhVector") -> "ParikhVector":
         out = self.to_dict()
@@ -297,57 +294,47 @@ def parikh_of_edge(tree: SpanningTree, edge: tuple[int, int, int]) -> ParikhVect
     return tree.parikh[s] + ParikhVector.unit(t) - tree.parikh[s2]
 
 
-def _canonical_int_vector(row: list[Fraction], nlabels: int) -> ParikhVector:
-    from math import gcd, lcm
-    denom = lcm(*(x.denominator for x in row), 1)
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 1)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ParikhVector.of({i: v for i, v in enumerate(ints) if v != 0})
+def _primitive(vec: list[int]) -> list[int]:
+    g = gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec
 
 
 def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
     """Integer basis of the span of all chord Parikh vectors.
 
-    Computed by exact rational Gaussian elimination (reduced row echelon
-    form, which is canonical for the spanned space) and scaled to coprime
-    integer vectors with positive leading entry.  Size is at most the
-    number of labels; every cycle of the LTS has a Parikh vector in the
+    Each chord is inserted into an integer echelon basis keyed by pivot
+    column, without fractions (after Edmonds, 1967): it is reduced against
+    every pivot by cross-multiplication, and a nonzero remainder becomes a
+    new row whose pivot is eliminated from the rows already there.  Every
+    row is divided by its gcd, with its pivot positive.  The rows are the
+    reduced row echelon form of the span, which is canonical, as coprime
+    integer vectors, in pivot order.  Size is at most the number of labels,
+    where the scan stops; every cycle of the LTS has a Parikh vector in the
     span.
     """
     nlab = len(lts.labels)
-    rows: list[list[Fraction]] = []
+    rows: dict[int, list[int]] = {}  # pivot column -> row, pivot entry > 0
     for chord in tree.chords():
-        vec = parikh_of_edge(tree, chord)
-        if vec.is_zero():
-            continue
-        dense = [Fraction(0)] * nlab
-        for k, v in vec.counts:
-            dense[k] = Fraction(v)
-        rows.append(dense)
-    # reduced row echelon form
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(nlab):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
-                     None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        factor = rows[r][col]
-        rows[r] = [x / factor for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(rows):
+        if len(rows) == nlab:
             break
-    return [_canonical_int_vector(rows[i], nlab) for i in range(r)]
+        vec = [0] * nlab
+        for k, v in parikh_of_edge(tree, chord).counts:
+            vec[k] = v
+        for p, row in rows.items():
+            a = vec[p]
+            if a:
+                vec = _primitive([row[p] * x - a * y
+                                  for x, y in zip(vec, row)])
+        lead = next((k for k, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        if vec[lead] < 0:
+            vec = [-x for x in vec]
+        vec = _primitive(vec)
+        for p, row in rows.items():
+            a = row[lead]
+            if a:
+                rows[p] = _primitive([vec[lead] * x - a * y
+                                      for x, y in zip(row, vec)])
+        rows[lead] = vec
+    return [ParikhVector.of(dict(enumerate(rows[p]))) for p in sorted(rows)]

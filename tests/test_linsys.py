@@ -1,10 +1,11 @@
 import hashlib
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE,
+from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE, RELATIONS,
                              LinearSystem, dump_lp,
                              integerize_strict, lift_homogeneous_to_integer,
                              make_row, solve_integer, solve_rational)
@@ -28,6 +29,48 @@ INTRO = system([
     ({"x": 1, "y": 1}, "<=", 2),
     ({"x": -4}, "<=", -2),
 ], variables=("x", "y"))
+
+
+class TestMakeRow:
+    def test_rational_row_scaled_by_lcm(self):
+        row = make_row({0: Fraction(1, 2), 1: Fraction(-2, 3)}, "<",
+                       Fraction(1, 3))
+        assert row.coeffs == ((0, 3), (1, -4))
+        assert (row.rel, row.const, row.scale) == ("<", 2, 6)
+
+    @pytest.mark.parametrize("coeffs,const", [
+        ({2: 3, 0: -1, 1: 0}, 4),
+        ({0: Fraction(4, 2), 1: Fraction(-3)}, Fraction(6, 3)),
+    ])
+    def test_integer_input_keeps_scale_one(self, coeffs, const):
+        row = make_row(coeffs, ">=", const)
+        assert row.scale == 1
+        entries = [row.const, row.scale] + [x for pair in row.coeffs
+                                            for x in pair]
+        assert all(type(x) is int for x in entries)
+
+    def test_scaled_row_agrees_with_rational_row(self):
+        # the unscaled row is evaluated here, apart from linsys
+        ops = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
+               ">=": operator.ge, ">": operator.gt, "!=": operator.ne}
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(300):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                      for _ in range(3)]
+            const = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            rel = rng.choice(RELATIONS)
+            sys_ = LinearSystem(3, (make_row(dict(enumerate(coeffs)), rel,
+                                             const),))
+            for _ in range(4):
+                x = [Fraction(rng.randint(0, 4), rng.randint(1, 2))
+                     for _ in range(3)]
+                truth = ops[rel](sum(c * v for c, v in zip(coeffs, x)),
+                                 const)
+                assert sys_.satisfied_by(x) == truth
+                assert sys_.holds([int(v * 2) for v in x], 2) == truth
+                seen.add(truth)
+        assert seen == {True, False}
 
 
 class TestRational:

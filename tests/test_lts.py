@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -216,6 +218,19 @@ def basis_graphs():
     return graphs
 
 
+def in_span(basis, vec, nlab):
+    """Whether ``vec`` is a rational combination of an echelon ``basis``."""
+    target = [Fraction(vec.to_dict().get(k, 0)) for k in range(nlab)]
+    for b in basis:
+        row = [Fraction(b.to_dict().get(k, 0)) for k in range(nlab)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None or target[lead] == 0:
+            continue
+        factor = target[lead] / row[lead]
+        target = [t - factor * r for t, r in zip(target, row)]
+    return all(t == 0 for t in target)
+
+
 # SHA-256 over ``basis_graphs()`` of every ``[v.counts for v in basis]``
 BASIS_DIGEST = \
     "3c6588c30993022c238a5b0b8fb8968f2da9f5221d5ef1b694b10b04ce6cad74"
@@ -241,7 +256,6 @@ class TestCycleBasis:
 
     def test_every_cycle_in_span(self):
         # random cycles of fig1 must be rational combinations of the basis
-        from fractions import Fraction
         fig1 = load_lts("fig1")
         tree = spanning_tree(fig1)
         basis = cycle_basis(fig1, tree)
@@ -262,22 +276,32 @@ class TestCycleBasis:
                     break
                 seen[s] = acc
             assert cycle is not None
-            rows = [[Fraction(b.to_dict().get(k, 0)) for k in range(nlab)]
-                    for b in basis]
-            target = [Fraction(cycle.to_dict().get(k, 0))
-                      for k in range(nlab)]
-            # eliminate target against basis rows
-            for row in rows:
-                lead = next((i for i, x in enumerate(row) if x), None)
-                if lead is None or target[lead] == 0:
-                    continue
-                factor = target[lead] / row[lead]
-                target = [t - factor * r for t, r in zip(target, row)]
-            assert all(t == 0 for t in target)
+            assert in_span(basis, cycle, nlab)
 
     def test_deterministic(self, fig1):
         tree = spanning_tree(fig1)
         assert cycle_basis(fig1, tree) == cycle_basis(fig1, tree)
+
+    @pytest.mark.parametrize("family", ["random_lts", "random_brac_net"])
+    def test_canonical_form(self, family):
+        """Coprime rows with a positive leading entry, in reduced echelon
+        form, spanning every chord."""
+        graphs = [lts for name, lts in basis_graphs().items()
+                  if name.startswith(family + "/")]
+        for lts in graphs:
+            nlab = len(lts.labels)
+            tree = spanning_tree(lts)
+            basis = cycle_basis(lts, tree)
+            rows = [[v.to_dict().get(k, 0) for k in range(nlab)]
+                    for v in basis]
+            assert all(any(row) for row in rows)
+            leads = [next(k for k, x in enumerate(row) if x) for row in rows]
+            assert all(a < b for a, b in zip(leads, leads[1:]))
+            for row, lead in zip(rows, leads):
+                assert row[lead] > 0 and gcd(*row) == 1
+                assert all(row[k] == 0 for k in leads if k != lead)
+            for chord in tree.chords():
+                assert in_span(basis, parikh_of_edge(tree, chord), nlab)
 
     def test_basis_unchanged(self):
         """Pins the exact vectors and their order, which every system's
