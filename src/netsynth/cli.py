@@ -127,8 +127,7 @@ def _cmd_relations(args) -> int:
 
 def _cmd_synth(args) -> int:
     lts = _load_valid_lts(args.file)
-    cfg = SynthesisConfig(target_class=args.target_class,
-                          selfloop_cap=args.selfloop_cap,
+    cfg = SynthesisConfig(selfloop_cap=args.selfloop_cap,
                           ssp_combo_cap=args.ssp_combo_cap,
                           rg_cap=args.rg_cap,
                           prune=args.prune)

@@ -1,5 +1,8 @@
-"""Labelled transition systems: parsing, validation, spanning trees,
-Parikh vectors and cycle bases.
+"""Labelled transition systems: parsing, validation, spanning trees with
+their Parikh vectors, and cycle bases.
+
+A Parikh vector is a dense tuple of ints with one entry per label, in label
+order: the label counts of a tree walk, or their difference along an edge.
 
 The `.lts` text format: `#` starts a comment, one `initial <state>` header,
 one `<src> <label> <dst>` line per edge.  Names match ``[A-Za-z0-9_]+``;
@@ -12,7 +15,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Optional
+from operator import sub
+from typing import Optional, Sequence
 
 _NAME = re.compile(r"[A-Za-z0-9_]+$")
 
@@ -23,50 +27,10 @@ class LtsError(Exception):
 
 @dataclass(frozen=True)
 class ParikhVector:
-    """Label multiplicities of a word, state walk or edge.
+    """A cycle-basis vector: its nonzero ``(label, count)`` entries in label
+    order.  Entries may be negative."""
 
-    Entries may be negative (chords); absent labels read as zero.
-    Comparisons are componentwise, `lneq` meaning "less or equal in all
-    components but not equal".
-    """
-
-    counts: tuple[tuple[int, int], ...] = ()
-
-    @staticmethod
-    def of(mapping: dict[int, int]) -> "ParikhVector":
-        return ParikhVector(tuple(sorted((k, v) for k, v in mapping.items()
-                                         if v != 0)))
-
-    @staticmethod
-    def unit(label: int) -> "ParikhVector":
-        return ParikhVector(((label, 1),))
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    def __add__(self, other: "ParikhVector") -> "ParikhVector":
-        out = self.to_dict()
-        for k, v in other.counts:
-            out[k] = out.get(k, 0) + v
-        return ParikhVector.of(out)
-
-    def __sub__(self, other: "ParikhVector") -> "ParikhVector":
-        out = self.to_dict()
-        for k, v in other.counts:
-            out[k] = out.get(k, 0) - v
-        return ParikhVector.of(out)
-
-    def is_zero(self) -> bool:
-        return not self.counts
-
-    def leq(self, other: "ParikhVector") -> bool:
-        rhs = other.to_dict()
-        lhs = self.to_dict()
-        keys = set(lhs) | set(rhs)
-        return all(lhs.get(k, 0) <= rhs.get(k, 0) for k in keys)
-
-    def lneq(self, other: "ParikhVector") -> bool:
-        return self.leq(other) and self != other
+    counts: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -141,11 +105,13 @@ class SpanningTree:
 
     ``parent`` maps every non-initial state to its (parent, label) tree
     edge; following parents always reaches the initial state.
+    ``parikh[s]`` counts, per label, the edges of the tree walk from the
+    initial state to ``s``.
     """
 
     lts: Lts
     parent: dict[int, tuple[int, int]]
-    parikh: tuple[ParikhVector, ...]
+    parikh: tuple[tuple[int, ...], ...]
 
     def is_tree_edge(self, edge: tuple[int, int, int]) -> bool:
         s, t, s2 = edge
@@ -252,49 +218,45 @@ def spanning_tree(lts: Lts) -> SpanningTree:
     derived from it is reproducible.
     """
     parent: dict[int, tuple[int, int]] = {}
-    depth = {lts.initial: 0}
+    parikh = {lts.initial: (0,) * len(lts.labels)}
     frontier = [lts.initial]
     while frontier:
         discovered: dict[int, tuple[int, int]] = {}
         for s in sorted(frontier):
             for _, t, s2 in sorted(lts.out_edges[s], key=lambda e: e[1]):
-                if s2 in depth:
+                if s2 in parikh:
                     continue
                 if s2 not in discovered or (s, t) < discovered[s2]:
                     discovered[s2] = (s, t)
-        for s2 in discovered:
-            depth[s2] = depth[discovered[s2][0]] + 1
+        for s2, (p, t) in discovered.items():
+            vec = list(parikh[p])
+            vec[t] += 1
+            parikh[s2] = tuple(vec)
         parent.update(discovered)
         frontier = sorted(discovered)
-    missing = [s for s in range(len(lts.states)) if s not in depth]
+    missing = [s for s in range(len(lts.states)) if s not in parikh]
     if missing:
         raise LtsError(f"unreachable state {lts.states[missing[0]]!r}; "
                        "validate the LTS first")
-    parikh: list[Optional[ParikhVector]] = [None] * len(lts.states)
-    parikh[lts.initial] = ParikhVector()
-    order = sorted(depth, key=lambda s: depth[s])
-    for s in order:
-        if s == lts.initial:
-            continue
-        p, t = parent[s]
-        prefix = parikh[p]
-        if prefix is None:
-            raise AssertionError("tree parent visited after its child")
-        parikh[s] = prefix + ParikhVector.unit(t)
     return SpanningTree(lts=lts, parent=parent,
-                        parikh=tuple(parikh))  # type: ignore[arg-type]
+                        parikh=tuple(parikh[s]
+                                     for s in range(len(lts.states))))
 
 
-def parikh_of_edge(tree: SpanningTree, edge: tuple[int, int, int]) -> ParikhVector:
-    """``psi(s) + 1t - psi(s')`` for the edge ``s [t> s'``.
+def parikh_of_edge(tree: SpanningTree,
+                   edge: tuple[int, int, int]) -> tuple[int, ...]:
+    """``psi(s) + 1t - psi(s')`` for the edge ``s [t> s'``, one entry per
+    label.
 
     Tree edges evaluate to the zero vector; chord entries may be negative.
     """
     s, t, s2 = edge
-    return tree.parikh[s] + ParikhVector.unit(t) - tree.parikh[s2]
+    vec = list(map(sub, tree.parikh[s], tree.parikh[s2]))
+    vec[t] += 1
+    return tuple(vec)
 
 
-def _primitive(vec: list[int]) -> list[int]:
+def _primitive(vec: Sequence[int]) -> Sequence[int]:
     g = gcd(*vec)
     return [x // g for x in vec] if g > 1 else vec
 
@@ -310,16 +272,14 @@ def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
     reduced row echelon form of the span, which is canonical, as coprime
     integer vectors, in pivot order.  Size is at most the number of labels,
     where the scan stops; every cycle of the LTS has a Parikh vector in the
-    span.
+    span.  Each row is returned as a `ParikhVector` of its nonzero entries.
     """
     nlab = len(lts.labels)
-    rows: dict[int, list[int]] = {}  # pivot column -> row, pivot entry > 0
+    rows: dict[int, Sequence[int]] = {}  # pivot column -> row, pivot > 0
     for chord in tree.chords():
         if len(rows) == nlab:
             break
-        vec = [0] * nlab
-        for k, v in parikh_of_edge(tree, chord).counts:
-            vec[k] = v
+        vec: Sequence[int] = parikh_of_edge(tree, chord)
         for p, row in rows.items():
             a = vec[p]
             if a:
@@ -337,4 +297,5 @@ def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
                 rows[p] = _primitive([vec[lead] * x - a * y
                                       for x, y in zip(row, vec)])
         rows[lead] = vec
-    return [ParikhVector.of(dict(enumerate(rows[p]))) for p in sorted(rows)]
+    return [ParikhVector(tuple((k, x) for k, x in enumerate(rows[p]) if x))
+            for p in sorted(rows)]

@@ -62,11 +62,8 @@ def _weight_table(lts: Lts, max_value: int):
     f = bf[:, nl:]
     d = f - b
 
-    psi = np.zeros((nl, ns), dtype=np.int64)
-    for s in range(ns):
-        for label, count in tree.parikh[s].counts:
-            psi[label, s] = count
-    pot = d @ psi  # per-row token offset of every state
+    psi = np.array(tree.parikh, dtype=np.int64)
+    pot = d @ psi.T  # per-row token offset of every state
 
     consistent = np.ones(combos, dtype=bool)
     r0_min = np.zeros(combos, dtype=np.int64)

@@ -16,7 +16,8 @@ relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from operator import mul, sub
+from typing import Iterable, Mapping
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, ParikhVector, SpanningTree
@@ -52,10 +53,8 @@ class Region:
     f: tuple[int, ...]
 
     def marking(self, tree: SpanningTree, state: int) -> int:
-        total = self.r0
-        for label, count in tree.parikh[state].counts:
-            total += count * (self.f[label] - self.b[label])
-        return total
+        return self.r0 + sum(map(mul, tree.parikh[state],
+                                 map(sub, self.f, self.b)))
 
     def markings(self, tree: SpanningTree) -> tuple[int, ...]:
         return tuple(self.marking(tree, s)
@@ -114,12 +113,19 @@ class SystemContext:
             + tuple(f"F_{x}" for x in lts.labels)
         self._base = self._build_base_rows()
 
-    def _state_coeffs(self, state: int) -> dict[int, int]:
-        coeffs: dict[int, int] = {0: 1}  # R0
-        for label, count in self.tree.parikh[state].counts:
-            coeffs[self.fvar[label]] = coeffs.get(self.fvar[label], 0) + count
-            coeffs[self.bvar[label]] = coeffs.get(self.bvar[label], 0) - count
+    def _effect_coeffs(self, entries: Iterable[tuple[int, int]],
+                       coeffs: dict[int, int]) -> dict[int, int]:
+        """Write ``count * (F - B)`` of every nonzero ``(label, count)``
+        entry into ``coeffs``, whose B and F columns must be unset."""
+        for label, count in entries:
+            if count:
+                coeffs[self.fvar[label]] = count
+                coeffs[self.bvar[label]] = -count
         return coeffs
+
+    def _state_coeffs(self, state: int) -> dict[int, int]:
+        return self._effect_coeffs(enumerate(self.tree.parikh[state]),
+                                   {0: 1})  # R0
 
     def _build_base_rows(self) -> tuple[Row, ...]:
         rows: list[Row] = []
@@ -134,11 +140,8 @@ class SystemContext:
                 seen.add(row.coeffs)
                 rows.append(row)
         for i, gamma in enumerate(self.basis):
-            coeffs = {}
-            for label, count in gamma.counts:
-                coeffs[self.fvar[label]] = count
-                coeffs[self.bvar[label]] = -count
-            rows.append(make_row(coeffs, "=", 0, tag=f"cycle:{i}"))
+            rows.append(make_row(self._effect_coeffs(gamma.counts, {}),
+                                 "=", 0, tag=f"cycle:{i}"))
         return tuple(rows)
 
     def base_rows(self) -> tuple[Row, ...]:
@@ -155,12 +158,9 @@ class SystemContext:
     def ssp_row(self, ssp: SSP, sign: str) -> Row:
         if sign not in ("<", ">"):
             raise ValueError("sign must be '<' or '>'")
-        delta = self.tree.parikh[ssp.s1] - self.tree.parikh[ssp.s2]
-        coeffs: dict[int, int] = {}
-        for label, count in delta.counts:
-            coeffs[self.fvar[label]] = count
-            coeffs[self.bvar[label]] = -count
-        return make_row(coeffs, sign, 0,
+        parikh = self.tree.parikh
+        delta = map(sub, parikh[ssp.s1], parikh[ssp.s2])
+        return make_row(self._effect_coeffs(enumerate(delta), {}), sign, 0,
                         tag=f"ssp:{self.lts.states[ssp.s1]}:"
                             f"{self.lts.states[ssp.s2]}")
 

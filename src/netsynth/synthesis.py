@@ -52,15 +52,12 @@ CAP_EXCEEDED = "cap-exceeded"
 
 @dataclass
 class SynthesisConfig:
-    target_class: str = WPI
     selfloop_cap: int = 12
     ssp_combo_cap: int = 4096
     rg_cap: int = 100_000
     prune: bool = False
 
     def __post_init__(self):
-        if self.target_class not in (WPI, BRAC):
-            raise ValueError(f"unknown target class {self.target_class!r}")
         for name in ("selfloop_cap", "ssp_combo_cap", "rg_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -96,7 +93,7 @@ class SynthesisReport:
     def ok(self) -> bool:
         return self.outcome == SUCCESS
 
-    def to_json(self, labels: tuple[str, ...] = ()) -> dict:
+    def to_json(self, labels: tuple[str, ...]) -> dict:
         regions = [{"r0": r.r0,
                     "b": {labels[t]: w for t, w in enumerate(r.b) if w},
                     "f": {labels[t]: w for t, w in enumerate(r.f) if w}}
@@ -278,7 +275,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     solution lifts to an integer region.  The first interpretation whose
     regions verify wins.
     """
-    cfg = cfg or SynthesisConfig(target_class=WPI)
+    cfg = cfg or SynthesisConfig()
     ctx = _prepare(lts)
     tried = 0
     try:
@@ -445,7 +442,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     pairs and a maximum matching picks the interpretation.  Unsolved state
     separations are assigned to choice blocks by bounded enumeration.
     """
-    cfg = cfg or SynthesisConfig(target_class=BRAC)
+    cfg = cfg or SynthesisConfig()
     ctx = _prepare(lts)
     icap = _integer_cap(lts)
     # bound when the matching stage starts: earlier failures report neither

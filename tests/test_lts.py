@@ -3,21 +3,29 @@ import hashlib
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 import pytest
-from hypothesis import given, strategies as st
 
-from netsynth.lts import (LtsError, ParikhVector, cycle_basis,
-                          parikh_of_edge, parse_lts, serialize_lts,
-                          spanning_tree, validate)
+from netsynth.lts import (LtsError, cycle_basis, parikh_of_edge, parse_lts,
+                          serialize_lts, spanning_tree, validate)
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
 
 from conftest import FIXTURES, load_lts
 
 
-def names(lts, vec):
-    return {lts.labels[k]: v for k, v in vec.counts}
+def names(lts, entries):
+    """Label name -> count of the nonzero ``(label, count)`` entries."""
+    return {lts.labels[k]: v for k, v in entries if v}
+
+
+def dense(basis_vector, nlab):
+    """A cycle-basis vector's sparse counts as one entry per label."""
+    vec = [0] * nlab
+    for k, v in basis_vector.counts:
+        vec[k] = v
+    return vec
 
 
 def edge(lts, s, t, s2):
@@ -134,71 +142,54 @@ class TestParikh:
     def test_fig1_s9(self, fig1):
         tree = spanning_tree(fig1)
         vec = tree.parikh[fig1.states.index("s9")]
-        assert names(fig1, vec) == {"a": 2, "c": 2}
+        assert names(fig1, enumerate(vec)) == {"a": 2, "c": 2}
 
     def test_initial_zero(self, fig1):
         tree = spanning_tree(fig1)
-        assert tree.parikh[fig1.initial].is_zero()
+        assert tree.parikh[fig1.initial] == (0,) * len(fig1.labels)
 
     def test_fig1_s7(self, fig1):
         tree = spanning_tree(fig1)
         vec = tree.parikh[fig1.states.index("s7")]
-        assert names(fig1, vec) == {"a": 2, "d": 1, "e": 1}
+        assert names(fig1, enumerate(vec)) == {"a": 2, "d": 1, "e": 1}
 
     def test_fig1_chord_zero(self, fig1):
         tree = spanning_tree(fig1)
         vec = parikh_of_edge(tree, edge(fig1, "s7", "c", "s11"))
-        assert vec.is_zero()
+        assert not any(vec)
 
     def test_fig1_chord_bc(self, fig1):
         tree = spanning_tree(fig1)
         vec = parikh_of_edge(tree, edge(fig1, "s4", "b", "s1"))
-        assert names(fig1, vec) == {"b": 1, "c": 1}
+        assert names(fig1, enumerate(vec)) == {"b": 1, "c": 1}
 
-    def test_tree_edges_zero(self, fig1):
-        tree = spanning_tree(fig1)
-        for e in fig1.edges:
-            if tree.is_tree_edge(e):
-                assert parikh_of_edge(tree, e).is_zero()
+    def test_tree_edges_zero(self):
+        for name, lts, tree in basis_trees():
+            zero = (0,) * len(lts.labels)
+            for e in lts.edges:
+                if tree.is_tree_edge(e):
+                    assert parikh_of_edge(tree, e) == zero, name
 
     def test_walk_identity_on_random_walks(self, fig1):
         # psi_E(walk) computed edge-wise equals psi(s1) + psi(word) - psi(s2)
         tree = spanning_tree(fig1)
+        nlab = len(fig1.labels)
         rng = random.Random(7)
         for _ in range(50):
             s = fig1.initial
-            total = ParikhVector()
-            word = ParikhVector()
+            total = (0,) * nlab
+            word = [0] * nlab
             for _ in range(rng.randint(1, 12)):
                 out = fig1.out_edges[s]
                 if not out:
                     break
                 e = rng.choice(sorted(out))
-                total = total + parikh_of_edge(tree, e)
-                word = word + ParikhVector.unit(e[1])
+                total = tuple(map(add, total, parikh_of_edge(tree, e)))
+                word[e[1]] += 1
                 s = e[2]
-            expected = (tree.parikh[fig1.initial] + word
-                        - tree.parikh[s])
+            expected = tuple(map(sub, map(add, tree.parikh[fig1.initial],
+                                          word), tree.parikh[s]))
             assert total == expected
-
-
-class TestParikhVectorAlgebra:
-    @given(st.dictionaries(st.integers(0, 5), st.integers(-4, 4)),
-           st.dictionaries(st.integers(0, 5), st.integers(-4, 4)))
-    def test_add_sub_inverse(self, d1, d2):
-        v1, v2 = ParikhVector.of(d1), ParikhVector.of(d2)
-        assert (v1 + v2) - v2 == v1
-
-    @given(st.dictionaries(st.integers(0, 5), st.integers(-4, 4)))
-    def test_leq_reflexive_lneq_irreflexive(self, d):
-        v = ParikhVector.of(d)
-        assert v.leq(v)
-        assert not v.lneq(v)
-
-    def test_componentwise(self):
-        v1 = ParikhVector.of({0: 1, 1: 1})
-        v2 = ParikhVector.of({0: 2, 1: 1})
-        assert v1.leq(v2) and v1.lneq(v2) and not v2.leq(v1)
 
 
 @functools.cache
@@ -218,11 +209,37 @@ def basis_graphs():
     return graphs
 
 
-def in_span(basis, vec, nlab):
-    """Whether ``vec`` is a rational combination of an echelon ``basis``."""
-    target = [Fraction(vec.to_dict().get(k, 0)) for k in range(nlab)]
+def basis_trees():
+    """``(name, lts, spanning tree)`` for every graph of ``basis_graphs()``."""
+    for name, lts in basis_graphs().items():
+        yield name, lts, spanning_tree(lts)
+
+
+class TestDenseParikh:
+    """Every Parikh vector is a tuple with one count per label."""
+
+    def test_one_entry_per_label(self):
+        for name, lts, tree in basis_trees():
+            assert len(tree.parikh) == len(lts.states), name
+            assert all(type(vec) is tuple and len(vec) == len(lts.labels)
+                       for vec in tree.parikh), name
+
+    def test_counts_of_the_tree_walk(self):
+        for name, lts, tree in basis_trees():
+            for s, vec in enumerate(tree.parikh):
+                walk = [0] * len(lts.labels)
+                while s != lts.initial:
+                    s, t = tree.parent[s]
+                    walk[t] += 1
+                assert list(vec) == walk, name
+
+
+def in_span(basis, vec):
+    """Whether the dense ``vec`` is a rational combination of an echelon
+    ``basis``."""
+    target = [Fraction(x) for x in vec]
     for b in basis:
-        row = [Fraction(b.to_dict().get(k, 0)) for k in range(nlab)]
+        row = [Fraction(x) for x in dense(b, len(vec))]
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is None or target[lead] == 0:
             continue
@@ -240,7 +257,8 @@ class TestCycleBasis:
     def test_fig1(self, fig1):
         tree = spanning_tree(fig1)
         basis = cycle_basis(fig1, tree)
-        got = sorted(tuple(sorted(names(fig1, v).items())) for v in basis)
+        got = sorted(tuple(sorted(names(fig1, v.counts).items()))
+                     for v in basis)
         assert got == [(("a", 1), ("d", 1), ("f", 1)), (("b", 1), ("c", 1))]
 
     def test_acyclic_empty(self):
@@ -251,7 +269,8 @@ class TestCycleBasis:
     def test_case6b(self, case6b):
         tree = spanning_tree(case6b)
         basis = cycle_basis(case6b, tree)
-        got = sorted(tuple(sorted(names(case6b, v).items())) for v in basis)
+        got = sorted(tuple(sorted(names(case6b, v.counts).items()))
+                     for v in basis)
         assert got == [(("a", 1), ("b", 1)), (("c", 1),)]
 
     def test_every_cycle_in_span(self):
@@ -264,19 +283,19 @@ class TestCycleBasis:
         for _ in range(30):
             # random walk until we revisit a state: that suffix is a cycle
             s = fig1.initial
-            seen = {s: ParikhVector()}
-            acc = ParikhVector()
+            seen = {s: (0,) * nlab}
+            acc = [0] * nlab
             cycle = None
             for _ in range(60):
                 e = rng.choice(sorted(fig1.out_edges[s]))
-                acc = acc + ParikhVector.unit(e[1])
+                acc[e[1]] += 1
                 s = e[2]
                 if s in seen:
-                    cycle = acc - seen[s]
+                    cycle = tuple(map(sub, acc, seen[s]))
                     break
-                seen[s] = acc
+                seen[s] = tuple(acc)
             assert cycle is not None
-            assert in_span(basis, cycle, nlab)
+            assert in_span(basis, cycle)
 
     def test_deterministic(self, fig1):
         tree = spanning_tree(fig1)
@@ -292,8 +311,7 @@ class TestCycleBasis:
             nlab = len(lts.labels)
             tree = spanning_tree(lts)
             basis = cycle_basis(lts, tree)
-            rows = [[v.to_dict().get(k, 0) for k in range(nlab)]
-                    for v in basis]
+            rows = [dense(v, nlab) for v in basis]
             assert all(any(row) for row in rows)
             leads = [next(k for k, x in enumerate(row) if x) for row in rows]
             assert all(a < b for a, b in zip(leads, leads[1:]))
@@ -301,7 +319,7 @@ class TestCycleBasis:
                 assert row[lead] > 0 and gcd(*row) == 1
                 assert all(row[k] == 0 for k in leads if k != lead)
             for chord in tree.chords():
-                assert in_span(basis, parikh_of_edge(tree, chord), nlab)
+                assert in_span(basis, parikh_of_edge(tree, chord))
 
     def test_basis_unchanged(self):
         """Pins the exact vectors and their order, which every system's

@@ -84,7 +84,7 @@ class TestWpi:
             consume_vector(report.net, "f")
 
     def test_selfloop_cap(self, case6b):
-        cfg = SynthesisConfig(target_class="wpi", selfloop_cap=1)
+        cfg = SynthesisConfig(selfloop_cap=1)
         assert synthesize_wpi(case6b, cfg).ok
 
     def test_selfloop_cap_exceeded_on_product(self):
@@ -300,7 +300,7 @@ class TestBlockAssignment:
                                         _assign_ssps_to_blocks)
         ctx, pool, blocks = self._pipeline_state(brac7)
         ssp = SSP(brac7.states.index("s0"), brac7.states.index("s1"))
-        cfg = SynthesisConfig(target_class="brac")
+        cfg = SynthesisConfig()
         outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [ssp], cfg, 16)
         assert outcome is None
         assert any(r.solves(ctx.tree, ssp) for r in pool.regions)
@@ -313,7 +313,7 @@ class TestBlockAssignment:
         ctx, pool, blocks = self._pipeline_state(brac7)
         # a pair with zero Parikh difference can never be separated
         hopeless = SSP(brac7.states.index("s1"), brac7.states.index("s1"))
-        cfg = SynthesisConfig(target_class="brac")
+        cfg = SynthesisConfig()
         with pytest.raises(_Unsolvable) as outcome:
             _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg, 16)
         assert outcome.value.cap is None
@@ -325,7 +325,7 @@ class TestBlockAssignment:
                                         _assign_ssps_to_blocks)
         ctx, pool, blocks = self._pipeline_state(brac7)
         hopeless = SSP(brac7.states.index("s1"), brac7.states.index("s1"))
-        cfg = SynthesisConfig(target_class="brac", ssp_combo_cap=2)
+        cfg = SynthesisConfig(ssp_combo_cap=2)
         with pytest.raises(_Unsolvable) as outcome:
             _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg, 16)
         assert outcome.value.cap == "ssp-combo-cap"
@@ -334,7 +334,7 @@ class TestBlockAssignment:
 
 class TestPrune:
     def test_prune_keeps_verification(self, fig1):
-        cfg = SynthesisConfig(target_class="brac", prune=True)
+        cfg = SynthesisConfig(prune=True)
         report = synthesize_brac(fig1, cfg)
         assert report.ok and report.verification.ok
         baseline = synthesize_brac(fig1)
