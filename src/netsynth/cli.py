@@ -179,11 +179,7 @@ def _cmd_verify(args) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return CAP
-    payload = {"schema": 1, "isomorphic": record.isomorphic,
-               "mismatch": record.mismatch,
-               "classes": sorted(record.classes),
-               "target_ok": record.target_ok}
-    _emit_json(args.json, payload)
+    _emit_json(args.json, {"schema": 1, **record.to_json()})
     return OK if record.ok else IMPOSSIBLE
 
 

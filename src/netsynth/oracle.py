@@ -95,10 +95,10 @@ def brute_force_region(lts: Lts, problem: SeparationProblem,
         return None
     rows = np.flatnonzero(ok)
     best = rows[np.lexsort((rows, r0_min[rows]))[0]]
-    region = Region(r0=int(r0_min[best]),
-                    b=tuple(int(x) for x in b[best]),
-                    f=tuple(int(x) for x in f[best]))
-    if not (region.is_valid(lts, tree) and region.solves(tree, problem)):
+    region = Region.over(tree, int(r0_min[best]),
+                         tuple(int(x) for x in b[best]),
+                         tuple(int(x) for x in f[best]))
+    if not (region.is_valid(lts) and region.solves(problem)):
         raise AssertionError("weight table yielded a non-solving region")
     return region
 

@@ -243,6 +243,7 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     if set(lts.labels) != set(other.labels):
         return Mismatch("label sets differ")
     mapping = {lts.initial: other.initial}
+    paired = {other.initial}
     queue = [(lts.initial, other.initial)]
     head = 0
     index = {name: i for i, name in enumerate(lts.labels)}
@@ -262,10 +263,11 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
                 if mapping[n1] != n2:
                     return Mismatch("states identified differently",
                                     (s1, s2), name)
-            elif n2 in mapping.values():
+            elif n2 in paired:
                 return Mismatch("target already paired", (s1, s2), name)
             else:
                 mapping[n1] = n2
+                paired.add(n2)
                 queue.append((n1, n2))
     if len(mapping) != len(lts.states) or len(mapping) != len(other.states):
         return Mismatch("state counts differ")

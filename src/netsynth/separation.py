@@ -7,7 +7,9 @@ demands an insufficient count where a label is disabled.  Both become
 linear systems over R(s0), B and F, expressed through spanning-tree Parikh
 vectors, with one zero-effect row per cycle-basis vector.  `SystemContext`
 alone fixes which column holds which of them; `solution_to_region` reads a
-solution vector back in the same layout.
+solution vector back in the same layout.  A `Region` stores R at every
+state, computed once from the Parikh vectors when it is made, so checking
+whether it solves a problem or fires consistently needs no tree.
 
 WPI systems add, relative to one label, comparability rows from the
 relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
@@ -46,37 +48,37 @@ SeparationProblem = SSP | ESSP
 
 @dataclass(frozen=True)
 class Region:
-    """Solved separation system: initial count plus per-label weights."""
+    """A region (R, B, F): the count R(s) at every state in ``marks``, and
+    consume weights B and produce weights F per label.  ``r0`` is R at the
+    initial state."""
 
     r0: int
     b: tuple[int, ...]
     f: tuple[int, ...]
+    marks: tuple[int, ...]
 
-    def marking(self, tree: SpanningTree, state: int) -> int:
-        return self.r0 + sum(map(mul, tree.parikh[state],
-                                 map(sub, self.f, self.b)))
+    @classmethod
+    def over(cls, tree: SpanningTree, r0: int, b: tuple[int, ...],
+             f: tuple[int, ...]) -> Region:
+        """The region with initial count ``r0``: R(s) = r0 + psi(s).(F - B)
+        along the tree walk to every state s."""
+        effect = tuple(map(sub, f, b))
+        return cls(r0, b, f, tuple(r0 + sum(map(mul, psi, effect))
+                                   for psi in tree.parikh))
 
-    def markings(self, tree: SpanningTree) -> tuple[int, ...]:
-        return tuple(self.marking(tree, s)
-                     for s in range(len(tree.lts.states)))
-
-    def is_valid(self, lts: Lts, tree: SpanningTree) -> bool:
+    def is_valid(self, lts: Lts) -> bool:
         """Re-simulate every edge: counts stay consistent and nonnegative."""
-        marks = self.markings(tree)
-        if any(m < 0 for m in marks):
+        marks, b, f = self.marks, self.b, self.f
+        if len(marks) != len(lts.states) or marks[lts.initial] != self.r0 \
+                or min(marks) < 0:
             return False
-        for s, t, s2 in lts.edges:
-            if marks[s] < self.b[t]:
-                return False
-            if marks[s2] != marks[s] - self.b[t] + self.f[t]:
-                return False
-        return True
+        return all(marks[s] >= b[t] and marks[s2] == marks[s] - b[t] + f[t]
+                   for s, t, s2 in lts.edges)
 
-    def solves(self, tree: SpanningTree, problem: SeparationProblem) -> bool:
+    def solves(self, problem: SeparationProblem) -> bool:
         if isinstance(problem, SSP):
-            return self.marking(tree, problem.s1) != \
-                self.marking(tree, problem.s2)
-        return self.marking(tree, problem.state) < self.b[problem.label]
+            return self.marks[problem.s1] != self.marks[problem.s2]
+        return self.marks[problem.state] < self.b[problem.label]
 
 
 def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
@@ -326,33 +328,34 @@ def brac_ssp_system_freechoice(ctx: SystemContext, graph: RelationGraph,
     return ctx.system(rows, zero_one=True)
 
 
-def solution_to_region(solution: Solution, lts: Lts) -> Region:
-    """Read an integral solution in `SystemContext`'s layout into a region."""
+def solution_to_region(solution: Solution, tree: SpanningTree) -> Region:
+    """Read an integral solution in `SystemContext`'s layout into a region
+    over ``tree``."""
     values = solution.assignment
     if values is None:
         raise ValueError("an infeasible solution has no region")
     for j, v in enumerate(values):
         if v.denominator != 1:
             raise ValueError(f"non-integral value in column {j}: {v}")
-    n = len(lts.labels)
-    return Region(r0=int(values[0]),
-                  b=tuple(int(v) for v in values[1:n + 1]),
-                  f=tuple(int(v) for v in values[n + 1:2 * n + 1]))
+    n = len(tree.lts.labels)
+    return Region.over(tree, int(values[0]),
+                       tuple(int(v) for v in values[1:n + 1]),
+                       tuple(int(v) for v in values[n + 1:2 * n + 1]))
 
 
-def normalize_region(region: Region, lts: Lts, tree: SpanningTree) -> Region:
+def normalize_region(region: Region, lts: Lts) -> Region:
     """Drop surplus tokens when every edge stays enabled.
 
-    Subtracting the minimum reachable count keeps all separation answers
-    (differences and shortfalls are preserved) but may violate edge
-    enabledness, in which case the region is returned unchanged.
+    Subtracting the minimum count from every state keeps all separation
+    answers (differences and shortfalls are preserved) but may violate
+    edge enabledness, in which case the region is returned unchanged.
     """
-    marks = region.markings(tree)
-    shift = min(marks)
+    shift = min(region.marks)
     if shift <= 0:
         return region
-    candidate = Region(region.r0 - shift, region.b, region.f)
-    if candidate.is_valid(lts, tree):
+    candidate = Region(region.r0 - shift, region.b, region.f,
+                       tuple(m - shift for m in region.marks))
+    if candidate.is_valid(lts):
         return candidate
     return region
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from netsynth.linsys import (LinearSystem, Solution,
                              lift_homogeneous_to_integer, solve_integer,
@@ -34,7 +34,8 @@ from netsynth.relations import (Contradiction, DISJOINT, DOI, Edge, INCLUDED,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
-from netsynth.separation import (ESSP, Region, SSP, SystemContext,
+from netsynth.separation import (ESSP, Region, SSP, SeparationProblem,
+                                 SystemContext,
                                  brac_block_systems,
                                  brac_ssp_system_freechoice,
                                  enumerate_separation_problems,
@@ -74,6 +75,10 @@ class VerificationRecord:
     def ok(self) -> bool:
         return self.isomorphic and self.target_ok
 
+    def to_json(self) -> dict:
+        return {"isomorphic": self.isomorphic, "mismatch": self.mismatch,
+                "classes": sorted(self.classes), "target_ok": self.target_ok}
+
 
 @dataclass
 class SynthesisReport:
@@ -98,12 +103,8 @@ class SynthesisReport:
                     "b": {labels[t]: w for t, w in enumerate(r.b) if w},
                     "f": {labels[t]: w for t, w in enumerate(r.f) if w}}
                    for r in self.regions]
-        ver = None
-        if self.verification is not None:
-            ver = {"isomorphic": self.verification.isomorphic,
-                   "mismatch": self.verification.mismatch,
-                   "classes": sorted(self.verification.classes),
-                   "target_ok": self.verification.target_ok}
+        ver = None if self.verification is None \
+            else self.verification.to_json()
         return {
             "schema": 1,
             "outcome": self.outcome,
@@ -208,9 +209,8 @@ def _region_from(solution: Solution, system: LinearSystem,
                  ctx: SystemContext) -> Region:
     if system.homogeneous:
         solution = lift_homogeneous_to_integer(solution, system)
-    region = solution_to_region(solution, ctx.lts)
-    region = normalize_region(region, ctx.lts, ctx.tree)
-    if not region.is_valid(ctx.lts, ctx.tree):
+    region = normalize_region(solution_to_region(solution, ctx.tree), ctx.lts)
+    if not region.is_valid(ctx.lts):
         raise AssertionError("a solved system gave an invalid region")
     return region
 
@@ -218,51 +218,74 @@ def _region_from(solution: Solution, system: LinearSystem,
 class _RegionPool:
     """Ordered, deduplicated region collection."""
 
-    def __init__(self, ctx: SystemContext):
-        self.ctx = ctx
+    def __init__(self):
         self.regions: list[Region] = []
-        self._index: dict[tuple, int] = {}
+        self._index: dict[Region, int] = {}
 
     def add(self, region: Region) -> int:
-        key = (region.r0, region.b, region.f)
-        if key in self._index:
-            return self._index[key]
-        self._index[key] = len(self.regions)
+        if region in self._index:
+            return self._index[region]
+        self._index[region] = len(self.regions)
         self.regions.append(region)
         return len(self.regions) - 1
 
     def replace(self, index: int, region: Region) -> None:
-        old = self.regions[index]
-        self._index.pop((old.r0, old.b, old.f), None)
+        self._index.pop(self.regions[index], None)
         self.regions[index] = region
-        self._index.setdefault((region.r0, region.b, region.f), index)
+        self._index.setdefault(region, index)
 
     def solves(self, problem) -> bool:
-        return any(r.solves(self.ctx.tree, problem) for r in self.regions)
+        return any(r.solves(problem) for r in self.regions)
 
 
 def _interpretation_order(k: int) -> list[int]:
     return sorted(range(1 << k), key=lambda v: (bin(v).count("1"), v))
 
 
-def _separate_state(ctx: SystemContext, reps: list[int], ssp: SSP,
-                    build: Callable[[SSP, int, str], LinearSystem],
-                    solve: Callable[[LinearSystem], Solution]) \
-        -> tuple[Optional[Region], list[str]]:
-    """Try ``build(ssp, label, sign)`` for every label and both signs.
+def _separate(ctx: SystemContext, pool: _RegionPool,
+              problems: Iterable[SeparationProblem],
+              systems: Callable[[SeparationProblem],
+                                Iterator[tuple[str, LinearSystem]]],
+              solve: Callable[[LinearSystem], Solution]) \
+        -> Iterator[tuple[SeparationProblem, list[str]]]:
+    """Pool a region for every problem that no pooled region solves yet.
 
-    Returns the region of the first feasible system, or None, together
-    with the tags of the systems tried.
+    ``systems(problem)`` builds the tagged candidate systems of a problem
+    one at a time; the region of the first feasible one is pooled.  Yields
+    every problem no candidate solves, with the tags of those tried.
     """
-    tags = []
-    for a in reps:
-        for sign in ("<", ">"):
-            system = build(ssp, a, sign)
-            tags.append(f"{system.rows[0].tag}:{ctx.lts.labels[a]}:{sign}")
+    for problem in problems:
+        if pool.solves(problem):
+            continue
+        tags = []
+        for tag, system in systems(problem):
+            tags.append(tag)
             sol = solve(system)
             if sol.feasible:
-                return _region_from(sol, system, ctx), tags
-    return None, tags
+                pool.add(_region_from(sol, system, ctx))
+                break
+        else:
+            yield problem, tags
+
+
+def _candidates(ctx: SystemContext, reps: list[int],
+                essp_system: Callable[[ESSP], LinearSystem],
+                ssp_system: Callable[[SSP, int, str], LinearSystem]) \
+        -> Callable[[SeparationProblem], Iterator[tuple[str, LinearSystem]]]:
+    """One system per event separation; per state separation,
+    ``ssp_system(ssp, label, sign)`` for every label of ``reps`` and both
+    signs."""
+    def systems(problem):
+        if isinstance(problem, ESSP):
+            system = essp_system(problem)
+            yield system.rows[0].tag, system
+            return
+        for a in reps:
+            for sign in ("<", ">"):
+                system = ssp_system(problem, a, sign)
+                yield (f"{system.rows[0].tag}:{ctx.lts.labels[a]}:{sign}",
+                       system)
+    return systems
 
 
 def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
@@ -288,35 +311,27 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
 
         reps = sorted(graph.classes)
         problems = enumerate_separation_problems(lts)
-        ssps = [p for p in problems if isinstance(p, SSP)]
-        essps = [p for p in problems
-                 if isinstance(p, ESSP) and graph.rep[p.label] == p.label]
+        # event separations first, each at its class representative only
+        problems = [p for p in problems if isinstance(p, ESSP)
+                    and graph.rep[p.label] == p.label] \
+            + [p for p in problems if isinstance(p, SSP)]
 
         first_witness: Optional[dict] = None
         for mask in _interpretation_order(len(doi_pairs)):
             tried += 1
             choice = {pair: ("included" if mask >> i & 1 else "disjoint")
                       for i, pair in enumerate(doi_pairs)}
-            pool = _RegionPool(ctx)
+            systems = _candidates(
+                ctx, reps, partial(essp_system_wpi, ctx, graph,
+                                   doi_choice=choice),
+                partial(ssp_system_wpi, ctx, graph, doi_choice=choice))
+            pool = _RegionPool()
             try:
-                for essp in essps:
-                    if pool.solves(essp):
-                        continue
-                    system = essp_system_wpi(ctx, graph, essp, choice)
-                    sol = solve_rational(system)
-                    if not sol.feasible:
-                        raise _Unsolvable(_problem_witness(
-                            essp, lts, [system.rows[0].tag]))
-                    pool.add(_region_from(sol, system, ctx))
-                build = partial(ssp_system_wpi, ctx, graph, doi_choice=choice)
-                for ssp in ssps:
-                    if pool.solves(ssp):
-                        continue
-                    region, tags = _separate_state(ctx, reps, ssp, build,
-                                                   solve_rational)
-                    if region is None:
-                        raise _Unsolvable(_problem_witness(ssp, lts, tags))
-                    pool.add(region)
+                unsolved = next(_separate(ctx, pool, problems, systems,
+                                          solve_rational), None)
+                if unsolved is not None:
+                    problem, tags = unsolved
+                    raise _Unsolvable(_problem_witness(problem, lts, tags))
                 net, record = _verified_net(lts, pool.regions, WPI, cfg)
                 if not record.ok:
                     raise _Unsolvable(_verification_witness(record))
@@ -382,31 +397,6 @@ def _integer_cap(lts: Lts) -> int:
     return 2 * len(lts.states)
 
 
-def _brac_essp_regions(ctx: SystemContext, graph: RelationGraph,
-                       doi_choice: dict[tuple[int, int], str], label: int,
-                       solve: Callable[[LinearSystem], Solution]) \
-        -> tuple[list[Region], Optional[ESSP]]:
-    """0/1 regions for the event separations of ``label``, one by one.
-
-    Returns the regions found and the first unsolvable problem, or None
-    when every problem is solved.
-    """
-    lts = ctx.lts
-    regions: list[Region] = []
-    for s in range(len(lts.states)):
-        essp = ESSP(s, label)
-        if label in lts.enabled[s] or \
-                any(r.solves(ctx.tree, essp) for r in regions):
-            continue
-        base = essp_system_wpi(ctx, graph, essp, doi_choice)
-        system = ctx.system(base.rows, zero_one=True)
-        sol = solve(system)
-        if not sol.feasible:
-            return regions, essp
-        regions.append(_region_from(sol, system, ctx))
-    return regions, None
-
-
 def _brac_block(ctx: SystemContext, graph: RelationGraph,
                 pair: tuple[int, int], pool: _RegionPool,
                 solve: Callable[[LinearSystem], Solution], detail: str,
@@ -463,8 +453,13 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             raise AssertionError("doi chains must be resolved")
 
         solve = partial(solve_integer, cap=icap)
-        pool = _RegionPool(ctx)
+        pool = _RegionPool()
         all_disjoint = {pair: "disjoint" for pair in doi_pairs}
+        systems = _candidates(
+            ctx, reps, lambda essp: ctx.system(essp_system_wpi(
+                ctx, graph, essp, all_disjoint).rows, zero_one=True),
+            partial(brac_ssp_system_freechoice, ctx, graph))
+
         # feasible inclusion candidates and the shared region of each
         lam: dict[tuple[int, int], Region] = {}
         gate_regions: dict[int, list[Region]] = {}
@@ -473,8 +468,14 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         for a in reps:
             if a in solid_labels:
                 continue
-            regions, unsolved = _brac_essp_regions(ctx, graph, all_disjoint,
-                                                   a, solve)
+            # each region pooled here solves a problem no earlier one did,
+            # so this pool drops none as a duplicate
+            own = _RegionPool()
+            unsolved = next(_separate(
+                ctx, own, [ESSP(s, a) for s in range(len(lts.states))
+                           if a not in lts.enabled[s]],
+                systems, solve), None)
+            regions = own.regions
             if unsolved is None:
                 if a in in_doi:
                     # a doi target may end up matched, in which case the
@@ -484,9 +485,9 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                     for r in regions:
                         pool.add(r)
                 continue
+            essp, tags = unsolved
             if a not in out_doi:
-                raise _Unsolvable(_problem_witness(
-                    unsolved, lts, [ctx.essp_row(unsolved).tag]))
+                raise _Unsolvable(_problem_witness(essp, lts, tags))
             # some outgoing doi edge must be a proper inclusion
             targets = [hi for lo, hi in doi_pairs if lo == a]
             for hi in targets:
@@ -496,7 +497,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                     lam[(a, hi)] = _region_from(sol, shared, ctx)
             if not any((a, hi) in lam for hi in targets):
                 raise _Unsolvable(_problem_witness(
-                    unsolved, lts,
+                    essp, lts,
                     ["all-disjoint"] +
                     [f"inclusion:{lts.labels[hi]}" for hi in targets]))
 
@@ -535,16 +536,10 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                 pool.add(r)
 
         # state separation: free-choice first, then block assignment
-        build = partial(brac_ssp_system_freechoice, ctx, graph)
-        leftovers: list[SSP] = []
-        for ssp in enumerate_separation_problems(lts):
-            if not isinstance(ssp, SSP) or pool.solves(ssp):
-                continue
-            region, _ = _separate_state(ctx, reps, ssp, build, solve)
-            if region is None:
-                leftovers.append(ssp)
-            else:
-                pool.add(region)
+        ssps = [p for p in enumerate_separation_problems(lts)
+                if isinstance(p, SSP)]
+        leftovers = [ssp for ssp, _ in _separate(ctx, pool, ssps, systems,
+                                                 solve)]
         if leftovers:
             if not blocks:
                 raise _Unsolvable(_problem_witness(

@@ -35,8 +35,7 @@ class TestBruteForce:
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s2\n")
         region = brute_force_region(lts, SSP(0, 1), OracleBound(1))
         assert region is not None
-        tree = spanning_tree(lts)
-        assert region.solves(tree, SSP(0, 1))
+        assert region.solves(SSP(0, 1))
 
     def test_lexicographically_first(self):
         lts = parse_lts("initial s0\ns0 a s1\n")

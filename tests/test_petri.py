@@ -129,6 +129,20 @@ class TestIsomorphic:
         l2 = parse_lts("initial q0\nq0 a q1\nq1 a q0\n")
         assert isinstance(isomorphic(l1, l2), Mismatch)
 
+    @pytest.mark.parametrize("left, right, expected", [
+        ("s0 a s1", "q0 b q1", Mismatch("label sets differ")),
+        ("s0 a s1\ns0 b s2", "q0 a q1\nq1 b q2",
+         Mismatch("enabled labels differ", (0, 0), "b")),
+        ("s0 a s0", "q0 a q1\nq1 a q0",
+         Mismatch("states identified differently", (0, 0), "a")),
+        ("s0 a s1", "q0 a q0",
+         Mismatch("target already paired", (0, 0), "a")),
+    ])
+    def test_mismatch_reason(self, left, right, expected):
+        l1 = parse_lts(f"initial s0\n{left}\n")
+        l2 = parse_lts(f"initial q0\n{right}\n")
+        assert isomorphic(l1, l2) == expected
+
 
 class TestNetFormat:
     def test_fig1_roundtrip(self, fig1_net):

@@ -38,7 +38,8 @@ def region_of(lts, mapping):
         b[lid(lts, name)] = w
     for name, w in mapping.get("f", {}).items():
         f[lid(lts, name)] = w
-    return Region(mapping.get("r0", 0), tuple(b), tuple(f))
+    return Region.over(spanning_tree(lts), mapping.get("r0", 0), tuple(b),
+                       tuple(f))
 
 
 def assignment_of(ctx, region):
@@ -166,9 +167,9 @@ class TestSolutionsAreRegions:
                 sol = solve_rational(system)
                 assert sol.feasible
                 lifted = lift_homogeneous_to_integer(sol, system)
-                region = solution_to_region(lifted, lts)
-                assert region.is_valid(lts, ctx.tree)
-                assert region.solves(ctx.tree, essp)
+                region = solution_to_region(lifted, ctx.tree)
+                assert region.is_valid(lts)
+                assert region.solves(essp)
             text = dump_lp(system, ctx.names).splitlines()
             assert text[1].startswith("r1: 1 R0 ")
             assert text[-1] == "vars: " + " ".join(
@@ -278,14 +279,67 @@ class TestRegionToPlace:
 
     def test_normalize_drops_surplus_tokens(self):
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s0\n")
-        tree = spanning_tree(lts)
         region = region_of(lts, {"r0": 3, "b": {"a": 1}, "f": {"b": 1}})
-        slim = normalize_region(region, lts, tree)
+        slim = normalize_region(region, lts)
         assert slim.r0 == 1
-        assert slim.is_valid(lts, tree)
+        assert slim.is_valid(lts)
 
     def test_normalize_keeps_needed_tokens(self):
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s0\n")
-        tree = spanning_tree(lts)
         region = region_of(lts, {"r0": 1, "b": {"a": 1}, "f": {"b": 1}})
-        assert normalize_region(region, lts, tree) == region
+        assert normalize_region(region, lts) == region
+
+
+def fixture_regions():
+    """(lts, region) for every region of every fixture report, under both
+    pipelines."""
+    import pathlib
+    from netsynth.synthesis import synthesize_brac, synthesize_wpi
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    for path in sorted(fixtures.glob("*.lts")):
+        lts = parse_lts(path.read_text())
+        for synthesize in (synthesize_wpi, synthesize_brac):
+            for region in synthesize(lts).regions:
+                yield lts, region
+
+
+def oracle_regions():
+    """(lts, region) for every problem the brute-force oracle solves on
+    small random systems."""
+    from netsynth.oracle import OracleBound, brute_force_region, random_lts
+    for seed in range(8):
+        lts = random_lts(seed, 5, 3)
+        for problem in enumerate_separation_problems(lts):
+            region = brute_force_region(lts, problem, OracleBound(2))
+            if region is not None:
+                yield lts, region
+
+
+class TestRegionMarks:
+    def check(self, pairs):
+        count = 0
+        for lts, region in pairs:
+            assert len(region.marks) == len(lts.states)
+            assert region.marks[lts.initial] == region.r0
+            assert region.is_valid(lts)
+            count += 1
+        assert count > 0
+
+    def test_fixture_report_regions(self):
+        self.check(fixture_regions())
+
+    def test_oracle_regions(self):
+        self.check(oracle_regions())
+
+    def test_marks_follow_every_edge(self, fig1):
+        region = region_of(fig1, {"r0": 2, "b": {"a": 1}, "f": {"f": 1}})
+        for s, t, s2 in fig1.edges:
+            assert region.marks[s2] == \
+                region.marks[s] - region.b[t] + region.f[t]
+
+    def test_initial_count_must_match_marks(self, fig1):
+        from dataclasses import replace
+        region = region_of(fig1, {"r0": 2, "b": {"a": 1}, "f": {"f": 1}})
+        assert region.is_valid(fig1)
+        assert not replace(region, r0=3).is_valid(fig1)
+        assert not replace(region, marks=region.marks[1:]).is_valid(fig1)

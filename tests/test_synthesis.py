@@ -260,6 +260,29 @@ class TestFailureWitnesses:
             assert found.b[c] > 0  # only non-disjoint regions remain
 
 
+class TestSeparate:
+    def test_yields_unsolved_and_pools_later_problems(self):
+        from netsynth.linsys import solve_rational
+        from netsynth.synthesis import _RegionPool, _separate
+        lts = parse_lts("initial s0\ns0 a s1\ns1 b s2\n")
+        ctx = _prepare(lts)
+
+        def systems(problem):
+            row = ctx.essp_row(problem) if isinstance(problem, ESSP) \
+                else ctx.ssp_row(problem, "<")
+            yield row.tag, ctx.system([row, *ctx.base_rows()])
+
+        pool = _RegionPool()
+        # a is enabled at s0, so its event separation there is infeasible
+        problems = [ESSP(0, 0), SSP(0, 1), SSP(0, 2), SSP(1, 2)]
+        unsolved = list(_separate(ctx, pool, problems, systems,
+                                  solve_rational))
+        assert unsolved == [(ESSP(0, 0), ["essp:s0:a"])]
+        assert pool.regions
+        assert all(pool.solves(p) for p in problems[1:])
+        assert all(r.is_valid(lts) for r in pool.regions)
+
+
 class TestBlockAssignment:
     """Direct checks of the state-separation-to-block assignment search.
 
@@ -282,7 +305,7 @@ class TestBlockAssignment:
         ctx = SystemContext(brac7, tree, basis)
         graph, _ = quotient_by_equivalence(build_relation_graph(brac7))
         graph = strengthen_brac(strengthen_wpi(graph))
-        pool = _RegionPool(ctx)
+        pool = _RegionPool()
         b, d = brac7.labels.index("b"), brac7.labels.index("d")
         sys1, sys2 = brac_block_systems(ctx, graph, (b, d))
         indices = []
@@ -303,8 +326,8 @@ class TestBlockAssignment:
         cfg = SynthesisConfig()
         outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [ssp], cfg, 16)
         assert outcome is None
-        assert any(r.solves(ctx.tree, ssp) for r in pool.regions)
-        assert all(r.is_valid(ctx.lts, ctx.tree) for r in pool.regions)
+        assert any(r.solves(ssp) for r in pool.regions)
+        assert all(r.is_valid(ctx.lts) for r in pool.regions)
 
     def test_assignment_failure_witnessed(self, brac7):
         from netsynth.separation import SSP

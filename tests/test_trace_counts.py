@@ -2,7 +2,9 @@
 
 Loads ``perfbench/tracer.py`` as it is and runs ``synthesize_wpi`` and
 ``synthesize_brac`` under its ``Tracer`` on every fixture and on the
-reachability graphs of ``random_brac_net(0..9)``.  Every nonzero counter
+reachability graphs of ``random_brac_net(0..9)``, and on
+``random_lts(2655, 16, 4)``, where BRAC pools a region for a state
+separation after an earlier one is left over.  Every nonzero counter
 of every run is compared with ``fixtures/trace_counts.json``: systems
 built by kind, solves, pivots, branch-and-bound nodes, region checks and
 hits, base rows, chords and markings.  A refactor that must not change
@@ -18,7 +20,7 @@ import pathlib
 from types import SimpleNamespace
 
 from netsynth.lts import parse_lts
-from netsynth.oracle import random_brac_net
+from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -43,6 +45,7 @@ def inputs() -> dict:
     cases.update({f"random_brac_net/{i}":
                   reachability_graph(random_brac_net(i), 100_000)
                   for i in range(10)})
+    cases["random_lts/2655"] = random_lts(2655, 16, 4)
     return cases
 
 
