@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from netsynth.lts import parse_lts
@@ -6,7 +9,10 @@ from netsynth.petri import (CapExceeded, Mismatch, PetriNet, PetriNetError,
                             classify_net, fire, isomorphic, parse_net,
                             reachability_graph, render_dot, serialize_net)
 
-from conftest import load_net
+from conftest import FIXTURES, load_net
+
+REACHABILITY_DIGESTS = json.loads(
+    (FIXTURES / "reachability_digests.json").read_text())
 
 
 def tid(net, name):
@@ -61,6 +67,40 @@ class TestReachabilityGraph:
             for p in range(len(fig1_net.places)):
                 delta = fig1_net.w_out(tt, p) - fig1_net.w_in(p, tt)
                 assert m2[p] - marks[s][p] == delta
+
+
+def pinned_nets():
+    """Name -> (net, cap): ``random_brac_net(0..99)`` at the roundtrip cap,
+    the three scale-ladder nets, the 3,200-marking net and every ``.pn``
+    fixture."""
+    nets = {f"random_brac_net/{i}": (random_brac_net(i), 2000)
+            for i in range(100)}
+    nets.update((f"random_brac_net/{s}-6-4", (random_brac_net(s, 6, 4),
+                                               100_000))
+                for s in (44, 17, 38, 37))
+    nets.update((f"fixture/{p.stem}", (load_net(p.stem), 100_000))
+                for p in sorted(FIXTURES.glob("*.pn")))
+    return nets
+
+
+def graph_digest(net, cap):
+    """SHA-256 of the graph's ``repr((states, labels, edges, initial))``."""
+    rg = reachability_graph(net, cap)
+    text = repr((rg.states, rg.labels, rg.edges, rg.initial))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestReachabilityPins:
+    """State numbering, label order and edge order of every pinned graph
+    are those of the per-arc exploration the digests were recorded with."""
+
+    def test_graphs_unchanged(self):
+        expected = REACHABILITY_DIGESTS
+        got = {name: graph_digest(net, cap)
+               for name, (net, cap) in pinned_nets().items()}
+        assert len(got) == len(expected)
+        changed = sorted(k for k in got if got[k] != expected.get(k))
+        assert not changed, f"reachability graphs changed: {changed}"
 
 
 class TestClassify:
