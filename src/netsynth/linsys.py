@@ -70,6 +70,8 @@ def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
     if rel not in RELATIONS:
         raise ValueError(f"unknown relation {rel!r}")
     items = sorted((j, c) for j, c in coeffs.items() if c != 0)
+    if type(const) is int and all(type(c) is int for _, c in items):
+        return Row(tuple(items), rel, const, tag, 1)
     scale = lcm(const.denominator, *(c.denominator for _, c in items))
     return Row(tuple((j, c.numerator * (scale // c.denominator))
                      for j, c in items), rel,

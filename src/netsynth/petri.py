@@ -1,6 +1,9 @@
 """Petri nets: firing, bounded reachability graphs, structural class
 predicates, LTS isomorphism, text format and dot rendering.
 
+Firing reads one table per net, built once: each transition's preset and
+its effect, added to the marking (the state equation; Murata 1989).
+
 The `.pn` text format: `#` comments, `place <name> <tokens>`,
 `transition <name>`, `arc <from> <to> [weight]` with the direction inferred
 from the endpoint kinds and a default weight of one.
@@ -56,6 +59,11 @@ class PetriNet:
         for w in list(self.consume.values()) + list(self.produce.values()):
             if w <= 0:
                 raise PetriNetError("arc weights must be positive")
+        np_, nt = len(self.places), len(self.transitions)
+        for p, t in list(self.consume) + [(p, t) for t, p in self.produce]:
+            if not (0 <= p < np_ and 0 <= t < nt):
+                raise PetriNetError(f"arc between place {p} and transition "
+                                    f"{t} is outside the net")
 
     def w_in(self, p: int, t: int) -> int:
         return self.consume.get((p, t), 0)
@@ -64,40 +72,37 @@ class PetriNet:
         return self.produce.get((t, p), 0)
 
     @cached_property
+    def firing_table(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Per transition, in place order: its preset as ``(place, weight)``
+        pairs and its nonzero effect as ``(place, produce - consume)``."""
+        presets: list[list[tuple[int, int]]] = [[] for _ in self.transitions]
+        change = [[0] * len(self.places) for _ in self.transitions]
+        for (p, t), w in sorted(self.consume.items()):
+            presets[t].append((p, w))
+            change[t][p] -= w
+        for (t, p), w in self.produce.items():
+            change[t][p] += w
+        delta = [tuple((p, d) for p, d in enumerate(c) if d) for c in change]
+        return tuple(zip(map(tuple, presets), delta))
+
+    @cached_property
     def preset_of_transition(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in self.transitions]
-        for (p, t) in self.consume:
-            out[t].add(p)
-        return tuple(frozenset(x) for x in out)
-
-    @cached_property
-    def postset_of_place(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in self.places]
-        for (p, t) in self.consume:
-            out[p].add(t)
-        return tuple(frozenset(x) for x in out)
-
-    @cached_property
-    def producers_of_place(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in self.places]
-        for (t, p) in self.produce:
-            out[p].add(t)
-        return tuple(frozenset(x) for x in out)
-
-    def enabled(self, m: Marking, t: int) -> bool:
-        return all(m[p] >= w for (p, tt), w in self.consume.items()
-                   if tt == t)
+        return tuple(frozenset(p for p, _ in preset)
+                     for preset, _ in self.firing_table)
 
 
 def fire(net: PetriNet, m: Marking, t: int) -> Marking:
     """Fire transition ``t``; raises naming the first blocking place."""
-    for p in range(len(net.places)):
-        if m[p] < net.w_in(p, t):
+    preset, effect = net.firing_table[t]
+    for p, w in preset:
+        if m[p] < w:
             raise PetriNetError(
                 f"transition {net.transitions[t]!r} not enabled: place "
-                f"{net.places[p]!r} holds {m[p]} < {net.w_in(p, t)}")
-    return tuple(m[p] - net.w_in(p, t) + net.w_out(t, p)
-                 for p in range(len(net.places)))
+                f"{net.places[p]!r} holds {m[p]} < {w}")
+    out = list(m)
+    for p, d in effect:
+        out[p] += d
+    return tuple(out)
 
 
 def reachability_graph(net: PetriNet, cap: int = 100_000) -> Lts:
@@ -113,23 +118,24 @@ def reachability_graph(net: PetriNet, cap: int = 100_000) -> Lts:
     order: list[Marking] = [net.m0]
     edges: list[tuple[int, int, int]] = []
     labels: dict[int, int] = {}
-    head = 0
-    while head < len(order):
-        m = order[head]
-        s = index[m]
-        head += 1
-        for t in range(len(net.transitions)):
-            if not net.enabled(m, t):
-                continue
-            m2 = fire(net, m, t)
-            if m2 not in index:
-                if len(order) >= cap:
-                    raise CapExceeded(cap)
-                index[m2] = len(order)
-                order.append(m2)
-            if t not in labels:
-                labels[t] = len(labels)
-            edges.append((s, labels[t], index[m2]))
+    # ``order`` grows while it is walked, so ``s`` is the BFS head
+    for s, m in enumerate(order):
+        for t, (preset, effect) in enumerate(net.firing_table):
+            for p, w in preset:
+                if m[p] < w:
+                    break
+            else:
+                out = list(m)
+                for p, d in effect:
+                    out[p] += d
+                m2 = tuple(out)
+                s2 = index.get(m2)
+                if s2 is None:
+                    if len(order) >= cap:
+                        raise CapExceeded(cap)
+                    s2 = index[m2] = len(order)
+                    order.append(m2)
+                edges.append((s, labels.setdefault(t, len(labels)), s2))
     return Lts(states=tuple(f"m{i}" for i in range(len(order))),
                labels=tuple(net.transitions[t] for t in labels),
                edges=tuple(edges),
@@ -173,13 +179,12 @@ def classify_net(net: PetriNet) -> NetClass:
     col = [tuple(net.w_in(p, t) for p in range(np_)) for t in range(nt)]
     row = [tuple(net.w_in(p, t) for t in range(nt)) for p in range(np_)]
     tpre = net.preset_of_transition
-    ppost = net.postset_of_place
+    ppost = [frozenset(t for t, w in enumerate(r) if w) for r in row]
 
     plain = all(w <= 1 for w in net.consume.values()) and \
         all(w <= 1 for w in net.produce.values())
     cf = all(len(ppost[p]) <= 1 for p in range(np_))
-    mg = plain and cf and \
-        all(len(net.producers_of_place[p]) <= 1 for p in range(np_))
+    mg = plain and cf and len({p for _, p in net.produce}) == len(net.produce)
 
     ec = wpi = True
     for t in range(nt):
@@ -303,9 +308,12 @@ def parse_net(text: str | bytes) -> PetriNet:
     consume: dict[tuple[int, int], int] = {}
     produce: dict[tuple[int, int], int] = {}
 
-    def check_name(name: str, lineno: int) -> None:
+    def new_id(name: str, lineno: int) -> str:
         if not _NAME.match(name):
             raise PetriNetError(f"line {lineno}: bad name {name!r}")
+        if name in places or name in transitions:
+            raise PetriNetError(f"line {lineno}: duplicate id {name!r}")
+        return name
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -317,21 +325,13 @@ def parse_net(text: str | bytes) -> PetriNet:
             if len(parts) != 3 or not parts[2].isdigit():
                 raise PetriNetError(f"line {lineno}: expected "
                                     "'place <name> <tokens>'")
-            check_name(parts[1], lineno)
-            if parts[1] in places or parts[1] in transitions:
-                raise PetriNetError(f"line {lineno}: duplicate id "
-                                    f"{parts[1]!r}")
-            places[parts[1]] = len(places)
+            places[new_id(parts[1], lineno)] = len(places)
             tokens.append(int(parts[2]))
         elif kind == "transition":
             if len(parts) != 2:
                 raise PetriNetError(f"line {lineno}: expected "
                                     "'transition <name>'")
-            check_name(parts[1], lineno)
-            if parts[1] in places or parts[1] in transitions:
-                raise PetriNetError(f"line {lineno}: duplicate id "
-                                    f"{parts[1]!r}")
-            transitions[parts[1]] = len(transitions)
+            transitions[new_id(parts[1], lineno)] = len(transitions)
         elif kind == "arc":
             if len(parts) not in (3, 4):
                 raise PetriNetError(f"line {lineno}: expected "

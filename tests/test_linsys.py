@@ -41,6 +41,8 @@ class TestMakeRow:
     @pytest.mark.parametrize("coeffs,const", [
         ({2: 3, 0: -1, 1: 0}, 4),
         ({0: Fraction(4, 2), 1: Fraction(-3)}, Fraction(6, 3)),
+        ({0: True, 1: 2}, False),
+        ({0: 5, 1: Fraction(-1)}, 2),
     ])
     def test_integer_input_keeps_scale_one(self, coeffs, const):
         row = make_row(coeffs, ">=", const)
@@ -48,6 +50,9 @@ class TestMakeRow:
         entries = [row.const, row.scale] + [x for pair in row.coeffs
                                             for x in pair]
         assert all(type(x) is int for x in entries)
+        # the same row given in Fractions
+        assert row == make_row({j: Fraction(c) for j, c in coeffs.items()},
+                               ">=", Fraction(const))
 
     def test_scaled_row_agrees_with_rational_row(self):
         # the unscaled row is evaluated here, apart from linsys

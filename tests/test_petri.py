@@ -32,6 +32,20 @@ class TestFire:
         with pytest.raises(PetriNetError, match="'p5'"):
             fire(fig1_net, fig1_net.m0, tid(fig1_net, "e"))
 
+    def test_weight_two_blocks_at_one_token(self):
+        net = parse_net("place p 1\nplace q 0\ntransition t\n"
+                        "arc p t 2\narc t q\n")
+        with pytest.raises(PetriNetError, match="place 'p' holds 1 < 2"):
+            fire(net, net.m0, 0)
+        assert fire(net, (2, 0), 0) == (0, 1)
+
+    def test_lowest_blocking_place_named(self):
+        # the arc from q is listed first; the message follows place order
+        net = parse_net("place p 0\nplace q 0\ntransition t\n"
+                        "arc q t\narc p t\n")
+        with pytest.raises(PetriNetError, match="place 'p' holds 0 < 1"):
+            fire(net, net.m0, 0)
+
 
 class TestReachabilityGraph:
     def test_fig1_net(self, fig1_net):
@@ -43,6 +57,21 @@ class TestReachabilityGraph:
         net = parse_net("place p 0\ntransition t\narc t p\n")
         with pytest.raises(CapExceeded):
             reachability_graph(net, 50)
+
+    @pytest.mark.parametrize("name, markings",
+                             [("fig1-net", 15), ("brac7-net", 8)])
+    def test_cap_boundary(self, name, markings):
+        net = load_net(name)
+        assert len(reachability_graph(net, markings).states) == markings
+        with pytest.raises(CapExceeded):
+            reachability_graph(net, markings - 1)
+
+    @pytest.mark.parametrize("tokens, edges", [(1, ()), (2, ((0, 0, 0),))])
+    def test_self_loop_needs_its_weight(self, tokens, edges):
+        net = parse_net(f"place p {tokens}\ntransition t\n"
+                        "arc p t 2\narc t p 2\n")
+        rg = reachability_graph(net, 10)
+        assert (len(rg.states), rg.edges) == (1, edges)
 
     def test_brac7_net(self, brac7_net):
         rg = reachability_graph(brac7_net, 1000)
@@ -182,6 +211,20 @@ class TestIsomorphic:
         l1 = parse_lts(f"initial s0\n{left}\n")
         l2 = parse_lts(f"initial q0\n{right}\n")
         assert isomorphic(l1, l2) == expected
+
+
+class TestArcRange:
+    """Arc keys index ``places`` and ``transitions``; a negative or too
+    large index on either end of either arc kind is rejected."""
+
+    @pytest.mark.parametrize("consume, produce", [
+        ({(-1, 0): 1}, {}), ({(2, 0): 1}, {}), ({(0, -1): 1}, {}),
+        ({(0, 1): 1}, {}), ({}, {(-1, 0): 1}), ({}, {(1, 0): 1}),
+        ({}, {(0, -1): 1}), ({}, {(0, 2): 1}),
+    ])
+    def test_unknown_endpoint_rejected(self, consume, produce):
+        with pytest.raises(PetriNetError, match="outside the net"):
+            PetriNet(("p", "q"), ("t",), consume, produce, (0, 1))
 
 
 class TestNetFormat:
