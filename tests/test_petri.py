@@ -120,8 +120,8 @@ def graph_digest(net, cap):
 
 
 class TestReachabilityPins:
-    """State numbering, label order and edge order of every pinned graph
-    are those of the per-arc exploration the digests were recorded with."""
+    """Pins the state numbering, label order and edge order of every graph
+    of ``pinned_nets()``, and so where ``CapExceeded`` would be raised."""
 
     def test_graphs_unchanged(self):
         expected = REACHABILITY_DIGESTS
