@@ -4,7 +4,8 @@ Pins the SHA-256 of the bytes ``netsynth synth --report`` writes for every
 fixture, for ``random_lts(0..39, 24, 6)`` and for the reachability graphs
 of ``random_brac_net(0..9)``, under both pipelines.  A refactor of the
 pipelines must leave every digest in ``fixtures/report_digests.json``
-unchanged.
+unchanged.  ``fixtures/prune_digests.json`` pins ``synth --prune --report``
+the same way on the fixtures and the ``random_brac_net`` graphs.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from netsynth.petri import reachability_graph
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 DIGESTS = json.loads((FIXTURES / "report_digests.json").read_text())
+PRUNE_DIGESTS = json.loads((FIXTURES / "prune_digests.json").read_text())
 
 
 def family_inputs(family: str) -> dict[str, str]:
@@ -36,20 +38,21 @@ def family_inputs(family: str) -> dict[str, str]:
 
 
 def report_digest(pipeline: str, lts_file: pathlib.Path,
-                  workdir: pathlib.Path) -> str:
+                  workdir: pathlib.Path, *options: str) -> str:
     report = workdir / "report.json"
     run(["synth", str(lts_file), "--class", pipeline,
-         "-o", str(workdir / "out.pn"), "--report", str(report)])
+         "-o", str(workdir / "out.pn"), "--report", str(report), *options])
     return hashlib.sha256(report.read_bytes()).hexdigest()
 
 
-def family_digests(family: str, pipeline: str,
-                   workdir: pathlib.Path) -> dict[str, str]:
+def family_digests(family: str, pipeline: str, workdir: pathlib.Path,
+                   *options: str) -> dict[str, str]:
     out = {}
     lts_file = workdir / "input.lts"
     for name, text in family_inputs(family).items():
         lts_file.write_text(text)
-        out[f"{pipeline}/{name}"] = report_digest(pipeline, lts_file, workdir)
+        out[f"{pipeline}/{name}"] = report_digest(pipeline, lts_file, workdir,
+                                                  *options)
     return out
 
 
@@ -63,3 +66,14 @@ def test_report_bytes_unchanged(family, pipeline, tmp_path):
     assert len(expected) == len(got)
     changed = sorted(k for k in got if got[k] != expected.get(k))
     assert not changed, f"report bytes changed: {changed}"
+
+
+@pytest.mark.parametrize("pipeline", ["wpi", "brac"])
+@pytest.mark.parametrize("family", ["fixture", "random_brac_net"])
+def test_pruned_report_bytes_unchanged(family, pipeline, tmp_path):
+    got = family_digests(family, pipeline, tmp_path, "--prune")
+    expected = {k: v for k, v in PRUNE_DIGESTS.items()
+                if k.startswith(f"{pipeline}/{family}/")}
+    assert len(expected) == len(got)
+    changed = sorted(k for k in got if got[k] != expected.get(k))
+    assert not changed, f"pruned report bytes changed: {changed}"
