@@ -21,8 +21,9 @@ from netsynth.petri import (CapExceeded, PetriNetError, classify_net,
 from netsynth.relations import (Contradiction, build_relation_graph,
                                 classify_case, pair_relation,
                                 quotient_by_equivalence, strengthen_wpi)
-from netsynth.synthesis import (SynthesisConfig, synthesize_brac,
-                                synthesize_wpi, verify_solution)
+from netsynth.synthesis import (CAP_EXCEEDED, SynthesisConfig,
+                                synthesize_brac, synthesize_wpi,
+                                verify_solution)
 
 OK = 0
 IMPOSSIBLE = 1
@@ -129,7 +130,6 @@ def _cmd_synth(args) -> int:
     lts = _load_valid_lts(args.file)
     cfg = SynthesisConfig(selfloop_cap=args.selfloop_cap,
                           ssp_combo_cap=args.ssp_combo_cap,
-                          rg_cap=args.rg_cap,
                           prune=args.prune)
     run = synthesize_brac if args.target_class == "brac" else synthesize_wpi
     report = run(lts, cfg)
@@ -145,7 +145,7 @@ def _cmd_synth(args) -> int:
               f"{len(report.net.transitions)} transitions "
               f"({args.target_class})", file=sys.stderr)
         return OK
-    if report.outcome == "cap-exceeded":
+    if report.outcome == CAP_EXCEEDED:
         print(f"cap exceeded: {report.cap}", file=sys.stderr)
         return CAP
     print(f"synthesis impossible: {json.dumps(report.witness)}",
@@ -162,23 +162,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_rg(args) -> int:
     net = parse_net(_read(args.file))
-    try:
-        rg = reachability_graph(net, args.rg_cap)
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return CAP
-    _write(args.output, serialize_lts(rg))
+    _write(args.output, serialize_lts(reachability_graph(net, args.rg_cap)))
     return OK
 
 
 def _cmd_verify(args) -> int:
     net = parse_net(_read(args.net))
     lts = _load_valid_lts(args.lts)
-    try:
-        record = verify_solution(net, lts, args.target_class, args.rg_cap)
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return CAP
+    record = verify_solution(net, lts, args.target_class)
     _emit_json(args.json, {"schema": 1, **record.to_json()})
     return OK if record.ok else IMPOSSIBLE
 
@@ -219,7 +210,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write a JSON report")
     p.add_argument("--selfloop-cap", type=int, default=12)
     p.add_argument("--ssp-combo-cap", type=int, default=4096)
-    p.add_argument("--rg-cap", type=int, default=100_000)
     p.add_argument("--prune", action="store_true",
                    help="greedily drop redundant places")
     p.set_defaults(func=_cmd_synth)
@@ -240,7 +230,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("net")
     p.add_argument("lts")
     add_class(p)
-    p.add_argument("--rg-cap", type=int, default=100_000)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, ParikhVector, SpanningTree
@@ -81,14 +81,18 @@ class Region:
         return self.marks[problem.state] < self.b[problem.label]
 
 
-def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
-    """All SSPs (unordered state pairs) then all ESSPs, in index order."""
-    problems: list[SeparationProblem] = []
+def state_pairs(lts: Lts) -> Iterator[SSP]:
+    """Every unordered state pair as an SSP, in index order."""
     n = len(lts.states)
     for i in range(n):
         for j in range(i + 1, n):
-            problems.append(SSP(i, j))
-    for s in range(n):
+            yield SSP(i, j)
+
+
+def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
+    """All SSPs (unordered state pairs) then all ESSPs, in index order."""
+    problems: list[SeparationProblem] = list(state_pairs(lts))
+    for s in range(len(lts.states)):
         for t in range(len(lts.labels)):
             if t not in lts.enabled[s]:
                 problems.append(ESSP(s, t))

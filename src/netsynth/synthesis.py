@@ -20,14 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from netsynth.linsys import (LinearSystem, Solution,
                              lift_homogeneous_to_integer, solve_integer,
                              solve_rational)
 from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
-from netsynth.petri import (CapExceeded, PetriNet, classify_net, isomorphic,
-                            net_from_regions, reachability_graph)
+from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
+                            isomorphic, net_from_regions, reachability_graph)
 from netsynth.relations import (Contradiction, DISJOINT, DOI, Edge, INCLUDED,
                                 MatchingFailure, RelationGraph,
                                 build_relation_graph,
@@ -38,10 +38,9 @@ from netsynth.separation import (ESSP, Region, SSP, SeparationProblem,
                                  SystemContext,
                                  brac_block_systems,
                                  brac_ssp_system_freechoice,
-                                 enumerate_separation_problems,
                                  essp_system_wpi, normalize_region,
                                  region_to_place, solution_to_region,
-                                 ssp_system_wpi)
+                                 ssp_system_wpi, state_pairs)
 
 WPI = "wpi"
 BRAC = "brac"
@@ -55,11 +54,10 @@ CAP_EXCEEDED = "cap-exceeded"
 class SynthesisConfig:
     selfloop_cap: int = 12
     ssp_combo_cap: int = 4096
-    rg_cap: int = 100_000
     prune: bool = False
 
     def __post_init__(self):
-        for name in ("selfloop_cap", "ssp_combo_cap", "rg_cap"):
+        for name in ("selfloop_cap", "ssp_combo_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -155,11 +153,19 @@ def _verification_witness(record: VerificationRecord) -> dict:
             "detail": record.mismatch or "class check failed"}
 
 
-def verify_solution(net: PetriNet, lts: Lts, target_class: str,
-                    rg_cap: int = 100_000) -> VerificationRecord:
-    """Regenerate the reachability graph and re-check class membership."""
-    rg = reachability_graph(net, rg_cap)
-    mapping = isomorphic(lts, rg)
+def verify_solution(net: PetriNet, lts: Lts,
+                    target_class: str) -> VerificationRecord:
+    """Regenerate the reachability graph and re-check class membership.
+
+    A net isomorphic to ``lts`` reaches exactly its |S| markings, so the
+    graph is explored up to |S| + 1 markings only.  A net that reaches more
+    is not isomorphic ("state counts differ"), bounded or not; its classes
+    are still checked.
+    """
+    try:
+        mapping = isomorphic(lts, reachability_graph(net, len(lts.states) + 1))
+    except CapExceeded:
+        mapping = Mismatch("state counts differ")
     iso = isinstance(mapping, dict)
     mismatch = None if iso else mapping.reason
     flags = classify_net(net).flags()
@@ -168,10 +174,10 @@ def verify_solution(net: PetriNet, lts: Lts, target_class: str,
                               classes=flags, target_ok=target_ok)
 
 
-def _verified_net(lts: Lts, regions: list[Region], target_class: str,
-                  cfg: SynthesisConfig) -> tuple[PetriNet, VerificationRecord]:
+def _verified_net(lts: Lts, regions: list[Region],
+                  target_class: str) -> tuple[PetriNet, VerificationRecord]:
     net = net_from_regions(lts.labels, [region_to_place(r) for r in regions])
-    return net, verify_solution(net, lts, target_class, cfg.rg_cap)
+    return net, verify_solution(net, lts, target_class)
 
 
 def _prepare(lts: Lts) -> SystemContext:
@@ -310,11 +316,10 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             raise _Unsolvable(cap="selfloop-cap")
 
         reps = sorted(graph.classes)
-        problems = enumerate_separation_problems(lts)
         # event separations first, each at its class representative only
-        problems = [p for p in problems if isinstance(p, ESSP)
-                    and graph.rep[p.label] == p.label] \
-            + [p for p in problems if isinstance(p, SSP)]
+        essps = [ESSP(s, a) for s in range(len(lts.states))
+                 for a in range(len(lts.labels))
+                 if a not in lts.enabled[s] and graph.rep[a] == a]
 
         first_witness: Optional[dict] = None
         for mask in _interpretation_order(len(doi_pairs)):
@@ -327,12 +332,13 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                 partial(ssp_system_wpi, ctx, graph, doi_choice=choice))
             pool = _RegionPool()
             try:
+                problems = itertools.chain(essps, state_pairs(lts))
                 unsolved = next(_separate(ctx, pool, problems, systems,
                                           solve_rational), None)
                 if unsolved is not None:
                     problem, tags = unsolved
                     raise _Unsolvable(_problem_witness(problem, lts, tags))
-                net, record = _verified_net(lts, pool.regions, WPI, cfg)
+                net, record = _verified_net(lts, pool.regions, WPI)
                 if not record.ok:
                     raise _Unsolvable(_verification_witness(record))
             except _Unsolvable as exc:
@@ -360,8 +366,6 @@ def _maybe_prune(report: SynthesisReport, lts: Lts,
         return report
     regions = list(report.regions)
     keep = list(range(len(regions)))
-    # anything bigger than the input cannot be isomorphic to it
-    cap = min(cfg.rg_cap, len(lts.states) + 1)
     for i in range(len(regions)):
         if len(keep) == 1:
             break
@@ -371,14 +375,11 @@ def _maybe_prune(report: SynthesisReport, lts: Lts,
         net = net_from_regions(lts.labels,
                                [region_to_place(regions[j])
                                 for j in candidate])
-        try:
-            if verify_solution(net, lts, report.target_class, cap).ok:
-                keep = candidate
-        except CapExceeded:
-            pass  # removal grows or unbounds the graph; keep the place
+        if verify_solution(net, lts, report.target_class).ok:
+            keep = candidate
     report.regions = [regions[j] for j in keep]
     report.net, report.verification = _verified_net(
-        lts, report.regions, report.target_class, cfg)
+        lts, report.regions, report.target_class)
     return report
 
 
@@ -397,10 +398,18 @@ def _integer_cap(lts: Lts) -> int:
     return 2 * len(lts.states)
 
 
+class _Block(NamedTuple):
+    """A choice block: label pair, shared and private system, place indices."""
+
+    pair: tuple[int, int]
+    systems: tuple[LinearSystem, LinearSystem]
+    indices: list[int]
+
+
 def _brac_block(ctx: SystemContext, graph: RelationGraph,
                 pair: tuple[int, int], pool: _RegionPool,
                 solve: Callable[[LinearSystem], Solution], detail: str,
-                shared: Optional[Region] = None) -> dict:
+                shared: Optional[Region] = None) -> _Block:
     """Pool the shared and the private place of the choice block ``pair``.
 
     A ``shared`` region that is already solved is pooled as it is, and
@@ -417,8 +426,7 @@ def _brac_block(ctx: SystemContext, graph: RelationGraph,
                                "label": ctx.lts.labels[label],
                                "detail": detail})
         regions.append(_region_from(sol, system, ctx))
-    return {"pair": pair, "systems": systems,
-            "indices": [pool.add(r) for r in regions]}
+    return _Block(pair, systems, [pool.add(r) for r in regions])
 
 
 def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
@@ -536,22 +544,20 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                 pool.add(r)
 
         # state separation: free-choice first, then block assignment
-        ssps = [p for p in enumerate_separation_problems(lts)
-                if isinstance(p, SSP)]
-        leftovers = [ssp for ssp, _ in _separate(ctx, pool, ssps, systems,
-                                                 solve)]
+        leftovers = [ssp for ssp, _ in _separate(ctx, pool, state_pairs(lts),
+                                                 systems, solve)]
         if leftovers:
             if not blocks:
                 raise _Unsolvable(_problem_witness(
                     leftovers[0], lts, ["freechoice:all-labels"]))
-            _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg, icap)
+            _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg, solve)
     except _Unsolvable as exc:
         return SynthesisReport(CAP_EXCEEDED if exc.cap else FAILURE, BRAC,
                                witness=exc.witness, cap=exc.cap,
                                inclusion_candidates=lam_names,
                                matching=matching_names)
 
-    net, record = _verified_net(lts, pool.regions, BRAC, cfg)
+    net, record = _verified_net(lts, pool.regions, BRAC)
     report = SynthesisReport(
         SUCCESS if record.ok else FAILURE, BRAC,
         net=net if record.ok else None,
@@ -567,8 +573,9 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
 
 
 def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
-                           blocks: list[dict], leftovers: list[SSP],
-                           cfg: SynthesisConfig, icap: int) -> None:
+                           blocks: list[_Block], leftovers: list[SSP],
+                           cfg: SynthesisConfig,
+                           solve: Callable[[LinearSystem], Solution]) -> None:
     """Re-solve block systems with disequality rows, in all combinations.
 
     Each unsolved state separation is assigned to one block system with one
@@ -579,7 +586,7 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
     lts = ctx.lts
     # (system, pool index) of every block place, block by block
     targets = [(system, index) for block in blocks
-               for system, index in zip(block["systems"], block["indices"])]
+               for system, index in zip(block.systems, block.indices)]
     choices = [(si, sign) for si in range(len(targets))
                for sign in ("<", ">")]
     cache: dict[tuple, Solution] = {}
@@ -598,8 +605,7 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
             if key not in cache:
                 rows = list(system.rows) + [ctx.ssp_row(ssp, sign)
                                             for ssp, sign in extras]
-                cache[key] = solve_integer(ctx.system(rows, zero_one=True),
-                                           cap=icap)
+                cache[key] = solve(ctx.system(rows, zero_one=True))
             if not cache[key].feasible:
                 break
             solutions[si] = _region_from(cache[key], system, ctx)
@@ -609,5 +615,5 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
             return
     raise _Unsolvable(_problem_witness(
         leftovers[0], lts,
-        [f"block:{lts.labels[block['pair'][0]]}:"
-         f"{lts.labels[block['pair'][1]]}" for block in blocks]))
+        [f"block:{lts.labels[lo]}:{lts.labels[hi]}"
+         for (lo, hi), _, _ in blocks]))

@@ -124,10 +124,13 @@ class TestSynth:
     def test_unknown_class_exit_2(self):
         assert run(["synth", fx("fig1.lts"), "--class", "nope"]) == 2
 
-    def test_tiny_rg_cap_exit_3(self, tmp_path):
-        code = run(["synth", fx("fig1.lts"), "--class", "brac",
-                    "--rg-cap", "5", "-o", str(tmp_path / "n.pn")])
-        assert code == 3
+    @pytest.mark.parametrize("argv", [
+        ["synth", fx("fig1.lts"), "--class", "brac"],
+        ["verify", fx("fig1-net.pn"), fx("fig1.lts"), "--class", "brac"],
+    ], ids=["synth", "verify"])
+    def test_rg_cap_option_removed(self, argv):
+        # verification is bounded by the input's state count instead
+        assert run(argv + ["--rg-cap", "5"]) == 2
 
     @pytest.mark.parametrize("error", [RuntimeError("pivot limit exceeded"),
                                        AssertionError("invariant broken"),
@@ -207,10 +210,12 @@ class TestRgVerifyDot:
         assert text.startswith("initial m0")
         assert len([l for l in text.splitlines() if " " in l]) == 25
 
-    def test_rg_cap(self, tmp_path):
+    def test_rg_cap(self, tmp_path, capsys):
         unbounded = tmp_path / "u.pn"
         unbounded.write_text("place p 0\ntransition t\narc t p\n")
         assert run(["rg", str(unbounded), "--rg-cap", "10"]) == 3
+        assert capsys.readouterr().err == \
+            "cap exceeded: more than 10 reachable markings\n"
 
     def test_verify_pass(self, capsys):
         code, payload = run_json(capsys, ["verify", fx("fig1-net.pn"),
@@ -218,6 +223,16 @@ class TestRgVerifyDot:
                                           "--class", "brac"])
         assert code == 0
         assert payload["isomorphic"] and payload["target_ok"]
+
+    def test_verify_unbounded_net_exit_1(self, tmp_path, capsys):
+        unbounded = tmp_path / "u.pn"
+        unbounded.write_text("place p 0\ntransition a\narc a p\n")
+        lts = tmp_path / "two.lts"
+        lts.write_text("initial s0\ns0 a s1\n")
+        code, payload = run_json(capsys, ["verify", str(unbounded), str(lts),
+                                          "--class", "wpi"])
+        assert code == 1
+        assert payload["mismatch"] == "state counts differ"
 
     def test_verify_mismatch(self, capsys):
         code, payload = run_json(capsys, ["verify", fx("fig1-net.pn"),

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 from netsynth.linsys import solve_integer, solve_rational
@@ -10,7 +11,8 @@ from netsynth.separation import (ESSP, Region, SSP, SystemContext,
                                  brac_ssp_system_freechoice,
                                  enumerate_separation_problems,
                                  essp_system_wpi, normalize_region,
-                                 region_to_place, ssp_system_wpi)
+                                 region_to_place, ssp_system_wpi,
+                                 state_pairs)
 
 
 def stage(lts, brac=False):
@@ -70,6 +72,13 @@ class TestEnumerate:
         ssps = [p for p in problems if isinstance(p, SSP)]
         assert problems[:len(ssps)] == ssps
         assert ssps == sorted(ssps, key=lambda p: (p.s1, p.s2))
+
+    def test_state_pairs_stream_every_pair_in_index_order(self, case6a):
+        pairs = state_pairs(case6a)
+        assert iter(pairs) is pairs  # a generator, not a stored list
+        n = len(case6a.states)
+        assert list(pairs) == [SSP(i, j) for i, j
+                               in itertools.combinations(range(n), 2)]
 
 
 class TestEsspSystemWpi:

@@ -3,6 +3,7 @@ import itertools
 import json
 import pathlib
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -178,6 +179,35 @@ class TestVerify:
         record = verify_solution(fig1_net, genx, "wpi")
         assert not record.isomorphic
 
+    TWO_STATES = "initial s0\ns0 a s1\n"
+
+    def test_unbounded_net_is_a_state_count_mismatch(self):
+        # the graph is explored to |S| + 1 markings, never to exhaustion
+        from netsynth.petri import classify_net, parse_net
+        net = parse_net("place p 0\ntransition a\narc a p\n")
+        record = verify_solution(net, parse_lts(self.TWO_STATES), "wpi")
+        assert not record.isomorphic and not record.ok
+        assert record.mismatch == "state counts differ"
+        assert record.classes == classify_net(net).flags()
+
+    @pytest.mark.parametrize("tokens, reason",
+                             [(2, "enabled labels differ"),
+                              (3, "state counts differ")],
+                             ids=["S+1-markings", "S+2-markings"])
+    def test_bound_is_one_past_the_state_count(self, tokens, reason):
+        # p holding k tokens gives a chain of k + 1 markings; the full
+        # graph of either net first diverges by enabled labels at m1
+        from netsynth.petri import isomorphic, parse_net
+        lts = parse_lts(self.TWO_STATES)
+        net = parse_net(f"place p {tokens}\ntransition a\narc p a\n")
+        full = isomorphic(lts, reachability_graph(net))
+        assert full.reason == "enabled labels differ"
+        assert len(reachability_graph(net).states) == len(lts.states) \
+            + tokens - 1
+        record = verify_solution(net, lts, "wpi")
+        assert not record.isomorphic
+        assert record.mismatch == reason
+
     def test_soundness_on_every_success(self, fig1, case6a, case6b, brac7):
         for lts, run in ((fig1, synthesize_wpi), (fig1, synthesize_brac),
                          (case6a, synthesize_wpi), (case6a, synthesize_brac),
@@ -299,7 +329,7 @@ class TestBlockAssignment:
                                         quotient_by_equivalence,
                                         strengthen_brac, strengthen_wpi)
         from netsynth.separation import (SystemContext, brac_block_systems)
-        from netsynth.synthesis import _RegionPool, _region_from
+        from netsynth.synthesis import _Block, _RegionPool, _region_from
         tree = spanning_tree(brac7)
         basis = cycle_basis(brac7, tree)
         ctx = SystemContext(brac7, tree, basis)
@@ -313,9 +343,7 @@ class TestBlockAssignment:
             sol = solve_integer(system, cap=16)
             assert sol.feasible
             indices.append(pool.add(_region_from(sol, system, ctx)))
-        block = {"pair": (b, d), "systems": [sys1, sys2],
-                 "indices": indices}
-        return ctx, pool, [block]
+        return ctx, pool, [_Block((b, d), (sys1, sys2), indices)]
 
     def test_assignment_absorbs_real_pair(self, brac7):
         from netsynth.separation import SSP
@@ -324,7 +352,8 @@ class TestBlockAssignment:
         ctx, pool, blocks = self._pipeline_state(brac7)
         ssp = SSP(brac7.states.index("s0"), brac7.states.index("s1"))
         cfg = SynthesisConfig()
-        outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [ssp], cfg, 16)
+        outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [ssp], cfg,
+                                         partial(solve_integer, cap=16))
         assert outcome is None
         assert any(r.solves(ssp) for r in pool.regions)
         assert all(r.is_valid(ctx.lts) for r in pool.regions)
@@ -338,7 +367,8 @@ class TestBlockAssignment:
         hopeless = SSP(brac7.states.index("s1"), brac7.states.index("s1"))
         cfg = SynthesisConfig()
         with pytest.raises(_Unsolvable) as outcome:
-            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg, 16)
+            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg,
+                                   partial(solve_integer, cap=16))
         assert outcome.value.cap is None
         assert outcome.value.witness["kind"] == "ssp"
 
@@ -350,7 +380,8 @@ class TestBlockAssignment:
         hopeless = SSP(brac7.states.index("s1"), brac7.states.index("s1"))
         cfg = SynthesisConfig(ssp_combo_cap=2)
         with pytest.raises(_Unsolvable) as outcome:
-            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg, 16)
+            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg,
+                                   partial(solve_integer, cap=16))
         assert outcome.value.cap == "ssp-combo-cap"
         assert outcome.value.witness is None
 
