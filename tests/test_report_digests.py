@@ -5,7 +5,10 @@ fixture, for ``random_lts(0..39, 24, 6)`` and for the reachability graphs
 of ``random_brac_net(0..9)``, under both pipelines.  A refactor of the
 pipelines must leave every digest in ``fixtures/report_digests.json``
 unchanged.  ``fixtures/prune_digests.json`` pins ``synth --prune --report``
-the same way on the fixtures and the ``random_brac_net`` graphs.
+the same way on the fixtures and the ``random_brac_net`` graphs, and
+``fixtures/scale_report_digests.json`` pins ``synth --report`` on the
+graphs of ``random_brac_net(44, 6, 4)`` (300 markings) and
+``random_brac_net(17, 6, 4)`` (600), the largest systems the tests solve.
 """
 
 import hashlib
@@ -22,6 +25,10 @@ from netsynth.petri import reachability_graph
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 DIGESTS = json.loads((FIXTURES / "report_digests.json").read_text())
 PRUNE_DIGESTS = json.loads((FIXTURES / "prune_digests.json").read_text())
+SCALE_DIGESTS = json.loads(
+    (FIXTURES / "scale_report_digests.json").read_text())
+# random_brac_net(seed, 6, 4) of the scale cases, by markings
+SCALE_NETS = {300: 44, 600: 17}
 
 
 def family_inputs(family: str) -> dict[str, str]:
@@ -32,6 +39,10 @@ def family_inputs(family: str) -> dict[str, str]:
     if family == "random_lts":
         return {f"random_lts/{i}": serialize_lts(random_lts(i, 24, 6))
                 for i in range(40)}
+    if family == "scale":
+        return {f"scale/{m}": serialize_lts(
+                    reachability_graph(random_brac_net(s, 6, 4), 100_000))
+                for m, s in SCALE_NETS.items()}
     return {f"random_brac_net/{i}": serialize_lts(
                 reachability_graph(random_brac_net(i), 100_000))
             for i in range(10)}
@@ -77,3 +88,13 @@ def test_pruned_report_bytes_unchanged(family, pipeline, tmp_path):
     assert len(expected) == len(got)
     changed = sorted(k for k in got if got[k] != expected.get(k))
     assert not changed, f"pruned report bytes changed: {changed}"
+
+
+@pytest.mark.parametrize("pipeline", ["wpi", "brac"])
+def test_scale_report_bytes_unchanged(pipeline, tmp_path):
+    got = family_digests("scale", pipeline, tmp_path)
+    expected = {k: v for k, v in SCALE_DIGESTS.items()
+                if k.startswith(f"{pipeline}/")}
+    assert len(expected) == len(got) == len(SCALE_NETS)
+    changed = sorted(k for k in got if got[k] != expected.get(k))
+    assert not changed, f"report bytes changed: {changed}"
