@@ -7,12 +7,22 @@ the solver never sees a variable name (``dump_lp`` takes names only to
 print).  Rows are integral: ``make_row`` multiplies a rational row by the
 lcm of its denominators, once, and records that lcm as ``Row.scale``.
 
+Rows that many systems share are stored once, as a `RowBlock`: the rows
+``x_u + v.(x_F - x_B) - x_{B_t} >= 0`` of a table of count vectors ``v``
+plus the cycle rows ``g.(x_F - x_B) = 0``.  A system holds its own rows
+and its blocks in order (`Rows`); reading ``system.rows`` yields every
+row, a block's rows being built once, on first read.  A block's columns
+are range-checked when it is made, not in every system that holds it.
+
 Rational feasibility is decided by an exact integer-tableau simplex that
 reads the rows straight into its dual tableau and never touches a
-`fractions.Fraction`; strict rows are handled by maximising one shared
-slack, the only reason for an artificial column.  The witness comes out as
-integer numerators over one denominator and is re-substituted into the
-rows; only the returned assignment is built from Fractions.
+`fractions.Fraction`; a block's dual-tableau columns are built once and
+spliced into every tableau, so each tableau is the one its row list
+gives.  Strict rows are handled by maximising one shared slack, the only
+reason for an artificial column.  The witness comes out as integer
+numerators over one denominator and is re-substituted into the rows, a
+block's rows through the value of ``x_u + v.(x_F - x_B)`` at each count
+vector; only the returned assignment is built from Fractions.
 Homogeneous solutions lift to integers by denominator clearing, and a
 0/1-aware branch-and-bound gives bounded integer feasibility.
 """
@@ -20,10 +30,12 @@ Homogeneous solutions lift to integers by denominator clearing, and a
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 _OPERATORS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
               ">=": operator.ge, ">": operator.gt, "!=": operator.ne}
@@ -78,34 +90,187 @@ def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
                const.numerator * (scale // const.denominator), tag, scale)
 
 
+class RowBlock:
+    """Homogeneous rows that many systems share, stored once.
+
+    With ``u = origin`` and ``(B_l, F_l) = (consume[l], produce[l])``, the
+    rows are, for each key ``(i, t) = (key_vectors[k], key_labels[k])``,
+    ``x_u + vectors[i].(x_F - x_B) - x_{B_t} >= 0``, then, for each cycle
+    vector ``g`` of nonzero ``(l, count)`` pairs, ``g.(x_F - x_B) = 0``.
+    ``tag(k)`` names row k.  The columns are range-checked here, once; the
+    `Row`s and the dual-tableau columns are built on first use and kept.
+    """
+
+    def __init__(self, columns: int, origin: int, consume: Sequence[int],
+                 produce: Sequence[int], vectors: Sequence[Sequence[int]],
+                 key_vectors: Sequence[int], key_labels: Sequence[int],
+                 cycles: Sequence[Sequence[tuple[int, int]]],
+                 tag: Callable[[int], str]):
+        used = (origin, *consume, *produce)
+        if len(consume) != len(produce) or len(set(used)) < len(used):
+            raise ValueError("a block needs distinct consume and produce "
+                             "columns, one of each per label")
+        if not all(0 <= j < columns for j in used):
+            raise ValueError("block references an undeclared column")
+        self.columns, self.origin, self.tag = columns, origin, tag
+        self.consume, self.produce = tuple(consume), tuple(produce)
+        self.vectors, self.cycles = vectors, tuple(cycles)
+        self.key_vectors, self.key_labels = key_vectors, key_labels
+        # simplex copies: one per >= row, two per = row
+        self.copies = len(key_vectors) + 2 * len(self.cycles)
+        self._rows: Optional[tuple[Row, ...]] = None
+        self._dual: Optional[dict[int, list[int]]] = None
+
+    def __len__(self) -> int:
+        return len(self.key_vectors) + len(self.cycles)
+
+    def effect_coeffs(self, entries: Iterable[tuple[int, int]],
+                      coeffs: Optional[dict[int, int]] = None) \
+            -> dict[int, int]:
+        """``count * (x_F - x_B)`` of every nonzero ``(label, count)``
+        entry, written into ``coeffs`` (a new dict if None)."""
+        coeffs = {} if coeffs is None else coeffs
+        for label, count in entries:
+            if count:
+                coeffs[self.produce[label]] = count
+                coeffs[self.consume[label]] = -count
+        return coeffs
+
+    def key_coeffs(self, i: int, t: int) -> dict[int, int]:
+        """``x_u + vectors[i].(x_F - x_B) - x_{B_t}``."""
+        coeffs = self.effect_coeffs(enumerate(self.vectors[i]),
+                                    {self.origin: 1})
+        coeffs[self.consume[t]] = coeffs.get(self.consume[t], 0) - 1
+        return coeffs
+
+    def rows(self) -> tuple[Row, ...]:
+        """The rows as `make_row` builds them; equal ``(column,
+        coefficient)`` pairs are one shared tuple."""
+        if self._rows is None:
+            shared: dict[tuple[int, int], tuple[int, int]] = {}
+            lhs = [self.key_coeffs(i, t)
+                   for i, t in zip(self.key_vectors, self.key_labels)]
+            lhs += [self.effect_coeffs(g) for g in self.cycles]
+            self._rows = tuple(
+                Row(tuple(shared.setdefault(p, p)
+                          for p in sorted(coeffs.items()) if p[1]),
+                    ">=" if k < len(self.key_vectors) else "=", 0,
+                    self.tag(k))
+                for k, coeffs in enumerate(lhs))
+        return self._rows
+
+    def dual_columns(self) -> dict[int, list[int]]:
+        """Column -> its ``copies`` dual-tableau entries as `_Simplex`
+        writes them: a ``>=`` row's coefficients, and an ``=`` row's
+        negated coefficients followed by its coefficients."""
+        if self._dual is None:
+            n, keys = len(self.consume), len(self.key_vectors)
+            at = list(map(self.vectors.__getitem__, self.key_vectors))
+            produce = [list(c) for c in zip(*at)] or [[] for _ in range(n)]
+            consume = [[-x for x in c] for c in produce]
+            for k, t in enumerate(self.key_labels):
+                consume[t][k] -= 1
+            for g in map(dict, self.cycles):
+                for l in range(n):
+                    c = g.get(l, 0)
+                    produce[l] += (-c, c)
+                    consume[l] += (c, -c)
+            self._dual = {self.origin: [1] * keys + [0] * (self.copies - keys),
+                          **dict(zip(self.consume, consume)),
+                          **dict(zip(self.produce, produce))}
+        return self._dual
+
+    def holds(self, num: Sequence[int], den: int) -> bool:
+        """Whether every row holds at ``x = num / den``: the rows are
+        homogeneous, so ``x_u + v.(x_F - x_B)`` is taken once per count
+        vector ``v`` in numerators and compared with ``x_{B_t}`` per key."""
+        effect = [num[f] - num[b] for b, f in zip(self.consume, self.produce)]
+        if any(sum(c * effect[l] for l, c in g) for g in self.cycles):
+            return False
+        marks = [num[self.origin] + sum(map(mul, v, effect))
+                 for v in self.vectors]
+        consumed = [num[b] for b in self.consume]
+        return all(map(operator.ge, map(marks.__getitem__, self.key_vectors),
+                       map(consumed.__getitem__, self.key_labels)))
+
+
+class Rows(SequenceABC):
+    """A system's rows and `RowBlock`s, in order (``parts``).
+
+    As a sequence it holds every row, each block's rows in its place; its
+    length reads no block's rows, and neither does an index before the
+    first block.
+    """
+
+    def __init__(self, parts: Iterable[Row | RowBlock] = ()):
+        self.parts = tuple(parts)
+        self._len = sum(len(p) if isinstance(p, RowBlock) else 1
+                        for p in self.parts)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for part in self.parts:
+            yield from part.rows() if isinstance(part, RowBlock) else (part,)
+
+    def __getitem__(self, index):
+        if type(index) is int and 0 <= index < len(self.parts) and not any(
+                isinstance(p, RowBlock) for p in self.parts[:index + 1]):
+            return self.parts[index]
+        return tuple(self)[index]
+
+    def __add__(self, other: Iterable[Row | RowBlock]) -> Rows:
+        return Rows(self.parts + tuple(getattr(other, "parts", other)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Rows) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Rows({self.parts!r})"
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Inequality system over ``columns`` nonnegative variables.
 
-    ``zero_one`` flags columns additionally bounded to {0, 1}; the bound
-    rows are materialised by the solvers, not stored.
+    ``rows`` may be given as any sequence of `Row`s and `RowBlock`s and is
+    stored as `Rows`.  ``zero_one`` flags columns additionally bounded to
+    {0, 1}; the bound rows are materialised by the solvers, not stored.
     """
 
     columns: int
-    rows: tuple[Row, ...]
+    rows: Rows
     zero_one: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for row in self.rows:
-            for j, _ in row.coeffs:
+        if not isinstance(self.rows, Rows):
+            object.__setattr__(self, "rows", Rows(self.rows))
+        for part in self.rows.parts:
+            if isinstance(part, RowBlock):
+                if part.columns > self.columns:
+                    raise ValueError(f"a block over {part.columns} columns "
+                                     f"in a system of {self.columns}")
+                continue
+            for j, _ in part.coeffs:
                 if not 0 <= j < self.columns:
-                    raise ValueError(f"row {row.tag!r} references "
+                    raise ValueError(f"row {part.tag!r} references "
                                      f"undeclared column {j}")
 
     @property
     def homogeneous(self) -> bool:
-        return all(r.const == 0 for r in self.rows) and not self.zero_one
+        return all(p.const == 0 for p in self.rows.parts
+                   if not isinstance(p, RowBlock)) and not self.zero_one
 
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
         """Whether ``values`` satisfy the system, in Fractions.
 
-        It does not use the integer re-substitution the solver uses
-        (``holds``), so tests can check the solver against it.
+        It reads every row, a block's too, and does not use the integer
+        re-substitution the solver uses (``holds``), so tests can check
+        the solver against it.
         """
         if any(v < 0 for v in values):
             return False
@@ -117,7 +282,7 @@ class LinearSystem:
         """Whether every row and bound holds at ``x[j] = num[j] / den``."""
         return (all(v >= 0 for v in num)
                 and all(num[j] <= den for j in self.zero_one)
-                and all(r.holds(num, den) for r in self.rows))
+                and all(p.holds(num, den) for p in self.rows.parts))
 
 
 @dataclass
@@ -178,7 +343,9 @@ class _Simplex:
     solved through its dual ``min b.y, M^T y >= c, y >= 0`` whose row count
     equals the (small) variable count; the primal witness is read off the
     reduced costs of the surplus columns.  ``M`` is never built: each row's
-    integer ``(column, coef)`` pairs are written straight into the tableau.
+    integer ``(column, coef)`` pairs are written straight into the tableau,
+    and each `RowBlock`'s cached dual columns are spliced in at its place
+    in the row order, so the tableau is the one its rows would give.
     Scaling a primal row by its ``scale`` multiplies one dual column by a
     positive number, which changes no pivot and not the witness.  The
     objective ``c`` is zero, or the unit vector of the shared strictness
@@ -196,33 +363,45 @@ class _Simplex:
     rational tableau would make.
     """
 
-    def __init__(self, system: LinearSystem, rows: Sequence[Row]):
-        copies = []
-        for row in rows:
-            if row.rel not in _LEQ_COPIES:
-                raise ValueError(f"split {row.rel!r} rows before solving")
-            copies += [(row, sign, strict)
-                       for sign, strict in _LEQ_COPIES[row.rel]]
+    def __init__(self, system: LinearSystem, extra: Sequence[Row] = ()):
+        # (dual column, row, sign, strict) per copy of a row; a block's
+        # copies take the next ``block.copies`` dual columns
+        copies, blocks, m = [], [], 0
+        for part in system.rows.parts + tuple(extra):
+            if isinstance(part, RowBlock):
+                blocks.append((m, part))
+                m += part.copies
+                continue
+            if part.rel not in _LEQ_COPIES:
+                raise ValueError(f"split {part.rel!r} rows before solving")
+            for sign, strict in _LEQ_COPIES[part.rel]:
+                copies.append((m, part, sign, strict))
+                m += 1
         zero_one = sorted(system.zero_one)
-        self.strict = any(strict for _, _, strict in copies)
+        self.strict = any(strict for _, _, _, strict in copies)
         # D rows: one per primal variable, the slack last; D columns: y per
         # primal row (the copies, the 0/1 bounds, then delta <= 1), then
         # surplus, then the artificial when strict.
         self.n_rows = n = system.columns + self.strict
-        self.n_y = m = len(copies) + len(zero_one) + self.strict
+        first_bound = m
+        self.n_y = m = m + len(zero_one) + self.strict
         self.ncols = m + n + self.strict
         self.pivots = 0
         tableau = [[0] * (self.ncols + 1) for _ in range(n)]
         costs = [0] * self.ncols  # b on the y columns
         # Every row but the slack's is negated, so that its surplus column
         # is an identity column and starts the basis.
-        for i, (row, sign, strict) in enumerate(copies):
+        for i, row, sign, strict in copies:
             for j, c in row.coeffs:
                 tableau[j][i] -= sign * c
             if strict:
                 tableau[-1][i] = row.scale
             costs[i] = sign * row.const
-        for i, j in enumerate(zero_one, len(copies)):
+        # a block's rows are homogeneous and not strict: only its columns
+        for i, block in blocks:
+            for j, entries in block.dual_columns().items():
+                tableau[j][i:i + block.copies] = entries
+        for i, j in enumerate(zero_one, first_bound):
             tableau[j][i] = -1
             costs[i] = 1
         for j in range(system.columns):
@@ -326,10 +505,9 @@ def solve_rational(system: LinearSystem, extra_rows: Iterable[Row] = ()) -> Solu
     is returned.
     """
     extra = tuple(extra_rows)
-    rows = system.rows + extra
-    if not rows and not system.zero_one:
+    if not system.rows and not extra and not system.zero_one:
         return Solution(FEASIBLE, (Fraction(0),) * system.columns)
-    simplex = _Simplex(system, rows)
+    simplex = _Simplex(system, extra)
     witness = simplex.solve()
     if witness is None:
         return Solution(INFEASIBLE, pivots=simplex.pivots)
@@ -364,10 +542,13 @@ def integerize_strict(system: LinearSystem) -> LinearSystem:
     """Rewrite strict rows for integer search: ``< c`` becomes ``<= c-1``.
 
     Only sound on rows given in integers (``scale`` 1), which every
-    synthesis row is.
+    synthesis row is.  Blocks are kept as they are.
     """
     rows = []
-    for row in system.rows:
+    for row in system.rows.parts:
+        if isinstance(row, RowBlock):  # integral and never strict
+            rows.append(row)
+            continue
         if row.scale != 1:
             raise ValueError("integerize requires integral rows")
         if row.rel == "<":

@@ -167,22 +167,30 @@ class RelationGraph:
                       if e.kind == INCLUDED)
 
 
+def _pair_kind(lts: Lts, a: int, b: int) -> str:
+    """Enabledness relation of labels ``a`` and ``b``: how the sets of
+    states enabling them compare."""
+    ea, eb = lts.enabled_states[a], lts.enabled_states[b]
+    if ea == eb:
+        return EQUIV
+    if ea < eb:
+        return A_GTR_B
+    if eb < ea:
+        return B_GTR_A
+    return INTERLEAVE
+
+
 def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
     """Enabledness relation and deactivation flag of labels ``a`` and ``b``.
 
-    Computed by a direct scan of the per-state enabled-label sets.
+    Computed by a direct scan of the per-state enabled-label sets; the
+    reference for `build_relation_graph`, which finds every deactivating
+    pair in one pass.
     """
     if a == b:
         raise ValueError("pair relation requires two distinct labels")
+    kind = _pair_kind(lts, a, b)
     ea, eb = lts.enabled_states[a], lts.enabled_states[b]
-    if ea == eb:
-        kind = EQUIV
-    elif ea < eb:
-        kind = A_GTR_B
-    elif eb < ea:
-        kind = B_GTR_A
-    else:
-        kind = INTERLEAVE
     merge = False
     for s in ea & eb:
         sa = lts.successor[(s, a)]
@@ -202,6 +210,22 @@ def classify_case(rel: PairRelation) -> int:
     return 5 if rel.merge else 6
 
 
+def _deactivating_pairs(lts: Lts) -> set[tuple[int, int]]:
+    """Every label pair ``(a, b)``, ``a < b``, of which firing one at some
+    state enabling both disables the other.
+
+    One pass over the (state, label) -> target map: the labels enabled
+    at the state but not at the target are the ones the label disables.
+    """
+    enabled = lts.enabled
+    pairs = set()
+    for (s, a), s2 in lts.successor.items():
+        for b in enabled[s] - enabled[s2]:
+            if b != a:
+                pairs.add((a, b) if a < b else (b, a))
+    return pairs
+
+
 def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
     """Derive the preset-relation edge for every label pair.
 
@@ -212,9 +236,10 @@ def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
     """
     n = len(lts.labels)
     edges: dict[tuple[int, int], Edge] = {}
+    merging = _deactivating_pairs(lts)
     for a in range(n):
         for b in range(a + 1, n):
-            rel = pair_relation(lts, a, b)
+            rel = PairRelation(_pair_kind(lts, a, b), (a, b) in merging)
             case = classify_case(rel)
             if case == 1:
                 return Contradiction((a, b), "deactivating-interleave",

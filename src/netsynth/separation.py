@@ -5,11 +5,16 @@ weights to labels such that every edge fires like a Petri net place.  State
 separation demands different counts for two states, event separation
 demands an insufficient count where a label is disabled.  Both become
 linear systems over R(s0), B and F, expressed through spanning-tree Parikh
-vectors, with one zero-effect row per cycle-basis vector.  `SystemContext`
-alone fixes which column holds which of them; `solution_to_region` reads a
-solution vector back in the same layout.  A `Region` stores R at every
-state, computed once from the Parikh vectors when it is made, so checking
-whether it solves a problem or fires consistently needs no tree.
+vectors: one edge row R(s) >= B_a per distinct (Parikh vector of s, a),
+and one zero-effect row per cycle-basis vector.  These base rows are the
+same in every system, so `SystemContext` keeps them once, as a
+`linsys.RowBlock` of (state, label) keys over the Parikh table, and every
+system holds that block; no pipeline builds them as `Row` objects.
+`SystemContext` alone fixes which column holds which variable;
+`solution_to_region` reads a solution vector back in the same layout.  A
+`Region` stores R at every state, computed once from the Parikh vectors
+when it is made, so checking whether it solves a problem or fires
+consistently needs no tree.
 
 WPI systems add, relative to one label, comparability rows from the
 relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
@@ -18,10 +23,12 @@ relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import mul, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from netsynth.linsys import LinearSystem, Row, Solution, make_row
+from netsynth.linsys import (LinearSystem, Row, RowBlock, Solution,
+                             make_row)
 from netsynth.lts import Lts, ParikhVector, SpanningTree
 from netsynth.relations import (DISJOINT, DOI, EQUIVALENT, INCLUDED,
                                 RelationGraph)
@@ -99,12 +106,24 @@ def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
     return problems
 
 
+def _base_tag(lts: Lts, edge_states: Sequence[int],
+              edge_labels: Sequence[int], k: int) -> str:
+    """The tag of base row ``k``: its edge, or its cycle-basis vector."""
+    if k < len(edge_states):
+        return f"edge:{lts.states[edge_states[k]]}:" \
+            f"{lts.labels[edge_labels[k]]}"
+    return f"cycle:{k - len(edge_states)}"
+
+
 class SystemContext:
     """Shared row material for all systems over one LTS and tree.
 
     Owns the column layout of every system it builds: column 0 is R0,
     columns 1..n are B and n+1..2n are F, each in label index order.
-    ``names`` spells the columns out for ``dump_lp``.
+    ``names`` spells the columns out for ``dump_lp``.  ``block`` holds the
+    base rows every system shares, as `(state, label)` keys over the
+    tree's Parikh table plus the cycle-basis vectors; each system holds
+    that one block.
     """
 
     def __init__(self, lts: Lts, tree: SpanningTree,
@@ -117,47 +136,27 @@ class SystemContext:
         self.fvar = tuple(range(n + 1, 2 * n + 1))
         self.names = ("R0",) + tuple(f"B_{x}" for x in lts.labels) \
             + tuple(f"F_{x}" for x in lts.labels)
-        self._base = self._build_base_rows()
-
-    def _effect_coeffs(self, entries: Iterable[tuple[int, int]],
-                       coeffs: dict[int, int]) -> dict[int, int]:
-        """Write ``count * (F - B)`` of every nonzero ``(label, count)``
-        entry into ``coeffs``, whose B and F columns must be unset."""
-        for label, count in entries:
-            if count:
-                coeffs[self.fvar[label]] = count
-                coeffs[self.bvar[label]] = -count
-        return coeffs
-
-    def _state_coeffs(self, state: int) -> dict[int, int]:
-        return self._effect_coeffs(enumerate(self.tree.parikh[state]),
-                                   {0: 1})  # R0
-
-    def _build_base_rows(self) -> tuple[Row, ...]:
-        rows: list[Row] = []
-        seen: set[tuple] = set()
-        for s, t, s2 in self.lts.edges:
-            coeffs = self._state_coeffs(s)
-            coeffs[self.bvar[t]] = coeffs.get(self.bvar[t], 0) - 1
-            row = make_row(coeffs, ">=", 0,
-                           tag=f"edge:{self.lts.states[s]}:"
-                               f"{self.lts.labels[t]}")
-            if row.coeffs not in seen:
-                seen.add(row.coeffs)
-                rows.append(row)
-        for i, gamma in enumerate(self.basis):
-            rows.append(make_row(self._effect_coeffs(gamma.counts, {}),
-                                 "=", 0, tag=f"cycle:{i}"))
-        return tuple(rows)
+        # one edge row per (psi(s), label), at its first edge: the F
+        # columns spell out psi(s) and the B columns add 1 at the label,
+        # so these are exactly the edges with distinct coefficients
+        first: dict[tuple[tuple[int, ...], int], int] = {}
+        parikh = tree.parikh
+        for s, t, _ in lts.edges:
+            first.setdefault((parikh[s], t), s)
+        states = tuple(first.values())
+        labels = tuple(t for _, t in first)
+        self.block = RowBlock(len(self.names), 0, self.bvar, self.fvar,
+                              parikh, states, labels,
+                              [gamma.counts for gamma in basis],
+                              partial(_base_tag, lts, states, labels))
 
     def base_rows(self) -> tuple[Row, ...]:
-        return self._base
+        """The edge rows, then one zero-effect row per cycle-basis vector,
+        as `Row`s.  Built on first call; systems hold ``block`` instead."""
+        return self.block.rows()
 
     def essp_row(self, essp: ESSP) -> Row:
-        coeffs = self._state_coeffs(essp.state)
-        bvar = self.bvar[essp.label]
-        coeffs[bvar] = coeffs.get(bvar, 0) - 1
-        return make_row(coeffs, "<", 0,
+        return make_row(self.block.key_coeffs(essp.state, essp.label), "<", 0,
                         tag=f"essp:{self.lts.states[essp.state]}:"
                             f"{self.lts.labels[essp.label]}")
 
@@ -166,7 +165,7 @@ class SystemContext:
             raise ValueError("sign must be '<' or '>'")
         parikh = self.tree.parikh
         delta = map(sub, parikh[ssp.s1], parikh[ssp.s2])
-        return make_row(self._effect_coeffs(enumerate(delta), {}), sign, 0,
+        return make_row(self.block.effect_coeffs(enumerate(delta)), sign, 0,
                         tag=f"ssp:{self.lts.states[ssp.s1]}:"
                             f"{self.lts.states[ssp.s2]}")
 
@@ -224,9 +223,10 @@ class SystemContext:
                                      tag=f"above:{self.lts.labels[rep]}"))
         return rows
 
-    def system(self, rows, zero_one=False) -> LinearSystem:
+    def system(self, rows: Iterable[Row | RowBlock],
+               zero_one: bool = False) -> LinearSystem:
         flags = frozenset(self.bvar + self.fvar) if zero_one else frozenset()
-        return LinearSystem(len(self.names), tuple(rows), flags)
+        return LinearSystem(len(self.names), rows, flags)
 
 
 def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
@@ -236,8 +236,7 @@ def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
 
     All rows are homogeneous, so a rational solution lifts to integers.
     """
-    rows = [ctx.essp_row(essp)]
-    rows += ctx.base_rows()
+    rows = [ctx.essp_row(essp), ctx.block]
     rows += ctx.relation_rows(graph, essp.label, doi_choice)
     return ctx.system(rows)
 
@@ -251,8 +250,7 @@ def ssp_system_wpi(ctx: SystemContext, graph: RelationGraph, ssp: SSP,
     The disequality over the Parikh difference is split by the caller into
     its two strict branches.
     """
-    rows = [ctx.ssp_row(ssp, sign)]
-    rows += ctx.base_rows()
+    rows = [ctx.ssp_row(ssp, sign), ctx.block]
     rows += ctx.relation_rows(graph, label, doi_choice)
     return ctx.system(rows)
 
@@ -276,7 +274,7 @@ def _block_system(ctx: SystemContext, consumers: list[int],
     rows += [_fix(ctx.bvar[t], 0, f"outside:{names[t]}")
              for t in range(len(names)) if t not in consumers]
     rows += [ctx.essp_row(ESSP(s, label)) for s in states]
-    rows += ctx.base_rows()
+    rows.append(ctx.block)
     return ctx.system(rows, zero_one=True)
 
 
@@ -328,7 +326,7 @@ def brac_ssp_system_freechoice(ctx: SystemContext, graph: RelationGraph,
              for t in range(len(names)) if t not in members]
     if key in involved:
         rows.append(_fix(ctx.bvar[key], 0, f"choice-free:{names[key]}"))
-    rows += ctx.base_rows()
+    rows.append(ctx.block)
     return ctx.system(rows, zero_one=True)
 
 

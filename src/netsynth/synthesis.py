@@ -603,8 +603,8 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
             key = (si, frozenset((ssp.s1, ssp.s2, sign)
                                  for ssp, sign in extras))
             if key not in cache:
-                rows = list(system.rows) + [ctx.ssp_row(ssp, sign)
-                                            for ssp, sign in extras]
+                rows = system.rows + [ctx.ssp_row(ssp, sign)
+                                      for ssp, sign in extras]
                 cache[key] = solve(ctx.system(rows, zero_one=True))
             if not cache[key].feasible:
                 break

@@ -434,3 +434,61 @@ class TestMatching:
         first = resolve_inclusion_matching(pairs)
         for _ in range(5):
             assert resolve_inclusion_matching(pairs) == first
+
+
+class TestOnePassDeactivation:
+    """`build_relation_graph` finds the deactivating pairs in one pass over
+    the edges; `pair_relation`'s per-pair scan is the reference."""
+
+    @staticmethod
+    def pairwise(lts):
+        n = len(lts.labels)
+        return {(a, b) for a in range(n) for b in range(a + 1, n)
+                if pair_relation(lts, a, b).merge}
+
+    @staticmethod
+    def inputs():
+        import pathlib
+        from netsynth.oracle import random_brac_net
+        from netsynth.petri import reachability_graph
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        cases = {p.stem: parse_lts(p.read_text())
+                 for p in sorted(fixtures.glob("*.lts"))}
+        cases.update({f"random_lts/{i}": random_lts(i, 24, 6)
+                      for i in range(300)})
+        cases.update({f"ladder/{seed}": reachability_graph(
+                          random_brac_net(seed, 6, 4), 100_000)
+                      for seed in (44, 17, 38)})
+        return cases
+
+    def test_graph_equals_pairwise_reference(self, monkeypatch):
+        import netsynth.relations
+        cases = self.inputs()
+        got = {name: build_relation_graph(lts) for name, lts in cases.items()}
+        monkeypatch.setattr(netsynth.relations, "_deactivating_pairs",
+                            self.pairwise)
+        expected = {name: build_relation_graph(lts)
+                    for name, lts in cases.items()}
+        assert got == expected
+        # both outcomes occur
+        assert any(isinstance(g, Contradiction) for g in got.values())
+        assert any(isinstance(g, RelationGraph) for g in got.values())
+
+    def test_relations_command_bytes_unchanged(self, monkeypatch, tmp_path):
+        import pathlib
+        import netsynth.relations
+        from netsynth.cli import run
+        fixtures = sorted((pathlib.Path(__file__).parent / "fixtures")
+                          .glob("*.lts"))
+
+        def outputs():
+            out = {}
+            for path in fixtures:
+                target = tmp_path / f"{path.stem}.json"
+                run(["relations", str(path), "--json", str(target)])
+                out[path.stem] = target.read_bytes()
+            return out
+        got = outputs()
+        monkeypatch.setattr(netsynth.relations, "_deactivating_pairs",
+                            self.pairwise)
+        assert got == outputs()

@@ -98,3 +98,18 @@ def test_scale_report_bytes_unchanged(pipeline, tmp_path):
     assert len(expected) == len(got) == len(SCALE_NETS)
     changed = sorted(k for k in got if got[k] != expected.get(k))
     assert not changed, f"report bytes changed: {changed}"
+
+
+@pytest.mark.parametrize("pipeline", ["wpi", "brac"])
+@pytest.mark.parametrize("family", ["fixture", "random_brac_net"])
+def test_pipelines_never_write_out_base_rows(family, pipeline, tmp_path,
+                                             monkeypatch):
+    """The systems hold the base rows as one block, which the solver
+    splices in and checks without building a `Row` for any of them."""
+    def written_out(block):
+        raise AssertionError("a pipeline built the base rows as Row objects")
+    monkeypatch.setattr("netsynth.linsys.RowBlock.rows", written_out)
+    got = family_digests(family, pipeline, tmp_path)
+    expected = {k: v for k, v in DIGESTS.items()
+                if k.startswith(f"{pipeline}/{family}/")}
+    assert got == expected

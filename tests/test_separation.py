@@ -352,3 +352,132 @@ class TestRegionMarks:
         assert region.is_valid(fig1)
         assert not replace(region, r0=3).is_valid(fig1)
         assert not replace(region, marks=region.marks[1:]).is_valid(fig1)
+
+
+class TestBaseBlock:
+    """Systems hold the context's base rows as one shared `RowBlock`.
+
+    The block is checked against the same rows written out as `Row`s:
+    the integer witness check (`LinearSystem.holds`) against the Fraction
+    check `satisfied_by`, and the spliced dual tableau against the one the
+    written-out rows give.
+    """
+
+    BUILDERS = ("essp_system_wpi", "ssp_system_wpi", "brac_block_systems",
+                "brac_ssp_system_freechoice")
+
+    @classmethod
+    def pipeline_systems(cls, per_kind=2):
+        """The first ``per_kind`` systems of each kind that both pipelines
+        build on the fixtures and the graphs of random_brac_net(0..9)."""
+        import pathlib
+        import netsynth.synthesis
+        from netsynth.oracle import random_brac_net
+        from netsynth.petri import reachability_graph
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        inputs = [parse_lts(p.read_text())
+                  for p in sorted(fixtures.glob("*.lts"))]
+        inputs += [reachability_graph(random_brac_net(i), 100_000)
+                   for i in range(10)]
+        systems = []
+        originals = {name: getattr(netsynth.synthesis, name)
+                     for name in cls.BUILDERS}
+
+        def wrap(builder):
+            built = []
+
+            def build(*args, **kwargs):
+                result = builder(*args, **kwargs)
+                if len(built) < per_kind:
+                    built.append(result)
+                    systems.extend(result if isinstance(result, tuple)
+                                   else (result,))
+                return result
+            return build, built
+        for lts in inputs:
+            for pipeline in ("wpi", "brac"):
+                for name, builder in originals.items():
+                    setattr(netsynth.synthesis, name, wrap(builder)[0])
+                try:
+                    getattr(netsynth.synthesis,
+                            "synthesize_" + pipeline)(lts)
+                finally:
+                    for name, builder in originals.items():
+                        setattr(netsynth.synthesis, name, builder)
+        return systems
+
+    @staticmethod
+    def written_out(system):
+        from netsynth.linsys import LinearSystem
+        return LinearSystem(system.columns, tuple(system.rows),
+                            system.zero_one)
+
+    def test_every_pipeline_system_holds_the_block(self):
+        from netsynth.linsys import RowBlock
+        systems = self.pipeline_systems()
+        assert len(systems) > 50
+        for system in systems:
+            blocks = [p for p in system.rows.parts
+                      if isinstance(p, RowBlock)]
+            assert len(blocks) == 1
+            assert len(system.rows) == len(system.rows.parts) - 1 \
+                + len(blocks[0].rows())
+
+    def test_holds_agrees_with_fraction_check(self):
+        from math import lcm
+        from netsynth.linsys import integerize_strict
+        verdicts = []
+        for system in self.pipeline_systems():
+            sol = (solve_integer(system) if system.zero_one
+                   else solve_rational(system))
+            if not sol.feasible:
+                continue
+            checked = [system]
+            if system.zero_one:
+                checked.append(integerize_strict(system))
+            den = lcm(*(v.denominator for v in sol.assignment))
+            num = [int(v * den) for v in sol.assignment]
+            points = [num]
+            for j in range(len(num)):
+                for step in (1, -1):
+                    moved = list(num)
+                    moved[j] += step
+                    points.append(moved)
+            for checked_system in checked:
+                for point in points:
+                    got = checked_system.holds(point, den)
+                    assert got == checked_system.satisfied_by(
+                        [Fraction(v, den) for v in point])
+                    verdicts.append(got)
+            assert system.holds(num, den)
+        # moving one coordinate breaks some rows and keeps others
+        assert True in verdicts and False in verdicts
+
+    def test_spliced_tableau_is_the_written_one(self):
+        from netsynth.linsys import _Simplex
+        for system in self.pipeline_systems(per_kind=1):
+            spliced, written = _Simplex(system), \
+                _Simplex(self.written_out(system))
+            assert spliced.tableau == written.tableau
+            assert spliced.costs == written.costs
+            assert spliced.basis == written.basis
+            sol = solve_rational(system)
+            ref = solve_rational(self.written_out(system))
+            assert (sol.status, sol.pivots, sol.assignment) == \
+                (ref.status, ref.pivots, ref.assignment)
+
+    def test_integerize_and_extension_keep_the_block(self, fig1):
+        from netsynth.linsys import RowBlock, integerize_strict
+        ctx, graph = stage(fig1, brac=True)
+        system = ctx.system(essp_system_wpi(ctx, graph, ESSP(0, 1)).rows,
+                            zero_one=True)
+        extended = ctx.system(system.rows + [ctx.ssp_row(SSP(0, 1), "<")],
+                              zero_one=True)
+        for derived in (integerize_strict(system), extended):
+            assert any(p is ctx.block for p in derived.rows.parts)
+        assert len(extended.rows) == len(system.rows) + 1
+        assert list(extended.rows)[:-1] == list(system.rows)
+        assert extended.rows[-1].tag == "ssp:s0:s1"
+        assert system.rows[1] == ctx.base_rows()[0]
+        assert system.rows[-len(system.rows)] == system.rows[0]
+        assert not any(isinstance(r, RowBlock) for r in system.rows)
