@@ -7,22 +7,17 @@ the solver never sees a variable name (``dump_lp`` takes names only to
 print).  Rows are integral: ``make_row`` multiplies a rational row by the
 lcm of its denominators, once, and records that lcm as ``Row.scale``.
 
-Rows that many systems share are stored once, as a `RowBlock`: the rows
-``x_u + v.(x_F - x_B) - x_{B_t} >= 0`` of a table of count vectors ``v``
-plus the cycle rows ``g.(x_F - x_B) = 0``.  A system holds its own rows
-and its blocks in order (`Rows`); reading ``system.rows`` yields every
-row, a block's rows being built once, on first read.  A block's columns
-are range-checked when it is made, not in every system that holds it.
+Rows that many systems share are one `RowBlock`, kept in compact form;
+a system holds its rows and blocks in order (`Rows`), which still reads
+as every row.
 
 Rational feasibility is decided by an exact integer-tableau simplex that
-reads the rows straight into its dual tableau and never touches a
-`fractions.Fraction`; a block's dual-tableau columns are built once and
-spliced into every tableau, so each tableau is the one its row list
-gives.  Strict rows are handled by maximising one shared slack, the only
-reason for an artificial column.  The witness comes out as integer
-numerators over one denominator and is re-substituted into the rows, a
-block's rows through the value of ``x_u + v.(x_F - x_B)`` at each count
-vector; only the returned assignment is built from Fractions.
+reads the rows straight into its dual tableau, a block's cached columns
+spliced in, and never touches a `fractions.Fraction`; strict rows are
+handled by maximising one shared slack, the only reason for an
+artificial column.  The witness comes out as integer numerators over one
+denominator and is re-substituted into the rows; only the returned
+assignment is built from Fractions.
 Homogeneous solutions lift to integers by denominator clearing, and a
 0/1-aware branch-and-bound gives bounded integer feasibility.
 """
@@ -91,14 +86,14 @@ def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
 
 
 class RowBlock:
-    """Homogeneous rows that many systems share, stored once.
+    """Homogeneous rows shared by many systems.
 
-    With ``u = origin`` and ``(B_l, F_l) = (consume[l], produce[l])``, the
-    rows are, for each key ``(i, t) = (key_vectors[k], key_labels[k])``,
-    ``x_u + vectors[i].(x_F - x_B) - x_{B_t} >= 0``, then, for each cycle
-    vector ``g`` of nonzero ``(l, count)`` pairs, ``g.(x_F - x_B) = 0``.
-    ``tag(k)`` names row k.  The columns are range-checked here, once; the
-    `Row`s and the dual-tableau columns are built on first use and kept.
+    With ``u = origin``, ``B = consume`` and ``F = produce`` (one column
+    per label): ``x_u + vectors[i].(x_F - x_B) - x_{B_t} >= 0`` for each
+    key ``(i, t)`` of ``zip(key_vectors, key_labels)``, then
+    ``g.(x_F - x_B) = 0`` for each cycle ``g`` of ``(label, count)``
+    pairs.  ``tag(k)`` names row k.  The columns are checked once, here;
+    `rows` and `dual_columns` are built on first use and kept.
     """
 
     def __init__(self, columns: int, origin: int, consume: Sequence[int],
@@ -116,7 +111,7 @@ class RowBlock:
         self.consume, self.produce = tuple(consume), tuple(produce)
         self.vectors, self.cycles = vectors, tuple(cycles)
         self.key_vectors, self.key_labels = key_vectors, key_labels
-        # simplex copies: one per >= row, two per = row
+        # simplex copies (_LEQ_COPIES): one per >= row, two per = row
         self.copies = len(key_vectors) + 2 * len(self.cycles)
         self._rows: Optional[tuple[Row, ...]] = None
         self._dual: Optional[dict[int, list[int]]] = None
@@ -127,8 +122,7 @@ class RowBlock:
     def effect_coeffs(self, entries: Iterable[tuple[int, int]],
                       coeffs: Optional[dict[int, int]] = None) \
             -> dict[int, int]:
-        """``count * (x_F - x_B)`` of every nonzero ``(label, count)``
-        entry, written into ``coeffs`` (a new dict if None)."""
+        """``count * (x_F - x_B)`` per ``(label, count)``, into ``coeffs``."""
         coeffs = {} if coeffs is None else coeffs
         for label, count in entries:
             if count:
@@ -144,8 +138,7 @@ class RowBlock:
         return coeffs
 
     def rows(self) -> tuple[Row, ...]:
-        """The rows as `make_row` builds them; equal ``(column,
-        coefficient)`` pairs are one shared tuple."""
+        """The rows as `make_row` builds them, sharing equal pairs."""
         if self._rows is None:
             shared: dict[tuple[int, int], tuple[int, int]] = {}
             lhs = [self.key_coeffs(i, t)
@@ -160,9 +153,8 @@ class RowBlock:
         return self._rows
 
     def dual_columns(self) -> dict[int, list[int]]:
-        """Column -> its ``copies`` dual-tableau entries as `_Simplex`
-        writes them: a ``>=`` row's coefficients, and an ``=`` row's
-        negated coefficients followed by its coefficients."""
+        """Column -> its entries in the dual tableau, as `_Simplex` writes
+        the rows' copies."""
         if self._dual is None:
             n, keys = len(self.consume), len(self.key_vectors)
             at = list(map(self.vectors.__getitem__, self.key_vectors))
@@ -181,9 +173,8 @@ class RowBlock:
         return self._dual
 
     def holds(self, num: Sequence[int], den: int) -> bool:
-        """Whether every row holds at ``x = num / den``: the rows are
-        homogeneous, so ``x_u + v.(x_F - x_B)`` is taken once per count
-        vector ``v`` in numerators and compared with ``x_{B_t}`` per key."""
+        """Whether every row holds at ``x = num / den``; homogeneous rows
+        need only ``num``, and ``x_u + v.(x_F - x_B)`` once per vector."""
         effect = [num[f] - num[b] for b, f in zip(self.consume, self.produce)]
         if any(sum(c * effect[l] for l, c in g) for g in self.cycles):
             return False
@@ -195,11 +186,8 @@ class RowBlock:
 
 
 class Rows(SequenceABC):
-    """A system's rows and `RowBlock`s, in order (``parts``).
-
-    As a sequence it holds every row, each block's rows in its place; its
-    length reads no block's rows, and neither does an index before the
-    first block.
+    """A system's rows and `RowBlock`s in order (``parts``), read as every
+    row; only iterating, or indexing at or past a block, builds its rows.
     """
 
     def __init__(self, parts: Iterable[Row | RowBlock] = ()):
@@ -237,9 +225,9 @@ class Rows(SequenceABC):
 class LinearSystem:
     """Inequality system over ``columns`` nonnegative variables.
 
-    ``rows`` may be given as any sequence of `Row`s and `RowBlock`s and is
-    stored as `Rows`.  ``zero_one`` flags columns additionally bounded to
-    {0, 1}; the bound rows are materialised by the solvers, not stored.
+    ``rows`` (`Row`s and `RowBlock`s) is stored as `Rows`.  ``zero_one``
+    flags columns additionally bounded to {0, 1}; the bound rows are
+    materialised by the solvers, not stored.
     """
 
     columns: int
@@ -268,9 +256,8 @@ class LinearSystem:
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
         """Whether ``values`` satisfy the system, in Fractions.
 
-        It reads every row, a block's too, and does not use the integer
-        re-substitution the solver uses (``holds``), so tests can check
-        the solver against it.
+        It does not use the integer re-substitution the solver uses
+        (``holds``), so tests can check the solver against it.
         """
         if any(v < 0 for v in values):
             return False
@@ -344,8 +331,7 @@ class _Simplex:
     equals the (small) variable count; the primal witness is read off the
     reduced costs of the surplus columns.  ``M`` is never built: each row's
     integer ``(column, coef)`` pairs are written straight into the tableau,
-    and each `RowBlock`'s cached dual columns are spliced in at its place
-    in the row order, so the tableau is the one its rows would give.
+    a `RowBlock`'s cached columns spliced in, giving the same tableau.
     Scaling a primal row by its ``scale`` multiplies one dual column by a
     positive number, which changes no pivot and not the witness.  The
     objective ``c`` is zero, or the unit vector of the shared strictness
@@ -364,8 +350,8 @@ class _Simplex:
     """
 
     def __init__(self, system: LinearSystem, extra: Sequence[Row] = ()):
-        # (dual column, row, sign, strict) per copy of a row; a block's
-        # copies take the next ``block.copies`` dual columns
+        # (dual column, row, sign, strict) per copy; a block takes the
+        # next block.copies columns
         copies, blocks, m = [], [], 0
         for part in system.rows.parts + tuple(extra):
             if isinstance(part, RowBlock):
@@ -397,7 +383,7 @@ class _Simplex:
             if strict:
                 tableau[-1][i] = row.scale
             costs[i] = sign * row.const
-        # a block's rows are homogeneous and not strict: only its columns
+        # a block's rows are homogeneous and not strict
         for i, block in blocks:
             for j, entries in block.dual_columns().items():
                 tableau[j][i:i + block.copies] = entries
