@@ -393,11 +393,11 @@ class TestBaseBlock:
                     systems.extend(result if isinstance(result, tuple)
                                    else (result,))
                 return result
-            return build, built
+            return build
         for lts in inputs:
             for pipeline in ("wpi", "brac"):
                 for name, builder in originals.items():
-                    setattr(netsynth.synthesis, name, wrap(builder)[0])
+                    setattr(netsynth.synthesis, name, wrap(builder))
                 try:
                     getattr(netsynth.synthesis,
                             "synthesize_" + pipeline)(lts)
