@@ -190,7 +190,7 @@ class Rows(SequenceABC):
     row; only iterating, or indexing at or past a block, builds its rows.
     """
 
-    def __init__(self, parts: Iterable[Row | RowBlock] = ()):
+    def __init__(self, parts: Iterable[Row | RowBlock]):
         self.parts = tuple(parts)
         self._len = sum(len(p) if isinstance(p, RowBlock) else 1
                         for p in self.parts)
