@@ -20,6 +20,7 @@ from netsynth.lts import Lts
 from netsynth.separation import PlaceSpec
 
 _NAME = re.compile(r"[A-Za-z0-9_]+$")
+_COUNT = re.compile(r"[0-9]+")  # str.isdigit also takes "²" and "٣"
 
 Marking = tuple[int, ...]
 
@@ -322,7 +323,7 @@ def parse_net(text: str | bytes) -> PetriNet:
         parts = line.split()
         kind = parts[0]
         if kind == "place":
-            if len(parts) != 3 or not parts[2].isdigit():
+            if len(parts) != 3 or not _COUNT.fullmatch(parts[2]):
                 raise PetriNetError(f"line {lineno}: expected "
                                     "'place <name> <tokens>'")
             places[new_id(parts[1], lineno)] = len(places)
@@ -338,7 +339,7 @@ def parse_net(text: str | bytes) -> PetriNet:
                                     "'arc <from> <to> [weight]'")
             weight = 1
             if len(parts) == 4:
-                if not parts[3].isdigit() or int(parts[3]) < 1:
+                if not _COUNT.fullmatch(parts[3]) or int(parts[3]) < 1:
                     raise PetriNetError(f"line {lineno}: bad weight "
                                         f"{parts[3]!r}")
                 weight = int(parts[3])

@@ -248,6 +248,16 @@ class TestNetFormat:
         with pytest.raises(PetriNetError, match="line 4"):
             parse_net("place p 0\ntransition t\narc p t\narc p t 2\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("place p ²\n", 1), ("place p ٣\n", 1),
+        ("place p 0\ntransition t\narc p t ³\n", 3),
+        ("place p 0\ntransition t\narc p t ٣\n", 3)],
+        ids=["tokens-superscript", "tokens-arabic-indic",
+             "weight-superscript", "weight-arabic-indic"])
+    def test_non_ascii_digits_rejected(self, text, line):
+        with pytest.raises(PetriNetError, match=f"line {line}"):
+            parse_net(text)
+
     def test_duplicate_id_rejected(self):
         with pytest.raises(PetriNetError, match="line 2"):
             parse_net("place p 0\ntransition p\n")
