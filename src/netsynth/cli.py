@@ -19,7 +19,7 @@ from netsynth.petri import (CapExceeded, PetriNetError, classify_net,
                             parse_net, reachability_graph, render_dot,
                             serialize_net)
 from netsynth.relations import (Contradiction, build_relation_graph,
-                                classify_case, pair_relation,
+                                classify_case, pair_relations,
                                 quotient_by_equivalence, strengthen_wpi)
 from netsynth.synthesis import (CAP_EXCEEDED, SynthesisConfig,
                                 synthesize_brac, synthesize_wpi,
@@ -86,13 +86,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_relations(args) -> int:
     lts = _load_valid_lts(args.file)
-    pairs = []
-    for a in range(len(lts.labels)):
-        for b in range(a + 1, len(lts.labels)):
-            rel = pair_relation(lts, a, b)
-            pairs.append({"a": lts.labels[a], "b": lts.labels[b],
-                          "kind": rel.kind, "merge": rel.merge,
-                          "case": classify_case(rel)})
+    pairs = [{"a": lts.labels[a], "b": lts.labels[b], "kind": rel.kind,
+              "merge": rel.merge, "case": classify_case(rel)}
+             for (a, b), rel in pair_relations(lts)]
     contradictions = []
     graph_entries = []
     stage = build_relation_graph(lts)

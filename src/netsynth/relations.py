@@ -184,8 +184,8 @@ def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
     """Enabledness relation and deactivation flag of labels ``a`` and ``b``.
 
     Computed by a direct scan of the per-state enabled-label sets; the
-    reference for `build_relation_graph`, which finds every deactivating
-    pair in one pass.
+    reference for `pair_relations`, which finds every deactivating pair
+    in one pass.
     """
     if a == b:
         raise ValueError("pair relation requires two distinct labels")
@@ -210,20 +210,26 @@ def classify_case(rel: PairRelation) -> int:
     return 5 if rel.merge else 6
 
 
-def _deactivating_pairs(lts: Lts) -> set[tuple[int, int]]:
-    """Every label pair ``(a, b)``, ``a < b``, of which firing one at some
-    state enabling both disables the other.
+def pair_relations(lts: Lts) \
+        -> Iterator[tuple[tuple[int, int], PairRelation]]:
+    """Every label pair ``(a, b)``, ``a < b``, in index order, with its
+    `PairRelation`.
 
-    One pass over the (state, label) -> target map: the labels enabled
-    at the state but not at the target are the ones the label disables.
+    The deactivating pairs come from one pass over the (state, label) ->
+    target map: the labels enabled at the state but not at the target
+    are the ones the label disables.
     """
     enabled = lts.enabled
-    pairs = set()
+    merging = set()
     for (s, a), s2 in lts.successor.items():
         for b in enabled[s] - enabled[s2]:
             if b != a:
-                pairs.add((a, b) if a < b else (b, a))
-    return pairs
+                merging.add((a, b) if a < b else (b, a))
+    n = len(lts.labels)
+    for a in range(n):
+        for b in range(a + 1, n):
+            yield (a, b), PairRelation(_pair_kind(lts, a, b),
+                                       (a, b) in merging)
 
 
 def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
@@ -234,35 +240,31 @@ def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
     self-loop for the unresolved doi edge to exist; otherwise the presets
     are disjoint.
     """
-    n = len(lts.labels)
     edges: dict[tuple[int, int], Edge] = {}
-    merging = _deactivating_pairs(lts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            rel = PairRelation(_pair_kind(lts, a, b), (a, b) in merging)
-            case = classify_case(rel)
-            if case == 1:
-                return Contradiction((a, b), "deactivating-interleave",
-                                     f"labels {lts.labels[a]} and "
-                                     f"{lts.labels[b]} deactivate each other "
-                                     "but are enabled independently")
-            if case == 2:
-                edges[(a, b)] = Edge(DISJOINT, a, b)
-            elif case in (3, 4):
-                edges[(a, b)] = Edge(EQUIVALENT, a, b)
-            elif case == 5:
-                # x > y means x is enabled strictly less often and needs the
-                # larger preset; the smaller-preset label is lo.
-                lo, hi = (b, a) if rel.kind == A_GTR_B else (a, b)
-                edges[(a, b)] = Edge(INCLUDED, lo, hi)
+    for (a, b), rel in pair_relations(lts):
+        case = classify_case(rel)
+        if case == 1:
+            return Contradiction((a, b), "deactivating-interleave",
+                                 f"labels {lts.labels[a]} and "
+                                 f"{lts.labels[b]} deactivate each other "
+                                 "but are enabled independently")
+        if case == 2:
+            edges[(a, b)] = Edge(DISJOINT, a, b)
+        elif case in (3, 4):
+            edges[(a, b)] = Edge(EQUIVALENT, a, b)
+        elif case == 5:
+            # x > y means x is enabled strictly less often and needs the
+            # larger preset; the smaller-preset label is lo.
+            lo, hi = (b, a) if rel.kind == A_GTR_B else (a, b)
+            edges[(a, b)] = Edge(INCLUDED, lo, hi)
+        else:
+            wide = b if rel.kind == A_GTR_B else a
+            narrow = a if rel.kind == A_GTR_B else b
+            if wide in lts.self_loop_labels:
+                edges[(a, b)] = Edge(DOI, wide, narrow)
             else:
-                wide = b if rel.kind == A_GTR_B else a
-                narrow = a if rel.kind == A_GTR_B else b
-                if wide in lts.self_loop_labels:
-                    edges[(a, b)] = Edge(DOI, wide, narrow)
-                else:
-                    edges[(a, b)] = Edge(DISJOINT, a, b)
-    return RelationGraph(lts.labels, tuple(range(n)), edges)
+                edges[(a, b)] = Edge(DISJOINT, a, b)
+    return RelationGraph(lts.labels, tuple(range(len(lts.labels))), edges)
 
 
 _COMPATIBLE = {

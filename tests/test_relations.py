@@ -8,7 +8,7 @@ from netsynth.relations import (A_GTR_B, B_GTR_A, Contradiction, DISJOINT,
                                 DOI, EQUIV, EQUIVALENT, Edge, INCLUDED,
                                 INTERLEAVE, MatchingFailure, PairRelation,
                                 RelationGraph, build_relation_graph,
-                                classify_case, pair_relation,
+                                classify_case, pair_relation, pair_relations,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
@@ -437,14 +437,15 @@ class TestMatching:
 
 
 class TestOnePassDeactivation:
-    """`build_relation_graph` finds the deactivating pairs in one pass over
-    the edges; `pair_relation`'s per-pair scan is the reference."""
+    """`pair_relations`, behind `build_relation_graph` and the `relations`
+    command, finds the deactivating pairs in one pass over the edges;
+    `pair_relation`'s per-pair scan is the reference."""
 
     @staticmethod
     def pairwise(lts):
         n = len(lts.labels)
-        return {(a, b) for a in range(n) for b in range(a + 1, n)
-                if pair_relation(lts, a, b).merge}
+        return (((a, b), pair_relation(lts, a, b))
+                for a in range(n) for b in range(a + 1, n))
 
     @staticmethod
     def inputs():
@@ -461,11 +462,15 @@ class TestOnePassDeactivation:
                       for seed in (44, 17, 38)})
         return cases
 
+    def test_table_equals_pairwise_reference(self):
+        for lts in self.inputs().values():
+            assert list(pair_relations(lts)) == list(self.pairwise(lts))
+
     def test_graph_equals_pairwise_reference(self, monkeypatch):
         import netsynth.relations
         cases = self.inputs()
         got = {name: build_relation_graph(lts) for name, lts in cases.items()}
-        monkeypatch.setattr(netsynth.relations, "_deactivating_pairs",
+        monkeypatch.setattr(netsynth.relations, "pair_relations",
                             self.pairwise)
         expected = {name: build_relation_graph(lts)
                     for name, lts in cases.items()}
@@ -476,6 +481,7 @@ class TestOnePassDeactivation:
 
     def test_relations_command_bytes_unchanged(self, monkeypatch, tmp_path):
         import pathlib
+        import netsynth.cli
         import netsynth.relations
         from netsynth.cli import run
         fixtures = sorted((pathlib.Path(__file__).parent / "fixtures")
@@ -489,6 +495,6 @@ class TestOnePassDeactivation:
                 out[path.stem] = target.read_bytes()
             return out
         got = outputs()
-        monkeypatch.setattr(netsynth.relations, "_deactivating_pairs",
-                            self.pairwise)
+        for module in (netsynth.relations, netsynth.cli):
+            monkeypatch.setattr(module, "pair_relations", self.pairwise)
         assert got == outputs()
