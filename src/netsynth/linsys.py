@@ -7,7 +7,7 @@ the solver never sees a variable name (``dump_lp`` takes names only to
 print).  Rows are integral: ``make_row`` multiplies a rational row by the
 lcm of its denominators, once, and records that lcm as ``Row.scale``.
 
-Rows that many systems share are one `RowBlock`, kept in compact form;
+Rows that many systems share can be one block, kept in compact form;
 a system holds its rows and blocks in order (`Rows`), which still reads
 as every row.
 
@@ -25,12 +25,10 @@ Homogeneous solutions lift to integers by denominator clearing, and a
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from operator import mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 _OPERATORS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
               ">=": operator.ge, ">": operator.gt, "!=": operator.ne}
@@ -85,147 +83,34 @@ def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
                const.numerator * (scale // const.denominator), tag, scale)
 
 
-class RowBlock:
-    """Homogeneous rows shared by many systems.
+class Rows:
+    """A system's parts in order (``parts``), read as every row.
 
-    With ``u = origin``, ``B = consume`` and ``F = produce`` (one column
-    per label): ``x_u + vectors[i].(x_F - x_B) - x_{B_t} >= 0`` for each
-    key ``(i, t)`` of ``zip(key_vectors, key_labels)``, then
-    ``g.(x_F - x_B) = 0`` for each cycle ``g`` of ``(label, count)``
-    pairs.  ``tag(k)`` names row k.  The columns are checked once, here;
-    `rows` and `dual_columns` are built on first use and kept.
+    A part that is not a `Row` is a block: homogeneous, non-strict rows
+    that many systems share, over its first ``columns`` columns.  It has
+    ``len`` rows, ``rows()`` writes them out as `Row`s, ``copies`` is
+    their simplex copy count (`_LEQ_COPIES`), ``dual_columns()`` maps a
+    column to its entries in those copies' dual-tableau columns, and
+    ``holds(num, den)`` checks them all.  Only iterating builds a block's
+    rows.
     """
 
-    def __init__(self, columns: int, origin: int, consume: Sequence[int],
-                 produce: Sequence[int], vectors: Sequence[Sequence[int]],
-                 key_vectors: Sequence[int], key_labels: Sequence[int],
-                 cycles: Sequence[Sequence[tuple[int, int]]],
-                 tag: Callable[[int], str]):
-        used = (origin, *consume, *produce)
-        if len(consume) != len(produce) or len(set(used)) < len(used):
-            raise ValueError("a block needs distinct consume and produce "
-                             "columns, one of each per label")
-        if not all(0 <= j < columns for j in used):
-            raise ValueError("block references an undeclared column")
-        self.columns, self.origin, self.tag = columns, origin, tag
-        self.consume, self.produce = tuple(consume), tuple(produce)
-        self.vectors, self.cycles = vectors, tuple(cycles)
-        self.key_vectors, self.key_labels = key_vectors, key_labels
-        # simplex copies (_LEQ_COPIES): one per >= row, two per = row
-        self.copies = len(key_vectors) + 2 * len(self.cycles)
-        self._rows: Optional[tuple[Row, ...]] = None
-        self._dual: Optional[dict[int, list[int]]] = None
-
-    def __len__(self) -> int:
-        return len(self.key_vectors) + len(self.cycles)
-
-    def effect_coeffs(self, entries: Iterable[tuple[int, int]],
-                      coeffs: Optional[dict[int, int]] = None) \
-            -> dict[int, int]:
-        """``count * (x_F - x_B)`` per ``(label, count)``, into ``coeffs``."""
-        coeffs = {} if coeffs is None else coeffs
-        for label, count in entries:
-            if count:
-                coeffs[self.produce[label]] = count
-                coeffs[self.consume[label]] = -count
-        return coeffs
-
-    def key_coeffs(self, i: int, t: int) -> dict[int, int]:
-        """``x_u + vectors[i].(x_F - x_B) - x_{B_t}``."""
-        coeffs = self.effect_coeffs(enumerate(self.vectors[i]),
-                                    {self.origin: 1})
-        coeffs[self.consume[t]] = coeffs.get(self.consume[t], 0) - 1
-        return coeffs
-
-    def rows(self) -> tuple[Row, ...]:
-        """The rows as `make_row` builds them, sharing equal pairs."""
-        if self._rows is None:
-            shared: dict[tuple[int, int], tuple[int, int]] = {}
-            lhs = [self.key_coeffs(i, t)
-                   for i, t in zip(self.key_vectors, self.key_labels)]
-            lhs += [self.effect_coeffs(g) for g in self.cycles]
-            self._rows = tuple(
-                Row(tuple(shared.setdefault(p, p)
-                          for p in sorted(coeffs.items()) if p[1]),
-                    ">=" if k < len(self.key_vectors) else "=", 0,
-                    self.tag(k))
-                for k, coeffs in enumerate(lhs))
-        return self._rows
-
-    def dual_columns(self) -> dict[int, list[int]]:
-        """Column -> its entries in the dual tableau, as `_Simplex` writes
-        the rows' copies."""
-        if self._dual is None:
-            n, keys = len(self.consume), len(self.key_vectors)
-            at = list(map(self.vectors.__getitem__, self.key_vectors))
-            produce = [list(c) for c in zip(*at)] or [[] for _ in range(n)]
-            consume = [[-x for x in c] for c in produce]
-            for k, t in enumerate(self.key_labels):
-                consume[t][k] -= 1
-            for g in map(dict, self.cycles):
-                for l in range(n):
-                    c = g.get(l, 0)
-                    produce[l] += (-c, c)
-                    consume[l] += (c, -c)
-            self._dual = {self.origin: [1] * keys + [0] * (self.copies - keys),
-                          **dict(zip(self.consume, consume)),
-                          **dict(zip(self.produce, produce))}
-        return self._dual
-
-    def holds(self, num: Sequence[int], den: int) -> bool:
-        """Whether every row holds at ``x = num / den``; homogeneous rows
-        need only ``num``, and ``x_u + v.(x_F - x_B)`` once per vector."""
-        effect = [num[f] - num[b] for b, f in zip(self.consume, self.produce)]
-        if any(sum(c * effect[l] for l, c in g) for g in self.cycles):
-            return False
-        marks = [num[self.origin] + sum(map(mul, v, effect))
-                 for v in self.vectors]
-        consumed = [num[b] for b in self.consume]
-        return all(map(operator.ge, map(marks.__getitem__, self.key_vectors),
-                       map(consumed.__getitem__, self.key_labels)))
-
-
-class Rows(SequenceABC):
-    """A system's rows and `RowBlock`s in order (``parts``), read as every
-    row; only iterating, or indexing at or past a block, builds its rows.
-    """
-
-    def __init__(self, parts: Iterable[Row | RowBlock]):
+    def __init__(self, parts: Iterable):
         self.parts = tuple(parts)
-        self._len = sum(len(p) if isinstance(p, RowBlock) else 1
-                        for p in self.parts)
 
     def __len__(self) -> int:
-        return self._len
+        return sum(1 if isinstance(p, Row) else len(p) for p in self.parts)
 
     def __iter__(self):
         for part in self.parts:
-            yield from part.rows() if isinstance(part, RowBlock) else (part,)
-
-    def __getitem__(self, index):
-        if type(index) is int and 0 <= index < len(self.parts) and not any(
-                isinstance(p, RowBlock) for p in self.parts[:index + 1]):
-            return self.parts[index]
-        return tuple(self)[index]
-
-    def __add__(self, other: Iterable[Row | RowBlock]) -> Rows:
-        return Rows(self.parts + tuple(getattr(other, "parts", other)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Rows) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Rows({self.parts!r})"
+            yield from (part,) if isinstance(part, Row) else part.rows()
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """Inequality system over ``columns`` nonnegative variables.
 
-    ``rows`` (`Row`s and `RowBlock`s) is stored as `Rows`.  ``zero_one``
+    ``rows`` (`Row`s and blocks) is stored as `Rows`.  ``zero_one``
     flags columns additionally bounded to {0, 1}; the bound rows are
     materialised by the solvers, not stored.
     """
@@ -238,7 +123,7 @@ class LinearSystem:
         if not isinstance(self.rows, Rows):
             object.__setattr__(self, "rows", Rows(self.rows))
         for part in self.rows.parts:
-            if isinstance(part, RowBlock):
+            if not isinstance(part, Row):
                 if part.columns > self.columns:
                     raise ValueError(f"a block over {part.columns} columns "
                                      f"in a system of {self.columns}")
@@ -251,7 +136,7 @@ class LinearSystem:
     @property
     def homogeneous(self) -> bool:
         return all(p.const == 0 for p in self.rows.parts
-                   if not isinstance(p, RowBlock)) and not self.zero_one
+                   if isinstance(p, Row)) and not self.zero_one
 
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
         """Whether ``values`` satisfy the system, in Fractions.
@@ -331,7 +216,7 @@ class _Simplex:
     equals the (small) variable count; the primal witness is read off the
     reduced costs of the surplus columns.  ``M`` is never built: each row's
     integer ``(column, coef)`` pairs are written straight into the tableau,
-    a `RowBlock`'s cached columns spliced in, giving the same tableau.
+    a block's cached columns spliced in, giving the same tableau.
     Scaling a primal row by its ``scale`` multiplies one dual column by a
     positive number, which changes no pivot and not the witness.  The
     objective ``c`` is zero, or the unit vector of the shared strictness
@@ -354,7 +239,7 @@ class _Simplex:
         # next block.copies columns
         copies, blocks, m = [], [], 0
         for part in system.rows.parts + tuple(extra):
-            if isinstance(part, RowBlock):
+            if not isinstance(part, Row):
                 blocks.append((m, part))
                 m += part.copies
                 continue
@@ -532,7 +417,7 @@ def integerize_strict(system: LinearSystem) -> LinearSystem:
     """
     rows = []
     for row in system.rows.parts:
-        if isinstance(row, RowBlock):  # integral and never strict
+        if not isinstance(row, Row):  # a block: integral, never strict
             rows.append(row)
             continue
         if row.scale != 1:

@@ -7,9 +7,9 @@ demands an insufficient count where a label is disabled.  Both become
 linear systems over R(s0), B and F, expressed through spanning-tree Parikh
 vectors: one edge row R(s) >= B_a per distinct (Parikh vector of s, a),
 and one zero-effect row per cycle-basis vector.  These base rows are the
-same in every system, so `SystemContext` keeps them once, as a
-`linsys.RowBlock` of (state, label) keys over the Parikh table, and every
-system holds that block; no pipeline builds them as `Row` objects.
+same in every system, so `SystemContext` keeps them once, as (state,
+label) keys over the Parikh table, and is itself the block every system
+holds; no pipeline builds them as `Row` objects.
 `SystemContext` alone fixes which column holds which variable;
 `solution_to_region` reads a solution vector back in the same layout.  A
 `Region` stores R at every state, computed once from the Parikh vectors
@@ -23,12 +23,10 @@ relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import mul, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import ge, mul, sub
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from netsynth.linsys import (LinearSystem, Row, RowBlock, Solution,
-                             make_row)
+from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, ParikhVector, SpanningTree
 from netsynth.relations import (DISJOINT, DOI, EQUIVALENT, INCLUDED,
                                 RelationGraph)
@@ -106,24 +104,15 @@ def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
     return problems
 
 
-def _base_tag(lts: Lts, edge_states: Sequence[int],
-              edge_labels: Sequence[int], k: int) -> str:
-    """The tag of base row ``k``: its edge, or its cycle-basis vector."""
-    if k < len(edge_states):
-        return f"edge:{lts.states[edge_states[k]]}:" \
-            f"{lts.labels[edge_labels[k]]}"
-    return f"cycle:{k - len(edge_states)}"
-
-
 class SystemContext:
     """Shared row material for all systems over one LTS and tree.
 
     Owns the column layout of every system it builds: column 0 is R0,
     columns 1..n are B and n+1..2n are F, each in label index order.
-    ``names`` spells the columns out for ``dump_lp``.  ``block`` holds the
-    base rows every system shares, as `(state, label)` keys over the
-    tree's Parikh table plus the cycle-basis vectors; each system holds
-    that one block.
+    ``names`` spells the columns out for ``dump_lp``.  The context is also
+    the block of base rows that every system holds (see `linsys.Rows`):
+    one edge row R(s) >= B_t per ``(state, label)`` key, over the tree's
+    Parikh table, then one zero-effect row per cycle-basis vector.
     """
 
     def __init__(self, lts: Lts, tree: SpanningTree,
@@ -136,27 +125,101 @@ class SystemContext:
         self.fvar = tuple(range(n + 1, 2 * n + 1))
         self.names = ("R0",) + tuple(f"B_{x}" for x in lts.labels) \
             + tuple(f"F_{x}" for x in lts.labels)
+        self.columns = len(self.names)
         # one edge row per (psi(s), label), at its first edge: the F
         # columns spell out psi(s) and the B columns add 1 at the label,
-        # so these are exactly the edges with distinct coefficients
+        # so these are exactly the edges with distinct coefficients.  The
+        # keys are two flat tuples, smaller than one tuple of pairs.
         first: dict[tuple[tuple[int, ...], int], int] = {}
         parikh = tree.parikh
         for s, t, _ in lts.edges:
             first.setdefault((parikh[s], t), s)
-        states = tuple(first.values())
-        labels = tuple(t for _, t in first)
-        self.block = RowBlock(len(self.names), 0, self.bvar, self.fvar,
-                              parikh, states, labels,
-                              [gamma.counts for gamma in basis],
-                              partial(_base_tag, lts, states, labels))
+        self.key_states = tuple(first.values())
+        self.key_labels = tuple(t for _, t in first)
+        # simplex copies: one per >= row, two per = row
+        self.copies = len(self.key_states) + 2 * len(basis)
+        self._rows: Optional[tuple[Row, ...]] = None
+        self._dual: Optional[dict[int, list[int]]] = None
 
-    def base_rows(self) -> tuple[Row, ...]:
-        """The edge rows, then one zero-effect row per cycle-basis vector,
-        as `Row`s.  Built on first call; systems hold ``block`` instead."""
-        return self.block.rows()
+    def __len__(self) -> int:
+        return len(self.key_states) + len(self.basis)
+
+    def _effect_coeffs(self, entries: Iterable[tuple[int, int]],
+                       coeffs: dict[int, int]) -> dict[int, int]:
+        """Write ``count * (F - B)`` of every nonzero ``(label, count)``
+        entry into ``coeffs``, whose B and F columns must be unset."""
+        for label, count in entries:
+            if count:
+                coeffs[self.fvar[label]] = count
+                coeffs[self.bvar[label]] = -count
+        return coeffs
+
+    def _key_coeffs(self, state: int, label: int) -> dict[int, int]:
+        """R(state) - B_label: R0 + psi(state).(F - B) - B_label."""
+        coeffs = self._effect_coeffs(enumerate(self.tree.parikh[state]),
+                                     {0: 1})
+        bvar = self.bvar[label]
+        coeffs[bvar] = coeffs.get(bvar, 0) - 1
+        return coeffs
+
+    def rows(self) -> tuple[Row, ...]:
+        """The base rows as `make_row` builds them, sharing equal
+        ``(column, coefficient)`` pairs.  Built on first call and kept;
+        systems hold the context instead."""
+        if self._rows is None:
+            states, labels = self.lts.states, self.lts.labels
+            lhs = [(self._key_coeffs(s, t), ">=",
+                    f"edge:{states[s]}:{labels[t]}")
+                   for s, t in zip(self.key_states, self.key_labels)]
+            lhs += [(self._effect_coeffs(gamma.counts, {}), "=",
+                     f"cycle:{i}") for i, gamma in enumerate(self.basis)]
+            shared: dict[tuple[int, int], tuple[int, int]] = {}
+            self._rows = tuple(
+                Row(tuple(shared.setdefault(p, p)
+                          for p in sorted(coeffs.items()) if p[1]),
+                    rel, 0, tag)
+                for coeffs, rel, tag in lhs)
+        return self._rows
+
+    base_rows = rows
+
+    def dual_columns(self) -> dict[int, list[int]]:
+        """Column -> its entries in the dual tableau, as `linsys` writes
+        the base rows' copies.  Built on first call and kept."""
+        if self._dual is None:
+            keys = len(self.key_states)
+            at = list(map(self.tree.parikh.__getitem__, self.key_states))
+            produce = [list(c) for c in zip(*at)]
+            consume = [[-x for x in c] for c in produce]
+            for k, t in enumerate(self.key_labels):
+                consume[t][k] -= 1
+            for gamma in self.basis:
+                counts = dict(gamma.counts)
+                for t in range(len(self.bvar)):
+                    c = counts.get(t, 0)
+                    produce[t] += (-c, c)
+                    consume[t] += (c, -c)
+            self._dual = {0: [1] * keys + [0] * (self.copies - keys),
+                          **dict(zip(self.bvar, consume)),
+                          **dict(zip(self.fvar, produce))}
+        return self._dual
+
+    def holds(self, num: Sequence[int], den: int) -> bool:
+        """Whether every base row holds at ``x = num / den``.  The rows
+        are homogeneous, so ``num`` as a region must have a zero effect
+        on every cycle and R(s) >= B_t at every key."""
+        n = len(self.bvar)
+        region = Region.over(self.tree, num[0], tuple(num[1:n + 1]),
+                             tuple(num[n + 1:2 * n + 1]))
+        effect = list(map(sub, region.f, region.b))
+        if any(sum(c * effect[t] for t, c in gamma.counts)
+               for gamma in self.basis):
+            return False
+        return all(map(ge, map(region.marks.__getitem__, self.key_states),
+                       map(region.b.__getitem__, self.key_labels)))
 
     def essp_row(self, essp: ESSP) -> Row:
-        return make_row(self.block.key_coeffs(essp.state, essp.label), "<", 0,
+        return make_row(self._key_coeffs(essp.state, essp.label), "<", 0,
                         tag=f"essp:{self.lts.states[essp.state]}:"
                             f"{self.lts.labels[essp.label]}")
 
@@ -165,7 +228,7 @@ class SystemContext:
             raise ValueError("sign must be '<' or '>'")
         parikh = self.tree.parikh
         delta = map(sub, parikh[ssp.s1], parikh[ssp.s2])
-        return make_row(self.block.effect_coeffs(enumerate(delta)), sign, 0,
+        return make_row(self._effect_coeffs(enumerate(delta), {}), sign, 0,
                         tag=f"ssp:{self.lts.states[ssp.s1]}:"
                             f"{self.lts.states[ssp.s2]}")
 
@@ -223,10 +286,10 @@ class SystemContext:
                                      tag=f"above:{self.lts.labels[rep]}"))
         return rows
 
-    def system(self, rows: Iterable[Row | RowBlock],
+    def system(self, rows: Iterable[Row | SystemContext],
                zero_one: bool = False) -> LinearSystem:
         flags = frozenset(self.bvar + self.fvar) if zero_one else frozenset()
-        return LinearSystem(len(self.names), rows, flags)
+        return LinearSystem(self.columns, rows, flags)
 
 
 def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
@@ -236,7 +299,7 @@ def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
 
     All rows are homogeneous, so a rational solution lifts to integers.
     """
-    rows = [ctx.essp_row(essp), ctx.block]
+    rows = [ctx.essp_row(essp), ctx]
     rows += ctx.relation_rows(graph, essp.label, doi_choice)
     return ctx.system(rows)
 
@@ -250,7 +313,7 @@ def ssp_system_wpi(ctx: SystemContext, graph: RelationGraph, ssp: SSP,
     The disequality over the Parikh difference is split by the caller into
     its two strict branches.
     """
-    rows = [ctx.ssp_row(ssp, sign), ctx.block]
+    rows = [ctx.ssp_row(ssp, sign), ctx]
     rows += ctx.relation_rows(graph, label, doi_choice)
     return ctx.system(rows)
 
@@ -274,7 +337,7 @@ def _block_system(ctx: SystemContext, consumers: list[int],
     rows += [_fix(ctx.bvar[t], 0, f"outside:{names[t]}")
              for t in range(len(names)) if t not in consumers]
     rows += [ctx.essp_row(ESSP(s, label)) for s in states]
-    rows.append(ctx.block)
+    rows.append(ctx)
     return ctx.system(rows, zero_one=True)
 
 
@@ -326,7 +389,7 @@ def brac_ssp_system_freechoice(ctx: SystemContext, graph: RelationGraph,
              for t in range(len(names)) if t not in members]
     if key in involved:
         rows.append(_fix(ctx.bvar[key], 0, f"choice-free:{names[key]}"))
-    rows.append(ctx.block)
+    rows.append(ctx)
     return ctx.system(rows, zero_one=True)
 
 

@@ -284,13 +284,13 @@ def _candidates(ctx: SystemContext, reps: list[int],
     def systems(problem):
         if isinstance(problem, ESSP):
             system = essp_system(problem)
-            yield system.rows[0].tag, system
+            yield system.rows.parts[0].tag, system
             return
         for a in reps:
             for sign in ("<", ">"):
                 system = ssp_system(problem, a, sign)
-                yield (f"{system.rows[0].tag}:{ctx.lts.labels[a]}:{sign}",
-                       system)
+                yield (f"{system.rows.parts[0].tag}:"
+                       f"{ctx.lts.labels[a]}:{sign}", system)
     return systems
 
 
@@ -603,8 +603,8 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
             key = (si, frozenset((ssp.s1, ssp.s2, sign)
                                  for ssp, sign in extras))
             if key not in cache:
-                rows = system.rows + [ctx.ssp_row(ssp, sign)
-                                      for ssp, sign in extras]
+                rows = system.rows.parts + tuple(
+                    ctx.ssp_row(ssp, sign) for ssp, sign in extras)
                 cache[key] = solve(ctx.system(rows, zero_one=True))
             if not cache[key].feasible:
                 break

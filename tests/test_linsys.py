@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE, RELATIONS,
-                             LinearSystem, RowBlock, dump_lp,
+                             LinearSystem, dump_lp,
                              integerize_strict, lift_homogeneous_to_integer,
                              make_row, solve_integer, solve_rational)
 
@@ -266,89 +266,6 @@ class TestDump:
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
             LinearSystem(1, (make_row({1: 1}, "<=", 0),))
-
-
-def small_block(columns=5, **changes):
-    """Two labels: R0 in column 0, B in 1..2, F in 3..4; three keys and
-    one cycle."""
-    args = dict(columns=columns, origin=0, consume=(1, 2), produce=(3, 4),
-                vectors=((0, 0), (1, 0), (1, 2)), key_vectors=(0, 1, 2),
-                key_labels=(0, 1, 0), cycles=(((0, 1), (1, -1)),),
-                tag=lambda k: f"row{k}")
-    args.update(changes)
-    return RowBlock(**args)
-
-
-class TestRowBlock:
-    def test_rows_written_out(self):
-        rows = small_block().rows()
-        assert rows == (
-            make_row({0: 1, 1: -1}, ">=", 0, "row0"),
-            make_row({0: 1, 1: -1, 2: -1, 3: 1}, ">=", 0, "row1"),
-            make_row({0: 1, 1: -2, 2: -2, 3: 1, 4: 2}, ">=", 0, "row2"),
-            make_row({1: -1, 2: 1, 3: 1, 4: -1}, "=", 0, "row3"))
-        assert small_block().rows() is not rows
-        block = small_block()
-        assert block.rows() is block.rows()
-
-    def test_undeclared_column_rejected_when_made(self):
-        with pytest.raises(ValueError, match="undeclared"):
-            small_block(columns=4)
-        with pytest.raises(ValueError, match="undeclared"):
-            small_block(produce=(3, 5))
-        with pytest.raises(ValueError, match="undeclared"):
-            small_block(origin=-1)
-        with pytest.raises(ValueError, match="distinct"):
-            small_block(produce=(3, 1))
-        with pytest.raises(ValueError, match="one of each"):
-            small_block(produce=(3,))
-
-    def test_system_smaller_than_block_rejected(self):
-        with pytest.raises(ValueError, match="block over 5 columns"):
-            LinearSystem(4, (small_block(),))
-
-    def test_rows_view(self):
-        block = small_block()
-        first = make_row({0: 1}, "<=", 3, "first")
-        last = make_row({2: 1}, ">=", 1, "last")
-        sys_ = LinearSystem(5, (first, block, last))
-        assert len(sys_.rows) == 6
-        assert list(sys_.rows) == [first, *block.rows(), last]
-        assert [sys_.rows[i] for i in range(-6, 6)] == list(sys_.rows) * 2
-        assert sys_.rows[1:3] == block.rows()[:2]
-        with pytest.raises(IndexError):
-            sys_.rows[6]
-        longer = sys_.rows + [first]
-        assert longer.parts == (first, block, last, first)
-        assert LinearSystem(5, longer).rows == longer
-        assert sys_.rows == LinearSystem(5, [first, block, last]).rows
-        assert not sys_.homogeneous
-        assert LinearSystem(5, (block,)).homogeneous
-
-    def test_holds_matches_fraction_check(self):
-        block = small_block()
-        sys_ = LinearSystem(5, (block,))
-        rng = random.Random(7)
-        verdicts = set()
-        for _ in range(400):
-            den = rng.randint(1, 3)
-            num = [rng.randint(0, 4) for _ in range(5)]
-            got = sys_.holds(num, den)
-            assert got == sys_.satisfied_by([Fraction(v, den) for v in num])
-            verdicts.add(got)
-        assert verdicts == {True, False}
-
-    def test_solves_like_the_written_rows(self):
-        block = small_block()
-        extra = (make_row({0: 1}, "<", 2), make_row({3: 1}, ">=", 1))
-        for zero_one in (frozenset(), frozenset({1, 2, 3, 4})):
-            spliced = LinearSystem(5, (extra[0], block, extra[1]), zero_one)
-            written = LinearSystem(5, tuple(spliced.rows), zero_one)
-            for solve in (solve_rational, solve_integer):
-                a, b = solve(spliced), solve(written)
-                assert (a.status, a.pivots, a.assignment) == \
-                    (b.status, b.pivots, b.assignment)
-                assert a.feasible
 
 
 class TestPivotSequence:

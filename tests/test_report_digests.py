@@ -104,11 +104,14 @@ def test_scale_report_bytes_unchanged(pipeline, tmp_path):
 @pytest.mark.parametrize("family", ["fixture", "random_brac_net"])
 def test_pipelines_never_write_out_base_rows(family, pipeline, tmp_path,
                                              monkeypatch):
-    """The systems hold the base rows as one block, which the solver
-    splices in and checks without building a `Row` for any of them."""
-    def written_out(block):
+    """The systems hold the context as the block of base rows, which the
+    solver splices in and checks without building a `Row` for any of them.
+    """
+    def written_out(ctx):
         raise AssertionError("a pipeline built the base rows as Row objects")
-    monkeypatch.setattr("netsynth.linsys.RowBlock.rows", written_out)
+    for builder in ("rows", "base_rows"):
+        monkeypatch.setattr(f"netsynth.separation.SystemContext.{builder}",
+                            written_out)
     got = family_digests(family, pipeline, tmp_path)
     expected = {k: v for k, v in DIGESTS.items()
                 if k.startswith(f"{pipeline}/{family}/")}

@@ -1,7 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
-from netsynth.linsys import solve_integer, solve_rational
+import pytest
+
+from netsynth.linsys import (LinearSystem, Row, make_row, solve_integer,
+                             solve_rational)
 from netsynth.lts import cycle_basis, parse_lts, spanning_tree
 from netsynth.relations import (build_relation_graph,
                                 quotient_by_equivalence, strengthen_brac,
@@ -354,8 +358,78 @@ class TestRegionMarks:
         assert not replace(region, marks=region.marks[1:]).is_valid(fig1)
 
 
+def small_context():
+    """Labels a, b: R0 in column 0, B in 1..2, F in 3..4; four edge keys
+    and the one cycle a+2b."""
+    lts = parse_lts("initial s0\ns0 a s1\ns1 b s2\ns2 a s3\ns3 b s1\n")
+    tree = spanning_tree(lts)
+    return SystemContext(lts, tree, cycle_basis(lts, tree))
+
+
+class TestContextBlock:
+    """The context as the block of base rows that `linsys` splices in."""
+
+    def test_rows_written_out(self):
+        ctx = small_context()
+        rows = ctx.rows()
+        assert rows == (
+            make_row({0: 1, 1: -1}, ">=", 0, "edge:s0:a"),
+            make_row({0: 1, 1: -1, 2: -1, 3: 1}, ">=", 0, "edge:s1:b"),
+            make_row({0: 1, 1: -2, 2: -1, 3: 1, 4: 1}, ">=", 0,
+                     "edge:s2:a"),
+            make_row({0: 1, 1: -2, 2: -2, 3: 2, 4: 1}, ">=", 0,
+                     "edge:s3:b"),
+            make_row({1: -1, 2: -2, 3: 1, 4: 2}, "=", 0, "cycle:0"))
+        assert len(ctx) == 5 and ctx.copies == 6
+        assert ctx.rows() is rows and ctx.base_rows() is rows
+        assert small_context().rows() is not rows
+        # equal (column, coefficient) pairs are one object
+        assert rows[3].coeffs[0] is rows[0].coeffs[0]
+        assert rows[4].coeffs[2] is rows[2].coeffs[3]
+
+    def test_system_smaller_than_block_rejected(self):
+        with pytest.raises(ValueError, match="block over 5 columns"):
+            LinearSystem(4, (small_context(),))
+
+    def test_rows_view(self):
+        ctx = small_context()
+        first = make_row({0: 1}, "<=", 3, "first")
+        last = make_row({2: 1}, ">=", 1, "last")
+        sys_ = ctx.system([first, ctx, last])
+        assert sys_.rows.parts == (first, ctx, last)
+        assert len(sys_.rows) == 7
+        assert list(sys_.rows) == [first, *ctx.rows(), last]
+        assert not sys_.homogeneous
+        assert ctx.system([ctx]).homogeneous
+
+    def test_holds_matches_fraction_check(self):
+        ctx = small_context()
+        sys_ = ctx.system([ctx])
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(400):
+            den = rng.randint(1, 3)
+            num = [rng.randint(0, 4) for _ in range(5)]
+            got = sys_.holds(num, den)
+            assert got == sys_.satisfied_by([Fraction(v, den) for v in num])
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_solves_like_the_written_rows(self):
+        ctx = small_context()
+        extra = (make_row({0: 1}, "<", 2), make_row({3: 1}, ">=", 1))
+        for zero_one in (frozenset(), frozenset({1, 2, 3, 4})):
+            spliced = LinearSystem(5, (extra[0], ctx, extra[1]), zero_one)
+            written = LinearSystem(5, tuple(spliced.rows), zero_one)
+            for solve in (solve_rational, solve_integer):
+                a, b = solve(spliced), solve(written)
+                assert (a.status, a.pivots, a.assignment) == \
+                    (b.status, b.pivots, b.assignment)
+                assert a.feasible
+
+
 class TestBaseBlock:
-    """Systems hold the context's base rows as one shared `RowBlock`.
+    """Systems hold their context as the one block of base rows.
 
     The block is checked against the same rows written out as `Row`s:
     the integer witness check (`LinearSystem.holds`) against the Fraction
@@ -413,13 +487,12 @@ class TestBaseBlock:
                             system.zero_one)
 
     def test_every_pipeline_system_holds_the_block(self):
-        from netsynth.linsys import RowBlock
         systems = self.pipeline_systems()
         assert len(systems) > 50
         for system in systems:
-            blocks = [p for p in system.rows.parts
-                      if isinstance(p, RowBlock)]
+            blocks = [p for p in system.rows.parts if not isinstance(p, Row)]
             assert len(blocks) == 1
+            assert type(blocks[0]) is SystemContext
             assert len(system.rows) == len(system.rows.parts) - 1 \
                 + len(blocks[0].rows())
 
@@ -467,17 +540,17 @@ class TestBaseBlock:
                 (ref.status, ref.pivots, ref.assignment)
 
     def test_integerize_and_extension_keep_the_block(self, fig1):
-        from netsynth.linsys import RowBlock, integerize_strict
+        from netsynth.linsys import integerize_strict
         ctx, graph = stage(fig1, brac=True)
         system = ctx.system(essp_system_wpi(ctx, graph, ESSP(0, 1)).rows,
                             zero_one=True)
-        extended = ctx.system(system.rows + [ctx.ssp_row(SSP(0, 1), "<")],
-                              zero_one=True)
+        extended = ctx.system(
+            system.rows.parts + (ctx.ssp_row(SSP(0, 1), "<"),),
+            zero_one=True)
         for derived in (integerize_strict(system), extended):
-            assert any(p is ctx.block for p in derived.rows.parts)
+            assert any(p is ctx for p in derived.rows.parts)
         assert len(extended.rows) == len(system.rows) + 1
         assert list(extended.rows)[:-1] == list(system.rows)
-        assert extended.rows[-1].tag == "ssp:s0:s1"
-        assert system.rows[1] == ctx.base_rows()[0]
-        assert system.rows[-len(system.rows)] == system.rows[0]
-        assert not any(isinstance(r, RowBlock) for r in system.rows)
+        assert list(extended.rows)[-1].tag == "ssp:s0:s1"
+        assert list(system.rows)[1] == ctx.base_rows()[0]
+        assert all(isinstance(r, Row) for r in system.rows)

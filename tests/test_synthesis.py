@@ -456,7 +456,7 @@ class TestIntegerCapBound:
                 feasible = solve_integer(system, cap=cap).feasible
                 assert feasible == self.brute_force(system,
                                                     len(lts.states)), \
-                    (seed, system.rows[0].tag)
+                    (seed, system.rows.parts[0].tag)
                 verdicts.append(feasible)
         # both verdicts occur, so neither side is trivially constant
         assert True in verdicts and False in verdicts
@@ -477,7 +477,7 @@ def _fail_matched_private_block(monkeypatch):
         shared, private = real(ctx, graph, pair)
         if [ctx.lts.labels[x] for x in pair] == ["c", "e"]:
             never = (make_row({0: 1}, ">=", 1), make_row({0: 1}, "<=", 0))
-            private = LinearSystem(private.columns, private.rows + never,
+            private = LinearSystem(private.columns, private.rows.parts + never,
                                    private.zero_one)
         return shared, private
     monkeypatch.setattr("netsynth.synthesis.brac_block_systems", blocks)
