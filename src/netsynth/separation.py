@@ -167,19 +167,22 @@ class SystemContext:
         ``(column, coefficient)`` pairs.  Built on first call and kept;
         systems hold the context instead."""
         if self._rows is None:
-            states, labels = self.lts.states, self.lts.labels
-            lhs = [(self._key_coeffs(s, t), ">=",
-                    f"edge:{states[s]}:{labels[t]}")
-                   for s, t in zip(self.key_states, self.key_labels)]
-            lhs += [(self._effect_coeffs(gamma.counts, {}), "=",
-                     f"cycle:{i}") for i, gamma in enumerate(self.basis)]
             shared: dict[tuple[int, int], tuple[int, int]] = {}
             self._rows = tuple(
                 Row(tuple(shared.setdefault(p, p)
                           for p in sorted(coeffs.items()) if p[1]),
                     rel, 0, tag)
-                for coeffs, rel, tag in lhs)
+                for coeffs, rel, tag in self._lhs())
         return self._rows
+
+    def _lhs(self) -> Iterator[tuple[dict[int, int], str, str]]:
+        """Each base row's coefficients, relation and tag, in order."""
+        states, labels = self.lts.states, self.lts.labels
+        for s, t in zip(self.key_states, self.key_labels):
+            yield (self._key_coeffs(s, t), ">=",
+                   f"edge:{states[s]}:{labels[t]}")
+        for i, gamma in enumerate(self.basis):
+            yield self._effect_coeffs(gamma.counts, {}), "=", f"cycle:{i}"
 
     base_rows = rows
 
