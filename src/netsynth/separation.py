@@ -209,17 +209,17 @@ class SystemContext:
 
     def holds(self, num: Sequence[int], den: int) -> bool:
         """Whether every base row holds at ``x = num / den``.  The rows
-        are homogeneous, so ``num`` as a region must have a zero effect
-        on every cycle and R(s) >= B_t at every key."""
-        n = len(self.bvar)
-        region = Region.over(self.tree, num[0], tuple(num[1:n + 1]),
-                             tuple(num[n + 1:2 * n + 1]))
-        effect = list(map(sub, region.f, region.b))
+        are homogeneous, so this needs only ``num``, and R(s) once per
+        state."""
+        effect = [num[f] - num[b] for b, f in zip(self.bvar, self.fvar)]
         if any(sum(c * effect[t] for t, c in gamma.counts)
                for gamma in self.basis):
             return False
-        return all(map(ge, map(region.marks.__getitem__, self.key_states),
-                       map(region.b.__getitem__, self.key_labels)))
+        marks = [num[0] + sum(map(mul, psi, effect))
+                 for psi in self.tree.parikh]
+        consumed = [num[b] for b in self.bvar]
+        return all(map(ge, map(marks.__getitem__, self.key_states),
+                       map(consumed.__getitem__, self.key_labels)))
 
     def essp_row(self, essp: ESSP) -> Row:
         return make_row(self._key_coeffs(essp.state, essp.label), "<", 0,
