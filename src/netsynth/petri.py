@@ -20,7 +20,7 @@ from netsynth.lts import Lts
 from netsynth.separation import PlaceSpec
 
 _NAME = re.compile(r"[A-Za-z0-9_]+$")
-_COUNT = re.compile(r"[0-9]+")  # str.isdigit also takes "²" and "٣"
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes "²" and "٣"
 
 Marking = tuple[int, ...]
 
@@ -323,7 +323,7 @@ def parse_net(text: str | bytes) -> PetriNet:
         parts = line.split()
         kind = parts[0]
         if kind == "place":
-            if len(parts) != 3 or not _COUNT.fullmatch(parts[2]):
+            if len(parts) != 3 or not set(parts[2]) <= _DIGITS:
                 raise PetriNetError(f"line {lineno}: expected "
                                     "'place <name> <tokens>'")
             places[new_id(parts[1], lineno)] = len(places)
@@ -339,7 +339,7 @@ def parse_net(text: str | bytes) -> PetriNet:
                                     "'arc <from> <to> [weight]'")
             weight = 1
             if len(parts) == 4:
-                if not _COUNT.fullmatch(parts[3]) or int(parts[3]) < 1:
+                if not set(parts[3]) <= _DIGITS or int(parts[3]) < 1:
                     raise PetriNetError(f"line {lineno}: bad weight "
                                         f"{parts[3]!r}")
                 weight = int(parts[3])
