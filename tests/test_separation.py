@@ -382,6 +382,7 @@ class TestContextBlock:
             make_row({1: -1, 2: -2, 3: 1, 4: 2}, "=", 0, "cycle:0"))
         assert len(ctx) == 5 and ctx.copies == 6
         assert ctx.rows() is rows and ctx.base_rows() is rows
+        assert ctx.dual_columns() is ctx.dual_columns()
         assert small_context().rows() is not rows
         # equal (column, coefficient) pairs are one object
         assert rows[3].coeffs[0] is rows[0].coeffs[0]
