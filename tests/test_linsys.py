@@ -278,15 +278,24 @@ class TestPivotSequence:
 
     FAMILIES = {
         # family -> (seed, relations, constants, every column 0/1,
-        #            coefficients and constants rational)
-        "weak": (1, ("<=", ">="), (-4, 4), False, False),
-        "strict": (2, ("<=", ">=", "<", ">"), (-4, 4), False, False),
-        "equality": (3, ("<=", ">=", "="), (-4, 4), False, False),
-        "zero-one": (4, ("<=", ">=", "=", "<", ">"), (-2, 2), True, False),
+        #            coefficients and constants rational, sparse)
+        "weak": (1, ("<=", ">="), (-4, 4), False, False, False),
+        "strict": (2, ("<=", ">=", "<", ">"), (-4, 4), False, False, False),
+        "equality": (3, ("<=", ">=", "="), (-4, 4), False, False, False),
+        "zero-one": (4, ("<=", ">=", "=", "<", ">"), (-2, 2), True, False,
+                     False),
         "homogeneous": (5, ("<=", ">=", "=", "<", ">"), (0, 0), False,
-                        False),
-        "rational": (6, ("<=", ">=", "=", "<", ">"), (-3, 3), False, True),
+                        False, False),
+        "rational": (6, ("<=", ">=", "=", "<", ">"), (-3, 3), False, True,
+                     False),
+        # wide systems of rows with 2-3 nonzeros, so that most tableau
+        # entries are zero and pivots other than 1 and row denominators
+        # above 1 both occur
+        "sparse": (7, ("<=", ">=", "=", "<", ">"), (0, 3), False, True,
+                   True),
     }
+    # the side on which a sparse row's constant moves off the hidden point
+    LOOSE = {"<=": 1, "<": 1, "=": 0, ">=": -1, ">": -1}
 
     DIGESTS = {
         "weak":
@@ -301,11 +310,13 @@ class TestPivotSequence:
             "8da9d953fbe7f943d011a1b0715808cc0c04e1d250cbdc15a7759b7d159c927e",
         "rational":
             "0a7133ed7fa7cc3137fdf78ff7185ac9561bfc7361faecae24ca3a22b58522a2",
+        "sparse":
+            "78afdbe40ec7de68fc9723b4fe705cb68d9ac7bbe9a7b51867a7e6604e4af07b",
     }
 
     @staticmethod
     def digest(family):
-        seed, rels, (lo, hi), binary, rational = \
+        seed, rels, (lo, hi), binary, rational, sparse = \
             TestPivotSequence.FAMILIES[family]
         rng = random.Random(seed)
 
@@ -316,11 +327,28 @@ class TestPivotSequence:
 
         h = hashlib.sha256()
         for _ in range(60):
-            nvar = rng.randint(1, 6)
-            rows = tuple(
-                make_row({j: number(-3, 3) for j in range(nvar)},
-                         rng.choice(rels), number(lo, hi))
-                for _ in range(rng.randint(1, 8)))
+            if sparse:
+                # each row holds at a hidden point with a slack drawn from
+                # the constants' range, towards its loose side; a strict
+                # row with slack 0 makes that point fail
+                nvar = rng.randint(10, 14)
+                point = [number(0, 3) for _ in range(nvar)]
+                rows = []
+                for _ in range(rng.randint(20, 40)):
+                    coeffs = {j: rng.choice((-1, 1)) * number(1, 3)
+                              for j in rng.sample(range(nvar),
+                                                  rng.randint(2, 3))}
+                    rel = rng.choice(rels)
+                    value = sum(c * point[j] for j, c in coeffs.items())
+                    rows.append(make_row(
+                        coeffs, rel,
+                        value + TestPivotSequence.LOOSE[rel] * number(lo, hi)))
+            else:
+                nvar = rng.randint(1, 6)
+                rows = tuple(
+                    make_row({j: number(-3, 3) for j in range(nvar)},
+                             rng.choice(rels), number(lo, hi))
+                    for _ in range(rng.randint(1, 8)))
             sys_ = LinearSystem(nvar, rows,
                                 frozenset(range(nvar)) if binary
                                 else frozenset())

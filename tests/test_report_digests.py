@@ -28,7 +28,7 @@ PRUNE_DIGESTS = json.loads((FIXTURES / "prune_digests.json").read_text())
 SCALE_DIGESTS = json.loads(
     (FIXTURES / "scale_report_digests.json").read_text())
 # random_brac_net(seed, 6, 4) of the scale cases, by markings
-SCALE_NETS = {300: 44, 600: 17}
+SCALE_NETS = {300: 44, 600: 17, 1296: 38}
 
 
 def family_inputs(family: str) -> dict[str, str]:
