@@ -13,7 +13,9 @@ as every row.
 
 Rational feasibility is decided by an exact integer-tableau simplex that
 reads the rows straight into its dual tableau, a block's cached columns
-spliced in, and never touches a `fractions.Fraction`; strict rows are
+spliced in, and never touches a `fractions.Fraction`.  A pivot updates
+the other rows in place; unless its pivot entry is not 1 and scales them,
+it changes them only where the pivot row is nonzero.  Strict rows are
 handled by maximising one shared slack, the only reason for an
 artificial column.  The witness comes out as integer numerators over one
 denominator and is re-substituted into the rows; only the returned
@@ -27,6 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -193,19 +196,26 @@ _LEQ_COPIES = {"<=": ((1, False),), ">=": ((-1, False),),
                "<": ((1, True),), ">": ((-1, True),)}
 
 
-def _eliminate(row, den, pivot_row, pivot, a):
-    """``row/den - (a/den) * pivot_row/pivot`` over one positive denominator.
+def _eliminate(row, den, pivot_row, support, pivot, a):
+    """Set ``row`` to ``row/den - (a/den) * pivot_row/pivot`` over one
+    positive denominator, in place, and return that denominator.
 
-    ``pivot > 0``; the result is divided by the gcd of its entries and its
+    ``pivot > 0`` and ``support`` lists the nonzero positions of
+    ``pivot_row``; only those entries change unless ``pivot != 1`` scales
+    the row.  The result is divided by the gcd of its entries and its
     denominator.
     """
-    new = [pivot * x - a * y for x, y in zip(row, pivot_row)]
-    den *= pivot
-    g = gcd(den, *new)
-    if g > 1:
-        new = [x // g for x in new]
-        den //= g
-    return new, den
+    if pivot != 1:
+        row[:] = [pivot * x for x in row]
+        den *= pivot
+    for j in support:
+        row[j] -= a * pivot_row[j]
+    if den > 1:
+        g = gcd(den, *row)
+        if g > 1:
+            row[:] = [x // g for x in row]
+            den //= g
+    return den
 
 
 class _Simplex:
@@ -227,11 +237,15 @@ class _Simplex:
     denominator ``den[i]``, and the objective row likewise ``obj`` over
     ``obj_den`` (fraction-free pivoting after Edmonds, 1967).  A pivot
     keeps the pivot row's integers, negated if the pivot entry is negative,
-    and makes that entry its denominator; every other row with a nonzero in
-    the entering column is eliminated by cross-multiplication and divided
-    by its gcd, and rows with a zero there are not touched.  The ratio test
-    compares by cross-multiplication, so every pivot is the one the
-    rational tableau would make.
+    and makes that entry its denominator.  Rows with a zero in the entering
+    column are not touched.  Every other row, the objective included, is
+    updated in place: multiplied by the pivot entry only when that is not
+    1, changed only at the pivot row's nonzero positions (its support,
+    listed once per pivot), and divided by the gcd of its entries and
+    denominator only when the denominator is above 1.  That gives the same
+    integers as cross-multiplying every entry.  The ratio test compares by
+    cross-multiplication, so every pivot is the one the rational tableau
+    would make.
     """
 
     def __init__(self, system: LinearSystem, extra: Sequence[Row] = ()):
@@ -293,8 +307,10 @@ class _Simplex:
         for i, bi in enumerate(self.basis):
             cb = costs[bi]
             if cb != 0:
-                self.obj, self.obj_den = _eliminate(
-                    self.obj, self.obj_den, self.tableau[i], self.den[i],
+                row = self.tableau[i]
+                self.obj_den = _eliminate(
+                    self.obj, self.obj_den, row,
+                    list(compress(range(len(row)), row)), self.den[i],
                     cb * self.obj_den)
 
     def _pivot(self, r, k):
@@ -308,15 +324,15 @@ class _Simplex:
             row = tableau[r] = [-x for x in row]
             piv = -piv
         den[r] = piv
+        support = list(compress(range(len(row)), row))
         for i in range(self.n_rows):
             a = tableau[i][k]
             if i != r and a != 0:
-                tableau[i], den[i] = _eliminate(tableau[i], den[i], row, piv,
-                                                a)
+                den[i] = _eliminate(tableau[i], den[i], row, support, piv, a)
         a = self.obj[k]
         if a != 0:
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, row,
-                                                piv, a)
+            self.obj_den = _eliminate(self.obj, self.obj_den, row, support,
+                                      piv, a)
         self.basis[r] = k
 
     def _run(self, ncols):
