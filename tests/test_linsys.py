@@ -2,11 +2,12 @@ import hashlib
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE, RELATIONS,
-                             LinearSystem, dump_lp,
+                             LinearSystem, _eliminate, dump_lp,
                              integerize_strict, lift_homogeneous_to_integer,
                              make_row, solve_integer, solve_rational)
 
@@ -140,6 +141,39 @@ class TestRational:
                 feasible += 1
                 assert sys_.satisfied_by(sol.assignment)
         assert feasible > 10
+
+
+class TestEliminate:
+    """The in-place row update against the rational one it stands for,
+    ``row/den - (a/den) * pivot_row/pivot``."""
+
+    @staticmethod
+    def check(row, den, pivot_row, pivot, a):
+        expected = [Fraction(x, den) - Fraction(a, den) * Fraction(y, pivot)
+                    for x, y in zip(row, pivot_row)]
+        support = [j for j, y in enumerate(pivot_row) if y]
+        new_den = _eliminate(row, den, pivot_row, support, pivot, a)
+        assert new_den > 0
+        assert [Fraction(x, new_den) for x in row] == expected
+        assert gcd(new_den, *row) == 1
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("den", [1, 6])
+    @pytest.mark.parametrize("pivot", [1, 4])
+    def test_matches_fraction_reference(self, pivot, den, sign):
+        rng = random.Random(f"{pivot} {den} {sign}")
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            pivot_row = [rng.choice((0, 0, rng.randint(-6, 6)))
+                         for _ in range(n)]
+            row = [rng.randint(-9, 9) for _ in range(n)]
+            self.check(row, den, pivot_row, pivot, sign * rng.randint(1, 7))
+
+    @pytest.mark.parametrize("pivot, den", [(1, 1), (1, 4), (3, 1), (3, 4)])
+    def test_empty_support(self, pivot, den):
+        row = [2, 0, -6, 4]
+        self.check(row, den, [0, 0, 0, 0], pivot, -5)
+        assert row == ([1, 0, -3, 2] if den == 4 else [2, 0, -6, 4])
 
 
 class TestLifting:

@@ -540,6 +540,38 @@ class TestBaseBlock:
             assert (sol.status, sol.pivots, sol.assignment) == \
                 (ref.status, ref.pivots, ref.assignment)
 
+    def test_solves_leave_shared_inputs_unchanged(self):
+        """Pivots update tableau rows in place.  Solving several systems
+        of one context must change neither the context's cached dual
+        columns nor the simplex's costs nor the branch rows passed in."""
+        import copy
+        from netsynth.linsys import _Simplex
+        by_context = {}
+        for system in self.pipeline_systems(per_kind=4):
+            ctx, = (p for p in system.rows.parts if not isinstance(p, Row))
+            by_context.setdefault(id(ctx), (ctx, []))[1].append(system)
+        ctx, systems = max(by_context.values(), key=lambda e: len(e[1]))
+        assert len(systems) >= 6
+        branches = (make_row({0: 1}, ">=", 1, tag="branch-up"),
+                    make_row({1: 1}, "<=", 0, tag="branch-down"))
+        for system in systems:
+            for extra in ((), branches[:1], branches):
+                kept = copy.deepcopy(extra)
+                simplex = _Simplex(system, extra)
+                costs = list(simplex.costs)
+                simplex.solve()
+                assert simplex.pivots > 0
+                assert simplex.costs == costs
+                first = solve_rational(system, extra)
+                again = solve_rational(system, extra)
+                assert (first.status, first.pivots, first.assignment) == \
+                    (again.status, again.pivots, again.assignment)
+                assert extra == kept
+            if system.zero_one:  # branch-and-bound passes its own rows
+                solve_integer(system)
+        fresh = SystemContext(ctx.lts, ctx.tree, ctx.basis)
+        assert ctx.dual_columns() == fresh.dual_columns()
+
     def test_integerize_and_extension_keep_the_block(self, fig1):
         from netsynth.linsys import integerize_strict
         ctx, graph = stage(fig1, brac=True)
