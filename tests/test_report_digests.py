@@ -7,8 +7,9 @@ pipelines must leave every digest in ``fixtures/report_digests.json``
 unchanged.  ``fixtures/prune_digests.json`` pins ``synth --prune --report``
 the same way on the fixtures and the ``random_brac_net`` graphs, and
 ``fixtures/scale_report_digests.json`` pins ``synth --report`` on the
-graphs of ``random_brac_net(44, 6, 4)`` (300 markings) and
-``random_brac_net(17, 6, 4)`` (600), the largest systems the tests solve.
+graphs of ``random_brac_net(44, 6, 4)`` (300 markings),
+``random_brac_net(17, 6, 4)`` (600) and ``random_brac_net(38, 6, 4)``
+(1,296), the largest systems the tests solve.
 """
 
 import hashlib
