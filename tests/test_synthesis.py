@@ -535,3 +535,46 @@ class TestRareBracExits:
                     "--report", str(report)]) == 1
         assert json.loads(report.read_text())["witness"]["kind"] == kind
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+class TestRelationStageExits:
+    """Report and relation-table bytes of the two relation-stage exits
+    after the raw graph: a contradiction raised by the equivalence
+    quotient, and one raised by the WPI triangle rules.  Each case pins
+    the SHA-256 of ``synth --report`` under both pipelines and of
+    ``relations --json``; every command exits 1."""
+
+    CASES = {
+        994: ("equivalence-conflict", {
+            "wpi": "cec3fc4d2e5678f888a57d1b1dd8bf7e"
+                   "ff55ce80f659b8afa34a33d001898687",
+            "brac": "248cd5329c46582ed0eba55ee960cc52"
+                    "c0eee42bfa12d9c7f7e36db72c78246c",
+            "relations": "e74f9d034c1dffbe0d6626cb23de2631"
+                         "ceb85ee184481f1eb89ebf6d11944cdb"}),
+        1836: ("triangle-22", {
+            "wpi": "f6152e5b5f03988f6e35f121924d25b0"
+                   "f9da2c1a41c0eabc490c0f5079fa9be6",
+            "brac": "6c6161a18dcc7797b269e28e4ec0dc49"
+                    "10994d7b91d411e770b634ab4fc7a464",
+            "relations": "590b36a73025f43a016954753ed24e22"
+                         "54a60fe08e16b177d474166aa96f6fa8"}),
+    }
+
+    @pytest.mark.parametrize("command", ["wpi", "brac", "relations"])
+    @pytest.mark.parametrize("seed", sorted(CASES))
+    def test_bytes_pinned(self, seed, command, tmp_path):
+        rule, digests = self.CASES[seed]
+        lts_file, out = tmp_path / "in.lts", tmp_path / "out.json"
+        lts_file.write_text(serialize_lts(random_lts(seed, 12, 5)))
+        if command == "relations":
+            argv = ["relations", str(lts_file), "--json", str(out)]
+        else:
+            argv = ["synth", str(lts_file), "--class", command,
+                    "-o", str(tmp_path / "out.pn"), "--report", str(out)]
+        assert run(argv) == 1
+        payload = json.loads(out.read_text())
+        found = payload["contradictions"][0] if command == "relations" \
+            else payload["witness"]
+        assert found["rule"] == rule
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[command]
