@@ -19,11 +19,10 @@ from netsynth.petri import (CapExceeded, PetriNetError, classify_net,
                             parse_net, reachability_graph, render_dot,
                             serialize_net)
 from netsynth.relations import (Contradiction, build_relation_graph,
-                                classify_case, pair_relations,
-                                quotient_by_equivalence, strengthen_wpi)
+                                classify_case, pair_relations)
 from netsynth.synthesis import (CAP_EXCEEDED, SynthesisConfig,
-                                synthesize_brac, synthesize_wpi,
-                                verify_solution)
+                                relation_stage, synthesize_brac,
+                                synthesize_wpi, verify_solution)
 
 OK = 0
 IMPOSSIBLE = 1
@@ -91,20 +90,14 @@ def _cmd_relations(args) -> int:
              for (a, b), rel in pair_relations(lts)]
     contradictions = []
     graph_entries = []
-    stage = build_relation_graph(lts)
-    raw = None if isinstance(stage, Contradiction) else stage
-    if not isinstance(stage, Contradiction):
-        stage2 = quotient_by_equivalence(stage)
-        if not isinstance(stage2, Contradiction):
-            stage = strengthen_wpi(stage2[0])
-        else:
-            stage = stage2
+    raw = build_relation_graph(lts)
+    stage = relation_stage(raw, brac=False)
     if isinstance(stage, Contradiction):
         contradictions.append({"rule": stage.rule,
                                "labels": [lts.labels[i]
                                           for i in stage.labels],
                                "detail": stage.detail})
-    if raw is not None and not isinstance(stage, Contradiction):
+    else:
         # representative pairs carry the strengthened edge; pairs inside
         # or across equivalence classes keep their raw edge
         for (a, b), edge in sorted(raw.edges.items()):

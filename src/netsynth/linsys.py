@@ -13,15 +13,17 @@ as every row.
 
 Rational feasibility is decided by an exact integer-tableau simplex that
 reads the rows straight into its dual tableau, a block's cached columns
-spliced in, and never touches a `fractions.Fraction`.  A pivot updates
-the other rows in place; unless its pivot entry is not 1 and scales them,
-it changes them only where the pivot row is nonzero.  Strict rows are
-handled by maximising one shared slack, the only reason for an
-artificial column.  The witness comes out as integer numerators over one
-denominator and is re-substituted into the rows; only the returned
-assignment is built from Fractions.
-Homogeneous solutions lift to integers by denominator clearing, and a
-0/1-aware branch-and-bound gives bounded integer feasibility.
+spliced in.  A pivot updates the other rows in place; unless its pivot
+entry is not 1 and scales them, it changes them only where the pivot row
+is nonzero.  Strict rows are handled by maximising one shared slack, the
+only reason for an artificial column.  A solution is integer numerators
+over one positive denominator, re-substituted into the rows before it is
+returned.  Homogeneous solutions lift to integers by dividing out the
+gcd, and a 0/1-aware branch-and-bound gives bounded integer feasibility;
+each of its nodes is one whole system, the bound rows appended.
+`fractions.Fraction` is left only in the reference checks
+(`Row.evaluate`, `LinearSystem.satisfied_by`) and the read-only
+`Solution.assignment` view.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 _OPERATORS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
@@ -162,13 +164,24 @@ class LinearSystem:
 
 @dataclass
 class Solution:
+    """A verdict and, when feasible, the witness ``x[j] = num[j] / den``:
+    one integer numerator per column over one denominator ``den > 0``."""
+
     status: str
-    assignment: Optional[tuple[Fraction, ...]] = None  # one value per column
+    num: Optional[tuple[int, ...]] = None
+    den: int = 1
     pivots: int = 0
 
     @property
     def feasible(self) -> bool:
         return self.status == FEASIBLE
+
+    @property
+    def assignment(self) -> Optional[tuple[Fraction, ...]]:
+        """The witness as Fractions, one per column."""
+        if self.num is None:
+            return None
+        return tuple(Fraction(v, self.den) for v in self.num)
 
 
 def dump_lp(system: LinearSystem, names: Sequence[str]) -> str:
@@ -231,13 +244,17 @@ class _Simplex:
     positive number, which changes no pivot and not the witness.  The
     objective ``c`` is zero, or the unit vector of the shared strictness
     slack ``delta`` when a row is strict; the slack's tableau row then
-    starts on the one artificial column.
+    starts on the one artificial column.  Phase 1 minimises it.  While it
+    is basic, only its row has a nonzero right-hand side, so it leaves at
+    the first pivot in that row, and the phase-1 objective is then its
+    unit cost: phase 1 stops there.  That pivot always comes, since the
+    ``y`` of ``delta <= 1`` alone is a feasible dual point.
 
     Tableau row ``i`` holds the integers ``tableau[i]`` over one positive
     denominator ``den[i]``, and the objective row likewise ``obj`` over
     ``obj_den`` (fraction-free pivoting after Edmonds, 1967).  A pivot
-    keeps the pivot row's integers, negated if the pivot entry is negative,
-    and makes that entry its denominator.  Rows with a zero in the entering
+    entry is always positive; a pivot keeps the pivot row's integers and
+    makes that entry its denominator.  Rows with a zero in the entering
     column are not touched.  Every other row, the objective included, is
     updated in place: multiplied by the pivot entry only when that is not
     1, changed only at the pivot row's nonzero positions (its support,
@@ -248,11 +265,11 @@ class _Simplex:
     would make.
     """
 
-    def __init__(self, system: LinearSystem, extra: Sequence[Row] = ()):
+    def __init__(self, system: LinearSystem):
         # (dual column, row, sign, strict) per copy; a block takes the
         # next block.copies columns
         copies, blocks, m = [], [], 0
-        for part in system.rows.parts + tuple(extra):
+        for part in system.rows.parts:
             if not isinstance(part, Row):
                 blocks.append((m, part))
                 m += part.copies
@@ -319,11 +336,7 @@ class _Simplex:
             raise RuntimeError("pivot limit exceeded")
         tableau, den = self.tableau, self.den
         row = tableau[r]
-        piv = row[k]
-        if piv < 0:
-            row = tableau[r] = [-x for x in row]
-            piv = -piv
-        den[r] = piv
+        piv = den[r] = row[k]
         support = list(compress(range(len(row)), row))
         for i in range(self.n_rows):
             a = tableau[i][k]
@@ -365,16 +378,8 @@ class _Simplex:
         if self.strict:
             self._set_objective([0] * real + [1])
             if self._run(self.ncols) != "optimal" or self.obj[-1] != 0:
-                return None
-            if real in self.basis:
-                # Drive the artificial out.  A fully zero row is a redundant
-                # constraint; the artificial stays at level zero and never
-                # re-enters.
-                r = self.basis.index(real)
-                k = next((k for k in range(real)
-                          if self.tableau[r][k] != 0), None)
-                if k is not None:
-                    self._pivot(r, k)
+                raise RuntimeError("phase 1 did not drive the artificial "
+                                   "column to zero")
         self._set_objective(self.costs)
         # unbounded dual: the rows are infeasible; with strict rows, a
         # slack optimum -obj[-1] <= 0 means no row can be strict
@@ -384,25 +389,21 @@ class _Simplex:
         return self.obj[self.n_y:real], self.obj_den
 
 
-def solve_rational(system: LinearSystem, extra_rows: Iterable[Row] = ()) -> Solution:
+def solve_rational(system: LinearSystem) -> Solution:
     """Exact rational feasibility of a (possibly strict) system.
 
     Strict rows are feasible iff the shared strictness slack admits a
     positive optimum.  The witness is re-substituted into the rows before it
     is returned.
     """
-    extra = tuple(extra_rows)
-    if not system.rows and not extra and not system.zero_one:
-        return Solution(FEASIBLE, (Fraction(0),) * system.columns)
-    simplex = _Simplex(system, extra)
+    simplex = _Simplex(system)
     witness = simplex.solve()
     if witness is None:
         return Solution(INFEASIBLE, pivots=simplex.pivots)
-    num, den = witness[0][:system.columns], witness[1]
-    if not (system.holds(num, den) and all(r.holds(num, den) for r in extra)):
+    num, den = tuple(witness[0][:system.columns]), witness[1]
+    if not system.holds(num, den):
         raise AssertionError("simplex witness failed re-substitution")
-    return Solution(FEASIBLE, tuple(Fraction(v, den) for v in num),
-                    pivots=simplex.pivots)
+    return Solution(FEASIBLE, num, den, simplex.pivots)
 
 
 def lift_homogeneous_to_integer(solution: Solution,
@@ -410,19 +411,19 @@ def lift_homogeneous_to_integer(solution: Solution,
     """Scale a rational solution of a homogeneous system to integers.
 
     All relations are preserved under positive scaling when every constant
-    term is zero; the lifted assignment is re-verified by substitution.
+    term is zero.  Dividing the numerators by their gcd with the
+    denominator gives the least such integer multiple; it is re-verified by
+    substitution.
     """
     if not system.homogeneous:
         raise ValueError("system is not homogeneous")
-    if not solution.feasible or solution.assignment is None:
+    if not solution.feasible or solution.num is None:
         raise ValueError("can only lift a feasible solution")
-    scale = lcm(*(v.denominator for v in solution.assignment))
-    lifted = [v.numerator * (scale // v.denominator)
-              for v in solution.assignment]
+    g = gcd(solution.den, *solution.num)
+    lifted = tuple(v // g for v in solution.num)
     if not system.holds(lifted, 1):
         raise AssertionError("lifted solution failed re-substitution")
-    return Solution(FEASIBLE, tuple(map(Fraction, lifted)),
-                    pivots=solution.pivots)
+    return Solution(FEASIBLE, lifted, 1, solution.pivots)
 
 
 def integerize_strict(system: LinearSystem) -> LinearSystem:
@@ -452,11 +453,13 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
 
     0/1-flagged variables carry their bounds already; remaining variables
     are branched on fractional relaxation values, down-branch first, in
-    column order.  Branches pushing a lower bound beyond ``cap`` are
-    pruned; if the search ends infeasible after such pruning the result is
-    reported as cap-exceeded rather than infeasible.
+    column order.  A node is the whole system with its bound rows appended.
+    Branches pushing a lower bound beyond ``cap`` are pruned; if the search
+    ends infeasible after such pruning the result is reported as
+    cap-exceeded rather than infeasible.
     """
     system = integerize_strict(system)
+    parts = system.rows.parts
     stack: list[tuple[Row, ...]] = [()]
     capped = False
     pivots = 0
@@ -466,21 +469,19 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
         nodes += 1
         if nodes > 200_000:
             raise RuntimeError("branch-and-bound node limit exceeded")
-        relax = solve_rational(system, extra_rows=bounds)
+        relax = solve_rational(LinearSystem(system.columns, parts + bounds,
+                                            system.zero_one))
         pivots += relax.pivots
         if not relax.feasible:
             continue
-        values = relax.assignment
-        if values is None:
-            raise AssertionError("feasible relaxation without a witness")
-        frac = next((j for j, v in enumerate(values) if v.denominator != 1),
-                    None)
+        num, den = relax.num, relax.den
+        frac = next((j for j, v in enumerate(num) if v % den), None)
         if frac is None:
-            return Solution(FEASIBLE, values, pivots=pivots)
-        lo, hi = floor(values[frac]), ceil(values[frac])
-        up = bounds + (make_row({frac: 1}, ">=", hi, tag="branch-up"),)
+            return Solution(FEASIBLE, tuple(v // den for v in num), 1, pivots)
+        lo = num[frac] // den
+        up = bounds + (make_row({frac: 1}, ">=", lo + 1, tag="branch-up"),)
         down = bounds + (make_row({frac: 1}, "<=", lo, tag="branch-down"),)
-        if hi > cap:
+        if lo + 1 > cap:
             capped = True
         else:
             stack.append(up)

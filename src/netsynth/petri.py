@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Optional
 
 from netsynth.lts import Lts
-from netsynth.separation import PlaceSpec
 
 _NAME = re.compile(r"[A-Za-z0-9_]+$")
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes "²" and "٣"
@@ -278,6 +277,15 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     if len(mapping) != len(lts.states) or len(mapping) != len(other.states):
         return Mismatch("state counts differ")
     return mapping
+
+
+@dataclass(frozen=True)
+class PlaceSpec:
+    """One net place: tokens plus per-label consume/produce weights."""
+
+    tokens: int
+    consume: tuple[int, ...]
+    produce: tuple[int, ...]
 
 
 def net_from_regions(labels: tuple[str, ...],

@@ -37,7 +37,6 @@ DOI = "doi"             # lo is a self-loop; disjoint from hi or below it
 
 ORIGINAL = "original"
 STRENGTHENED = "strengthened"
-FORCED = "forced"
 
 # oriented codes of a pair (x, c) as seen from x
 _NONE = 0
@@ -45,6 +44,12 @@ _INC_TO = 1     # x included in c
 _INC_FROM = 2   # c included in x
 _DOI_TO = 3     # doi(x, c)
 _DOI_FROM = 4   # doi(c, x)
+
+# the inverse of `RelationGraph.code_from`: code -> (edge kind, whether c
+# is the edge's lo)
+_EDGE_OF_CODE = {_NONE: (DISJOINT, False), _INC_TO: (INCLUDED, False),
+                 _INC_FROM: (INCLUDED, True), _DOI_TO: (DOI, False),
+                 _DOI_FROM: (DOI, True)}
 
 _CONTRA = "contra"
 _TO_DISJOINT = "disjoint"
@@ -310,6 +315,7 @@ def quotient_by_equivalence(graph: RelationGraph) \
         classes.setdefault(find(n), []).append(n)
 
     reps: dict[int, int] = {}
+    by_rep: dict[int, tuple[int, ...]] = {}
     for root, members in sorted(classes.items()):
         withinc = [m for m in members
                    if any(e.kind == INCLUDED and e.origin == ORIGINAL
@@ -318,19 +324,16 @@ def quotient_by_equivalence(graph: RelationGraph) \
         rep = min(withinc) if withinc else min(members)
         for m in members:
             reps[m] = rep
+        by_rep[rep] = tuple(sorted(members))
+    roots = sorted(by_rep)
 
     # reconcile member edges towards every outside class
-    roots = sorted(set(reps.values()))
     for ra in roots:
-        members_a = sorted(m for m in g.nodes if reps[m] == ra)
         for rb in roots:
             if rb <= ra:
                 continue
-            members_b = sorted(m for m in g.nodes if reps[m] == rb)
-            codes = {}
-            for x in members_a:
-                for y in members_b:
-                    codes[(x, y)] = g.code_from(x, y)
+            codes = {(x, y): g.code_from(x, y)
+                     for x in by_rep[ra] for y in by_rep[rb]}
             combo = frozenset(codes.values())
             if combo not in _COMPATIBLE:
                 return Contradiction(
@@ -338,29 +341,18 @@ def quotient_by_equivalence(graph: RelationGraph) \
                     "equivalent labels relate differently to "
                     f"{graph.names[rb]}")
             target = _COMPATIBLE[combo]
-            original = any(
-                g.edge(x, y).origin == ORIGINAL
-                and g.code_from(x, y) == target
-                for (x, y) in codes)
-            origin = ORIGINAL if original else STRENGTHENED
-            if target == _NONE:
-                edge = Edge(DISJOINT, ra, rb, origin)
-            elif target == _INC_TO:
-                edge = Edge(INCLUDED, ra, rb, origin)
-            elif target == _INC_FROM:
-                edge = Edge(INCLUDED, rb, ra, origin)
-            elif target == _DOI_TO:
-                edge = Edge(DOI, ra, rb, origin)
-            else:
-                edge = Edge(DOI, rb, ra, origin)
-            g.set_edge(ra, rb, edge)
+            original = any(code == target and g.edge(x, y).origin == ORIGINAL
+                           for (x, y), code in codes.items())
+            kind, flip = _EDGE_OF_CODE[target]
+            lo, hi = (rb, ra) if flip else (ra, rb)
+            g.set_edge(ra, rb, Edge(kind, lo, hi,
+                                    ORIGINAL if original else STRENGTHENED))
 
     nodes = tuple(roots)
     edges = {(a, b): g.edges[(a, b)] for a in nodes for b in nodes
              if a < b}
-    members = {r: tuple(sorted(m for m in g.nodes if reps[m] == r))
-               for r in roots}
-    out = RelationGraph(g.names, nodes, edges, dict(reps), members)
+    out = RelationGraph(g.names, nodes, edges, dict(reps),
+                        {r: by_rep[r] for r in roots})
     return out, dict(reps)
 
 
@@ -383,10 +375,19 @@ def _triangles(g: RelationGraph) \
             yield lo, hi, c, config, action
 
 
-def _find_contradiction(g: RelationGraph, brac: bool) -> Optional[Contradiction]:
-    if brac:
+def _strengthen(graph: RelationGraph, brac: bool) -> RelationGraph | Contradiction:
+    """Apply one rule per round until none applies.
+
+    A round checks, under ``brac``, that no label sits on two inclusions;
+    then it scans the triangles once, returning the first contradiction or
+    else applying the first resolution.  Only when no triangle resolves
+    does a BRAC doi rule apply: a doi edge touching an inclusion, then the
+    front edge of a doi chain, becomes disjoint.
+    """
+    g = graph.copy()
+    while True:
         incident: dict[int, tuple[int, int]] = {}
-        for lo, hi in g.included_edges():
+        for lo, hi in g.included_edges() if brac else ():
             for x in (lo, hi):
                 if x in incident and incident[x] != (lo, hi):
                     return Contradiction(
@@ -394,46 +395,30 @@ def _find_contradiction(g: RelationGraph, brac: bool) -> Optional[Contradiction]
                         f"label {g.names[x]} sits on two preset inclusions, "
                         "impossible with one- or two-place presets")
                 incident[x] = (lo, hi)
-    for lo, hi, c, config, action in _triangles(g):
-        if action == _CONTRA:
-            return Contradiction((lo, hi, c), f"triangle-{config}",
-                                 f"doi edge {g.names[lo]}->{g.names[hi]} "
-                                 f"with third label {g.names[c]}")
-    return None
-
-
-def _apply_one_resolution(g: RelationGraph, brac: bool) -> bool:
-    for lo, hi, c, config, action in _triangles(g):
-        if action == _CONTRA:
+        first = None
+        for lo, hi, c, config, action in _triangles(g):
+            if action == _CONTRA:
+                return Contradiction((lo, hi, c), f"triangle-{config}",
+                                     f"doi edge {g.names[lo]}->"
+                                     f"{g.names[hi]} with third label "
+                                     f"{g.names[c]}")
+            first = first or (lo, hi, c, config, action)
+        if first is not None:
+            lo, hi, c, config, action = first
+            if action == _TO_DISJOINT:
+                g.set_edge(lo, hi, Edge(DISJOINT, lo, hi, STRENGTHENED))
+            else:
+                g.set_edge(lo, hi, Edge(INCLUDED, lo, hi, STRENGTHENED,
+                                        provenance=(c, config)))
             continue
-        if action == _TO_DISJOINT:
-            g.set_edge(lo, hi, Edge(DISJOINT, lo, hi, STRENGTHENED))
-        else:
-            g.set_edge(lo, hi, Edge(INCLUDED, lo, hi, STRENGTHENED,
-                                    provenance=(c, config)))
-        return True
-    if brac:
-        touched = {x for lo, hi in g.included_edges() for x in (lo, hi)}
-        for lo, hi in g.doi_edges():
-            if lo in touched or hi in touched:
-                g.set_edge(lo, hi, Edge(DISJOINT, lo, hi, STRENGTHENED))
-                return True
-        has_outgoing = {lo for lo, _ in g.doi_edges()}
-        for lo, hi in g.doi_edges():
-            if hi in has_outgoing:  # front edge of a doi chain
-                g.set_edge(lo, hi, Edge(DISJOINT, lo, hi, STRENGTHENED))
-                return True
-    return False
-
-
-def _strengthen(graph: RelationGraph, brac: bool) -> RelationGraph | Contradiction:
-    g = graph.copy()
-    while True:
-        contra = _find_contradiction(g, brac)
-        if contra is not None:
-            return contra
-        if not _apply_one_resolution(g, brac):
+        doi = g.doi_edges() if brac else []
+        has_outgoing = {lo for lo, _ in doi}
+        pair = next(((lo, hi) for lo, hi in doi
+                     if lo in incident or hi in incident), None) or \
+            next(((lo, hi) for lo, hi in doi if hi in has_outgoing), None)
+        if pair is None:
             return g
+        g.set_edge(*pair, Edge(DISJOINT, *pair, STRENGTHENED))
 
 
 def strengthen_wpi(graph: RelationGraph) -> RelationGraph | Contradiction:

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, ParikhVector, SpanningTree
+from netsynth.petri import PlaceSpec
 from netsynth.relations import (DISJOINT, DOI, EQUIVALENT, INCLUDED,
                                 RelationGraph)
 
@@ -399,16 +400,16 @@ def brac_ssp_system_freechoice(ctx: SystemContext, graph: RelationGraph,
 def solution_to_region(solution: Solution, tree: SpanningTree) -> Region:
     """Read an integral solution in `SystemContext`'s layout into a region
     over ``tree``."""
-    values = solution.assignment
-    if values is None:
+    num, den = solution.num, solution.den
+    if num is None:
         raise ValueError("an infeasible solution has no region")
-    for j, v in enumerate(values):
-        if v.denominator != 1:
-            raise ValueError(f"non-integral value in column {j}: {v}")
+    for j, v in enumerate(num):
+        if v % den:
+            raise ValueError(f"non-integral value in column {j}: {v}/{den}")
+    values = [v // den for v in num]
     n = len(tree.lts.labels)
-    return Region.over(tree, int(values[0]),
-                       tuple(int(v) for v in values[1:n + 1]),
-                       tuple(int(v) for v in values[n + 1:2 * n + 1]))
+    return Region.over(tree, values[0], tuple(values[1:n + 1]),
+                       tuple(values[n + 1:2 * n + 1]))
 
 
 def normalize_region(region: Region, lts: Lts) -> Region:
@@ -426,15 +427,6 @@ def normalize_region(region: Region, lts: Lts) -> Region:
     if candidate.is_valid(lts):
         return candidate
     return region
-
-
-@dataclass(frozen=True)
-class PlaceSpec:
-    """One net place: tokens plus per-label consume/produce weights."""
-
-    tokens: int
-    consume: tuple[int, ...]
-    produce: tuple[int, ...]
 
 
 def region_to_place(region: Region) -> PlaceSpec:

@@ -189,18 +189,18 @@ def _prepare(lts: Lts) -> SystemContext:
     return SystemContext(lts, tree, cycle_basis(lts, tree))
 
 
-def _relation_stage(lts: Lts, brac: bool):
-    graph = build_relation_graph(lts)
+def relation_stage(graph: RelationGraph | Contradiction, brac: bool) \
+        -> RelationGraph | Contradiction:
+    """Quotient a raw relation graph by equivalence and strengthen it, by
+    the BRAC rules too when ``brac``.  The first contradiction, a given one
+    included, is returned as it is."""
     if isinstance(graph, Contradiction):
         return graph
     quotiented = quotient_by_equivalence(graph)
     if isinstance(quotiented, Contradiction):
         return quotiented
-    graph, _ = quotiented
-    graph = strengthen_wpi(graph)
-    if isinstance(graph, Contradiction):
-        return graph
-    if brac:
+    graph = strengthen_wpi(quotiented[0])
+    if brac and not isinstance(graph, Contradiction):
         graph = strengthen_brac(graph)
     return graph
 
@@ -308,7 +308,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     ctx = _prepare(lts)
     tried = 0
     try:
-        graph = _relation_stage(lts, brac=False)
+        graph = relation_stage(build_relation_graph(lts), brac=False)
         if isinstance(graph, Contradiction):
             raise _Unsolvable(_contradiction_witness(graph, lts.labels))
         doi_pairs = _doi_pairs(graph)
@@ -372,10 +372,9 @@ def _maybe_prune(report: SynthesisReport, lts: Lts,
         if i not in keep:
             continue
         candidate = [j for j in keep if j != i]
-        net = net_from_regions(lts.labels,
-                               [region_to_place(regions[j])
-                                for j in candidate])
-        if verify_solution(net, lts, report.target_class).ok:
+        _, record = _verified_net(lts, [regions[j] for j in candidate],
+                                  report.target_class)
+        if record.ok:
             keep = candidate
     report.regions = [regions[j] for j in keep]
     report.net, report.verification = _verified_net(
@@ -447,7 +446,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     lam_names: list[tuple[str, str]] = []
     matching_names: dict[str, str] = {}
     try:
-        graph = _relation_stage(lts, brac=True)
+        graph = relation_stage(build_relation_graph(lts), brac=True)
         if isinstance(graph, Contradiction):
             raise _Unsolvable(_contradiction_witness(graph, lts.labels))
         graph = graph.copy()

@@ -164,6 +164,22 @@ class TestSynth:
         assert (tmp_path / "opt.json").read_bytes() == \
             (tmp_path / "plain.json").read_bytes()
 
+    def test_selfloop_cap_exit_3(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert run(["synth", fx("brac7.lts"), "--class", "wpi",
+                    "--selfloop-cap", "1", "-o", str(tmp_path / "n.pn"),
+                    "--report", str(report)]) == 3
+        assert capsys.readouterr().err == "cap exceeded: selfloop-cap\n"
+        payload = json.loads(report.read_text())
+        assert (payload["outcome"], payload["cap"]) == \
+            ("cap-exceeded", "selfloop-cap")
+
+    def test_selfloop_cap_below_one_exit_2(self, capsys):
+        assert run(["synth", fx("brac7.lts"), "--class", "wpi",
+                    "--selfloop-cap", "0"]) == 2
+        assert capsys.readouterr().err == \
+            "error: selfloop_cap must be at least 1\n"
+
     def test_jobs_option_removed(self):
         assert run(["synth", fx("fig1.lts"), "--class", "wpi",
                     "--jobs", "2"]) == 2

@@ -1,13 +1,16 @@
-"""Lint: the exact LP core is the bottom layer of the package.
+"""Lint: the lower layers of the package import little of it.
 
 ``src/netsynth/linsys.py`` knows rows, columns and blocks only; it imports
 no other ``netsynth`` module, so the region layout stays with the callers.
+``src/netsynth/petri.py`` knows nets and transition systems; of the
+package it imports ``netsynth.lts`` alone, so nets are assembled from
+places, not from regions.
 """
 
 import ast
 import pathlib
 
-LINSYS = pathlib.Path(__file__).parents[1] / "src" / "netsynth" / "linsys.py"
+SRC = pathlib.Path(__file__).parents[1] / "src" / "netsynth"
 
 
 def imported_modules(tree: ast.AST) -> list[str]:
@@ -21,11 +24,21 @@ def imported_modules(tree: ast.AST) -> list[str]:
     return names
 
 
+def package_imports(module: str) -> list[str]:
+    """The package modules that ``src/netsynth/<module>.py`` imports."""
+    names = imported_modules(ast.parse((SRC / f"{module}.py").read_text()))
+    return [n for n in names
+            if n.startswith(".") or n.split(".")[0] == "netsynth"]
+
+
 def test_linsys_imports_no_netsynth_module():
-    names = imported_modules(ast.parse(LINSYS.read_text()))
+    names = imported_modules(ast.parse((SRC / "linsys.py").read_text()))
     assert "fractions" in names
-    assert [n for n in names
-            if n.startswith(".") or n.split(".")[0] == "netsynth"] == []
+    assert package_imports("linsys") == []
+
+
+def test_petri_imports_only_lts():
+    assert package_imports("petri") == ["netsynth.lts"]
 
 
 def test_import_check_sees_package_imports():

@@ -181,11 +181,10 @@ class TestLifting:
         sys_ = system([({"B_a": 2, "F_f": -2}, "=", 0),
                        ({"B_a": -1}, "<", 0)])
         sol = solve_rational(sys_)
-        halved = tuple(v / 2 for v in sol.assignment)
-        assert sys_.satisfied_by(halved)
         from netsynth.linsys import Solution
-        lifted = lift_homogeneous_to_integer(Solution(FEASIBLE, halved),
-                                             sys_)
+        halved = Solution(FEASIBLE, sol.num, 2 * sol.den)
+        assert sys_.satisfied_by(halved.assignment)
+        lifted = lift_homogeneous_to_integer(halved, sys_)
         assert all(v.denominator == 1 for v in lifted.assignment)
         assert sys_.satisfied_by(lifted.assignment)
 
@@ -349,7 +348,8 @@ class TestPivotSequence:
     }
 
     @staticmethod
-    def digest(family):
+    def systems(family):
+        """The family's 60 seeded systems, in order."""
         seed, rels, (lo, hi), binary, rational, sparse = \
             TestPivotSequence.FAMILIES[family]
         rng = random.Random(seed)
@@ -359,7 +359,6 @@ class TestPivotSequence:
                 return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
             return rng.randint(lo, hi)
 
-        h = hashlib.sha256()
         for _ in range(60):
             if sparse:
                 # each row holds at a hidden point with a slack drawn from
@@ -383,9 +382,14 @@ class TestPivotSequence:
                     make_row({j: number(-3, 3) for j in range(nvar)},
                              rng.choice(rels), number(lo, hi))
                     for _ in range(rng.randint(1, 8)))
-            sys_ = LinearSystem(nvar, rows,
-                                frozenset(range(nvar)) if binary
-                                else frozenset())
+            yield LinearSystem(nvar, rows,
+                               frozenset(range(nvar)) if binary
+                               else frozenset())
+
+    @staticmethod
+    def digest(family):
+        h = hashlib.sha256()
+        for sys_ in TestPivotSequence.systems(family):
             for solve in (solve_rational,
                           lambda s: solve_integer(s, cap=16)):
                 try:
@@ -400,3 +404,31 @@ class TestPivotSequence:
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_pivots_unchanged(self, family):
         assert self.digest(family) == self.DIGESTS[family]
+
+
+class TestPhaseOne:
+    """Phase 1 of a strict system always ends with the artificial column
+    out of the basis, so the solver needs no step that drives it out."""
+
+    @staticmethod
+    def check(systems):
+        """Solve every strict system of ``systems``; return their count."""
+        from netsynth.linsys import _Simplex
+        checked = 0
+        for system in systems:
+            simplex = _Simplex(system)
+            if simplex.strict:
+                simplex.solve()
+                assert simplex.ncols - 1 not in simplex.basis
+                checked += 1
+        return checked
+
+    def test_artificial_column_leaves_the_basis(self):
+        # the pivot families, then what both pipelines build on the
+        # fixtures and the graphs of random_brac_net(0..9)
+        import test_separation
+        assert self.check(system for family in TestPivotSequence.FAMILIES
+                          for system in TestPivotSequence.systems(family)) \
+            > 200
+        assert self.check(
+            test_separation.TestBaseBlock.pipeline_systems()) > 20

@@ -120,6 +120,17 @@ class TestBuildGraph:
             for (_, _), e in g.edges.items():
                 assert e.kind != DOI
 
+    def test_case6_pair_without_self_loop_gets_disjoint_edge(self):
+        # a is enabled at s0 and s1, b everywhere, and neither disables
+        # the other: case 6 with b the wider label, which never self-loops
+        lts = parse_lts("initial s0\ns0 a s2\ns0 b s1\ns1 a s3\n"
+                        "s1 b s0\ns2 b s3\ns3 b s2\n")
+        assert not lts.self_loop_labels
+        a, b = lts.labels.index("a"), lts.labels.index("b")
+        assert classify_case(pair_relation(lts, a, b)) == 6
+        g = build_relation_graph(lts)
+        assert g.edge(a, b) == Edge(DISJOINT, min(a, b), max(a, b))
+
 
 class TestQuotient:
     def test_fig1_collapses_ef(self, fig1):

@@ -543,9 +543,10 @@ class TestBaseBlock:
     def test_solves_leave_shared_inputs_unchanged(self):
         """Pivots update tableau rows in place.  Solving several systems
         of one context must change neither the context's cached dual
-        columns nor the simplex's costs nor the branch rows passed in."""
+        columns nor the simplex's costs nor the branch rows appended as
+        parts of a node system."""
         import copy
-        from netsynth.linsys import _Simplex
+        from netsynth.linsys import LinearSystem, _Simplex
         by_context = {}
         for system in self.pipeline_systems(per_kind=4):
             ctx, = (p for p in system.rows.parts if not isinstance(p, Row))
@@ -557,13 +558,16 @@ class TestBaseBlock:
         for system in systems:
             for extra in ((), branches[:1], branches):
                 kept = copy.deepcopy(extra)
-                simplex = _Simplex(system, extra)
+                node = LinearSystem(system.columns,
+                                    system.rows.parts + extra,
+                                    system.zero_one)
+                simplex = _Simplex(node)
                 costs = list(simplex.costs)
                 simplex.solve()
                 assert simplex.pivots > 0
                 assert simplex.costs == costs
-                first = solve_rational(system, extra)
-                again = solve_rational(system, extra)
+                first = solve_rational(node)
+                again = solve_rational(node)
                 assert (first.status, first.pivots, first.assignment) == \
                     (again.status, again.pivots, again.assignment)
                 assert extra == kept

@@ -11,15 +11,17 @@ import netsynth.synthesis
 from netsynth.cli import run
 from netsynth.linsys import LinearSystem, make_row, solve_integer
 from netsynth.lts import parse_lts, serialize_lts
-from netsynth.oracle import OracleBound, brute_force_region, random_lts
+from netsynth.oracle import (OracleBound, brute_force_region,
+                             random_brac_net, random_lts)
 from netsynth.petri import reachability_graph, serialize_net
-from netsynth.relations import DOI, Contradiction, MatchingFailure
+from netsynth.relations import (DOI, Contradiction, MatchingFailure,
+                                build_relation_graph)
 from netsynth.separation import (ESSP, SSP, brac_block_systems,
                                  brac_ssp_system_freechoice,
                                  enumerate_separation_problems,
                                  essp_system_wpi)
 from netsynth.synthesis import (SynthesisConfig, _integer_cap, _prepare,
-                                _relation_stage, synthesize_brac,
+                                relation_stage, synthesize_brac,
                                 synthesize_wpi, verify_solution)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -428,7 +430,7 @@ class TestIntegerCapBound:
     def brac_systems(lts):
         """Every ESSP, block and free-choice system of the BRAC pipeline."""
         ctx = _prepare(lts)
-        graph = _relation_stage(lts, brac=True)
+        graph = relation_stage(build_relation_graph(lts), brac=True)
         if isinstance(graph, Contradiction):
             return []
         reps = sorted(graph.classes)
@@ -578,3 +580,27 @@ class TestRelationStageExits:
             else payload["witness"]
         assert found["rule"] == rule
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[command]
+
+
+class TestWithoutFractions:
+    """The pipelines solve, lift and read regions in integers alone."""
+
+    @staticmethod
+    def report_bytes():
+        inputs = [parse_lts(p.read_text())
+                  for p in sorted(FIXTURES.glob("*.lts"))]
+        inputs += [reachability_graph(random_brac_net(i), 100_000)
+                   for i in range(10)]
+        inputs += [random_lts(i, 24, 6) for i in range(60)]
+        return [json.dumps(synthesize(lts).to_json(lts.labels), indent=2,
+                           sort_keys=True)
+                for lts in inputs
+                for synthesize in (synthesize_wpi, synthesize_brac)]
+
+    def test_same_reports_when_fraction_raises(self, monkeypatch):
+        expected = self.report_bytes()
+
+        def no_fraction(*args, **kwargs):
+            raise AssertionError("a pipeline built a Fraction")
+        monkeypatch.setattr("netsynth.linsys.Fraction", no_fraction)
+        assert self.report_bytes() == expected
