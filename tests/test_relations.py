@@ -112,15 +112,6 @@ class TestBuildGraph:
         assert edge_kind(brac7, g, "a", "b") == DISJOINT
 
     def test_case6_without_self_loop_is_disjoint(self):
-        # same shape as a doi pair, but the wide label never self-loops
-        lts = parse_lts("initial s0\ns0 a s1\ns1 c s2\ns2 b s3\n"
-                        "s3 c s0\ns1 b s4\ns4 c s1\n")
-        g = build_relation_graph(lts)
-        if not isinstance(g, Contradiction):
-            for (_, _), e in g.edges.items():
-                assert e.kind != DOI
-
-    def test_case6_pair_without_self_loop_gets_disjoint_edge(self):
         # a is enabled at s0 and s1, b everywhere, and neither disables
         # the other: case 6 with b the wider label, which never self-loops
         lts = parse_lts("initial s0\ns0 a s2\ns0 b s1\ns1 a s3\n"
