@@ -429,6 +429,6 @@ class TestPhaseOne:
         import test_separation
         assert self.check(system for family in TestPivotSequence.FAMILIES
                           for system in TestPivotSequence.systems(family)) \
-            > 200
+            >= 250
         assert self.check(
-            test_separation.TestBaseBlock.pipeline_systems()) > 20
+            test_separation.TestBaseBlock.pipeline_systems()) >= 60
