@@ -13,14 +13,17 @@ as every row.
 
 Rational feasibility is decided by an exact integer-tableau simplex that
 reads the rows straight into its dual tableau, a block's cached columns
-spliced in.  A pivot updates the other rows in place; unless its pivot
-entry is not 1 and scales them, it changes them only where the pivot row
-is nonzero.  Strict rows are handled by maximising one shared slack, the
-only reason for an artificial column.  A solution is integer numerators
-over one positive denominator, re-substituted into the rows before it is
-returned.  Homogeneous solutions lift to integers by dividing out the
-gcd, and a 0/1-aware branch-and-bound gives bounded integer feasibility;
-each of its nodes is one whole system, the bound rows appended.
+spliced in, and runs one phase.  A pivot updates the other rows in place;
+unless its pivot entry is not 1 and scales them, it changes them only
+where the pivot row is nonzero.  The simplex takes no strict row.  A
+homogeneous system is solved with each strict row as a unit margin
+(``a.x < 0`` as ``a.x <= -1``), which any solution meets once scaled up;
+a strict row in any other system is refused.  A solution is integer
+numerators over one positive denominator, re-substituted into the rows as
+given before it is returned.  Homogeneous solutions lift to integers by
+dividing out the gcd, and a 0/1-aware branch-and-bound gives bounded
+integer feasibility; it makes strict rows unit margins too, and each of
+its nodes is one whole system, the bound rows appended.
 `fractions.Fraction` is left only in the reference checks
 (`Row.evaluate`, `LinearSystem.satisfied_by`) and the read-only
 `Solution.assignment` view.
@@ -201,12 +204,10 @@ def dump_lp(system: LinearSystem, names: Sequence[str]) -> str:
     return "\n".join(out)
 
 
-# How the simplex reads each relation: ``(sign, strict)`` copies, each the
-# primal row ``sign * coeffs <= sign * const``, plus the shared slack when
-# strict.  ``=`` gives two copies; ``!=`` must be split by the caller.
-_LEQ_COPIES = {"<=": ((1, False),), ">=": ((-1, False),),
-               "=": ((1, False), (-1, False)),
-               "<": ((1, True),), ">": ((-1, True),)}
+# How the simplex reads each relation: one copy per sign, each the primal
+# row ``sign * coeffs <= sign * const``.  ``=`` gives two copies; ``!=``
+# must be split and strict rows made unit margins by the caller.
+_LEQ_COPIES = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 
 
 def _eliminate(row, den, pivot_row, support, pivot, a):
@@ -234,21 +235,17 @@ def _eliminate(row, den, pivot_row, support, pivot, a):
 class _Simplex:
     """Primal simplex (Bland's rule) on an exact integer tableau.
 
-    The many-row feasibility problem ``max delta, M z <= b, z >= 0`` is
-    solved through its dual ``min b.y, M^T y >= c, y >= 0`` whose row count
-    equals the (small) variable count; the primal witness is read off the
-    reduced costs of the surplus columns.  ``M`` is never built: each row's
-    integer ``(column, coef)`` pairs are written straight into the tableau,
-    a block's cached columns spliced in, giving the same tableau.
-    Scaling a primal row by its ``scale`` multiplies one dual column by a
-    positive number, which changes no pivot and not the witness.  The
-    objective ``c`` is zero, or the unit vector of the shared strictness
-    slack ``delta`` when a row is strict; the slack's tableau row then
-    starts on the one artificial column.  Phase 1 minimises it.  While it
-    is basic, only its row has a nonzero right-hand side, so it leaves at
-    the first pivot in that row, and the phase-1 objective is then its
-    unit cost: phase 1 stops there.  That pivot always comes, since the
-    ``y`` of ``delta <= 1`` alone is a feasible dual point.
+    The many-row feasibility problem ``M z <= b, z >= 0`` is solved
+    through its dual ``min b.y, M^T y >= 0, y >= 0`` whose row count
+    equals the (small) variable count: the dual is unbounded exactly when
+    the rows are infeasible, and otherwise the primal witness is read off
+    the reduced costs of the surplus columns.  ``M`` is never built: each
+    row's integer ``(column, coef)`` pairs are written straight into the
+    tableau, a block's cached columns spliced in, giving the same tableau.
+    Every dual row is negated, so that its surplus column is an identity
+    column and starts the basis.  Surplus columns cost 0, so the objective
+    row starts as the cost vector ``b`` and one phase suffices.  Rows must
+    be weak or equalities.
 
     Tableau row ``i`` holds the integers ``tableau[i]`` over one positive
     denominator ``den[i]``, and the objective row likewise ``obj`` over
@@ -266,69 +263,49 @@ class _Simplex:
     """
 
     def __init__(self, system: LinearSystem):
-        # (dual column, row, sign, strict) per copy; a block takes the
-        # next block.copies columns
+        # (dual column, row, sign) per copy; a block takes the next
+        # block.copies columns
         copies, blocks, m = [], [], 0
         for part in system.rows.parts:
             if not isinstance(part, Row):
                 blocks.append((m, part))
                 m += part.copies
                 continue
+            if part.rel in ("<", ">"):
+                raise ValueError(f"strict row {part.tag!r} in a system "
+                                 "that is not homogeneous")
             if part.rel not in _LEQ_COPIES:
                 raise ValueError(f"split {part.rel!r} rows before solving")
-            for sign, strict in _LEQ_COPIES[part.rel]:
-                copies.append((m, part, sign, strict))
+            for sign in _LEQ_COPIES[part.rel]:
+                copies.append((m, part, sign))
                 m += 1
         zero_one = sorted(system.zero_one)
-        self.strict = any(strict for _, _, _, strict in copies)
-        # D rows: one per primal variable, the slack last; D columns: y per
-        # primal row (the copies, the 0/1 bounds, then delta <= 1), then
-        # surplus, then the artificial when strict.
-        self.n_rows = n = system.columns + self.strict
+        # D rows: one per primal variable; D columns: y per primal row (the
+        # copies, then the 0/1 bounds), then surplus.
+        self.n_rows = n = system.columns
         first_bound = m
-        self.n_y = m = m + len(zero_one) + self.strict
-        self.ncols = m + n + self.strict
+        self.n_y = m = m + len(zero_one)
         self.pivots = 0
-        tableau = [[0] * (self.ncols + 1) for _ in range(n)]
-        costs = [0] * self.ncols  # b on the y columns
-        # Every row but the slack's is negated, so that its surplus column
-        # is an identity column and starts the basis.
-        for i, row, sign, strict in copies:
+        tableau = [[0] * (m + n + 1) for _ in range(n)]
+        costs = [0] * (m + n)  # b on the y columns
+        for i, row, sign in copies:
             for j, c in row.coeffs:
                 tableau[j][i] -= sign * c
-            if strict:
-                tableau[-1][i] = row.scale
             costs[i] = sign * row.const
-        # a block's rows are homogeneous and not strict
+        # a block's rows are homogeneous
         for i, block in blocks:
             for j, entries in block.dual_columns().items():
                 tableau[j][i:i + block.copies] = entries
         for i, j in enumerate(zero_one, first_bound):
             tableau[j][i] = -1
             costs[i] = 1
-        for j in range(system.columns):
+        for j in range(n):
             tableau[j][m + j] = 1
-        self.basis = [m + j for j in range(system.columns)]
-        if self.strict:
-            slack = tableau[-1]
-            slack[m - 1] = costs[m - 1] = 1
-            slack[m + n - 1] = -1
-            slack[-2] = slack[-1] = 1  # artificial column and rhs
-            self.basis.append(self.ncols - 1)
+        self.basis = [m + j for j in range(n)]
         self.tableau = tableau
         self.den = [1] * n
         self.costs = costs
-
-    def _set_objective(self, costs):
-        self.obj, self.obj_den = list(costs) + [0], 1
-        for i, bi in enumerate(self.basis):
-            cb = costs[bi]
-            if cb != 0:
-                row = self.tableau[i]
-                self.obj_den = _eliminate(
-                    self.obj, self.obj_den, row,
-                    list(compress(range(len(row)), row)), self.den[i],
-                    cb * self.obj_den)
+        self.obj, self.obj_den = costs + [0], 1
 
     def _pivot(self, r, k):
         self.pivots += 1
@@ -348,14 +325,15 @@ class _Simplex:
                                       piv, a)
         self.basis[r] = k
 
-    def _run(self, ncols):
-        """Bland's rule with entering columns among the first ``ncols``."""
-        tableau, basis = self.tableau, self.basis
+    def solve(self):
+        """Return the primal witness as ``(numerators, denominator)``, or
+        None if the rows are infeasible (the dual is unbounded)."""
+        tableau, basis, obj = self.tableau, self.basis, self.obj
+        ncols = len(obj) - 1  # the last entry is the objective value
         while True:
-            obj = self.obj
             enter = next((k for k in range(ncols) if obj[k] < 0), -1)
             if enter < 0:
-                return "optimal"
+                return obj[self.n_y:-1], self.obj_den
             # least rhs/a over a > 0, then least basic column; the rows'
             # denominators cancel in the ratio
             leave = -1
@@ -367,40 +345,24 @@ class _Simplex:
                     if cmp < 0 or cmp == 0 and basis[i] < basis[leave]:
                         leave, best_rhs, best_a = i, rhs, a
             if leave < 0:
-                return "unbounded"
+                return None
             self._pivot(leave, enter)
-
-    def solve(self):
-        """Return the primal witness as ``(numerators, denominator)``, with
-        the strictness slack last when there is one, or None if infeasible.
-        """
-        real = self.n_y + self.n_rows  # every column but the artificial
-        if self.strict:
-            self._set_objective([0] * real + [1])
-            if self._run(self.ncols) != "optimal" or self.obj[-1] != 0:
-                raise RuntimeError("phase 1 did not drive the artificial "
-                                   "column to zero")
-        self._set_objective(self.costs)
-        # unbounded dual: the rows are infeasible; with strict rows, a
-        # slack optimum -obj[-1] <= 0 means no row can be strict
-        if self._run(real) == "unbounded" or \
-                self.strict and self.obj[-1] >= 0:
-            return None
-        return self.obj[self.n_y:real], self.obj_den
 
 
 def solve_rational(system: LinearSystem) -> Solution:
-    """Exact rational feasibility of a (possibly strict) system.
+    """Exact rational feasibility of a system.
 
-    Strict rows are feasible iff the shared strictness slack admits a
-    positive optimum.  The witness is re-substituted into the rows before it
-    is returned.
+    A homogeneous system holds its strict rows as unit margins
+    (`integerize_strict`): any solution, scaled up, meets them.  A strict
+    row in any other system raises `ValueError`.  The witness is
+    re-substituted into the rows as given before it is returned.
     """
-    simplex = _Simplex(system)
+    simplex = _Simplex(integerize_strict(system) if system.homogeneous
+                       else system)
     witness = simplex.solve()
     if witness is None:
         return Solution(INFEASIBLE, pivots=simplex.pivots)
-    num, den = tuple(witness[0][:system.columns]), witness[1]
+    num, den = tuple(witness[0]), witness[1]
     if not system.holds(num, den):
         raise AssertionError("simplex witness failed re-substitution")
     return Solution(FEASIBLE, num, den, simplex.pivots)
@@ -427,18 +389,20 @@ def lift_homogeneous_to_integer(solution: Solution,
 
 
 def integerize_strict(system: LinearSystem) -> LinearSystem:
-    """Rewrite strict rows for integer search: ``< c`` becomes ``<= c-1``.
+    """Make strict rows unit margins: ``< c`` becomes ``<= c-1`` and
+    ``> c`` becomes ``>= c+1``.
 
-    Only sound on rows given in integers (``scale`` 1), which every
-    synthesis row is.  Blocks are kept as they are.
+    A stored row has integer coefficients, so at integer ``x`` its left
+    side is an integer and the integer solutions stay the same.  Every
+    solution of the rewritten system solves the given one, and every
+    solution of a homogeneous system, scaled up, solves the rewritten one.
+    Blocks are kept as they are.
     """
     rows = []
     for row in system.rows.parts:
         if not isinstance(row, Row):  # a block: integral, never strict
             rows.append(row)
             continue
-        if row.scale != 1:
-            raise ValueError("integerize requires integral rows")
         if row.rel == "<":
             rows.append(Row(row.coeffs, "<=", row.const - 1, row.tag))
         elif row.rel == ">":

@@ -117,3 +117,31 @@ def test_pipelines_never_write_out_base_rows(family, pipeline, tmp_path,
     expected = {k: v for k, v in DIGESTS.items()
                 if k.startswith(f"{pipeline}/{family}/")}
     assert got == expected
+
+
+@pytest.mark.parametrize("pipeline", ["wpi", "brac"])
+@pytest.mark.parametrize("family", ["fixture", "random_brac_net"])
+def test_simplex_sees_no_strict_row(family, pipeline, tmp_path,
+                                    monkeypatch):
+    """Every strict row reaches the simplex as a unit margin, so a simplex
+    that refuses ``<`` and ``>`` rows gives the same reports.  A block's
+    rows are ``>=`` and ``=`` rows."""
+    import netsynth.linsys
+    seen = []
+
+    class NoStrictRows(netsynth.linsys._Simplex):
+        def __init__(self, system):
+            strict = [p.tag for p in system.rows.parts
+                      if isinstance(p, netsynth.linsys.Row)
+                      and p.rel in ("<", ">")]
+            seen.extend(strict)
+            if strict:
+                raise AssertionError(f"strict rows reached the simplex: "
+                                     f"{strict}")
+            super().__init__(system)
+    monkeypatch.setattr(netsynth.linsys, "_Simplex", NoStrictRows)
+    got = family_digests(family, pipeline, tmp_path)
+    expected = {k: v for k, v in DIGESTS.items()
+                if k.startswith(f"{pipeline}/{family}/")}
+    assert not seen
+    assert got == expected

@@ -417,10 +417,13 @@ class TestContextBlock:
         assert verdicts == {True, False}
 
     def test_solves_like_the_written_rows(self):
+        from netsynth.linsys import integerize_strict
         ctx = small_context()
         extra = (make_row({0: 1}, "<", 2), make_row({3: 1}, ">=", 1))
         for zero_one in (frozenset(), frozenset({1, 2, 3, 4})):
-            spliced = LinearSystem(5, (extra[0], ctx, extra[1]), zero_one)
+            # the strict row as the solvers give it to the simplex
+            spliced = integerize_strict(
+                LinearSystem(5, (extra[0], ctx, extra[1]), zero_one))
             written = LinearSystem(5, tuple(spliced.rows), zero_one)
             for solve in (solve_rational, solve_integer):
                 a, b = solve(spliced), solve(written)
@@ -528,8 +531,10 @@ class TestBaseBlock:
         assert True in verdicts and False in verdicts
 
     def test_spliced_tableau_is_the_written_one(self):
-        from netsynth.linsys import _Simplex
+        from netsynth.linsys import _Simplex, integerize_strict
         for system in self.pipeline_systems(per_kind=1):
+            # what the solvers give the simplex: strict rows as unit margins
+            system = integerize_strict(system)
             spliced, written = _Simplex(system), \
                 _Simplex(self.written_out(system))
             assert spliced.tableau == written.tableau
@@ -546,9 +551,11 @@ class TestBaseBlock:
         columns nor the simplex's costs nor the branch rows appended as
         parts of a node system."""
         import copy
-        from netsynth.linsys import LinearSystem, _Simplex
+        from netsynth.linsys import LinearSystem, _Simplex, integerize_strict
         by_context = {}
         for system in self.pipeline_systems(per_kind=4):
+            # what the solvers give the simplex: strict rows as unit margins
+            system = integerize_strict(system)
             ctx, = (p for p in system.rows.parts if not isinstance(p, Row))
             by_context.setdefault(id(ctx), (ctx, []))[1].append(system)
         ctx, systems = max(by_context.values(), key=lambda e: len(e[1]))
