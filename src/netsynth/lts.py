@@ -147,9 +147,9 @@ def parse_lts(text: str | bytes) -> Lts:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "initial":
-            if len(parts) != 2:
-                raise LtsError(f"line {lineno}: malformed initial header")
+        # an edge may leave a state named "initial"; only a line of two
+        # fields is the header
+        if len(parts) == 2 and parts[0] == "initial":
             if initial is not None:
                 raise LtsError(f"line {lineno}: duplicate initial header")
             initial = intern(state_ids, parts[1], lineno)
@@ -162,6 +162,8 @@ def parse_lts(text: str | bytes) -> Lts:
                 raise LtsError(f"line {lineno}: duplicate edge {line!r}")
             seen.add(edge)
             edges.append(edge)
+        elif parts[0] == "initial":
+            raise LtsError(f"line {lineno}: malformed initial header")
         else:
             raise LtsError(f"line {lineno}: expected 'src label dst'")
     if initial is None:

@@ -77,8 +77,11 @@ class TestParse:
             parse_lts("initial s0\ns0 a s1\ns1 b\n")
 
     def test_roundtrip(self, fig1):
-        again = parse_lts(serialize_lts(fig1))
-        assert again == fig1
+        # states named like the header keyword, as source and as target
+        named_initial = parse_lts("initial s0\ns0 a initial\n"
+                                  "initial b s0\ninitial c initial\n")
+        for lts in (fig1, named_initial):
+            assert parse_lts(serialize_lts(lts)) == lts
 
     def test_comments_ignored(self):
         text = "# header\ninitial s0  # trailing\ns0 a s1\n"
