@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 synthesis impossible or a check failed (witness
-printed), 2 invalid input, 3 a configured cap was exceeded, 4 internal
-error (a solver limit or a broken invariant; never a verdict).  Reports are
+printed), 2 invalid input (a file's contents, or a cap option below 1), 3
+a configured cap was exceeded, 4 internal error (a solver limit or a
+broken invariant, whatever its exception type; never a verdict).  Reports are
 deterministic JSON (schema 1, no timestamps): identical invocations produce
 byte-identical outputs.
 """
@@ -31,12 +32,24 @@ CAP = 3
 INTERNAL = 4
 
 
+class _OptionError(Exception):
+    """An option value the command cannot run with."""
+
+
+def _at_least_one(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise _OptionError(f"{name} must be at least 1")
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return fp.read()
     except OSError as exc:
         raise LtsError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise LtsError(f"cannot read {path}: not UTF-8 text")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -117,6 +130,7 @@ def _cmd_relations(args) -> int:
 
 def _cmd_synth(args) -> int:
     lts = _load_valid_lts(args.file)
+    _at_least_one(args, "selfloop_cap", "ssp_combo_cap")
     cfg = SynthesisConfig(selfloop_cap=args.selfloop_cap,
                           ssp_combo_cap=args.ssp_combo_cap,
                           prune=args.prune)
@@ -151,6 +165,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_rg(args) -> int:
     net = parse_net(_read(args.file))
+    _at_least_one(args, "rg_cap")
     _write(args.output, serialize_lts(reachability_graph(net, args.rg_cap)))
     return OK
 
@@ -240,7 +255,7 @@ def run(argv: list[str]) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return CAP
-    except (LtsError, PetriNetError, ValueError) as exc:
+    except (LtsError, PetriNetError, _OptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
     except Exception as exc:

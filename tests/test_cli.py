@@ -135,7 +135,9 @@ class TestSynth:
     @pytest.mark.parametrize("error", [RuntimeError("pivot limit exceeded"),
                                        AssertionError("invariant broken"),
                                        KeyError("no interpretation for doi "
-                                                "edge c->a")])
+                                                "edge c->a"),
+                                       ValueError("non-integral value in "
+                                                  "column 3: 1/2")])
     def test_internal_error_exit_4(self, monkeypatch, capsys, error):
         # solver limits and broken invariants must not read as a verdict
         def broken(lts, cfg):
@@ -197,6 +199,28 @@ class TestInvalidLts:
         assert run([str(bad) if a == "BAD" else a for a in argv]) == 2
         assert capsys.readouterr().err == \
             "error: LTS must be deterministic and reachable\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "BAD"],
+        ["synth", "BAD", "--class", "wpi"],
+        ["check", "BAD", "--class", "brac"],
+    ], ids=["validate", "synth", "check"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"initial s\xe9\ns\xe9 a s1\n")
+        assert run([str(bad) if a == "BAD" else a for a in argv]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read {bad}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", fx("brac7.lts"), "--class", "wpi", "--ssp-combo-cap", "0"],
+        ["rg", fx("fig1-net.pn"), "--rg-cap", "0"],
+    ], ids=["ssp-combo-cap", "rg-cap"])
+    def test_cap_option_below_one_exit_2(self, capsys, argv):
+        assert run(argv) == 2
+        name = argv[-2].lstrip("-").replace("-", "_")
+        assert capsys.readouterr().err == \
+            f"error: {name} must be at least 1\n"
 
 
 class TestCheck:
