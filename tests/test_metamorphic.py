@@ -1,0 +1,64 @@
+"""Renaming states and labels and reordering edges keeps the outcome.
+
+Each input is written out with new state and label names and its edge
+lines shuffled, then parsed again, so states and labels are also numbered
+in a new order.  Under both pipelines the outcome (success, impossible or
+cap exceeded) must be that of the input as given, and every success must
+verify against the renamed LTS.  The net itself may differ: the vertex the
+solver finds depends on the column order.  The witness kind is not
+compared either, as a pooled region found for one label may solve another
+label's problem in one order and not in the other.
+"""
+
+import random
+
+import pytest
+
+from netsynth.lts import parse_lts
+from netsynth.oracle import random_brac_net, random_lts
+from netsynth.petri import reachability_graph
+from netsynth.synthesis import synthesize_brac, synthesize_wpi, \
+    verify_solution
+
+PIPELINES = {"wpi": synthesize_wpi, "brac": synthesize_brac}
+RENAMINGS = 2
+
+
+def renamed(lts, rng: random.Random):
+    """``lts`` with its states and labels renamed, in shuffled name order,
+    and its edge lines shuffled, parsed again."""
+    states = [f"q{i}" for i in rng.sample(range(len(lts.states)),
+                                         len(lts.states))]
+    labels = [f"x{i}" for i in rng.sample(range(len(lts.labels)),
+                                         len(lts.labels))]
+    lines = [f"{states[s]} {labels[t]} {states[d]}" for s, t, d in lts.edges]
+    rng.shuffle(lines)
+    return parse_lts("\n".join([f"initial {states[lts.initial]}", *lines])
+                     + "\n")
+
+
+def inputs(family: str) -> dict:
+    if family == "random_lts":
+        return {i: random_lts(i, 24, 6) for i in range(300)}
+    return {i: reachability_graph(random_brac_net(i), 100_000)
+            for i in range(20)}
+
+
+@pytest.mark.parametrize("pipeline", list(PIPELINES))
+@pytest.mark.parametrize("family", ["random_lts", "random_brac_net"])
+def test_outcome_survives_renaming(family, pipeline):
+    synthesize = PIPELINES[pipeline]
+    outcomes = set()
+    for seed, lts in inputs(family).items():
+        outcome = synthesize(lts).outcome
+        outcomes.add(outcome)
+        rng = random.Random(f"{family} {seed}")
+        for _ in range(RENAMINGS):
+            other = renamed(lts, rng)
+            assert len(other.edges) == len(lts.edges)
+            report = synthesize(other)
+            assert report.outcome == outcome, (seed, pipeline)
+            if report.ok:
+                assert verify_solution(report.net, other, pipeline).ok
+    if family == "random_lts":
+        assert len(outcomes) > 1  # successes and failures both occur
