@@ -1,11 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 synthesis impossible or a check failed (witness
-printed), 2 invalid input (a file's contents, or a cap option below 1), 3
-a configured cap was exceeded, 4 internal error (a solver limit or a
-broken invariant, whatever its exception type; never a verdict).  Reports are
-deterministic JSON (schema 1, no timestamps): identical invocations produce
-byte-identical outputs.
+printed), 2 invalid input (a file that cannot be read or parsed, or a cap
+option below 1), 3 a configured cap was exceeded, 4 internal error (a
+solver limit or a broken invariant, whatever the exception; never a
+verdict).  Reports are deterministic JSON (schema 1, no timestamps):
+identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ class _Simplex:
             for j, c in row.coeffs:
                 tableau[j][i] -= sign * c
             costs[i] = sign * row.const
-        # a block's rows are homogeneous
+        # a block's rows are homogeneous, so their costs stay 0
         for i, block in blocks:
             for j, entries in block.dual_columns().items():
                 tableau[j][i:i + block.copies] = entries

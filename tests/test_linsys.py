@@ -120,6 +120,15 @@ class TestRational:
         with pytest.raises(ValueError, match="split"):
             solve_rational(sys_)
 
+    def test_strict_row_outside_homogeneous_system_rejected(self):
+        # strict rows reach the simplex only as unit margins of a
+        # homogeneous system; integer search rewrites them itself
+        sys_ = system([({"x": 1}, "<", 3)])
+        with pytest.raises(ValueError, match="not homogeneous"):
+            solve_rational(sys_)
+        assert solve_rational(integerize_strict(sys_)).feasible
+        assert solve_integer(sys_).assignment == (0,)
+
     def test_degenerate_rows_terminate(self):
         rows = [({"x1": 1, "x2": 1}, "<=", 0),
                 ({"x1": 1, "x2": -1}, "<=", 0),
