@@ -212,6 +212,15 @@ def basis_graphs():
     return graphs
 
 
+@functools.cache
+def large_graphs():
+    """Name -> LTS: the graphs of ``random_brac_net(37, 6, 4)`` (3,200
+    markings) and ``random_brac_net(0, 8, 4)`` (11,520 markings)."""
+    return {f"large/{seed}x{rings}":
+            reachability_graph(random_brac_net(seed, rings, 4), 100_000)
+            for seed, rings in ((37, 6), (0, 8))}
+
+
 def basis_trees():
     """``(name, lts, spanning tree)`` for every graph of ``basis_graphs()``."""
     for name, lts in basis_graphs().items():
@@ -254,6 +263,20 @@ def in_span(basis, vec):
 # SHA-256 over ``basis_graphs()`` of every ``[v.counts for v in basis]``
 BASIS_DIGEST = \
     "3c6588c30993022c238a5b0b8fb8968f2da9f5221d5ef1b694b10b04ce6cad74"
+
+# the same over ``large_graphs()``, ranks 40 and 44
+LARGE_BASIS_DIGEST = \
+    "4ede7cecbd7adc43916d251d6d8a1b055ab0b3af40391c07507bf2d43db5c229"
+
+
+def basis_digest(graphs):
+    """SHA-256 over ``graphs`` of every name and ``[v.counts for v in
+    basis]``, one line each."""
+    h = hashlib.sha256()
+    for name, lts in graphs.items():
+        basis = cycle_basis(lts, spanning_tree(lts))
+        h.update(f"{name} {[v.counts for v in basis]}\n".encode())
+    return h.hexdigest()
 
 
 class TestCycleBasis:
@@ -327,8 +350,9 @@ class TestCycleBasis:
     def test_basis_unchanged(self):
         """Pins the exact vectors and their order, which every system's
         cycle rows follow."""
-        h = hashlib.sha256()
-        for name, lts in basis_graphs().items():
-            basis = cycle_basis(lts, spanning_tree(lts))
-            h.update(f"{name} {[v.counts for v in basis]}\n".encode())
-        assert h.hexdigest() == BASIS_DIGEST
+        assert basis_digest(basis_graphs()) == BASIS_DIGEST
+
+    def test_large_basis_unchanged(self):
+        """The same pin at 3,200 and 11,520 markings, where tens of
+        thousands of chords give a few dozen distinct vectors."""
+        assert basis_digest(large_graphs()) == LARGE_BASIS_DIGEST
