@@ -118,6 +118,8 @@ class SpanningTree:
         return s2 != self.lts.initial and self.parent.get(s2) == (s, t)
 
     def chords(self) -> list[tuple[int, int, int]]:
+        """The non-tree edges, in edge order: the reference enumeration the
+        tests reduce chord by chord against `cycle_basis`."""
         return [e for e in self.lts.edges if not self.is_tree_edge(e)]
 
 
@@ -266,22 +268,42 @@ def _primitive(vec: Sequence[int]) -> Sequence[int]:
 def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
     """Integer basis of the span of all chord Parikh vectors.
 
-    Each chord is inserted into an integer echelon basis keyed by pivot
+    Only the first edge with each distinct Parikh vector is reduced.  To
+    find it, ``psi(s)`` is packed into one int with a field of
+    ``w = |S|.bit_length() + 1`` bits per label, built along the tree
+    parents, and the edge ``s [t> s'`` is keyed by the packed
+    ``psi(s) + 1t - psi(s')``.  Every field of a key lies in
+    [-(|S|-1), |S|] and |S| < 2^(w-1), so equal keys mean equal vectors;
+    the key is 0 exactly for the zero vector, as on every tree edge.
+
+    Each new vector is inserted into an integer echelon basis keyed by pivot
     column, without fractions (after Edmonds, 1967): it is reduced against
     every pivot by cross-multiplication, and a nonzero remainder becomes a
     new row whose pivot is eliminated from the rows already there.  Every
     row is divided by its gcd, with its pivot positive.  The rows are the
     reduced row echelon form of the span, which is canonical, as coprime
-    integer vectors, in pivot order.  Size is at most the number of labels,
-    where the scan stops; every cycle of the LTS has a Parikh vector in the
-    span.  Each row is returned as a `ParikhVector` of its nonzero entries.
+    integer vectors, in pivot order; skipping repeated vectors therefore
+    leaves them unchanged.  Size is at most the number of labels, where the
+    scan stops; every cycle of the LTS has a Parikh vector in the span.
+    Each row is returned as a `ParikhVector` of its nonzero entries.
     """
     nlab = len(lts.labels)
+    w = len(lts.states).bit_length() + 1
+    unit = [1 << (w * t) for t in range(nlab)]
+    packed = [0] * len(lts.states)
+    for s2, (p, t) in tree.parent.items():  # BFS order: parents first
+        packed[s2] = packed[p] + unit[t]
+    seen = {0}
     rows: dict[int, Sequence[int]] = {}  # pivot column -> row, pivot > 0
-    for chord in tree.chords():
+    for edge in lts.edges:
         if len(rows) == nlab:
             break
-        vec: Sequence[int] = parikh_of_edge(tree, chord)
+        s, t, s2 = edge
+        key = packed[s] + unit[t] - packed[s2]
+        if key in seen:
+            continue
+        seen.add(key)
+        vec: Sequence[int] = parikh_of_edge(tree, edge)
         for p, row in rows.items():
             a = vec[p]
             if a:

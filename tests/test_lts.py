@@ -7,8 +7,9 @@ from operator import add, sub
 
 import pytest
 
-from netsynth.lts import (LtsError, cycle_basis, parikh_of_edge, parse_lts,
-                          serialize_lts, spanning_tree, validate)
+from netsynth.lts import (Lts, LtsError, ParikhVector, cycle_basis,
+                          parikh_of_edge, parse_lts, serialize_lts,
+                          spanning_tree, validate)
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
 
@@ -260,6 +261,44 @@ def in_span(basis, vec):
     return all(t == 0 for t in target)
 
 
+def reference_basis(tree):
+    """The chord-by-chord scan: every chord of ``tree.chords()``, repeats
+    included, reduced into a fraction-free echelon basis in edge order."""
+    def primitive(vec):
+        g = gcd(*vec)
+        return [x // g for x in vec] if g > 1 else list(vec)
+
+    nlab = len(tree.lts.labels)
+    rows = {}
+    for chord in tree.chords():
+        if len(rows) == nlab:
+            break
+        vec = list(parikh_of_edge(tree, chord))
+        for p, row in rows.items():
+            if vec[p]:
+                vec = primitive([row[p] * x - vec[p] * y
+                                 for x, y in zip(vec, row)])
+        lead = next((k for k, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        vec = primitive([-x for x in vec] if vec[lead] < 0 else vec)
+        for p, row in rows.items():
+            if row[lead]:
+                rows[p] = primitive([vec[lead] * x - row[lead] * y
+                                     for x, y in zip(row, vec)])
+        rows[lead] = vec
+    return [ParikhVector(tuple((k, x) for k, x in enumerate(rows[p]) if x))
+            for p in sorted(rows)]
+
+
+def assert_matches_reference(lts, name=""):
+    """`cycle_basis` equals `reference_basis`; returns the basis."""
+    tree = spanning_tree(lts)
+    basis = cycle_basis(lts, tree)
+    assert basis == reference_basis(tree), name
+    return basis
+
+
 # SHA-256 over ``basis_graphs()`` of every ``[v.counts for v in basis]``
 BASIS_DIGEST = \
     "3c6588c30993022c238a5b0b8fb8968f2da9f5221d5ef1b694b10b04ce6cad74"
@@ -356,3 +395,81 @@ class TestCycleBasis:
         """The same pin at 3,200 and 11,520 markings, where tens of
         thousands of chords give a few dozen distinct vectors."""
         assert basis_digest(large_graphs()) == LARGE_BASIS_DIGEST
+
+
+def ring(n):
+    """One label ``a`` around ``n`` states; the back chord counts +n."""
+    return parse_lts("initial s0\n" + "".join(
+        f"s{i} a s{(i + 1) % n}\n" for i in range(n)))
+
+
+def joined_chains(k):
+    """An ``a`` chain and a ``b`` chain of length ``k`` from the initial
+    state, and a ``c`` edge from the end of the first to the end of the
+    second: the one chord counts +k a, -k b and +1 c."""
+    def name(label, i):
+        return f"{label}{i}" if i else "s0"
+
+    lines = ["initial s0"]
+    for label in "ab":
+        lines += [f"{name(label, i)} {label} {name(label, i + 1)}"
+                  for i in range(k)]
+    lines.append(f"a{k} c b{k}")
+    return parse_lts("\n".join(lines) + "\n")
+
+
+class TestChordKeys:
+    """`cycle_basis` reduces each distinct chord vector once, found by a
+    packed integer key with fields of ``|S|.bit_length() + 1`` bits."""
+
+    def test_matches_reference_scan(self):
+        for name, lts in basis_graphs().items():
+            assert_matches_reference(lts, name)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 255, 256, 257])
+    def test_ring_chord_at_state_count(self, n):
+        # the field of the back chord holds +|S|, the largest value it can
+        assert assert_matches_reference(ring(n)) == \
+            [ParikhVector(((0, 1),))]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 127, 128])
+    def test_chord_with_both_signs(self, k):
+        lts = joined_chains(k)
+        a, b, c = (lts.labels.index(x) for x in "abc")
+        assert len(lts.states) == 2 * k + 1
+        assert assert_matches_reference(lts) == \
+            [ParikhVector(tuple(sorted(((a, k), (b, -k), (c, 1)))))]
+
+    @pytest.mark.parametrize("n", [3, 7, 255])
+    def test_key_keeps_a_sign_bit(self, n):
+        # with fields of n.bit_length() bits the chords (n, 0) and (-1, 1)
+        # would both key as n; only the second gives the label b
+        lts = parse_lts(serialize_lts(ring(n)) + "s0 b s1\n")
+        assert assert_matches_reference(lts) == \
+            [ParikhVector(((0, 1),)), ParikhVector(((1, 1),))]
+
+    def test_zero_chord(self):
+        lts = parse_lts("initial s0\ns0 a s1\ns0 b s2\ns1 b s3\ns2 a s3\n")
+        tree = spanning_tree(lts)
+        assert [parikh_of_edge(tree, e) for e in tree.chords()] == [(0, 0)]
+        assert assert_matches_reference(lts) == []
+
+    def test_self_loops_only(self):
+        lts = parse_lts("initial s0\ns0 a s0\ns0 b s0\n")
+        assert assert_matches_reference(lts) == \
+            [ParikhVector(((0, 1),)), ParikhVector(((1, 1),))]
+
+    def test_edge_order_invariant(self):
+        """Shuffled edges give the same tree, which picks by (source,
+        label), and so the same basis."""
+        graphs = [lts for name, lts in basis_graphs().items()
+                  if name.startswith("ladder/")]
+        graphs += [random_lts(i, 24, 6) for i in range(50)]
+        for i, lts in enumerate(graphs):
+            edges = list(lts.edges)
+            random.Random(i).shuffle(edges)
+            shuffled = Lts(lts.states, lts.labels, tuple(edges), lts.initial)
+            tree = spanning_tree(lts)
+            tree2 = spanning_tree(shuffled)
+            assert tree2.parent == tree.parent
+            assert cycle_basis(shuffled, tree2) == cycle_basis(lts, tree)
