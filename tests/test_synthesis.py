@@ -539,6 +539,43 @@ class TestRareBracExits:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+RING_REPORT = ("c9c7f2f0e3047af680a57e7f61bf5a9b"
+               "0e547ebd786d86bab38e5e0b0bda501f")
+
+
+class TestFreeChoiceLeftoverExits:
+    """Report bytes of BRAC failures at a free-choice leftover.
+
+    These inputs have no asymmetric choice block, so the first state
+    separation that no free-choice place solves is the witness.  The ten
+    single-label rings of ``random_lts(i, 24, 6)`` give the same report,
+    naming s0 and s1; on ``random_lts(2655, 16, 4)`` a region is pooled
+    for a later pair after the first is left over.  Each case pins the
+    SHA-256 of its ``synth --report`` bytes.
+    """
+
+    CASES = {
+        **{f"random_lts/{i}": (i, 24, 6, RING_REPORT)
+           for i in (47, 64, 69, 144, 194, 210, 252, 261, 282, 283)},
+        "random_lts/2655": (2655, 16, 4,
+                            "000cbc135a4c705fe028816967249fa9"
+                            "5e1e4e8bd0cc561f67e2f107dedb5d96"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_pinned(self, case, tmp_path):
+        seed, n, k, digest = self.CASES[case]
+        lts_file, report = tmp_path / "in.lts", tmp_path / "report.json"
+        lts_file.write_text(serialize_lts(random_lts(seed, n, k)))
+        assert run(["synth", str(lts_file), "--class", "brac",
+                    "-o", str(tmp_path / "out.pn"),
+                    "--report", str(report)]) == 1
+        witness = json.loads(report.read_text())["witness"]
+        assert witness["kind"] == "ssp"
+        assert witness["systems_tried"] == ["freechoice:all-labels"]
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 class TestRelationStageExits:
     """Report and relation-table bytes of the two relation-stage exits
     after the raw graph: a contradiction raised by the equivalence

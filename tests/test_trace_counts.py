@@ -4,7 +4,9 @@ Loads ``perfbench/tracer.py`` as it is and runs ``synthesize_wpi`` and
 ``synthesize_brac`` under its ``Tracer`` on every fixture and on the
 reachability graphs of ``random_brac_net(0..9)``, and on
 ``random_lts(2655, 16, 4)``, where BRAC pools a region for a state
-separation after an earlier one is left over.  Every nonzero counter
+separation after an earlier one is left over, and on
+``random_lts(331, 8, 4)``, where BRAC assigns its leftover state
+separations to choice blocks.  Every nonzero counter
 of every run is compared with ``fixtures/trace_counts.json``: systems
 built by kind, solves, pivots, branch-and-bound nodes, region checks and
 hits, base rows, chords and markings.  A refactor that must not change
@@ -46,6 +48,7 @@ def inputs() -> dict:
                   reachability_graph(random_brac_net(i), 100_000)
                   for i in range(10)})
     cases["random_lts/2655"] = random_lts(2655, 16, 4)
+    cases["random_lts/331"] = random_lts(331, 8, 4)
     return cases
 
 
