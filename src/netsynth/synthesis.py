@@ -7,7 +7,9 @@ system per separation problem.  The block-reduced target solves 0/1 integer
 systems: one shared and one private system per asymmetric choice block,
 per-problem systems for free labels, a feasibility probe plus maximum
 matching for self-loop inclusion edges, and a bounded assignment search for
-state separations that no free-choice place can solve.
+state separations that no free-choice place can solve.  Without a choice
+block, the first state pair that no free-choice place separates is the
+failure, and no later pair is tried.
 
 A stage that proves no net exists, or hits a cap, raises ``_Unsolvable``;
 each pipeline catches it in one place and builds its failure report there.
@@ -438,6 +440,8 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     combined system per candidate target collects the feasible inclusion
     pairs and a maximum matching picks the interpretation.  Unsolved state
     separations are assigned to choice blocks by bounded enumeration.
+    Without a block, the first state pair that no free-choice place
+    separates is the failure, and no later pair is tried.
     """
     cfg = cfg or SynthesisConfig()
     ctx = _prepare(lts)
@@ -542,14 +546,20 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             for r in gate_regions[label]:
                 pool.add(r)
 
-        # state separation: free-choice first, then block assignment
-        leftovers = [ssp for ssp, _ in _separate(ctx, pool, state_pairs(lts),
-                                                 systems, solve)]
-        if leftovers:
-            if not blocks:
+        # state separation: free-choice first, then block assignment;
+        # only a block could take a leftover, so without one the first
+        # leftover is the failure
+        unsolved = _separate(ctx, pool, state_pairs(lts), systems, solve)
+        if not blocks:
+            first = next(unsolved, None)
+            if first is not None:
                 raise _Unsolvable(_problem_witness(
-                    leftovers[0], lts, ["freechoice:all-labels"]))
-            _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg, solve)
+                    first[0], lts, ["freechoice:all-labels"]))
+        else:
+            leftovers = [ssp for ssp, _ in unsolved]
+            if leftovers:
+                _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg,
+                                       solve)
     except _Unsolvable as exc:
         return SynthesisReport(CAP_EXCEEDED if exc.cap else FAILURE, BRAC,
                                witness=exc.witness, cap=exc.cap,

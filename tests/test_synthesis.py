@@ -549,9 +549,9 @@ class TestFreeChoiceLeftoverExits:
     These inputs have no asymmetric choice block, so the first state
     separation that no free-choice place solves is the witness.  The ten
     single-label rings of ``random_lts(i, 24, 6)`` give the same report,
-    naming s0 and s1; on ``random_lts(2655, 16, 4)`` a region is pooled
-    for a later pair after the first is left over.  Each case pins the
-    SHA-256 of its ``synth --report`` bytes.
+    naming s0 and s1; on ``random_lts(2655, 16, 4)`` a free-choice place
+    would solve a later pair.  Each case pins the SHA-256 of its
+    ``synth --report`` bytes.
     """
 
     CASES = {
@@ -574,6 +574,42 @@ class TestFreeChoiceLeftoverExits:
         assert witness["kind"] == "ssp"
         assert witness["systems_tried"] == ["freechoice:all-labels"]
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+class TestFreeChoiceWork:
+    """Free-choice systems BRAC builds before it fails at a leftover.
+
+    Without a choice block the first state separation that no
+    free-choice place solves is the failure, so on a single-label ring
+    BRAC builds one system per sign for one pair.  With a block, every
+    leftover still reaches the block assignment search.
+    """
+
+    @pytest.mark.parametrize("seed, n, k, built, assigned", [
+        (283, 24, 6, 2, []),
+        (47, 24, 6, 2, []),
+        (331, 8, 4, 4, [[SSP(2, 4)]]),
+    ], ids=["ring-283", "ring-47", "blocks-331"])
+    def test_systems_built(self, seed, n, k, built, assigned, monkeypatch):
+        systems, leftovers = [], []
+        real_system = netsynth.synthesis.brac_ssp_system_freechoice
+        real_assign = netsynth.synthesis._assign_ssps_to_blocks
+
+        def system(*args):
+            systems.append(args)
+            return real_system(*args)
+
+        def assign(ctx, pool, blocks, ssps, *args):
+            leftovers.append(list(ssps))
+            return real_assign(ctx, pool, blocks, ssps, *args)
+        monkeypatch.setattr(
+            "netsynth.synthesis.brac_ssp_system_freechoice", system)
+        monkeypatch.setattr(
+            "netsynth.synthesis._assign_ssps_to_blocks", assign)
+        report = synthesize_brac(random_lts(seed, n, k))
+        assert report.witness["kind"] == "ssp"
+        assert len(systems) == built
+        assert leftovers == assigned
 
 
 class TestRelationStageExits:

@@ -3,8 +3,8 @@
 Loads ``perfbench/tracer.py`` as it is and runs ``synthesize_wpi`` and
 ``synthesize_brac`` under its ``Tracer`` on every fixture and on the
 reachability graphs of ``random_brac_net(0..9)``, and on
-``random_lts(2655, 16, 4)``, where BRAC pools a region for a state
-separation after an earlier one is left over, and on
+``random_lts(2655, 16, 4)``, where BRAC has no choice block and stops
+at its first free-choice leftover, and on
 ``random_lts(331, 8, 4)``, where BRAC assigns its leftover state
 separations to choice blocks.  Every nonzero counter
 of every run is compared with ``fixtures/trace_counts.json``: systems
