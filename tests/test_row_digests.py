@@ -3,7 +3,8 @@
 Pins the SHA-256 of ``repr(ctx.base_rows())`` and of the ``dump_lp`` text
 of the first system of each kind (ESSP, SSP, choice block, free-choice)
 that each pipeline builds, on every fixture, on the reachability graphs of
-``random_brac_net(0..9)`` and on those of the three scale-ladder nets.  A
+``random_brac_net(0..9)``, on those of the three scale-ladder nets and on
+two random LTSs whose pipelines reach the SSP and free-choice systems.  A
 change to how the rows are stored or handed to the solver must leave every
 digest in ``fixtures/row_digests.json`` unchanged.
 
@@ -22,7 +23,7 @@ import pytest
 import netsynth.synthesis
 from netsynth.linsys import dump_lp
 from netsynth.lts import parse_lts
-from netsynth.oracle import random_brac_net
+from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
 from netsynth.synthesis import _prepare
 
@@ -34,6 +35,8 @@ BUILDERS = {"essp_system_wpi": "essp", "ssp_system_wpi": "ssp",
             "brac_ssp_system_freechoice": "freechoice"}
 # random_brac_net(seed, 6, 4) of each scale-ladder rung, by markings
 LADDER = {300: 44, 600: 17, 1296: 38}
+# random_lts(seed, states, labels) of the random_lts family
+RANDOM_LTS = ((23, 24, 6), (331, 8, 4))
 
 
 def sha256(text: str) -> str:
@@ -49,6 +52,9 @@ def inputs(family: str) -> dict:
         return {f"random_brac_net/{i}":
                 reachability_graph(random_brac_net(i), 100_000)
                 for i in range(10)}
+    if family == "random_lts":
+        return {f"random_lts/{seed}": random_lts(seed, states, labels)
+                for seed, states, labels in RANDOM_LTS}
     return {f"ladder/{m}": reachability_graph(random_brac_net(s, 6, 4),
                                               100_000)
             for m, s in LADDER.items()}
@@ -110,7 +116,10 @@ def family_digests(family: str, expected=None) -> dict[str, str]:
     return out
 
 
-@pytest.mark.parametrize("family", ["fixture", "random_brac_net", "ladder"])
+FAMILIES = ("fixture", "random_brac_net", "ladder", "random_lts")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_rows_and_dumps_unchanged(family):
     record = json.loads(RECORD.read_text())
     expected = {k: v for k, v in record.items()
@@ -123,6 +132,6 @@ def test_rows_and_dumps_unchanged(family):
 
 if __name__ == "__main__":
     record = {}
-    for family in ("fixture", "random_brac_net", "ladder"):
+    for family in FAMILIES:
         record.update(family_digests(family))
     RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
