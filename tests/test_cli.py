@@ -200,6 +200,13 @@ class TestInvalidLts:
         assert capsys.readouterr().err == \
             "error: LTS must be deterministic and reachable\n"
 
+    def test_parse_error_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.lts"
+        bad.write_text("initial s0\ns0 a\n")
+        assert run(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            "error: line 2: expected 'src label dst'\n"
+
     @pytest.mark.parametrize("argv", [
         ["validate", "BAD"],
         ["synth", "BAD", "--class", "wpi"],
@@ -256,6 +263,14 @@ class TestRgVerifyDot:
         assert run(["rg", str(unbounded), "--rg-cap", "10"]) == 3
         assert capsys.readouterr().err == \
             "cap exceeded: more than 10 reachable markings\n"
+
+    def test_rg_parse_error_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pn"
+        bad.write_text("place p 0\ntransition t\narc p q\n")
+        assert run(["rg", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            "error: line 3: arc endpoints must be one known place and " \
+            "one known transition\n"
 
     def test_verify_pass(self, capsys):
         code, payload = run_json(capsys, ["verify", fx("fig1-net.pn"),

@@ -69,6 +69,15 @@ class TestParse:
         with pytest.raises(LtsError, match="line 2"):
             parse_lts("initial s0\ninitial s1\n")
 
+    @pytest.mark.parametrize("line", ["initial", "initial s0 a s1"])
+    def test_malformed_initial_rejected(self, line):
+        with pytest.raises(LtsError,
+                           match="line 2: malformed initial header"):
+            parse_lts(f"s0 a s1\n{line}\n")
+
+    def test_bytes_input(self, fig1):
+        assert parse_lts(serialize_lts(fig1).encode()) == fig1
+
     def test_bad_name_rejected(self):
         with pytest.raises(LtsError, match="line 2"):
             parse_lts("initial s0\ns0 a! s1\n")

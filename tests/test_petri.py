@@ -53,6 +53,10 @@ class TestReachabilityGraph:
         assert len(rg.states) == 15
         assert len(rg.edges) == 24
 
+    def test_cap_below_one_rejected(self, fig1_net):
+        with pytest.raises(ValueError, match="at least 1"):
+            reachability_graph(fig1_net, 0)
+
     def test_unbounded_hits_cap(self):
         net = parse_net("place p 0\ntransition t\narc t p\n")
         with pytest.raises(CapExceeded):
@@ -206,6 +210,8 @@ class TestIsomorphic:
          Mismatch("states identified differently", (0, 0), "a")),
         ("s0 a s1", "q0 a q0",
          Mismatch("target already paired", (0, 0), "a")),
+        # the walk pairs every state of the left side; q2 is unreachable
+        ("s0 a s1", "q0 a q1\nq2 a q2", Mismatch("state counts differ")),
     ])
     def test_mismatch_reason(self, left, right, expected):
         l1 = parse_lts(f"initial s0\n{left}\n")
@@ -225,6 +231,22 @@ class TestArcRange:
     def test_unknown_endpoint_rejected(self, consume, produce):
         with pytest.raises(PetriNetError, match="outside the net"):
             PetriNet(("p", "q"), ("t",), consume, produce, (0, 1))
+
+
+class TestNetChecks:
+    def test_overlapping_names_rejected(self):
+        with pytest.raises(PetriNetError, match="names overlap"):
+            PetriNet(("x",), ("x",), {}, {}, (0,))
+
+    def test_marking_size_mismatch_rejected(self):
+        with pytest.raises(PetriNetError, match="size mismatch"):
+            PetriNet(("p", "q"), ("t",), {}, {}, (0,))
+
+    @pytest.mark.parametrize("consume, produce", [
+        ({(0, 0): 0}, {}), ({}, {(0, 0): -1})], ids=["consume", "produce"])
+    def test_weight_not_positive_rejected(self, consume, produce):
+        with pytest.raises(PetriNetError, match="must be positive"):
+            PetriNet(("p",), ("t",), consume, produce, (0,))
 
 
 class TestNetFormat:
@@ -261,6 +283,26 @@ class TestNetFormat:
     def test_duplicate_id_rejected(self):
         with pytest.raises(PetriNetError, match="line 2"):
             parse_net("place p 0\ntransition p\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("place p! 0\n", "line 1: bad name 'p!'"),
+        ("place p 0\ntransition t u\n",
+         "line 2: expected 'transition <name>'"),
+        ("place p 0\ntransition t\narc p\n",
+         "line 3: expected 'arc <from> <to> \\[weight\\]'"),
+        ("place p 0\ntransition t\narc p t 1 2\n",
+         "line 3: expected 'arc <from> <to> \\[weight\\]'"),
+        ("place p 0\ntransition t\narc t p\narc t p 2\n",
+         "line 4: duplicate arc"),
+        ("place p 0\ntoken p 1\n", "line 2: unknown directive 'token'"),
+    ], ids=["bad-name", "transition-fields", "arc-too-few", "arc-too-many",
+            "duplicate-produce", "unknown-directive"])
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(PetriNetError, match=message):
+            parse_net(text)
+
+    def test_bytes_input(self, fig1_net):
+        assert parse_net(serialize_net(fig1_net).encode()) == fig1_net
 
     def test_weighted_roundtrip(self):
         net = load_net("wrac-net")
