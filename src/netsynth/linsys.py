@@ -5,7 +5,7 @@ nonnegative variables.  Variables are plain column positions: a row holds
 ``(column, coefficient)`` pairs and a solution is one value per column, so
 the solver never sees a variable name (``dump_lp`` takes names only to
 print).  Rows are integral: ``make_row`` multiplies a rational row by the
-lcm of its denominators, once, and records that lcm as ``Row.scale``.
+lcm of its denominators, once.
 
 Rows that many systems share can be one block, kept in compact form;
 a system holds its rows and blocks in order (`Rows`), which still reads
@@ -54,16 +54,13 @@ _MAX_PIVOTS = 2_000_000
 class Row:
     """One linear constraint ``sum(coef * x[column]) rel const``.
 
-    Coefficients and constant are integers.  ``scale`` is the positive
-    number a rational row was multiplied by to make it so, the lcm of its
-    denominators; the row was given in integers exactly when it is 1.
+    Coefficients and constant are integers.
     """
 
     coeffs: tuple[tuple[int, int], ...]
     rel: str
     const: int
     tag: str = ""
-    scale: int = 1
 
     def evaluate(self, values: Sequence[Fraction]) -> bool:
         if self.rel not in _OPERATORS:
@@ -84,11 +81,11 @@ def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
         raise ValueError(f"unknown relation {rel!r}")
     items = sorted((j, c) for j, c in coeffs.items() if c != 0)
     if type(const) is int and all(type(c) is int for _, c in items):
-        return Row(tuple(items), rel, const, tag, 1)
+        return Row(tuple(items), rel, const, tag)
     scale = lcm(const.denominator, *(c.denominator for _, c in items))
     return Row(tuple((j, c.numerator * (scale // c.denominator))
                      for j, c in items), rel,
-               const.numerator * (scale // const.denominator), tag, scale)
+               const.numerator * (scale // const.denominator), tag)
 
 
 class Rows:

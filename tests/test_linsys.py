@@ -42,7 +42,7 @@ class TestMakeRow:
         row = make_row({0: Fraction(1, 2), 1: Fraction(-2, 3)}, "<",
                        Fraction(1, 3))
         assert row.coeffs == ((0, 3), (1, -4))
-        assert (row.rel, row.const, row.scale) == ("<", 2, 6)
+        assert (row.rel, row.const) == ("<", 2)
 
     @pytest.mark.parametrize("coeffs,const", [
         ({2: 3, 0: -1, 1: 0}, 4),
@@ -52,9 +52,11 @@ class TestMakeRow:
     ])
     def test_integer_input_keeps_scale_one(self, coeffs, const):
         row = make_row(coeffs, ">=", const)
-        assert row.scale == 1
-        entries = [row.const, row.scale] + [x for pair in row.coeffs
-                                            for x in pair]
+        # not multiplied: the row as given
+        assert row.const == const
+        assert row.coeffs == tuple((j, c) for j, c in sorted(coeffs.items())
+                                   if c)
+        entries = [row.const] + [x for pair in row.coeffs for x in pair]
         assert all(type(x) is int for x in entries)
         # the same row given in Fractions
         assert row == make_row({j: Fraction(c) for j, c in coeffs.items()},
