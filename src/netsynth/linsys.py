@@ -1,7 +1,8 @@
 """Exact rational linear systems and solvers.
 
-Systems mix weak, strict, equality and (caller-split) disequality rows over
-nonnegative variables.  Variables are plain column positions: a row holds
+Systems mix weak and equality rows over nonnegative variables; there is
+no strict or ``!=`` row (`netsynth.separation` builds each strict row as
+a unit margin).  Variables are plain column positions: a row holds
 ``(column, coefficient)`` pairs and a solution is one value per column, so
 the solver never sees a variable name (``dump_lp`` takes names only to
 print).  Rows are integral: ``make_row`` multiplies a rational row by the
@@ -15,15 +16,12 @@ Rational feasibility is decided by an exact integer-tableau simplex that
 reads the rows straight into its dual tableau, a block's cached columns
 spliced in, and runs one phase.  A pivot updates the other rows in place;
 unless its pivot entry is not 1 and scales them, it changes them only
-where the pivot row is nonzero.  The simplex takes no strict row.  A
-homogeneous system is solved with each strict row as a unit margin
-(``a.x < 0`` as ``a.x <= -1``), which any solution meets once scaled up;
-a strict row in any other system is refused.  A solution is integer
-numerators over one positive denominator, re-substituted into the rows as
-given before it is returned.  Homogeneous solutions lift to integers by
-dividing out the gcd, and a 0/1-aware branch-and-bound gives bounded
-integer feasibility; it makes strict rows unit margins too, and each of
-its nodes is one whole system, the bound rows appended.
+where the pivot row is nonzero.  A solution is integer numerators over
+one positive denominator, re-substituted into the rows before it is
+returned.  Solutions of a system whose rows survive scaling up lift to
+integers by dividing out the gcd, and a 0/1-aware branch-and-bound gives
+bounded integer feasibility; each of its nodes is one whole system, the
+bound rows appended.
 `fractions.Fraction` is left only in the reference checks
 (`Row.evaluate`, `LinearSystem.satisfied_by`) and the read-only
 `Solution.assignment` view.
@@ -38,8 +36,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-_OPERATORS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
-              ">=": operator.ge, ">": operator.gt, "!=": operator.ne}
+_OPERATORS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
 RELATIONS = tuple(_OPERATORS)
 
 FEASIBLE = "feasible"
@@ -91,8 +88,8 @@ def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
 class Rows:
     """A system's parts in order (``parts``), read as every row.
 
-    A part that is not a `Row` is a block: homogeneous, non-strict rows
-    that many systems share, over its first ``columns`` columns.  It has
+    A part that is not a `Row` is a block: homogeneous rows that many
+    systems share, over its first ``columns`` columns.  It has
     ``len`` rows, ``rows()`` writes them out as `Row`s, ``copies`` is
     their simplex copy count (`_LEQ_COPIES`), ``dual_columns()`` maps a
     column to its entries in those copies' dual-tableau columns, and
@@ -137,11 +134,6 @@ class LinearSystem:
                 if not 0 <= j < self.columns:
                     raise ValueError(f"row {part.tag!r} references "
                                      f"undeclared column {j}")
-
-    @property
-    def homogeneous(self) -> bool:
-        return all(p.const == 0 for p in self.rows.parts
-                   if isinstance(p, Row)) and not self.zero_one
 
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
         """Whether ``values`` satisfy the system, in Fractions.
@@ -202,8 +194,7 @@ def dump_lp(system: LinearSystem, names: Sequence[str]) -> str:
 
 
 # How the simplex reads each relation: one copy per sign, each the primal
-# row ``sign * coeffs <= sign * const``.  ``=`` gives two copies; ``!=``
-# must be split and strict rows made unit margins by the caller.
+# row ``sign * coeffs <= sign * const``.  ``=`` gives two copies.
 _LEQ_COPIES = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 
 
@@ -268,11 +259,8 @@ class _Simplex:
                 blocks.append((m, part))
                 m += part.copies
                 continue
-            if part.rel in ("<", ">"):
-                raise ValueError(f"strict row {part.tag!r} in a system "
-                                 "that is not homogeneous")
             if part.rel not in _LEQ_COPIES:
-                raise ValueError(f"split {part.rel!r} rows before solving")
+                raise ValueError(f"unknown relation {part.rel!r}")
             for sign in _LEQ_COPIES[part.rel]:
                 copies.append((m, part, sign))
                 m += 1
@@ -349,13 +337,9 @@ class _Simplex:
 def solve_rational(system: LinearSystem) -> Solution:
     """Exact rational feasibility of a system.
 
-    A homogeneous system holds its strict rows as unit margins
-    (`integerize_strict`): any solution, scaled up, meets them.  A strict
-    row in any other system raises `ValueError`.  The witness is
-    re-substituted into the rows as given before it is returned.
+    The witness is re-substituted into the rows before it is returned.
     """
-    simplex = _Simplex(integerize_strict(system) if system.homogeneous
-                       else system)
+    simplex = _Simplex(system)
     witness = simplex.solve()
     if witness is None:
         return Solution(INFEASIBLE, pivots=simplex.pivots)
@@ -367,15 +351,18 @@ def solve_rational(system: LinearSystem) -> Solution:
 
 def lift_homogeneous_to_integer(solution: Solution,
                                 system: LinearSystem) -> Solution:
-    """Scale a rational solution of a homogeneous system to integers.
+    """Scale a rational solution to integers.
 
-    All relations are preserved under positive scaling when every constant
-    term is zero.  Dividing the numerators by their gcd with the
-    denominator gives the least such integer multiple; it is re-verified by
-    substitution.
+    Every row must survive scaling by an integer k >= 1: each simplex copy
+    ``s * a.x <= s * c`` needs ``s * c <= 0``, as in a homogeneous row or
+    a unit margin ``a.x <= -1``, and no column may be 0/1.  Dividing the
+    numerators by their gcd with the denominator gives the least such
+    integer multiple; it is re-verified by substitution.
     """
-    if not system.homogeneous:
-        raise ValueError("system is not homogeneous")
+    if system.zero_one or any(
+            sign * p.const > 0 for p in system.rows.parts
+            if isinstance(p, Row) for sign in _LEQ_COPIES[p.rel]):
+        raise ValueError("system is not homogeneous apart from margins")
     if not solution.feasible or solution.num is None:
         raise ValueError("can only lift a feasible solution")
     g = gcd(solution.den, *solution.num)
@@ -383,30 +370,6 @@ def lift_homogeneous_to_integer(solution: Solution,
     if not system.holds(lifted, 1):
         raise AssertionError("lifted solution failed re-substitution")
     return Solution(FEASIBLE, lifted, 1, solution.pivots)
-
-
-def integerize_strict(system: LinearSystem) -> LinearSystem:
-    """Make strict rows unit margins: ``< c`` becomes ``<= c-1`` and
-    ``> c`` becomes ``>= c+1``.
-
-    A stored row has integer coefficients, so at integer ``x`` its left
-    side is an integer and the integer solutions stay the same.  Every
-    solution of the rewritten system solves the given one, and every
-    solution of a homogeneous system, scaled up, solves the rewritten one.
-    Blocks are kept as they are.
-    """
-    rows = []
-    for row in system.rows.parts:
-        if not isinstance(row, Row):  # a block: integral, never strict
-            rows.append(row)
-            continue
-        if row.rel == "<":
-            rows.append(Row(row.coeffs, "<=", row.const - 1, row.tag))
-        elif row.rel == ">":
-            rows.append(Row(row.coeffs, ">=", row.const + 1, row.tag))
-        else:
-            rows.append(row)
-    return LinearSystem(system.columns, tuple(rows), system.zero_one)
 
 
 def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
@@ -419,7 +382,6 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
     ends infeasible after such pruning the result is reported as
     cap-exceeded rather than infeasible.
     """
-    system = integerize_strict(system)
     parts = system.rows.parts
     stack: list[tuple[Row, ...]] = [()]
     capped = False

@@ -18,6 +18,14 @@ consistently needs no tree.
 
 WPI systems add, relative to one label, comparability rows from the
 relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
+
+Separation is strict: an event separation needs R(s) < B_a, a state
+separation R(s1) != R(s2), which the pipelines split into its two signs.
+Each such row is built as a unit margin: R(s) - B_a <= -1, and
+R(s1) - R(s2) <= -1 or >= 1.  A WPI system is homogeneous apart from its
+margin, so any solution of the strict rows, scaled up, meets it.  A BRAC
+system is solved in integers, where an integer row's unit margin and its
+strict form hold at the same points.
 """
 
 from __future__ import annotations
@@ -223,16 +231,20 @@ class SystemContext:
                        map(consumed.__getitem__, self.key_labels)))
 
     def essp_row(self, essp: ESSP) -> Row:
-        return make_row(self._key_coeffs(essp.state, essp.label), "<", 0,
+        """R(s) - B_a <= -1: the unit margin of R(s) < B_a."""
+        return make_row(self._key_coeffs(essp.state, essp.label), "<=", -1,
                         tag=f"essp:{self.lts.states[essp.state]}:"
                             f"{self.lts.labels[essp.label]}")
 
     def ssp_row(self, ssp: SSP, sign: str) -> Row:
+        """The unit margin of R(s1) - R(s2) ``sign`` 0: ``delta <= -1``
+        for ``"<"`` and ``delta >= 1`` for ``">"``."""
         if sign not in ("<", ">"):
             raise ValueError("sign must be '<' or '>'")
+        rel, const = ("<=", -1) if sign == "<" else (">=", 1)
         parikh = self.tree.parikh
         delta = map(sub, parikh[ssp.s1], parikh[ssp.s2])
-        return make_row(self._effect_coeffs(enumerate(delta), {}), sign, 0,
+        return make_row(self._effect_coeffs(enumerate(delta), {}), rel, const,
                         tag=f"ssp:{self.lts.states[ssp.s1]}:"
                             f"{self.lts.states[ssp.s2]}")
 
@@ -301,7 +313,8 @@ def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
         -> LinearSystem:
     """Event separation system with comparability rows at the ESSP label.
 
-    All rows are homogeneous, so a rational solution lifts to integers.
+    All rows but the unit margin are homogeneous, so a rational solution
+    lifts to integers.
     """
     rows = [ctx.essp_row(essp), ctx]
     rows += ctx.relation_rows(graph, essp.label, doi_choice)
@@ -315,7 +328,7 @@ def ssp_system_wpi(ctx: SystemContext, graph: RelationGraph, ssp: SSP,
     """State separation system keyed to one candidate label and sign.
 
     The disequality over the Parikh difference is split by the caller into
-    its two strict branches.
+    its two signs, each built as a unit margin.
     """
     rows = [ctx.ssp_row(ssp, sign), ctx]
     rows += ctx.relation_rows(graph, label, doi_choice)

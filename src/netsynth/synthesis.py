@@ -215,7 +215,7 @@ def _doi_pairs(graph: RelationGraph) -> list[tuple[int, int]]:
 
 def _region_from(solution: Solution, system: LinearSystem,
                  ctx: SystemContext) -> Region:
-    if system.homogeneous:
+    if not system.zero_one:
         solution = lift_homogeneous_to_integer(solution, system)
     region = normalize_region(solution_to_region(solution, ctx.tree), ctx.lts)
     if not region.is_valid(ctx.lts):

@@ -1,7 +1,9 @@
+import dataclasses
 import pathlib
 
 import pytest
 
+from netsynth.linsys import make_row
 from netsynth.lts import parse_lts
 from netsynth.petri import parse_net
 
@@ -18,6 +20,15 @@ def load_lts(name: str):
 
 def load_net(name: str):
     return parse_net(fixture_text(name + ".pn"))
+
+
+def margin_row(coeffs, rel, const=0):
+    """`make_row` that also takes ``<`` and ``>`` and writes them as the
+    unit margin of the row scaled to integers: ``< c`` as ``<= c - 1``
+    and ``> c`` as ``>= c + 1``."""
+    shift = {"<": -1, ">": 1}.get(rel, 0)
+    row = make_row(coeffs, rel + "=" if shift else rel, const)
+    return dataclasses.replace(row, const=row.const + shift)
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from netsynth.separation import (ESSP, SSP, SystemContext,
                                  essp_system_wpi)
 from netsynth.synthesis import synthesize_brac, synthesize_wpi
 
-from conftest import FIXTURES, load_lts, load_net
+from conftest import FIXTURES, load_lts, load_net, margin_row
 
 
 @contextlib.contextmanager
@@ -240,8 +240,8 @@ def test_criterion_7_lp_sanity():
         for _ in range(500):
             nvar = rng.randint(1, 5)
             rows = tuple(
-                make_row({j: rng.randint(-3, 3) for j in range(nvar)},
-                         rng.choice(["<=", ">=", "=", "<", ">"]), 0)
+                margin_row({j: rng.randint(-3, 3) for j in range(nvar)},
+                           rng.choice(["<=", ">=", "=", "<", ">"]), 0)
                 for _ in range(rng.randint(1, 6)))
             system = LinearSystem(nvar, rows)
             sol = solve_rational(system)

@@ -9,20 +9,24 @@ from math import gcd
 import pytest
 
 from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE, RELATIONS,
-                             LinearSystem, _eliminate, dump_lp,
-                             integerize_strict, lift_homogeneous_to_integer,
-                             make_row, solve_integer, solve_rational)
+                             LinearSystem, Row, _eliminate, dump_lp,
+                             lift_homogeneous_to_integer, make_row,
+                             solve_integer, solve_rational)
+
+from conftest import margin_row
 
 PIVOT_RECORD = pathlib.Path(__file__).parent / "fixtures" / \
     "pivot_digests.json"
 
 
 def system(rows, variables=None, zero_one=()):
-    """Build from name-keyed rows; column j is ``variables[j]``."""
+    """Build from name-keyed rows; column j is ``variables[j]``.  A strict
+    row is written as its unit margin (`margin_row`)."""
     if variables is None:
         variables = sorted({v for coeffs, _, _ in rows for v in coeffs})
     col = {v: j for j, v in enumerate(variables)}
-    built = tuple(make_row({col[v]: c for v, c in coeffs.items()}, rel, const)
+    built = tuple(margin_row({col[v]: c for v, c in coeffs.items()}, rel,
+                             const)
                   for coeffs, rel, const in rows)
     return LinearSystem(len(variables), built,
                         frozenset(col[v] for v in zero_one))
@@ -39,10 +43,16 @@ INTRO = system([
 
 class TestMakeRow:
     def test_rational_row_scaled_by_lcm(self):
-        row = make_row({0: Fraction(1, 2), 1: Fraction(-2, 3)}, "<",
+        row = make_row({0: Fraction(1, 2), 1: Fraction(-2, 3)}, "<=",
                        Fraction(1, 3))
         assert row.coeffs == ((0, 3), (1, -4))
-        assert (row.rel, row.const) == ("<", 2)
+        assert (row.rel, row.const) == ("<=", 2)
+
+    @pytest.mark.parametrize("rel", ["<", ">", "!="])
+    def test_strict_and_disequality_refused(self, rel):
+        assert RELATIONS == ("<=", "=", ">=")
+        with pytest.raises(ValueError, match="unknown relation"):
+            make_row({0: 1}, rel, 0)
 
     @pytest.mark.parametrize("coeffs,const", [
         ({2: 3, 0: -1, 1: 0}, 4),
@@ -64,8 +74,7 @@ class TestMakeRow:
 
     def test_scaled_row_agrees_with_rational_row(self):
         # the unscaled row is evaluated here, apart from linsys
-        ops = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
-               ">=": operator.ge, ">": operator.gt, "!=": operator.ne}
+        ops = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
         rng = random.Random(7)
         seen = set()
         for _ in range(300):
@@ -118,18 +127,10 @@ class TestRational:
         assert solve_rational(sys_).status == INFEASIBLE
 
     def test_disequality_rejected(self):
-        sys_ = system([({"x": 1}, "!=", 0)])
-        with pytest.raises(ValueError, match="split"):
+        # a row built past make_row still meets the simplex's check
+        sys_ = LinearSystem(1, (Row(((0, 1),), "!=", 0),))
+        with pytest.raises(ValueError, match="unknown relation '!='"):
             solve_rational(sys_)
-
-    def test_strict_row_outside_homogeneous_system_rejected(self):
-        # strict rows reach the simplex only as unit margins of a
-        # homogeneous system; integer search rewrites them itself
-        sys_ = system([({"x": 1}, "<", 3)])
-        with pytest.raises(ValueError, match="not homogeneous"):
-            solve_rational(sys_)
-        assert solve_rational(integerize_strict(sys_)).feasible
-        assert solve_integer(sys_).assignment == (0,)
 
     def test_degenerate_rows_terminate(self):
         rows = [({"x1": 1, "x2": 1}, "<=", 0),
@@ -150,15 +151,11 @@ class TestRational:
             for _ in range(rng.randint(1, 6)):
                 coeffs = {j: rng.randint(-3, 3) for j in range(nvar)}
                 rel = rng.choice(["<=", ">=", "=", "<", ">"])
-                rows.append(make_row(coeffs, rel, rng.randint(-4, 4)))
+                rows.append(margin_row(coeffs, rel, rng.randint(-4, 4)))
             sys_ = LinearSystem(nvar, tuple(rows))
-            # the system the solvers give the simplex: strict rows as unit
-            # margins, whose solutions solve the rows as drawn
-            rewritten = integerize_strict(sys_)
-            sol = solve_rational(rewritten)
+            sol = solve_rational(sys_)
             if sol.feasible:
                 feasible += 1
-                assert rewritten.satisfied_by(sol.assignment)
                 assert sys_.satisfied_by(sol.assignment)
         assert feasible > 10
 
@@ -202,8 +199,11 @@ class TestLifting:
                        ({"B_a": -1}, "<", 0)])
         sol = solve_rational(sys_)
         from netsynth.linsys import Solution
-        halved = Solution(FEASIBLE, sol.num, 2 * sol.den)
+        # three halves of the witness, so that it still meets B_a >= 1
+        halved = Solution(FEASIBLE, tuple(3 * v for v in sol.num),
+                          2 * sol.den)
         assert sys_.satisfied_by(halved.assignment)
+        assert any(v.denominator == 2 for v in halved.assignment)
         lifted = lift_homogeneous_to_integer(halved, sys_)
         assert all(v.denominator == 1 for v in lifted.assignment)
         assert sys_.satisfied_by(lifted.assignment)
@@ -227,8 +227,8 @@ class TestLifting:
             rows = []
             for _ in range(rng.randint(1, 5)):
                 coeffs = {j: rng.randint(-3, 3) for j in range(nvar)}
-                rows.append(make_row(coeffs,
-                                     rng.choice(["<=", ">=", "=", "<"]), 0))
+                rows.append(margin_row(coeffs,
+                                       rng.choice(["<=", ">=", "=", "<"]), 0))
             sys_ = LinearSystem(nvar, tuple(rows))
             sol = solve_rational(sys_)
             if not sol.feasible:
@@ -257,9 +257,8 @@ class TestInteger:
 
     def test_strict_rows_integerized(self):
         sys_ = system([({"x": 1}, "<", 3), ({"x": 1}, ">", 1)])
-        rewritten = integerize_strict(sys_)
-        assert {(r.rel, r.const) for r in rewritten.rows} == \
-            {("<=", 2), (">=", 2)}
+        assert [(r.rel, r.const) for r in sys_.rows] == \
+            [("<=", 2), (">=", 2)]
         sol = solve_integer(sys_)
         assert sol.assignment[0] == 2
 
@@ -288,9 +287,9 @@ class TestExhaustiveCrossCheck:
         for _ in range(200):
             nvar = rng.randint(1, 4)
             rows = tuple(
-                make_row({j: rng.randint(-2, 2) for j in range(nvar)},
-                         rng.choice(["<=", ">=", "=", "<", ">"]),
-                         rng.randint(-2, 2))
+                margin_row({j: rng.randint(-2, 2) for j in range(nvar)},
+                           rng.choice(["<=", ">=", "=", "<", ">"]),
+                           rng.randint(-2, 2))
                 for _ in range(rng.randint(1, 5)))
             sys_ = LinearSystem(nvar, rows, frozenset(range(nvar)))
             truth = any(
@@ -326,7 +325,8 @@ class TestPivotSequence:
 
     With exact arithmetic and Bland's rule, a rewrite of how the tableau is
     built must not change a single pivot.  The report digests never see
-    pivot counts, so this is the guard for them.  The digests are in
+    pivot counts, so this is the guard for them.  Strict rows are drawn
+    and written as unit margins (`margin_row`).  The digests are in
     ``fixtures/pivot_digests.json``; ``PYTHONPATH=src python
     tests/test_linsys.py`` rewrites it.
     """
@@ -378,14 +378,14 @@ class TestPivotSequence:
                                                   rng.randint(2, 3))}
                     rel = rng.choice(rels)
                     value = sum(c * point[j] for j, c in coeffs.items())
-                    rows.append(make_row(
+                    rows.append(margin_row(
                         coeffs, rel,
                         value + TestPivotSequence.LOOSE[rel] * number(lo, hi)))
             else:
                 nvar = rng.randint(1, 6)
                 rows = tuple(
-                    make_row({j: number(-3, 3) for j in range(nvar)},
-                             rng.choice(rels), number(lo, hi))
+                    margin_row({j: number(-3, 3) for j in range(nvar)},
+                               rng.choice(rels), number(lo, hi))
                     for _ in range(rng.randint(1, 8)))
             yield LinearSystem(nvar, rows,
                                frozenset(range(nvar)) if binary
@@ -397,11 +397,7 @@ class TestPivotSequence:
         for sys_ in TestPivotSequence.systems(family):
             for solve in (solve_rational,
                           lambda s: solve_integer(s, cap=16)):
-                try:
-                    sol = solve(sys_)
-                except ValueError as exc:  # integer search on rational rows
-                    h.update(f"ValueError {exc}\n".encode())
-                    continue
+                sol = solve(sys_)
                 values = " ".join(map(str, sol.assignment or ()))
                 h.update(f"{sol.status} {sol.pivots} {values}\n".encode())
         return h.hexdigest()

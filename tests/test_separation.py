@@ -18,6 +18,8 @@ from netsynth.separation import (ESSP, Region, SSP, SystemContext,
                                  region_to_place, ssp_system_wpi,
                                  state_pairs)
 
+from conftest import margin_row
+
 
 def stage(lts, brac=False):
     tree = spanning_tree(lts)
@@ -94,11 +96,12 @@ class TestEsspSystemWpi:
         assert system.satisfied_by(assignment_of(ctx, region))
         assert solve_rational(system).feasible
 
-    def test_all_rows_homogeneous(self, fig1):
+    def test_rows_homogeneous_apart_from_margin(self, fig1):
         ctx, graph = stage(fig1)
         essp = ESSP(sid(fig1, "s13"), lid(fig1, "a"))
         system = essp_system_wpi(ctx, graph, essp)
-        assert system.homogeneous
+        assert [(r.tag, r.rel, r.const) for r in system.rows if r.const] \
+            == [("essp:s13:a", "<=", -1)]
 
     def test_genx_generic_rows_already_infeasible(self, genx):
         # no relation rows at all: the generic system holds the conflict
@@ -217,12 +220,12 @@ class TestBracBlockSystems:
         a, b = lid(lts, "a"), lid(lts, "b")
         pair = (b, a) if (b, a) in graph.included_edges() else (a, b)
         _, sys2 = brac_block_systems(ctx, graph, pair)
-        strict = [r for r in sys2.rows if r.rel == "<"]
+        margins = [r for r in sys2.rows if r.tag.startswith("essp:")]
         wide = pair[1]
         expected = [s for s in range(len(lts.states))
                     if wide not in lts.enabled[s]
                     and pair[0] in lts.enabled[s]]
-        assert len(strict) == len(expected)
+        assert len(margins) == len(expected)
 
     def test_non_self_loop_narrow_label_produce_pinned(self, fig1):
         ctx, graph = stage(fig1, brac=True)
@@ -400,8 +403,6 @@ class TestContextBlock:
         assert sys_.rows.parts == (first, ctx, last)
         assert len(sys_.rows) == 7
         assert list(sys_.rows) == [first, *ctx.rows(), last]
-        assert not sys_.homogeneous
-        assert ctx.system([ctx]).homogeneous
 
     def test_holds_matches_fraction_check(self):
         ctx = small_context()
@@ -417,13 +418,10 @@ class TestContextBlock:
         assert verdicts == {True, False}
 
     def test_solves_like_the_written_rows(self):
-        from netsynth.linsys import integerize_strict
         ctx = small_context()
-        extra = (make_row({0: 1}, "<", 2), make_row({3: 1}, ">=", 1))
+        extra = (margin_row({0: 1}, "<", 2), make_row({3: 1}, ">=", 1))
         for zero_one in (frozenset(), frozenset({1, 2, 3, 4})):
-            # the strict row as the solvers give it to the simplex
-            spliced = integerize_strict(
-                LinearSystem(5, (extra[0], ctx, extra[1]), zero_one))
+            spliced = LinearSystem(5, (extra[0], ctx, extra[1]), zero_one)
             written = LinearSystem(5, tuple(spliced.rows), zero_one)
             for solve in (solve_rational, solve_integer):
                 a, b = solve(spliced), solve(written)
@@ -502,16 +500,12 @@ class TestBaseBlock:
 
     def test_holds_agrees_with_fraction_check(self):
         from math import lcm
-        from netsynth.linsys import integerize_strict
         verdicts = []
         for system in self.pipeline_systems():
             sol = (solve_integer(system) if system.zero_one
                    else solve_rational(system))
             if not sol.feasible:
                 continue
-            checked = [system]
-            if system.zero_one:
-                checked.append(integerize_strict(system))
             den = lcm(*(v.denominator for v in sol.assignment))
             num = [int(v * den) for v in sol.assignment]
             points = [num]
@@ -520,21 +514,18 @@ class TestBaseBlock:
                     moved = list(num)
                     moved[j] += step
                     points.append(moved)
-            for checked_system in checked:
-                for point in points:
-                    got = checked_system.holds(point, den)
-                    assert got == checked_system.satisfied_by(
-                        [Fraction(v, den) for v in point])
-                    verdicts.append(got)
+            for point in points:
+                got = system.holds(point, den)
+                assert got == system.satisfied_by(
+                    [Fraction(v, den) for v in point])
+                verdicts.append(got)
             assert system.holds(num, den)
         # moving one coordinate breaks some rows and keeps others
         assert True in verdicts and False in verdicts
 
     def test_spliced_tableau_is_the_written_one(self):
-        from netsynth.linsys import _Simplex, integerize_strict
+        from netsynth.linsys import _Simplex
         for system in self.pipeline_systems(per_kind=1):
-            # what the solvers give the simplex: strict rows as unit margins
-            system = integerize_strict(system)
             spliced, written = _Simplex(system), \
                 _Simplex(self.written_out(system))
             assert spliced.tableau == written.tableau
@@ -551,11 +542,9 @@ class TestBaseBlock:
         columns nor the simplex's costs nor the branch rows appended as
         parts of a node system."""
         import copy
-        from netsynth.linsys import LinearSystem, _Simplex, integerize_strict
+        from netsynth.linsys import LinearSystem, _Simplex
         by_context = {}
         for system in self.pipeline_systems(per_kind=4):
-            # what the solvers give the simplex: strict rows as unit margins
-            system = integerize_strict(system)
             ctx, = (p for p in system.rows.parts if not isinstance(p, Row))
             by_context.setdefault(id(ctx), (ctx, []))[1].append(system)
         ctx, systems = max(by_context.values(), key=lambda e: len(e[1]))
@@ -583,16 +572,14 @@ class TestBaseBlock:
         fresh = SystemContext(ctx.lts, ctx.tree, ctx.basis)
         assert ctx.dual_columns() == fresh.dual_columns()
 
-    def test_integerize_and_extension_keep_the_block(self, fig1):
-        from netsynth.linsys import integerize_strict
+    def test_extension_keeps_the_block(self, fig1):
         ctx, graph = stage(fig1, brac=True)
         system = ctx.system(essp_system_wpi(ctx, graph, ESSP(0, 1)).rows,
                             zero_one=True)
         extended = ctx.system(
             system.rows.parts + (ctx.ssp_row(SSP(0, 1), "<"),),
             zero_one=True)
-        for derived in (integerize_strict(system), extended):
-            assert any(p is ctx for p in derived.rows.parts)
+        assert any(p is ctx for p in extended.rows.parts)
         assert len(extended.rows) == len(system.rows) + 1
         assert list(extended.rows)[:-1] == list(system.rows)
         assert list(extended.rows)[-1].tag == "ssp:s0:s1"
