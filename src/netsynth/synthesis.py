@@ -371,8 +371,6 @@ def _maybe_prune(report: SynthesisReport, lts: Lts,
     for i in range(len(regions)):
         if len(keep) == 1:
             break
-        if i not in keep:
-            continue
         candidate = [j for j in keep if j != i]
         _, record = _verified_net(lts, [regions[j] for j in candidate],
                                   report.target_class)
