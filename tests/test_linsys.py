@@ -219,6 +219,22 @@ class TestLifting:
         with pytest.raises(ValueError, match="homogeneous"):
             lift_homogeneous_to_integer(sol, INTRO)
 
+    @pytest.mark.parametrize("rel, const, zero_one, refused", [
+        ("<=", -1, (), False), (">=", 1, (), False), ("=", 0, (), False),
+        ("<=", 1, (), True), (">=", -1, (), True), ("=", 1, (), True),
+        ("=", -1, (), True), ("<=", -1, ("x",), True)])
+    def test_lifts_only_rows_that_survive_scaling(self, rel, const,
+                                                  zero_one, refused):
+        sys_ = system([({"x": 2, "y": -3}, rel, const)], zero_one=zero_one)
+        sol = solve_rational(sys_)
+        assert sol.feasible
+        if refused:
+            with pytest.raises(ValueError, match="homogeneous"):
+                lift_homogeneous_to_integer(sol, sys_)
+        else:
+            lifted = lift_homogeneous_to_integer(sol, sys_)
+            assert sys_.satisfied_by(lifted.assignment)
+
     def test_random_homogeneous_lift_property(self):
         rng = random.Random(23)
         lifted_count = 0
