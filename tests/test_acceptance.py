@@ -222,7 +222,7 @@ def test_criterion_6_class_predicates():
 
 def test_criterion_7_lp_sanity():
     with criterion(7, "intro system splits rationals from integers; "
-                      "lifting exact on 500 homogeneous systems"):
+                      "lifting exact on 500 unit-margin systems"):
         x, y = 0, 1
         intro = LinearSystem(2, (
             make_row({x: 1, y: -1}, "<=", -1),
@@ -275,7 +275,7 @@ def test_criterion_8_oracle_equivalence():
                                for sign in ("<", ">")]
                 feasible = any(solve_rational(s).feasible for s in systems)
                 if problems_checked % 10 == 0:
-                    # homogeneous systems: integer search must agree
+                    # homogeneous but for the margin: integers must agree
                     integer = any(solve_integer(s, cap=64).feasible
                                   for s in systems)
                     assert integer == feasible, (seed, problem)
