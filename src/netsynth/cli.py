@@ -19,8 +19,9 @@ from netsynth.lts import Lts, LtsError, parse_lts, serialize_lts, validate
 from netsynth.petri import (CapExceeded, PetriNetError, classify_net,
                             parse_net, reachability_graph, render_dot,
                             serialize_net)
-from netsynth.relations import (Contradiction, build_relation_graph,
-                                classify_case, pair_relations)
+from netsynth.relations import (DOI, INCLUDED, Contradiction,
+                                build_relation_graph, classify_case,
+                                pair_relations)
 from netsynth.synthesis import (CAP_EXCEEDED, SynthesisConfig,
                                 relation_stage, synthesize_brac,
                                 synthesize_wpi, verify_solution)
@@ -118,7 +119,7 @@ def _cmd_relations(args) -> int:
                 edge = stage.edge(a, b)
             entry = {"a": lts.labels[a], "b": lts.labels[b],
                      "edge": edge.kind, "origin": edge.origin}
-            if edge.kind in ("included", "doi"):
+            if edge.kind in (INCLUDED, DOI):
                 entry["below"] = lts.labels[edge.lo]
                 entry["above"] = lts.labels[edge.hi]
             graph_entries.append(entry)

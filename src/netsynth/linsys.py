@@ -90,9 +90,9 @@ class Rows:
 
     A part that is not a `Row` is a block: homogeneous rows that many
     systems share, over its first ``columns`` columns.  It has
-    ``len`` rows, ``rows()`` writes them out as `Row`s, ``copies`` is
-    their simplex copy count (`_LEQ_COPIES`), ``dual_columns()`` maps a
-    column to its entries in those copies' dual-tableau columns, and
+    ``len`` rows, ``base_rows()`` writes them out as `Row`s, ``copies``
+    is their simplex copy count (`_LEQ_COPIES`), ``dual_columns()`` maps
+    a column to its entries in those copies' dual-tableau columns, and
     ``holds(num, den)`` checks them all.  Only iterating builds a block's
     rows.
     """
@@ -105,7 +105,7 @@ class Rows:
 
     def __iter__(self):
         for part in self.parts:
-            yield from (part,) if isinstance(part, Row) else part.rows()
+            yield from (part,) if isinstance(part, Row) else part.base_rows()
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,6 @@ class _Simplex:
         self.basis = [m + j for j in range(n)]
         self.tableau = tableau
         self.den = [1] * n
-        self.costs = costs
         self.obj, self.obj_den = costs + [0], 1
 
     def _pivot(self, r, k):

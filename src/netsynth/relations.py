@@ -52,33 +52,32 @@ _EDGE_OF_CODE = {_NONE: (DISJOINT, False), _INC_TO: (INCLUDED, False),
                  _DOI_FROM: (DOI, True)}
 
 _CONTRA = "contra"
-_TO_DISJOINT = "disjoint"
-_TO_INCLUDED = "included"
 
 # Triangle rule table over a doi edge (lo, hi) and a third label c, keyed by
 # (code of (lo, c), code of (hi, c)).  Entries: (config number, action,
-# needs_original_solid).  Deactivation-based rules (17, 22, 23) only fire
+# needs_original_solid); an action other than a contradiction is the kind
+# the doi edge takes.  Deactivation-based rules (17, 22, 23) only fire
 # when the solid edge at lo arose from an actual merge pair; otherwise the
 # conclusion re-emerges from the triangles that produced the strengthened
 # edge.
 _TRIANGLE: dict[tuple[int, int], tuple[int, Optional[str], bool]] = {
     (_NONE, _NONE): (1, None, False),
-    (_INC_TO, _NONE): (2, _TO_DISJOINT, False),
-    (_INC_FROM, _NONE): (3, _TO_DISJOINT, False),
+    (_INC_TO, _NONE): (2, DISJOINT, False),
+    (_INC_FROM, _NONE): (3, DISJOINT, False),
     (_DOI_TO, _NONE): (4, None, False),
     (_DOI_FROM, _NONE): (5, None, False),
-    (_NONE, _INC_TO): (6, _TO_DISJOINT, False),
+    (_NONE, _INC_TO): (6, DISJOINT, False),
     (_INC_TO, _INC_TO): (7, None, False),
     (_INC_FROM, _INC_TO): (8, _CONTRA, False),
     (_DOI_TO, _INC_TO): (9, None, False),
     (_DOI_FROM, _INC_TO): (10, _CONTRA, False),
     (_NONE, _INC_FROM): (11, None, False),
-    (_INC_TO, _INC_FROM): (12, _TO_INCLUDED, False),
-    (_INC_FROM, _INC_FROM): (13, _TO_INCLUDED, False),
+    (_INC_TO, _INC_FROM): (12, INCLUDED, False),
+    (_INC_FROM, _INC_FROM): (13, INCLUDED, False),
     (_DOI_TO, _INC_FROM): (14, None, False),
     (_DOI_FROM, _INC_FROM): (15, None, False),
     (_NONE, _DOI_TO): (16, None, False),
-    (_INC_TO, _DOI_TO): (17, _TO_DISJOINT, True),
+    (_INC_TO, _DOI_TO): (17, DISJOINT, True),
     (_INC_FROM, _DOI_TO): (18, _CONTRA, False),
     (_DOI_TO, _DOI_TO): (19, None, False),
     (_DOI_FROM, _DOI_TO): (20, _CONTRA, False),
@@ -148,6 +147,17 @@ class RelationGraph:
 
     def set_edge(self, a: int, b: int, edge: Edge) -> None:
         self.edges[(a, b) if a < b else (b, a)] = edge
+
+    def resolved(self, doi_pairs: Iterable[tuple[int, int]],
+                 included: Iterable[tuple[int, int]] = ()) -> RelationGraph:
+        """A copy with each doi edge ``(lo, hi)`` of ``doi_pairs`` made
+        `INCLUDED` if it is in ``included``, else `DISJOINT`."""
+        included = set(included)
+        g = self.copy()
+        for lo, hi in doi_pairs:
+            kind = INCLUDED if (lo, hi) in included else DISJOINT
+            g.set_edge(lo, hi, Edge(kind, lo, hi, STRENGTHENED))
+        return g
 
     def code_from(self, x: int, c: int) -> int:
         """Oriented relation code of the pair (x, c) as seen from x."""
@@ -405,11 +415,8 @@ def _strengthen(graph: RelationGraph, brac: bool) -> RelationGraph | Contradicti
             first = first or (lo, hi, c, config, action)
         if first is not None:
             lo, hi, c, config, action = first
-            if action == _TO_DISJOINT:
-                g.set_edge(lo, hi, Edge(DISJOINT, lo, hi, STRENGTHENED))
-            else:
-                g.set_edge(lo, hi, Edge(INCLUDED, lo, hi, STRENGTHENED,
-                                        provenance=(c, config)))
+            provenance = (c, config) if action == INCLUDED else None
+            g.set_edge(lo, hi, Edge(action, lo, hi, STRENGTHENED, provenance))
             continue
         doi = g.doi_edges() if brac else []
         has_outgoing = {lo for lo, _ in doi}

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge, mul, sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, ParikhVector, SpanningTree
 from netsynth.petri import PlaceSpec
-from netsynth.relations import (DISJOINT, DOI, EQUIVALENT, INCLUDED,
-                                RelationGraph)
+from netsynth.relations import DISJOINT, INCLUDED, RelationGraph
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ class SystemContext:
         coeffs[bvar] = coeffs.get(bvar, 0) - 1
         return coeffs
 
-    def rows(self) -> tuple[Row, ...]:
+    def base_rows(self) -> tuple[Row, ...]:
         """The base rows as `make_row` builds them, sharing equal
         ``(column, coefficient)`` pairs.  Built on first call and kept;
         systems hold the context instead."""
@@ -193,7 +192,6 @@ class SystemContext:
         for i, gamma in enumerate(self.basis):
             yield self._effect_coeffs(gamma.counts, {}), "=", f"cycle:{i}"
 
-    base_rows = rows
 
     def dual_columns(self) -> dict[int, list[int]]:
         """Column -> its entries in the dual tableau, as `linsys` writes
@@ -263,13 +261,13 @@ class SystemContext:
                         tag=f"tie:{self.lts.labels[m]}"))
         return rows
 
-    def relation_rows(self, graph: RelationGraph, label: int,
-                      doi_choice: Mapping[tuple[int, int], str]) -> list[Row]:
+    def relation_rows(self, graph: RelationGraph, label: int) -> list[Row]:
         """Comparability rows of all labels against ``label``'s class.
 
-        Disjoint classes consume nothing here, included classes compare
-        consume weights towards the key, residual doi edges follow the
-        supplied interpretation.
+        Disjoint classes consume nothing here, and included classes
+        compare consume weights towards the key.  ``graph`` must be
+        quotiented, with every doi edge resolved (`RelationGraph.resolved`):
+        an edge of any other kind raises ``ValueError``.
         """
         key = graph.rep[label]
         bkey = self.bvar[key]
@@ -278,23 +276,14 @@ class SystemContext:
             if rep == key:
                 continue
             edge = graph.edge(key, rep)
-            if edge.kind == EQUIVALENT:
-                raise ValueError("relation rows require a quotiented graph")
-            kind, lo = edge.kind, edge.lo
-            if kind == DOI:
-                pair = (edge.lo, edge.hi)
-                try:
-                    kind = {"disjoint": DISJOINT,
-                            "included": INCLUDED}[doi_choice[pair]]
-                except KeyError:
-                    raise KeyError(
-                        f"no interpretation for doi edge "
-                        f"{graph.names[edge.lo]}->{graph.names[edge.hi]}")
             brep = self.bvar[rep]
-            if kind == DISJOINT:
+            if edge.kind == DISJOINT:
                 rows.append(make_row({brep: 1}, "=", 0,
                                      tag=f"disjoint:{self.lts.labels[rep]}"))
-            elif lo == key:
+            elif edge.kind != INCLUDED:
+                raise ValueError(f"relation rows need resolved edges, not "
+                                 f"{edge.kind} at {graph.names[rep]}")
+            elif edge.lo == key:
                 rows.append(make_row({bkey: 1, brep: -1}, "<=", 0,
                                      tag=f"below:{self.lts.labels[rep]}"))
             else:
@@ -308,30 +297,27 @@ class SystemContext:
         return LinearSystem(self.columns, rows, flags)
 
 
-def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
-                    doi_choice: Mapping[tuple[int, int], str] = {}) \
-        -> LinearSystem:
+def essp_system_wpi(ctx: SystemContext, graph: RelationGraph,
+                    essp: ESSP) -> LinearSystem:
     """Event separation system with comparability rows at the ESSP label.
 
     All rows but the unit margin are homogeneous, so a rational solution
     lifts to integers.
     """
     rows = [ctx.essp_row(essp), ctx]
-    rows += ctx.relation_rows(graph, essp.label, doi_choice)
+    rows += ctx.relation_rows(graph, essp.label)
     return ctx.system(rows)
 
 
 def ssp_system_wpi(ctx: SystemContext, graph: RelationGraph, ssp: SSP,
-                   label: int, sign: str,
-                   doi_choice: Mapping[tuple[int, int], str] = {}) \
-        -> LinearSystem:
+                   label: int, sign: str) -> LinearSystem:
     """State separation system keyed to one candidate label and sign.
 
     The disequality over the Parikh difference is split by the caller into
     its two signs, each built as a unit margin.
     """
     rows = [ctx.ssp_row(ssp, sign), ctx]
-    rows += ctx.relation_rows(graph, label, doi_choice)
+    rows += ctx.relation_rows(graph, label)
     return ctx.system(rows)
 
 
@@ -393,8 +379,9 @@ def brac_ssp_system_freechoice(ctx: SystemContext, graph: RelationGraph,
     """State separation through a free-choice place.
 
     The place may only be consumed by one equivalence class, and by none at
-    all if that class takes part in an asymmetric choice; residual doi
-    edges count as disjointness here.
+    all if that class takes part in an asymmetric choice.  ``graph`` has
+    every doi edge resolved, so a matched self-loop's inclusion counts as
+    an asymmetric choice.
     """
     names = ctx.lts.labels
     key = graph.rep[label]

@@ -30,8 +30,8 @@ from netsynth.linsys import (LinearSystem, Solution,
 from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
                             isomorphic, net_from_regions, reachability_graph)
-from netsynth.relations import (Contradiction, DISJOINT, DOI, Edge, INCLUDED,
-                                MatchingFailure, RelationGraph,
+from netsynth.relations import (Contradiction, DOI, MatchingFailure,
+                                RelationGraph,
                                 build_relation_graph,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
@@ -326,12 +326,11 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         first_witness: Optional[dict] = None
         for mask in _interpretation_order(len(doi_pairs)):
             tried += 1
-            choice = {pair: ("included" if mask >> i & 1 else "disjoint")
-                      for i, pair in enumerate(doi_pairs)}
-            systems = _candidates(
-                ctx, reps, partial(essp_system_wpi, ctx, graph,
-                                   doi_choice=choice),
-                partial(ssp_system_wpi, ctx, graph, doi_choice=choice))
+            resolved = graph.resolved(doi_pairs, [
+                pair for i, pair in enumerate(doi_pairs) if mask >> i & 1])
+            systems = _candidates(ctx, reps,
+                                  partial(essp_system_wpi, ctx, resolved),
+                                  partial(ssp_system_wpi, ctx, resolved))
             pool = _RegionPool()
             try:
                 problems = itertools.chain(essps, state_pairs(lts))
@@ -346,8 +345,8 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             except _Unsolvable as exc:
                 first_witness = first_witness or exc.witness
                 continue
-            interp = [(lts.labels[lo], lts.labels[hi], choice[(lo, hi)])
-                      for lo, hi in doi_pairs]
+            interp = [(lts.labels[lo], lts.labels[hi],
+                       resolved.edge(lo, hi).kind) for lo, hi in doi_pairs]
             report = SynthesisReport(SUCCESS, WPI, net=net,
                                      regions=list(pool.regions),
                                      interpretation=interp,
@@ -451,7 +450,6 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         graph = relation_stage(build_relation_graph(lts), brac=True)
         if isinstance(graph, Contradiction):
             raise _Unsolvable(_contradiction_witness(graph, lts.labels))
-        graph = graph.copy()
         reps = sorted(graph.classes)
         doi_pairs = _doi_pairs(graph)
         solid_pairs = graph.included_edges()
@@ -463,11 +461,13 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
 
         solve = partial(solve_integer, cap=icap)
         pool = _RegionPool()
-        all_disjoint = {pair: "disjoint" for pair in doi_pairs}
-        systems = _candidates(
-            ctx, reps, lambda essp: ctx.system(essp_system_wpi(
-                ctx, graph, essp, all_disjoint).rows, zero_one=True),
-            partial(brac_ssp_system_freechoice, ctx, graph))
+
+        def candidates(resolved: RelationGraph):
+            return _candidates(ctx, reps, lambda essp: ctx.system(
+                essp_system_wpi(ctx, resolved, essp).rows, zero_one=True),
+                partial(brac_ssp_system_freechoice, ctx, resolved))
+        # event separation reads every doi edge as disjoint
+        systems = candidates(graph.resolved(doi_pairs))
 
         # feasible inclusion candidates and the shared region of each
         lam: dict[tuple[int, int], Region] = {}
@@ -530,9 +530,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             matching = result
         matching_names = {lts.labels[k]: lts.labels[v]
                           for k, v in matching.items()}
-        for lo, hi in doi_pairs:
-            kind = INCLUDED if matching.get(lo) == hi else DISJOINT
-            graph.set_edge(lo, hi, Edge(kind, lo, hi, "strengthened"))
+        graph = graph.resolved(doi_pairs, matching.items())
         for pair in sorted(matching.items()):
             blocks.append(_brac_block(ctx, graph, pair, pool, solve,
                                       "no single private region covers "
@@ -547,7 +545,8 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         # state separation: free-choice first, then block assignment;
         # only a block could take a leftover, so without one the first
         # leftover is the failure
-        unsolved = _separate(ctx, pool, state_pairs(lts), systems, solve)
+        unsolved = _separate(ctx, pool, state_pairs(lts), candidates(graph),
+                             solve)
         if not blocks:
             first = next(unsolved, None)
             if first is not None:
@@ -571,8 +570,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         regions=list(pool.regions),
         witness=None if record.ok else _verification_witness(record),
         interpretation=[(lts.labels[lo], lts.labels[hi],
-                         "included" if matching.get(lo) == hi
-                         else "disjoint") for lo, hi in doi_pairs],
+                         graph.edge(lo, hi).kind) for lo, hi in doi_pairs],
         inclusion_candidates=lam_names,
         matching=matching_names,
         verification=record)

@@ -157,9 +157,10 @@ def test_criterion_4_case6_dichotomy():
         c = case6b.labels.index("c")
         b = case6b.labels.index("b")
         essp = ESSP(case6b.states.index("s0"), c)
-        system = essp_system_wpi(ctx, graph, essp, {(c, b): "disjoint"})
+        system = essp_system_wpi(ctx, graph.resolved([(c, b)]), essp)
         assert not solve_rational(system).feasible
-        system = essp_system_wpi(ctx, graph, essp, {(c, b): "included"})
+        system = essp_system_wpi(ctx, graph.resolved([(c, b)], [(c, b)]),
+                                 essp)
         assert solve_rational(system).feasible
 
 

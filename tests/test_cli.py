@@ -134,8 +134,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("error", [RuntimeError("pivot limit exceeded"),
                                        AssertionError("invariant broken"),
-                                       KeyError("no interpretation for doi "
-                                                "edge c->a"),
+                                       KeyError((2, 5)),
                                        ValueError("non-integral value in "
                                                   "column 3: 1/2")])
     def test_internal_error_exit_4(self, monkeypatch, capsys, error):

@@ -7,7 +7,8 @@ from netsynth.oracle import random_lts
 from netsynth.relations import (A_GTR_B, B_GTR_A, Contradiction, DISJOINT,
                                 DOI, EQUIV, EQUIVALENT, Edge, INCLUDED,
                                 INTERLEAVE, MatchingFailure, PairRelation,
-                                RelationGraph, build_relation_graph,
+                                RelationGraph, STRENGTHENED,
+                                build_relation_graph,
                                 classify_case, pair_relation, pair_relations,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
@@ -168,6 +169,41 @@ class TestQuotient:
         graph, reps = quotient_by_equivalence(
             RelationGraph(names, (0, 1, 2), edges))
         assert reps[0] == 1 and reps[1] == 1
+
+
+class TestResolved:
+    """An interpretation of the doi edges as a resolved copy of the graph."""
+
+    @staticmethod
+    def brac7_graph(brac7):
+        graph, _ = quotient_by_equivalence(build_relation_graph(brac7))
+        return strengthen_wpi(graph)
+
+    def test_sets_exactly_the_listed_pairs(self, brac7):
+        graph = self.brac7_graph(brac7)
+        before = dict(graph.edges)
+        pairs = graph.doi_edges()
+        assert len(pairs) == 3
+        out = graph.resolved(pairs, [pairs[1]])
+        assert graph.edges == before and graph.doi_edges() == pairs
+        changed = sorted(k for k in before if out.edges[k] != before[k])
+        assert changed == sorted(tuple(sorted(p)) for p in pairs)
+        assert [out.edge(*p) for p in pairs] == [
+            Edge(DISJOINT, *pairs[0], STRENGTHENED),
+            Edge(INCLUDED, *pairs[1], STRENGTHENED),
+            Edge(DISJOINT, *pairs[2], STRENGTHENED)]
+        assert out.doi_edges() == []
+        assert (out.names, out.nodes, out.rep, out.classes) == \
+            (graph.names, graph.nodes, graph.rep, graph.classes)
+
+    def test_unlisted_doi_edges_stay(self, brac7):
+        graph = self.brac7_graph(brac7)
+        pairs = graph.doi_edges()
+        out = graph.resolved(pairs[:1], pairs)
+        assert out.doi_edges() == pairs[1:]
+        assert out.included_edges() == \
+            sorted(graph.included_edges() + pairs[:1])
+        assert graph.resolved([]).edges == graph.edges
 
 
 def triangle(ab, ac, bc):

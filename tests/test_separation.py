@@ -7,7 +7,7 @@ import pytest
 from netsynth.linsys import (LinearSystem, Row, make_row, solve_integer,
                              solve_rational)
 from netsynth.lts import cycle_basis, parse_lts, spanning_tree
-from netsynth.relations import (build_relation_graph,
+from netsynth.relations import (DOI, EQUIVALENT, build_relation_graph,
                                 quotient_by_equivalence, strengthen_brac,
                                 strengthen_wpi)
 from netsynth.separation import (ESSP, Region, SSP, SystemContext,
@@ -167,6 +167,36 @@ s1 t2 s3
 s2 t10 s3
 s3 t1 s0
 """
+
+
+class TestRelationRows:
+    """Relation rows read resolved edges: disjoint or included only."""
+
+    def test_doi_edge_refused(self, case6b):
+        ctx, graph = stage(case6b)
+        c, b = lid(case6b, "c"), lid(case6b, "b")
+        assert graph.edge(c, b).kind == DOI
+        for label in (c, b):
+            with pytest.raises(ValueError, match="not doi"):
+                ctx.relation_rows(graph, label)
+        below = ctx.relation_rows(graph.resolved([(c, b)], [(c, b)]), c)
+        disjoint = ctx.relation_rows(graph.resolved([(c, b)]), c)
+        assert [r.tag for r in below] == ["disjoint:a", "below:b"]
+        assert [r.tag for r in disjoint] == ["disjoint:a", "disjoint:b"]
+
+    def test_equivalent_edge_refused(self):
+        # a and b are enabled at the same states: equivalent until the
+        # graph is quotiented
+        lts = parse_lts("initial s0\ns0 a s1\ns0 b s1\ns1 c s0\n")
+        tree = spanning_tree(lts)
+        ctx = SystemContext(lts, tree, cycle_basis(lts, tree))
+        graph = build_relation_graph(lts)
+        assert graph.edge(0, 1).kind == EQUIVALENT
+        with pytest.raises(ValueError, match="not equivalent at b"):
+            ctx.relation_rows(graph, lid(lts, "a"))
+        quotiented, _ = quotient_by_equivalence(graph)
+        assert [r.tag for r in ctx.relation_rows(quotiented, 0)] == \
+            ["tie:b", "disjoint:c"]
 
 
 class TestSolutionsAreRegions:
@@ -374,7 +404,7 @@ class TestContextBlock:
 
     def test_rows_written_out(self):
         ctx = small_context()
-        rows = ctx.rows()
+        rows = ctx.base_rows()
         assert rows == (
             make_row({0: 1, 1: -1}, ">=", 0, "edge:s0:a"),
             make_row({0: 1, 1: -1, 2: -1, 3: 1}, ">=", 0, "edge:s1:b"),
@@ -384,9 +414,9 @@ class TestContextBlock:
                      "edge:s3:b"),
             make_row({1: -1, 2: -2, 3: 1, 4: 2}, "=", 0, "cycle:0"))
         assert len(ctx) == 5 and ctx.copies == 6
-        assert ctx.rows() is rows and ctx.base_rows() is rows
+        assert ctx.base_rows() is rows
         assert ctx.dual_columns() is ctx.dual_columns()
-        assert small_context().rows() is not rows
+        assert small_context().base_rows() is not rows
         # equal (column, coefficient) pairs are one object
         assert rows[3].coeffs[0] is rows[0].coeffs[0]
         assert rows[4].coeffs[2] is rows[2].coeffs[3]
@@ -402,7 +432,7 @@ class TestContextBlock:
         sys_ = ctx.system([first, ctx, last])
         assert sys_.rows.parts == (first, ctx, last)
         assert len(sys_.rows) == 7
-        assert list(sys_.rows) == [first, *ctx.rows(), last]
+        assert list(sys_.rows) == [first, *ctx.base_rows(), last]
 
     def test_holds_matches_fraction_check(self):
         ctx = small_context()
@@ -496,7 +526,7 @@ class TestBaseBlock:
             assert len(blocks) == 1
             assert type(blocks[0]) is SystemContext
             assert len(system.rows) == len(system.rows.parts) - 1 \
-                + len(blocks[0].rows())
+                + len(blocks[0].base_rows())
 
     def test_holds_agrees_with_fraction_check(self):
         from math import lcm
@@ -529,7 +559,7 @@ class TestBaseBlock:
             spliced, written = _Simplex(system), \
                 _Simplex(self.written_out(system))
             assert spliced.tableau == written.tableau
-            assert spliced.costs == written.costs
+            assert spliced.obj == written.obj
             assert spliced.basis == written.basis
             sol = solve_rational(system)
             ref = solve_rational(self.written_out(system))
@@ -539,8 +569,8 @@ class TestBaseBlock:
     def test_solves_leave_shared_inputs_unchanged(self):
         """Pivots update tableau rows in place.  Solving several systems
         of one context must change neither the context's cached dual
-        columns nor the simplex's costs nor the branch rows appended as
-        parts of a node system."""
+        columns nor the costs a simplex builds nor the branch rows
+        appended as parts of a node system."""
         import copy
         from netsynth.linsys import LinearSystem, _Simplex
         by_context = {}
@@ -558,10 +588,10 @@ class TestBaseBlock:
                                     system.rows.parts + extra,
                                     system.zero_one)
                 simplex = _Simplex(node)
-                costs = list(simplex.costs)
+                costs = list(simplex.obj)
                 simplex.solve()
                 assert simplex.pivots > 0
-                assert simplex.costs == costs
+                assert _Simplex(node).obj == costs
                 first = solve_rational(node)
                 again = solve_rational(node)
                 assert (first.status, first.pivots, first.assignment) == \

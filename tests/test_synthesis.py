@@ -14,7 +14,7 @@ from netsynth.lts import parse_lts, serialize_lts
 from netsynth.oracle import (OracleBound, brute_force_region,
                              random_brac_net, random_lts)
 from netsynth.petri import reachability_graph, serialize_net
-from netsynth.relations import (DOI, Contradiction, MatchingFailure,
+from netsynth.relations import (Contradiction, MatchingFailure,
                                 build_relation_graph)
 from netsynth.separation import (ESSP, SSP, brac_block_systems,
                                  brac_ssp_system_freechoice,
@@ -135,6 +135,30 @@ class TestBrac:
         assert preset_strictly_below(report.net, "c", "e")
         assert ("c", "e") in report.inclusion_candidates
         assert report.matching == {"c": "e"}
+
+    def test_freechoice_systems_read_the_matched_graph(self, brac7,
+                                                       monkeypatch):
+        # the pooled places separate every state pair of brac7, so the
+        # pool is made to pass over state pairs and reach the free-choice
+        # stage, which runs after the matching
+        graphs = []
+        real_system = netsynth.synthesis.brac_ssp_system_freechoice
+        real_solves = netsynth.synthesis._RegionPool.solves
+
+        def system(ctx, graph, *args):
+            graphs.append(graph)
+            return real_system(ctx, graph, *args)
+        monkeypatch.setattr(
+            "netsynth.synthesis.brac_ssp_system_freechoice", system)
+        monkeypatch.setattr(
+            "netsynth.synthesis._RegionPool.solves",
+            lambda pool, p: not isinstance(p, SSP) and real_solves(pool, p))
+        assert synthesize_brac(brac7).matching == {"c": "e"}
+        c, e = brac7.labels.index("c"), brac7.labels.index("e")
+        assert graphs
+        for graph in graphs:
+            assert graph.doi_edges() == []
+            assert (c, e) in graph.included_edges()
 
     def test_case6a_success_disjoint(self, case6a):
         report = synthesize_brac(case6a)
@@ -434,10 +458,10 @@ class TestIntegerCapBound:
         if isinstance(graph, Contradiction):
             return []
         reps = sorted(graph.classes)
-        all_disjoint = {(e.lo, e.hi): "disjoint"
-                        for e in graph.edges.values() if e.kind == DOI}
+        doi_pairs = graph.doi_edges()
+        all_disjoint = graph.resolved(doi_pairs)
         systems = []
-        for pair in graph.included_edges() + sorted(all_disjoint):
+        for pair in graph.included_edges() + doi_pairs:
             systems += brac_block_systems(ctx, graph, pair)
         for problem in enumerate_separation_problems(lts):
             if isinstance(problem, SSP):
@@ -445,7 +469,7 @@ class TestIntegerCapBound:
                                                        a, sign)
                             for a in reps for sign in ("<", ">")]
             elif problem.label in reps:
-                base = essp_system_wpi(ctx, graph, problem, all_disjoint)
+                base = essp_system_wpi(ctx, all_disjoint, problem)
                 systems.append(ctx.system(base.rows, zero_one=True))
         return systems
 
