@@ -55,11 +55,10 @@ _CONTRA = "contra"
 
 # Triangle rule table over a doi edge (lo, hi) and a third label c, keyed by
 # (code of (lo, c), code of (hi, c)).  Entries: (config number, action,
-# needs_original_solid); an action other than a contradiction is the kind
-# the doi edge takes.  Deactivation-based rules (17, 22, 23) only fire
-# when the solid edge at lo arose from an actual merge pair; otherwise the
-# conclusion re-emerges from the triangles that produced the strengthened
-# edge.
+# needs_original_solid), where the action is the doi edge's new kind or
+# _CONTRA.  Deactivation-based rules (17, 22, 23) only fire when the solid
+# edge at lo arose from an actual merge pair; otherwise the conclusion
+# re-emerges from the triangles that produced the strengthened edge.
 _TRIANGLE: dict[tuple[int, int], tuple[int, Optional[str], bool]] = {
     (_NONE, _NONE): (1, None, False),
     (_INC_TO, _NONE): (2, DISJOINT, False),

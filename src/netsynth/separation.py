@@ -192,7 +192,6 @@ class SystemContext:
         for i, gamma in enumerate(self.basis):
             yield self._effect_coeffs(gamma.counts, {}), "=", f"cycle:{i}"
 
-
     def dual_columns(self) -> dict[int, list[int]]:
         """Column -> its entries in the dual tableau, as `linsys` writes
         the base rows' copies.  Built on first call and kept."""
@@ -264,10 +263,9 @@ class SystemContext:
     def relation_rows(self, graph: RelationGraph, label: int) -> list[Row]:
         """Comparability rows of all labels against ``label``'s class.
 
-        Disjoint classes consume nothing here, and included classes
-        compare consume weights towards the key.  ``graph`` must be
-        quotiented, with every doi edge resolved (`RelationGraph.resolved`):
-        an edge of any other kind raises ``ValueError``.
+        Disjoint classes consume nothing, included classes compare consume
+        weights towards the key; any other edge (doi, equivalent) raises
+        ``ValueError``: quotient ``graph`` and resolve its doi edges first.
         """
         key = graph.rep[label]
         bkey = self.bvar[key]
@@ -379,9 +377,8 @@ def brac_ssp_system_freechoice(ctx: SystemContext, graph: RelationGraph,
     """State separation through a free-choice place.
 
     The place may only be consumed by one equivalence class, and by none at
-    all if that class takes part in an asymmetric choice.  ``graph`` has
-    every doi edge resolved, so a matched self-loop's inclusion counts as
-    an asymmetric choice.
+    all if that class takes part in an asymmetric choice.  ``graph`` is
+    resolved, so a matched doi edge is such a choice.
     """
     names = ctx.lts.labels
     key = graph.rep[label]

@@ -31,8 +31,7 @@ from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
                             isomorphic, net_from_regions, reachability_graph)
 from netsynth.relations import (Contradiction, DOI, MatchingFailure,
-                                RelationGraph,
-                                build_relation_graph,
+                                RelationGraph, build_relation_graph,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
