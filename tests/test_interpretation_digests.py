@@ -46,7 +46,8 @@ def inputs() -> dict:
 
 def built_systems_digest(lts, pipeline: str):
     """The pipeline's report and the SHA-256 over the ``dump_lp`` text of
-    every system it builds, one dump per line block, in build order."""
+    every system it builds, in build order, each followed by a blank
+    line."""
     digest = hashlib.sha256()
     original = SystemContext.system
 
