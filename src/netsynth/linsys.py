@@ -20,8 +20,9 @@ where the pivot row is nonzero.  A solution is integer numerators over
 one positive denominator, re-substituted into the rows before it is
 returned.  Solutions of a system whose rows survive scaling up lift to
 integers by dividing out the gcd, and a 0/1-aware branch-and-bound gives
-bounded integer feasibility; each of its nodes is one whole system, the
-bound rows appended.
+bounded integer feasibility; it branches on the first fractional 0/1
+column, then on the other columns in column order, and each of its nodes
+is one whole system, the bound rows appended.
 `fractions.Fraction` is left only in the reference checks
 (`Row.evaluate`, `LinearSystem.satisfied_by`) and the read-only
 `Solution.assignment` view.
@@ -374,14 +375,17 @@ def lift_homogeneous_to_integer(solution: Solution,
 def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
     """Integer feasibility by branch-and-bound on the rational relaxation.
 
-    0/1-flagged variables carry their bounds already; remaining variables
-    are branched on fractional relaxation values, down-branch first, in
-    column order.  A node is the whole system with its bound rows appended.
+    0/1-flagged variables carry their bounds already.  A node branches on
+    the first fractional 0/1 column, else on the first fractional other
+    column, down-branch first.  Each node is the whole system with its
+    bound rows appended.
     Branches pushing a lower bound beyond ``cap`` are pruned; if the search
     ends infeasible after such pruning the result is reported as
     cap-exceeded rather than infeasible.
     """
     parts = system.rows.parts
+    order = sorted(system.zero_one) + [j for j in range(system.columns)
+                                       if j not in system.zero_one]
     stack: list[tuple[Row, ...]] = [()]
     capped = False
     pivots = 0
@@ -397,7 +401,7 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
         if not relax.feasible:
             continue
         num, den = relax.num, relax.den
-        frac = next((j for j, v in enumerate(num) if v % den), None)
+        frac = next((j for j in order if num[j] % den), None)
         if frac is None:
             return Solution(FEASIBLE, tuple(v // den for v in num), 1, pivots)
         lo = num[frac] // den

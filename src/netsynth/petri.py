@@ -68,9 +68,6 @@ class PetriNet:
     def w_in(self, p: int, t: int) -> int:
         return self.consume.get((p, t), 0)
 
-    def w_out(self, t: int, p: int) -> int:
-        return self.produce.get((t, p), 0)
-
     @cached_property
     def firing_table(self) -> tuple[tuple[tuple, tuple], ...]:
         """Per transition, in place order: its preset as ``(place, weight)``

@@ -111,8 +111,6 @@ class Edge:
     lo: int
     hi: int
     origin: str = ORIGINAL
-    # triangle (third label, config number) that strengthened a doi edge
-    provenance: Optional[tuple[int, int]] = None
 
 
 @dataclass
@@ -411,11 +409,10 @@ def _strengthen(graph: RelationGraph, brac: bool) -> RelationGraph | Contradicti
                                      f"doi edge {g.names[lo]}->"
                                      f"{g.names[hi]} with third label "
                                      f"{g.names[c]}")
-            first = first or (lo, hi, c, config, action)
+            first = first or (lo, hi, action)
         if first is not None:
-            lo, hi, c, config, action = first
-            provenance = (c, config) if action == INCLUDED else None
-            g.set_edge(lo, hi, Edge(action, lo, hi, STRENGTHENED, provenance))
+            lo, hi, action = first
+            g.set_edge(lo, hi, Edge(action, lo, hi, STRENGTHENED))
             continue
         doi = g.doi_edges() if brac else []
         has_outgoing = {lo for lo, _ in doi}
@@ -432,9 +429,8 @@ def strengthen_wpi(graph: RelationGraph) -> RelationGraph | Contradiction:
 
     Contradictory configurations are reported before any resolution is
     applied; resolutions scan doi edges, then third labels, in index order.
-    Strengthened inclusion edges record their originating triangle, and the
-    deactivation-based rules skip them, so indirect conclusions re-emerge
-    through the recorded triangles over further iterations.
+    The deactivation-based rules skip strengthened edges, so indirect
+    conclusions re-emerge over further iterations.
     """
     return _strengthen(graph, brac=False)
 

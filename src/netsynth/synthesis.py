@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from netsynth.linsys import (LinearSystem, Solution,
-                             lift_homogeneous_to_integer, solve_integer,
-                             solve_rational)
+from netsynth.linsys import (LinearSystem, lift_homogeneous_to_integer,
+                             solve_integer, solve_rational)
 from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
                             isomorphic, net_from_regions, reachability_graph)
-from netsynth.relations import (Contradiction, DOI, MatchingFailure,
+from netsynth.relations import (Contradiction, MatchingFailure,
                                 RelationGraph, build_relation_graph,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
@@ -206,16 +205,25 @@ def relation_stage(graph: RelationGraph | Contradiction, brac: bool) \
     return graph
 
 
-def _doi_pairs(graph: RelationGraph) -> list[tuple[int, int]]:
-    """The residual doi edges as (lo, hi), in edge-key order."""
-    return [(e.lo, e.hi) for _, e in sorted(graph.edges.items())
-            if e.kind == DOI]
+def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
+    """The normalised region of a solution of ``system``, or None if it
+    has none.
 
-
-def _region_from(solution: Solution, system: LinearSystem,
-                 ctx: SystemContext) -> Region:
-    if not system.zero_one:
-        solution = lift_homogeneous_to_integer(solution, system)
+    A system with 0/1 columns is solved in integers.  R0 has coefficient 0
+    or 1 in every BRAC row and every entry is an integer, so at a basic
+    solution whose 0/1 columns are integral R0 is integral too: the search
+    never branches on R0 and needs no bound on it (were it to, it would
+    still be exact).  Any other system is solved over the rationals and
+    lifted to integers.
+    """
+    if system.zero_one:
+        solution = solve_integer(system)
+    else:
+        solution = solve_rational(system)
+        if solution.feasible:
+            solution = lift_homogeneous_to_integer(solution, system)
+    if not solution.feasible:
+        return None
     region = normalize_region(solution_to_region(solution, ctx.tree), ctx.lts)
     if not region.is_valid(ctx.lts):
         raise AssertionError("a solved system gave an invalid region")
@@ -252,8 +260,7 @@ def _interpretation_order(k: int) -> list[int]:
 def _separate(ctx: SystemContext, pool: _RegionPool,
               problems: Iterable[SeparationProblem],
               systems: Callable[[SeparationProblem],
-                                Iterator[tuple[str, LinearSystem]]],
-              solve: Callable[[LinearSystem], Solution]) \
+                                Iterator[tuple[str, LinearSystem]]]) \
         -> Iterator[tuple[SeparationProblem, list[str]]]:
     """Pool a region for every problem that no pooled region solves yet.
 
@@ -267,9 +274,9 @@ def _separate(ctx: SystemContext, pool: _RegionPool,
         tags = []
         for tag, system in systems(problem):
             tags.append(tag)
-            sol = solve(system)
-            if sol.feasible:
-                pool.add(_region_from(sol, system, ctx))
+            region = _region(ctx, system)
+            if region is not None:
+                pool.add(region)
                 break
         else:
             yield problem, tags
@@ -312,7 +319,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         graph = relation_stage(build_relation_graph(lts), brac=False)
         if isinstance(graph, Contradiction):
             raise _Unsolvable(_contradiction_witness(graph, lts.labels))
-        doi_pairs = _doi_pairs(graph)
+        doi_pairs = graph.doi_edges()
         if len(doi_pairs) > cfg.selfloop_cap:
             raise _Unsolvable(cap="selfloop-cap")
 
@@ -333,8 +340,8 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             pool = _RegionPool()
             try:
                 problems = itertools.chain(essps, state_pairs(lts))
-                unsolved = next(_separate(ctx, pool, problems, systems,
-                                          solve_rational), None)
+                unsolved = next(_separate(ctx, pool, problems, systems),
+                                None)
                 if unsolved is not None:
                     problem, tags = unsolved
                     raise _Unsolvable(_problem_witness(problem, lts, tags))
@@ -380,21 +387,6 @@ def _maybe_prune(report: SynthesisReport, lts: Lts,
     return report
 
 
-def _integer_cap(lts: Lts) -> int:
-    """Branch-and-bound bound on R0 for the 0/1 systems of the BRAC target.
-
-    In these systems B and F are 0/1, and R0 appears only in edge rows,
-    which bound it from below, and in ESSP rows, which bound it from above;
-    cycle, tie, fixing and SSP rows are free of it.
-    An edge row at state s reads R0 >= B_t + psi(s).(B - F), which is at
-    most 1 + depth(s).  Lowering R0 of any solution to its largest lower
-    bound (or 0) keeps every row, so some solution has
-    R0 <= tree depth + 1 <= |S| < 2|S|.  No branch holding it is pruned,
-    so "cap-exceeded" under this bound means the system is infeasible.
-    """
-    return 2 * len(lts.states)
-
-
 class _Block(NamedTuple):
     """A choice block: label pair, shared and private system, place indices."""
 
@@ -404,8 +396,7 @@ class _Block(NamedTuple):
 
 
 def _brac_block(ctx: SystemContext, graph: RelationGraph,
-                pair: tuple[int, int], pool: _RegionPool,
-                solve: Callable[[LinearSystem], Solution], detail: str,
+                pair: tuple[int, int], pool: _RegionPool, detail: str,
                 shared: Optional[Region] = None) -> _Block:
     """Pool the shared and the private place of the choice block ``pair``.
 
@@ -416,13 +407,13 @@ def _brac_block(ctx: SystemContext, graph: RelationGraph,
     systems = brac_block_systems(ctx, graph, pair)
     regions = [] if shared is None else [shared]
     for label, system in list(zip(pair, systems))[len(regions):]:
-        sol = solve(system)
-        if not sol.feasible:
+        region = _region(ctx, system)
+        if region is None:
             raise _Unsolvable({"kind": "essp-block",
                                "pair": [ctx.lts.labels[x] for x in pair],
                                "label": ctx.lts.labels[label],
                                "detail": detail})
-        regions.append(_region_from(sol, system, ctx))
+        regions.append(region)
     return _Block(pair, systems, [pool.add(r) for r in regions])
 
 
@@ -441,7 +432,6 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     """
     cfg = cfg or SynthesisConfig()
     ctx = _prepare(lts)
-    icap = _integer_cap(lts)
     # bound when the matching stage starts: earlier failures report neither
     lam_names: list[tuple[str, str]] = []
     matching_names: dict[str, str] = {}
@@ -450,7 +440,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         if isinstance(graph, Contradiction):
             raise _Unsolvable(_contradiction_witness(graph, lts.labels))
         reps = sorted(graph.classes)
-        doi_pairs = _doi_pairs(graph)
+        doi_pairs = graph.doi_edges()
         solid_pairs = graph.included_edges()
         solid_labels = {x for pair in solid_pairs for x in pair}
         out_doi = {lo for lo, _ in doi_pairs}
@@ -458,7 +448,6 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         if out_doi & in_doi:
             raise AssertionError("doi chains must be resolved")
 
-        solve = partial(solve_integer, cap=icap)
         pool = _RegionPool()
 
         def candidates(resolved: RelationGraph):
@@ -482,7 +471,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             unsolved = next(_separate(
                 ctx, own, [ESSP(s, a) for s in range(len(lts.states))
                            if a not in lts.enabled[s]],
-                systems, solve), None)
+                systems), None)
             regions = own.regions
             if unsolved is None:
                 if a in in_doi:
@@ -500,9 +489,9 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             targets = [hi for lo, hi in doi_pairs if lo == a]
             for hi in targets:
                 shared, _ = brac_block_systems(ctx, graph, (a, hi))
-                sol = solve(shared)
-                if sol.feasible:
-                    lam[(a, hi)] = _region_from(sol, shared, ctx)
+                region = _region(ctx, shared)
+                if region is not None:
+                    lam[(a, hi)] = region
             if not any((a, hi) in lam for hi in targets):
                 raise _Unsolvable(_problem_witness(
                     essp, lts,
@@ -510,7 +499,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                     [f"inclusion:{lts.labels[hi]}" for hi in targets]))
 
         # asymmetric choice blocks from strengthened inclusions
-        blocks = [_brac_block(ctx, graph, pair, pool, solve,
+        blocks = [_brac_block(ctx, graph, pair, pool,
                               "no single region covers the block's event "
                               "separations")
                   for pair in solid_pairs]
@@ -531,7 +520,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                           for k, v in matching.items()}
         graph = graph.resolved(doi_pairs, matching.items())
         for pair in sorted(matching.items()):
-            blocks.append(_brac_block(ctx, graph, pair, pool, solve,
+            blocks.append(_brac_block(ctx, graph, pair, pool,
                                       "no single private region covers "
                                       "the matched block", shared=lam[pair]))
             # the block places replace the target's provisional
@@ -544,8 +533,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         # state separation: free-choice first, then block assignment;
         # only a block could take a leftover, so without one the first
         # leftover is the failure
-        unsolved = _separate(ctx, pool, state_pairs(lts), candidates(graph),
-                             solve)
+        unsolved = _separate(ctx, pool, state_pairs(lts), candidates(graph))
         if not blocks:
             first = next(unsolved, None)
             if first is not None:
@@ -554,8 +542,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         else:
             leftovers = [ssp for ssp, _ in unsolved]
             if leftovers:
-                _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg,
-                                       solve)
+                _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg)
     except _Unsolvable as exc:
         return SynthesisReport(CAP_EXCEEDED if exc.cap else FAILURE, BRAC,
                                witness=exc.witness, cap=exc.cap,
@@ -578,8 +565,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
 
 def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
                            blocks: list[_Block], leftovers: list[SSP],
-                           cfg: SynthesisConfig,
-                           solve: Callable[[LinearSystem], Solution]) -> None:
+                           cfg: SynthesisConfig) -> None:
     """Re-solve block systems with disequality rows, in all combinations.
 
     Each unsolved state separation is assigned to one block system with one
@@ -593,7 +579,7 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
                for system, index in zip(block.systems, block.indices)]
     choices = [(si, sign) for si in range(len(targets))
                for sign in ("<", ">")]
-    cache: dict[tuple, Solution] = {}
+    cache: dict[tuple, Optional[Region]] = {}
     for combos, assignment in enumerate(
             itertools.product(choices, repeat=len(leftovers)), 1):
         if combos > cfg.ssp_combo_cap:
@@ -603,16 +589,15 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
             grouped.setdefault(si, []).append((ssp, sign))
         solutions: dict[int, Region] = {}
         for si, extras in sorted(grouped.items()):
-            system = targets[si][0]
             key = (si, frozenset((ssp.s1, ssp.s2, sign)
                                  for ssp, sign in extras))
             if key not in cache:
-                rows = system.rows.parts + tuple(
+                rows = targets[si][0].rows.parts + tuple(
                     ctx.ssp_row(ssp, sign) for ssp, sign in extras)
-                cache[key] = solve(ctx.system(rows, zero_one=True))
-            if not cache[key].feasible:
+                cache[key] = _region(ctx, ctx.system(rows, zero_one=True))
+            if cache[key] is None:
                 break
-            solutions[si] = _region_from(cache[key], system, ctx)
+            solutions[si] = cache[key]
         else:
             for si, region in solutions.items():
                 pool.replace(targets[si][1], region)

@@ -284,6 +284,22 @@ class TestInteger:
         sol = solve_integer(sys_)
         assert sol.assignment[0] == 2
 
+    def test_zero_one_column_branched_first(self, monkeypatch):
+        # r = 3/2 and b = 1/2 at the root; r comes first in column order
+        sys_ = system([({"r": 2}, "=", 3), ({"b": 2}, "=", 1)],
+                      variables=("r", "b"), zero_one=("b",))
+        real = solve_rational
+        solved = []
+
+        def record(s):
+            solved.append(s)
+            return real(s)
+        monkeypatch.setattr("netsynth.linsys.solve_rational", record)
+        assert solve_integer(sys_).status == INFEASIBLE
+        assert real(solved[0]).assignment == (Fraction(3, 2), Fraction(1, 2))
+        branch = solved[1].rows.parts[-1]
+        assert branch.tag.startswith("branch-") and branch.coeffs == ((1, 1),)
+
     def test_cap_exceeded_reported_distinctly(self):
         # 3x - 3y = 1 admits rationals but integers only beyond any bound
         sys_ = system([({"x": 3, "y": -3}, "=", 1)])

@@ -98,7 +98,7 @@ class TestReachabilityGraph:
                 assert marks[s2] == m2
             marks[s2] = m2
             for p in range(len(fig1_net.places)):
-                delta = fig1_net.w_out(tt, p) - fig1_net.w_in(p, tt)
+                delta = fig1_net.produce.get((tt, p), 0) - fig1_net.w_in(p, tt)
                 assert m2[p] - marks[s][p] == delta
 
 

@@ -230,7 +230,6 @@ class TestStrengthenWpi:
         out = strengthen_wpi(g)
         e = out.edge(0, 1)
         assert (e.kind, e.lo, e.hi) == (INCLUDED, 0, 1)
-        assert e.provenance == (2, 12)
 
     def test_shared_lower_bound_forces_inclusion(self):
         # c below both a and b: disjointness of a, b is impossible

@@ -3,13 +3,13 @@ import itertools
 import json
 import pathlib
 from dataclasses import replace
-from functools import partial
 
 import pytest
 
+import netsynth.linsys
 import netsynth.synthesis
 from netsynth.cli import run
-from netsynth.linsys import LinearSystem, make_row, solve_integer
+from netsynth.linsys import LinearSystem, Row, make_row, solve_integer
 from netsynth.lts import parse_lts, serialize_lts
 from netsynth.oracle import (OracleBound, brute_force_region,
                              random_brac_net, random_lts)
@@ -20,7 +20,7 @@ from netsynth.separation import (ESSP, SSP, brac_block_systems,
                                  brac_ssp_system_freechoice,
                                  enumerate_separation_problems,
                                  essp_system_wpi)
-from netsynth.synthesis import (SynthesisConfig, _integer_cap, _prepare,
+from netsynth.synthesis import (SynthesisConfig, _prepare,
                                 relation_stage, synthesize_brac,
                                 synthesize_wpi, verify_solution)
 
@@ -318,7 +318,6 @@ class TestFailureWitnesses:
 
 class TestSeparate:
     def test_yields_unsolved_and_pools_later_problems(self):
-        from netsynth.linsys import solve_rational
         from netsynth.synthesis import _RegionPool, _separate
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s2\n")
         ctx = _prepare(lts)
@@ -331,8 +330,7 @@ class TestSeparate:
         pool = _RegionPool()
         # a is enabled at s0, so its event separation there is infeasible
         problems = [ESSP(0, 0), SSP(0, 1), SSP(0, 2), SSP(1, 2)]
-        unsolved = list(_separate(ctx, pool, problems, systems,
-                                  solve_rational))
+        unsolved = list(_separate(ctx, pool, problems, systems))
         assert unsolved == [(ESSP(0, 0), ["essp:s0:a"])]
         assert pool.regions
         assert all(pool.solves(p) for p in problems[1:])
@@ -349,13 +347,12 @@ class TestBlockAssignment:
     """
 
     def _pipeline_state(self, brac7):
-        from netsynth.linsys import solve_integer
         from netsynth.lts import cycle_basis, spanning_tree
         from netsynth.relations import (build_relation_graph,
                                         quotient_by_equivalence,
                                         strengthen_brac, strengthen_wpi)
         from netsynth.separation import (SystemContext, brac_block_systems)
-        from netsynth.synthesis import _Block, _RegionPool, _region_from
+        from netsynth.synthesis import _Block, _RegionPool, _region
         tree = spanning_tree(brac7)
         basis = cycle_basis(brac7, tree)
         ctx = SystemContext(brac7, tree, basis)
@@ -366,9 +363,9 @@ class TestBlockAssignment:
         sys1, sys2 = brac_block_systems(ctx, graph, (b, d))
         indices = []
         for system in (sys1, sys2):
-            sol = solve_integer(system, cap=16)
-            assert sol.feasible
-            indices.append(pool.add(_region_from(sol, system, ctx)))
+            region = _region(ctx, system)
+            assert region is not None
+            indices.append(pool.add(region))
         return ctx, pool, [_Block((b, d), (sys1, sys2), indices)]
 
     def test_assignment_absorbs_real_pair(self, brac7):
@@ -378,8 +375,7 @@ class TestBlockAssignment:
         ctx, pool, blocks = self._pipeline_state(brac7)
         ssp = SSP(brac7.states.index("s0"), brac7.states.index("s1"))
         cfg = SynthesisConfig()
-        outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [ssp], cfg,
-                                         partial(solve_integer, cap=16))
+        outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [ssp], cfg)
         assert outcome is None
         assert any(r.solves(ssp) for r in pool.regions)
         assert all(r.is_valid(ctx.lts) for r in pool.regions)
@@ -393,8 +389,7 @@ class TestBlockAssignment:
         hopeless = SSP(brac7.states.index("s1"), brac7.states.index("s1"))
         cfg = SynthesisConfig()
         with pytest.raises(_Unsolvable) as outcome:
-            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg,
-                                   partial(solve_integer, cap=16))
+            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg)
         assert outcome.value.cap is None
         assert outcome.value.witness["kind"] == "ssp"
 
@@ -406,8 +401,7 @@ class TestBlockAssignment:
         hopeless = SSP(brac7.states.index("s1"), brac7.states.index("s1"))
         cfg = SynthesisConfig(ssp_combo_cap=2)
         with pytest.raises(_Unsolvable) as outcome:
-            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg,
-                                   partial(solve_integer, cap=16))
+            _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg)
         assert outcome.value.cap == "ssp-combo-cap"
         assert outcome.value.witness is None
 
@@ -424,11 +418,16 @@ class TestPrune:
         assert SynthesisConfig().prune is False
 
 
-class TestIntegerCapBound:
-    """Branch-and-bound under ``_integer_cap`` decides BRAC 0/1 systems.
+class TestBracIntegerSearch:
+    """Branch-and-bound decides BRAC 0/1 systems and never branches on R0.
 
-    Some solution of such a system has R0 <= |S| (see ``_integer_cap``),
-    so enumerating R0 in [0, |S|] with B, F in {0, 1} is an exact oracle.
+    In these systems B and F are 0/1, and R0 appears only in edge rows,
+    which bound it from below, and in ESSP rows, which bound it from above;
+    cycle, tie, fixing and SSP rows are free of it.  An edge row at state s
+    reads R0 >= B_t + psi(s).(B - F), which is at most 1 + depth(s).
+    Lowering R0 of any solution to its largest lower bound (or 0) keeps
+    every row, so some solution has R0 <= tree depth + 1 <= |S|, and
+    enumerating R0 in [0, |S|] with B, F in {0, 1} is an exact oracle.
     """
 
     @staticmethod
@@ -473,19 +472,29 @@ class TestIntegerCapBound:
                 systems.append(ctx.system(base.rows, zero_one=True))
         return systems
 
-    def test_bounded_search_matches_brute_force(self):
+    def test_search_matches_brute_force(self, monkeypatch):
+        real = netsynth.linsys.solve_rational
+        branches = []
+
+        def record(system):
+            branches.extend(p for p in system.rows.parts
+                            if isinstance(p, Row)
+                            and p.tag.startswith("branch-"))
+            return real(system)
+        monkeypatch.setattr("netsynth.linsys.solve_rational", record)
         verdicts = []
         for seed in range(40):
             lts = random_lts(seed, 6, 3)
-            cap = _integer_cap(lts)
             for system in self.brac_systems(lts):
-                feasible = solve_integer(system, cap=cap).feasible
+                feasible = solve_integer(system).feasible
                 assert feasible == self.brute_force(system,
                                                     len(lts.states)), \
                     (seed, system.rows.parts[0].tag)
                 verdicts.append(feasible)
+        assert len(verdicts) == 779
         # both verdicts occur, so neither side is trivially constant
         assert True in verdicts and False in verdicts
+        assert branches and all(row.coeffs[0][0] != 0 for row in branches)
 
 
 def _fail_matching(monkeypatch):
