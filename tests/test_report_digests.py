@@ -10,11 +10,19 @@ the same way on the fixtures and the ``random_brac_net`` graphs, and
 graphs of ``random_brac_net(44, 6, 4)`` (300 markings),
 ``random_brac_net(17, 6, 4)`` (600) and ``random_brac_net(38, 6, 4)``
 (1,296), the largest systems the tests solve.
+
+``fixtures/large_report_digests.json`` pins ``synth --report`` on the
+graph of ``random_brac_net(37, 6, 4)`` (3,200 markings).  Both pipelines
+take about 9 s there, too long for the test suite, so that pin is checked
+by running this file: ``PYTHONPATH=src python tests/test_report_digests.py``
+exits 0 when both digests hold, and with ``--record`` rewrites them.
 """
 
 import hashlib
 import json
 import pathlib
+import sys
+import tempfile
 
 import pytest
 
@@ -30,6 +38,8 @@ SCALE_DIGESTS = json.loads(
     (FIXTURES / "scale_report_digests.json").read_text())
 # random_brac_net(seed, 6, 4) of the scale cases, by markings
 SCALE_NETS = {300: 44, 600: 17, 1296: 38}
+LARGE_NETS = {3200: 37}
+LARGE_RECORD = FIXTURES / "large_report_digests.json"
 
 
 def family_inputs(family: str) -> dict[str, str]:
@@ -40,10 +50,11 @@ def family_inputs(family: str) -> dict[str, str]:
     if family == "random_lts":
         return {f"random_lts/{i}": serialize_lts(random_lts(i, 24, 6))
                 for i in range(40)}
-    if family == "scale":
-        return {f"scale/{m}": serialize_lts(
+    if family in ("scale", "large"):
+        nets = SCALE_NETS if family == "scale" else LARGE_NETS
+        return {f"{family}/{m}": serialize_lts(
                     reachability_graph(random_brac_net(s, 6, 4), 100_000))
-                for m, s in SCALE_NETS.items()}
+                for m, s in nets.items()}
     return {f"random_brac_net/{i}": serialize_lts(
                 reachability_graph(random_brac_net(i), 100_000))
             for i in range(10)}
@@ -144,3 +155,25 @@ def test_simplex_sees_no_strict_row(family, pipeline, tmp_path,
                 if k.startswith(f"{pipeline}/{family}/")}
     assert not seen
     assert got == expected
+
+
+def check_large(record: bool) -> int:
+    """Compare (or with ``record`` rewrite) the 3,200-marking report
+    digests of both pipelines; 0 when every digest holds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got = {}
+        for pipeline in ("wpi", "brac"):
+            got.update(family_digests("large", pipeline, pathlib.Path(tmp)))
+    if record:
+        LARGE_RECORD.write_text(json.dumps(got, indent=1, sort_keys=True)
+                                + "\n")
+        return 0
+    expected = json.loads(LARGE_RECORD.read_text())
+    changed = sorted(k for k in expected if got.get(k) != expected[k])
+    print("report bytes changed: " + ", ".join(changed) if changed
+          else f"{len(expected)} large report digests hold")
+    return 1 if changed or sorted(got) != sorted(expected) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(check_large("--record" in sys.argv[1:]))
