@@ -30,6 +30,7 @@ strict form hold at the same points.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import ge, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -100,6 +101,41 @@ def state_pairs(lts: Lts) -> Iterator[SSP]:
     for i in range(n):
         for j in range(i + 1, n):
             yield SSP(i, j)
+
+
+class StatePartition:
+    """The states in blocks that are equal on every region's marks.
+
+    States in different blocks are separated by some region, so only the
+    pairs inside one block may still need one.  Each new region refines
+    the blocks in one pass over the states (Paige and Tarjan, "Three
+    partition refinement algorithms", SIAM J. Comput. 16(6), 1987).
+    """
+
+    def __init__(self, states: int, regions: Iterable[Region] = ()):
+        self._block = [0] * states
+        self.blocks = [list(range(states))]
+        for region in regions:
+            self.split(region.marks)
+
+    def split(self, marks: Sequence[int]) -> None:
+        """Split every block by ``marks``; each block stays sorted."""
+        parts: dict[tuple[int, int], list[int]] = {}
+        for s, key in enumerate(zip(self._block, marks)):
+            parts.setdefault(key, []).append(s)
+        self.blocks = list(parts.values())
+        for b, states in enumerate(self.blocks):
+            for s in states:
+                self._block[s] = b
+
+    def pairs(self) -> Iterator[SSP]:
+        """Each pair (i, j), i < j, in index order, whose states share a
+        block when the walk reaches i; a later split does not drop the
+        pairs of i already taken."""
+        for i in range(len(self._block)):
+            block = self.blocks[self._block[i]]
+            for j in block[bisect_right(block, i):]:
+                yield SSP(i, j)
 
 
 def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:

@@ -1,13 +1,19 @@
 """End-to-end synthesis pipelines and result verification.
 
-Both pipelines run: relation graph, equivalence quotient, strengthening,
-then separation solving.  The comparable-preset target enumerates the
-residual doi interpretations (all-disjoint first) and solves one rational
-system per separation problem.  The block-reduced target solves 0/1 integer
-systems: one shared and one private system per asymmetric choice block,
-per-problem systems for free labels, a feasibility probe plus maximum
-matching for self-loop inclusion edges, and a bounded assignment search for
-state separations that no free-choice place can solve.  Without a choice
+Both pipelines run: validation, the relation stage (relation graph,
+equivalence quotient, strengthening), then the spanning tree, cycle basis
+and system context, then separation solving.  The context is built only
+once the relation stage has returned a graph, so a contradiction (or, in
+WPI, the self-loop cap) costs no tree, basis or context.  State
+separation checks only the pairs that no pooled region separates yet.
+
+The comparable-preset target enumerates the residual doi interpretations
+(all-disjoint first) and solves one rational system per separation
+problem.  The block-reduced target solves 0/1 integer systems: one
+shared and one private system per asymmetric choice block, per-problem
+systems for free labels, a feasibility probe plus maximum matching for
+self-loop inclusion edges, and a bounded assignment search for state
+separations that no free-choice place can solve.  Without a choice
 block, the first state pair that no free-choice place separates is the
 failure, and no later pair is tried.
 
@@ -35,12 +41,12 @@ from netsynth.relations import (Contradiction, MatchingFailure,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
 from netsynth.separation import (ESSP, Region, SSP, SeparationProblem,
-                                 SystemContext,
+                                 StatePartition, SystemContext,
                                  brac_block_systems,
                                  brac_ssp_system_freechoice,
                                  essp_system_wpi, normalize_region,
                                  region_to_place, solution_to_region,
-                                 ssp_system_wpi, state_pairs)
+                                 ssp_system_wpi)
 
 WPI = "wpi"
 BRAC = "brac"
@@ -180,11 +186,14 @@ def _verified_net(lts: Lts, regions: list[Region],
     return net, verify_solution(net, lts, target_class)
 
 
-def _prepare(lts: Lts) -> SystemContext:
-    report = validate(lts)
-    if not report.ok:
+def _require_valid(lts: Lts) -> None:
+    if not validate(lts).ok:
         raise ValueError("LTS must be deterministic and reachable; "
                          "run validate first")
+
+
+def _prepare(lts: Lts) -> SystemContext:
+    """The system context of a valid ``lts``."""
     tree = spanning_tree(lts)
     return SystemContext(lts, tree, cycle_basis(lts, tree))
 
@@ -236,21 +245,35 @@ class _RegionPool:
     def __init__(self):
         self.regions: list[Region] = []
         self._index: dict[Region, int] = {}
+        self._partition: Optional[StatePartition] = None
 
     def add(self, region: Region) -> int:
         if region in self._index:
             return self._index[region]
         self._index[region] = len(self.regions)
         self.regions.append(region)
+        if self._partition is not None:
+            self._partition.split(region.marks)
         return len(self.regions) - 1
 
     def replace(self, index: int, region: Region) -> None:
+        # runs only once the state-pair stream is exhausted, so the
+        # partition need not follow the replaced marks
         self._index.pop(self.regions[index], None)
         self.regions[index] = region
         self._index.setdefault(region, index)
 
     def solves(self, problem) -> bool:
         return any(r.solves(problem) for r in self.regions)
+
+    def state_pairs(self, lts: Lts) -> Iterator[SSP]:
+        """The pairs of `separation.state_pairs(lts)` that no pooled
+        region separates, in the same order.  The partition is built from
+        the pool when the stream starts and refined by every region added
+        after; a region added while a state's pairs are walked is left to
+        the pool check of `_separate`."""
+        self._partition = StatePartition(len(lts.states), self.regions)
+        yield from self._partition.pairs()
 
 
 def _interpretation_order(k: int) -> list[int]:
@@ -313,7 +336,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     regions verify wins.
     """
     cfg = cfg or SynthesisConfig()
-    ctx = _prepare(lts)
+    _require_valid(lts)
     tried = 0
     try:
         graph = relation_stage(build_relation_graph(lts), brac=False)
@@ -322,6 +345,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         doi_pairs = graph.doi_edges()
         if len(doi_pairs) > cfg.selfloop_cap:
             raise _Unsolvable(cap="selfloop-cap")
+        ctx = _prepare(lts)
 
         reps = sorted(graph.classes)
         # event separations first, each at its class representative only
@@ -339,7 +363,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                                   partial(ssp_system_wpi, ctx, resolved))
             pool = _RegionPool()
             try:
-                problems = itertools.chain(essps, state_pairs(lts))
+                problems = itertools.chain(essps, pool.state_pairs(lts))
                 unsolved = next(_separate(ctx, pool, problems, systems),
                                 None)
                 if unsolved is not None:
@@ -431,7 +455,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     separates is the failure, and no later pair is tried.
     """
     cfg = cfg or SynthesisConfig()
-    ctx = _prepare(lts)
+    _require_valid(lts)
     # bound when the matching stage starts: earlier failures report neither
     lam_names: list[tuple[str, str]] = []
     matching_names: dict[str, str] = {}
@@ -439,6 +463,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         graph = relation_stage(build_relation_graph(lts), brac=True)
         if isinstance(graph, Contradiction):
             raise _Unsolvable(_contradiction_witness(graph, lts.labels))
+        ctx = _prepare(lts)
         reps = sorted(graph.classes)
         doi_pairs = graph.doi_edges()
         solid_pairs = graph.included_edges()
@@ -533,7 +558,8 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         # state separation: free-choice first, then block assignment;
         # only a block could take a leftover, so without one the first
         # leftover is the failure
-        unsolved = _separate(ctx, pool, state_pairs(lts), candidates(graph))
+        unsolved = _separate(ctx, pool, pool.state_pairs(lts),
+                             candidates(graph))
         if not blocks:
             first = next(unsolved, None)
             if first is not None:

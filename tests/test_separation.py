@@ -16,7 +16,7 @@ from netsynth.separation import (ESSP, Region, SSP, SystemContext,
                                  enumerate_separation_problems,
                                  essp_system_wpi, normalize_region,
                                  region_to_place, ssp_system_wpi,
-                                 state_pairs)
+                                 StatePartition, state_pairs)
 
 from conftest import margin_row
 
@@ -85,6 +85,92 @@ class TestEnumerate:
         n = len(case6a.states)
         assert list(pairs) == [SSP(i, j) for i, j
                                in itertools.combinations(range(n), 2)]
+
+
+def pooled_regions(lts):
+    """Every region the WPI and the BRAC pipeline pool on ``lts``, in the
+    order first pooled."""
+    import netsynth.synthesis
+    pool_type = netsynth.synthesis._RegionPool
+    seen = []
+    real_add = pool_type.add
+
+    def add(pool, region):
+        seen.append(region)
+        return real_add(pool, region)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pool_type, "add", add)
+        netsynth.synthesis.synthesize_wpi(lts)
+        netsynth.synthesis.synthesize_brac(lts)
+    return list(dict.fromkeys(seen))
+
+
+def grouped(lts, regions):
+    """The states grouped by their tuple of marks, ordered by first
+    state."""
+    groups = {}
+    for s in range(len(lts.states)):
+        groups.setdefault(tuple(r.marks[s] for r in regions), []).append(s)
+    return list(groups.values())
+
+
+class TestStatePartition:
+    """The pool's stream of state pairs against the reference
+    `state_pairs`, while the pipelines' own regions are pooled mid-walk."""
+
+    @staticmethod
+    def stream_inputs():
+        from test_report_digests import family_inputs
+        for family in ("fixture", "random_lts", "random_brac_net"):
+            for name, text in family_inputs(family).items():
+                yield name, parse_lts(text)
+
+    @staticmethod
+    def walk(lts, regions, before, stream):
+        """Pool ``regions[:before]``, then walk ``stream(pool)`` through the
+        pool check and pool the next region after every pair left; returns
+        the pairs left and the pool, and checks the stream's blocks after
+        each region against the states grouped by their marks."""
+        from netsynth.synthesis import _RegionPool
+        pool = _RegionPool()
+        for region in regions[:before]:
+            pool.add(region)
+        rest = iter(regions[before:])
+        left = []
+        for pair in stream(pool):
+            if pool.solves(pair):
+                continue
+            left.append(pair)
+            region = next(rest, None)
+            if region is None:
+                continue
+            pool.add(region)
+            if pool._partition is not None:
+                assert pool._partition.blocks == grouped(lts, pool.regions)
+        return left, pool
+
+    def test_stream_leaves_the_reference_pairs(self):
+        pooled = 0
+        for name, lts in self.stream_inputs():
+            regions = pooled_regions(lts)
+            pooled += bool(regions)
+            for before in sorted({0, len(regions) // 2}):
+                got, pool = self.walk(lts, regions, before,
+                                      lambda p: p.state_pairs(lts))
+                want, _ = self.walk(lts, regions, before,
+                                    lambda p: state_pairs(lts))
+                assert got == want, (name, before)
+                assert pool._partition.blocks == grouped(lts, pool.regions)
+        assert pooled >= 20
+
+    def test_blocks_group_states_by_marks(self, fig1):
+        regions = pooled_regions(fig1)
+        partition = StatePartition(len(fig1.states), regions)
+        assert partition.blocks == grouped(fig1, regions)
+        assert list(partition.pairs()) == [
+            SSP(i, j) for i, j in itertools.combinations(
+                range(len(fig1.states)), 2)
+            if all(r.marks[i] == r.marks[j] for r in regions)]
 
 
 class TestEsspSystemWpi:

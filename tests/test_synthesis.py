@@ -19,7 +19,7 @@ from netsynth.relations import (Contradiction, MatchingFailure,
 from netsynth.separation import (ESSP, SSP, brac_block_systems,
                                  brac_ssp_system_freechoice,
                                  enumerate_separation_problems,
-                                 essp_system_wpi)
+                                 essp_system_wpi, state_pairs)
 from netsynth.synthesis import (SynthesisConfig, _prepare,
                                 relation_stage, synthesize_brac,
                                 synthesize_wpi, verify_solution)
@@ -140,7 +140,8 @@ class TestBrac:
                                                        monkeypatch):
         # the pooled places separate every state pair of brac7, so the
         # pool is made to pass over state pairs and reach the free-choice
-        # stage, which runs after the matching
+        # stage, which runs after the matching; the stream of unseparated
+        # pairs would hold none, so the reference enumeration feeds it
         graphs = []
         real_system = netsynth.synthesis.brac_ssp_system_freechoice
         real_solves = netsynth.synthesis._RegionPool.solves
@@ -153,6 +154,8 @@ class TestBrac:
         monkeypatch.setattr(
             "netsynth.synthesis._RegionPool.solves",
             lambda pool, p: not isinstance(p, SSP) and real_solves(pool, p))
+        monkeypatch.setattr("netsynth.synthesis._RegionPool.state_pairs",
+                            lambda pool, lts: state_pairs(lts))
         assert synthesize_brac(brac7).matching == {"c": "e"}
         c, e = brac7.labels.index("c"), brac7.labels.index("e")
         assert graphs
@@ -710,3 +713,47 @@ class TestWithoutFractions:
             raise AssertionError("a pipeline built a Fraction")
         monkeypatch.setattr("netsynth.linsys.Fraction", no_fraction)
         assert self.report_bytes() == expected
+
+
+class TestContextAfterRelations:
+    """A verdict of the relation stage needs no spanning tree, cycle basis
+    or system context, and the pipelines build none for it: with all three
+    made to raise, every contradiction report keeps its pinned bytes."""
+
+    @staticmethod
+    def no_context(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a context was built")
+        for name in ("SystemContext", "spanning_tree", "cycle_basis"):
+            monkeypatch.setattr(f"netsynth.synthesis.{name}", refuse)
+
+    def test_contradiction_reports_pinned(self, monkeypatch, tmp_path):
+        from test_report_digests import DIGESTS, family_inputs
+        self.no_context(monkeypatch)
+        lts_file, report = tmp_path / "in.lts", tmp_path / "report.json"
+        checked = []
+        for family in ("fixture", "random_lts", "random_brac_net"):
+            for name, text in family_inputs(family).items():
+                for pipeline in ("wpi", "brac"):
+                    graph = relation_stage(
+                        build_relation_graph(parse_lts(text)),
+                        brac=pipeline == "brac")
+                    if not isinstance(graph, Contradiction):
+                        continue
+                    lts_file.write_text(text)
+                    assert run(["synth", str(lts_file), "--class", pipeline,
+                                "-o", str(tmp_path / "out.pn"),
+                                "--report", str(report)]) == 1
+                    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+                    assert digest == DIGESTS[f"{pipeline}/{name}"], name
+                    checked.append(f"{pipeline}/{name}")
+        assert "wpi/fixture/genx" in checked and "brac/fixture/genx" in checked
+
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac])
+    def test_invalid_lts_still_rejected(self, synthesize, monkeypatch):
+        self.no_context(monkeypatch)
+        lts = parse_lts("initial s0\ns0 a s1\ns0 a s2\n")
+        with pytest.raises(ValueError) as raised:
+            synthesize(lts)
+        assert str(raised.value) == ("LTS must be deterministic and "
+                                     "reachable; run validate first")
