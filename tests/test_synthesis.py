@@ -728,9 +728,9 @@ class TestContextAfterRelations:
             monkeypatch.setattr(f"netsynth.synthesis.{name}", refuse)
 
     def test_contradiction_reports_pinned(self, monkeypatch, tmp_path):
-        from test_report_digests import DIGESTS, family_inputs
+        from test_report_digests import DIGESTS, family_inputs, report_digest
         self.no_context(monkeypatch)
-        lts_file, report = tmp_path / "in.lts", tmp_path / "report.json"
+        lts_file = tmp_path / "in.lts"
         checked = []
         for family in ("fixture", "random_lts", "random_brac_net"):
             for name, text in family_inputs(family).items():
@@ -741,11 +741,8 @@ class TestContextAfterRelations:
                     if not isinstance(graph, Contradiction):
                         continue
                     lts_file.write_text(text)
-                    assert run(["synth", str(lts_file), "--class", pipeline,
-                                "-o", str(tmp_path / "out.pn"),
-                                "--report", str(report)]) == 1
-                    digest = hashlib.sha256(report.read_bytes()).hexdigest()
-                    assert digest == DIGESTS[f"{pipeline}/{name}"], name
+                    assert report_digest(pipeline, lts_file, tmp_path) \
+                        == DIGESTS[f"{pipeline}/{name}"], name
                     checked.append(f"{pipeline}/{name}")
         assert "wpi/fixture/genx" in checked and "brac/fixture/genx" in checked
 
