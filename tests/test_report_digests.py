@@ -5,11 +5,12 @@ fixture, for ``random_lts(0..39, 24, 6)`` and for the reachability graphs
 of ``random_brac_net(0..9)``, under both pipelines.  A refactor of the
 pipelines must leave every digest in ``fixtures/report_digests.json``
 unchanged.  ``fixtures/prune_digests.json`` pins ``synth --prune --report``
-the same way on the fixtures and the ``random_brac_net`` graphs, and
-``fixtures/scale_report_digests.json`` pins ``synth --report`` on the
-graphs of ``random_brac_net(44, 6, 4)`` (300 markings),
-``random_brac_net(17, 6, 4)`` (600) and ``random_brac_net(38, 6, 4)``
-(1,296), the largest systems the tests solve.
+the same way on the fixtures, the ``random_brac_net`` graphs and the
+1,296-marking scale graph, and ``fixtures/scale_report_digests.json``
+pins ``synth --report`` on the graphs of ``random_brac_net(44, 6, 4)``
+(300 markings), ``random_brac_net(17, 6, 4)`` (600) and
+``random_brac_net(38, 6, 4)`` (1,296), the largest systems the tests
+solve.
 
 ``fixtures/large_report_digests.json`` pins ``synth --report`` on the
 graph of ``random_brac_net(37, 6, 4)`` (3,200 markings).  Both pipelines
@@ -100,6 +101,16 @@ def test_pruned_report_bytes_unchanged(family, pipeline, tmp_path):
     assert len(expected) == len(got)
     changed = sorted(k for k in got if got[k] != expected.get(k))
     assert not changed, f"pruned report bytes changed: {changed}"
+
+
+@pytest.mark.parametrize("pipeline", ["wpi", "brac"])
+def test_pruned_scale_report_bytes_unchanged(pipeline, tmp_path):
+    lts_file = tmp_path / "input.lts"
+    lts_file.write_text(serialize_lts(reachability_graph(
+        random_brac_net(SCALE_NETS[1296], 6, 4), 100_000)))
+    key = f"{pipeline}/scale/1296"
+    assert report_digest(pipeline, lts_file, tmp_path, "--prune") \
+        == PRUNE_DIGESTS[key]
 
 
 @pytest.mark.parametrize("pipeline", ["wpi", "brac"])
