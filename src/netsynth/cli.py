@@ -130,7 +130,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    lts = _load_valid_lts(args.file)
+    lts = _load_lts(args.file)
     _at_least_one(args, "selfloop_cap", "ssp_combo_cap")
     cfg = SynthesisConfig(selfloop_cap=args.selfloop_cap,
                           ssp_combo_cap=args.ssp_combo_cap,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 _NAME = re.compile(r"[A-Za-z0-9_]+$")
 
 
-class LtsError(Exception):
+class LtsError(ValueError):
     """Raised for malformed `.lts` input or precondition violations."""
 
 

@@ -112,11 +112,9 @@ class StatePartition:
     partition refinement algorithms", SIAM J. Comput. 16(6), 1987).
     """
 
-    def __init__(self, states: int, regions: Iterable[Region] = ()):
+    def __init__(self, states: int):
         self._block = [0] * states
         self.blocks = [list(range(states))]
-        for region in regions:
-            self.split(region.marks)
 
     def split(self, marks: Sequence[int]) -> None:
         """Split every block by ``marks``; each block stays sorted."""
@@ -128,11 +126,17 @@ class StatePartition:
             for s in states:
                 self._block[s] = b
 
-    def pairs(self) -> Iterator[SSP]:
+    def pairs(self, regions: Sequence[Region]) -> Iterator[SSP]:
         """Each pair (i, j), i < j, in index order, whose states share a
-        block when the walk reaches i; a later split does not drop the
-        pairs of i already taken."""
+        block when the walk reaches i.  ``regions`` may grow during the
+        walk: before each i the blocks are split by every region appended
+        since the last split.  A region appended while i's pairs are walked
+        splits from i + 1 on, so the caller checks those pairs against it."""
+        split = 0
         for i in range(len(self._block)):
+            for region in regions[split:]:
+                self.split(region.marks)
+            split = len(regions)
             block = self.blocks[self._block[i]]
             for j in block[bisect_right(block, i):]:
                 yield SSP(i, j)

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from netsynth.linsys import (LinearSystem, lift_homogeneous_to_integer,
                              solve_integer, solve_rational)
-from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
+from netsynth.lts import Lts, LtsError, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
                             isomorphic, net_from_regions, reachability_graph)
 from netsynth.relations import (Contradiction, MatchingFailure,
@@ -188,8 +188,7 @@ def _verified_net(lts: Lts, regions: list[Region],
 
 def _require_valid(lts: Lts) -> None:
     if not validate(lts).ok:
-        raise ValueError("LTS must be deterministic and reachable; "
-                         "run validate first")
+        raise LtsError("LTS must be deterministic and reachable")
 
 
 def _prepare(lts: Lts) -> SystemContext:
@@ -239,48 +238,11 @@ def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
     return region
 
 
-class _RegionPool:
-    """Ordered, deduplicated region collection."""
-
-    def __init__(self):
-        self.regions: list[Region] = []
-        self._index: dict[Region, int] = {}
-        self._partition: Optional[StatePartition] = None
-
-    def add(self, region: Region) -> int:
-        if region in self._index:
-            return self._index[region]
-        self._index[region] = len(self.regions)
-        self.regions.append(region)
-        if self._partition is not None:
-            self._partition.split(region.marks)
-        return len(self.regions) - 1
-
-    def replace(self, index: int, region: Region) -> None:
-        # runs only once the state-pair stream is exhausted, so the
-        # partition need not follow the replaced marks
-        self._index.pop(self.regions[index], None)
-        self.regions[index] = region
-        self._index.setdefault(region, index)
-
-    def solves(self, problem) -> bool:
-        return any(r.solves(problem) for r in self.regions)
-
-    def state_pairs(self, lts: Lts) -> Iterator[SSP]:
-        """The pairs of `separation.state_pairs(lts)` that no pooled
-        region separates, in the same order.  The partition is built from
-        the pool when the stream starts and refined by every region added
-        after; a region added while a state's pairs are walked is left to
-        the pool check of `_separate`."""
-        self._partition = StatePartition(len(lts.states), self.regions)
-        yield from self._partition.pairs()
-
-
 def _interpretation_order(k: int) -> list[int]:
     return sorted(range(1 << k), key=lambda v: (bin(v).count("1"), v))
 
 
-def _separate(ctx: SystemContext, pool: _RegionPool,
+def _separate(ctx: SystemContext, pool: list[Region],
               problems: Iterable[SeparationProblem],
               systems: Callable[[SeparationProblem],
                                 Iterator[tuple[str, LinearSystem]]]) \
@@ -290,16 +252,20 @@ def _separate(ctx: SystemContext, pool: _RegionPool,
     ``systems(problem)`` builds the tagged candidate systems of a problem
     one at a time; the region of the first feasible one is pooled.  Yields
     every problem no candidate solves, with the tags of those tried.
+
+    A region is pooled only for a problem that no pooled region solves,
+    and it solves that problem, so it differs from every pooled region:
+    the pool never holds a region twice.
     """
     for problem in problems:
-        if pool.solves(problem):
+        if any(r.solves(problem) for r in pool):
             continue
         tags = []
         for tag, system in systems(problem):
             tags.append(tag)
             region = _region(ctx, system)
             if region is not None:
-                pool.add(region)
+                pool.append(region)
                 break
         else:
             yield problem, tags
@@ -361,15 +327,16 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             systems = _candidates(ctx, reps,
                                   partial(essp_system_wpi, ctx, resolved),
                                   partial(ssp_system_wpi, ctx, resolved))
-            pool = _RegionPool()
+            pool: list[Region] = []
             try:
-                problems = itertools.chain(essps, pool.state_pairs(lts))
+                problems = itertools.chain(
+                    essps, StatePartition(len(lts.states)).pairs(pool))
                 unsolved = next(_separate(ctx, pool, problems, systems),
                                 None)
                 if unsolved is not None:
                     problem, tags = unsolved
                     raise _Unsolvable(_problem_witness(problem, lts, tags))
-                net, record = _verified_net(lts, pool.regions, WPI)
+                net, record = _verified_net(lts, pool, WPI)
                 if not record.ok:
                     raise _Unsolvable(_verification_witness(record))
             except _Unsolvable as exc:
@@ -377,8 +344,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                 continue
             interp = [(lts.labels[lo], lts.labels[hi],
                        resolved.edge(lo, hi).kind) for lo, hi in doi_pairs]
-            report = SynthesisReport(SUCCESS, WPI, net=net,
-                                     regions=list(pool.regions),
+            report = SynthesisReport(SUCCESS, WPI, net=net, regions=pool,
                                      interpretation=interp,
                                      verification=record,
                                      interpretations_tried=tried)
@@ -392,7 +358,9 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
 
 def _maybe_prune(report: SynthesisReport, lts: Lts,
                  cfg: SynthesisConfig) -> SynthesisReport:
-    """Greedily drop places whose removal keeps verification green."""
+    """With ``cfg.prune``, drop in pool order each place whose net without
+    it and the places dropped before passes `verify_solution`, keeping at
+    least one; the kept net is verified once more for the report."""
     if not cfg.prune or report.net is None:
         return report
     regions = list(report.regions)
@@ -420,7 +388,7 @@ class _Block(NamedTuple):
 
 
 def _brac_block(ctx: SystemContext, graph: RelationGraph,
-                pair: tuple[int, int], pool: _RegionPool, detail: str,
+                pair: tuple[int, int], pool: list[Region], detail: str,
                 shared: Optional[Region] = None) -> _Block:
     """Pool the shared and the private place of the choice block ``pair``.
 
@@ -438,7 +406,8 @@ def _brac_block(ctx: SystemContext, graph: RelationGraph,
                                "label": ctx.lts.labels[label],
                                "detail": detail})
         regions.append(region)
-    return _Block(pair, systems, [pool.add(r) for r in regions])
+    pool += regions
+    return _Block(pair, systems, [len(pool) - 2, len(pool) - 1])
 
 
 def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
@@ -473,7 +442,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         if out_doi & in_doi:
             raise AssertionError("doi chains must be resolved")
 
-        pool = _RegionPool()
+        pool: list[Region] = []
 
         def candidates(resolved: RelationGraph):
             return _candidates(ctx, reps, lambda essp: ctx.system(
@@ -490,22 +459,18 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         for a in reps:
             if a in solid_labels:
                 continue
-            # each region pooled here solves a problem no earlier one did,
-            # so this pool drops none as a duplicate
-            own = _RegionPool()
+            own: list[Region] = []
             unsolved = next(_separate(
                 ctx, own, [ESSP(s, a) for s in range(len(lts.states))
                            if a not in lts.enabled[s]],
                 systems), None)
-            regions = own.regions
             if unsolved is None:
                 if a in in_doi:
                     # a doi target may end up matched, in which case the
                     # block places replace these; pooled after the matching
-                    gate_regions[a] = regions
+                    gate_regions[a] = own
                 else:
-                    for r in regions:
-                        pool.add(r)
+                    pool += own
                 continue
             essp, tags = unsolved
             if a not in out_doi:
@@ -551,14 +516,17 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
             # the block places replace the target's provisional
             # per-problem regions: its preset may hold at most two places
             gate_regions.pop(pair[1], None)
+        # no region repeats across stages: a free label's regions consume
+        # its own class only, a block's places lo and hi or hi only, and a
+        # matched target's gate regions are dropped
         for label in sorted(gate_regions):
-            for r in gate_regions[label]:
-                pool.add(r)
+            pool += gate_regions[label]
 
         # state separation: free-choice first, then block assignment;
         # only a block could take a leftover, so without one the first
         # leftover is the failure
-        unsolved = _separate(ctx, pool, pool.state_pairs(lts),
+        unsolved = _separate(ctx, pool,
+                             StatePartition(len(lts.states)).pairs(pool),
                              candidates(graph))
         if not blocks:
             first = next(unsolved, None)
@@ -575,11 +543,11 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
                                inclusion_candidates=lam_names,
                                matching=matching_names)
 
-    net, record = _verified_net(lts, pool.regions, BRAC)
+    net, record = _verified_net(lts, pool, BRAC)
     report = SynthesisReport(
         SUCCESS if record.ok else FAILURE, BRAC,
         net=net if record.ok else None,
-        regions=list(pool.regions),
+        regions=pool,
         witness=None if record.ok else _verification_witness(record),
         interpretation=[(lts.labels[lo], lts.labels[hi],
                          graph.edge(lo, hi).kind) for lo, hi in doi_pairs],
@@ -589,7 +557,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     return _maybe_prune(report, lts, cfg) if record.ok else report
 
 
-def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
+def _assign_ssps_to_blocks(ctx: SystemContext, pool: list[Region],
                            blocks: list[_Block], leftovers: list[SSP],
                            cfg: SynthesisConfig) -> None:
     """Re-solve block systems with disequality rows, in all combinations.
@@ -626,7 +594,7 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: _RegionPool,
             solutions[si] = cache[key]
         else:
             for si, region in solutions.items():
-                pool.replace(targets[si][1], region)
+                pool[targets[si][1]] = region
             return
     raise _Unsolvable(_problem_witness(
         leftovers[0], lts,

@@ -121,6 +121,23 @@ class TestSynth:
         bad.write_text("initial s0\ns0 a s1\ns0 a s2\n")
         assert run(["synth", str(bad), "--class", "wpi"]) == 2
 
+    @pytest.mark.parametrize("target", ["wpi", "brac"])
+    def test_validates_once(self, tmp_path, monkeypatch, target):
+        # the pipeline validates its input, so the command does not
+        import netsynth.cli
+        import netsynth.synthesis
+        calls = []
+        real = netsynth.synthesis.validate
+
+        def validate(lts):
+            calls.append(lts)
+            return real(lts)
+        for module in (netsynth.cli, netsynth.synthesis):
+            monkeypatch.setattr(module, "validate", validate)
+        assert run(["synth", fx("fig1.lts"), "--class", target,
+                    "-o", str(tmp_path / "out.pn")]) == 0
+        assert len(calls) == 1
+
     def test_unknown_class_exit_2(self):
         assert run(["synth", fx("fig1.lts"), "--class", "nope"]) == 2
 

@@ -88,18 +88,19 @@ class TestEnumerate:
 
 
 def pooled_regions(lts):
-    """Every region the WPI and the BRAC pipeline pool on ``lts``, in the
-    order first pooled."""
+    """Every region the WPI and the BRAC pipeline solve on ``lts``, in the
+    order first solved."""
     import netsynth.synthesis
-    pool_type = netsynth.synthesis._RegionPool
     seen = []
-    real_add = pool_type.add
+    real_region = netsynth.synthesis._region
 
-    def add(pool, region):
-        seen.append(region)
-        return real_add(pool, region)
+    def region(ctx, system):
+        found = real_region(ctx, system)
+        if found is not None:
+            seen.append(found)
+        return found
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pool_type, "add", add)
+        patch.setattr(netsynth.synthesis, "_region", region)
         netsynth.synthesis.synthesize_wpi(lts)
         netsynth.synthesis.synthesize_brac(lts)
     return list(dict.fromkeys(seen))
@@ -115,7 +116,7 @@ def grouped(lts, regions):
 
 
 class TestStatePartition:
-    """The pool's stream of state pairs against the reference
+    """The partition's stream of state pairs against the reference
     `state_pairs`, while the pipelines' own regions are pooled mid-walk."""
 
     @staticmethod
@@ -126,28 +127,29 @@ class TestStatePartition:
                 yield name, parse_lts(text)
 
     @staticmethod
-    def walk(lts, regions, before, stream):
-        """Pool ``regions[:before]``, then walk ``stream(pool)`` through the
-        pool check and pool the next region after every pair left; returns
-        the pairs left and the pool, and checks the stream's blocks after
-        each region against the states grouped by their marks."""
-        from netsynth.synthesis import _RegionPool
-        pool = _RegionPool()
-        for region in regions[:before]:
-            pool.add(region)
+    def walk(lts, regions, before, reference=False):
+        """Pool ``regions[:before]``, then walk the partition's stream (or
+        with ``reference`` the reference pairs) through the pool check and
+        pool the next region after every pair left; returns the pairs
+        left, the partition and the pool.  Where the stream reaches a new
+        state, its blocks are checked against the states grouped by the
+        pooled regions' marks."""
+        partition = StatePartition(len(lts.states))
+        pool = list(regions[:before])
         rest = iter(regions[before:])
         left = []
-        for pair in stream(pool):
-            if pool.solves(pair):
+        state = None
+        for pair in state_pairs(lts) if reference else partition.pairs(pool):
+            if not reference and pair.s1 != state:
+                state = pair.s1
+                assert partition.blocks == grouped(lts, pool)
+            if any(r.solves(pair) for r in pool):
                 continue
             left.append(pair)
             region = next(rest, None)
-            if region is None:
-                continue
-            pool.add(region)
-            if pool._partition is not None:
-                assert pool._partition.blocks == grouped(lts, pool.regions)
-        return left, pool
+            if region is not None:
+                pool.append(region)
+        return left, partition, pool
 
     def test_stream_leaves_the_reference_pairs(self):
         pooled = 0
@@ -155,19 +157,18 @@ class TestStatePartition:
             regions = pooled_regions(lts)
             pooled += bool(regions)
             for before in sorted({0, len(regions) // 2}):
-                got, pool = self.walk(lts, regions, before,
-                                      lambda p: p.state_pairs(lts))
-                want, _ = self.walk(lts, regions, before,
-                                    lambda p: state_pairs(lts))
+                got, partition, pool = self.walk(lts, regions, before)
+                want, _, _ = self.walk(lts, regions, before, reference=True)
                 assert got == want, (name, before)
-                assert pool._partition.blocks == grouped(lts, pool.regions)
+                assert partition.blocks == grouped(lts, pool)
         assert pooled >= 20
 
     def test_blocks_group_states_by_marks(self, fig1):
         regions = pooled_regions(fig1)
-        partition = StatePartition(len(fig1.states), regions)
+        partition = StatePartition(len(fig1.states))
+        pairs = list(partition.pairs(regions))
         assert partition.blocks == grouped(fig1, regions)
-        assert list(partition.pairs()) == [
+        assert pairs == [
             SSP(i, j) for i, j in itertools.combinations(
                 range(len(fig1.states)), 2)
             if all(r.marks[i] == r.marks[j] for r in regions)]

@@ -16,7 +16,8 @@ from netsynth.oracle import (OracleBound, brute_force_region,
 from netsynth.petri import reachability_graph, serialize_net
 from netsynth.relations import (Contradiction, MatchingFailure,
                                 build_relation_graph)
-from netsynth.separation import (ESSP, SSP, brac_block_systems,
+from netsynth.separation import (ESSP, Region, SSP, StatePartition,
+                                 brac_block_systems,
                                  brac_ssp_system_freechoice,
                                  enumerate_separation_problems,
                                  essp_system_wpi, state_pairs)
@@ -138,13 +139,13 @@ class TestBrac:
 
     def test_freechoice_systems_read_the_matched_graph(self, brac7,
                                                        monkeypatch):
-        # the pooled places separate every state pair of brac7, so the
-        # pool is made to pass over state pairs and reach the free-choice
-        # stage, which runs after the matching; the stream of unseparated
+        # the pooled places separate every state pair of brac7, so regions
+        # are made to solve no state pair and the free-choice stage, which
+        # runs after the matching, is reached; the stream of unseparated
         # pairs would hold none, so the reference enumeration feeds it
         graphs = []
         real_system = netsynth.synthesis.brac_ssp_system_freechoice
-        real_solves = netsynth.synthesis._RegionPool.solves
+        real_solves = Region.solves
 
         def system(ctx, graph, *args):
             graphs.append(graph)
@@ -152,10 +153,11 @@ class TestBrac:
         monkeypatch.setattr(
             "netsynth.synthesis.brac_ssp_system_freechoice", system)
         monkeypatch.setattr(
-            "netsynth.synthesis._RegionPool.solves",
-            lambda pool, p: not isinstance(p, SSP) and real_solves(pool, p))
-        monkeypatch.setattr("netsynth.synthesis._RegionPool.state_pairs",
-                            lambda pool, lts: state_pairs(lts))
+            Region, "solves",
+            lambda region, p: not isinstance(p, SSP)
+            and real_solves(region, p))
+        monkeypatch.setattr(StatePartition, "pairs",
+                            lambda partition, regions: state_pairs(brac7))
         assert synthesize_brac(brac7).matching == {"c": "e"}
         c, e = brac7.labels.index("c"), brac7.labels.index("e")
         assert graphs
@@ -321,7 +323,7 @@ class TestFailureWitnesses:
 
 class TestSeparate:
     def test_yields_unsolved_and_pools_later_problems(self):
-        from netsynth.synthesis import _RegionPool, _separate
+        from netsynth.synthesis import _separate
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s2\n")
         ctx = _prepare(lts)
 
@@ -330,14 +332,14 @@ class TestSeparate:
                 else ctx.ssp_row(problem, "<")
             yield row.tag, ctx.system([row, *ctx.base_rows()])
 
-        pool = _RegionPool()
+        pool = []
         # a is enabled at s0, so its event separation there is infeasible
         problems = [ESSP(0, 0), SSP(0, 1), SSP(0, 2), SSP(1, 2)]
         unsolved = list(_separate(ctx, pool, problems, systems))
         assert unsolved == [(ESSP(0, 0), ["essp:s0:a"])]
-        assert pool.regions
-        assert all(pool.solves(p) for p in problems[1:])
-        assert all(r.is_valid(lts) for r in pool.regions)
+        assert pool
+        assert all(any(r.solves(p) for r in pool) for p in problems[1:])
+        assert all(r.is_valid(lts) for r in pool)
 
 
 class TestBlockAssignment:
@@ -355,20 +357,21 @@ class TestBlockAssignment:
                                         quotient_by_equivalence,
                                         strengthen_brac, strengthen_wpi)
         from netsynth.separation import (SystemContext, brac_block_systems)
-        from netsynth.synthesis import _Block, _RegionPool, _region
+        from netsynth.synthesis import _Block, _region
         tree = spanning_tree(brac7)
         basis = cycle_basis(brac7, tree)
         ctx = SystemContext(brac7, tree, basis)
         graph, _ = quotient_by_equivalence(build_relation_graph(brac7))
         graph = strengthen_brac(strengthen_wpi(graph))
-        pool = _RegionPool()
+        pool = []
         b, d = brac7.labels.index("b"), brac7.labels.index("d")
         sys1, sys2 = brac_block_systems(ctx, graph, (b, d))
         indices = []
         for system in (sys1, sys2):
             region = _region(ctx, system)
             assert region is not None
-            indices.append(pool.add(region))
+            indices.append(len(pool))
+            pool.append(region)
         return ctx, pool, [_Block((b, d), (sys1, sys2), indices)]
 
     def test_assignment_absorbs_real_pair(self, brac7):
@@ -380,8 +383,9 @@ class TestBlockAssignment:
         cfg = SynthesisConfig()
         outcome = _assign_ssps_to_blocks(ctx, pool, blocks, [ssp], cfg)
         assert outcome is None
-        assert any(r.solves(ssp) for r in pool.regions)
-        assert all(r.is_valid(ctx.lts) for r in pool.regions)
+        assert any(r.solves(ssp) for r in pool)
+        assert all(r.is_valid(ctx.lts) for r in pool)
+        assert len(set(pool)) == len(pool)
 
     def test_assignment_failure_witnessed(self, brac7):
         from netsynth.separation import SSP
@@ -407,6 +411,39 @@ class TestBlockAssignment:
             _assign_ssps_to_blocks(ctx, pool, blocks, [hopeless], cfg)
         assert outcome.value.cap == "ssp-combo-cap"
         assert outcome.value.witness is None
+
+
+class TestPoolHoldsNoRegionTwice:
+    """Nothing deduplicates the pool: a region is pooled only for a problem
+    no pooled region solves, and regions of different BRAC stages consume
+    different labels.  So no report lists a region twice.
+
+    The inputs are those of the report digests and the two graphs of
+    ``random_lts(0..599, 24, 6)`` whose BRAC success keeps the event
+    separation regions of an unmatched doi target, which no digest input
+    pools.
+    """
+
+    @staticmethod
+    def inputs():
+        from test_report_digests import family_inputs
+        for family in ("fixture", "random_lts", "random_brac_net"):
+            for name, text in family_inputs(family).items():
+                yield name, parse_lts(text)
+        for seed in (127, 396):
+            yield f"random_lts/{seed}", random_lts(seed, 24, 6)
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac],
+                             ids=["wpi", "brac"])
+    def test_report_regions_distinct(self, synthesize, prune):
+        cfg = SynthesisConfig(prune=prune)
+        listed = 0
+        for name, lts in self.inputs():
+            regions = synthesize(lts, cfg).regions
+            assert len(set(regions)) == len(regions), name
+            listed += len(regions)
+        assert listed
 
 
 class TestPrune:
@@ -752,5 +789,4 @@ class TestContextAfterRelations:
         lts = parse_lts("initial s0\ns0 a s1\ns0 a s2\n")
         with pytest.raises(ValueError) as raised:
             synthesize(lts)
-        assert str(raised.value) == ("LTS must be deterministic and "
-                                     "reachable; run validate first")
+        assert str(raised.value) == "LTS must be deterministic and reachable"
