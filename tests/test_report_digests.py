@@ -1,16 +1,19 @@
 """Report-byte regression guard.
 
 Pins the SHA-256 of the bytes ``netsynth synth --report`` writes for every
-fixture, for ``random_lts(0..39, 24, 6)`` and for the reachability graphs
-of ``random_brac_net(0..9)``, under both pipelines.  A refactor of the
-pipelines must leave every digest in ``fixtures/report_digests.json``
-unchanged.  ``fixtures/prune_digests.json`` pins ``synth --prune --report``
-the same way on the fixtures, the ``random_brac_net`` graphs and the
-1,296-marking scale graph, and ``fixtures/scale_report_digests.json``
-pins ``synth --report`` on the graphs of ``random_brac_net(44, 6, 4)``
-(300 markings), ``random_brac_net(17, 6, 4)`` (600) and
-``random_brac_net(38, 6, 4)`` (1,296), the largest systems the tests
-solve.
+fixture, for ``random_lts(0..39, 24, 6)``, for the reachability graphs
+of ``random_brac_net(0..9)`` and for ``random_lts(127, 24, 6)`` and
+``random_lts(396, 24, 6)`` (family ``gate``: BRAC keeps the event
+separation regions of an unmatched doi target there), under both
+pipelines.  A refactor of the pipelines must leave every digest in
+``fixtures/report_digests.json`` unchanged.
+``fixtures/prune_digests.json`` pins ``synth --prune --report`` the same
+way on the fixtures, the ``random_brac_net`` graphs, the ``gate`` inputs
+and the 1,296-marking scale graph, and
+``fixtures/scale_report_digests.json`` pins ``synth --report`` on the
+graphs of ``random_brac_net(44, 6, 4)`` (300 markings),
+``random_brac_net(17, 6, 4)`` (600) and ``random_brac_net(38, 6, 4)``
+(1,296), the largest systems the tests solve.
 
 ``fixtures/large_report_digests.json`` pins ``synth --report`` on the
 graph of ``random_brac_net(37, 6, 4)`` (3,200 markings).  Both pipelines
@@ -40,6 +43,8 @@ SCALE_DIGESTS = json.loads(
 # random_brac_net(seed, 6, 4) of the scale cases, by markings
 SCALE_NETS = {300: 44, 600: 17, 1296: 38}
 LARGE_NETS = {3200: 37}
+# random_lts(seed, 24, 6) of the gate family
+GATE_SEEDS = (127, 396)
 LARGE_RECORD = FIXTURES / "large_report_digests.json"
 
 
@@ -51,6 +56,9 @@ def family_inputs(family: str) -> dict[str, str]:
     if family == "random_lts":
         return {f"random_lts/{i}": serialize_lts(random_lts(i, 24, 6))
                 for i in range(40)}
+    if family == "gate":
+        return {f"gate/{i}": serialize_lts(random_lts(i, 24, 6))
+                for i in GATE_SEEDS}
     if family in ("scale", "large"):
         nets = SCALE_NETS if family == "scale" else LARGE_NETS
         return {f"{family}/{m}": serialize_lts(
@@ -82,7 +90,7 @@ def family_digests(family: str, pipeline: str, workdir: pathlib.Path,
 
 @pytest.mark.parametrize("pipeline", ["wpi", "brac"])
 @pytest.mark.parametrize("family",
-                         ["fixture", "random_lts", "random_brac_net"])
+                         ["fixture", "random_lts", "random_brac_net", "gate"])
 def test_report_bytes_unchanged(family, pipeline, tmp_path):
     got = family_digests(family, pipeline, tmp_path)
     expected = {k: v for k, v in DIGESTS.items()
@@ -93,7 +101,7 @@ def test_report_bytes_unchanged(family, pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("pipeline", ["wpi", "brac"])
-@pytest.mark.parametrize("family", ["fixture", "random_brac_net"])
+@pytest.mark.parametrize("family", ["fixture", "random_brac_net", "gate"])
 def test_pruned_report_bytes_unchanged(family, pipeline, tmp_path):
     got = family_digests(family, pipeline, tmp_path, "--prune")
     expected = {k: v for k, v in PRUNE_DIGESTS.items()
