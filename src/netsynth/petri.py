@@ -1,5 +1,6 @@
 """Petri nets: firing, bounded reachability graphs, structural class
-predicates, LTS isomorphism, text format and dot rendering.
+predicates, LTS isomorphism and realisation, text format and dot
+rendering.
 
 Firing reads one table per net, built once: each transition's preset and
 its effect, added to the marking (the state equation; Murata 1989).
@@ -274,6 +275,60 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     if len(mapping) != len(lts.states) or len(mapping) != len(other.states):
         return Mismatch("state counts differ")
     return mapping
+
+
+def realises(net: PetriNet, lts: Lts) -> bool:
+    """Whether the reachability graph of ``net`` is isomorphic to ``lts``,
+    decided by firing the net along ``lts``, without building the graph.
+
+    A breadth-first walk from the initial state gives each state the
+    marking its first tree edge fires to, starting from ``m0``.  The walk
+    fails when a transition's enabledness at a state's marking differs
+    from the state's labels, when a successor marking differs from the one
+    its state already holds, when two states get the same marking, when a
+    state is never reached, when a label has no transition of that name
+    or labels no edge, or when a state has two edges of one label.  A
+    walk that passes is the isomorphism: the net then reaches exactly the
+    assigned markings (Badouel, Bernardinello and Darondeau, "Petri Net
+    Synthesis", Springer 2015).
+    """
+    by_name = {name: t for t, name in enumerate(net.transitions)}
+    fires = [by_name.get(name) for name in lts.labels]
+    if None in fires or len({a for _, a, _ in lts.edges}) < len(lts.labels):
+        return False
+    marking: list[Optional[Marking]] = [None] * len(lts.states)
+    marking[lts.initial] = net.m0
+    seen = {net.m0}
+    queue = [lts.initial]
+    # ``queue`` grows while it is walked
+    for s in queue:
+        m = marking[s]
+        succ = {fires[a]: s2 for _, a, s2 in lts.out_edges[s]}
+        if len(succ) < len(lts.out_edges[s]):
+            return False
+        for t, (preset, effect) in enumerate(net.firing_table):
+            for p, w in preset:
+                if m[p] < w:
+                    if t in succ:
+                        return False
+                    break
+            else:
+                s2 = succ.get(t)
+                if s2 is None:
+                    return False
+                out = list(m)
+                for p, d in effect:
+                    out[p] += d
+                m2 = tuple(out)
+                if marking[s2] is None:
+                    if m2 in seen:
+                        return False
+                    marking[s2] = m2
+                    seen.add(m2)
+                    queue.append(s2)
+                elif marking[s2] != m2:
+                    return False
+    return len(queue) == len(lts.states)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ failure, and no later pair is tried.
 A stage that proves no net exists, or hits a cap, raises ``_Unsolvable``;
 each pipeline catches it in one place and builds its failure report there.
 Every reported success has been re-verified: the reachability graph of the
-output is isomorphic to the input and the net lies in the target class.
+output is isomorphic to the input, which firing the net along the input
+shows without building the graph, and the net lies in the target class.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from netsynth.linsys import (LinearSystem, lift_homogeneous_to_integer,
                              solve_integer, solve_rational)
 from netsynth.lts import Lts, LtsError, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
-                            isomorphic, net_from_regions, reachability_graph)
+                            isomorphic, net_from_regions, reachability_graph,
+                            realises)
 from netsynth.relations import (Contradiction, MatchingFailure,
                                 RelationGraph, build_relation_graph,
                                 quotient_by_equivalence,
@@ -161,22 +163,29 @@ def _verification_witness(record: VerificationRecord) -> dict:
 
 def verify_solution(net: PetriNet, lts: Lts,
                     target_class: str) -> VerificationRecord:
-    """Regenerate the reachability graph and re-check class membership.
+    """Check that the net's reachability graph is isomorphic to ``lts``,
+    and re-check class membership.
 
-    A net isomorphic to ``lts`` reaches exactly its |S| markings, so the
-    graph is explored up to |S| + 1 markings only.  A net that reaches more
-    is not isomorphic ("state counts differ"), bounded or not; its classes
-    are still checked.
+    The net is first fired along ``lts`` (`realises`); a walk that passes
+    is the isomorphism, and no reachability graph is built.  Only a net
+    the walk rejects gets its graph, to name the mismatch: a net
+    isomorphic to ``lts`` reaches exactly its |S| markings, so the graph
+    is explored up to |S| + 1 markings only, and a net that reaches more
+    is not isomorphic ("state counts differ"), bounded or not.  The
+    classes are checked either way.
     """
-    try:
-        mapping = isomorphic(lts, reachability_graph(net, len(lts.states) + 1))
-    except CapExceeded:
-        mapping = Mismatch("state counts differ")
-    iso = isinstance(mapping, dict)
-    mismatch = None if iso else mapping.reason
+    mismatch = None
+    if not realises(net, lts):
+        try:
+            found = isomorphic(lts,
+                               reachability_graph(net, len(lts.states) + 1))
+        except CapExceeded:
+            found = Mismatch("state counts differ")
+        if isinstance(found, Mismatch):
+            mismatch = found.reason
     flags = classify_net(net).flags()
     target_ok = target_class.upper() in flags
-    return VerificationRecord(isomorphic=iso, mismatch=mismatch,
+    return VerificationRecord(isomorphic=mismatch is None, mismatch=mismatch,
                               classes=flags, target_ok=target_ok)
 
 

@@ -239,6 +239,40 @@ class TestVerify:
         assert not record.isomorphic
         assert record.mismatch == reason
 
+    @pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac],
+                             ids=["wpi", "brac"])
+    def test_accepted_net_builds_no_graph(self, synthesize, prune,
+                                          monkeypatch):
+        """Firing the net along the input accepts it without a
+        reachability graph: an accepted run builds none, and with pruning
+        one per candidate net that verification rejects."""
+        graphs, records = [], []
+        real_graph = netsynth.synthesis.reachability_graph
+        real_verify = netsynth.synthesis.verify_solution
+
+        def reachability_graph(net, cap):
+            graphs.append(cap)
+            return real_graph(net, cap)
+
+        def verify_solution(net, lts, target_class):
+            records.append(real_verify(net, lts, target_class))
+            return records[-1]
+        monkeypatch.setattr(netsynth.synthesis, "reachability_graph",
+                            reachability_graph)
+        monkeypatch.setattr(netsynth.synthesis, "verify_solution",
+                            verify_solution)
+        accepted = 0
+        for name, lts in TestPoolHoldsNoRegionTwice.inputs():
+            graphs.clear()
+            records.clear()
+            if synthesize(lts, SynthesisConfig(prune=prune)).ok:
+                rejected = [r for r in records if not r.isomorphic]
+                assert len(graphs) == len(rejected), name
+                assert prune or not graphs, name
+                accepted += len(records) - len(rejected)
+        assert accepted > 0
+
     def test_soundness_on_every_success(self, fig1, case6a, case6b, brac7):
         for lts, run in ((fig1, synthesize_wpi), (fig1, synthesize_brac),
                          (case6a, synthesize_wpi), (case6a, synthesize_brac),
@@ -418,20 +452,18 @@ class TestPoolHoldsNoRegionTwice:
     no pooled region solves, and regions of different BRAC stages consume
     different labels.  So no report lists a region twice.
 
-    The inputs are those of the report digests and the two graphs of
-    ``random_lts(0..599, 24, 6)`` whose BRAC success keeps the event
-    separation regions of an unmatched doi target, which no digest input
-    pools.
+    The inputs are those of the report digests, the ``gate`` family
+    included: the two graphs of ``random_lts(0..599, 24, 6)`` whose BRAC
+    success keeps the event separation regions of an unmatched doi
+    target.
     """
 
     @staticmethod
     def inputs():
         from test_report_digests import family_inputs
-        for family in ("fixture", "random_lts", "random_brac_net"):
+        for family in ("fixture", "random_lts", "random_brac_net", "gate"):
             for name, text in family_inputs(family).items():
                 yield name, parse_lts(text)
-        for seed in (127, 396):
-            yield f"random_lts/{seed}", random_lts(seed, 24, 6)
 
     @pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
     @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac],

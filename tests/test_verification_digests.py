@@ -30,7 +30,8 @@ import pytest
 from netsynth.cli import run
 from netsynth.lts import Lts, parse_lts, serialize_lts
 from netsynth.oracle import random_brac_net
-from netsynth.petri import PetriNet, parse_net, reachability_graph
+from netsynth.petri import (CapExceeded, PetriNet, isomorphic, parse_net,
+                            reachability_graph, realises)
 from netsynth.synthesis import synthesize_brac, verify_solution
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -158,6 +159,24 @@ def test_verification_bytes_unchanged():
                      if got["digests"][k] != expected["digests"][k])
     assert not changed, f"verify output changed: {changed}"
     assert got["reasons"] == expected["reasons"]
+
+
+def test_realises_matches_the_graph():
+    """On every pair of the family, firing the net along the LTS accepts
+    exactly when `isomorphic` pairs the LTS with the net's reachability
+    graph explored to |S| + 1 markings (a larger graph reads as no)."""
+    differ, accepted = [], 0
+    for base, mutant, net, lts in family():
+        try:
+            graph = reachability_graph(net, len(lts.states) + 1)
+            expected = isinstance(isomorphic(lts, graph), dict)
+        except CapExceeded:
+            expected = False
+        if realises(net, lts) != expected:
+            differ.append((base, mutant, expected))
+        accepted += expected
+    assert not differ, f"realises differs from the graph: {differ[:5]}"
+    assert accepted == json.loads(RECORD.read_text())["reasons"]["isomorphic"]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.pn")))
