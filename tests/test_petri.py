@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from netsynth.lts import parse_lts
+from netsynth.lts import Lts, parse_lts
 from netsynth.oracle import random_brac_net
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, PetriNetError,
                             classify_net, fire, isomorphic, parse_net,
-                            reachability_graph, render_dot, serialize_net)
+                            reachability_graph, realises, render_dot,
+                            serialize_net)
 
 from conftest import FIXTURES, load_net
 
@@ -217,6 +218,20 @@ class TestIsomorphic:
         l1 = parse_lts(f"initial s0\n{left}\n")
         l2 = parse_lts(f"initial q0\n{right}\n")
         assert isomorphic(l1, l2) == expected
+
+
+class TestRealises:
+    def test_fig1_net_realises_fig1_only(self, fig1, genx, fig1_net):
+        assert realises(fig1_net, fig1)
+        assert not realises(fig1_net, genx)
+
+    def test_two_edges_of_one_label_are_not_realised(self):
+        # the walk would follow only the last a-edge of s0 and accept;
+        # the net's graph has one edge, the input two
+        net = parse_net("place p 1\ntransition a\narc p a\n")
+        lts = Lts(states=("s0", "s1"), labels=("a",),
+                  edges=((0, 0, 0), (0, 0, 1)), initial=0)
+        assert not realises(net, lts)
 
 
 class TestArcRange:
