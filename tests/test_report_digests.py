@@ -15,11 +15,12 @@ graphs of ``random_brac_net(44, 6, 4)`` (300 markings),
 ``random_brac_net(17, 6, 4)`` (600) and ``random_brac_net(38, 6, 4)``
 (1,296), the largest systems the tests solve.
 
-``fixtures/large_report_digests.json`` pins ``synth --report`` on the
-graph of ``random_brac_net(37, 6, 4)`` (3,200 markings).  Both pipelines
-take about 9 s there, too long for the test suite, so that pin is checked
-by running this file: ``PYTHONPATH=src python tests/test_report_digests.py``
-exits 0 when both digests hold, and with ``--record`` rewrites them.
+``fixtures/large_report_digests.json`` pins ``synth --report`` and
+``synth --prune --report`` on the graph of ``random_brac_net(37, 6, 4)``
+(3,200 markings).  Both pipelines take about 9 s there, too long for the
+test suite, so that pin is checked by running this file:
+``PYTHONPATH=src python tests/test_report_digests.py`` exits 0 when all
+four digests hold, and with ``--record`` rewrites them.
 """
 
 import hashlib
@@ -178,11 +179,16 @@ def test_simplex_sees_no_strict_row(family, pipeline, tmp_path,
 
 def check_large(record: bool) -> int:
     """Compare (or with ``record`` rewrite) the 3,200-marking report
-    digests of both pipelines; 0 when every digest holds."""
+    digests of both pipelines, plain and pruned; 0 when every digest
+    holds."""
     with tempfile.TemporaryDirectory() as tmp:
         got = {}
         for pipeline in ("wpi", "brac"):
             got.update(family_digests("large", pipeline, pathlib.Path(tmp)))
+            pruned = family_digests("large", pipeline, pathlib.Path(tmp),
+                                    "--prune")
+            got.update((f"{key}/prune", digest)
+                       for key, digest in pruned.items())
     if record:
         LARGE_RECORD.write_text(json.dumps(got, indent=1, sort_keys=True)
                                 + "\n")
