@@ -368,23 +368,23 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
 def _maybe_prune(report: SynthesisReport, lts: Lts,
                  cfg: SynthesisConfig) -> SynthesisReport:
     """With ``cfg.prune``, drop in pool order each place whose net without
-    it and the places dropped before passes `verify_solution`, keeping at
-    least one; the kept net is verified once more for the report."""
+    it and the places dropped before still `realises` ``lts``, keeping at
+    least one; only the kept net is verified.  `realises` agrees with
+    `isomorphic`, and deleting a place keeps the target class: WPI columns
+    stay comparable on fewer places, and every other BRAC pair keeps its
+    postsets and its block presets ``{p, q}`` or ``{q}``, which lack it."""
     if not cfg.prune or report.net is None:
         return report
-    regions = list(report.regions)
-    keep = list(range(len(regions)))
-    for i in range(len(regions)):
-        if len(keep) == 1:
-            break
-        candidate = [j for j in keep if j != i]
-        _, record = _verified_net(lts, [regions[j] for j in candidate],
-                                  report.target_class)
-        if record.ok:
-            keep = candidate
-    report.regions = [regions[j] for j in keep]
+    regions, report.regions = report.regions, []
+    for i, region in enumerate(regions):
+        candidate = report.regions + regions[i + 1:]
+        if not candidate or not realises(net_from_regions(
+                lts.labels, [region_to_place(r) for r in candidate]), lts):
+            report.regions.append(region)
     report.net, report.verification = _verified_net(
         lts, report.regions, report.target_class)
+    if not report.verification.ok:
+        raise AssertionError("the pruned net failed verification")
     return report
 
 
