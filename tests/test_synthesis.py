@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -13,7 +14,9 @@ from netsynth.linsys import LinearSystem, Row, make_row, solve_integer
 from netsynth.lts import parse_lts, serialize_lts
 from netsynth.oracle import (OracleBound, brute_force_region,
                              random_brac_net, random_lts)
-from netsynth.petri import reachability_graph, serialize_net
+from netsynth.petri import (CapExceeded, classify_net, isomorphic,
+                            parse_net, reachability_graph, realises,
+                            serialize_net)
 from netsynth.relations import (Contradiction, MatchingFailure,
                                 build_relation_graph)
 from netsynth.separation import (ESSP, Region, SSP, StatePartition,
@@ -245,8 +248,9 @@ class TestVerify:
     def test_accepted_net_builds_no_graph(self, synthesize, prune,
                                           monkeypatch):
         """Firing the net along the input accepts it without a
-        reachability graph: an accepted run builds none, and with pruning
-        one per candidate net that verification rejects."""
+        reachability graph: an accepted run builds none and verifies one
+        net, and with pruning one more, the kept net; the candidates are
+        decided by the walk alone."""
         graphs, records = [], []
         real_graph = netsynth.synthesis.reachability_graph
         real_verify = netsynth.synthesis.verify_solution
@@ -267,10 +271,10 @@ class TestVerify:
             graphs.clear()
             records.clear()
             if synthesize(lts, SynthesisConfig(prune=prune)).ok:
-                rejected = [r for r in records if not r.isomorphic]
-                assert len(graphs) == len(rejected), name
-                assert prune or not graphs, name
-                accepted += len(records) - len(rejected)
+                assert not graphs, name
+                assert len(records) == 1 + prune, name
+                assert all(r.ok for r in records), name
+                accepted += 1
         assert accepted > 0
 
     def test_soundness_on_every_success(self, fig1, case6a, case6b, brac7):
@@ -488,6 +492,146 @@ class TestPrune:
 
     def test_prune_off_by_default(self):
         assert SynthesisConfig().prune is False
+
+    @pytest.mark.parametrize("pipeline", ["wpi", "brac"])
+    def test_unverified_pruned_net_is_an_internal_error(
+            self, pipeline, fig1, monkeypatch, tmp_path, capsys):
+        """A pruned net that fails verification is never reported: with
+        verification failing on every net with fewer places than the
+        unpruned one, ``synth --prune`` exits 4 and writes no net."""
+        synthesize = {"wpi": synthesize_wpi, "brac": synthesize_brac}
+        places = len(synthesize[pipeline](fig1).regions)
+        assert len(synthesize[pipeline](
+            fig1, SynthesisConfig(prune=True)).regions) < places
+        real = netsynth.synthesis.verify_solution
+
+        def verify_solution(net, lts, target_class):
+            record = real(net, lts, target_class)
+            return record if len(net.places) >= places \
+                else replace(record, target_ok=False)
+        monkeypatch.setattr(netsynth.synthesis, "verify_solution",
+                            verify_solution)
+        out = tmp_path / "out.pn"
+        assert run(["synth", str(FIXTURES / "fig1.lts"), "--class",
+                    pipeline, "--prune", "-o", str(out)]) == 4
+        assert "internal error: AssertionError" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def prune_inputs() -> dict:
+    """Name -> LTS of every input ``prune_digests.json`` pins."""
+    from test_report_digests import PRUNE_DIGESTS, SCALE_NETS, family_inputs
+    inputs = {name: parse_lts(text)
+              for family in ("fixture", "random_brac_net", "gate")
+              for name, text in family_inputs(family).items()}
+    inputs["scale/1296"] = reachability_graph(
+        random_brac_net(SCALE_NETS[1296], 6, 4), 100_000)
+    assert sorted(f"{pipeline}/{name}" for pipeline in ("brac", "wpi")
+                  for name in inputs) == sorted(PRUNE_DIGESTS)
+    return inputs
+
+
+@functools.cache
+def pruned_runs() -> tuple:
+    """Per `prune_inputs` input and pipeline: the name, the LTS, the
+    pruned report, the net before pruning and every net the prune step
+    built (its candidates, then the kept net); a failure has neither."""
+    real_build = netsynth.synthesis.net_from_regions
+    real_prune = netsynth.synthesis._maybe_prune
+    built: list = []
+    unpruned: list = []
+
+    def net_from_regions(labels, places):
+        net = real_build(labels, places)
+        if unpruned:
+            built.append(net)
+        return net
+
+    def maybe_prune(report, lts, cfg):
+        unpruned.append(report.net)
+        return real_prune(report, lts, cfg)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netsynth.synthesis, "net_from_regions", net_from_regions)
+        mp.setattr(netsynth.synthesis, "_maybe_prune", maybe_prune)
+        for name, lts in prune_inputs().items():
+            for synthesize in (synthesize_wpi, synthesize_brac):
+                built.clear()
+                unpruned.clear()
+                pruned = synthesize(lts, SynthesisConfig(prune=True))
+                runs.append((name, lts, pruned, unpruned[0] if unpruned
+                             else None, tuple(built)))
+    return tuple(runs)
+
+
+class TestPruneByWalk:
+    """The prune step decides each candidate by `realises` alone.
+
+    That is exact because the walk agrees with the isomorphism check and
+    the target classes are closed under deleting a place, so the class
+    check `verify_solution` adds cannot reject a candidate.  Both facts
+    are checked here, against full verification as the reference.
+    """
+
+    @staticmethod
+    def graph_verdict(net, lts, target_class) -> bool:
+        """Verification without the walk: the reachability graph, explored
+        to |S| + 1 markings, is isomorphic to ``lts``, and the net lies in
+        the target class."""
+        try:
+            graph = reachability_graph(net, len(lts.states) + 1)
+        except CapExceeded:
+            return False
+        return isinstance(isomorphic(lts, graph), dict) \
+            and classify_net(net).has(target_class)
+
+    def test_walk_matches_verification(self):
+        """On every net the prune step builds, the walk agrees with
+        `verify_solution` and with verification by the graph, which does
+        not rest on the walk."""
+        verdicts = {True: 0, False: 0}
+        for name, lts, pruned, _, built in pruned_runs():
+            assert built or not pruned.ok, name
+            for net in built:
+                walk = realises(net, lts)
+                target = pruned.target_class
+                assert walk == verify_solution(net, lts, target).ok \
+                    == self.graph_verdict(net, lts, target), \
+                    (name, net.places)
+                verdicts[walk] += 1
+        # both verdicts occur, so neither side is trivially constant
+        assert verdicts[True] and verdicts[False]
+
+    @staticmethod
+    def nets(source: str):
+        """Name and net of each net the closure lemma is checked on."""
+        if source == "fixture":
+            for path in sorted(FIXTURES.glob("*.pn")):
+                yield path.stem, parse_net(path.read_text())
+        elif source == "random_brac_net":
+            for i in range(100):
+                yield f"random_brac_net/{i}", random_brac_net(i)
+        else:
+            for name, _, pruned, unpruned, _ in pruned_runs():
+                if pruned.ok:
+                    yield f"{pruned.target_class}/{name}", unpruned
+                    yield f"{pruned.target_class}/{name}/pruned", pruned.net
+
+    @pytest.mark.parametrize("source",
+                             ["fixture", "random_brac_net", "synthesised"])
+    def test_deleting_a_place_keeps_the_class(self, source):
+        from test_verification_digests import without_place
+        checked = {"wpi": 0, "brac": 0}
+        for name, net in self.nets(source):
+            for target in checked:
+                if not classify_net(net).has(target):
+                    continue
+                lost = [net.places[p] for p in range(len(net.places))
+                        if not classify_net(without_place(net, p))
+                        .has(target)]
+                assert not lost, (name, target, lost)
+                checked[target] += 1
+        assert checked["wpi"] and checked["brac"]
 
 
 class TestBracIntegerSearch:
