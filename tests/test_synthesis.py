@@ -217,7 +217,6 @@ class TestVerify:
 
     def test_unbounded_net_is_a_state_count_mismatch(self):
         # the graph is explored to |S| + 1 markings, never to exhaustion
-        from netsynth.petri import classify_net, parse_net
         net = parse_net("place p 0\ntransition a\narc a p\n")
         record = verify_solution(net, parse_lts(self.TWO_STATES), "wpi")
         assert not record.isomorphic and not record.ok
@@ -231,7 +230,6 @@ class TestVerify:
     def test_bound_is_one_past_the_state_count(self, tokens, reason):
         # p holding k tokens gives a chain of k + 1 markings; the full
         # graph of either net first diverges by enabled labels at m1
-        from netsynth.petri import isomorphic, parse_net
         lts = parse_lts(self.TWO_STATES)
         net = parse_net(f"place p {tokens}\ntransition a\narc p a\n")
         full = isomorphic(lts, reachability_graph(net))
