@@ -71,8 +71,7 @@ def _load_lts(path: str) -> Lts:
 
 def _load_valid_lts(path: str) -> Lts:
     lts = _load_lts(path)
-    if not validate(lts).ok:
-        raise LtsError("LTS must be deterministic and reachable")
+    validate(lts).raise_if_invalid()
     return lts
 
 

@@ -14,15 +14,17 @@ as every row.
 
 Rational feasibility is decided by an exact integer-tableau simplex that
 reads the rows straight into its dual tableau, a block's cached columns
-spliced in, and runs one phase.  A pivot updates the other rows in place;
-unless its pivot entry is not 1 and scales them, it changes them only
-where the pivot row is nonzero.  A solution is integer numerators over
-one positive denominator, re-substituted into the rows before it is
-returned.  Solutions of a system whose rows survive scaling up lift to
-integers by dividing out the gcd, and a 0/1-aware branch-and-bound gives
-bounded integer feasibility; it branches on the first fractional 0/1
-column, then on the other columns in column order, and each of its nodes
-is one whole system, the bound rows appended.
+spliced in, and runs one phase.  The dual is homogeneous, so the tableau
+holds no right-hand side and there is no ratio test: the leaving row is
+the least basic column with a positive entry.  A pivot updates the other
+rows in place; unless its pivot entry is not 1 and scales them, it
+changes them only where the pivot row is nonzero.  A solution is integer
+numerators over one positive denominator, re-substituted into the rows
+before it is returned.  Solutions of a system whose rows survive scaling
+up lift to integers by dividing out the gcd, and a 0/1-aware
+branch-and-bound gives bounded integer feasibility; it branches on the
+first fractional 0/1 column, then on the other columns in column order,
+and each of its nodes is one whole system, the bound rows appended.
 `fractions.Fraction` is left only in the reference checks
 (`Row.evaluate`, `LinearSystem.satisfied_by`) and the read-only
 `Solution.assignment` view.
@@ -226,9 +228,15 @@ class _Simplex:
 
     The many-row feasibility problem ``M z <= b, z >= 0`` is solved
     through its dual ``min b.y, M^T y >= 0, y >= 0`` whose row count
-    equals the (small) variable count: the dual is unbounded exactly when
-    the rows are infeasible, and otherwise the primal witness is read off
-    the reduced costs of the surplus columns.  ``M`` is never built: each
+    equals the (small) variable count.  The dual's constraints are
+    homogeneous, a cone, so the tableau has no right-hand side and no
+    objective value.  The simplex walks bases of that cone until no
+    reduced cost is negative, which means the rows are feasible and the
+    primal witness is read off the reduced costs of the surplus columns,
+    or until the entering column has no positive entry, which means they
+    are infeasible.  Every pivot is degenerate, so there is no ratio test:
+    among the rows with a positive entry in the entering column, the one
+    whose basic column is least leaves.  ``M`` is never built: each
     row's integer ``(column, coef)`` pairs are written straight into the
     tableau, a block's cached columns spliced in, giving the same tableau.
     Every dual row is negated, so that its surplus column is an identity
@@ -246,9 +254,7 @@ class _Simplex:
     1, changed only at the pivot row's nonzero positions (its support,
     listed once per pivot), and divided by the gcd of its entries and
     denominator only when the denominator is above 1.  That gives the same
-    integers as cross-multiplying every entry.  The ratio test compares by
-    cross-multiplication, so every pivot is the one the rational tableau
-    would make.
+    integers as cross-multiplying every entry.
     """
 
     def __init__(self, system: LinearSystem):
@@ -272,7 +278,7 @@ class _Simplex:
         first_bound = m
         self.n_y = m = m + len(zero_one)
         self.pivots = 0
-        tableau = [[0] * (m + n + 1) for _ in range(n)]
+        tableau = [[0] * (m + n) for _ in range(n)]
         costs = [0] * (m + n)  # b on the y columns
         for i, row, sign in copies:
             for j, c in row.coeffs:
@@ -290,7 +296,7 @@ class _Simplex:
         self.basis = [m + j for j in range(n)]
         self.tableau = tableau
         self.den = [1] * n
-        self.obj, self.obj_den = costs + [0], 1
+        self.obj, self.obj_den = costs, 1
 
     def _pivot(self, r, k):
         self.pivots += 1
@@ -314,21 +320,13 @@ class _Simplex:
         """Return the primal witness as ``(numerators, denominator)``, or
         None if the rows are infeasible (the dual is unbounded)."""
         tableau, basis, obj = self.tableau, self.basis, self.obj
-        ncols = len(obj) - 1  # the last entry is the objective value
         while True:
-            enter = next((k for k in range(ncols) if obj[k] < 0), -1)
+            enter = next((k for k in range(len(obj)) if obj[k] < 0), -1)
             if enter < 0:
-                return obj[self.n_y:-1], self.obj_den
-            # least rhs/a over a > 0, then least basic column; the rows'
-            # denominators cancel in the ratio
-            leave = -1
-            for i in range(self.n_rows):
-                a = tableau[i][enter]
-                if a > 0:
-                    rhs = tableau[i][-1]
-                    cmp = -1 if leave < 0 else rhs * best_a - best_rhs * a
-                    if cmp < 0 or cmp == 0 and basis[i] < basis[leave]:
-                        leave, best_rhs, best_a = i, rhs, a
+                return obj[self.n_y:], self.obj_den
+            leave = min((i for i in range(self.n_rows)
+                         if tableau[i][enter] > 0),
+                        key=basis.__getitem__, default=-1)
             if leave < 0:
                 return None
             self._pivot(leave, enter)

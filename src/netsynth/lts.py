@@ -98,6 +98,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return self.deterministic and self.reachable
 
+    def raise_if_invalid(self) -> None:
+        """Raise `LtsError` unless the LTS is deterministic and reachable."""
+        if not self.ok:
+            raise LtsError("LTS must be deterministic and reachable")
+
 
 @dataclass(frozen=True)
 class SpanningTree:
@@ -112,15 +117,6 @@ class SpanningTree:
     lts: Lts
     parent: dict[int, tuple[int, int]]
     parikh: tuple[tuple[int, ...], ...]
-
-    def is_tree_edge(self, edge: tuple[int, int, int]) -> bool:
-        s, t, s2 = edge
-        return s2 != self.lts.initial and self.parent.get(s2) == (s, t)
-
-    def chords(self) -> list[tuple[int, int, int]]:
-        """The non-tree edges, in edge order: the reference enumeration the
-        tests reduce chord by chord against `cycle_basis`."""
-        return [e for e in self.lts.edges if not self.is_tree_edge(e)]
 
 
 def parse_lts(text: str | bytes) -> Lts:

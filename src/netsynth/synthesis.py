@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from netsynth.linsys import (LinearSystem, lift_homogeneous_to_integer,
                              solve_integer, solve_rational)
-from netsynth.lts import Lts, LtsError, spanning_tree, cycle_basis, validate
+from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
                             isomorphic, net_from_regions, reachability_graph,
                             realises)
@@ -195,11 +195,6 @@ def _verified_net(lts: Lts, regions: list[Region],
     return net, verify_solution(net, lts, target_class)
 
 
-def _require_valid(lts: Lts) -> None:
-    if not validate(lts).ok:
-        raise LtsError("LTS must be deterministic and reachable")
-
-
 def _prepare(lts: Lts) -> SystemContext:
     """The system context of a valid ``lts``."""
     tree = spanning_tree(lts)
@@ -311,7 +306,7 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     regions verify wins.
     """
     cfg = cfg or SynthesisConfig()
-    _require_valid(lts)
+    validate(lts).raise_if_invalid()
     tried = 0
     try:
         graph = relation_stage(build_relation_graph(lts), brac=False)
@@ -433,7 +428,7 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     separates is the failure, and no later pair is tried.
     """
     cfg = cfg or SynthesisConfig()
-    _require_valid(lts)
+    validate(lts).raise_if_invalid()
     # bound when the matching stage starts: earlier failures report neither
     lam_names: list[tuple[str, str]] = []
     matching_names: dict[str, str] = {}

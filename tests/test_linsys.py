@@ -4,14 +4,17 @@ import operator
 import pathlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from netsynth import linsys
 from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE, RELATIONS,
-                             LinearSystem, Row, _eliminate, dump_lp,
-                             lift_homogeneous_to_integer, make_row,
+                             LinearSystem, Row, _LEQ_COPIES, _eliminate,
+                             dump_lp, lift_homogeneous_to_integer, make_row,
                              solve_integer, solve_rational)
+from netsynth.oracle import random_lts
+from netsynth.synthesis import synthesize_brac, synthesize_wpi
 
 from conftest import margin_row
 
@@ -438,6 +441,95 @@ class TestPivotSequence:
     def test_pivots_unchanged(self, family):
         expected = json.loads(PIVOT_RECORD.read_text())
         assert self.digest(family) == expected[family]
+
+
+class TestFarkasRay:
+    """Every infeasible verdict carries a Farkas ray of its rows.
+
+    The simplex stops infeasible when the first negative reduced cost, in
+    column k, has no positive entry in its column.  Raising column k then
+    moves along the ray ``y = L e_k - sum_i tableau[i][k] (L / den[i])
+    e_basis[i]`` of the dual cone, ``L = lcm(den)``.  Its first ``n_y``
+    entries must satisfy ``y >= 0``, ``M^T y >= 0`` and ``b.y < 0`` over
+    the written-out rows ``M z <= b``, which no ``z >= 0`` can then meet.
+    The check multiplies in plain integers and uses no solver code.
+    """
+
+    @staticmethod
+    def record(monkeypatch):
+        """Patch the simplex so that each infeasible solve appends
+        ``(system, ray)``; return that list."""
+        rays = []
+
+        class Recorded(linsys._Simplex):
+            def __init__(self, system):
+                super().__init__(system)
+                self.system = system
+
+            def solve(self):
+                witness = super().solve()
+                if witness is None:
+                    rays.append((self.system, TestFarkasRay.ray(self)))
+                return witness
+        monkeypatch.setattr(linsys, "_Simplex", Recorded)
+        return rays
+
+    @staticmethod
+    def ray(simplex):
+        k = next(k for k, c in enumerate(simplex.obj) if c < 0)
+        column = [row[k] for row in simplex.tableau]
+        assert all(a <= 0 for a in column)
+        scale = lcm(*simplex.den)
+        y = [0] * len(simplex.obj)
+        y[k] = scale
+        for a, basic, den in zip(column, simplex.basis, simplex.den):
+            y[basic] -= a * (scale // den)
+        return y[:simplex.n_y]
+
+    @staticmethod
+    def certifies(system, y):
+        """Whether y >= 0, M^T y >= 0 and b.y < 0 over the rows: each
+        row's copies by `_LEQ_COPIES`, then x_j <= 1 per sorted 0/1
+        column."""
+        rows = [({j: sign * c for j, c in row.coeffs}, sign * row.const)
+                for row in system.rows for sign in _LEQ_COPIES[row.rel]]
+        rows += [({j: 1}, 1) for j in sorted(system.zero_one)]
+        combined = [0] * system.columns
+        for (coeffs, _), weight in zip(rows, y, strict=True):
+            for j, c in coeffs.items():
+                combined[j] += weight * c
+        return (min(y, default=0) >= 0 and min(combined, default=0) >= 0
+                and sum(weight * b for (_, b), weight in zip(rows, y)) < 0)
+
+    @pytest.mark.parametrize("family", list(TestPivotSequence.FAMILIES))
+    def test_families(self, monkeypatch, family):
+        rays = self.record(monkeypatch)
+        for sys_ in TestPivotSequence.systems(family):
+            solve_rational(sys_)
+            solve_integer(sys_, cap=16)
+        assert rays
+        for sys_, y in rays:
+            assert self.certifies(sys_, y)
+
+    def test_pipelines(self, monkeypatch):
+        rays = self.record(monkeypatch)
+        for seed in range(60):
+            lts = random_lts(seed, 24, 6)
+            synthesize_wpi(lts)
+            synthesize_brac(lts)
+        # the context block and BRAC's 0/1 branch-and-bound roots occur
+        assert any(not isinstance(p, Row)
+                   for sys_, _ in rays for p in sys_.rows.parts)
+        assert any(sys_.zero_one for sys_, _ in rays)
+        for sys_, y in rays:
+            assert self.certifies(sys_, y)
+
+    def test_rejects_a_wrong_ray(self):
+        # x >= 1 and x <= 0: the ray (1, 1) certifies, (1, 0) does not
+        sys_ = system([({"x": 1}, ">=", 1), ({"x": 1}, "<=", 0)])
+        assert self.certifies(sys_, [1, 1])
+        assert not self.certifies(sys_, [1, 0])
+        assert not self.certifies(sys_, [2, 1])
 
 
 if __name__ == "__main__":
