@@ -36,6 +36,18 @@ def consume_vector(net, label):
     return tuple(net.w_in(p, t) for p in range(len(net.places)))
 
 
+def selfloop_product() -> str:
+    """The product of two copies of case6b's self-loop pattern, as text."""
+    lines = ["initial s00"]
+    for j in range(3):
+        lines += [f"s0{j} a s1{j}", f"s1{j} a s2{j}", f"s2{j} b s1{j}",
+                  f"s1{j} c s1{j}", f"s2{j} c s2{j}"]
+    for i in range(3):
+        lines += [f"s{i}0 d s{i}1", f"s{i}1 d s{i}2", f"s{i}2 e s{i}1",
+                  f"s{i}1 f s{i}1", f"s{i}2 f s{i}2"]
+    return "\n".join(lines)
+
+
 def presets_disjoint(net, x, y):
     wx, wy = consume_vector(net, x), consume_vector(net, y)
     return all(a == 0 or b == 0 for a, b in zip(wx, wy))
@@ -97,14 +109,7 @@ class TestWpi:
     def test_selfloop_cap_exceeded_on_product(self):
         # two independent copies of the self-loop pattern leave two
         # unresolved doi edges, one more than the cap allows
-        lines = ["initial s00"]
-        for j in range(3):
-            lines += [f"s0{j} a s1{j}", f"s1{j} a s2{j}", f"s2{j} b s1{j}",
-                      f"s1{j} c s1{j}", f"s2{j} c s2{j}"]
-        for i in range(3):
-            lines += [f"s{i}0 d s{i}1", f"s{i}1 d s{i}2", f"s{i}2 e s{i}1",
-                      f"s{i}1 f s{i}1", f"s{i}2 f s{i}2"]
-        lts = parse_lts("\n".join(lines))
+        lts = parse_lts(selfloop_product())
         report = synthesize_wpi(lts, SynthesisConfig(selfloop_cap=1))
         assert report.outcome == "cap-exceeded"
         assert report.cap == "selfloop-cap"
@@ -784,6 +789,64 @@ class TestRareBracExits:
                     "--report", str(report)]) == 1
         assert json.loads(report.read_text())["witness"]["kind"] == kind
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+class TestRareWpiAndCapExits:
+    """Report bytes and exit codes of the WPI exits and cap reports that
+    no digest input reaches.
+
+    On the fixtures and ``random_lts(0..299, 24, 6)`` no WPI run fails
+    verification or fails after more than one interpretation, and no cap
+    report is pinned.  With verification forced to fail, fig1 fails after
+    its one interpretation, and brac7 after all 8, reporting the ``essp``
+    witness of the all-disjoint one.  The self-loop product exceeds a
+    self-loop cap of 1, and ``random_lts(331, 8, 4)`` a combination cap
+    of 2.  Each case pins the SHA-256 of its ``synth --report`` bytes.
+    """
+
+    CASES = {
+        "wpi/fig1/verification": (
+            lambda: (FIXTURES / "fig1.lts").read_text(), "wpi", [],
+            _fail_verification, 1,
+            "b7f16a3194799614ae60694335c03981"
+            "4af565915a609393ffc445138a24e1b8"),
+        "wpi/brac7/verification": (
+            lambda: (FIXTURES / "brac7.lts").read_text(), "wpi", [],
+            _fail_verification, 1,
+            "95992e6a5a1f97654e31a4f4294963fd"
+            "709bc96afd63e4727f41efbe7df24806"),
+        "wpi/product/selfloop-cap": (
+            selfloop_product, "wpi", ["--selfloop-cap", "1"], None, 3,
+            "19f0b1e2dd6bfa3ebb09699931029607"
+            "d6633e22c42f4de5bea6c87167e887db"),
+        "brac/random_lts/331/ssp-combo-cap": (
+            lambda: serialize_lts(random_lts(331, 8, 4)), "brac",
+            ["--ssp-combo-cap", "2"], None, 3,
+            "d0c144d129b6aa7939d016b2c9fc21db"
+            "95fa434c476d0d26246934d216b48590"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_pinned(self, case, monkeypatch, tmp_path):
+        text, target, extra, force, code, digest = self.CASES[case]
+        lts_file, report = tmp_path / "in.lts", tmp_path / "report.json"
+        lts_file.write_text(text())
+        if force is not None:
+            force(monkeypatch)
+        assert run(["synth", str(lts_file), "--class", target,
+                    "-o", str(tmp_path / "out.pn"),
+                    "--report", str(report), *extra]) == code
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+    def test_wpi_verification_exits(self, monkeypatch):
+        _fail_verification(monkeypatch)
+        fig1 = parse_lts((FIXTURES / "fig1.lts").read_text())
+        brac7 = parse_lts((FIXTURES / "brac7.lts").read_text())
+        single, every = synthesize_wpi(fig1), synthesize_wpi(brac7)
+        assert single.witness["kind"] == "verification"
+        assert (single.interpretations_tried, single.regions) == (1, [])
+        assert every.witness["kind"] == "essp"
+        assert (every.interpretations_tried, every.regions) == (8, [])
 
 
 RING_REPORT = ("c9c7f2f0e3047af680a57e7f61bf5a9b"
