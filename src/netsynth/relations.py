@@ -467,9 +467,10 @@ def resolve_inclusion_matching(candidates: Iterable[tuple[int, int]]) \
     match_left: dict[int, int] = {}
     match_right: dict[int, int] = {}
     INF = float("inf")
+    dist: dict[int, float] = {}
 
     def bfs() -> bool:
-        dist = {}
+        dist.clear()
         queue = deque()
         for u in lefts:
             if u not in match_left:
@@ -489,11 +490,9 @@ def resolve_inclusion_matching(candidates: Iterable[tuple[int, int]]) \
                 elif dist.get(w, INF) == INF:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        bfs.dist = dist  # type: ignore[attr-defined]
         return found != INF
 
     def dfs(u: int) -> bool:
-        dist = bfs.dist  # type: ignore[attr-defined]
         for v in adj[u]:
             w = match_right.get(v)
             if w is None or (dist.get(w, INF) == dist[u] + 1 and dfs(w)):

@@ -17,8 +17,9 @@ separations that no free-choice place can solve.  Without a choice
 block, the first state pair that no free-choice place separates is the
 failure, and no later pair is tried.
 
-A stage that proves no net exists, or hits a cap, raises ``_Unsolvable``;
-each pipeline catches it in one place and builds its failure report there.
+A stage that proves no net exists, or hits a cap, raises ``_Unsolvable``.
+One frame, `_synthesize`, validates, runs the relation stage, catches
+``_Unsolvable``, reports and prunes for both pipelines.
 Every reported success has been re-verified: the reachability graph of the
 output is isomorphic to the input, which firing the net along the input
 shows without building the graph, and the net lies in the target class.
@@ -295,6 +296,34 @@ def _candidates(ctx: SystemContext, reps: list[int],
     return systems
 
 
+def _interpret(lts: Lts, graph: RelationGraph,
+               pairs: list[tuple[int, int]]) -> list[tuple[str, str, str]]:
+    """Each doi pair's label names and its edge kind in ``graph``."""
+    return [(lts.labels[lo], lts.labels[hi], graph.edge(lo, hi).kind)
+            for lo, hi in pairs]
+
+
+def _synthesize(lts: Lts, cfg: Optional[SynthesisConfig], target: str,
+                solve: Callable[[Lts, SynthesisConfig, RelationGraph,
+                                 SynthesisReport], None]) -> SynthesisReport:
+    """Validate ``lts``, relate its labels and let ``solve`` fill in the
+    report, raising ``_Unsolvable`` if it fails; prune a success."""
+    cfg = cfg or SynthesisConfig()
+    validate(lts).raise_if_invalid()
+    report = SynthesisReport(FAILURE, target)
+    try:
+        graph = relation_stage(build_relation_graph(lts), brac=target == BRAC)
+        if isinstance(graph, Contradiction):
+            raise _Unsolvable(_contradiction_witness(graph, lts.labels))
+        solve(lts, cfg, graph, report)
+    except _Unsolvable as exc:
+        report.outcome = CAP_EXCEEDED if exc.cap else FAILURE
+        report.witness, report.cap = exc.witness, exc.cap
+        return report
+    report.outcome = SUCCESS
+    return _maybe_prune(report, lts, cfg)
+
+
 def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
         -> SynthesisReport:
     """Synthesis towards weighted comparable presets.
@@ -305,59 +334,47 @@ def synthesize_wpi(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     solution lifts to an integer region.  The first interpretation whose
     regions verify wins.
     """
-    cfg = cfg or SynthesisConfig()
-    validate(lts).raise_if_invalid()
-    tried = 0
-    try:
-        graph = relation_stage(build_relation_graph(lts), brac=False)
-        if isinstance(graph, Contradiction):
-            raise _Unsolvable(_contradiction_witness(graph, lts.labels))
-        doi_pairs = graph.doi_edges()
-        if len(doi_pairs) > cfg.selfloop_cap:
-            raise _Unsolvable(cap="selfloop-cap")
-        ctx = _prepare(lts)
+    return _synthesize(lts, cfg, WPI, _solve_wpi)
 
-        reps = sorted(graph.classes)
-        # event separations first, each at its class representative only
-        essps = [ESSP(s, a) for s in range(len(lts.states))
-                 for a in range(len(lts.labels))
-                 if a not in lts.enabled[s] and graph.rep[a] == a]
 
-        first_witness: Optional[dict] = None
-        for mask in _interpretation_order(len(doi_pairs)):
-            tried += 1
-            resolved = graph.resolved(doi_pairs, [
-                pair for i, pair in enumerate(doi_pairs) if mask >> i & 1])
-            systems = _candidates(ctx, reps,
-                                  partial(essp_system_wpi, ctx, resolved),
-                                  partial(ssp_system_wpi, ctx, resolved))
-            pool: list[Region] = []
-            try:
-                problems = itertools.chain(
-                    essps, StatePartition(len(lts.states)).pairs(pool))
-                unsolved = next(_separate(ctx, pool, problems, systems),
-                                None)
-                if unsolved is not None:
-                    problem, tags = unsolved
-                    raise _Unsolvable(_problem_witness(problem, lts, tags))
-                net, record = _verified_net(lts, pool, WPI)
-                if not record.ok:
-                    raise _Unsolvable(_verification_witness(record))
-            except _Unsolvable as exc:
-                first_witness = first_witness or exc.witness
-                continue
-            interp = [(lts.labels[lo], lts.labels[hi],
-                       resolved.edge(lo, hi).kind) for lo, hi in doi_pairs]
-            report = SynthesisReport(SUCCESS, WPI, net=net, regions=pool,
-                                     interpretation=interp,
-                                     verification=record,
-                                     interpretations_tried=tried)
-            return _maybe_prune(report, lts, cfg)
-        raise _Unsolvable(first_witness)
-    except _Unsolvable as exc:
-        return SynthesisReport(CAP_EXCEEDED if exc.cap else FAILURE, WPI,
-                               witness=exc.witness, cap=exc.cap,
-                               interpretations_tried=tried)
+def _solve_wpi(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
+               report: SynthesisReport) -> None:
+    """The WPI stages; a failure reports the first interpretation's witness."""
+    doi_pairs = graph.doi_edges()
+    if len(doi_pairs) > cfg.selfloop_cap:
+        raise _Unsolvable(cap="selfloop-cap")
+    ctx = _prepare(lts)
+
+    reps = sorted(graph.classes)
+    # event separations first, each at its class representative only
+    essps = [ESSP(s, a) for s in range(len(lts.states))
+             for a in range(len(lts.labels))
+             if a not in lts.enabled[s] and graph.rep[a] == a]
+
+    first_witness: Optional[dict] = None
+    for mask in _interpretation_order(len(doi_pairs)):
+        report.interpretations_tried += 1
+        resolved = graph.resolved(doi_pairs, [
+            pair for i, pair in enumerate(doi_pairs) if mask >> i & 1])
+        systems = _candidates(ctx, reps,
+                              partial(essp_system_wpi, ctx, resolved),
+                              partial(ssp_system_wpi, ctx, resolved))
+        pool: list[Region] = []
+        problems = itertools.chain(
+            essps, StatePartition(len(lts.states)).pairs(pool))
+        unsolved = next(_separate(ctx, pool, problems, systems), None)
+        if unsolved is not None:
+            witness = _problem_witness(unsolved[0], lts, unsolved[1])
+        else:
+            net, record = _verified_net(lts, pool, WPI)
+            if record.ok:
+                report.net, report.regions = net, pool
+                report.verification = record
+                report.interpretation = _interpret(lts, resolved, doi_pairs)
+                return
+            witness = _verification_witness(record)
+        first_witness = first_witness or witness
+    raise _Unsolvable(first_witness)
 
 
 def _maybe_prune(report: SynthesisReport, lts: Lts,
@@ -368,7 +385,7 @@ def _maybe_prune(report: SynthesisReport, lts: Lts,
     `isomorphic`, and deleting a place keeps the target class: WPI columns
     stay comparable on fewer places, and every other BRAC pair keeps its
     postsets and its block presets ``{p, q}`` or ``{q}``, which lack it."""
-    if not cfg.prune or report.net is None:
+    if not cfg.prune:
         return report
     regions, report.regions = report.regions, []
     for i, region in enumerate(regions):
@@ -427,138 +444,122 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     Without a block, the first state pair that no free-choice place
     separates is the failure, and no later pair is tried.
     """
-    cfg = cfg or SynthesisConfig()
-    validate(lts).raise_if_invalid()
-    # bound when the matching stage starts: earlier failures report neither
-    lam_names: list[tuple[str, str]] = []
-    matching_names: dict[str, str] = {}
-    try:
-        graph = relation_stage(build_relation_graph(lts), brac=True)
-        if isinstance(graph, Contradiction):
-            raise _Unsolvable(_contradiction_witness(graph, lts.labels))
-        ctx = _prepare(lts)
-        reps = sorted(graph.classes)
-        doi_pairs = graph.doi_edges()
-        solid_pairs = graph.included_edges()
-        solid_labels = {x for pair in solid_pairs for x in pair}
-        out_doi = {lo for lo, _ in doi_pairs}
-        in_doi = {hi for _, hi in doi_pairs}
-        if out_doi & in_doi:
-            raise AssertionError("doi chains must be resolved")
+    return _synthesize(lts, cfg, BRAC, _solve_brac)
 
-        pool: list[Region] = []
 
-        def candidates(resolved: RelationGraph):
-            return _candidates(ctx, reps, lambda essp: ctx.system(
-                essp_system_wpi(ctx, resolved, essp).rows, zero_one=True),
-                partial(brac_ssp_system_freechoice, ctx, resolved))
-        # event separation reads every doi edge as disjoint
-        systems = candidates(graph.resolved(doi_pairs))
+def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
+                report: SynthesisReport) -> None:
+    """The BRAC stages; the matching stage and the net fill in the report."""
+    ctx = _prepare(lts)
+    reps = sorted(graph.classes)
+    doi_pairs = graph.doi_edges()
+    solid_pairs = graph.included_edges()
+    solid_labels = {x for pair in solid_pairs for x in pair}
+    out_doi = {lo for lo, _ in doi_pairs}
+    in_doi = {hi for _, hi in doi_pairs}
+    if out_doi & in_doi:
+        raise AssertionError("doi chains must be resolved")
 
-        # feasible inclusion candidates and the shared region of each
-        lam: dict[tuple[int, int], Region] = {}
-        gate_regions: dict[int, list[Region]] = {}
+    pool: list[Region] = []
 
-        # event separation, representative label by label
-        for a in reps:
-            if a in solid_labels:
-                continue
-            own: list[Region] = []
-            unsolved = next(_separate(
-                ctx, own, [ESSP(s, a) for s in range(len(lts.states))
-                           if a not in lts.enabled[s]],
-                systems), None)
-            if unsolved is None:
-                if a in in_doi:
-                    # a doi target may end up matched, in which case the
-                    # block places replace these; pooled after the matching
-                    gate_regions[a] = own
-                else:
-                    pool += own
-                continue
-            essp, tags = unsolved
-            if a not in out_doi:
-                raise _Unsolvable(_problem_witness(essp, lts, tags))
-            # some outgoing doi edge must be a proper inclusion
-            targets = [hi for lo, hi in doi_pairs if lo == a]
-            for hi in targets:
-                shared, _ = brac_block_systems(ctx, graph, (a, hi))
-                region = _region(ctx, shared)
-                if region is not None:
-                    lam[(a, hi)] = region
-            if not any((a, hi) in lam for hi in targets):
-                raise _Unsolvable(_problem_witness(
-                    essp, lts,
-                    ["all-disjoint"] +
-                    [f"inclusion:{lts.labels[hi]}" for hi in targets]))
+    def candidates(resolved: RelationGraph):
+        return _candidates(ctx, reps, lambda essp: ctx.system(
+            essp_system_wpi(ctx, resolved, essp).rows, zero_one=True),
+            partial(brac_ssp_system_freechoice, ctx, resolved))
+    # event separation reads every doi edge as disjoint
+    systems = candidates(graph.resolved(doi_pairs))
 
-        # asymmetric choice blocks from strengthened inclusions
-        blocks = [_brac_block(ctx, graph, pair, pool,
-                              "no single region covers the block's event "
-                              "separations")
-                  for pair in solid_pairs]
+    # feasible inclusion candidates and the shared region of each
+    lam: dict[tuple[int, int], Region] = {}
+    gate_regions: dict[int, list[Region]] = {}
 
-        # inclusion matching for self-loop labels
-        lam_names = [(lts.labels[x], lts.labels[y]) for x, y in lam]
-        matching: dict[int, int] = {}
-        if lam:
-            result = resolve_inclusion_matching(lam)
-            if isinstance(result, MatchingFailure):
-                raise _Unsolvable({
-                    "kind": "matching",
-                    "unmatched": [lts.labels[u] for u in result.unmatched],
-                    "detail": "no inclusion target assignment covers "
-                              "every self-loop needing one"})
-            matching = result
-        matching_names = {lts.labels[k]: lts.labels[v]
-                          for k, v in matching.items()}
-        graph = graph.resolved(doi_pairs, matching.items())
-        for pair in sorted(matching.items()):
-            blocks.append(_brac_block(ctx, graph, pair, pool,
-                                      "no single private region covers "
-                                      "the matched block", shared=lam[pair]))
-            # the block places replace the target's provisional
-            # per-problem regions: its preset may hold at most two places
-            gate_regions.pop(pair[1], None)
-        # no region repeats across stages: a free label's regions consume
-        # its own class only, a block's places lo and hi or hi only, and a
-        # matched target's gate regions are dropped
-        for label in sorted(gate_regions):
-            pool += gate_regions[label]
+    # event separation, representative label by label
+    for a in reps:
+        if a in solid_labels:
+            continue
+        own: list[Region] = []
+        essps = [ESSP(s, a) for s in range(len(lts.states))
+                 if a not in lts.enabled[s]]
+        unsolved = next(_separate(ctx, own, essps, systems), None)
+        if unsolved is None:
+            if a in in_doi:
+                # a doi target may end up matched, in which case the
+                # block places replace these; pooled after the matching
+                gate_regions[a] = own
+            else:
+                pool += own
+            continue
+        essp, tags = unsolved
+        if a not in out_doi:
+            raise _Unsolvable(_problem_witness(essp, lts, tags))
+        # some outgoing doi edge must be a proper inclusion
+        targets = [hi for lo, hi in doi_pairs if lo == a]
+        for hi in targets:
+            shared, _ = brac_block_systems(ctx, graph, (a, hi))
+            region = _region(ctx, shared)
+            if region is not None:
+                lam[(a, hi)] = region
+        if not any((a, hi) in lam for hi in targets):
+            tags = ["all-disjoint"] + [f"inclusion:{lts.labels[hi]}"
+                                       for hi in targets]
+            raise _Unsolvable(_problem_witness(essp, lts, tags))
 
-        # state separation: free-choice first, then block assignment;
-        # only a block could take a leftover, so without one the first
-        # leftover is the failure
-        unsolved = _separate(ctx, pool,
-                             StatePartition(len(lts.states)).pairs(pool),
-                             candidates(graph))
-        if not blocks:
-            first = next(unsolved, None)
-            if first is not None:
-                raise _Unsolvable(_problem_witness(
-                    first[0], lts, ["freechoice:all-labels"]))
-        else:
-            leftovers = [ssp for ssp, _ in unsolved]
-            if leftovers:
-                _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg)
-    except _Unsolvable as exc:
-        return SynthesisReport(CAP_EXCEEDED if exc.cap else FAILURE, BRAC,
-                               witness=exc.witness, cap=exc.cap,
-                               inclusion_candidates=lam_names,
-                               matching=matching_names)
+    # asymmetric choice blocks from strengthened inclusions
+    blocks = [_brac_block(ctx, graph, pair, pool, "no single region covers "
+                          "the block's event separations")
+              for pair in solid_pairs]
+
+    # inclusion matching for self-loop labels
+    report.inclusion_candidates = [(lts.labels[x], lts.labels[y])
+                                   for x, y in lam]
+    matching: dict[int, int] = {}
+    if lam:
+        result = resolve_inclusion_matching(lam)
+        if isinstance(result, MatchingFailure):
+            raise _Unsolvable({
+                "kind": "matching",
+                "unmatched": [lts.labels[u] for u in result.unmatched],
+                "detail": "no inclusion target assignment covers "
+                          "every self-loop needing one"})
+        matching = result
+    report.matching = {lts.labels[k]: lts.labels[v]
+                       for k, v in matching.items()}
+    graph = graph.resolved(doi_pairs, matching.items())
+    for pair in sorted(matching.items()):
+        blocks.append(_brac_block(ctx, graph, pair, pool,
+                                  "no single private region covers "
+                                  "the matched block", shared=lam[pair]))
+        # the block places replace the target's provisional
+        # per-problem regions: its preset may hold at most two places
+        gate_regions.pop(pair[1], None)
+    # no region repeats across stages: a free label's regions consume
+    # its own class only, a block's places lo and hi or hi only, and a
+    # matched target's gate regions are dropped
+    for label in sorted(gate_regions):
+        pool += gate_regions[label]
+
+    # state separation: free-choice first, then block assignment;
+    # only a block could take a leftover, so without one the first
+    # leftover is the failure
+    unsolved = _separate(ctx, pool,
+                         StatePartition(len(lts.states)).pairs(pool),
+                         candidates(graph))
+    if not blocks:
+        first = next(unsolved, None)
+        if first is not None:
+            raise _Unsolvable(_problem_witness(
+                first[0], lts, ["freechoice:all-labels"]))
+    else:
+        leftovers = [ssp for ssp, _ in unsolved]
+        if leftovers:
+            _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg)
 
     net, record = _verified_net(lts, pool, BRAC)
-    report = SynthesisReport(
-        SUCCESS if record.ok else FAILURE, BRAC,
-        net=net if record.ok else None,
-        regions=pool,
-        witness=None if record.ok else _verification_witness(record),
-        interpretation=[(lts.labels[lo], lts.labels[hi],
-                         graph.edge(lo, hi).kind) for lo, hi in doi_pairs],
-        inclusion_candidates=lam_names,
-        matching=matching_names,
-        verification=record)
-    return _maybe_prune(report, lts, cfg) if record.ok else report
+    report.regions, report.verification = pool, record
+    report.interpretation = _interpret(lts, graph, doi_pairs)
+    if not record.ok:
+        raise _Unsolvable(_verification_witness(record))
+    report.net = net
 
 
 def _assign_ssps_to_blocks(ctx: SystemContext, pool: list[Region],
