@@ -68,6 +68,13 @@ class Lts:
         return tuple(frozenset(t for _, t, _ in es) for es in self.out_edges)
 
     @cached_property
+    def label_masks(self) -> tuple[int, ...]:
+        """Per state, the sum of ``1 << a`` over its outgoing labels ``a``,
+        or -1 where two of its edges share a label."""
+        return tuple(sum(1 << t for t in en) if len(en) == len(es) else -1
+                     for en, es in zip(self.enabled, self.out_edges))
+
+    @cached_property
     def enabled_states(self) -> tuple[frozenset[int], ...]:
         """Per label, the set of states enabling it."""
         out: list[set[int]] = [set() for _ in self.labels]

@@ -2,8 +2,21 @@
 predicates, LTS isomorphism and realisation, text format and dot
 rendering.
 
-Firing reads one table per net, built once: each transition's preset and
-its effect, added to the marking (the state equation; Murata 1989).
+`reachability_graph` and `realises` fire through one kernel, `_kernel`,
+that packs a marking into one int (Lamport, CACM 18(8), 1975): place p
+holds a field of w bits at bit p·w, topped by a guard bit.  Both fire
+only from the first ``depth`` markings of a breadth-first walk (``cap``
+and |S|), the k-th of which lies at most k firings from m0.  With g the
+largest positive effect of a transition on a place, w =
+bound.bit_length() + 1 for bound = max(max(m0) + depth·g, largest arc
+weight).  Only enabled transitions fire, so no field goes negative or
+past bound < 2^(w-1), and firing t is ``m + eff[t]`` (the state
+equation; Murata 1989).  With every guard bit set (``guards``),
+subtracting a packed preset ``need[u]`` borrows across no field, so u is
+enabled iff ``((m | guards) - need[u]) & guard[u] == guard[u]``.  A
+marking reached by t keeps its parent's enabled mask but at ``hit[t]``,
+the transitions whose preset meets a place t changes; only those are
+tested again (Wolf, ICATPN 2007).
 
 The `.pn` text format: `#` comments, `place <name> <tokens>`,
 `transition <name>`, `arc <from> <to> [weight]` with the direction inferred
@@ -15,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from netsynth.lts import Lts
 
@@ -53,8 +66,10 @@ class PetriNet:
     m0: Marking
 
     def __post_init__(self):
-        if set(self.places) & set(self.transitions):
-            raise PetriNetError("place and transition names overlap")
+        names = self.places + self.transitions
+        if len(set(names)) < len(names):
+            raise PetriNetError("place and transition names overlap or "
+                                "repeat")
         if len(self.m0) != len(self.places):
             raise PetriNetError("initial marking size mismatch")
         for w in list(self.consume.values()) + list(self.produce.values()):
@@ -70,37 +85,75 @@ class PetriNet:
         return self.consume.get((p, t), 0)
 
     @cached_property
-    def firing_table(self) -> tuple[tuple[tuple, tuple], ...]:
-        """Per transition, in place order: its preset as ``(place, weight)``
-        pairs and its nonzero effect as ``(place, produce - consume)``."""
-        presets: list[list[tuple[int, int]]] = [[] for _ in self.transitions]
-        change = [[0] * len(self.places) for _ in self.transitions]
-        for (p, t), w in sorted(self.consume.items()):
-            presets[t].append((p, w))
-            change[t][p] -= w
-        for (t, p), w in self.produce.items():
-            change[t][p] += w
-        delta = [tuple((p, d) for p, d in enumerate(c) if d) for c in change]
-        return tuple(zip(map(tuple, presets), delta))
-
-    @cached_property
     def preset_of_transition(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(p for p, _ in preset)
-                     for preset, _ in self.firing_table)
+        presets: list[set[int]] = [set() for _ in self.transitions]
+        for p, t in self.consume:
+            presets[t].add(p)
+        return tuple(map(frozenset, presets))
 
 
 def fire(net: PetriNet, m: Marking, t: int) -> Marking:
     """Fire transition ``t``; raises naming the first blocking place."""
-    preset, effect = net.firing_table[t]
-    for p, w in preset:
-        if m[p] < w:
+    out = []
+    for p, x in enumerate(m):
+        w = net.consume.get((p, t), 0)
+        if x < w:
             raise PetriNetError(
                 f"transition {net.transitions[t]!r} not enabled: place "
-                f"{net.places[p]!r} holds {m[p]} < {w}")
-    out = list(m)
-    for p, d in effect:
-        out[p] += d
+                f"{net.places[p]!r} holds {x} < {w}")
+        out.append(x - w + net.produce.get((t, p), 0))
     return tuple(out)
+
+
+def _kernel(net: PetriNet, order: Sequence[int], depth: int):
+    """Packed firing of ``net`` up to ``depth`` firings from m0, with mask
+    bit ``i`` for transition ``order[i]`` (no transition twice): the
+    packed m0, its enabled mask, the packed effects in bit order, and
+    ``after(m, en, i)``, the mask of ``m`` reached by bit ``i`` from a
+    marking whose mask is ``en``."""
+    consume, produce = net.consume, net.produce
+    g = max([0] + [x - consume.get((p, t), 0)
+                   for (t, p), x in produce.items()])
+    bound = max([max(net.m0, default=0) + depth * g,
+                 *consume.values(), *produce.values()])
+    w = bound.bit_length() + 1
+    unit = [1 << (p * w) for p in range(len(net.places))]
+    bit = {t: i for i, t in enumerate(order)}
+    need, guard, eff = [0] * len(order), [0] * len(order), [0] * len(order)
+    consumers, changes = [[] for _ in unit], [[] for _ in order]
+    for (p, t), x in consume.items():
+        i = bit[t]
+        need[i] += x * unit[p]
+        guard[i] += unit[p] << (w - 1)
+        consumers[p].append(i)
+        if produce.get((t, p)) != x:
+            changes[i].append(p)
+    for (t, p), x in produce.items():
+        eff[bit[t]] += x * unit[p]
+        if consume.get((p, t)) != x:
+            changes[bit[t]].append(p)
+    eff = [e - x for e, x in zip(eff, need)]
+    tests = [(1 << i, x, y) for i, (x, y) in enumerate(zip(need, guard))]
+    guards = sum(unit) << (w - 1)
+    # per bit i the tests of hit[i], built on first use; the entry past
+    # the last bit holds every test, for m0
+    hits = [None] * len(order) + [tests]
+
+    def after(m: int, en: int, i: int) -> int:
+        hit = hits[i]
+        if hit is None:
+            hit = hits[i] = [tests[j] for j in {
+                j for p in changes[i] for j in consumers[p]}]
+        m |= guards
+        for b, need_b, guard_b in hit:
+            if (m - need_b) & guard_b == guard_b:
+                en |= b
+            else:
+                en &= ~b
+        return en
+
+    m0 = sum([x * u for x, u in zip(net.m0, unit)])
+    return m0, after(m0, 0, len(order)), eff, after
 
 
 def reachability_graph(net: PetriNet, cap: int = 100_000) -> Lts:
@@ -108,32 +161,32 @@ def reachability_graph(net: PetriNet, cap: int = 100_000) -> Lts:
 
     States are named m0, m1, ... in discovery order, making the result
     stable for isomorphism checks; labels are the transitions that actually
-    fire, in first-firing order.
+    fire, in first-firing order.  Each marking fires its enabled
+    transitions in index order.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    index: dict[Marking, int] = {net.m0: 0}
-    order: list[Marking] = [net.m0]
+    m0, en0, eff, after = _kernel(net, range(len(net.transitions)), cap)
+    index = {m0: 0}
+    order = [m0]
+    enabled = [en0]
     edges: list[tuple[int, int, int]] = []
     labels: dict[int, int] = {}
     # ``order`` grows while it is walked, so ``s`` is the BFS head
     for s, m in enumerate(order):
-        for t, (preset, effect) in enumerate(net.firing_table):
-            for p, w in preset:
-                if m[p] < w:
-                    break
-            else:
-                out = list(m)
-                for p, d in effect:
-                    out[p] += d
-                m2 = tuple(out)
-                s2 = index.get(m2)
-                if s2 is None:
-                    if len(order) >= cap:
-                        raise CapExceeded(cap)
-                    s2 = index[m2] = len(order)
-                    order.append(m2)
-                edges.append((s, labels.setdefault(t, len(labels)), s2))
+        en = rest = enabled[s]
+        while rest:
+            t = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            m2 = m + eff[t]
+            s2 = index.get(m2)
+            if s2 is None:
+                if len(order) >= cap:
+                    raise CapExceeded(cap)
+                s2 = index[m2] = len(order)
+                order.append(m2)
+                enabled.append(after(m2, en, t))
+            edges.append((s, labels.setdefault(t, len(labels)), s2))
     return Lts(states=tuple(f"m{i}" for i in range(len(order))),
                labels=tuple(net.transitions[t] for t in labels),
                edges=tuple(edges),
@@ -286,48 +339,40 @@ def realises(net: PetriNet, lts: Lts) -> bool:
     fails when a transition's enabledness at a state's marking differs
     from the state's labels, when a successor marking differs from the one
     its state already holds, when two states get the same marking, when a
-    state is never reached, when a label has no transition of that name
-    or labels no edge, or when a state has two edges of one label.  A
-    walk that passes is the isomorphism: the net then reaches exactly the
-    assigned markings (Badouel, Bernardinello and Darondeau, "Petri Net
-    Synthesis", Springer 2015).
+    state is never reached, when a label has no transition of that name,
+    shares its name or labels no edge, or when a state has two edges of
+    one label.  A walk that passes is the isomorphism: the net then
+    reaches exactly the assigned markings (Badouel, Bernardinello and
+    Darondeau, "Petri Net Synthesis", Springer 2015).
     """
     by_name = {name: t for t, name in enumerate(net.transitions)}
     fires = [by_name.get(name) for name in lts.labels]
-    if None in fires or len({a for _, a, _ in lts.edges}) < len(lts.labels):
+    if None in fires or len(set(fires)) < len(fires) or \
+            not all(lts.enabled_states):
         return False
-    marking: list[Optional[Marking]] = [None] * len(lts.states)
-    marking[lts.initial] = net.m0
-    seen = {net.m0}
+    unnamed = [t for t in range(len(net.transitions)) if t not in fires]
+    m0, en0, eff, after = _kernel(net, fires + unnamed, len(lts.states))
+    wanted = lts.label_masks
+    marking: list[Optional[int]] = [None] * len(lts.states)
+    enabled = [0] * len(lts.states)
+    marking[lts.initial], enabled[lts.initial] = m0, en0
+    seen = {m0}
     queue = [lts.initial]
     # ``queue`` grows while it is walked
     for s in queue:
-        m = marking[s]
-        succ = {fires[a]: s2 for _, a, s2 in lts.out_edges[s]}
-        if len(succ) < len(lts.out_edges[s]):
+        m, en = marking[s], enabled[s]
+        if en != wanted[s]:
             return False
-        for t, (preset, effect) in enumerate(net.firing_table):
-            for p, w in preset:
-                if m[p] < w:
-                    if t in succ:
-                        return False
-                    break
-            else:
-                s2 = succ.get(t)
-                if s2 is None:
+        for _, a, s2 in lts.out_edges[s]:
+            m2 = m + eff[a]
+            if marking[s2] is None:
+                if m2 in seen:
                     return False
-                out = list(m)
-                for p, d in effect:
-                    out[p] += d
-                m2 = tuple(out)
-                if marking[s2] is None:
-                    if m2 in seen:
-                        return False
-                    marking[s2] = m2
-                    seen.add(m2)
-                    queue.append(s2)
-                elif marking[s2] != m2:
-                    return False
+                marking[s2], enabled[s2] = m2, after(m2, en, a)
+                seen.add(m2)
+                queue.append(s2)
+            elif marking[s2] != m2:
+                return False
     return len(queue) == len(lts.states)
 
 

@@ -128,6 +128,17 @@ class TestValidate:
         assert [lts.states[s] for s in report.unreachable_states] == ["s9"]
 
 
+class TestLabelMasks:
+    def test_masks_are_the_enabled_labels(self, fig1):
+        assert fig1.label_masks == tuple(sum(1 << a for a in labels)
+                                         for labels in fig1.enabled)
+
+    def test_two_edges_of_one_label_read_minus_one(self):
+        lts = Lts(states=("s0", "s1"), labels=("a", "b"),
+                  edges=((0, 0, 0), (0, 0, 1), (1, 1, 0)), initial=0)
+        assert lts.label_masks == (-1, 2)
+
+
 class TestSpanningTree:
     def test_fig1_depth_one(self, fig1):
         tree = spanning_tree(fig1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from netsynth.petri import (CapExceeded, Mismatch, PetriNet, PetriNetError,
                             serialize_net)
 
 from conftest import FIXTURES, load_net
+from test_verification_digests import without_place
 
 REACHABILITY_DIGESTS = json.loads(
     (FIXTURES / "reachability_digests.json").read_text())
@@ -233,6 +235,130 @@ class TestRealises:
                   edges=((0, 0, 0), (0, 0, 1)), initial=0)
         assert not realises(net, lts)
 
+    def test_two_labels_of_one_name_are_not_realised(self):
+        # the net fires a twice, as each label once; a net's graph never
+        # has two labels of one name
+        net = parse_net("place p 2\ntransition a\narc p a\n")
+        lts = Lts(states=("s0", "s1", "s2"), labels=("a", "a"),
+                  edges=((0, 0, 1), (1, 1, 2)), initial=0)
+        assert not realises(net, lts)
+
+    @pytest.mark.parametrize("tokens", [0, 1])
+    def test_transition_order_is_not_label_order(self, fig1, fig1_net,
+                                                 tokens):
+        # transitions in reverse label order, plus one that no label names:
+        # dead without tokens in its place, fireable with one
+        nt, np_ = len(fig1_net.transitions), len(fig1_net.places)
+        net = PetriNet(
+            fig1_net.places + ("pz",),
+            tuple(reversed(fig1_net.transitions)) + ("zz",),
+            {**{(p, nt - 1 - t): w for (p, t), w in fig1_net.consume.items()},
+             (np_, nt): 1},
+            {(nt - 1 - t, p): w for (t, p), w in fig1_net.produce.items()},
+            fig1_net.m0 + (tokens,))
+        assert net.transitions[:nt] != fig1.labels
+        assert realises(net, fig1) == (tokens == 0)
+        assert walk_agrees(net, fig1)
+
+
+def tuple_graph(net, cap):
+    """The reachability graph by a plain BFS over tuple markings, testing
+    every transition at every marking: the reference for the kernel."""
+    places = range(len(net.places))
+    index = {net.m0: 0}
+    order = [net.m0]
+    edges, labels = [], {}
+    for s, m in enumerate(order):
+        for t in range(len(net.transitions)):
+            if any(m[p] < net.consume.get((p, t), 0) for p in places):
+                continue
+            m2 = tuple(m[p] - net.consume.get((p, t), 0)
+                       + net.produce.get((t, p), 0) for p in places)
+            if m2 not in index:
+                if len(order) >= cap:
+                    raise CapExceeded(cap)
+                index[m2] = len(order)
+                order.append(m2)
+            edges.append((s, labels.setdefault(t, len(labels)), index[m2]))
+    return Lts(states=tuple(f"m{i}" for i in range(len(order))),
+               labels=tuple(net.transitions[t] for t in labels),
+               edges=tuple(edges), initial=0)
+
+
+def outcome(graph, net, cap):
+    try:
+        return graph(net, cap)
+    except CapExceeded as exc:
+        return ("CapExceeded", exc.cap)
+
+
+def walk_agrees(net, lts):
+    """Whether `realises` says what `isomorphic` says of the reference
+    graph explored to |S| + 1 markings (a larger graph reads as no)."""
+    graph = outcome(tuple_graph, net, len(lts.states) + 1)
+    expected = isinstance(graph, Lts) and \
+        isinstance(isomorphic(lts, graph), dict)
+    return realises(net, lts) == expected
+
+
+EDGE_NETS = {
+    # 2**70 tokens: fields far wider than a machine word
+    "huge-tokens": PetriNet(("p", "q", "r"), ("t", "u", "v"),
+                            {(0, 0): 2**69, (1, 1): 1, (2, 2): 1},
+                            {(0, 1): 1, (1, 0): 2**69, (2, 2): 1},
+                            (2**70, 0, 1)),
+    "heavy-arcs": PetriNet(("p", "q"), ("t", "u"),
+                           {(0, 0): 2**40, (1, 1): 2**40},
+                           {(0, 1): 2**40, (1, 0): 2**40},
+                           (3 * 2**40, 0)),
+    # unbounded, with a transition of empty preset: at cap c the last
+    # fired marking puts 1 + 3c on p, the most any computed marking can
+    # hold, and at c = 2 and c = 10 that fills a field (7 and 31)
+    "counter": PetriNet(("p", "q"), ("t", "u", "v"),
+                        {(0, 1): 1, (1, 2): 1},
+                        {(0, 0): 3, (1, 0): 1, (2, 1): 1}, (1, 1)),
+    # the same count with a budget: a chain of seven markings
+    "budget": PetriNet(("p", "b"), ("t", "u"), {(1, 0): 1, (0, 1): 1},
+                       {(0, 0): 3, (1, 0): 1}, (1, 6)),
+    # s has no arcs at all
+    "empty-preset": PetriNet(("p", "q"), ("s", "u"), {(0, 1): 1},
+                             {(1, 1): 1}, (1, 0)),
+    "no-places": PetriNet((), ("a", "b"), {}, {}, ()),
+}
+
+
+class TestPackedKernel:
+    """`reachability_graph` and `realises` against a tuple-marking BFS."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_NETS))
+    def test_same_graph_and_cap(self, name):
+        net = EDGE_NETS[name]
+        for cap in range(1, 12):
+            assert outcome(reachability_graph, net, cap) == \
+                outcome(tuple_graph, net, cap), cap
+
+    def test_realises_on_the_edge_nets(self):
+        graphs = [outcome(tuple_graph, net, 12) for net in EDGE_NETS.values()]
+        for net in EDGE_NETS.values():
+            for lts in graphs:
+                if isinstance(lts, Lts):
+                    assert walk_agrees(net, lts)
+
+    def test_realises_on_one_step_changes(self):
+        checked = 0
+        for i in range(100):
+            net = random_brac_net(i)
+            lts = reachability_graph(net, 2000)
+            variants = [without_place(net, p) for p in range(len(net.places))]
+            variants += [replace(net, m0=net.m0[:p] + (x + d,)
+                                 + net.m0[p + 1:])
+                         for p, x in enumerate(net.m0) for d in (-1, 1)
+                         if x + d >= 0]
+            for variant in [net] + variants:
+                assert walk_agrees(variant, lts), (i, variant)
+                checked += 1
+        assert checked > 1000
+
 
 class TestArcRange:
     """Arc keys index ``places`` and ``transitions``; a negative or too
@@ -252,6 +378,13 @@ class TestNetChecks:
     def test_overlapping_names_rejected(self):
         with pytest.raises(PetriNetError, match="names overlap"):
             PetriNet(("x",), ("x",), {}, {}, (0,))
+
+    @pytest.mark.parametrize("places, transitions", [
+        (("p", "p"), ("a",)), (("p", "q"), ("a", "a"))],
+        ids=["places", "transitions"])
+    def test_repeated_names_rejected(self, places, transitions):
+        with pytest.raises(PetriNetError, match="names overlap or repeat"):
+            PetriNet(places, transitions, {}, {}, (0, 0))
 
     def test_marking_size_mismatch_rejected(self):
         with pytest.raises(PetriNetError, match="size mismatch"):
