@@ -1,9 +1,9 @@
 """Lint: `reachability_graph` and `realises` fire through one kernel.
 
 ``petri._kernel`` packs markings into ints and tests enabledness by guard
-bits.  Each walk calls it once and reads no firing table, preset or
-effect of its own, and every shift and every guard test in
-``src/netsynth/petri.py`` lies inside ``_kernel``.
+bits.  Each walk calls it once and reads no arcs, preset or effect of its
+own, and every shift and every guard test in ``src/netsynth/petri.py``
+lies inside ``_kernel``.
 """
 
 import ast
