@@ -63,24 +63,26 @@ class Lts:
         return tuple(tuple(es) for es in out)
 
     @cached_property
-    def enabled(self) -> tuple[frozenset[int], ...]:
-        """Per state, the set of labels with an outgoing edge."""
-        return tuple(frozenset(t for _, t, _ in es) for es in self.out_edges)
-
-    @cached_property
     def label_masks(self) -> tuple[int, ...]:
         """Per state, the sum of ``1 << a`` over its outgoing labels ``a``,
-        or -1 where two of its edges share a label."""
-        return tuple(sum(1 << t for t in en) if len(en) == len(es) else -1
-                     for en, es in zip(self.enabled, self.out_edges))
+        or -1 where two of its edges share a label.  Bit ``a`` stands for
+        label ``a``, so a mask is |labels| bits wide."""
+        masks = []
+        for es in self.out_edges:
+            mask = 0
+            for _, t, _ in es:
+                mask |= 1 << t
+            masks.append(mask if mask.bit_count() == len(es) else -1)
+        return tuple(masks)
 
     @cached_property
-    def enabled_states(self) -> tuple[frozenset[int], ...]:
-        """Per label, the set of states enabling it."""
-        out: list[set[int]] = [set() for _ in self.labels]
+    def state_masks(self) -> tuple[int, ...]:
+        """Per label, the sum of ``1 << s`` over the states ``s`` enabling
+        it, |states| bits wide."""
+        masks = [0] * len(self.labels)
         for s, t, _ in self.edges:
-            out[t].add(s)
-        return tuple(frozenset(x) for x in out)
+            masks[t] |= 1 << s
+        return tuple(masks)
 
     @cached_property
     def successor(self) -> dict[tuple[int, int], int]:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from netsynth.lts import Lts
@@ -215,7 +216,7 @@ class NetClass:
         return getattr(self, name.lower())
 
 
-def _comparable(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+def _comparable(u: Sequence[int], v: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(u, v)) or \
         all(a >= b for a, b in zip(u, v))
 
@@ -227,8 +228,10 @@ def classify_net(net: PetriNet) -> NetClass:
     consumer and one producer per place.
     """
     np_, nt = len(net.places), len(net.transitions)
-    col = [tuple(net.w_in(p, t) for p in range(np_)) for t in range(nt)]
-    row = [tuple(net.w_in(p, t) for t in range(nt)) for p in range(np_)]
+    col = [[0] * np_ for _ in range(nt)]
+    row = [[0] * nt for _ in range(np_)]
+    for (p, t), w in net.consume.items():
+        col[t][p] = row[p][t] = w
     tpre = net.preset_of_transition
     ppost = [frozenset(t for t, w in enumerate(r) if w) for r in row]
 
@@ -290,6 +293,11 @@ class Mismatch:
     label: Optional[str] = None
 
 
+def _labels_at(lts: Lts, s: int) -> set[str]:
+    mask = lts.label_masks[s]
+    return {name for t, name in enumerate(lts.labels) if mask >> t & 1}
+
+
 def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     """Forced bijection between two deterministic reachable systems.
 
@@ -307,8 +315,7 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     while head < len(queue):
         s1, s2 = queue[head]
         head += 1
-        en1 = {lts.labels[t] for t in lts.enabled[s1]}
-        en2 = {other.labels[t] for t in other.enabled[s2]}
+        en1, en2 = _labels_at(lts, s1), _labels_at(other, s2)
         if en1 != en2:
             diff = sorted((en1 ^ en2))[0]
             return Mismatch("enabled labels differ", (s1, s2), diff)
@@ -347,12 +354,15 @@ def realises(net: PetriNet, lts: Lts) -> bool:
     """
     by_name = {name: t for t, name in enumerate(net.transitions)}
     fires = [by_name.get(name) for name in lts.labels]
-    if None in fires or len(set(fires)) < len(fires) or \
-            not all(lts.enabled_states):
+    wanted = lts.label_masks
+    # a label on no edge leaves a bit of the masks' union unset, and a
+    # state with two edges of one label (mask -1) makes the union -1
+    used = reduce(or_, wanted, 0)
+    if None in fires or len(set(fires)) < len(fires) or used < 0 or \
+            used.bit_count() < len(fires):
         return False
     unnamed = [t for t in range(len(net.transitions)) if t not in fires]
     m0, en0, eff, after = _kernel(net, fires + unnamed, len(lts.states))
-    wanted = lts.label_masks
     marking: list[Optional[int]] = [None] * len(lts.states)
     enabled = [0] * len(lts.states)
     marking[lts.initial], enabled[lts.initial] = m0, en0

@@ -179,15 +179,14 @@ class RelationGraph:
                       if e.kind == INCLUDED)
 
 
-def _pair_kind(lts: Lts, a: int, b: int) -> str:
-    """Enabledness relation of labels ``a`` and ``b``: how the sets of
-    states enabling them compare."""
-    ea, eb = lts.enabled_states[a], lts.enabled_states[b]
+def _pair_kind(ea: int, eb: int) -> str:
+    """Enabledness relation of two labels whose enabling states are the
+    bits of ``ea`` and ``eb``: how the two state sets compare."""
     if ea == eb:
         return EQUIV
-    if ea < eb:
+    if not ea & ~eb:
         return A_GTR_B
-    if eb < ea:
+    if not eb & ~ea:
         return B_GTR_A
     return INTERLEAVE
 
@@ -195,21 +194,25 @@ def _pair_kind(lts: Lts, a: int, b: int) -> str:
 def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
     """Enabledness relation and deactivation flag of labels ``a`` and ``b``.
 
-    Computed by a direct scan of the per-state enabled-label sets; the
-    reference for `pair_relations`, which finds every deactivating pair
-    in one pass.
+    Computed by a direct scan of the edges and the (state, label) ->
+    target map, with no mask; the reference for `pair_relations`, which
+    finds every deactivating pair in one pass.
     """
     if a == b:
         raise ValueError("pair relation requires two distinct labels")
-    kind = _pair_kind(lts, a, b)
-    ea, eb = lts.enabled_states[a], lts.enabled_states[b]
-    merge = False
-    for s in ea & eb:
-        sa = lts.successor[(s, a)]
-        sb = lts.successor[(s, b)]
-        if a not in lts.enabled[sb] or b not in lts.enabled[sa]:
-            merge = True
-            break
+    succ = lts.successor
+    ea = {s for s, t, _ in lts.edges if t == a}
+    eb = {s for s, t, _ in lts.edges if t == b}
+    if ea == eb:
+        kind = EQUIV
+    elif ea < eb:
+        kind = A_GTR_B
+    elif eb < ea:
+        kind = B_GTR_A
+    else:
+        kind = INTERLEAVE
+    merge = any((succ[(s, b)], a) not in succ or (succ[(s, a)], b) not in succ
+                for s in ea & eb)
     return PairRelation(kind, merge)
 
 
@@ -225,23 +228,24 @@ def classify_case(rel: PairRelation) -> int:
 def pair_relations(lts: Lts) \
         -> Iterator[tuple[tuple[int, int], PairRelation]]:
     """Every label pair ``(a, b)``, ``a < b``, in index order, with its
-    `PairRelation`.
+    `PairRelation`, over a deterministic LTS.
 
-    The deactivating pairs come from one pass over the (state, label) ->
-    target map: the labels enabled at the state but not at the target
-    are the ones the label disables.
+    The deactivating pairs come from one pass over the edges: an edge
+    ``s [a> s'`` disables the labels of ``label_masks[s]`` missing from
+    ``label_masks[s']``, ORed into the mask ``disabled[a]``.  The kinds
+    compare the labels' ``state_masks``.
     """
-    enabled = lts.enabled
-    merging = set()
-    for (s, a), s2 in lts.successor.items():
-        for b in enabled[s] - enabled[s2]:
-            if b != a:
-                merging.add((a, b) if a < b else (b, a))
+    masks = lts.label_masks
+    disabled = [0] * len(lts.labels)
+    for s, a, s2 in lts.edges:
+        disabled[a] |= masks[s] & ~masks[s2]
+    states = lts.state_masks
     n = len(lts.labels)
     for a in range(n):
+        ea, off = states[a], disabled[a]
         for b in range(a + 1, n):
-            yield (a, b), PairRelation(_pair_kind(lts, a, b),
-                                       (a, b) in merging)
+            merge = bool(off >> b & 1 or disabled[b] >> a & 1)
+            yield (a, b), PairRelation(_pair_kind(ea, states[b]), merge)
 
 
 def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
@@ -321,13 +325,13 @@ def quotient_by_equivalence(graph: RelationGraph) \
     for n in g.nodes:
         classes.setdefault(find(n), []).append(n)
 
+    on_inclusion = {x for key, e in g.edges.items()
+                    if e.kind == INCLUDED and e.origin == ORIGINAL
+                    for x in key if x in (e.lo, e.hi)}
     reps: dict[int, int] = {}
     by_rep: dict[int, tuple[int, ...]] = {}
     for root, members in sorted(classes.items()):
-        withinc = [m for m in members
-                   if any(e.kind == INCLUDED and e.origin == ORIGINAL
-                          and m in (e.lo, e.hi)
-                          for key, e in g.edges.items() if m in key)]
+        withinc = [m for m in members if m in on_inclusion]
         rep = min(withinc) if withinc else min(members)
         for m in members:
             reps[m] = rep

@@ -145,10 +145,9 @@ class StatePartition:
 def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
     """All SSPs (unordered state pairs) then all ESSPs, in index order."""
     problems: list[SeparationProblem] = list(state_pairs(lts))
-    for s in range(len(lts.states)):
-        for t in range(len(lts.labels)):
-            if t not in lts.enabled[s]:
-                problems.append(ESSP(s, t))
+    labels = range(len(lts.labels))
+    for s, mask in enumerate(lts.label_masks):
+        problems += [ESSP(s, t) for t in labels if not mask >> t & 1]
     return problems
 
 
@@ -399,15 +398,15 @@ def brac_block_systems(ctx: SystemContext, graph: RelationGraph,
     lo, hi = pair
     lo_members = graph.classes[graph.rep[lo]]
     hi_members = graph.classes[graph.rep[hi]]
-    states = range(len(lts.states))
+    masks = list(enumerate(lts.label_masks))
     shared = _block_system(
         ctx, sorted(set(lo_members) | set(hi_members)),
         [] if lo in lts.self_loop_labels else lo_members, lo,
-        [s for s in states if lo not in lts.enabled[s]])
+        [s for s, mask in masks if not mask >> lo & 1])
     private = _block_system(
         ctx, hi_members, [], hi,
-        [s for s in states
-         if hi not in lts.enabled[s] and lo in lts.enabled[s]])
+        [s for s, mask in masks
+         if mask >> lo & 1 and not mask >> hi & 1])
     return shared, private
 
 

@@ -347,9 +347,8 @@ def _solve_wpi(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
 
     reps = sorted(graph.classes)
     # event separations first, each at its class representative only
-    essps = [ESSP(s, a) for s in range(len(lts.states))
-             for a in range(len(lts.labels))
-             if a not in lts.enabled[s] and graph.rep[a] == a]
+    essps = [ESSP(s, a) for s, en in enumerate(lts.label_masks)
+             for a in reps if not en >> a & 1]
 
     first_witness: Optional[dict] = None
     for mask in _interpretation_order(len(doi_pairs)):
@@ -478,8 +477,8 @@ def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
         if a in solid_labels:
             continue
         own: list[Region] = []
-        essps = [ESSP(s, a) for s in range(len(lts.states))
-                 if a not in lts.enabled[s]]
+        essps = [ESSP(s, a) for s, en in enumerate(lts.label_masks)
+                 if not en >> a & 1]
         unsolved = next(_separate(ctx, own, essps, systems), None)
         if unsolved is None:
             if a in in_doi:

@@ -38,6 +38,22 @@ def is_tree_edge(tree, edge):
     return s2 != tree.lts.initial and tree.parent.get(s2) == (s, t)
 
 
+def enabled(lts):
+    """Per state, the frozenset of labels with an outgoing edge."""
+    out = [set() for _ in lts.states]
+    for s, t, _ in lts.edges:
+        out[s].add(t)
+    return tuple(map(frozenset, out))
+
+
+def enabling(lts):
+    """Per label, the frozenset of states with an outgoing edge of it."""
+    out = [set() for _ in lts.labels]
+    for s, t, _ in lts.edges:
+        out[t].add(s)
+    return tuple(map(frozenset, out))
+
+
 def chords(tree):
     """The non-tree edges, in edge order: the reference enumeration reduced
     chord by chord against `cycle_basis`."""
@@ -131,12 +147,75 @@ class TestValidate:
 class TestLabelMasks:
     def test_masks_are_the_enabled_labels(self, fig1):
         assert fig1.label_masks == tuple(sum(1 << a for a in labels)
-                                         for labels in fig1.enabled)
+                                         for labels in enabled(fig1))
 
     def test_two_edges_of_one_label_read_minus_one(self):
         lts = Lts(states=("s0", "s1"), labels=("a", "b"),
                   edges=((0, 0, 0), (0, 0, 1), (1, 1, 0)), initial=0)
         assert lts.label_masks == (-1, 2)
+
+
+class TestLtsMasks:
+    """`Lts.label_masks` and `Lts.state_masks` against frozensets built
+    here from the edges."""
+
+    @staticmethod
+    def check(lts):
+        degree = [0] * len(lts.states)
+        for s, _, _ in lts.edges:
+            degree[s] += 1
+        assert lts.label_masks == tuple(
+            sum(1 << a for a in labels) if len(labels) == d else -1
+            for labels, d in zip(enabled(lts), degree))
+        assert lts.state_masks == tuple(sum(1 << s for s in states)
+                                        for states in enabling(lts))
+
+    def test_generated_graphs(self):
+        for lts in basis_graphs().values():
+            self.check(lts)
+
+    def test_two_edges_of_one_label(self):
+        lts = Lts(states=("s0", "s1", "s2"), labels=("a", "b"),
+                  edges=((0, 0, 1), (0, 1, 2), (0, 0, 2), (1, 1, 0)),
+                  initial=0)
+        self.check(lts)
+        assert lts.label_masks == (-1, 2, 0)
+        assert lts.state_masks == (1, 3)
+
+    def test_identical_repeated_edge(self):
+        lts = Lts(states=("s0", "s1"), labels=("a",),
+                  edges=((0, 0, 1), (0, 0, 1)), initial=0)
+        self.check(lts)
+        assert lts.label_masks == (-1, 0)
+        assert lts.state_masks == (1,)
+
+    def test_label_on_no_edge(self):
+        lts = Lts(states=("s0", "s1"), labels=("a", "b", "c"),
+                  edges=((0, 2, 1), (1, 0, 0)), initial=0)
+        self.check(lts)
+        assert lts.label_masks == (4, 1)
+        assert lts.state_masks == (2, 0, 1)
+
+    def test_self_loops(self):
+        lts = parse_lts("initial s0\ns0 a s0\ns0 b s1\ns1 b s1\n")
+        self.check(lts)
+        assert lts.label_masks == (3, 2)
+        assert lts.state_masks == (1, 3)
+
+    def test_masks_wider_than_a_machine_word(self):
+        # 150 states in a ring, one label per state, plus chords of the
+        # labels 64 apart: state and label bits beyond 64 and 128
+        n = 150
+        edges = [(s, s, (s + 1) % n) for s in range(n)]
+        edges += [(s, (s + 64) % n, (s + 7) % n) for s in range(0, n, 3)]
+        lts = Lts(states=tuple(f"s{i}" for i in range(n)),
+                  labels=tuple(f"a{i}" for i in range(n)),
+                  edges=tuple(edges), initial=0)
+        self.check(lts)
+        assert lts.label_masks[130] == 1 << 130
+        assert lts.label_masks[141] == 1 << 141 | 1 << 55
+        assert lts.state_masks[55] == 1 << 55 | 1 << 141
+        assert max(lts.state_masks).bit_length() == n
 
 
 class TestSpanningTree:
