@@ -120,12 +120,19 @@ class SpanningTree:
     ``parent`` maps every non-initial state to its (parent, label) tree
     edge; following parents always reaches the initial state.
     ``parikh[s]`` counts, per label, the edges of the tree walk from the
-    initial state to ``s``.
+    initial state to ``s``.  ``packed[s]`` is ``parikh[s]`` as one int,
+    the sum of ``count * unit[t]``, where ``unit[t] = 1 << w*t`` gives
+    each label a field of ``w = |S|.bit_length() + 1`` bits.  Sums and
+    differences of packed vectors pack their vectors too, and while every
+    entry lies in [-(|S|-1), |S|], as |S| < 2^(w-1), equal ints mean
+    equal vectors and 0 means the zero vector.
     """
 
     lts: Lts
     parent: dict[int, tuple[int, int]]
     parikh: tuple[tuple[int, ...], ...]
+    packed: tuple[int, ...]
+    unit: tuple[int, ...]
 
 
 def parse_lts(text: str | bytes) -> Lts:
@@ -194,13 +201,16 @@ def validate(lts: Lts) -> ValidationReport:
     Findings are reported, never raised.
     """
     witness = None
-    seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for e in lts.edges:
-        key = (e[0], e[1])
-        if key in seen and seen[key] != e:
-            witness = (seen[key], e)
-            break
-        seen[key] = e
+    # a -1 mask marks two edges of one label at a state; only then can
+    # there be a witness, the first pair in edge order
+    if -1 in lts.label_masks:
+        seen: dict[tuple[int, int], tuple[int, int, int]] = {}
+        for e in lts.edges:
+            key = (e[0], e[1])
+            if key in seen and seen[key] != e:
+                witness = (seen[key], e)
+                break
+            seen[key] = e
     reached = {lts.initial}
     frontier = [lts.initial]
     while frontier:
@@ -226,13 +236,17 @@ def spanning_tree(lts: Lts) -> SpanningTree:
     smallest (source index, label index) wins, so the tree and everything
     derived from it is reproducible.
     """
+    states = range(len(lts.states))
+    w = len(lts.states).bit_length() + 1
+    unit = tuple(1 << (w * t) for t in range(len(lts.labels)))
     parent: dict[int, tuple[int, int]] = {}
     parikh = {lts.initial: (0,) * len(lts.labels)}
+    packed = {lts.initial: 0}
     frontier = [lts.initial]
     while frontier:
         discovered: dict[int, tuple[int, int]] = {}
-        for s in sorted(frontier):
-            for _, t, s2 in sorted(lts.out_edges[s], key=lambda e: e[1]):
+        for s in frontier:
+            for _, t, s2 in lts.out_edges[s]:
                 if s2 in parikh:
                     continue
                 if s2 not in discovered or (s, t) < discovered[s2]:
@@ -241,15 +255,16 @@ def spanning_tree(lts: Lts) -> SpanningTree:
             vec = list(parikh[p])
             vec[t] += 1
             parikh[s2] = tuple(vec)
+            packed[s2] = packed[p] + unit[t]
         parent.update(discovered)
         frontier = sorted(discovered)
-    missing = [s for s in range(len(lts.states)) if s not in parikh]
+    missing = [s for s in states if s not in parikh]
     if missing:
         raise LtsError(f"unreachable state {lts.states[missing[0]]!r}; "
                        "validate the LTS first")
     return SpanningTree(lts=lts, parent=parent,
-                        parikh=tuple(parikh[s]
-                                     for s in range(len(lts.states))))
+                        parikh=tuple(parikh[s] for s in states),
+                        packed=tuple(packed[s] for s in states), unit=unit)
 
 
 def parikh_of_edge(tree: SpanningTree,
@@ -274,12 +289,10 @@ def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
     """Integer basis of the span of all chord Parikh vectors.
 
     Only the first edge with each distinct Parikh vector is reduced.  To
-    find it, ``psi(s)`` is packed into one int with a field of
-    ``w = |S|.bit_length() + 1`` bits per label, built along the tree
-    parents, and the edge ``s [t> s'`` is keyed by the packed
-    ``psi(s) + 1t - psi(s')``.  Every field of a key lies in
-    [-(|S|-1), |S|] and |S| < 2^(w-1), so equal keys mean equal vectors;
-    the key is 0 exactly for the zero vector, as on every tree edge.
+    find it, the edge ``s [t> s'`` is keyed by ``psi(s) + 1t - psi(s')``
+    packed as in `SpanningTree.packed`: every field of the key lies in
+    [-(|S|-1), |S|], so equal keys mean equal vectors, and the key is 0
+    exactly for the zero vector, as on every tree edge.
 
     Each new vector is inserted into an integer echelon basis keyed by pivot
     column, without fractions (after Edmonds, 1967): it is reduced against
@@ -293,11 +306,7 @@ def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
     Each row is returned as a `ParikhVector` of its nonzero entries.
     """
     nlab = len(lts.labels)
-    w = len(lts.states).bit_length() + 1
-    unit = [1 << (w * t) for t in range(nlab)]
-    packed = [0] * len(lts.states)
-    for s2, (p, t) in tree.parent.items():  # BFS order: parents first
-        packed[s2] = packed[p] + unit[t]
+    packed, unit = tree.packed, tree.unit
     seen = {0}
     rows: dict[int, Sequence[int]] = {}  # pivot column -> row, pivot > 0
     for edge in lts.edges:

@@ -302,8 +302,12 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     """Forced bijection between two deterministic reachable systems.
 
     A parallel breadth-first walk from the initial states either yields the
-    unique candidate bijection or the first divergent (state, label).
+    unique candidate bijection or the first divergent (state, label).  A
+    system with two edges of one label at a state (a -1 label mask) is a
+    mismatch, since the walk would follow only one of them.
     """
+    if -1 in lts.label_masks or -1 in other.label_masks:
+        return Mismatch("nondeterministic system")
     if set(lts.labels) != set(other.labels):
         return Mismatch("label sets differ")
     mapping = {lts.initial: other.initial}

@@ -175,12 +175,12 @@ class SystemContext:
         self.columns = len(self.names)
         # one edge row per (psi(s), label), at its first edge: the F
         # columns spell out psi(s) and the B columns add 1 at the label,
-        # so these are exactly the edges with distinct coefficients.  The
-        # keys are two flat tuples, smaller than one tuple of pairs.
-        first: dict[tuple[tuple[int, ...], int], int] = {}
-        parikh = tree.parikh
+        # so these are exactly the edges with distinct coefficients.
+        # psi(s) is keyed by its packed int, `SpanningTree.packed`.
+        first: dict[tuple[int, int], int] = {}
+        packed = tree.packed
         for s, t, _ in lts.edges:
-            first.setdefault((parikh[s], t), s)
+            first.setdefault((packed[s], t), s)
         self.key_states = tuple(first.values())
         self.key_labels = tuple(t for _, t in first)
         # simplex copies: one per >= row, two per = row

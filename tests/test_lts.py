@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
+from types import SimpleNamespace
 
 import pytest
 
-from netsynth.lts import (Lts, LtsError, ParikhVector, cycle_basis,
-                          parikh_of_edge, parse_lts, serialize_lts,
-                          spanning_tree, validate)
+from netsynth.lts import (Lts, LtsError, ParikhVector, ValidationReport,
+                          cycle_basis, parikh_of_edge, parse_lts,
+                          serialize_lts, spanning_tree, validate)
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
+from netsynth.separation import SystemContext
 
 from conftest import FIXTURES, load_lts
 
@@ -583,3 +585,158 @@ class TestChordKeys:
             tree2 = spanning_tree(shuffled)
             assert tree2.parent == tree.parent
             assert cycle_basis(shuffled, tree2) == cycle_basis(lts, tree)
+
+
+def reference_validate(lts):
+    """`validate` as a pair scan over every edge, reading no mask."""
+    witness = None
+    seen = {}
+    for e in lts.edges:
+        key = (e[0], e[1])
+        if key in seen and seen[key] != e:
+            witness = (seen[key], e)
+            break
+        seen[key] = e
+    reached = {lts.initial}
+    frontier = [lts.initial]
+    while frontier:
+        s = frontier.pop()
+        for _, _, s2 in lts.out_edges[s]:
+            if s2 not in reached:
+                reached.add(s2)
+                frontier.append(s2)
+    unreachable = tuple(s for s in range(len(lts.states)) if s not in reached)
+    return ValidationReport(
+        deterministic=witness is None, nondeterministic_witness=witness,
+        reachable=not unreachable, unreachable_states=unreachable,
+        self_loop_labels=frozenset(t for s, t, s2 in lts.edges if s == s2))
+
+
+def reference_tree(lts):
+    """The BFS tree with each state's out-edges sorted by label, and
+    tuple Parikh vectors only: ``(lts, parent, parikh)``, enough for
+    `parikh_of_edge` and `reference_basis`."""
+    parent = {}
+    parikh = {lts.initial: (0,) * len(lts.labels)}
+    frontier = [lts.initial]
+    while frontier:
+        discovered = {}
+        for s in sorted(frontier):
+            for _, t, s2 in sorted(lts.out_edges[s], key=lambda e: e[1]):
+                if s2 in parikh:
+                    continue
+                if s2 not in discovered or (s, t) < discovered[s2]:
+                    discovered[s2] = (s, t)
+        for s2, (p, t) in discovered.items():
+            vec = list(parikh[p])
+            vec[t] += 1
+            parikh[s2] = tuple(vec)
+        parent.update(discovered)
+        frontier = sorted(discovered)
+    return SimpleNamespace(lts=lts, parent=parent,
+                           parikh=tuple(parikh[s]
+                                        for s in range(len(lts.states))))
+
+
+def reference_keys(lts, parikh):
+    """`SystemContext`'s first edge per ``(psi(s), label)``, keyed by the
+    Parikh tuple itself: ``(key_states, key_labels)``."""
+    first = {}
+    for s, t, _ in lts.edges:
+        first.setdefault((parikh[s], t), s)
+    return tuple(first.values()), tuple(t for _, t in first)
+
+
+def assert_front_end_matches_reference(lts, name=""):
+    """`validate`, `spanning_tree`, `cycle_basis` and the context's keys
+    equal the references; returns the report and, for a reachable LTS,
+    the tree and context."""
+    report = validate(lts)
+    assert report == reference_validate(lts), name
+    if not report.reachable:
+        return report, None, None
+    tree, ref = spanning_tree(lts), reference_tree(lts)
+    assert tree.parent == ref.parent, name
+    assert tree.parikh == ref.parikh, name
+    basis = cycle_basis(lts, tree)
+    assert basis == reference_basis(ref), name
+    ctx = SystemContext(lts, tree, basis)
+    assert (ctx.key_states, ctx.key_labels) == \
+        reference_keys(lts, ref.parikh), name
+    return report, tree, ctx
+
+
+def path(edges):
+    """One label ``a`` along a path of ``edges`` edges."""
+    return parse_lts("initial s0\n" + "".join(
+        f"s{i} a s{i + 1}\n" for i in range(edges)))
+
+
+class TestFrontEndReference:
+    """`validate` reads `Lts.label_masks`, `spanning_tree` leaves the
+    out-edges unsorted and packs the Parikh vectors, and `cycle_basis` and
+    `SystemContext` key on the packed ints; the results are those of the
+    references above."""
+
+    def test_generated_graphs(self):
+        for name, lts in basis_graphs().items():
+            assert_front_end_matches_reference(lts, name)
+
+    def test_packed_is_the_parikh_vector(self):
+        for name, lts, tree in basis_trees():
+            w = len(lts.states).bit_length() + 1
+            assert tree.unit == tuple(1 << (w * t)
+                                      for t in range(len(lts.labels))), name
+            assert tree.packed == tuple(sum(c << (w * t)
+                                            for t, c in enumerate(vec))
+                                        for vec in tree.parikh), name
+
+    def test_repeated_identical_edge(self):
+        # a -1 mask, yet no two distinct edges share a label
+        lts = Lts(states=("s0", "s1"), labels=("a",),
+                  edges=((0, 0, 1), (0, 0, 1)), initial=0)
+        report, _, ctx = assert_front_end_matches_reference(lts)
+        assert lts.label_masks[0] == -1
+        assert report.deterministic and report.ok
+        assert report.nondeterministic_witness is None
+        assert ctx.key_states == (0,)
+
+    def test_witness_above_the_lowest_state(self):
+        # s0 has two b edges, but s1's two a edges come first in edge order
+        lts = parse_lts("initial s0\ns0 c s1\ns1 a s2\ns1 a s0\n"
+                        "s0 b s1\ns0 b s2\n")
+        report, _, _ = assert_front_end_matches_reference(lts)
+        assert lts.label_masks[:2] == (-1, -1)
+        assert report.nondeterministic_witness == (
+            edge(lts, "s1", "a", "s2"), edge(lts, "s1", "a", "s0"))
+
+    def test_out_edges_in_falling_label_order(self):
+        # s0 lists c, b, a; s1 is reached by c and by a, and a wins
+        lts = Lts(states=("s0", "s1", "s2"), labels=("a", "b", "c"),
+                  edges=((0, 2, 1), (0, 1, 2), (0, 0, 1), (1, 1, 2),
+                         (2, 2, 0)), initial=0)
+        _, tree, _ = assert_front_end_matches_reference(lts)
+        assert tree.parent == {1: (0, 0), 2: (0, 1)}
+
+    def test_states_sharing_a_parikh_vector(self):
+        # s3 and s4 are both reached by a and b, so their c edges give one
+        # edge row, at s3's edge; no net's graph has such a pair
+        lts = parse_lts("initial s0\ns0 a s1\ns0 b s2\ns1 b s3\ns2 a s4\n"
+                        "s3 c s5\ns4 c s6\n")
+        _, tree, ctx = assert_front_end_matches_reference(lts)
+        s3, s4 = lts.states.index("s3"), lts.states.index("s4")
+        assert tree.parikh[s3] == tree.parikh[s4]
+        assert tree.packed[s3] == tree.packed[s4]
+        c = lts.labels.index("c")
+        assert [s for s, t in zip(ctx.key_states, ctx.key_labels)
+                if t == c] == [s3]
+        assert len(ctx.key_states) == len(lts.edges) - 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
+    def test_one_label_path(self, k):
+        # 2^k states, the fewest with fields of k + 2 bits; the last
+        # state's count, 2^k - 1, is the largest a tree walk reaches
+        lts = path(2 ** k - 1)
+        _, tree, ctx = assert_front_end_matches_reference(lts)
+        assert tree.packed == tuple(range(2 ** k))
+        assert ctx.key_states == tuple(range(2 ** k - 1))

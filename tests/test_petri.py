@@ -215,6 +215,9 @@ class TestIsomorphic:
          Mismatch("target already paired", (0, 0), "a")),
         # the walk pairs every state of the left side; q2 is unreachable
         ("s0 a s1", "q0 a q1\nq2 a q2", Mismatch("state counts differ")),
+        # two a edges at s0: the walk would pair s1 with q1 and accept
+        ("s0 a s0\ns0 a s1", "q0 a q1", Mismatch("nondeterministic system")),
+        ("s0 a s1", "q0 a q0\nq0 a q1", Mismatch("nondeterministic system")),
     ])
     def test_mismatch_reason(self, left, right, expected):
         l1 = parse_lts(f"initial s0\n{left}\n")

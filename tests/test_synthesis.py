@@ -11,7 +11,7 @@ import netsynth.linsys
 import netsynth.synthesis
 from netsynth.cli import run
 from netsynth.linsys import LinearSystem, Row, make_row, solve_integer
-from netsynth.lts import parse_lts, serialize_lts
+from netsynth.lts import Lts, parse_lts, serialize_lts
 from netsynth.oracle import (OracleBound, brute_force_region,
                              random_brac_net, random_lts)
 from netsynth.petri import (CapExceeded, classify_net, isomorphic,
@@ -219,6 +219,15 @@ class TestVerify:
         assert not record.isomorphic
 
     TWO_STATES = "initial s0\ns0 a s1\n"
+
+    def test_two_edges_of_one_label_are_not_verified(self):
+        # the net's one a edge would pair with the last a edge of s0
+        net = parse_net("place p 1\ntransition a\narc p a\n")
+        lts = Lts(states=("s0", "s1"), labels=("a",),
+                  edges=((0, 0, 0), (0, 0, 1)), initial=0)
+        record = verify_solution(net, lts, "wpi")
+        assert not record.isomorphic and not record.ok
+        assert record.mismatch == "nondeterministic system"
 
     def test_unbounded_net_is_a_state_count_mismatch(self):
         # the graph is explored to |S| + 1 markings, never to exhaustion
