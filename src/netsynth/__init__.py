@@ -13,22 +13,20 @@ from netsynth.linsys import (LinearSystem, Row, Solution, make_row,
                              solve_rational, solve_integer,
                              lift_homogeneous_to_integer, dump_lp)
 from netsynth.relations import (PairRelation, RelationGraph, Contradiction,
-                                pair_relation, classify_case,
-                                build_relation_graph, quotient_by_equivalence,
+                                classify_case, build_relation_graph,
+                                quotient_by_equivalence,
                                 strengthen_wpi, strengthen_brac,
                                 resolve_inclusion_matching)
 from netsynth.separation import (SeparationProblem, Region,
-                                 enumerate_separation_problems,
                                  essp_system_wpi, ssp_system_wpi,
                                  brac_block_systems,
                                  brac_ssp_system_freechoice, region_to_place)
-from netsynth.petri import (PetriNet, Marking, NetClass, fire,
+from netsynth.petri import (PetriNet, Marking, NetClass,
                             reachability_graph, classify_net, isomorphic,
                             parse_net, serialize_net, render_dot)
 from netsynth.synthesis import (SynthesisConfig, SynthesisReport,
                                 synthesize_wpi, synthesize_brac,
                                 verify_solution)
-from netsynth.oracle import (OracleBound, brute_force_region, random_lts,
-                             random_brac_net)
+from netsynth.oracle import random_lts, random_brac_net
 
 __version__ = "0.1.0"

@@ -25,9 +25,7 @@ up lift to integers by dividing out the gcd, and a 0/1-aware
 branch-and-bound gives bounded integer feasibility; it branches on the
 first fractional 0/1 column, then on the other columns in column order,
 and each of its nodes is one whole system, the bound rows appended.
-`fractions.Fraction` is left only in the reference checks
-(`Row.evaluate`, `LinearSystem.satisfied_by`) and the read-only
-`Solution.assignment` view.
+`fractions.Fraction` is left only in `make_row`'s rational input.
 """
 
 from __future__ import annotations
@@ -61,12 +59,6 @@ class Row:
     rel: str
     const: int
     tag: str = ""
-
-    def evaluate(self, values: Sequence[Fraction]) -> bool:
-        if self.rel not in _OPERATORS:
-            raise ValueError(f"unknown relation {self.rel!r}")
-        lhs = sum((c * values[j] for j, c in self.coeffs), Fraction(0))
-        return _OPERATORS[self.rel](lhs, self.const)
 
     def holds(self, num: Sequence[int], den: int) -> bool:
         """Whether the row holds at ``x[j] = num[j] / den``, ``den > 0``."""
@@ -138,18 +130,6 @@ class LinearSystem:
                     raise ValueError(f"row {part.tag!r} references "
                                      f"undeclared column {j}")
 
-    def satisfied_by(self, values: Sequence[Fraction]) -> bool:
-        """Whether ``values`` satisfy the system, in Fractions.
-
-        It does not use the integer re-substitution the solver uses
-        (``holds``), so tests can check the solver against it.
-        """
-        if any(v < 0 for v in values):
-            return False
-        if any(values[j] > 1 for j in self.zero_one):
-            return False
-        return all(r.evaluate(values) for r in self.rows)
-
     def holds(self, num: Sequence[int], den: int) -> bool:
         """Whether every row and bound holds at ``x[j] = num[j] / den``."""
         return (all(v >= 0 for v in num)
@@ -170,13 +150,6 @@ class Solution:
     @property
     def feasible(self) -> bool:
         return self.status == FEASIBLE
-
-    @property
-    def assignment(self) -> Optional[tuple[Fraction, ...]]:
-        """The witness as Fractions, one per column."""
-        if self.num is None:
-            return None
-        return tuple(Fraction(v, self.den) for v in self.num)
 
 
 def dump_lp(system: LinearSystem, names: Sequence[str]) -> str:

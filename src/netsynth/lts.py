@@ -201,13 +201,13 @@ def validate(lts: Lts) -> ValidationReport:
     Findings are reported, never raised.
     """
     witness = None
-    # a -1 mask marks two edges of one label at a state; only then can
-    # there be a witness, the first pair in edge order
+    # a -1 mask marks two edges of one label at a state, repeated or not;
+    # the witness is the first such pair in edge order
     if -1 in lts.label_masks:
         seen: dict[tuple[int, int], tuple[int, int, int]] = {}
         for e in lts.edges:
             key = (e[0], e[1])
-            if key in seen and seen[key] != e:
+            if key in seen:
                 witness = (seen[key], e)
                 break
             seen[key] = e

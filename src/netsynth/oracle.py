@@ -1,106 +1,17 @@
-"""Brute-force baselines and random instance generators for testing.
+"""Deterministic random instance generators for tests and benchmarks.
 
-The region oracle enumerates every bounded (r0, B, F) triple directly
-against the region axioms, independently of any inequality system, so
-solver and oracle cross-check each other.  Generators are deterministic per
-seed; the net generator composes free-choice blocks and N-shaped asymmetric
-choice blocks into token-conservative rings, keeping reachability graphs
-small and the class membership guaranteed by construction.
-
-Only the region oracle needs numpy, and it imports it when first called,
-so that ``import netsynth`` does not load it.
+`random_lts` builds a reachable, deterministic LTS; `random_brac_net`
+composes free-choice blocks and N-shaped asymmetric choice blocks into
+token-conservative rings, keeping reachability graphs small and the class
+membership guaranteed by construction.  Both are deterministic per seed.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
 
-from netsynth.lts import Lts, parse_lts, spanning_tree, validate
+from netsynth.lts import Lts, parse_lts, validate
 from netsynth.petri import PetriNet, classify_net
-from netsynth.separation import Region, SSP, SeparationProblem
-
-
-@dataclass(frozen=True)
-class OracleBound:
-    """Inclusive bound on r0, B and F entries during exhaustive search."""
-
-    max_value: int = 3
-
-    def __post_init__(self):
-        if self.max_value < 1:
-            raise ValueError("max_value must be at least 1")
-
-
-@lru_cache(maxsize=16)
-def _weight_table(lts: Lts, max_value: int):
-    """All bounded weight vectors that form a region of ``lts``.
-
-    Returns (b, f, pot, r0_min, valid, tree): per enumerated row the
-    consume/produce vectors, the token offset of every state, the smallest
-    admissible initial count, and whether some initial count up to the
-    bound makes the row a region.
-    """
-    import numpy as np
-
-    ns, nl = len(lts.states), len(lts.labels)
-    if ns * nl > 64:
-        raise ValueError("oracle guard: too large, |S|*|Labels| > 64")
-    vals = max_value + 1
-    combos = vals ** (2 * nl)
-    if combos > 5_000_000:
-        raise ValueError("oracle guard: weight enumeration too large")
-    tree = spanning_tree(lts)
-
-    digits = np.arange(combos, dtype=np.int64)
-    bf = np.empty((combos, 2 * nl), dtype=np.int64)
-    for k in range(2 * nl):
-        bf[:, k] = (digits // vals ** (2 * nl - 1 - k)) % vals
-    b = bf[:, :nl]
-    f = bf[:, nl:]
-    d = f - b
-
-    psi = np.array(tree.parikh, dtype=np.int64)
-    pot = d @ psi.T  # per-row token offset of every state
-
-    consistent = np.ones(combos, dtype=bool)
-    r0_min = np.zeros(combos, dtype=np.int64)
-    np.maximum(r0_min, -pot.min(axis=1), out=r0_min)
-    for s, t, s2 in lts.edges:
-        consistent &= pot[:, s2] == pot[:, s] + d[:, t]
-        np.maximum(r0_min, b[:, t] - pot[:, s], out=r0_min)
-    valid = consistent & (r0_min <= max_value)
-    return b, f, pot, r0_min, valid, tree
-
-
-def brute_force_region(lts: Lts, problem: SeparationProblem,
-                       bound: OracleBound = OracleBound()) \
-        -> Optional[Region]:
-    """Exhaustively search for a region solving ``problem``.
-
-    Enumerates all weight vectors up to the bound, keeps those consistent
-    with every edge and nonnegative everywhere, and returns the first
-    solving region in lexicographic (r0, B, F) order, or None.
-    """
-    import numpy as np
-
-    b, f, pot, r0_min, valid, tree = _weight_table(lts, bound.max_value)
-    if isinstance(problem, SSP):
-        ok = valid & (pot[:, problem.s1] != pot[:, problem.s2])
-    else:
-        ok = valid & (r0_min < b[:, problem.label] - pot[:, problem.state])
-    if not ok.any():
-        return None
-    rows = np.flatnonzero(ok)
-    best = rows[np.lexsort((rows, r0_min[rows]))[0]]
-    region = Region.over(tree, int(r0_min[best]),
-                         tuple(int(x) for x in b[best]),
-                         tuple(int(x) for x in f[best]))
-    if not (region.is_valid(lts) and region.solves(problem)):
-        raise AssertionError("weight table yielded a non-solving region")
-    return region
 
 
 def random_lts(seed: int, max_states: int = 8, max_labels: int = 4) -> Lts:

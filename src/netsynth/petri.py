@@ -40,7 +40,7 @@ Marking = tuple[int, ...]
 
 
 class PetriNetError(Exception):
-    """Malformed `.pn` input or firing precondition violation."""
+    """Malformed `.pn` input or an inconsistent `PetriNet`."""
 
 
 class CapExceeded(Exception):
@@ -82,28 +82,12 @@ class PetriNet:
                 raise PetriNetError(f"arc between place {p} and transition "
                                     f"{t} is outside the net")
 
-    def w_in(self, p: int, t: int) -> int:
-        return self.consume.get((p, t), 0)
-
     @cached_property
     def preset_of_transition(self) -> tuple[frozenset[int], ...]:
         presets: list[set[int]] = [set() for _ in self.transitions]
         for p, t in self.consume:
             presets[t].add(p)
         return tuple(map(frozenset, presets))
-
-
-def fire(net: PetriNet, m: Marking, t: int) -> Marking:
-    """Fire transition ``t``; raises naming the first blocking place."""
-    out = []
-    for p, x in enumerate(m):
-        w = net.consume.get((p, t), 0)
-        if x < w:
-            raise PetriNetError(
-                f"transition {net.transitions[t]!r} not enabled: place "
-                f"{net.places[p]!r} holds {x} < {w}")
-        out.append(x - w + net.produce.get((t, p), 0))
-    return tuple(out)
 
 
 def _kernel(net: PetriNet, order: Sequence[int], depth: int):

@@ -191,31 +191,6 @@ def _pair_kind(ea: int, eb: int) -> str:
     return INTERLEAVE
 
 
-def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
-    """Enabledness relation and deactivation flag of labels ``a`` and ``b``.
-
-    Computed by a direct scan of the edges and the (state, label) ->
-    target map, with no mask; the reference for `pair_relations`, which
-    finds every deactivating pair in one pass.
-    """
-    if a == b:
-        raise ValueError("pair relation requires two distinct labels")
-    succ = lts.successor
-    ea = {s for s, t, _ in lts.edges if t == a}
-    eb = {s for s, t, _ in lts.edges if t == b}
-    if ea == eb:
-        kind = EQUIV
-    elif ea < eb:
-        kind = A_GTR_B
-    elif eb < ea:
-        kind = B_GTR_A
-    else:
-        kind = INTERLEAVE
-    merge = any((succ[(s, b)], a) not in succ or (succ[(s, a)], b) not in succ
-                for s in ea & eb)
-    return PairRelation(kind, merge)
-
-
 def classify_case(rel: PairRelation) -> int:
     """Map a pair relation to its case number 1..6."""
     if rel.kind == INTERLEAVE:
@@ -233,7 +208,8 @@ def pair_relations(lts: Lts) \
     The deactivating pairs come from one pass over the edges: an edge
     ``s [a> s'`` disables the labels of ``label_masks[s]`` missing from
     ``label_masks[s']``, ORed into the mask ``disabled[a]``.  The kinds
-    compare the labels' ``state_masks``.
+    compare the labels' ``state_masks``.  `pair_relation` in
+    ``tests/reference.py`` scans one pair at a time, as the reference.
     """
     masks = lts.label_masks
     disabled = [0] * len(lts.labels)

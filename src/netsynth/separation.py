@@ -95,14 +95,6 @@ class Region:
         return self.marks[problem.state] < self.b[problem.label]
 
 
-def state_pairs(lts: Lts) -> Iterator[SSP]:
-    """Every unordered state pair as an SSP, in index order."""
-    n = len(lts.states)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield SSP(i, j)
-
-
 class StatePartition:
     """The states in blocks that are equal on every region's marks.
 
@@ -140,15 +132,6 @@ class StatePartition:
             block = self.blocks[self._block[i]]
             for j in block[bisect_right(block, i):]:
                 yield SSP(i, j)
-
-
-def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
-    """All SSPs (unordered state pairs) then all ESSPs, in index order."""
-    problems: list[SeparationProblem] = list(state_pairs(lts))
-    labels = range(len(lts.labels))
-    for s, mask in enumerate(lts.label_masks):
-        problems += [ESSP(s, t) for t in labels if not mask >> t & 1]
-    return problems
 
 
 class SystemContext:

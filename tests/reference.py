@@ -1,0 +1,210 @@
+"""Reference implementations that tests check the package against.
+
+No CLI command and no pipeline runs these, so they live with the tests,
+which import this module the way they import ``conftest``.  Each is
+checked against, or stands in for, a part of ``src/netsynth``:
+
+- `pair_relation` scans the edges and the (state, label) -> target map of
+  one label pair; it is the reference for `netsynth.relations.pair_relations`,
+  which finds every pair from the label and state masks in one pass.
+- `evaluate` and `satisfied_by` check a row and a system in Fractions,
+  without the integer re-substitution (`netsynth.linsys.Row.holds`,
+  `LinearSystem.holds`) that `solve_rational` and `solve_integer` use.
+- `assignment` reads a `netsynth.linsys.Solution` witness as Fractions.
+- `fire` fires one transition on a tuple marking, naming the first
+  blocking place; `netsynth.petri.reachability_graph` and `realises` fire
+  through the packed kernel instead.  `w_in` is a consume weight.
+- `state_pairs` streams every state pair; `netsynth.separation.StatePartition`
+  yields only the pairs no pooled region separates.
+- `enumerate_separation_problems` lists every separation problem of an LTS,
+  the problems the pipelines' regions must solve.
+- `brute_force_region` enumerates every bounded (r0, B, F) triple directly
+  against the region axioms, independently of any inequality system, so
+  the systems of `netsynth.separation.SystemContext` and the pipelines'
+  verdicts are cross-checked against it.  It alone needs numpy, a test
+  dependency only, and imports it when first called.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Iterator, Optional, Sequence
+
+from netsynth.linsys import LinearSystem, Row, Solution
+from netsynth.lts import Lts, spanning_tree
+from netsynth.petri import Marking, PetriNet, PetriNetError
+from netsynth.relations import (A_GTR_B, B_GTR_A, EQUIV, INTERLEAVE,
+                                PairRelation)
+from netsynth.separation import ESSP, Region, SSP, SeparationProblem
+
+_OPERATORS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
+
+
+def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
+    """Enabledness relation and deactivation flag of labels ``a`` and ``b``.
+
+    Computed by a direct scan of the edges and the (state, label) ->
+    target map, with no mask.
+    """
+    if a == b:
+        raise ValueError("pair relation requires two distinct labels")
+    succ = lts.successor
+    ea = {s for s, t, _ in lts.edges if t == a}
+    eb = {s for s, t, _ in lts.edges if t == b}
+    if ea == eb:
+        kind = EQUIV
+    elif ea < eb:
+        kind = A_GTR_B
+    elif eb < ea:
+        kind = B_GTR_A
+    else:
+        kind = INTERLEAVE
+    merge = any((succ[(s, b)], a) not in succ or (succ[(s, a)], b) not in succ
+                for s in ea & eb)
+    return PairRelation(kind, merge)
+
+
+def evaluate(row: Row, values: Sequence[Fraction]) -> bool:
+    """Whether ``row`` holds at ``values``, in Fractions."""
+    if row.rel not in _OPERATORS:
+        raise ValueError(f"unknown relation {row.rel!r}")
+    lhs = sum((c * values[j] for j, c in row.coeffs), Fraction(0))
+    return _OPERATORS[row.rel](lhs, row.const)
+
+
+def satisfied_by(system: LinearSystem, values: Sequence[Fraction]) -> bool:
+    """Whether ``values`` satisfy the system, in Fractions.
+
+    It does not use the integer re-substitution the solver uses
+    (`LinearSystem.holds`), so tests can check the solver against it.
+    """
+    if any(v < 0 for v in values):
+        return False
+    if any(values[j] > 1 for j in system.zero_one):
+        return False
+    return all(evaluate(r, values) for r in system.rows)
+
+
+def assignment(solution: Solution) -> Optional[tuple[Fraction, ...]]:
+    """The witness as Fractions, one per column."""
+    if solution.num is None:
+        return None
+    return tuple(Fraction(v, solution.den) for v in solution.num)
+
+
+def w_in(net: PetriNet, p: int, t: int) -> int:
+    """The weight of the arc from place ``p`` to transition ``t``, or 0."""
+    return net.consume.get((p, t), 0)
+
+
+def fire(net: PetriNet, m: Marking, t: int) -> Marking:
+    """Fire transition ``t``; raises naming the first blocking place."""
+    out = []
+    for p, x in enumerate(m):
+        w = net.consume.get((p, t), 0)
+        if x < w:
+            raise PetriNetError(
+                f"transition {net.transitions[t]!r} not enabled: place "
+                f"{net.places[p]!r} holds {x} < {w}")
+        out.append(x - w + net.produce.get((t, p), 0))
+    return tuple(out)
+
+
+def state_pairs(lts: Lts) -> Iterator[SSP]:
+    """Every unordered state pair as an SSP, in index order."""
+    n = len(lts.states)
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield SSP(i, j)
+
+
+def enumerate_separation_problems(lts: Lts) -> list[SeparationProblem]:
+    """All SSPs (unordered state pairs) then all ESSPs, in index order."""
+    problems: list[SeparationProblem] = list(state_pairs(lts))
+    labels = range(len(lts.labels))
+    for s, mask in enumerate(lts.label_masks):
+        problems += [ESSP(s, t) for t in labels if not mask >> t & 1]
+    return problems
+
+
+@dataclass(frozen=True)
+class OracleBound:
+    """Inclusive bound on r0, B and F entries during exhaustive search."""
+
+    max_value: int = 3
+
+    def __post_init__(self):
+        if self.max_value < 1:
+            raise ValueError("max_value must be at least 1")
+
+
+@lru_cache(maxsize=16)
+def _weight_table(lts: Lts, max_value: int):
+    """All bounded weight vectors that form a region of ``lts``.
+
+    Returns (b, f, pot, r0_min, valid, tree): per enumerated row the
+    consume/produce vectors, the token offset of every state, the smallest
+    admissible initial count, and whether some initial count up to the
+    bound makes the row a region.
+    """
+    import numpy as np
+
+    ns, nl = len(lts.states), len(lts.labels)
+    if ns * nl > 64:
+        raise ValueError("oracle guard: too large, |S|*|Labels| > 64")
+    vals = max_value + 1
+    combos = vals ** (2 * nl)
+    if combos > 5_000_000:
+        raise ValueError("oracle guard: weight enumeration too large")
+    tree = spanning_tree(lts)
+
+    digits = np.arange(combos, dtype=np.int64)
+    bf = np.empty((combos, 2 * nl), dtype=np.int64)
+    for k in range(2 * nl):
+        bf[:, k] = (digits // vals ** (2 * nl - 1 - k)) % vals
+    b = bf[:, :nl]
+    f = bf[:, nl:]
+    d = f - b
+
+    psi = np.array(tree.parikh, dtype=np.int64)
+    pot = d @ psi.T  # per-row token offset of every state
+
+    consistent = np.ones(combos, dtype=bool)
+    r0_min = np.zeros(combos, dtype=np.int64)
+    np.maximum(r0_min, -pot.min(axis=1), out=r0_min)
+    for s, t, s2 in lts.edges:
+        consistent &= pot[:, s2] == pot[:, s] + d[:, t]
+        np.maximum(r0_min, b[:, t] - pot[:, s], out=r0_min)
+    valid = consistent & (r0_min <= max_value)
+    return b, f, pot, r0_min, valid, tree
+
+
+def brute_force_region(lts: Lts, problem: SeparationProblem,
+                       bound: OracleBound = OracleBound()) \
+        -> Optional[Region]:
+    """Exhaustively search for a region solving ``problem``.
+
+    Enumerates all weight vectors up to the bound, keeps those consistent
+    with every edge and nonnegative everywhere, and returns the first
+    solving region in lexicographic (r0, B, F) order, or None.
+    """
+    import numpy as np
+
+    b, f, pot, r0_min, valid, tree = _weight_table(lts, bound.max_value)
+    if isinstance(problem, SSP):
+        ok = valid & (pot[:, problem.s1] != pot[:, problem.s2])
+    else:
+        ok = valid & (r0_min < b[:, problem.label] - pot[:, problem.state])
+    if not ok.any():
+        return None
+    rows = np.flatnonzero(ok)
+    best = rows[np.lexsort((rows, r0_min[rows]))[0]]
+    region = Region.over(tree, int(r0_min[best]),
+                         tuple(int(x) for x in b[best]),
+                         tuple(int(x) for x in f[best]))
+    if not (region.is_valid(lts) and region.solves(problem)):
+        raise AssertionError("weight table yielded a non-solving region")
+    return region

@@ -13,20 +13,19 @@ from netsynth.cli import run
 from netsynth.linsys import (LinearSystem, lift_homogeneous_to_integer,
                              make_row, solve_integer, solve_rational)
 from netsynth.lts import cycle_basis, spanning_tree
-from netsynth.oracle import (OracleBound, brute_force_region,
-                             random_brac_net, random_lts)
+from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import (PetriNet, classify_net, isomorphic, parse_net,
                             reachability_graph)
 from netsynth.relations import (Contradiction, Edge, INCLUDED,
                                 build_relation_graph,
                                 quotient_by_equivalence, strengthen_brac,
                                 strengthen_wpi)
-from netsynth.separation import (ESSP, SSP, SystemContext,
-                                 enumerate_separation_problems,
-                                 essp_system_wpi)
+from netsynth.separation import ESSP, SSP, SystemContext, essp_system_wpi
 from netsynth.synthesis import synthesize_brac, synthesize_wpi
 
 from conftest import FIXTURES, load_lts, load_net, margin_row
+from reference import (OracleBound, assignment, brute_force_region,
+                       enumerate_separation_problems, satisfied_by, w_in)
 
 
 @contextlib.contextmanager
@@ -45,7 +44,7 @@ def fx(name: str) -> str:
 
 def consume_vector(net: PetriNet, label: str):
     t = net.transitions.index(label)
-    return tuple(net.w_in(p, t) for p in range(len(net.places)))
+    return tuple(w_in(net, p, t) for p in range(len(net.places)))
 
 
 def test_criterion_1_fig1_end_to_end(tmp_path):
@@ -233,7 +232,7 @@ def test_criterion_7_lp_sanity():
         from fractions import Fraction
         sol = solve_rational(intro)
         assert sol.feasible
-        assert intro.satisfied_by((Fraction(1, 2), Fraction(3, 2)))
+        assert satisfied_by(intro, (Fraction(1, 2), Fraction(3, 2)))
         assert solve_integer(intro).status == "infeasible"
 
         rng = random.Random(99)
@@ -249,8 +248,8 @@ def test_criterion_7_lp_sanity():
             if not sol.feasible:
                 continue
             out = lift_homogeneous_to_integer(sol, system)
-            assert all(v.denominator == 1 for v in out.assignment)
-            assert system.satisfied_by(out.assignment)
+            assert all(v.denominator == 1 for v in assignment(out))
+            assert satisfied_by(system, assignment(out))
             lifted += 1
         assert lifted >= 100
 

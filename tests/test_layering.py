@@ -4,11 +4,14 @@
 no other ``netsynth`` module, so the region layout stays with the callers.
 ``src/netsynth/petri.py`` knows nets and transition systems; of the
 package it imports ``netsynth.lts`` alone, so nets are assembled from
-places, not from regions.
+places, not from regions.  And the package as a whole imports only the
+standard library and itself, function-local imports included, so
+``import netsynth`` needs no third-party package.
 """
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "netsynth"
 
@@ -39,6 +42,28 @@ def test_linsys_imports_no_netsynth_module():
 
 def test_petri_imports_only_lts():
     assert package_imports("petri") == ["netsynth.lts"]
+
+
+def foreign_imports(tree: ast.AST) -> list[str]:
+    """The imports in ``tree`` of neither the standard library nor the
+    package."""
+    return [n for n in imported_modules(tree)
+            if not n.startswith(".")
+            and n.split(".")[0] not in sys.stdlib_module_names | {"netsynth"}]
+
+
+def test_package_imports_only_the_standard_library():
+    found = {path.name: foreign_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "oracle.py" in found
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_foreign_import_check_sees_local_imports():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "def f():\n    import numpy as np\n"
+                     "    from scipy import optimize\n")
+    assert foreign_imports(tree) == ["numpy", "scipy"]
 
 
 def test_import_check_sees_package_imports():

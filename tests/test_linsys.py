@@ -17,6 +17,7 @@ from netsynth.oracle import random_lts
 from netsynth.synthesis import synthesize_brac, synthesize_wpi
 
 from conftest import margin_row
+from reference import assignment, satisfied_by
 
 PIVOT_RECORD = pathlib.Path(__file__).parent / "fixtures" / \
     "pivot_digests.json"
@@ -92,7 +93,7 @@ class TestMakeRow:
                      for _ in range(3)]
                 truth = ops[rel](sum(c * v for c, v in zip(coeffs, x)),
                                  const)
-                assert sys_.satisfied_by(x) == truth
+                assert satisfied_by(sys_, x) == truth
                 assert sys_.holds([int(v * 2) for v in x], 2) == truth
                 seen.add(truth)
         assert seen == {True, False}
@@ -102,13 +103,13 @@ class TestRational:
     def test_intro_example_feasible(self):
         sol = solve_rational(INTRO)
         assert sol.feasible
-        assert INTRO.satisfied_by(sol.assignment)
+        assert satisfied_by(INTRO, assignment(sol))
         # the half-integral witness is a valid solution of this system
-        assert INTRO.satisfied_by((Fraction(1, 2), Fraction(3, 2)))  # x, y
+        assert satisfied_by(INTRO, (Fraction(1, 2), Fraction(3, 2)))  # x, y
 
     def test_empty_system(self):
         sol = solve_rational(LinearSystem(0, ()))
-        assert sol.feasible and sol.assignment == ()
+        assert sol.feasible and assignment(sol) == ()
 
     def test_contradictory_bounds(self):
         sys_ = system([({"x": 1}, ">=", 1), ({"x": 1}, "<=", 0)])
@@ -118,7 +119,7 @@ class TestRational:
         sys_ = system([({"x": 1, "y": -1}, "<", 0)])
         sol = solve_rational(sys_)
         assert sol.feasible
-        assert sol.assignment[0] < sol.assignment[1]  # x < y
+        assert assignment(sol)[0] < assignment(sol)[1]  # x < y
 
     def test_strict_on_zero_infeasible(self):
         sys_ = system([({"x": 1}, "<", 0)])
@@ -159,7 +160,7 @@ class TestRational:
             sol = solve_rational(sys_)
             if sol.feasible:
                 feasible += 1
-                assert sys_.satisfied_by(sol.assignment)
+                assert satisfied_by(sys_, assignment(sol))
         assert feasible > 10
 
 
@@ -205,17 +206,17 @@ class TestLifting:
         # three halves of the witness, so that it still meets B_a >= 1
         halved = Solution(FEASIBLE, tuple(3 * v for v in sol.num),
                           2 * sol.den)
-        assert sys_.satisfied_by(halved.assignment)
-        assert any(v.denominator == 2 for v in halved.assignment)
+        assert satisfied_by(sys_, assignment(halved))
+        assert any(v.denominator == 2 for v in assignment(halved))
         lifted = lift_homogeneous_to_integer(halved, sys_)
-        assert all(v.denominator == 1 for v in lifted.assignment)
-        assert sys_.satisfied_by(lifted.assignment)
+        assert all(v.denominator == 1 for v in assignment(lifted))
+        assert satisfied_by(sys_, assignment(lifted))
 
     def test_integer_solution_unchanged(self):
         sys_ = system([({"x": 1, "y": -1}, "=", 0)])
         sol = solve_rational(sys_)
         lifted = lift_homogeneous_to_integer(sol, sys_)
-        assert lifted.assignment == sol.assignment
+        assert assignment(lifted) == assignment(sol)
 
     def test_rejects_inhomogeneous(self):
         sol = solve_rational(INTRO)
@@ -236,7 +237,7 @@ class TestLifting:
                 lift_homogeneous_to_integer(sol, sys_)
         else:
             lifted = lift_homogeneous_to_integer(sol, sys_)
-            assert sys_.satisfied_by(lifted.assignment)
+            assert satisfied_by(sys_, assignment(lifted))
 
     def test_random_homogeneous_lift_property(self):
         rng = random.Random(23)
@@ -255,9 +256,9 @@ class TestLifting:
                 assert solve_integer(sys_, cap=64).status != FEASIBLE
                 continue
             lifted = lift_homogeneous_to_integer(sol, sys_)
-            assert sys_.satisfied_by(lifted.assignment)
+            assert satisfied_by(sys_, assignment(lifted))
             assert all(v.denominator == 1
-                       for v in lifted.assignment)
+                       for v in assignment(lifted))
             lifted_count += 1
         assert lifted_count > 20
 
@@ -272,20 +273,20 @@ class TestInteger:
                       zero_one=("B_a", "F_a"))
         sol = solve_integer(sys_)
         assert sol.feasible
-        assert sol.assignment == (1, 1)  # B_a, F_a
+        assert assignment(sol) == (1, 1)  # B_a, F_a
 
     def test_strict_rows_integerized(self):
         sys_ = system([({"x": 1}, "<", 3), ({"x": 1}, ">", 1)])
         assert [(r.rel, r.const) for r in sys_.rows] == \
             [("<=", 2), (">=", 2)]
         sol = solve_integer(sys_)
-        assert sol.assignment[0] == 2
+        assert assignment(sol)[0] == 2
 
     def test_branching_down_first(self):
         # both 1 and 2 work; the down branch must win
         sys_ = system([({"x": 2}, ">=", 3), ({"x": 1}, "<=", 2)])
         sol = solve_integer(sys_)
-        assert sol.assignment[0] == 2
+        assert assignment(sol)[0] == 2
 
     def test_zero_one_column_branched_first(self, monkeypatch):
         # r = 3/2 and b = 1/2 at the root; r comes first in column order
@@ -299,7 +300,7 @@ class TestInteger:
             return real(s)
         monkeypatch.setattr("netsynth.linsys.solve_rational", record)
         assert solve_integer(sys_).status == INFEASIBLE
-        assert real(solved[0]).assignment == (Fraction(3, 2), Fraction(1, 2))
+        assert assignment(real(solved[0])) == (Fraction(3, 2), Fraction(1, 2))
         branch = solved[1].rows.parts[-1]
         assert branch.tag.startswith("branch-") and branch.coeffs == ((1, 1),)
 
@@ -328,14 +329,14 @@ class TestExhaustiveCrossCheck:
                 for _ in range(rng.randint(1, 5)))
             sys_ = LinearSystem(nvar, rows, frozenset(range(nvar)))
             truth = any(
-                sys_.satisfied_by(tuple(Fraction(bits >> i & 1)
+                satisfied_by(sys_, tuple(Fraction(bits >> i & 1)
                                         for i in range(nvar)))
                 for bits in range(1 << nvar))
             got = solve_integer(sys_)
             assert got.feasible == truth
             if truth:
                 agree_feasible += 1
-                assert sys_.satisfied_by(got.assignment)
+                assert satisfied_by(sys_, assignment(got))
             else:
                 agree_infeasible += 1
         assert agree_feasible > 30 and agree_infeasible > 30
@@ -433,7 +434,7 @@ class TestPivotSequence:
             for solve in (solve_rational,
                           lambda s: solve_integer(s, cap=16)):
                 sol = solve(sys_)
-                values = " ".join(map(str, sol.assignment or ()))
+                values = " ".join(map(str, assignment(sol) or ()))
                 h.update(f"{sol.status} {sol.pivots} {values}\n".encode())
         return h.hexdigest()
 

@@ -593,7 +593,7 @@ def reference_validate(lts):
     seen = {}
     for e in lts.edges:
         key = (e[0], e[1])
-        if key in seen and seen[key] != e:
+        if key in seen:
             witness = (seen[key], e)
             break
         seen[key] = e
@@ -692,14 +692,17 @@ class TestFrontEndReference:
                                         for vec in tree.parikh), name
 
     def test_repeated_identical_edge(self):
-        # a -1 mask, yet no two distinct edges share a label
+        # a repeated edge is two edges of one label at a state: a -1 mask
+        # means exactly "not deterministic"
         lts = Lts(states=("s0", "s1"), labels=("a",),
                   edges=((0, 0, 1), (0, 0, 1)), initial=0)
         report, _, ctx = assert_front_end_matches_reference(lts)
         assert lts.label_masks[0] == -1
-        assert report.deterministic and report.ok
-        assert report.nondeterministic_witness is None
+        assert not report.deterministic and not report.ok
+        assert report.nondeterministic_witness == ((0, 0, 1), (0, 0, 1))
         assert ctx.key_states == (0,)
+        with pytest.raises(LtsError):
+            report.raise_if_invalid()
 
     def test_witness_above_the_lowest_state(self):
         # s0 has two b edges, but s1's two a edges come first in edge order

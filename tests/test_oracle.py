@@ -7,16 +7,18 @@ import pytest
 
 from netsynth.linsys import solve_rational
 from netsynth.lts import cycle_basis, parse_lts, spanning_tree, validate
-from netsynth.oracle import (OracleBound, brute_force_region,
-                             random_brac_net, random_lts)
+from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import classify_net, reachability_graph
-from netsynth.separation import (ESSP, SSP, SystemContext,
-                                 enumerate_separation_problems)
+from netsynth.separation import ESSP, SSP, SystemContext
 from netsynth.synthesis import synthesize_brac, verify_solution
+
+from reference import (OracleBound, brute_force_region,
+                       enumerate_separation_problems)
 
 
 def test_import_does_not_load_numpy():
-    # only the brute-force oracle needs numpy; it imports it when called
+    # numpy is a test dependency only: the brute-force oracle in
+    # tests/reference.py imports it when called
     src = pathlib.Path(__file__).parents[1] / "src"
     code = ("import sys, netsynth, netsynth.cli; "
             "sys.exit('numpy' in sys.modules)")

@@ -7,11 +7,12 @@ import pytest
 from netsynth.lts import Lts, parse_lts
 from netsynth.oracle import random_brac_net
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, PetriNetError,
-                            classify_net, fire, isomorphic, parse_net,
+                            classify_net, isomorphic, parse_net,
                             reachability_graph, realises, render_dot,
                             serialize_net)
 
 from conftest import FIXTURES, load_net
+from reference import fire, w_in
 from test_verification_digests import without_place
 
 REACHABILITY_DIGESTS = json.loads(
@@ -101,7 +102,8 @@ class TestReachabilityGraph:
                 assert marks[s2] == m2
             marks[s2] = m2
             for p in range(len(fig1_net.places)):
-                delta = fig1_net.produce.get((tt, p), 0) - fig1_net.w_in(p, tt)
+                delta = (fig1_net.produce.get((tt, p), 0)
+                         - w_in(fig1_net, p, tt))
                 assert m2[p] - marks[s][p] == delta
 
 

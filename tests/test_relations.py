@@ -9,10 +9,12 @@ from netsynth.relations import (A_GTR_B, B_GTR_A, Contradiction, DISJOINT,
                                 INTERLEAVE, MatchingFailure, PairRelation,
                                 RelationGraph, STRENGTHENED,
                                 build_relation_graph,
-                                classify_case, pair_relation, pair_relations,
+                                classify_case, pair_relations,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
+
+from reference import pair_relation, w_in
 
 
 def rel(lts, a, b):
@@ -431,7 +433,7 @@ class TestAgainstSourceNets:
 
             def col(name):
                 t = tmap[name]
-                return [net.w_in(p, t) for p in range(nplaces)]
+                return [w_in(net, p, t) for p in range(nplaces)]
 
             for (a, b), e in graph.edges.items():
                 if e.origin != ORIGINAL:

@@ -13,12 +13,14 @@ from netsynth.relations import (DOI, EQUIVALENT, build_relation_graph,
 from netsynth.separation import (ESSP, Region, SSP, SystemContext,
                                  brac_block_systems,
                                  brac_ssp_system_freechoice,
-                                 enumerate_separation_problems,
                                  essp_system_wpi, normalize_region,
                                  region_to_place, ssp_system_wpi,
-                                 StatePartition, state_pairs)
+                                 StatePartition)
 
 from conftest import margin_row
+from reference import (OracleBound, assignment, brute_force_region,
+                       enumerate_separation_problems, satisfied_by,
+                       state_pairs)
 
 
 def stage(lts, brac=False):
@@ -188,7 +190,7 @@ class TestEsspSystemWpi:
         essp = ESSP(sid(fig1, "s13"), lid(fig1, "a"))
         system = essp_system_wpi(ctx, graph, essp)
         region = region_of(fig1, {"r0": 2, "b": {"a": 1}, "f": {"f": 1}})
-        assert system.satisfied_by(assignment_of(ctx, region))
+        assert satisfied_by(system, assignment_of(ctx, region))
         assert solve_rational(system).feasible
 
     def test_rows_homogeneous_apart_from_margin(self, fig1):
@@ -224,7 +226,7 @@ class TestSspSystemWpi:
         ssp = SSP(sid(fig1, "s4"), sid(fig1, "s5"))
         system = ssp_system_wpi(ctx, graph, ssp, lid(fig1, "d"), ">")
         region = region_of(fig1, {"r0": 0, "f": {"a": 1}, "b": {"d": 1}})
-        assert system.satisfied_by(assignment_of(ctx, region))
+        assert satisfied_by(system, assignment_of(ctx, region))
         assert solve_rational(system).feasible
         # some keyed system solves the pair; first feasible key wins
         solved = [fig1.labels[rep] for rep in sorted(graph.classes)
@@ -328,8 +330,8 @@ class TestBracBlockSystems:
         assert sol1.feasible and sol2.feasible
         # shared place consumed by both labels, private only by the wide one
         bb, ba = ctx.bvar[b], ctx.bvar[a]
-        assert sol1.assignment[bb] == 1 and sol1.assignment[ba] == 1
-        assert sol2.assignment[ba] == 1 and sol2.assignment[bb] == 0
+        assert assignment(sol1)[bb] == 1 and assignment(sol1)[ba] == 1
+        assert assignment(sol2)[ba] == 1 and assignment(sol2)[bb] == 0
 
     def test_fig1_cd_block(self, fig1):
         ctx, graph = stage(fig1, brac=True)
@@ -356,7 +358,7 @@ class TestBracBlockSystems:
         b, a = lid(fig1, "b"), lid(fig1, "a")
         sys1, _ = brac_block_systems(ctx, graph, (b, a))
         sol = solve_integer(sys1, cap=30)
-        assert sol.assignment[ctx.fvar[b]] == 0
+        assert assignment(sol)[ctx.fvar[b]] == 0
 
     def test_self_loop_narrow_label_produce_free(self, brac7):
         ctx, graph = stage(brac7, brac=True)
@@ -365,7 +367,8 @@ class TestBracBlockSystems:
         sol = solve_integer(sys1, cap=30)
         assert sol.feasible
         # the self-loop keeps the shared place's count: consume = produce
-        assert sol.assignment[ctx.fvar[c]] == sol.assignment[ctx.bvar[c]] == 1
+        values = assignment(sol)
+        assert values[ctx.fvar[c]] == values[ctx.bvar[c]] == 1
 
 
 class TestBracFreechoice:
@@ -389,7 +392,7 @@ class TestBracFreechoice:
         sol = solve_integer(system, cap=30)
         if sol.feasible:
             for name in "abcd":
-                assert sol.assignment[ctx.bvar[lid(fig1, name)]] == 0
+                assert assignment(sol)[ctx.bvar[lid(fig1, name)]] == 0
 
     def test_equal_parikh_infeasible_for_all_labels(self, genx):
         # relations on this system contradict, so build a plain graph
@@ -446,7 +449,7 @@ def fixture_regions():
 def oracle_regions():
     """(lts, region) for every problem the brute-force oracle solves on
     small random systems."""
-    from netsynth.oracle import OracleBound, brute_force_region, random_lts
+    from netsynth.oracle import random_lts
     for seed in range(8):
         lts = random_lts(seed, 5, 3)
         for problem in enumerate_separation_problems(lts):
@@ -537,7 +540,7 @@ class TestContextBlock:
             den = rng.randint(1, 3)
             num = [rng.randint(0, 4) for _ in range(5)]
             got = sys_.holds(num, den)
-            assert got == sys_.satisfied_by([Fraction(v, den) for v in num])
+            assert got == satisfied_by(sys_, [Fraction(v, den) for v in num])
             verdicts.add(got)
         assert verdicts == {True, False}
 
@@ -549,8 +552,8 @@ class TestContextBlock:
             written = LinearSystem(5, tuple(spliced.rows), zero_one)
             for solve in (solve_rational, solve_integer):
                 a, b = solve(spliced), solve(written)
-                assert (a.status, a.pivots, a.assignment) == \
-                    (b.status, b.pivots, b.assignment)
+                assert (a.status, a.pivots, assignment(a)) == \
+                    (b.status, b.pivots, assignment(b))
                 assert a.feasible
 
 
@@ -630,8 +633,8 @@ class TestBaseBlock:
                    else solve_rational(system))
             if not sol.feasible:
                 continue
-            den = lcm(*(v.denominator for v in sol.assignment))
-            num = [int(v * den) for v in sol.assignment]
+            den = lcm(*(v.denominator for v in assignment(sol)))
+            num = [int(v * den) for v in assignment(sol)]
             points = [num]
             for j in range(len(num)):
                 for step in (1, -1):
@@ -640,8 +643,8 @@ class TestBaseBlock:
                     points.append(moved)
             for point in points:
                 got = system.holds(point, den)
-                assert got == system.satisfied_by(
-                    [Fraction(v, den) for v in point])
+                assert got == satisfied_by(
+                    system, [Fraction(v, den) for v in point])
                 verdicts.append(got)
             assert system.holds(num, den)
         # moving one coordinate breaks some rows and keeps others
@@ -657,8 +660,8 @@ class TestBaseBlock:
             assert spliced.basis == written.basis
             sol = solve_rational(system)
             ref = solve_rational(self.written_out(system))
-            assert (sol.status, sol.pivots, sol.assignment) == \
-                (ref.status, ref.pivots, ref.assignment)
+            assert (sol.status, sol.pivots, assignment(sol)) == \
+                (ref.status, ref.pivots, assignment(ref))
 
     def test_solves_leave_shared_inputs_unchanged(self):
         """Pivots update tableau rows in place.  Solving several systems
@@ -688,8 +691,8 @@ class TestBaseBlock:
                 assert _Simplex(node).obj == costs
                 first = solve_rational(node)
                 again = solve_rational(node)
-                assert (first.status, first.pivots, first.assignment) == \
-                    (again.status, again.pivots, again.assignment)
+                assert (first.status, first.pivots, assignment(first)) == \
+                    (again.status, again.pivots, assignment(again))
                 assert extra == kept
             if system.zero_one:  # branch-and-bound passes its own rows
                 solve_integer(system)

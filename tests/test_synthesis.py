@@ -11,9 +11,8 @@ import netsynth.linsys
 import netsynth.synthesis
 from netsynth.cli import run
 from netsynth.linsys import LinearSystem, Row, make_row, solve_integer
-from netsynth.lts import Lts, parse_lts, serialize_lts
-from netsynth.oracle import (OracleBound, brute_force_region,
-                             random_brac_net, random_lts)
+from netsynth.lts import Lts, LtsError, parse_lts, serialize_lts
+from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import (CapExceeded, classify_net, isomorphic,
                             parse_net, reachability_graph, realises,
                             serialize_net)
@@ -22,18 +21,21 @@ from netsynth.relations import (Contradiction, MatchingFailure,
 from netsynth.separation import (ESSP, Region, SSP, StatePartition,
                                  brac_block_systems,
                                  brac_ssp_system_freechoice,
-                                 enumerate_separation_problems,
-                                 essp_system_wpi, state_pairs)
+                                 essp_system_wpi)
 from netsynth.synthesis import (SynthesisConfig, _prepare,
                                 relation_stage, synthesize_brac,
                                 synthesize_wpi, verify_solution)
+
+from reference import (OracleBound, brute_force_region,
+                       enumerate_separation_problems, evaluate,
+                       satisfied_by, state_pairs, w_in)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def consume_vector(net, label):
     t = net.transitions.index(label)
-    return tuple(net.w_in(p, t) for p in range(len(net.places)))
+    return tuple(w_in(net, p, t) for p in range(len(net.places)))
 
 
 def selfloop_product() -> str:
@@ -228,6 +230,15 @@ class TestVerify:
         record = verify_solution(net, lts, "wpi")
         assert not record.isomorphic and not record.ok
         assert record.mismatch == "nondeterministic system"
+
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac])
+    def test_repeated_edge_is_invalid_input(self, synthesize):
+        # an identical repeated edge is refused as input, not synthesised
+        # into a net that then fails verification
+        lts = Lts(states=("s0", "s1"), labels=("a", "b"),
+                  edges=((0, 0, 1), (0, 0, 1), (1, 1, 0)), initial=0)
+        with pytest.raises(LtsError, match="deterministic"):
+            synthesize(lts)
 
     def test_unbounded_net_is_a_state_count_mismatch(self):
         # the graph is explored to |S| + 1 markings, never to exhaustion
@@ -669,11 +680,11 @@ class TestBracIntegerSearch:
             values = [0] * system.columns
             for j, bit in zip(binary, bits):
                 values[j] = bit
-            if not all(r.evaluate(values) for r in weight_rows):
+            if not all(evaluate(r, values) for r in weight_rows):
                 continue
             for r0 in range(n_states + 1):
                 values[0] = r0
-                if system.satisfied_by(values):
+                if satisfied_by(system, values):
                     return True
         return False
 
