@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
-from operator import sub
+from operator import or_, sub
 from typing import Optional, Sequence
 
 _NAME = re.compile(r"[A-Za-z0-9_]+$")
@@ -38,8 +38,9 @@ class Lts:
     """Finite labelled transition system with an initial state.
 
     States, labels and edges are interned to dense indices in
-    first-appearance order; all iteration is in index order.  Instances are
-    immutable and safe to share.
+    first-appearance order; all iteration is in index order.  No two
+    states and no two labels share a name.  Instances are immutable and
+    safe to share.
     """
 
     states: tuple[str, ...]
@@ -49,6 +50,8 @@ class Lts:
 
     def __post_init__(self):
         n, m = len(self.states), len(self.labels)
+        if len(set(self.states)) < n or len(set(self.labels)) < m:
+            raise LtsError("state or label names repeat")
         if not (0 <= self.initial < n):
             raise LtsError("initial state out of range")
         for s, t, s2 in self.edges:
@@ -85,11 +88,6 @@ class Lts:
         return tuple(masks)
 
     @cached_property
-    def successor(self) -> dict[tuple[int, int], int]:
-        """(state, label) -> target; last edge wins if nondeterministic."""
-        return {(s, t): s2 for s, t, s2 in self.edges}
-
-    @cached_property
     def self_loop_labels(self) -> frozenset[int]:
         return frozenset(t for s, t, s2 in self.edges if s == s2)
 
@@ -101,16 +99,20 @@ class ValidationReport:
                                              tuple[int, int, int]]]
     reachable: bool
     unreachable_states: tuple[int, ...]
+    unused_labels: tuple[str, ...]
     self_loop_labels: frozenset[int]
 
     @property
     def ok(self) -> bool:
-        return self.deterministic and self.reachable
+        return self.deterministic and self.reachable and not self.unused_labels
 
     def raise_if_invalid(self) -> None:
-        """Raise `LtsError` unless the LTS is deterministic and reachable."""
-        if not self.ok:
+        """Raise `LtsError` unless the LTS is deterministic and reachable
+        and every label is on an edge."""
+        if not (self.deterministic and self.reachable):
             raise LtsError("LTS must be deterministic and reachable")
+        if self.unused_labels:
+            raise LtsError(f"label {self.unused_labels[0]!r} is on no edge")
 
 
 @dataclass(frozen=True)
@@ -196,14 +198,16 @@ def serialize_lts(lts: Lts) -> str:
 
 
 def validate(lts: Lts) -> ValidationReport:
-    """Check determinism and reachability; collect self-loop labels.
+    """Check determinism, reachability and that every label is on an edge;
+    collect self-loop labels.
 
     Findings are reported, never raised.
     """
     witness = None
+    masks = lts.label_masks
     # a -1 mask marks two edges of one label at a state, repeated or not;
     # the witness is the first such pair in edge order
-    if -1 in lts.label_masks:
+    if -1 in masks:
         seen: dict[tuple[int, int], tuple[int, int, int]] = {}
         for e in lts.edges:
             key = (e[0], e[1])
@@ -211,6 +215,10 @@ def validate(lts: Lts) -> ValidationReport:
                 witness = (seen[key], e)
                 break
             seen[key] = e
+        # a -1 mask sets every bit; such a state's edges name its labels
+        masks = [sum({1 << t for _, t, _ in es}) for es in lts.out_edges]
+    # a label on no edge has its bit set in no state's mask
+    used = reduce(or_, masks, 0)
     reached = {lts.initial}
     frontier = [lts.initial]
     while frontier:
@@ -225,6 +233,8 @@ def validate(lts: Lts) -> ValidationReport:
         nondeterministic_witness=witness,
         reachable=not unreachable,
         unreachable_states=unreachable,
+        unused_labels=tuple(name for t, name in enumerate(lts.labels)
+                            if not used >> t & 1),
         self_loop_labels=lts.self_loop_labels,
     )
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import Optional, Sequence
 
@@ -81,13 +81,6 @@ class PetriNet:
             if not (0 <= p < np_ and 0 <= t < nt):
                 raise PetriNetError(f"arc between place {p} and transition "
                                     f"{t} is outside the net")
-
-    @cached_property
-    def preset_of_transition(self) -> tuple[frozenset[int], ...]:
-        presets: list[set[int]] = [set() for _ in self.transitions]
-        for p, t in self.consume:
-            presets[t].add(p)
-        return tuple(map(frozenset, presets))
 
 
 def _kernel(net: PetriNet, order: Sequence[int], depth: int):
@@ -214,10 +207,12 @@ def classify_net(net: PetriNet) -> NetClass:
     np_, nt = len(net.places), len(net.transitions)
     col = [[0] * np_ for _ in range(nt)]
     row = [[0] * nt for _ in range(np_)]
+    tpre: list[set[int]] = [set() for _ in range(nt)]
+    ppost: list[set[int]] = [set() for _ in range(np_)]
     for (p, t), w in net.consume.items():
         col[t][p] = row[p][t] = w
-    tpre = net.preset_of_transition
-    ppost = [frozenset(t for t, w in enumerate(r) if w) for r in row]
+        tpre[t].add(p)
+        ppost[p].add(t)
 
     plain = all(w <= 1 for w in net.consume.values()) and \
         all(w <= 1 for w in net.produce.values())
@@ -234,13 +229,6 @@ def classify_net(net: PetriNet) -> NetClass:
                     wpi = False
     efc = ec and plain
 
-    wac = True
-    for p in range(np_):
-        for q in range(p + 1, np_):
-            if ppost[p] & ppost[q] and not _comparable(row[p], row[q]):
-                wac = False
-    ac = wac and plain
-
     def n_block(p: int, q: int) -> bool:
         # postset of p is t-block T1, q additionally feeds T1 and owns T2
         t1 = ppost[p]
@@ -250,12 +238,14 @@ def classify_net(net: PetriNet) -> NetClass:
         return all(tpre[t] == {p, q} for t in t1) and \
             all(tpre[t] == {q} for t in t2)
 
-    rac = plain
-    brac = plain
+    wac = True
+    rac = brac = plain
     for p in range(np_):
         for q in range(p + 1, np_):
             if not ppost[p] & ppost[q]:
                 continue
+            if not _comparable(row[p], row[q]):
+                wac = False
             a = len(ppost[p]) == 1 and len(ppost[q]) <= 2 and \
                 frozenset().union(*(tpre[t] for t in ppost[q])) == {p, q}
             b = len(ppost[q]) == 1 and len(ppost[p]) <= 2 and \
@@ -264,6 +254,7 @@ def classify_net(net: PetriNet) -> NetClass:
                 rac = False
             if not (ppost[p] == ppost[q] or n_block(p, q) or n_block(q, p)):
                 brac = False
+    ac = wac and plain
     return NetClass(plain=plain, mg=mg, cf=cf, ec=ec, efc=efc, wpi=wpi,
                     wac=wac, ac=ac, rac=rac, brac=brac)
 
@@ -277,18 +268,14 @@ class Mismatch:
     label: Optional[str] = None
 
 
-def _labels_at(lts: Lts, s: int) -> set[str]:
-    mask = lts.label_masks[s]
-    return {name for t, name in enumerate(lts.labels) if mask >> t & 1}
-
-
 def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     """Forced bijection between two deterministic reachable systems.
 
     A parallel breadth-first walk from the initial states either yields the
-    unique candidate bijection or the first divergent (state, label).  A
-    system with two edges of one label at a state (a -1 label mask) is a
-    mismatch, since the walk would follow only one of them.
+    unique candidate bijection or the first divergent (state, label).  At
+    each state pair the out-edges of either side give one ``{label name:
+    target}`` dict.  A system with two edges of one label at a state (a
+    -1 label mask) is a mismatch, since such a dict keeps only one of them.
     """
     if -1 in lts.label_masks or -1 in other.label_masks:
         return Mismatch("nondeterministic system")
@@ -297,19 +284,15 @@ def isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
     mapping = {lts.initial: other.initial}
     paired = {other.initial}
     queue = [(lts.initial, other.initial)]
-    head = 0
-    index = {name: i for i, name in enumerate(lts.labels)}
-    relabel = {name: i for i, name in enumerate(other.labels)}
-    while head < len(queue):
-        s1, s2 = queue[head]
-        head += 1
-        en1, en2 = _labels_at(lts, s1), _labels_at(other, s2)
-        if en1 != en2:
-            diff = sorted((en1 ^ en2))[0]
-            return Mismatch("enabled labels differ", (s1, s2), diff)
-        for name in sorted(en1):
-            n1 = lts.successor[(s1, index[name])]
-            n2 = other.successor[(s2, relabel[name])]
+    # ``queue`` grows while it is walked
+    for s1, s2 in queue:
+        next1 = {lts.labels[t]: n for _, t, n in lts.out_edges[s1]}
+        next2 = {other.labels[t]: n for _, t, n in other.out_edges[s2]}
+        if next1.keys() != next2.keys():
+            return Mismatch("enabled labels differ", (s1, s2),
+                            min(next1.keys() ^ next2.keys()))
+        for name in sorted(next1):
+            n1, n2 = next1[name], next2[name]
             if n1 in mapping:
                 if mapping[n1] != n2:
                     return Mismatch("states identified differently",
@@ -334,9 +317,8 @@ def realises(net: PetriNet, lts: Lts) -> bool:
     fails when a transition's enabledness at a state's marking differs
     from the state's labels, when a successor marking differs from the one
     its state already holds, when two states get the same marking, when a
-    state is never reached, when a label has no transition of that name,
-    shares its name or labels no edge, or when a state has two edges of
-    one label.  A walk that passes is the isomorphism: the net then
+    state is never reached, when a label has no transition of that name
+    or labels no edge, or when a state has two edges of one label.  A walk that passes is the isomorphism: the net then
     reaches exactly the assigned markings (Badouel, Bernardinello and
     Darondeau, "Petri Net Synthesis", Springer 2015).
     """
@@ -346,8 +328,7 @@ def realises(net: PetriNet, lts: Lts) -> bool:
     # a label on no edge leaves a bit of the masks' union unset, and a
     # state with two edges of one label (mask -1) makes the union -1
     used = reduce(or_, wanted, 0)
-    if None in fires or len(set(fires)) < len(fires) or used < 0 or \
-            used.bit_count() < len(fires):
+    if None in fires or used < 0 or used.bit_count() < len(fires):
         return False
     unnamed = [t for t in range(len(net.transitions)) if t not in fires]
     m0, en0, eff, after = _kernel(net, fires + unnamed, len(lts.states))

@@ -540,18 +540,16 @@ def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
     # state separation: free-choice first, then block assignment;
     # only a block could take a leftover, so without one the first
     # leftover is the failure
-    unsolved = _separate(ctx, pool,
-                         StatePartition(len(lts.states)).pairs(pool),
-                         candidates(graph))
-    if not blocks:
-        first = next(unsolved, None)
-        if first is not None:
+    leftovers = []
+    for ssp, _ in _separate(ctx, pool,
+                            StatePartition(len(lts.states)).pairs(pool),
+                            candidates(graph)):
+        if not blocks:
             raise _Unsolvable(_problem_witness(
-                first[0], lts, ["freechoice:all-labels"]))
-    else:
-        leftovers = [ssp for ssp, _ in unsolved]
-        if leftovers:
-            _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg)
+                ssp, lts, ["freechoice:all-labels"]))
+        leftovers.append(ssp)
+    if leftovers:
+        _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg)
 
     net, record = _verified_net(lts, pool, BRAC)
     report.regions, report.verification = pool, record

@@ -18,6 +18,9 @@ checked against, or stands in for, a part of ``src/netsynth``:
   yields only the pairs no pooled region separates.
 - `enumerate_separation_problems` lists every separation problem of an LTS,
   the problems the pipelines' regions must solve.
+- `reference_isomorphic` pairs two systems by a walk that looks each
+  successor up in a (state, label) -> target map and each state's labels
+  up in its label mask; `netsynth.petri.isomorphic` reads the out-edges.
 - `brute_force_region` enumerates every bounded (r0, B, F) triple directly
   against the region axioms, independently of any inequality system, so
   the systems of `netsynth.separation.SystemContext` and the pipelines'
@@ -35,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution
 from netsynth.lts import Lts, spanning_tree
-from netsynth.petri import Marking, PetriNet, PetriNetError
+from netsynth.petri import Marking, Mismatch, PetriNet, PetriNetError
 from netsynth.relations import (A_GTR_B, B_GTR_A, EQUIV, INTERLEAVE,
                                 PairRelation)
 from netsynth.separation import ESSP, Region, SSP, SeparationProblem
@@ -51,7 +54,7 @@ def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
     """
     if a == b:
         raise ValueError("pair relation requires two distinct labels")
-    succ = lts.successor
+    succ = {(s, t): s2 for s, t, s2 in lts.edges}
     ea = {s for s, t, _ in lts.edges if t == a}
     eb = {s for s, t, _ in lts.edges if t == b}
     if ea == eb:
@@ -111,6 +114,50 @@ def fire(net: PetriNet, m: Marking, t: int) -> Marking:
                 f"{net.places[p]!r} holds {x} < {w}")
         out.append(x - w + net.produce.get((t, p), 0))
     return tuple(out)
+
+
+def reference_isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:
+    """The forced bijection, or the first divergence, by a parallel
+    breadth-first walk that follows a (state, label) -> target map."""
+    def labels_at(system: Lts, s: int) -> set[str]:
+        mask = system.label_masks[s]
+        return {name for t, name in enumerate(system.labels) if mask >> t & 1}
+
+    if -1 in lts.label_masks or -1 in other.label_masks:
+        return Mismatch("nondeterministic system")
+    if set(lts.labels) != set(other.labels):
+        return Mismatch("label sets differ")
+    succ1 = {(s, t): s2 for s, t, s2 in lts.edges}
+    succ2 = {(s, t): s2 for s, t, s2 in other.edges}
+    mapping = {lts.initial: other.initial}
+    paired = {other.initial}
+    queue = [(lts.initial, other.initial)]
+    head = 0
+    index = {name: i for i, name in enumerate(lts.labels)}
+    relabel = {name: i for i, name in enumerate(other.labels)}
+    while head < len(queue):
+        s1, s2 = queue[head]
+        head += 1
+        en1, en2 = labels_at(lts, s1), labels_at(other, s2)
+        if en1 != en2:
+            diff = sorted((en1 ^ en2))[0]
+            return Mismatch("enabled labels differ", (s1, s2), diff)
+        for name in sorted(en1):
+            n1 = succ1[(s1, index[name])]
+            n2 = succ2[(s2, relabel[name])]
+            if n1 in mapping:
+                if mapping[n1] != n2:
+                    return Mismatch("states identified differently",
+                                    (s1, s2), name)
+            elif n2 in paired:
+                return Mismatch("target already paired", (s1, s2), name)
+            else:
+                mapping[n1] = n2
+                paired.add(n2)
+                queue.append((n1, n2))
+    if len(mapping) != len(lts.states) or len(mapping) != len(other.states):
+        return Mismatch("state counts differ")
+    return mapping
 
 
 def state_pairs(lts: Lts) -> Iterator[SSP]:

@@ -62,6 +62,17 @@ def chords(tree):
     return [e for e in tree.lts.edges if not is_tree_edge(tree, e)]
 
 
+def one_edge_removed(seeds):
+    """Each graph of ``random_brac_net(seed)`` less one of its edges, with
+    the edge removed."""
+    for seed in seeds:
+        graph = reachability_graph(random_brac_net(seed))
+        for k, e in enumerate(graph.edges):
+            yield Lts(graph.states, graph.labels,
+                      graph.edges[:k] + graph.edges[k + 1:],
+                      graph.initial), e
+
+
 class TestParse:
     def test_fig1_shape(self, fig1):
         assert len(fig1.states) == 15
@@ -144,6 +155,55 @@ class TestValidate:
         report = validate(lts)
         assert not report.reachable
         assert [lts.states[s] for s in report.unreachable_states] == ["s9"]
+
+    def test_label_on_no_edge(self):
+        lts = Lts(states=("s0", "s1"), labels=("a", "b", "c"),
+                  edges=((0, 0, 1), (1, 1, 0)), initial=0)
+        report = validate(lts)
+        assert report.deterministic and report.reachable
+        assert report.unused_labels == ("c",) and not report.ok
+        assert report == reference_validate(lts)
+        with pytest.raises(LtsError, match="^label 'c' is on no edge$"):
+            report.raise_if_invalid()
+
+    def test_label_on_no_edge_beside_two_edges_of_one_label(self):
+        # s0's -1 mask sets every bit; its edges still leave b unused
+        lts = Lts(states=("s0", "s1"), labels=("a", "b"),
+                  edges=((0, 0, 0), (0, 0, 1)), initial=0)
+        report = validate(lts)
+        assert report.unused_labels == ("b",) and not report.deterministic
+        assert report == reference_validate(lts)
+        with pytest.raises(LtsError, match="deterministic and reachable"):
+            report.raise_if_invalid()
+
+    def test_one_edge_removed(self):
+        """On the graphs of ``random_brac_net(0..29)`` less one edge, a
+        label is reported unused exactly when that edge was its only one."""
+        unused = 0
+        for lts, (_, t, _) in one_edge_removed(range(30)):
+            report = validate(lts)
+            alone = all(e[1] != t for e in lts.edges)
+            assert report.unused_labels == \
+                ((lts.labels[t],) if alone else ()), lts
+            assert report == reference_validate(lts)
+            unused += alone
+        assert unused > 0
+
+
+class TestNames:
+    @pytest.mark.parametrize("states, labels", [
+        (("s0", "s0"), ("a", "b")),
+        (("s0", "s1"), ("a", "a")),
+    ])
+    def test_repeated_names_rejected(self, states, labels):
+        with pytest.raises(LtsError, match="state or label names repeat"):
+            Lts(states=states, labels=labels, edges=((0, 0, 1), (1, 1, 0)),
+                initial=0)
+
+    def test_a_state_may_share_a_label_name(self):
+        lts = Lts(states=("a", "b"), labels=("a", "b"),
+                  edges=((0, 0, 1), (1, 1, 0)), initial=0)
+        assert validate(lts).ok
 
 
 class TestLabelMasks:
@@ -606,9 +666,12 @@ def reference_validate(lts):
                 reached.add(s2)
                 frontier.append(s2)
     unreachable = tuple(s for s in range(len(lts.states)) if s not in reached)
+    used = {t for _, t, _ in lts.edges}
     return ValidationReport(
         deterministic=witness is None, nondeterministic_witness=witness,
         reachable=not unreachable, unreachable_states=unreachable,
+        unused_labels=tuple(name for t, name in enumerate(lts.labels)
+                            if t not in used),
         self_loop_labels=frozenset(t for s, t, s2 in lts.edges if s == s2))
 
 

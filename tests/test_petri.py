@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from netsynth.lts import Lts, parse_lts
+from netsynth.lts import Lts, LtsError, parse_lts
 from netsynth.oracle import random_brac_net
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, PetriNetError,
                             classify_net, isomorphic, parse_net,
@@ -12,8 +12,8 @@ from netsynth.petri import (CapExceeded, Mismatch, PetriNet, PetriNetError,
                             serialize_net)
 
 from conftest import FIXTURES, load_net
-from reference import fire, w_in
-from test_verification_digests import without_place
+from reference import fire, reference_isomorphic, w_in
+from test_verification_digests import family, without_place
 
 REACHABILITY_DIGESTS = json.loads(
     (FIXTURES / "reachability_digests.json").read_text())
@@ -181,6 +181,27 @@ class TestClassify:
             assert not f.ac or f.wac
 
 
+MISMATCH_CASES = [
+    ("s0 a s1", "q0 b q1", Mismatch("label sets differ")),
+    ("s0 a s1\ns0 b s2", "q0 a q1\nq1 b q2",
+     Mismatch("enabled labels differ", (0, 0), "b")),
+    ("s0 a s0", "q0 a q1\nq1 a q0",
+     Mismatch("states identified differently", (0, 0), "a")),
+    ("s0 a s1", "q0 a q0",
+     Mismatch("target already paired", (0, 0), "a")),
+    # the walk pairs every state of the left side; q2 is unreachable
+    ("s0 a s1", "q0 a q1\nq2 a q2", Mismatch("state counts differ")),
+    # two a edges at s0: the walk would pair s1 with q1 and accept
+    ("s0 a s0\ns0 a s1", "q0 a q1", Mismatch("nondeterministic system")),
+    ("s0 a s1", "q0 a q0\nq0 a q1", Mismatch("nondeterministic system")),
+]
+
+
+def mismatch_pair(left, right):
+    return (parse_lts(f"initial s0\n{left}\n"),
+            parse_lts(f"initial q0\n{right}\n"))
+
+
 class TestIsomorphic:
     def test_fig1_net_matches_lts(self, fig1, fig1_net):
         rg = reachability_graph(fig1_net)
@@ -207,24 +228,54 @@ class TestIsomorphic:
         l2 = parse_lts("initial q0\nq0 a q1\nq1 a q0\n")
         assert isinstance(isomorphic(l1, l2), Mismatch)
 
-    @pytest.mark.parametrize("left, right, expected", [
-        ("s0 a s1", "q0 b q1", Mismatch("label sets differ")),
-        ("s0 a s1\ns0 b s2", "q0 a q1\nq1 b q2",
-         Mismatch("enabled labels differ", (0, 0), "b")),
-        ("s0 a s0", "q0 a q1\nq1 a q0",
-         Mismatch("states identified differently", (0, 0), "a")),
-        ("s0 a s1", "q0 a q0",
-         Mismatch("target already paired", (0, 0), "a")),
-        # the walk pairs every state of the left side; q2 is unreachable
-        ("s0 a s1", "q0 a q1\nq2 a q2", Mismatch("state counts differ")),
-        # two a edges at s0: the walk would pair s1 with q1 and accept
-        ("s0 a s0\ns0 a s1", "q0 a q1", Mismatch("nondeterministic system")),
-        ("s0 a s1", "q0 a q0\nq0 a q1", Mismatch("nondeterministic system")),
-    ])
+    @pytest.mark.parametrize("left, right, expected", MISMATCH_CASES)
     def test_mismatch_reason(self, left, right, expected):
-        l1 = parse_lts(f"initial s0\n{left}\n")
-        l2 = parse_lts(f"initial q0\n{right}\n")
-        assert isomorphic(l1, l2) == expected
+        assert isomorphic(*mismatch_pair(left, right)) == expected
+
+
+def agree_with_reference(pairs):
+    """The pairs, in both argument orders, on which `isomorphic` and
+    `reference_isomorphic` differ, and how many pairs were checked."""
+    differ, checked = [], 0
+    for name, lts, other in pairs:
+        for order, args in (("forward", (lts, other)),
+                            ("reverse", (other, lts))):
+            if isomorphic(*args) != reference_isomorphic(*args):
+                differ.append((name, order))
+            checked += 1
+    return differ, checked
+
+
+class TestIsomorphicReference:
+    """`isomorphic` reads each state's out-edges; `reference_isomorphic`
+    reads a (state, label) -> target map and the label masks.  Both give
+    the same mapping or the same `Mismatch` on every pair."""
+
+    def test_isomorphic_cases(self, fig1, genx, fig1_net):
+        pairs = [("fig1/graph", fig1, reachability_graph(fig1_net)),
+                 ("fig1/fig1", fig1, fig1), ("fig1/genx", fig1, genx)]
+        pairs += [(f"case{i}", *mismatch_pair(left, right))
+                  for i, (left, right, _) in enumerate(MISMATCH_CASES)]
+        pairs += [("structural",
+                   parse_lts("initial s0\ns0 a s1\ns1 a s0\n"),
+                   parse_lts("initial q0\nq0 a q1\nq1 a q1\n")),
+                  ("state count", parse_lts("initial s0\ns0 a s0\n"),
+                   parse_lts("initial q0\nq0 a q1\nq1 a q0\n"))]
+        assert agree_with_reference(pairs) == ([], 2 * len(pairs))
+
+    def test_verification_family(self):
+        """Every (LTS, graph to |S| + 1 markings) pair of the verification
+        digest family whose graph stays within the cap."""
+        def pairs():
+            for base, mutant, net, lts in family():
+                try:
+                    graph = reachability_graph(net, len(lts.states) + 1)
+                except CapExceeded:
+                    continue
+                yield f"{base}/{mutant}", lts, graph
+        differ, checked = agree_with_reference(pairs())
+        assert not differ, differ[:5]
+        assert checked > 1000
 
 
 class TestRealises:
@@ -241,12 +292,11 @@ class TestRealises:
         assert not realises(net, lts)
 
     def test_two_labels_of_one_name_are_not_realised(self):
-        # the net fires a twice, as each label once; a net's graph never
-        # has two labels of one name
-        net = parse_net("place p 2\ntransition a\narc p a\n")
-        lts = Lts(states=("s0", "s1", "s2"), labels=("a", "a"),
-                  edges=((0, 0, 1), (1, 1, 2)), initial=0)
-        assert not realises(net, lts)
+        # the net would fire a twice, as each label once; no LTS has two
+        # labels of one name, as a net's graph never has
+        with pytest.raises(LtsError, match="names repeat"):
+            Lts(states=("s0", "s1", "s2"), labels=("a", "a"),
+                edges=((0, 0, 1), (1, 1, 2)), initial=0)
 
     @pytest.mark.parametrize("tokens", [0, 1])
     def test_transition_order_is_not_label_order(self, fig1, fig1_net,

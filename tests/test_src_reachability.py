@@ -41,11 +41,6 @@ ALLOWED = {
         "the perfbench tracer counts a system's rows with it",
     "separation.SystemContext.__len__":
         "`Rows.__len__` counts the context's rows with it",
-    "lts.Lts.successor":
-        "`isomorphic` follows edges with it to name a failed verification",
-    "petri._labels_at":
-        "`isomorphic` compares enabled labels with it to name a failed "
-        "verification",
     "synthesis._verification_witness":
         "the witness of a synthesised net that fails verification",
     "synthesis._assign_ssps_to_blocks":

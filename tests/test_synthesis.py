@@ -11,7 +11,7 @@ import netsynth.linsys
 import netsynth.synthesis
 from netsynth.cli import run
 from netsynth.linsys import LinearSystem, Row, make_row, solve_integer
-from netsynth.lts import Lts, LtsError, parse_lts, serialize_lts
+from netsynth.lts import Lts, LtsError, parse_lts, serialize_lts, validate
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import (CapExceeded, classify_net, isomorphic,
                             parse_net, reachability_graph, realises,
@@ -29,6 +29,7 @@ from netsynth.synthesis import (SynthesisConfig, _prepare,
 from reference import (OracleBound, brute_force_region,
                        enumerate_separation_problems, evaluate,
                        satisfied_by, state_pairs, w_in)
+from test_lts import one_edge_removed
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -239,6 +240,33 @@ class TestVerify:
                   edges=((0, 0, 1), (0, 0, 1), (1, 1, 0)), initial=0)
         with pytest.raises(LtsError, match="deterministic"):
             synthesize(lts)
+
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac])
+    def test_label_on_no_edge_is_invalid_input(self, synthesize):
+        # refused as input, not synthesised into a net whose graph then
+        # lacks the label ("label sets differ")
+        lts = Lts(states=("s0", "s1"), labels=("a", "b", "c"),
+                  edges=((0, 0, 1), (1, 1, 0)), initial=0)
+        with pytest.raises(LtsError, match="^label 'c' is on no edge$"):
+            synthesize(lts)
+
+    def test_one_edge_removed_graphs(self):
+        """Each graph of ``random_brac_net(0..29)`` less one edge is
+        refused or synthesised; no run ends in "label sets differ"."""
+        refused = accepted = 0
+        for lts, _ in one_edge_removed(range(30)):
+            if not validate(lts).ok:
+                for synthesize in (synthesize_wpi, synthesize_brac):
+                    with pytest.raises(LtsError):
+                        synthesize(lts)
+                refused += 1
+                continue
+            for synthesize in (synthesize_wpi, synthesize_brac):
+                report = synthesize(lts)
+                assert report.witness is None or \
+                    report.witness.get("detail") != "label sets differ"
+            accepted += 1
+        assert refused > 0 and accepted > 0
 
     def test_unbounded_net_is_a_state_count_mismatch(self):
         # the graph is explored to |S| + 1 markings, never to exhaustion
