@@ -1,6 +1,9 @@
 """Labelled transition systems: parsing, validation, spanning trees with
 their Parikh vectors, and cycle bases.
 
+An `Lts` fills its tables (out-edges, label and state bit masks,
+self-loop labels) together, in one lazy pass over its edges.
+
 A Parikh vector is a dense tuple of ints with one entry per label, in label
 order: the label counts of a tree walk, or their difference along an edge.
 
@@ -13,9 +16,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from itertools import compress
 from math import gcd
-from operator import or_, sub
+from operator import not_, sub
 from typing import Optional, Sequence
 
 _NAME = re.compile(r"[A-Za-z0-9_]+$")
@@ -33,6 +36,17 @@ class ParikhVector:
     counts: tuple[tuple[int, int], ...]
 
 
+class _Table(str):
+    """A table's name; as an `Lts` class attribute, the descriptor whose
+    first read fills every table into the instance's dict."""
+
+    def __get__(self, lts, owner=None):
+        if lts is None:
+            return self
+        lts._fill_tables()
+        return vars(lts)[self]
+
+
 @dataclass(frozen=True)
 class Lts:
     """Finite labelled transition system with an initial state.
@@ -40,7 +54,8 @@ class Lts:
     States, labels and edges are interned to dense indices in
     first-appearance order; all iteration is in index order.  No two
     states and no two labels share a name.  Instances are immutable and
-    safe to share.
+    safe to share.  Its tables (`_fill_tables`) are filled on the first
+    read of any, never when an instance is made or copied.
     """
 
     states: tuple[str, ...]
@@ -58,38 +73,42 @@ class Lts:
             if not (0 <= s < n and 0 <= s2 < n and 0 <= t < m):
                 raise LtsError(f"edge ({s},{t},{s2}) out of range")
 
-    @cached_property
-    def out_edges(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    out_edges = _Table("out_edges")
+    label_masks = _Table("label_masks")
+    state_masks = _Table("state_masks")
+    self_loop_labels = _Table("self_loop_labels")
+
+    def _fill_tables(self) -> None:
+        """Fill the four tables in one pass over the edges.
+
+        ``out_edges[s]`` holds the edges leaving ``s``, in edge order.
+        ``label_masks[s]`` is the sum of ``1 << a`` over the labels ``a``
+        leaving ``s``, or -1 where two of its edges share a label; bit
+        ``a`` stands for label ``a``.  ``state_masks[a]`` is the sum of
+        ``1 << s`` over the states ``s`` enabling ``a``.
+        ``self_loop_labels`` holds the labels of the edges ``s [a> s``.
+        A state's edges share a label exactly when its mask has fewer
+        bits than it has edges, so the states are checked one by one only
+        when the masks' bits sum to less than the edge count.
+        """
         out: list[list[tuple[int, int, int]]] = [[] for _ in self.states]
+        labels = [0] * len(self.states)
+        states = [0] * len(self.labels)
+        loops = set()
         for e in self.edges:
-            out[e[0]].append(e)
-        return tuple(tuple(es) for es in out)
-
-    @cached_property
-    def label_masks(self) -> tuple[int, ...]:
-        """Per state, the sum of ``1 << a`` over its outgoing labels ``a``,
-        or -1 where two of its edges share a label.  Bit ``a`` stands for
-        label ``a``, so a mask is |labels| bits wide."""
-        masks = []
-        for es in self.out_edges:
-            mask = 0
-            for _, t, _ in es:
-                mask |= 1 << t
-            masks.append(mask if mask.bit_count() == len(es) else -1)
-        return tuple(masks)
-
-    @cached_property
-    def state_masks(self) -> tuple[int, ...]:
-        """Per label, the sum of ``1 << s`` over the states ``s`` enabling
-        it, |states| bits wide."""
-        masks = [0] * len(self.labels)
-        for s, t, _ in self.edges:
-            masks[t] |= 1 << s
-        return tuple(masks)
-
-    @cached_property
-    def self_loop_labels(self) -> frozenset[int]:
-        return frozenset(t for s, t, s2 in self.edges if s == s2)
+            s, t, s2 = e
+            out[s].append(e)
+            labels[s] |= 1 << t
+            states[t] |= 1 << s
+            if s == s2:
+                loops.add(t)
+        if sum(map(int.bit_count, labels)) < len(self.edges):
+            labels = [m if m.bit_count() == len(es) else -1
+                      for m, es in zip(labels, out)]
+        vars(self).update(out_edges=tuple(map(tuple, out)),
+                          label_masks=tuple(labels),
+                          state_masks=tuple(states),
+                          self_loop_labels=frozenset(loops))
 
 
 @dataclass(frozen=True)
@@ -204,10 +223,9 @@ def validate(lts: Lts) -> ValidationReport:
     Findings are reported, never raised.
     """
     witness = None
-    masks = lts.label_masks
     # a -1 mask marks two edges of one label at a state, repeated or not;
     # the witness is the first such pair in edge order
-    if -1 in masks:
+    if -1 in lts.label_masks:
         seen: dict[tuple[int, int], tuple[int, int, int]] = {}
         for e in lts.edges:
             key = (e[0], e[1])
@@ -215,26 +233,25 @@ def validate(lts: Lts) -> ValidationReport:
                 witness = (seen[key], e)
                 break
             seen[key] = e
-        # a -1 mask sets every bit; such a state's edges name its labels
-        masks = [sum({1 << t for _, t, _ in es}) for es in lts.out_edges]
-    # a label on no edge has its bit set in no state's mask
-    used = reduce(or_, masks, 0)
-    reached = {lts.initial}
-    frontier = [lts.initial]
-    while frontier:
-        s = frontier.pop()
-        for _, _, s2 in lts.out_edges[s]:
-            if s2 not in reached:
-                reached.add(s2)
-                frontier.append(s2)
-    unreachable = tuple(s for s in range(len(lts.states)) if s not in reached)
+    out = lts.out_edges
+    reached = [False] * len(out)
+    reached[lts.initial] = True
+    # every state is appended once, when first reached, and visited later
+    order = [lts.initial]
+    for s in order:
+        for _, _, s2 in out[s]:
+            if not reached[s2]:
+                reached[s2] = True
+                order.append(s2)
+    unreachable = tuple(compress(range(len(out)), map(not_, reached)))
     return ValidationReport(
         deterministic=witness is None,
         nondeterministic_witness=witness,
         reachable=not unreachable,
         unreachable_states=unreachable,
-        unused_labels=tuple(name for t, name in enumerate(lts.labels)
-                            if not used >> t & 1),
+        # a label on no edge has no enabling state
+        unused_labels=tuple(compress(lts.labels,
+                                     map(not_, lts.state_masks))),
         self_loop_labels=lts.self_loop_labels,
     )
 

@@ -4,7 +4,11 @@ For every label pair the enabledness relation (equivalent / one-implies-the-
 other / mutually non-implying) combines with the deactivation property into
 six cases that fix the preset relation of the two transitions in any
 comparable-preset net: identical, properly included, disjoint, or, for
-self-loops, an unresolved "disjoint or included" (doi) edge.
+self-loops, an unresolved "disjoint or included" (doi) edge.  One scan
+classifies every pair straight from the LTS's label and state masks and
+one disabled mask per label; `build_relation_graph` reads it without a
+`PairRelation` per pair and stops at the first pair that is enabled
+independently and deactivating (case 1), before it builds any edge.
 
 Triangle rules then strengthen doi edges: some configurations force
 disjointness, some force inclusion, and some are contradictory, failing the
@@ -179,18 +183,6 @@ class RelationGraph:
                       if e.kind == INCLUDED)
 
 
-def _pair_kind(ea: int, eb: int) -> str:
-    """Enabledness relation of two labels whose enabling states are the
-    bits of ``ea`` and ``eb``: how the two state sets compare."""
-    if ea == eb:
-        return EQUIV
-    if not ea & ~eb:
-        return A_GTR_B
-    if not eb & ~ea:
-        return B_GTR_A
-    return INTERLEAVE
-
-
 def classify_case(rel: PairRelation) -> int:
     """Map a pair relation to its case number 1..6."""
     if rel.kind == INTERLEAVE:
@@ -200,59 +192,84 @@ def classify_case(rel: PairRelation) -> int:
     return 5 if rel.merge else 6
 
 
+def _scan_pairs(lts: Lts) -> Iterator[tuple[int, int, str, int]]:
+    """Every label pair ``(a, b)``, ``a < b``, in index order, as
+    ``(a, b, kind, merge)`` over a deterministic LTS: the enabledness
+    kind, and ``merge`` 1 if one label deactivates the other, else 0.
+
+    The deactivations come from one pass over the edges, made before the
+    first pair: an edge ``s [a> s'`` disables the labels of
+    ``label_masks[s]`` missing from ``label_masks[s']``, ORed into the
+    mask ``disabled[a]``.  The kind compares the two labels'
+    ``state_masks``, the sets of states enabling them.
+    """
+    masks = lts.label_masks
+    n = len(lts.labels)
+    disabled = [0] * n
+    for s, a, s2 in lts.edges:
+        disabled[a] |= masks[s] & ~masks[s2]
+    states = lts.state_masks
+    for a in range(n):
+        ea, off = states[a], disabled[a]
+        for b in range(a + 1, n):
+            eb = states[b]
+            if ea == eb:
+                kind = EQUIV
+            elif not ea & ~eb:
+                kind = A_GTR_B
+            elif not eb & ~ea:
+                kind = B_GTR_A
+            else:
+                kind = INTERLEAVE
+            yield a, b, kind, off >> b & 1 or disabled[b] >> a & 1
+
+
 def pair_relations(lts: Lts) \
         -> Iterator[tuple[tuple[int, int], PairRelation]]:
     """Every label pair ``(a, b)``, ``a < b``, in index order, with its
     `PairRelation`, over a deterministic LTS.
 
-    The deactivating pairs come from one pass over the edges: an edge
-    ``s [a> s'`` disables the labels of ``label_masks[s]`` missing from
-    ``label_masks[s']``, ORed into the mask ``disabled[a]``.  The kinds
-    compare the labels' ``state_masks``.  `pair_relation` in
-    ``tests/reference.py`` scans one pair at a time, as the reference.
+    The pairs are `_scan_pairs`', as `build_relation_graph` reads them.
+    `pair_relation` in ``tests/reference.py`` scans one pair at a time, as
+    the reference.
     """
-    masks = lts.label_masks
-    disabled = [0] * len(lts.labels)
-    for s, a, s2 in lts.edges:
-        disabled[a] |= masks[s] & ~masks[s2]
-    states = lts.state_masks
-    n = len(lts.labels)
-    for a in range(n):
-        ea, off = states[a], disabled[a]
-        for b in range(a + 1, n):
-            merge = bool(off >> b & 1 or disabled[b] >> a & 1)
-            yield (a, b), PairRelation(_pair_kind(ea, states[b]), merge)
+    for a, b, kind, merge in _scan_pairs(lts):
+        yield (a, b), PairRelation(kind, bool(merge))
 
 
 def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
     """Derive the preset-relation edge for every label pair.
 
     Deactivating non-comparable labels (case 1) are an immediate
-    contradiction.  In case 6 the more broadly enabled label must be a
+    contradiction: the scan stops at the first such pair, before any edge
+    is built.  In case 6 the more broadly enabled label must be a
     self-loop for the unresolved doi edge to exist; otherwise the presets
-    are disjoint.
+    are disjoint.  The pairs come from `_scan_pairs`, with no
+    `PairRelation` built.
     """
-    edges: dict[tuple[int, int], Edge] = {}
-    for (a, b), rel in pair_relations(lts):
-        case = classify_case(rel)
-        if case == 1:
+    pairs = []
+    for pair in _scan_pairs(lts):
+        a, b, kind, merge = pair
+        if merge and kind == INTERLEAVE:
             return Contradiction((a, b), "deactivating-interleave",
                                  f"labels {lts.labels[a]} and "
                                  f"{lts.labels[b]} deactivate each other "
                                  "but are enabled independently")
-        if case == 2:
+        pairs.append(pair)
+    loops = lts.self_loop_labels
+    edges: dict[tuple[int, int], Edge] = {}
+    for a, b, kind, merge in pairs:
+        if kind == INTERLEAVE:  # case 2
             edges[(a, b)] = Edge(DISJOINT, a, b)
-        elif case in (3, 4):
+        elif kind == EQUIV:  # cases 3 and 4
             edges[(a, b)] = Edge(EQUIVALENT, a, b)
-        elif case == 5:
-            # x > y means x is enabled strictly less often and needs the
-            # larger preset; the smaller-preset label is lo.
-            lo, hi = (b, a) if rel.kind == A_GTR_B else (a, b)
-            edges[(a, b)] = Edge(INCLUDED, lo, hi)
         else:
-            wide = b if rel.kind == A_GTR_B else a
-            narrow = a if rel.kind == A_GTR_B else b
-            if wide in lts.self_loop_labels:
+            # x > y means x is enabled strictly less often; ``wide`` is
+            # the more broadly enabled label of the two
+            wide, narrow = (b, a) if kind == A_GTR_B else (a, b)
+            if merge:  # case 5: wide has the smaller preset, lo
+                edges[(a, b)] = Edge(INCLUDED, wide, narrow)
+            elif wide in loops:  # case 6
                 edges[(a, b)] = Edge(DOI, wide, narrow)
             else:
                 edges[(a, b)] = Edge(DISJOINT, a, b)

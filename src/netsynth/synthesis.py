@@ -17,9 +17,11 @@ separations that no free-choice place can solve.  Without a choice
 block, the first state pair that no free-choice place separates is the
 failure, and no later pair is tried.
 
-A stage that proves no net exists, or hits a cap, raises ``_Unsolvable``.
-One frame, `_synthesize`, validates, runs the relation stage, catches
-``_Unsolvable``, reports and prunes for both pipelines.
+One frame, `_synthesize`, validates, runs the relation stage, reports
+and prunes for both pipelines.  It reports a relation contradiction
+itself; a later stage that proves no net exists, or hits a cap, raises
+``_Unsolvable``, which only the frame catches.  Without a config the
+pipelines share one frozen default.
 Every reported success has been re-verified: the reachability graph of the
 output is isomorphic to the input, which firing the net along the input
 shows without building the graph, and the net lies in the target class.
@@ -59,7 +61,7 @@ FAILURE = "failure"
 CAP_EXCEEDED = "cap-exceeded"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisConfig:
     selfloop_cap: int = 12
     ssp_combo_cap: int = 4096
@@ -127,6 +129,9 @@ class SynthesisReport:
             "cap": self.cap,
             "interpretations_tried": self.interpretations_tried,
         }
+
+
+_DEFAULT_CONFIG = SynthesisConfig()
 
 
 class _Unsolvable(Exception):
@@ -307,14 +312,16 @@ def _synthesize(lts: Lts, cfg: Optional[SynthesisConfig], target: str,
                 solve: Callable[[Lts, SynthesisConfig, RelationGraph,
                                  SynthesisReport], None]) -> SynthesisReport:
     """Validate ``lts``, relate its labels and let ``solve`` fill in the
-    report, raising ``_Unsolvable`` if it fails; prune a success."""
-    cfg = cfg or SynthesisConfig()
+    report, raising ``_Unsolvable`` if it fails; prune a success.  A
+    relation contradiction is reported as it is, without ``solve``."""
+    cfg = cfg or _DEFAULT_CONFIG
     validate(lts).raise_if_invalid()
     report = SynthesisReport(FAILURE, target)
+    graph = relation_stage(build_relation_graph(lts), brac=target == BRAC)
+    if isinstance(graph, Contradiction):
+        report.witness = _contradiction_witness(graph, lts.labels)
+        return report
     try:
-        graph = relation_stage(build_relation_graph(lts), brac=target == BRAC)
-        if isinstance(graph, Contradiction):
-            raise _Unsolvable(_contradiction_witness(graph, lts.labels))
         solve(lts, cfg, graph, report)
     except _Unsolvable as exc:
         report.outcome = CAP_EXCEEDED if exc.cap else FAILURE

@@ -7,6 +7,9 @@ checked against, or stands in for, a part of ``src/netsynth``:
 - `pair_relation` scans the edges and the (state, label) -> target map of
   one label pair; it is the reference for `netsynth.relations.pair_relations`,
   which finds every pair from the label and state masks in one pass.
+  `reference_relation_graph` builds the relation graph pair by pair from
+  it and `classify_case`, a `PairRelation` and an `Edge` per pair; it is
+  the reference for `netsynth.relations.build_relation_graph`.
 - `evaluate` and `satisfied_by` check a row and a system in Fractions,
   without the integer re-substitution (`netsynth.linsys.Row.holds`,
   `LinearSystem.holds`) that `solve_rational` and `solve_integer` use.
@@ -39,8 +42,10 @@ from typing import Iterator, Optional, Sequence
 from netsynth.linsys import LinearSystem, Row, Solution
 from netsynth.lts import Lts, spanning_tree
 from netsynth.petri import Marking, Mismatch, PetriNet, PetriNetError
-from netsynth.relations import (A_GTR_B, B_GTR_A, EQUIV, INTERLEAVE,
-                                PairRelation)
+from netsynth.relations import (A_GTR_B, B_GTR_A, DISJOINT, DOI, EQUIV,
+                                EQUIVALENT, INCLUDED, INTERLEAVE,
+                                Contradiction, Edge, PairRelation,
+                                RelationGraph, classify_case)
 from netsynth.separation import ESSP, Region, SSP, SeparationProblem
 
 _OPERATORS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
@@ -68,6 +73,41 @@ def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
     merge = any((succ[(s, b)], a) not in succ or (succ[(s, a)], b) not in succ
                 for s in ea & eb)
     return PairRelation(kind, merge)
+
+
+def reference_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
+    """The raw relation graph of ``lts``, pair by pair in index order.
+
+    Each pair gets its `pair_relation` and its `classify_case` case; the
+    first case-1 pair is the contradiction, and every other case gives
+    the pair's edge.
+    """
+    loops = {t for s, t, s2 in lts.edges if s == s2}
+    n = len(lts.labels)
+    edges: dict[tuple[int, int], Edge] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            rel = pair_relation(lts, a, b)
+            case = classify_case(rel)
+            # in cases 5 and 6, the label enabled in more states, and the
+            # other
+            wide, narrow = (b, a) if rel.kind == A_GTR_B else (a, b)
+            if case == 1:
+                return Contradiction((a, b), "deactivating-interleave",
+                                     f"labels {lts.labels[a]} and "
+                                     f"{lts.labels[b]} deactivate each "
+                                     "other but are enabled independently")
+            if case == 2:
+                edges[(a, b)] = Edge(DISJOINT, a, b)
+            elif case in (3, 4):
+                edges[(a, b)] = Edge(EQUIVALENT, a, b)
+            elif case == 5:
+                edges[(a, b)] = Edge(INCLUDED, wide, narrow)
+            elif wide in loops:
+                edges[(a, b)] = Edge(DOI, wide, narrow)
+            else:
+                edges[(a, b)] = Edge(DISJOINT, a, b)
+    return RelationGraph(lts.labels, tuple(range(n)), edges)
 
 
 def evaluate(row: Row, values: Sequence[Fraction]) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import random
@@ -278,6 +279,93 @@ class TestLtsMasks:
         assert lts.label_masks[141] == 1 << 141 | 1 << 55
         assert lts.state_masks[55] == 1 << 55 | 1 << 141
         assert max(lts.state_masks).bit_length() == n
+
+
+TABLES = ("out_edges", "label_masks", "state_masks", "self_loop_labels")
+
+
+def one_table(lts, name):
+    """One `Lts` table by its own definition, from the edges alone."""
+    edges, states = lts.edges, range(len(lts.states))
+    if name == "out_edges":
+        return tuple(tuple(e for e in edges if e[0] == s) for s in states)
+    if name == "label_masks":
+        out = one_table(lts, "out_edges")
+        return tuple(-1 if len({t for _, t, _ in es}) < len(es)
+                     else sum(1 << t for _, t, _ in es) for es in out)
+    if name == "state_masks":
+        return tuple(sum({1 << s for s, t, _ in edges if t == a})
+                     for a in range(len(lts.labels)))
+    return frozenset(t for s, t, s2 in edges if s == s2)
+
+
+def filled_tables(lts):
+    """The names of the tables an `Lts` holds already."""
+    return [name for name in TABLES if name in vars(lts)]
+
+
+class TestOnePassTables:
+    """`Lts` fills its four tables in one pass, on the first read of any;
+    each must equal its own one-table definition, and neither making nor
+    copying an `Lts` may build one."""
+
+    CASES = {
+        "identical repeated edge": Lts(
+            states=("s0", "s1"), labels=("a", "b"),
+            edges=((0, 0, 1), (0, 0, 1), (1, 1, 0)), initial=0),
+        "one label to two targets": Lts(
+            states=("s0", "s1", "s2"), labels=("a", "b"),
+            edges=((0, 0, 1), (0, 1, 2), (0, 0, 2), (2, 1, 0)),
+            initial=0),
+        "self-loop": Lts(
+            states=("s0", "s1"), labels=("a", "b", "c"),
+            edges=((0, 0, 0), (0, 1, 1), (1, 2, 1), (1, 0, 0)),
+            initial=0),
+        "unreachable state": Lts(
+            states=("s0", "s1", "s2"), labels=("a", "b"),
+            edges=((0, 0, 1), (1, 1, 0), (2, 0, 0)), initial=0),
+    }
+
+    @staticmethod
+    def check(lts, first):
+        assert filled_tables(lts) == []
+        getattr(lts, first)
+        assert filled_tables(lts) == list(TABLES)
+        for name in TABLES:
+            assert getattr(lts, name) == one_table(lts, name), name
+        assert isinstance(lts.self_loop_labels, frozenset)
+        assert all(type(getattr(lts, name)) is tuple for name in TABLES[:3])
+        assert all(type(es) is tuple for es in lts.out_edges)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("first", TABLES)
+    def test_built_cases(self, name, first):
+        self.check(dataclasses.replace(self.CASES[name]), first)
+
+    def test_built_cases_are_what_they_say(self):
+        cases = self.CASES
+        assert cases["identical repeated edge"].label_masks[0] == -1
+        assert cases["one label to two targets"].label_masks[0] == -1
+        assert cases["self-loop"].self_loop_labels == {0, 2}
+        assert validate(cases["unreachable state"]).unreachable_states \
+            == (2,)
+
+    def test_random_lts(self):
+        for i in range(300):
+            # the generator reads the tables of the LTS it returns
+            self.check(dataclasses.replace(random_lts(i, 24, 6)),
+                       TABLES[i % len(TABLES)])
+
+    def test_making_or_copying_builds_no_table(self):
+        lts = parse_lts("initial s0\ns0 a s1\ns1 b s0\ns1 c s1\n")
+        assert filled_tables(lts) == []
+        assert validate(lts).ok
+        assert filled_tables(lts) == list(TABLES)
+        copy = dataclasses.replace(lts)
+        assert copy == lts and filled_tables(copy) == []
+        made = Lts(states=lts.states, labels=lts.labels, edges=lts.edges,
+                   initial=lts.initial)
+        assert filled_tables(made) == []
 
 
 class TestSpanningTree:

@@ -14,7 +14,7 @@ from netsynth.relations import (A_GTR_B, B_GTR_A, Contradiction, DISJOINT,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
 
-from reference import pair_relation, w_in
+from reference import pair_relation, reference_relation_graph, w_in
 
 
 def rel(lts, a, b):
@@ -476,9 +476,12 @@ class TestMatching:
 
 
 class TestOnePassDeactivation:
-    """`pair_relations`, behind `build_relation_graph` and the `relations`
-    command, finds the deactivating pairs in one pass over the edges;
-    `pair_relation`'s per-pair scan is the reference."""
+    """`pair_relations`, behind the `relations` command, and
+    `build_relation_graph` read one scan that finds the deactivating pairs
+    in one pass over the edges; `pair_relation`'s per-pair scan is the
+    reference, and `reference_relation_graph` builds the graph from it
+    and `classify_case`, down to every edge's kind, lo, hi and origin and
+    the first contradiction's pair and detail."""
 
     @staticmethod
     def pairwise(lts):
@@ -496,27 +499,46 @@ class TestOnePassDeactivation:
                  for p in sorted(fixtures.glob("*.lts"))}
         cases.update({f"random_lts/{i}": random_lts(i, 24, 6)
                       for i in range(300)})
+        cases.update({f"random_brac_net/{i}": reachability_graph(
+                          random_brac_net(i), 2000) for i in range(100)})
         cases.update({f"ladder/{seed}": reachability_graph(
                           random_brac_net(seed, 6, 4), 100_000)
                       for seed in (44, 17, 38)})
         return cases
 
+    @staticmethod
+    def edge_fields(graph):
+        return {pair: (e.kind, e.lo, e.hi, e.origin)
+                for pair, e in graph.edges.items()}
+
     def test_table_equals_pairwise_reference(self):
         for lts in self.inputs().values():
             assert list(pair_relations(lts)) == list(self.pairwise(lts))
 
-    def test_graph_equals_pairwise_reference(self, monkeypatch):
-        import netsynth.relations
-        cases = self.inputs()
-        got = {name: build_relation_graph(lts) for name, lts in cases.items()}
-        monkeypatch.setattr(netsynth.relations, "pair_relations",
-                            self.pairwise)
-        expected = {name: build_relation_graph(lts)
-                    for name, lts in cases.items()}
-        assert got == expected
-        # both outcomes occur
-        assert any(isinstance(g, Contradiction) for g in got.values())
-        assert any(isinstance(g, RelationGraph) for g in got.values())
+    def test_graph_equals_pairwise_reference(self):
+        kinds, first_pairs = set(), set()
+        outcomes = {RelationGraph: 0, Contradiction: 0}
+        for name, lts in self.inputs().items():
+            got = build_relation_graph(lts)
+            expected = reference_relation_graph(lts)
+            assert type(got) is type(expected), name
+            outcomes[type(got)] += 1
+            if isinstance(expected, Contradiction):
+                assert (got.labels, got.rule, got.detail) == \
+                    (expected.labels, expected.rule, expected.detail), name
+                first_pairs.add(got.labels)
+            else:
+                assert (got.names, got.nodes) == \
+                    (expected.names, expected.nodes), name
+                assert self.edge_fields(got) == \
+                    self.edge_fields(expected), name
+                kinds |= {e.kind for e in got.edges.values()}
+            assert got == expected, name
+        # both outcomes, contradictions at a pair after the first, and
+        # every raw edge kind occur
+        assert all(outcomes.values()), outcomes
+        assert first_pairs - {(0, 1)}
+        assert kinds == {DISJOINT, EQUIVALENT, INCLUDED, DOI}
 
     def test_relations_command_bytes_unchanged(self, monkeypatch, tmp_path):
         import pathlib
@@ -537,3 +559,4 @@ class TestOnePassDeactivation:
         for module in (netsynth.relations, netsynth.cli):
             monkeypatch.setattr(module, "pair_relations", self.pairwise)
         assert got == outputs()
+
