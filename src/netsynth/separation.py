@@ -317,16 +317,16 @@ class SystemContext:
         return LinearSystem(self.columns, rows, flags)
 
 
-def essp_system_wpi(ctx: SystemContext, graph: RelationGraph,
-                    essp: ESSP) -> LinearSystem:
+def essp_system_wpi(ctx: SystemContext, graph: RelationGraph, essp: ESSP,
+                    zero_one: bool = False) -> LinearSystem:
     """Event separation system with comparability rows at the ESSP label.
 
     All rows but the unit margin are homogeneous, so a rational solution
-    lifts to integers.
+    lifts to integers.  With ``zero_one`` (BRAC) B and F are bounded to
+    {0, 1} and the system is solved in integers, not lifted.
     """
-    rows = [ctx.essp_row(essp), ctx]
-    rows += ctx.relation_rows(graph, essp.label)
-    return ctx.system(rows)
+    return ctx.system([ctx.essp_row(essp), ctx,
+                       *ctx.relation_rows(graph, essp.label)], zero_one)
 
 
 def ssp_system_wpi(ctx: SystemContext, graph: RelationGraph, ssp: SSP,
@@ -336,9 +336,8 @@ def ssp_system_wpi(ctx: SystemContext, graph: RelationGraph, ssp: SSP,
     The disequality over the Parikh difference is split by the caller into
     its two signs, each built as a unit margin.
     """
-    rows = [ctx.ssp_row(ssp, sign), ctx]
-    rows += ctx.relation_rows(graph, label)
-    return ctx.system(rows)
+    return ctx.system([ctx.ssp_row(ssp, sign), ctx,
+                       *ctx.relation_rows(graph, label)])
 
 
 def _fix(column: int, value: int, tag: str) -> Row:

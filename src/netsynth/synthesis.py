@@ -34,8 +34,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from netsynth.linsys import (LinearSystem, lift_homogeneous_to_integer,
-                             solve_integer, solve_rational)
+from netsynth.linsys import (INFEASIBLE, LinearSystem,
+                             lift_homogeneous_to_integer, solve_integer,
+                             solve_rational)
 from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
                             isomorphic, net_from_regions, reachability_graph,
@@ -225,7 +226,7 @@ def relation_stage(graph: RelationGraph | Contradiction, brac: bool) \
 
 def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
     """The normalised region of a solution of ``system``, or None if it
-    has none.
+    has none; a solver limit raises ``RuntimeError``, never a verdict.
 
     A system with 0/1 columns is solved in integers.  R0 has coefficient 0
     or 1 in every BRAC row and every entry is an integer, so at a basic
@@ -240,16 +241,14 @@ def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
         solution = solve_rational(system)
         if solution.feasible:
             solution = lift_homogeneous_to_integer(solution, system)
-    if not solution.feasible:
+    if solution.status == INFEASIBLE:
         return None
+    if not solution.feasible:
+        raise RuntimeError(f"solver limit: {solution.status}")
     region = normalize_region(solution_to_region(solution, ctx.tree), ctx.lts)
     if not region.is_valid(ctx.lts):
         raise AssertionError("a solved system gave an invalid region")
     return region
-
-
-def _interpretation_order(k: int) -> list[int]:
-    return sorted(range(1 << k), key=lambda v: (bin(v).count("1"), v))
 
 
 def _separate(ctx: SystemContext, pool: list[Region],
@@ -358,7 +357,8 @@ def _solve_wpi(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
              for a in reps if not en >> a & 1]
 
     first_witness: Optional[dict] = None
-    for mask in _interpretation_order(len(doi_pairs)):
+    for mask in sorted(range(1 << len(doi_pairs)),
+                       key=lambda v: (bin(v).count("1"), v)):
         report.interpretations_tried += 1
         resolved = graph.resolved(doi_pairs, [
             pair for i, pair in enumerate(doi_pairs) if mask >> i & 1])
@@ -469,8 +469,8 @@ def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
     pool: list[Region] = []
 
     def candidates(resolved: RelationGraph):
-        return _candidates(ctx, reps, lambda essp: ctx.system(
-            essp_system_wpi(ctx, resolved, essp).rows, zero_one=True),
+        return _candidates(
+            ctx, reps, partial(essp_system_wpi, ctx, resolved, zero_one=True),
             partial(brac_ssp_system_freechoice, ctx, resolved))
     # event separation reads every doi edge as disjoint
     systems = candidates(graph.resolved(doi_pairs))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import pathlib
 
 import pytest
@@ -29,6 +30,20 @@ def margin_row(coeffs, rel, const=0):
     shift = {"<": -1, ">": 1}.get(rel, 0)
     row = make_row(coeffs, rel + "=" if shift else rel, const)
     return dataclasses.replace(row, const=row.const + shift)
+
+
+def rewrite_record(path: pathlib.Path, record: dict) -> None:
+    """Write ``record`` to the JSON pin ``path``, first printing each key
+    whose value differs from the file's: ``~`` changed, ``+`` new, ``-``
+    gone.  A re-record so shows its own diff."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    differ = sorted(k for k in old.keys() | record.keys()
+                    if old.get(k) != record.get(k))
+    for key in differ:
+        print("-" if key not in record else "+" if key not in old else "~",
+              key)
+    print(f"{len(differ)} of {len(record)} keys differ from {path.name}")
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -163,6 +163,21 @@ class TestSynth:
         assert capsys.readouterr().err == \
             f"internal error: {type(error).__name__}: {error}\n"
 
+    def test_solver_cap_exit_4_without_witness(self, tmp_path, monkeypatch,
+                                               capsys):
+        # a branch-and-bound cap is no proof that a region is missing
+        from netsynth.linsys import CAP_EXCEEDED, Solution
+        monkeypatch.setattr("netsynth.synthesis.solve_integer",
+                            lambda system: Solution(CAP_EXCEEDED))
+        report = tmp_path / "r.json"
+        assert run(["synth", fx("fig1.lts"), "--class", "brac",
+                    "--report", str(report)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "internal error: RuntimeError: solver limit: cap-exceeded\n"
+        assert not report.exists()
+
     @pytest.mark.parametrize("name, cls, code", [("fig1", "brac", 0),
                                                  ("case6a", "wpi", 0),
                                                  ("genx", "brac", 1)],

@@ -10,7 +10,7 @@ must leave every digest in ``fixtures/interpretation_digests.json``
 unchanged.
 
 ``PYTHONPATH=src python tests/test_interpretation_digests.py`` rewrites the
-record.
+record and prints the keys whose digests it changed.
 """
 
 import hashlib
@@ -24,6 +24,8 @@ from netsynth.linsys import dump_lp
 from netsynth.lts import parse_lts
 from netsynth.oracle import random_lts
 from netsynth.separation import SystemContext
+
+from conftest import rewrite_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 RECORD = FIXTURES / "interpretation_digests.json"
@@ -90,5 +92,4 @@ def test_record_covers_every_case():
 
 
 if __name__ == "__main__":
-    RECORD.write_text(json.dumps(all_digests(), indent=1, sort_keys=True)
-                      + "\n")
+    rewrite_record(RECORD, all_digests())

@@ -11,7 +11,8 @@ digest in ``fixtures/row_digests.json`` unchanged.
 On the ladder nets a pipeline stops as soon as it has built every kind
 the record names for it, so only the first systems are built.
 
-``PYTHONPATH=src python tests/test_row_digests.py`` rewrites the record.
+``PYTHONPATH=src python tests/test_row_digests.py`` rewrites the record
+and prints the keys whose digests it changed.
 """
 
 import hashlib
@@ -26,6 +27,8 @@ from netsynth.lts import parse_lts
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
 from netsynth.synthesis import _prepare
+
+from conftest import rewrite_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 RECORD = FIXTURES / "row_digests.json"
@@ -134,4 +137,4 @@ if __name__ == "__main__":
     record = {}
     for family in FAMILIES:
         record.update(family_digests(family))
-    RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    rewrite_record(RECORD, record)

@@ -701,8 +701,7 @@ class TestBaseBlock:
 
     def test_extension_keeps_the_block(self, fig1):
         ctx, graph = stage(fig1, brac=True)
-        system = ctx.system(essp_system_wpi(ctx, graph, ESSP(0, 1)).rows,
-                            zero_one=True)
+        system = essp_system_wpi(ctx, graph, ESSP(0, 1), zero_one=True)
         extended = ctx.system(
             system.rows.parts + (ctx.ssp_row(SSP(0, 1), "<"),),
             zero_one=True)

@@ -1,8 +1,9 @@
 """Lint: ``src/netsynth`` holds only what the tool runs.
 
 `run_the_tool` runs every CLI command on every fixture, and both
-pipelines on the graphs of ``random_brac_net(0..9)`` and on
-``random_lts(0..29, 24, 6)``.  `scan` records, through a `sys.setprofile`
+pipelines on the graphs of ``random_brac_net(0..9)``, on
+``random_lts(0..29, 24, 6)`` and on ``random_lts(331, 8, 4)``, where BRAC
+assigns its leftover state separations to choice blocks.  `scan` records, through a `sys.setprofile`
 hook, every code object that runs meanwhile.  Every ``def`` of the
 package, methods and nested functions included, must be among them,
 unless `ALLOWED` names it with the reason the scan cannot reach it.  A
@@ -43,9 +44,6 @@ ALLOWED = {
         "`Rows.__len__` counts the context's rows with it",
     "synthesis._verification_witness":
         "the witness of a synthesised net that fails verification",
-    "synthesis._assign_ssps_to_blocks":
-        "BRAC state separation by the choice blocks, which no scanned "
-        "input needs",
 }
 
 
@@ -125,6 +123,7 @@ def run_the_tool() -> list[int]:
     inputs = [reachability_graph(random_brac_net(seed))
               for seed in range(10)]
     inputs += [random_lts(seed, 24, 6) for seed in range(30)]
+    inputs.append(random_lts(331, 8, 4))
     for lts in inputs:
         synthesize_wpi(lts)
         synthesize_brac(lts)

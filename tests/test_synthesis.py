@@ -10,7 +10,7 @@ import pytest
 import netsynth.linsys
 import netsynth.synthesis
 from netsynth.cli import run
-from netsynth.linsys import LinearSystem, Row, make_row, solve_integer
+from netsynth.linsys import LinearSystem, Row, Rows, make_row, solve_integer
 from netsynth.lts import Lts, LtsError, parse_lts, serialize_lts, validate
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import (CapExceeded, classify_net, isomorphic,
@@ -19,7 +19,7 @@ from netsynth.petri import (CapExceeded, classify_net, isomorphic,
 from netsynth.relations import (Contradiction, MatchingFailure,
                                 build_relation_graph)
 from netsynth.separation import (ESSP, Region, SSP, StatePartition,
-                                 brac_block_systems,
+                                 SystemContext, brac_block_systems,
                                  brac_ssp_system_freechoice,
                                  essp_system_wpi)
 from netsynth.synthesis import (SynthesisConfig, _prepare,
@@ -735,8 +735,8 @@ class TestBracIntegerSearch:
                                                        a, sign)
                             for a in reps for sign in ("<", ">")]
             elif problem.label in reps:
-                base = essp_system_wpi(ctx, all_disjoint, problem)
-                systems.append(ctx.system(base.rows, zero_one=True))
+                systems.append(essp_system_wpi(ctx, all_disjoint, problem,
+                                               zero_one=True))
         return systems
 
     def test_search_matches_brute_force(self, monkeypatch):
@@ -1075,3 +1075,23 @@ class TestContextAfterRelations:
         with pytest.raises(ValueError) as raised:
             synthesize(lts)
         assert str(raised.value) == "LTS must be deterministic and reachable"
+
+
+class TestSystemsBuiltOnce:
+    """Each system is built once, its 0/1 flag included: on the inputs of
+    ``test_trace_counts.py`` no pipeline hands the `Rows` of a built
+    system back to `SystemContext.system`."""
+
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac])
+    def test_built_rows_never_rewrapped(self, synthesize, monkeypatch):
+        from test_trace_counts import inputs
+        real = SystemContext.system
+        passed = []
+
+        def system(ctx, rows, zero_one=False):
+            passed.append(type(rows))
+            return real(ctx, rows, zero_one)
+        monkeypatch.setattr(SystemContext, "system", system)
+        for lts in inputs().values():
+            synthesize(lts)
+        assert passed and Rows not in passed

@@ -12,7 +12,8 @@ built by kind, solves, pivots, branch-and-bound nodes, region checks and
 hits, base rows, chords and markings.  A refactor that must not change
 what the pipelines compute keeps every count.
 
-``PYTHONPATH=src python tests/test_trace_counts.py`` rewrites the record.
+``PYTHONPATH=src python tests/test_trace_counts.py`` rewrites the record
+and prints the keys whose counts it changed.
 """
 
 import importlib
@@ -24,6 +25,8 @@ from types import SimpleNamespace
 from netsynth.lts import parse_lts
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
+
+from conftest import rewrite_record
 
 ROOT = pathlib.Path(__file__).parents[1]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -78,5 +81,4 @@ def test_counts_unchanged():
 
 
 if __name__ == "__main__":
-    RECORD.write_text(json.dumps(traced_counts(), indent=1, sort_keys=True)
-                      + "\n")
+    rewrite_record(RECORD, traced_counts())
