@@ -1,11 +1,12 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 synthesis impossible or a check failed (witness
-printed), 2 invalid input (a file that cannot be read or parsed, or a cap
-option below 1), 3 a configured cap was exceeded, 4 internal error (a
-solver limit or a broken invariant, whatever the exception; never a
-verdict).  Reports are deterministic JSON (schema 1, no timestamps):
-identical invocations produce byte-identical outputs.
+printed), 2 invalid input (a file that cannot be read or parsed, an
+output path that cannot be written, or a cap option below 1), 3 a
+configured cap was exceeded, 4 internal error (a solver limit or a broken
+invariant, whatever the exception; never a verdict).  Reports are
+deterministic JSON (schema 1, no timestamps): identical invocations
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -57,8 +58,11 @@ def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write(text)
+        except OSError as exc:
+            raise _OptionError(f"cannot write {path}: {exc.strerror}")
 
 
 def _emit_json(path: Optional[str], payload: dict) -> None:

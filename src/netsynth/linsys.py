@@ -231,7 +231,9 @@ class _Simplex:
     1, changed only at the pivot row's nonzero positions (its support,
     listed once per pivot), and divided by the gcd of its entries and
     denominator only when the denominator is above 1.  That gives the same
-    integers as cross-multiplying every entry.
+    integers as cross-multiplying every entry.  The entering column is
+    read once per pivot: one pass over the rows lists its nonzero
+    entries, which give both the leaving row and the rows to update.
     """
 
     def __init__(self, system: LinearSystem):
@@ -275,7 +277,9 @@ class _Simplex:
         self.den = [1] * n
         self.obj, self.obj_den = costs, 1
 
-    def _pivot(self, r, k):
+    def _pivot(self, r, k, column):
+        """Pivot on row ``r`` at column ``k``; ``column`` lists ``(i, a)``
+        for every row ``i`` whose entry ``a`` in column ``k`` is nonzero."""
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded")
@@ -283,9 +287,15 @@ class _Simplex:
         row = tableau[r]
         piv = den[r] = row[k]
         support = list(compress(range(len(row)), row))
-        for i in range(self.n_rows):
-            a = tableau[i][k]
-            if i != r and a != 0:
+        for i, a in column:
+            if i == r:
+                continue
+            if piv == 1 and den[i] == 1:
+                # what _eliminate does here: no scaling, no gcd
+                target = tableau[i]
+                for j in support:
+                    target[j] -= a * row[j]
+            else:
                 den[i] = _eliminate(tableau[i], den[i], row, support, piv, a)
         a = self.obj[k]
         if a != 0:
@@ -301,12 +311,13 @@ class _Simplex:
             enter = next(compress(count(), map(_NEGATIVE, obj)), -1)
             if enter < 0:
                 return obj[self.n_y:], self.obj_den
-            leave = min((i for i in range(self.n_rows)
-                         if tableau[i][enter] > 0),
+            column = [(i, a) for i, row in enumerate(tableau)
+                      if (a := row[enter])]
+            leave = min((i for i, a in column if a > 0),
                         key=basis.__getitem__, default=-1)
             if leave < 0:
                 return None
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, column)
 
 
 def solve_rational(system: LinearSystem) -> Solution:

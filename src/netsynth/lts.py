@@ -139,7 +139,8 @@ class SpanningTree:
     """BFS spanning tree with per-state Parikh vectors of the tree walks.
 
     ``parent`` maps every non-initial state to its (parent, label) tree
-    edge; following parents always reaches the initial state.
+    edge, in BFS order, so every parent comes before its children;
+    following parents always reaches the initial state.
     ``parikh[s]`` counts, per label, the edges of the tree walk from the
     initial state to ``s``.  ``packed[s]`` is ``parikh[s]`` as one int,
     the sum of ``count * unit[t]``, where ``unit[t] = 1 << w*t`` gives

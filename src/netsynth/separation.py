@@ -12,12 +12,17 @@ label) keys over the Parikh table, and is itself the block every system
 holds; no pipeline builds them as `Row` objects.
 `SystemContext` alone fixes which column holds which variable;
 `solution_to_region` reads a solution vector back in the same layout.  A
-`Region` stores R at every state, computed once from the Parikh vectors
-when it is made, so checking whether it solves a problem or fires
-consistently needs no tree.
+`Region` stores R at every state, computed once when it is made, so
+checking whether it solves a problem or fires consistently needs no tree.
+The counts of a region, and those of a witness the context checks, are
+summed along the tree, R(s) = R(parent) + F_t - B_t, in O(|S|).
 
 WPI systems add, relative to one label, comparability rows from the
-relation graph.  BRAC systems bound B and F to {0, 1} and pin whole blocks.
+relation graph.  Its tie and disjoint rows are the same for every label,
+so the context builds them once per resolved graph and every system of
+that graph holds the same `Row` objects; only the label's included rows
+are built per system.  BRAC systems bound B and F to {0, 1} and pin whole
+blocks.
 
 Separation is strict: an event separation needs R(s) < B_a, a state
 separation R(s1) != R(s2), which the pipelines split into its two signs.
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import ge, mul, sub
+from operator import ge, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
@@ -60,6 +65,17 @@ class ESSP:
 SeparationProblem = SSP | ESSP
 
 
+def _tree_marks(tree: SpanningTree, r0: int,
+               effect: Sequence[int]) -> list[int]:
+    """R(s) = r0 + psi(s).effect at every state s, as R(parent) +
+    effect[t] along each tree edge (parent, t) into s: O(|S|), as
+    `SpanningTree.parent` lists every parent before its children."""
+    marks = [r0] * len(tree.packed)
+    for s, (p, t) in tree.parent.items():
+        marks[s] = marks[p] + effect[t]
+    return marks
+
+
 @dataclass(frozen=True)
 class Region:
     """A region (R, B, F): the count R(s) at every state in ``marks``, and
@@ -75,10 +91,9 @@ class Region:
     def over(cls, tree: SpanningTree, r0: int, b: tuple[int, ...],
              f: tuple[int, ...]) -> Region:
         """The region with initial count ``r0``: R(s) = r0 + psi(s).(F - B)
-        along the tree walk to every state s."""
-        effect = tuple(map(sub, f, b))
-        return cls(r0, b, f, tuple(r0 + sum(map(mul, psi, effect))
-                                   for psi in tree.parikh))
+        along the tree walk to every state s (`_tree_marks`)."""
+        return cls(r0, b, f,
+                   tuple(_tree_marks(tree, r0, list(map(sub, f, b)))))
 
     def is_valid(self, lts: Lts) -> bool:
         """Re-simulate every edge: counts stay consistent and nonnegative."""
@@ -170,6 +185,8 @@ class SystemContext:
         self.copies = len(self.key_states) + 2 * len(basis)
         self._rows: Optional[tuple[Row, ...]] = None
         self._dual: Optional[dict[int, list[int]]] = None
+        self._relations: Optional[tuple[RelationGraph, tuple[Row, ...],
+                                        dict[int, Row]]] = None
 
     def __len__(self) -> int:
         return len(self.key_states) + len(self.basis)
@@ -238,13 +255,12 @@ class SystemContext:
     def holds(self, num: Sequence[int], den: int) -> bool:
         """Whether every base row holds at ``x = num / den``.  The rows
         are homogeneous, so this needs only ``num``, and R(s) once per
-        state."""
+        state, along the tree."""
         effect = [num[f] - num[b] for b, f in zip(self.bvar, self.fvar)]
         if any(sum(c * effect[t] for t, c in gamma.counts)
                for gamma in self.basis):
             return False
-        marks = [num[0] + sum(map(mul, psi, effect))
-                 for psi in self.tree.parikh]
+        marks = _tree_marks(self.tree, num[0], effect)
         consumed = [num[b] for b in self.bvar]
         return all(map(ge, map(marks.__getitem__, self.key_states),
                        map(consumed.__getitem__, self.key_labels)))
@@ -267,20 +283,26 @@ class SystemContext:
                         tag=f"ssp:{self.lts.states[ssp.s1]}:"
                             f"{self.lts.states[ssp.s2]}")
 
-    def class_tie_rows(self, graph: RelationGraph) -> list[Row]:
+    def _relation_table(self, graph: RelationGraph) \
+            -> tuple[RelationGraph, tuple[Row, ...], dict[int, Row]]:
+        """``graph``, its tie rows and its ``B_rep = 0`` rows by
+        representative, kept for the last graph asked about, so that its
+        systems share them; a graph is not edited once it has systems."""
+        if self._relations is None or self._relations[0] is not graph:
+            ties = tuple(make_row({self.bvar[m]: 1, self.bvar[rep]: -1},
+                                  "=", 0, tag=f"tie:{self.lts.labels[m]}")
+                         for rep, members in sorted(graph.classes.items())
+                         for m in members if m != rep)
+            self._relations = (graph, ties, {})
+        return self._relations
+
+    def class_tie_rows(self, graph: RelationGraph) -> tuple[Row, ...]:
         """Equal consume weights inside every equivalence class.
 
         Equivalent labels admit identical presets in any solution, and the
         net assembly relies on it, so the tie is imposed in every system.
         """
-        rows = []
-        for rep, members in sorted(graph.classes.items()):
-            for m in members:
-                if m != rep:
-                    rows.append(make_row(
-                        {self.bvar[m]: 1, self.bvar[rep]: -1}, "=", 0,
-                        tag=f"tie:{self.lts.labels[m]}"))
-        return rows
+        return self._relation_table(graph)[1]
 
     def relation_rows(self, graph: RelationGraph, label: int) -> list[Row]:
         """Comparability rows of all labels against ``label``'s class.
@@ -289,17 +311,21 @@ class SystemContext:
         weights towards the key; any other edge (doi, equivalent) raises
         ``ValueError``: quotient ``graph`` and resolve its doi edges first.
         """
+        _, ties, zero = self._relation_table(graph)
         key = graph.rep[label]
         bkey = self.bvar[key]
-        rows = self.class_tie_rows(graph)
+        rows = list(ties)
         for rep in graph.nodes:
             if rep == key:
                 continue
             edge = graph.edge(key, rep)
             brep = self.bvar[rep]
             if edge.kind == DISJOINT:
-                rows.append(make_row({brep: 1}, "=", 0,
-                                     tag=f"disjoint:{self.lts.labels[rep]}"))
+                if rep not in zero:
+                    zero[rep] = make_row(
+                        {brep: 1}, "=", 0,
+                        tag=f"disjoint:{self.lts.labels[rep]}")
+                rows.append(zero[rep])
             elif edge.kind != INCLUDED:
                 raise ValueError(f"relation rows need resolved edges, not "
                                  f"{edge.kind} at {graph.names[rep]}")

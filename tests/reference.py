@@ -14,6 +14,9 @@ checked against, or stands in for, a part of ``src/netsynth``:
   without the integer re-substitution (`netsynth.linsys.Row.holds`,
   `LinearSystem.holds`) that `solve_rational` and `solve_integer` use.
 - `assignment` reads a `netsynth.linsys.Solution` witness as Fractions.
+- `parikh_marks` computes R(s) = r0 + psi(s).(F - B) from each state's
+  Parikh vector, O(|S|·|labels|); `netsynth.separation.Region.over` and
+  `SystemContext.holds` sum R(parent) + F_t - B_t along the tree instead.
 - `fire` fires one transition on a tuple marking, naming the first
   blocking place; `netsynth.petri.reachability_graph` and `realises` fire
   through the packed kernel instead.  `w_in` is a consume weight.
@@ -40,7 +43,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution
-from netsynth.lts import Lts, spanning_tree
+from netsynth.lts import Lts, SpanningTree, spanning_tree
 from netsynth.petri import Marking, Mismatch, PetriNet, PetriNetError
 from netsynth.relations import (A_GTR_B, B_GTR_A, DISJOINT, DOI, EQUIV,
                                 EQUIVALENT, INCLUDED, INTERLEAVE,
@@ -136,6 +139,15 @@ def assignment(solution: Solution) -> Optional[tuple[Fraction, ...]]:
     if solution.num is None:
         return None
     return tuple(Fraction(v, solution.den) for v in solution.num)
+
+
+def parikh_marks(tree: SpanningTree, r0: int, b: Sequence[int],
+                 f: Sequence[int]) -> tuple[int, ...]:
+    """R(s) = r0 + psi(s).(F - B) at every state s, from the Parikh
+    vectors of ``tree``."""
+    effect = tuple(map(operator.sub, f, b))
+    return tuple(r0 + sum(map(operator.mul, psi, effect))
+                 for psi in tree.parikh)
 
 
 def w_in(net: PetriNet, p: int, t: int) -> int:

@@ -261,6 +261,40 @@ class TestInvalidLts:
             f"error: {name} must be at least 1\n"
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is invalid input: exit 2 with
+    the path and the reason, as for a file that cannot be read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", fx("fig1.lts"), "--class", "brac", "-o", "OUT"],
+        ["synth", fx("fig1.lts"), "--class", "wpi", "--report", "OUT"],
+        ["synth", fx("fig1.lts"), "--class", "brac", "--dot", "OUT"],
+        ["validate", fx("fig1.lts"), "--json", "OUT"],
+        ["relations", fx("fig1.lts"), "--json", "OUT"],
+        ["check", fx("fig1-net.pn"), "--class", "brac", "--json", "OUT"],
+        ["verify", fx("fig1-net.pn"), fx("fig1.lts"), "--class", "brac",
+         "--json", "OUT"],
+        ["rg", fx("fig1-net.pn"), "-o", "OUT"],
+        ["dot", fx("fig1-net.pn"), "-o", "OUT"],
+    ], ids=["synth-o", "synth-report", "synth-dot", "validate-json",
+            "relations-json", "check-json", "verify-json", "rg-o", "dot-o"])
+    def test_missing_directory_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out"
+        code = run([str(out) if a == "OUT" else a for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.endswith(
+            f"error: cannot write {out}: No such file or directory\n")
+        assert "internal error" not in err
+        assert not out.parent.exists()
+
+    def test_directory_as_output_exit_2(self, tmp_path, capsys):
+        assert run(["validate", fx("fig1.lts"), "--json",
+                    str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {tmp_path}: ")
+
+
 class TestCheck:
     def test_fig1_net_is_brac(self, capsys):
         code, payload = run_json(capsys, ["check", fx("fig1-net.pn"),

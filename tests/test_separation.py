@@ -19,8 +19,8 @@ from netsynth.separation import (ESSP, Region, SSP, SystemContext,
 
 from conftest import margin_row
 from reference import (OracleBound, assignment, brute_force_region,
-                       enumerate_separation_problems, satisfied_by,
-                       state_pairs)
+                       enumerate_separation_problems, evaluate,
+                       parikh_marks, satisfied_by, state_pairs)
 
 
 def stage(lts, brac=False):
@@ -488,6 +488,92 @@ class TestRegionMarks:
         assert not replace(region, marks=region.marks[1:]).is_valid(fig1)
 
 
+@pytest.fixture(scope="module")
+def marks_inputs():
+    """(context, regions) for the 100 roundtrip graphs, with their WPI
+    regions, and for the 300-marking ladder graph
+    ``random_brac_net(44, 6, 4)``, with its BRAC regions."""
+    from netsynth.oracle import random_brac_net
+    from netsynth.petri import reachability_graph
+    from netsynth.synthesis import synthesize_brac, synthesize_wpi
+    runs = [(reachability_graph(random_brac_net(i), 2000), synthesize_wpi)
+            for i in range(100)]
+    ladder = reachability_graph(random_brac_net(44, 6, 4), 100_000)
+    assert len(ladder.states) == 300
+    runs.append((ladder, synthesize_brac))
+    out = []
+    for lts, synthesize in runs:
+        tree = spanning_tree(lts)
+        report = synthesize(lts)
+        assert report.ok
+        out.append((SystemContext(lts, tree, cycle_basis(lts, tree)),
+                    report.regions))
+    return out
+
+
+class TestMarksAlongTheTree:
+    """`Region.over` and `SystemContext.holds` sum the counts along the
+    tree; `parikh_marks` and `satisfied_by` compute them without it."""
+
+    def test_region_over_is_the_parikh_formula(self, marks_inputs):
+        rng = random.Random(37)
+        checked = 0
+        for ctx, regions in marks_inputs:
+            n = len(ctx.lts.labels)
+            points = [(r.r0, r.b, r.f) for r in regions]
+            for _ in range(5):
+                points.append((rng.randint(-3, 5),
+                               tuple(rng.randint(-2, 4) for _ in range(n)),
+                               tuple(rng.randint(-2, 4) for _ in range(n))))
+            for r0, b, f in points:
+                region = Region.over(ctx.tree, r0, b, f)
+                assert region.marks == parikh_marks(ctx.tree, r0, b, f)
+                assert (region.r0, region.b, region.f) == (r0, b, f)
+                checked += 1
+        assert checked > 600
+
+    @staticmethod
+    def points(ctx, regions, rng):
+        """``(num, den)`` at the regions, at regions moved off them, and at
+        random points, every entry nonnegative."""
+        n = len(ctx.lts.labels)
+        for region in regions[:3]:
+            num = [region.r0, *region.b, *region.f]
+            yield num, 1
+            den = rng.randint(2, 4)
+            yield [v * den for v in num], den
+            # one token fewer, or a consume and produce weight more:
+            # the effect and so the cycle rows stay, edge rows may break
+            if num[0] > 0:
+                yield [num[0] - 1, *num[1:]], 1
+            t = rng.randrange(n)
+            moved = list(num)
+            moved[1 + t] += 1
+            moved[1 + n + t] += 1
+            yield moved, 1
+            moved = [v * den for v in num]
+            moved[rng.randrange(len(num))] += 1
+            yield moved, den
+        for _ in range(2):
+            yield [rng.randint(0, 3) for _ in range(2 * n + 1)], \
+                rng.randint(1, 3)
+
+    def test_holds_agrees_with_fraction_check(self, marks_inputs):
+        rng = random.Random(37)
+        verdicts = set()
+        for ctx, regions in marks_inputs:
+            system = ctx.system([ctx])
+            cycles = [r for r in ctx.base_rows() if r.rel == "="]
+            for num, den in self.points(ctx, regions, rng):
+                values = [Fraction(v, den) for v in num]
+                got = ctx.holds(num, den)
+                assert got == satisfied_by(system, values)
+                if all(evaluate(r, values) for r in cycles):
+                    verdicts.add(got)
+        # points that keep the cycle rows are judged on their marks
+        assert verdicts == {True, False}
+
+
 def small_context():
     """Labels a, b: R0 in column 0, B in 1..2, F in 3..4; four edge keys
     and the one cycle a+2b."""
@@ -663,41 +749,69 @@ class TestBaseBlock:
             assert (sol.status, sol.pivots, assignment(sol)) == \
                 (ref.status, ref.pivots, assignment(ref))
 
+    BRANCHES = (make_row({0: 1}, ">=", 1, tag="branch-up"),
+                make_row({1: 1}, "<=", 0, tag="branch-down"))
+
+    @classmethod
+    def solve_nodes(cls, system):
+        """Solve ``system`` and two branch nodes of it, each twice, and a
+        0/1 system by branch-and-bound; every solve must find the same
+        tableau costs and verdict as the first, and leave the appended
+        branch rows as they were."""
+        import copy
+        from netsynth.linsys import LinearSystem, _Simplex
+        for extra in ((), cls.BRANCHES[:1], cls.BRANCHES):
+            kept = copy.deepcopy(extra)
+            node = LinearSystem(system.columns, system.rows.parts + extra,
+                                system.zero_one)
+            simplex = _Simplex(node)
+            costs = list(simplex.obj)
+            simplex.solve()
+            assert simplex.pivots > 0
+            assert _Simplex(node).obj == costs
+            first = solve_rational(node)
+            again = solve_rational(node)
+            assert (first.status, first.pivots, assignment(first)) == \
+                (again.status, again.pivots, assignment(again))
+            assert extra == kept
+        if system.zero_one:  # branch-and-bound passes its own rows
+            solve_integer(system)
+
     def test_solves_leave_shared_inputs_unchanged(self):
         """Pivots update tableau rows in place.  Solving several systems
         of one context must change neither the context's cached dual
         columns nor the costs a simplex builds nor the branch rows
-        appended as parts of a node system."""
-        import copy
-        from netsynth.linsys import LinearSystem, _Simplex
+        appended as parts of a node system; nor may solving a system, or
+        a branch node of it, change another system of the same graph
+        that holds the same relation `Row` objects."""
+        import itertools
+        from netsynth.linsys import dump_lp
         by_context = {}
         for system in self.pipeline_systems(per_kind=4):
             ctx, = (p for p in system.rows.parts if not isinstance(p, Row))
             by_context.setdefault(id(ctx), (ctx, []))[1].append(system)
         ctx, systems = max(by_context.values(), key=lambda e: len(e[1]))
         assert len(systems) >= 6
-        branches = (make_row({0: 1}, ">=", 1, tag="branch-up"),
-                    make_row({1: 1}, "<=", 0, tag="branch-down"))
         for system in systems:
-            for extra in ((), branches[:1], branches):
-                kept = copy.deepcopy(extra)
-                node = LinearSystem(system.columns,
-                                    system.rows.parts + extra,
-                                    system.zero_one)
-                simplex = _Simplex(node)
-                costs = list(simplex.obj)
-                simplex.solve()
-                assert simplex.pivots > 0
-                assert _Simplex(node).obj == costs
-                first = solve_rational(node)
-                again = solve_rational(node)
-                assert (first.status, first.pivots, assignment(first)) == \
-                    (again.status, again.pivots, assignment(again))
-                assert extra == kept
-            if system.zero_one:  # branch-and-bound passes its own rows
-                solve_integer(system)
+            self.solve_nodes(system)
         fresh = SystemContext(ctx.lts, ctx.tree, ctx.basis)
         assert ctx.dual_columns() == fresh.dual_columns()
+
+        pairs = []
+        for ctx, group in by_context.values():
+            for a, b in itertools.combinations(group, 2):
+                shared = [r for r in a.rows.parts if isinstance(r, Row)
+                          and any(r is q for q in b.rows.parts)]
+                if shared:
+                    assert {r.tag.split(":")[0] for r in shared} <= \
+                        {"tie", "disjoint"}
+                    pairs.append((ctx.names, a, b))
+        assert len(pairs) >= 10
+        for names, a, b in pairs:
+            dumps = dump_lp(a, names), dump_lp(b, names)
+            for system in (a, b):
+                self.solve_nodes(system)
+                assert (dump_lp(a, names), dump_lp(b, names)) == dumps
 
     def test_extension_keeps_the_block(self, fig1):
         ctx, graph = stage(fig1, brac=True)

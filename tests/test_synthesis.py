@@ -1095,3 +1095,44 @@ class TestSystemsBuiltOnce:
         for lts in inputs().values():
             synthesize(lts)
         assert passed and Rows not in passed
+
+
+class TestRelationRowsOncePerGraph:
+    """A resolved graph's tie rows and ``B_rep = 0`` rows are built at most
+    once in a run: every system of the graph holds the same `Row`s.  Each
+    `make_row` call of a ``tie:*`` or ``disjoint:*`` row is counted against
+    the graph that `relation_rows` or `class_tie_rows` was asked about."""
+
+    @staticmethod
+    def inputs():
+        return [reachability_graph(random_brac_net(i), 2000)
+                for i in range(100)] + [random_lts(i, 24, 6)
+                                        for i in range(60)]
+
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac])
+    def test_built_once_per_graph(self, synthesize, monkeypatch):
+        import collections
+        import netsynth.separation
+        real_make_row = netsynth.separation.make_row
+        built = collections.Counter()
+        asked = []  # every graph asked about, kept so no id is reused
+
+        def make_row(coeffs, rel, const=0, tag=""):
+            if tag.startswith(("tie:", "disjoint:")):
+                built[(id(asked[-1]), tag)] += 1
+            return real_make_row(coeffs, rel, const, tag)
+
+        def asking(method):
+            def wrapped(ctx, graph, *args):
+                asked.append(graph)
+                return method(ctx, graph, *args)
+            return wrapped
+        monkeypatch.setattr(netsynth.separation, "make_row", make_row)
+        for name in ("relation_rows", "class_tie_rows"):
+            monkeypatch.setattr(SystemContext, name,
+                                asking(getattr(SystemContext, name)))
+        for lts in self.inputs():
+            synthesize(lts)
+        kinds = {tag.split(":")[0] for _, tag in built}
+        assert kinds == {"tie", "disjoint"}
+        assert max(built.values()) == 1
