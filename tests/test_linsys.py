@@ -13,14 +13,17 @@ from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE, RELATIONS,
                              LinearSystem, Row, _LEQ_COPIES, _eliminate,
                              dump_lp, lift_homogeneous_to_integer, make_row,
                              solve_integer, solve_rational)
-from netsynth.oracle import random_lts
+from netsynth.oracle import random_brac_net, random_lts
+from netsynth.petri import reachability_graph
 from netsynth.synthesis import synthesize_brac, synthesize_wpi
 
-from conftest import margin_row
+from conftest import margin_row, rewrite_record
 from reference import assignment, satisfied_by
 
 PIVOT_RECORD = pathlib.Path(__file__).parent / "fixtures" / \
     "pivot_digests.json"
+STATE_RECORD = pathlib.Path(__file__).parent / "fixtures" / \
+    "simplex_state_digests.json"
 
 
 def system(rows, variables=None, zero_one=()):
@@ -533,8 +536,78 @@ class TestFarkasRay:
         assert not self.certifies(sys_, [2, 1])
 
 
+class TestFinalState:
+    """Pins every simplex solve's final state on the systems both pipelines
+    solve: on the graphs of ``random_brac_net(0..99)`` at the roundtrip
+    cap, and on ``random_lts(0..99, 24, 6)``.
+
+    A state is the constraint rows and their denominators, the objective
+    row and its denominator, the basis and the pivot count.  The objective
+    is read as ``obj`` over ``obj_den`` where the simplex keeps it apart,
+    else as the tableau's last row, so the digest does not depend on
+    where the objective is kept.  Every branch-and-bound node is a solve.
+    The digests are in ``fixtures/simplex_state_digests.json``;
+    ``PYTHONPATH=src python tests/test_linsys.py`` rewrites it.
+    """
+
+    FAMILIES = ("roundtrip", "random_lts")
+
+    @staticmethod
+    def inputs(family):
+        if family == "roundtrip":
+            return [reachability_graph(random_brac_net(i), 2000)
+                    for i in range(100)]
+        return [random_lts(seed, 24, 6) for seed in range(100)]
+
+    @staticmethod
+    def state(simplex):
+        n = simplex.n_rows
+        if hasattr(simplex, "obj"):
+            objective, obj_den = simplex.obj, simplex.obj_den
+        else:
+            objective, obj_den = simplex.tableau[n], simplex.den[n]
+        return (simplex.tableau[:n], simplex.den[:n], objective, obj_den,
+                simplex.basis, simplex.pivots)
+
+    @staticmethod
+    def digests(family):
+        """``"<family>/<pipeline>"`` -> ``{"solves", "sha256"}``."""
+        hashes, solves = {}, []
+
+        class Recorded(linsys._Simplex):
+            def solve(self):
+                witness = super().solve()
+                hashes[pipeline].update(
+                    f"{TestFinalState.state(self)}\n".encode())
+                solves.append(pipeline)
+                return witness
+        original = linsys._Simplex
+        linsys._Simplex = Recorded
+        try:
+            for lts in TestFinalState.inputs(family):
+                for pipeline, synthesize in (("wpi", synthesize_wpi),
+                                             ("brac", synthesize_brac)):
+                    hashes.setdefault(pipeline, hashlib.sha256())
+                    synthesize(lts)
+        finally:
+            linsys._Simplex = original
+        return {f"{family}/{pipeline}": {"solves": solves.count(pipeline),
+                                         "sha256": h.hexdigest()}
+                for pipeline, h in hashes.items()}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_final_states_unchanged(self, family):
+        expected = json.loads(STATE_RECORD.read_text())
+        got = self.digests(family)
+        assert got == {k: v for k, v in expected.items()
+                       if k.startswith(family + "/")}
+
+
 if __name__ == "__main__":
     PIVOT_RECORD.write_text(json.dumps(
         {family: TestPivotSequence.digest(family)
          for family in TestPivotSequence.FAMILIES},
         indent=1, sort_keys=True) + "\n")
+    rewrite_record(STATE_RECORD, {
+        key: value for family in TestFinalState.FAMILIES
+        for key, value in TestFinalState.digests(family).items()})
