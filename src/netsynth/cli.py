@@ -140,14 +140,16 @@ def _cmd_synth(args) -> int:
                           prune=args.prune)
     run = synthesize_brac if args.target_class == "brac" else synthesize_wpi
     report = run(lts, cfg)
-    if args.report:
-        _emit_json(args.report, report.to_json(lts.labels))
     if report.ok:
         if report.net is None:
             raise AssertionError("success reported without a net")
         _write(args.output, serialize_net(report.net))
         if args.dot:
             _write(args.dot, render_dot(report.net))
+    # last: a run that cannot write its net or dot leaves no report
+    if args.report:
+        _emit_json(args.report, report.to_json(lts.labels))
+    if report.ok:
         print(f"synthesised {len(report.net.places)} places, "
               f"{len(report.net.transitions)} transitions "
               f"({args.target_class})", file=sys.stderr)

@@ -16,9 +16,10 @@ Rational feasibility is decided by an exact integer-tableau simplex that
 reads the rows straight into its dual tableau, a block's cached columns
 spliced in, and runs one phase.  The dual is homogeneous, so the tableau
 holds no right-hand side and there is no ratio test: the leaving row is
-the least basic column with a positive entry.  A pivot updates the other
-rows in place; unless its pivot entry is not 1 and scales them, it
-changes them only where the pivot row is nonzero.  A solution is integer
+the least basic column with a positive entry.  The objective is the
+tableau's last row, and one loop updates every row a pivot changes, in
+place; unless the pivot entry is not 1 and scales them, it changes them
+only where the pivot row is nonzero.  A solution is integer
 numerators over one positive denominator, re-substituted into the rows
 before it is returned.  Solutions of a system whose rows survive scaling
 up lift to integers by dividing out the gcd, and a 0/1-aware
@@ -178,28 +179,6 @@ def dump_lp(system: LinearSystem, names: Sequence[str]) -> str:
 _LEQ_COPIES = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 
 
-def _eliminate(row, den, pivot_row, support, pivot, a):
-    """Set ``row`` to ``row/den - (a/den) * pivot_row/pivot`` over one
-    positive denominator, in place, and return that denominator.
-
-    ``pivot > 0`` and ``support`` lists the nonzero positions of
-    ``pivot_row``; only those entries change unless ``pivot != 1`` scales
-    the row.  The result is divided by the gcd of its entries and its
-    denominator.
-    """
-    if pivot != 1:
-        row[:] = [pivot * x for x in row]
-        den *= pivot
-    for j in support:
-        row[j] -= a * pivot_row[j]
-    if den > 1:
-        g = gcd(den, *row)
-        if g > 1:
-            row[:] = [x // g for x in row]
-            den //= g
-    return den
-
-
 class _Simplex:
     """Primal simplex (Bland's rule) on an exact integer tableau.
 
@@ -221,19 +200,21 @@ class _Simplex:
     row starts as the cost vector ``b`` and one phase suffices.  Rows must
     be weak or equalities.
 
-    Tableau row ``i`` holds the integers ``tableau[i]`` over one positive
-    denominator ``den[i]``, and the objective row likewise ``obj`` over
-    ``obj_den`` (fraction-free pivoting after Edmonds, 1967).  A pivot
-    entry is always positive; a pivot keeps the pivot row's integers and
-    makes that entry its denominator.  Rows with a zero in the entering
-    column are not touched.  Every other row, the objective included, is
-    updated in place: multiplied by the pivot entry only when that is not
-    1, changed only at the pivot row's nonzero positions (its support,
-    listed once per pivot), and divided by the gcd of its entries and
-    denominator only when the denominator is above 1.  That gives the same
-    integers as cross-multiplying every entry.  The entering column is
-    read once per pivot: one pass over the rows lists its nonzero
-    entries, which give both the leaving row and the rows to update.
+    The tableau has ``n_rows + 1`` rows: one per primal variable, then
+    the objective.  Row ``i`` holds the integers ``tableau[i]`` over one
+    positive denominator ``den[i]`` (fraction-free pivoting after
+    Edmonds, 1967).  A pivot entry is always positive; a pivot keeps the
+    pivot row's integers and makes that entry its denominator.  Rows with
+    a zero in the entering column are not touched.  One loop updates
+    every other row, the objective included, in place: it multiplies the
+    row by the pivot entry only when that is not 1, changes it only at the
+    pivot row's nonzero positions (its support, listed once per pivot),
+    and divides by the gcd of its entries and denominator only when the
+    denominator is above 1.  That gives the same integers as
+    cross-multiplying every entry.  The entering column is read once per
+    pivot: one pass over the rows lists its nonzero entries, which give
+    both the leaving row and the rows to update.  The objective's entry
+    there is negative, so it never leaves.
     """
 
     def __init__(self, system: LinearSystem):
@@ -251,14 +232,14 @@ class _Simplex:
                 copies.append((m, part, sign))
                 m += 1
         zero_one = sorted(system.zero_one)
-        # D rows: one per primal variable; D columns: y per primal row (the
-        # copies, then the 0/1 bounds), then surplus.
+        # D rows: one per primal variable, then the objective; D columns:
+        # y per primal row (the copies, then the 0/1 bounds), then surplus.
         self.n_rows = n = system.columns
         first_bound = m
         self.n_y = m = m + len(zero_one)
         self.pivots = 0
-        tableau = [[0] * (m + n) for _ in range(n)]
-        costs = [0] * (m + n)  # b on the y columns
+        tableau = [[0] * (m + n) for _ in range(n + 1)]
+        costs = tableau[n]  # b on the y columns
         for i, row, sign in copies:
             for j, c in row.coeffs:
                 tableau[j][i] -= sign * c
@@ -274,43 +255,46 @@ class _Simplex:
             tableau[j][m + j] = 1
         self.basis = [m + j for j in range(n)]
         self.tableau = tableau
-        self.den = [1] * n
-        self.obj, self.obj_den = costs, 1
+        self.den = [1] * (n + 1)
 
     def _pivot(self, r, k, column):
         """Pivot on row ``r`` at column ``k``; ``column`` lists ``(i, a)``
-        for every row ``i`` whose entry ``a`` in column ``k`` is nonzero."""
+        for every row ``i``, the objective included, whose entry ``a`` in
+        column ``k`` is nonzero."""
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded")
         tableau, den = self.tableau, self.den
-        row = tableau[r]
-        piv = den[r] = row[k]
-        support = list(compress(range(len(row)), row))
+        pivot_row = tableau[r]
+        piv = den[r] = pivot_row[k]
+        support = list(compress(range(len(pivot_row)), pivot_row))
         for i, a in column:
             if i == r:
                 continue
-            if piv == 1 and den[i] == 1:
-                # what _eliminate does here: no scaling, no gcd
-                target = tableau[i]
-                for j in support:
-                    target[j] -= a * row[j]
-            else:
-                den[i] = _eliminate(tableau[i], den[i], row, support, piv, a)
-        a = self.obj[k]
-        if a != 0:
-            self.obj_den = _eliminate(self.obj, self.obj_den, row, support,
-                                      piv, a)
+            # row/d - (a/d) * pivot_row/piv, over one denominator
+            row, d = tableau[i], den[i]
+            if piv != 1:
+                row[:] = [piv * x for x in row]
+                d *= piv
+            for j in support:
+                row[j] -= a * pivot_row[j]
+            if d > 1:
+                g = gcd(d, *row)
+                if g > 1:
+                    row[:] = [x // g for x in row]
+                    d //= g
+            den[i] = d
         self.basis[r] = k
 
     def solve(self):
         """Return the primal witness as ``(numerators, denominator)``, or
         None if the rows are infeasible (the dual is unbounded)."""
-        tableau, basis, obj = self.tableau, self.basis, self.obj
+        tableau, basis, n = self.tableau, self.basis, self.n_rows
+        obj = tableau[n]
         while True:
             enter = next(compress(count(), map(_NEGATIVE, obj)), -1)
             if enter < 0:
-                return obj[self.n_y:], self.obj_den
+                return obj[self.n_y:], self.den[n]
             column = [(i, a) for i, row in enumerate(tableau)
                       if (a := row[enter])]
             leave = min((i for i, a in column if a > 0),

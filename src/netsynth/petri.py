@@ -57,7 +57,7 @@ class PetriNet:
 
     ``consume[(p, t)]`` and ``produce[(t, p)]`` hold positive arc weights
     (absent pairs weigh zero); ids are unique across places and
-    transitions.
+    transitions; initial token counts are nonnegative.
     """
 
     places: tuple[str, ...]
@@ -76,6 +76,8 @@ class PetriNet:
         for w in list(self.consume.values()) + list(self.produce.values()):
             if w <= 0:
                 raise PetriNetError("arc weights must be positive")
+        if any(k < 0 for k in self.m0):
+            raise PetriNetError("initial token counts must not be negative")
         np_, nt = len(self.places), len(self.transitions)
         for p, t in list(self.consume) + [(p, t) for t, p in self.produce]:
             if not (0 <= p < np_ and 0 <= t < nt):

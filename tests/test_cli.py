@@ -288,6 +288,22 @@ class TestUnwritableOutput:
         assert "internal error" not in err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("failing", ["-o", "--dot"])
+    def test_failed_write_leaves_no_report(self, tmp_path, capsys, failing):
+        """The report is written last, so it never says success on a run
+        that exits 2."""
+        report, missing = tmp_path / "r.json", tmp_path / "missing" / "x"
+        outputs = {"-o": tmp_path / "x.pn", "--dot": tmp_path / "x.dot",
+                   failing: missing}
+        code = run(["synth", fx("fig1.lts"), "--class", "brac",
+                    "--report", str(report),
+                    *(str(a) for option, path in outputs.items()
+                      for a in (option, path))])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: cannot write {missing}: No such file or directory\n")
+        assert not report.exists()
+
     def test_directory_as_output_exit_2(self, tmp_path, capsys):
         assert run(["validate", fx("fig1.lts"), "--json",
                     str(tmp_path)]) == 2

@@ -10,8 +10,8 @@ import pytest
 
 from netsynth import linsys
 from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE, RELATIONS,
-                             LinearSystem, Row, _LEQ_COPIES, _eliminate,
-                             dump_lp, lift_homogeneous_to_integer, make_row,
+                             LinearSystem, Row, _LEQ_COPIES, dump_lp,
+                             lift_homogeneous_to_integer, make_row,
                              solve_integer, solve_rational)
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
@@ -168,18 +168,32 @@ class TestRational:
 
 
 class TestEliminate:
-    """The in-place row update against the rational one it stands for,
-    ``row/den - (a/den) * pivot_row/pivot``."""
+    """`_Simplex._pivot`'s row update against the rational one it stands
+    for, ``row/den - (a/den) * pivot_row/pivot``, on a hand-built
+    tableau: the pivot row, a row with 0 in the pivot column, and the
+    updated row, which stands for a constraint or the objective."""
 
     @staticmethod
     def check(row, den, pivot_row, pivot, a):
+        """Pivot at the appended column, which holds ``pivot`` in the pivot
+        row and ``a`` in ``row``; return ``row`` as updated."""
+        k = len(row)
         expected = [Fraction(x, den) - Fraction(a, den) * Fraction(y, pivot)
-                    for x, y in zip(row, pivot_row)]
-        support = [j for j, y in enumerate(pivot_row) if y]
-        new_den = _eliminate(row, den, pivot_row, support, pivot, a)
+                    for x, y in zip(row, pivot_row)] + [0]
+        untouched = [3] * k + [0]
+        tableau = [pivot_row + [pivot], list(untouched), row + [a]]
+        simplex = object.__new__(linsys._Simplex)
+        simplex.tableau, simplex.den = tableau, [5, 2, den]
+        simplex.basis, simplex.pivots = [None] * 3, 0
+        simplex._pivot(0, k, [(0, pivot), (2, a)])
+        assert (simplex.basis[0], simplex.pivots) == (k, 1)
+        assert tableau[:2] == [pivot_row + [pivot], untouched]
+        assert simplex.den[:2] == [pivot, 2]
+        new_den = simplex.den[2]
         assert new_den > 0
-        assert [Fraction(x, new_den) for x in row] == expected
-        assert gcd(new_den, *row) == 1
+        assert [Fraction(x, new_den) for x in tableau[2]] == expected
+        assert gcd(new_den, *tableau[2]) == 1
+        return tableau[2]
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("den", [1, 6])
@@ -195,9 +209,9 @@ class TestEliminate:
 
     @pytest.mark.parametrize("pivot, den", [(1, 1), (1, 4), (3, 1), (3, 4)])
     def test_empty_support(self, pivot, den):
-        row = [2, 0, -6, 4]
-        self.check(row, den, [0, 0, 0, 0], pivot, -5)
-        assert row == ([1, 0, -3, 2] if den == 4 else [2, 0, -6, 4])
+        # the pivot row is 0 off the pivot column
+        row = self.check([2, 0, -6, 4], den, [0, 0, 0, 0], pivot, -5)
+        assert row == ([1, 0, -3, 2, 0] if den == 4 else [2, 0, -6, 4, 0])
 
 
 class TestLifting:
@@ -480,13 +494,17 @@ class TestFarkasRay:
 
     @staticmethod
     def ray(simplex):
-        k = next(k for k, c in enumerate(simplex.obj) if c < 0)
-        column = [row[k] for row in simplex.tableau]
+        """The ray; the objective is the tableau's last row."""
+        n = simplex.n_rows
+        objective, rows, dens = \
+            simplex.tableau[n], simplex.tableau[:n], simplex.den[:n]
+        k = next(k for k, c in enumerate(objective) if c < 0)
+        column = [row[k] for row in rows]
         assert all(a <= 0 for a in column)
-        scale = lcm(*simplex.den)
-        y = [0] * len(simplex.obj)
+        scale = lcm(*dens)
+        y = [0] * len(objective)
         y[k] = scale
-        for a, basic, den in zip(column, simplex.basis, simplex.den):
+        for a, basic, den in zip(column, simplex.basis, dens, strict=True):
             y[basic] -= a * (scale // den)
         return y[:simplex.n_y]
 

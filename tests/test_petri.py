@@ -451,6 +451,12 @@ class TestNetChecks:
         with pytest.raises(PetriNetError, match="must be positive"):
             PetriNet(("p",), ("t",), consume, produce, (0,))
 
+    def test_negative_initial_tokens_rejected(self):
+        # the packed kernel would borrow across fields and fire the
+        # disabled t forever
+        with pytest.raises(PetriNetError, match="must not be negative"):
+            PetriNet(("p", "q"), ("t",), {(0, 0): 1}, {(0, 1): 1}, (-1, 0))
+
 
 class TestNetFormat:
     def test_fig1_roundtrip(self, fig1_net):
