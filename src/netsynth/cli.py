@@ -12,7 +12,9 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import Optional
 
@@ -54,19 +56,45 @@ def _read(path: str) -> str:
         raise LtsError(f"cannot read {path}: not UTF-8 text")
 
 
-def _write(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fp:
+def _write(outputs: list[tuple[Optional[str], str]]) -> None:
+    """Write each ``(path, text)``: all the files or none, then, in order,
+    the texts bound for standard output (path ``None`` or ``-``).
+
+    Each file is first written to a temporary name in its target
+    directory.  Only when every write succeeded are they renamed into
+    place; otherwise every file this call made is removed.
+    """
+    files = [(path, text) for path, text in outputs
+             if path not in (None, "-")]
+    made: list[str] = []  # temporary names, then the renamed paths
+    try:
+        for i, (path, text) in enumerate(files):
+            head, tail = os.path.split(path)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+            with open(temp, "x", encoding="utf-8") as fp:
+                made.append(temp)
                 fp.write(text)
-        except OSError as exc:
-            raise _OptionError(f"cannot write {path}: {exc.strerror}")
+        for i, (path, _) in enumerate(files):
+            os.replace(made[i], path)
+            made[i] = path
+        made = []
+    except OSError as exc:
+        raise _OptionError(f"cannot write {path}: {exc.strerror}")
+    finally:
+        for name in made:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+    for path, text in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_json(path: Optional[str], payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write([(path, _json(payload))])
 
 
 def _load_lts(path: str) -> Lts:
@@ -140,15 +168,16 @@ def _cmd_synth(args) -> int:
                           prune=args.prune)
     run = synthesize_brac if args.target_class == "brac" else synthesize_wpi
     report = run(lts, cfg)
+    outputs = []
     if report.ok:
         if report.net is None:
             raise AssertionError("success reported without a net")
-        _write(args.output, serialize_net(report.net))
+        outputs.append((args.output, serialize_net(report.net)))
         if args.dot:
-            _write(args.dot, render_dot(report.net))
-    # last: a run that cannot write its net or dot leaves no report
+            outputs.append((args.dot, render_dot(report.net)))
     if args.report:
-        _emit_json(args.report, report.to_json(lts.labels))
+        outputs.append((args.report, _json(report.to_json(lts.labels))))
+    _write(outputs)
     if report.ok:
         print(f"synthesised {len(report.net.places)} places, "
               f"{len(report.net.transitions)} transitions "
@@ -172,7 +201,8 @@ def _cmd_check(args) -> int:
 def _cmd_rg(args) -> int:
     net = parse_net(_read(args.file))
     _at_least_one(args, "rg_cap")
-    _write(args.output, serialize_lts(reachability_graph(net, args.rg_cap)))
+    _write([(args.output,
+             serialize_lts(reachability_graph(net, args.rg_cap)))])
     return OK
 
 
@@ -186,7 +216,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dot(args) -> int:
     net = parse_net(_read(args.file))
-    _write(args.output, render_dot(net))
+    _write([(args.output, render_dot(net))])
     return OK
 
 

@@ -21,8 +21,8 @@ maximum bipartite matching.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from netsynth.lts import Lts
@@ -299,9 +299,11 @@ def quotient_by_equivalence(graph: RelationGraph) \
     irreconcilable member edges are a contradiction.  A member carrying an
     original inclusion edge is preferred as representative so deactivation
     arguments stay applicable.
+
+    ``graph`` is only read; the quotient holds the reconciled edge of each
+    pair of representatives and no other edge.
     """
-    g = graph.copy()
-    parent = {n: n for n in g.nodes}
+    parent = {n: n for n in graph.nodes}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -309,18 +311,18 @@ def quotient_by_equivalence(graph: RelationGraph) \
             x = parent[x]
         return x
 
-    for (a, b), e in sorted(g.edges.items()):
+    for (a, b), e in sorted(graph.edges.items()):
         if e.kind == EQUIVALENT:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
     classes: dict[int, list[int]] = {}
-    for n in g.nodes:
+    for n in graph.nodes:
         classes.setdefault(find(n), []).append(n)
 
-    on_inclusion = {x for key, e in g.edges.items()
+    on_inclusion = {x for e in graph.edges.values()
                     if e.kind == INCLUDED and e.origin == ORIGINAL
-                    for x in key if x in (e.lo, e.hi)}
+                    for x in (e.lo, e.hi)}
     reps: dict[int, int] = {}
     by_rep: dict[int, tuple[int, ...]] = {}
     for root, members in sorted(classes.items()):
@@ -332,30 +334,25 @@ def quotient_by_equivalence(graph: RelationGraph) \
     roots = sorted(by_rep)
 
     # reconcile member edges towards every outside class
-    for ra in roots:
-        for rb in roots:
-            if rb <= ra:
-                continue
-            codes = {(x, y): g.code_from(x, y)
-                     for x in by_rep[ra] for y in by_rep[rb]}
-            combo = frozenset(codes.values())
-            if combo not in _COMPATIBLE:
-                return Contradiction(
-                    (ra, rb), "equivalence-conflict",
-                    "equivalent labels relate differently to "
-                    f"{graph.names[rb]}")
-            target = _COMPATIBLE[combo]
-            original = any(code == target and g.edge(x, y).origin == ORIGINAL
-                           for (x, y), code in codes.items())
-            kind, flip = _EDGE_OF_CODE[target]
-            lo, hi = (rb, ra) if flip else (ra, rb)
-            g.set_edge(ra, rb, Edge(kind, lo, hi,
-                                    ORIGINAL if original else STRENGTHENED))
+    edges: dict[tuple[int, int], Edge] = {}
+    for ra, rb in combinations(roots, 2):
+        codes = {(x, y): graph.code_from(x, y)
+                 for x in by_rep[ra] for y in by_rep[rb]}
+        combo = frozenset(codes.values())
+        if combo not in _COMPATIBLE:
+            return Contradiction(
+                (ra, rb), "equivalence-conflict",
+                "equivalent labels relate differently to "
+                f"{graph.names[rb]}")
+        target = _COMPATIBLE[combo]
+        original = any(code == target and graph.edge(x, y).origin == ORIGINAL
+                       for (x, y), code in codes.items())
+        kind, flip = _EDGE_OF_CODE[target]
+        lo, hi = (rb, ra) if flip else (ra, rb)
+        edges[(ra, rb)] = Edge(kind, lo, hi,
+                               ORIGINAL if original else STRENGTHENED)
 
-    nodes = tuple(roots)
-    edges = {(a, b): g.edges[(a, b)] for a in nodes for b in nodes
-             if a < b}
-    out = RelationGraph(g.names, nodes, edges, dict(reps),
+    out = RelationGraph(graph.names, tuple(roots), edges, dict(reps),
                         {r: by_rep[r] for r in roots})
     return out, dict(reps)
 
@@ -449,61 +446,30 @@ class MatchingFailure:
 
 def resolve_inclusion_matching(candidates: Iterable[tuple[int, int]]) \
         -> dict[int, int] | MatchingFailure:
-    """Pick one inclusion target per self-loop label via maximum matching.
+    """Pick one inclusion target per self-loop label by a maximum matching.
 
     ``candidates`` holds pairs (self-loop label, feasible target).  The
-    assignment must cover every left label and use every node at most once;
-    Hopcroft-Karp with index-ordered adjacency keeps the result
-    deterministic.
+    assignment must cover every left label and give each target at most
+    one label.  Kuhn's augmenting paths take the left labels in index
+    order, each with one depth-first search over its targets in index
+    order, so the maximum matching found is deterministic; the labels whose
+    search fails are reported, in index order.
     """
-    pairs = sorted(set(candidates))
     adj: dict[int, list[int]] = {}
-    for a, b in pairs:
+    for a, b in sorted(set(candidates)):
         adj.setdefault(a, []).append(b)
-    lefts = sorted(adj)
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-    INF = float("inf")
-    dist: dict[int, float] = {}
+    owner: dict[int, int] = {}  # target -> the label matched to it
 
-    def bfs() -> bool:
-        dist.clear()
-        queue = deque()
-        for u in lefts:
-            if u not in match_left:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= found:
-                continue
-            for v in adj[u]:
-                w = match_right.get(v)
-                if w is None:
-                    found = min(found, dist[u] + 1)
-                elif dist.get(w, INF) == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found != INF
-
-    def dfs(u: int) -> bool:
+    def augment(u: int, seen: set[int]) -> bool:
         for v in adj[u]:
-            w = match_right.get(v)
-            if w is None or (dist.get(w, INF) == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = INF
+            if v not in seen:
+                seen.add(v)
+                if v not in owner or augment(owner[v], seen):
+                    owner[v] = u
+                    return True
         return False
 
-    while bfs():
-        for u in lefts:
-            if u not in match_left:
-                dfs(u)
-    unmatched = tuple(u for u in lefts if u not in match_left)
+    unmatched = tuple(u for u in sorted(adj) if not augment(u, set()))
     if unmatched:
         return MatchingFailure(unmatched)
-    return dict(sorted(match_left.items()))
+    return dict(sorted((u, v) for v, u in owner.items()))

@@ -398,9 +398,10 @@ def brac_block_systems(ctx: SystemContext, graph: RelationGraph,
     ``lo`` block, so one region must solve every event separation problem of
     ``lo`` at once.  The second describes the private place of the ``hi``
     block, which must handle exactly the ``hi`` problems at states still
-    enabling ``lo``.  Weights are 0/1 bounded; produce weights of a
-    non-self-loop ``lo`` block are pinned to zero since its members must
-    strictly consume.
+    enabling ``lo``.  Weights are 0/1 bounded.  The shared place's produce
+    weight is pinned to zero for every member of ``lo``'s class that is not
+    a self-loop label, since such a member must strictly consume; a
+    self-loop member produces what it consumes, so it is left free.
     """
     lts = ctx.lts
     lo, hi = pair
@@ -409,7 +410,7 @@ def brac_block_systems(ctx: SystemContext, graph: RelationGraph,
     masks = list(enumerate(lts.label_masks))
     shared = _block_system(
         ctx, sorted(set(lo_members) | set(hi_members)),
-        [] if lo in lts.self_loop_labels else lo_members, lo,
+        [m for m in lo_members if m not in lts.self_loop_labels], lo,
         [s for s, mask in masks if not mask >> lo & 1])
     private = _block_system(
         ctx, hi_members, [], hi,

@@ -288,21 +288,43 @@ class TestUnwritableOutput:
         assert "internal error" not in err
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("failing", ["-o", "--dot"])
+    @pytest.mark.parametrize("failing", ["-o", "--dot", "--report"])
     def test_failed_write_leaves_no_report(self, tmp_path, capsys, failing):
-        """The report is written last, so it never says success on a run
-        that exits 2."""
-        report, missing = tmp_path / "r.json", tmp_path / "missing" / "x"
+        """`synth` writes all its files or none: a run that exits 2 leaves
+        neither a net, a dot, a report nor a temporary file."""
+        missing = tmp_path / "missing" / "x"
         outputs = {"-o": tmp_path / "x.pn", "--dot": tmp_path / "x.dot",
-                   failing: missing}
+                   "--report": tmp_path / "r.json", failing: missing}
         code = run(["synth", fx("fig1.lts"), "--class", "brac",
-                    "--report", str(report),
                     *(str(a) for option, path in outputs.items()
                       for a in (option, path))])
         assert code == 2
         assert capsys.readouterr().err.endswith(
             f"error: cannot write {missing}: No such file or directory\n")
-        assert not report.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_removes_the_renamed_outputs(self, tmp_path,
+                                                       capsys):
+        """A directory in the dot's place fails the last rename: the net
+        already renamed into place is removed too."""
+        (tmp_path / "d").mkdir()
+        code = run(["synth", fx("fig1.lts"), "--class", "brac",
+                    "-o", str(tmp_path / "x.pn"),
+                    "--dot", str(tmp_path / "d")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {tmp_path / 'd'}: ")
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+    def test_all_outputs_written_together(self, tmp_path, capsys):
+        names = ["x.pn", "x.dot", "r.json"]
+        code = run(["synth", fx("fig1.lts"), "--class", "brac",
+                    *(str(a) for option, name in zip(
+                        ["-o", "--dot", "--report"], names)
+                      for a in (option, tmp_path / name))])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
     def test_directory_as_output_exit_2(self, tmp_path, capsys):
         assert run(["validate", fx("fig1.lts"), "--json",

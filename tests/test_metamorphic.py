@@ -62,3 +62,23 @@ def test_outcome_survives_renaming(family, pipeline):
                 assert verify_solution(report.net, other, pipeline).ok
     if family == "random_lts":
         assert len(outcomes) > 1  # successes and failures both occur
+
+
+# A class {t0, t1} of equal enabled sets in which t1 is a self-loop label.
+# BRAC's shared block must leave t1's produce weight free: pinning it to 0
+# contradicts t1's self-loop, and the outcome then hung on which member
+# numbered first.
+CLASS_WITH_SELF_LOOP = ["s0 t0 s1", "s0 t1 s0", "s0 t2 s2", "s1 t0 s3",
+                        "s1 t1 s1", "s1 t2 s4", "s2 t0 s4", "s2 t1 s2"]
+
+
+@pytest.mark.parametrize("order", ["as-drawn", "self-loop-first"])
+def test_class_with_a_self_loop_member_in_either_edge_order(order):
+    lines = list(CLASS_WITH_SELF_LOOP)
+    if order == "self-loop-first":
+        lines.insert(0, lines.pop(1))
+    lts = parse_lts("\n".join(["initial s0", *lines]) + "\n")
+    report = synthesize_brac(lts)
+    assert report.ok, report.witness
+    assert len(report.net.places) == 2
+    assert verify_solution(report.net, lts, "brac").ok

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -473,6 +474,51 @@ class TestMatching:
         first = resolve_inclusion_matching(pairs)
         for _ in range(5):
             assert resolve_inclusion_matching(pairs) == first
+
+    @staticmethod
+    def maximum(pairs) -> int:
+        """The size of a maximum matching of ``pairs``, by trying every
+        choice of at most one target per left label."""
+        adj = {}
+        for a, b in pairs:
+            adj.setdefault(a, []).append(b)
+        best = 0
+        for choice in itertools.product(*([None] + targets
+                                          for targets in adj.values())):
+            picked = [b for b in choice if b is not None]
+            if len(set(picked)) == len(picked):
+                best = max(best, len(picked))
+        return best
+
+    def test_random_candidates_against_brute_force(self):
+        """Over random candidate lists of up to 5 left and 6 right labels,
+        the matching is valid and covers every left label exactly when a
+        left-perfect matching exists; otherwise as many labels are
+        unmatched as a maximum matching leaves.  Shuffled or repeated
+        candidates give the same result."""
+        rng = random.Random(41)
+        failures = 0
+        for _ in range(400):
+            pairs = sorted({(rng.randrange(5), rng.randrange(6))
+                            for _ in range(rng.randint(1, 12))})
+            lefts = sorted({a for a, _ in pairs})
+            best = self.maximum(pairs)
+            result = resolve_inclusion_matching(pairs)
+            if isinstance(result, MatchingFailure):
+                failures += 1
+                assert best < len(lefts)
+                assert len(result.unmatched) == len(lefts) - best
+                assert list(result.unmatched) == sorted(
+                    set(result.unmatched) & set(lefts))
+            else:
+                assert best == len(lefts)
+                assert list(result) == lefts
+                assert all((a, b) in pairs for a, b in result.items())
+                assert len(set(result.values())) == len(result)
+            shuffled = pairs + rng.sample(pairs, rng.randint(0, len(pairs)))
+            rng.shuffle(shuffled)
+            assert resolve_inclusion_matching(shuffled) == result
+        assert 0 < failures < 400
 
 
 class TestOnePassDeactivation:
