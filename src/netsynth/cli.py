@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from typing import Optional
 
@@ -56,59 +57,60 @@ def _read(path: str) -> str:
         raise LtsError(f"cannot read {path}: not UTF-8 text")
 
 
-def _write(outputs: list[tuple[Optional[str], str]]) -> None:
-    """Write each ``(path, text)``: all the files or none, then, in order,
-    the texts bound for standard output (path ``None`` or ``-``).
+def _write(*outputs: tuple[Optional[str], str]) -> None:
+    """Write each ``(path, text)``: the files all or none, then the texts
+    bound for standard output (path ``None`` or ``-``), in order.
 
-    Each file is first written to a temporary name in its target
-    directory.  Only when every write succeeded are they renamed into
-    place; otherwise every file this call made is removed.
+    A new path, or a regular file this process may write (symlinks
+    followed), is written to a temporary name beside it; these are renamed
+    into place, with the old file's mode and, where it can, its owner,
+    once every write succeeded, and removed otherwise.  Other paths are
+    written through: a pipe or ``/dev/null`` takes the text, a directory
+    or a read-only file fails before any rename.
     """
-    files = [(path, text) for path, text in outputs
-             if path not in (None, "-")]
-    made: list[str] = []  # temporary names, then the renamed paths
+    stdout = [text for path, text in outputs if path in (None, "-")]
+    temps: dict[str, str] = {}  # temporary name -> its output path
     try:
-        for i, (path, text) in enumerate(files):
-            head, tail = os.path.split(path)
-            temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
-            with open(temp, "x", encoding="utf-8") as fp:
-                made.append(temp)
+        for path, text in outputs:
+            if path in (None, "-"):
+                continue
+            name, exists = path, os.path.exists(path)
+            if not exists or os.path.isfile(path) and os.access(path, os.W_OK):
+                head, tail = os.path.split(os.path.realpath(path))
+                name = os.path.join(
+                    head, f".{tail}.{os.getpid()}-{len(temps)}.tmp")
+                temps[name] = path
+            with open(name, "w", encoding="utf-8") as fp:
                 fp.write(text)
-        for i, (path, _) in enumerate(files):
-            os.replace(made[i], path)
-            made[i] = path
-        made = []
+            if name != path and exists:
+                st = os.stat(path)
+                os.chmod(name, stat.S_IMODE(st.st_mode))
+                with contextlib.suppress(OSError):
+                    os.chown(name, st.st_uid, st.st_gid)
+        for name, path in list(temps.items()):
+            os.replace(name, os.path.realpath(path))
+            del temps[name]
     except OSError as exc:
         raise _OptionError(f"cannot write {path}: {exc.strerror}")
     finally:
-        for name in made:
+        for name in temps:
             with contextlib.suppress(OSError):
                 os.remove(name)
-    for path, text in outputs:
-        if path in (None, "-"):
-            sys.stdout.write(text)
+    sys.stdout.write("".join(stdout))
 
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_json(path: Optional[str], payload: dict) -> None:
-    _write([(path, _json(payload))])
-
-
-def _load_lts(path: str) -> Lts:
-    return parse_lts(_read(path))
-
-
 def _load_valid_lts(path: str) -> Lts:
-    lts = _load_lts(path)
+    lts = parse_lts(_read(path))
     validate(lts).raise_if_invalid()
     return lts
 
 
 def _cmd_validate(args) -> int:
-    lts = _load_lts(args.file)
+    lts = parse_lts(_read(args.file))
     report = validate(lts)
     loops = sorted(lts.labels[t] for t in report.self_loop_labels)
     payload = {
@@ -124,7 +126,7 @@ def _cmd_validate(args) -> int:
         payload["nondeterministic_witness"] = [
             [lts.states[e1[0]], lts.labels[e1[1]], lts.states[e1[2]]],
             [lts.states[e2[0]], lts.labels[e2[1]], lts.states[e2[2]]]]
-    _emit_json(args.json, payload)
+    _write((args.json, _json(payload)))
     return OK if report.ok else INVALID
 
 
@@ -156,12 +158,12 @@ def _cmd_relations(args) -> int:
             graph_entries.append(entry)
     payload = {"schema": 1, "pairs": pairs, "graph": graph_entries,
                "contradictions": contradictions}
-    _emit_json(args.json, payload)
+    _write((args.json, _json(payload)))
     return OK if not contradictions else IMPOSSIBLE
 
 
 def _cmd_synth(args) -> int:
-    lts = _load_lts(args.file)
+    lts = parse_lts(_read(args.file))
     _at_least_one(args, "selfloop_cap", "ssp_combo_cap")
     cfg = SynthesisConfig(selfloop_cap=args.selfloop_cap,
                           ssp_combo_cap=args.ssp_combo_cap,
@@ -177,7 +179,7 @@ def _cmd_synth(args) -> int:
             outputs.append((args.dot, render_dot(report.net)))
     if args.report:
         outputs.append((args.report, _json(report.to_json(lts.labels))))
-    _write(outputs)
+    _write(*outputs)
     if report.ok:
         print(f"synthesised {len(report.net.places)} places, "
               f"{len(report.net.transitions)} transitions "
@@ -194,15 +196,14 @@ def _cmd_synth(args) -> int:
 def _cmd_check(args) -> int:
     net = parse_net(_read(args.file))
     flags = classify_net(net)
-    _emit_json(args.json, {"schema": 1, "flags": sorted(flags.flags())})
+    _write((args.json, _json({"schema": 1, "flags": sorted(flags.flags())})))
     return OK if flags.has(args.target_class) else IMPOSSIBLE
 
 
 def _cmd_rg(args) -> int:
     net = parse_net(_read(args.file))
     _at_least_one(args, "rg_cap")
-    _write([(args.output,
-             serialize_lts(reachability_graph(net, args.rg_cap)))])
+    _write((args.output, serialize_lts(reachability_graph(net, args.rg_cap))))
     return OK
 
 
@@ -210,13 +211,13 @@ def _cmd_verify(args) -> int:
     net = parse_net(_read(args.net))
     lts = _load_valid_lts(args.lts)
     record = verify_solution(net, lts, args.target_class)
-    _emit_json(args.json, {"schema": 1, **record.to_json()})
+    _write((args.json, _json({"schema": 1, **record.to_json()})))
     return OK if record.ok else IMPOSSIBLE
 
 
 def _cmd_dot(args) -> int:
     net = parse_net(_read(args.file))
-    _write([(args.output, render_dot(net))])
+    _write((args.output, render_dot(net)))
     return OK
 
 

@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -303,18 +305,63 @@ class TestUnwritableOutput:
             f"error: cannot write {missing}: No such file or directory\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_rename_removes_the_renamed_outputs(self, tmp_path,
-                                                       capsys):
-        """A directory in the dot's place fails the last rename: the net
-        already renamed into place is removed too."""
+    def test_directory_target_fails_before_any_write(self, tmp_path,
+                                                     capsys):
+        """A directory in the dot's place fails before anything is
+        written: a net already at the ``-o`` path is left as it was."""
         (tmp_path / "d").mkdir()
+        (tmp_path / "x.pn").write_text("old\n")
         code = run(["synth", fx("fig1.lts"), "--class", "brac",
                     "-o", str(tmp_path / "x.pn"),
                     "--dot", str(tmp_path / "d")])
         assert code == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: cannot write {tmp_path / 'd'}: ")
-        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+        assert capsys.readouterr().err.endswith(
+            f"error: cannot write {tmp_path / 'd'}: Is a directory\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "x.pn"]
+        assert (tmp_path / "x.pn").read_text() == "old\n"
+
+    def test_symlinks_written_through(self, tmp_path, capsys):
+        """An output path that is a symlink stays one: the file it points
+        to gets the text, and an existing one keeps its mode."""
+        assert run(["dot", fx("fig1-net.pn")]) == 0
+        dot = capsys.readouterr().out
+        (tmp_path / "old.dot").write_text("old\n")
+        (tmp_path / "old.dot").chmod(0o640)
+        for link, target in [("a.dot", "old.dot"), ("b.dot", "new.dot")]:
+            (tmp_path / link).symlink_to(target)
+            assert run(["dot", fx("fig1-net.pn"), "-o",
+                        str(tmp_path / link)]) == 0
+            assert (tmp_path / link).is_symlink()
+            assert (tmp_path / target).read_text() == dot
+        assert (tmp_path / "old.dot").stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.dot", "b.dot", "new.dot", "old.dot"]
+
+    def test_non_regular_target_written_to(self, tmp_path, capsys):
+        """A path that is neither a regular file nor missing, here a named
+        pipe, is written to, not replaced by a file."""
+        assert run(["dot", fx("fig1-net.pn")]) == 0
+        dot = capsys.readouterr().out
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run(["dot", fx("fig1-net.pn"), "-o", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert received == [dot]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_stale_temporary_file_does_not_fail(self, tmp_path, capsys):
+        """A temporary file left by a killed run with the same process id
+        is overwritten, then renamed into place."""
+        stale = tmp_path / f".x.dot.{os.getpid()}-0.tmp"
+        stale.write_text("stale\n")
+        assert run(["dot", fx("fig1-net.pn"), "-o",
+                    str(tmp_path / "x.dot")]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["x.dot"]
 
     def test_all_outputs_written_together(self, tmp_path, capsys):
         names = ["x.pn", "x.dot", "r.json"]
