@@ -7,8 +7,8 @@ self-loop labels) together, in one lazy pass over its edges.
 A Parikh vector is a dense tuple of ints with one entry per label, in label
 order: the label counts of a tree walk, or their difference along an edge.
 
-The `.lts` text format: `#` starts a comment, one `initial <state>` header,
-one `<src> <label> <dst>` line per edge.  Names match ``[A-Za-z0-9_]+``;
+The `.lts` text format (lexed by `_lines` and `_check_name`, as `.pn` is):
+one `initial <state>` header, one `<src> <label> <dst>` line per edge;
 states and labels are declared implicitly, in first-appearance order.
 """
 
@@ -19,13 +19,34 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from operator import not_, sub
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-_NAME = re.compile(r"[A-Za-z0-9_]+$")
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 class LtsError(ValueError):
     """Raised for malformed `.lts` input or precondition violations."""
+
+
+def _lines(text: str | bytes, error: type[Exception]) -> Iterator[tuple]:
+    """``(lineno, line, fields)`` for each line of UTF-8 ``text`` that
+    holds more than a ``#`` comment, with the comment cut off and the line
+    stripped; an undecodable byte raises ``error``."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"text is not UTF-8 at byte {exc.start}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
+
+
+def _check_name(name: str, lineno: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``name`` matches ``[A-Za-z0-9_]+``."""
+    if not _NAME.fullmatch(name):
+        raise error(f"line {lineno}: bad name {name!r}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +184,6 @@ def parse_lts(text: str | bytes) -> Lts:
     Raises `LtsError` with a line number on syntax errors, duplicate edges
     and missing/duplicate `initial` headers.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     state_ids: dict[str, int] = {}
     label_ids: dict[str, int] = {}
     edges: list[tuple[int, int, int]] = []
@@ -172,17 +191,12 @@ def parse_lts(text: str | bytes) -> Lts:
     initial: Optional[int] = None
 
     def intern(table: dict[str, int], name: str, lineno: int) -> int:
-        if not _NAME.match(name):
-            raise LtsError(f"line {lineno}: bad name {name!r}")
-        if name not in table:
+        if name not in table:  # a name in the table has passed the check
+            _check_name(name, lineno, LtsError)
             table[name] = len(table)
         return table[name]
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in _lines(text, LtsError):
         # an edge may leave a state named "initial"; only a line of two
         # fields is the header
         if len(parts) == 2 and parts[0] == "initial":

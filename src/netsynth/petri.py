@@ -18,22 +18,20 @@ marking reached by t keeps its parent's enabled mask but at ``hit[t]``,
 the transitions whose preset meets a place t changes; only those are
 tested again (Wolf, ICATPN 2007).
 
-The `.pn` text format: `#` comments, `place <name> <tokens>`,
+The `.pn` text format, lexed as `.lts` is: `place <name> <tokens>`,
 `transition <name>`, `arc <from> <to> [weight]` with the direction inferred
 from the endpoint kinds and a default weight of one.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Optional, Sequence
 
-from netsynth.lts import Lts
+from netsynth.lts import Lts, _check_name, _lines
 
-_NAME = re.compile(r"[A-Za-z0-9_]+$")
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes "²" and "٣"
 
 Marking = tuple[int, ...]
@@ -387,8 +385,6 @@ def net_from_regions(labels: tuple[str, ...],
 
 def parse_net(text: str | bytes) -> PetriNet:
     """Parse the `.pn` line format; errors carry line numbers."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     places: dict[str, int] = {}
     tokens: list[int] = []
     transitions: dict[str, int] = {}
@@ -396,17 +392,12 @@ def parse_net(text: str | bytes) -> PetriNet:
     produce: dict[tuple[int, int], int] = {}
 
     def new_id(name: str, lineno: int) -> str:
-        if not _NAME.match(name):
-            raise PetriNetError(f"line {lineno}: bad name {name!r}")
+        _check_name(name, lineno, PetriNetError)
         if name in places or name in transitions:
             raise PetriNetError(f"line {lineno}: duplicate id {name!r}")
         return name
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in _lines(text, PetriNetError):
         kind = parts[0]
         if kind == "place":
             if len(parts) != 3 or not set(parts[2]) <= _DIGITS:
@@ -423,27 +414,21 @@ def parse_net(text: str | bytes) -> PetriNet:
             if len(parts) not in (3, 4):
                 raise PetriNetError(f"line {lineno}: expected "
                                     "'arc <from> <to> [weight]'")
-            weight = 1
-            if len(parts) == 4:
-                if not set(parts[3]) <= _DIGITS or int(parts[3]) < 1:
-                    raise PetriNetError(f"line {lineno}: bad weight "
-                                        f"{parts[3]!r}")
-                weight = int(parts[3])
+            weight = parts[3] if len(parts) == 4 else "1"
+            if not set(weight) <= _DIGITS or int(weight) < 1:
+                raise PetriNetError(f"line {lineno}: bad weight {weight!r}")
             src, dst = parts[1], parts[2]
             if src in places and dst in transitions:
-                key = (places[src], transitions[dst])
-                if key in consume:
-                    raise PetriNetError(f"line {lineno}: duplicate arc")
-                consume[key] = weight
+                arcs, key = consume, (places[src], transitions[dst])
             elif src in transitions and dst in places:
-                key = (transitions[src], places[dst])
-                if key in produce:
-                    raise PetriNetError(f"line {lineno}: duplicate arc")
-                produce[key] = weight
+                arcs, key = produce, (transitions[src], places[dst])
             else:
                 raise PetriNetError(f"line {lineno}: arc endpoints must be "
                                     "one known place and one known "
                                     "transition")
+            if key in arcs:
+                raise PetriNetError(f"line {lineno}: duplicate arc")
+            arcs[key] = int(weight)
         else:
             raise PetriNetError(f"line {lineno}: unknown directive "
                                 f"{kind!r}")

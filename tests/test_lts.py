@@ -139,6 +139,55 @@ class TestParse:
         lts = parse_lts(text)
         assert len(lts.edges) == 1
 
+    def test_undecodable_bytes_rejected(self):
+        with pytest.raises(LtsError, match="^text is not UTF-8 at byte 16$"):
+            parse_lts(b"initial s0\ns0 a \xff1\n")
+
+
+def named_edges(lts):
+    return [(lts.states[s], lts.labels[t], lts.states[s2])
+            for s, t, s2 in lts.edges]
+
+
+class TestInputRoundTrip:
+    """The one-edge-removed and one-edge-repeated variants of
+    ``random_lts(0..299, 24, 6)`` and of the graphs of
+    ``random_brac_net(0..99)``, through `serialize_lts` and `parse_lts`.
+
+    The text names states and labels only as they appear, so a valid
+    variant comes back with the same names, initial state and named edges
+    in order, but not always in the same index order; and an invalid one
+    may come back equal, as an unreachable state keeps its edges.  So
+    `validate` does not decide whether the round trip is the identity.
+    """
+
+    def test_variants(self):
+        graphs = [g for name, g in basis_graphs().items()
+                  if name.startswith(("random_lts/", "random_brac_net/"))]
+        variants = valid = reordered = invalid_equal = 0
+        for g in graphs:
+            for k in range(len(g.edges)):
+                variants += 1
+                repeated = Lts(g.states, g.labels,
+                               g.edges[:k + 1] + g.edges[k:], g.initial)
+                with pytest.raises(LtsError,
+                                   match=f"^line {k + 3}: duplicate edge"):
+                    parse_lts(serialize_lts(repeated))
+                lts = Lts(g.states, g.labels, g.edges[:k] + g.edges[k + 1:],
+                          g.initial)
+                again = parse_lts(serialize_lts(lts))
+                if not validate(lts).ok:
+                    invalid_equal += again == lts
+                    continue
+                valid += 1
+                assert again.states[again.initial] == lts.states[lts.initial]
+                assert set(again.states) == set(lts.states)
+                assert set(again.labels) == set(lts.labels)
+                assert named_edges(again) == named_edges(lts)
+                reordered += again != lts
+        assert (variants, valid, reordered, invalid_equal) == \
+            (8587, 6249, 1763, 876)
+
 
 class TestValidate:
     def test_fig1_clean(self, fig1):

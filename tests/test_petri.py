@@ -10,6 +10,7 @@ from netsynth.petri import (CapExceeded, Mismatch, PetriNet, PetriNetError,
                             classify_net, isomorphic, parse_net,
                             reachability_graph, realises, render_dot,
                             serialize_net)
+from netsynth.synthesis import synthesize_brac, synthesize_wpi
 
 from conftest import FIXTURES, load_net
 from reference import fire, reference_isomorphic, w_in
@@ -517,6 +518,25 @@ class TestNetFormat:
         net = load_net("wrac-net")
         again = parse_net(serialize_net(net))
         assert again == net
+
+    def test_undecodable_bytes_rejected(self):
+        with pytest.raises(PetriNetError,
+                           match="^text is not UTF-8 at byte 7$"):
+            parse_net(b"place p\xff 1\n")
+
+    def test_generated_nets_roundtrip(self):
+        """The fixture nets, ``random_brac_net(0..99)`` and the nets both
+        pipelines synthesise on the graphs of the latter."""
+        nets = [parse_net(p.read_text())
+                for p in sorted(FIXTURES.glob("*.pn"))]
+        nets += [random_brac_net(i) for i in range(100)]
+        for net in nets[-100:]:
+            graph = reachability_graph(net)
+            nets += [synthesize(graph).net
+                     for synthesize in (synthesize_brac, synthesize_wpi)]
+        assert len(nets) == 306
+        for net in nets:
+            assert parse_net(serialize_net(net)) == net
 
 
 class TestDot:

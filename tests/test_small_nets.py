@@ -6,14 +6,21 @@ markings: 6,349 nets with 1,276 distinct reachability graphs, 952 of them
 from BRAC nets.  Each graph of a BRAC net goes through `synthesize_brac`,
 each graph of a WPI net through `synthesize_wpi` (`small_nets.round_trip`).
 Every success must verify, and every failure must be one of `LIMITS`.
+The last test keeps `small_nets.py`'s own run of the sampled families
+working, on 300 draws a family.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from netsynth.lts import parse_lts
 
-from small_nets import distinct_graphs, exhaustive_nets, graph_key, \
-    round_trip, witness_kind
+from small_nets import PIPELINES, SAMPLED_FAMILIES, distinct_graphs, \
+    exhaustive_nets, graph_key, round_trip, witness_kind
 
 # The relation stage merges t0, t1 and t2 into one class, since all three
 # are enabled exactly at m0 to m3 (case 3), and BRAC then gives the class
@@ -67,3 +74,18 @@ def test_brac_fails_only_on_the_documented_limits(sweep):
     for report in failed.values():
         assert witness_kind(report) == "ssp"
         assert report.witness["states"] == ["m1", "m2"]
+
+
+def test_sampled_families_script_runs():
+    # tier-1 runs the sampled families only this far; a full run takes
+    # about 45 s
+    tests = pathlib.Path(__file__).parent
+    proc = subprocess.run(
+        [sys.executable, str(tests / "small_nets.py"), "--draws", "300"],
+        env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[:2] for line in proc.stdout.splitlines()
+            if " nets " in line]
+    assert rows == [[family, name] for family in SAMPLED_FAMILIES
+                    for name in PIPELINES]
