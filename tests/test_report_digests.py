@@ -17,10 +17,12 @@ graphs of ``random_brac_net(44, 6, 4)`` (300 markings),
 
 ``fixtures/large_report_digests.json`` pins ``synth --report`` and
 ``synth --prune --report`` on the graph of ``random_brac_net(37, 6, 4)``
-(3,200 markings).  Both pipelines take about 9 s there, too long for the
-test suite, so that pin is checked by running this file:
+(3,200 markings), and ``synth --report`` alone on the graph of
+``random_brac_net(0, 8, 4)`` (11,520 markings).  Both pipelines take
+about 9 s on the first and 34 s on the second, too long for the test
+suite, so that pin is checked by running this file:
 ``PYTHONPATH=src python tests/test_report_digests.py`` exits 0 when all
-four digests hold, and with ``--record`` rewrites them.
+six digests hold, and with ``--record`` rewrites them.
 """
 
 import hashlib
@@ -43,7 +45,9 @@ SCALE_DIGESTS = json.loads(
     (FIXTURES / "scale_report_digests.json").read_text())
 # random_brac_net(seed, 6, 4) of the scale cases, by markings
 SCALE_NETS = {300: 44, 600: 17, 1296: 38}
-LARGE_NETS = {3200: 37}
+# random_brac_net(seed, max_rings, max_stages) of the large cases, by
+# markings, and whether the pruned report is pinned too
+LARGE_NETS = {3200: ((37, 6, 4), True), 11520: ((0, 8, 4), False)}
 # random_lts(seed, 24, 6) of the gate family
 GATE_SEEDS = (127, 396)
 LARGE_RECORD = FIXTURES / "large_report_digests.json"
@@ -60,11 +64,14 @@ def family_inputs(family: str) -> dict[str, str]:
     if family == "gate":
         return {f"gate/{i}": serialize_lts(random_lts(i, 24, 6))
                 for i in GATE_SEEDS}
-    if family in ("scale", "large"):
-        nets = SCALE_NETS if family == "scale" else LARGE_NETS
-        return {f"{family}/{m}": serialize_lts(
+    if family == "scale":
+        return {f"scale/{m}": serialize_lts(
                     reachability_graph(random_brac_net(s, 6, 4), 100_000))
-                for m, s in nets.items()}
+                for m, s in SCALE_NETS.items()}
+    if family.startswith("large/"):
+        shape, _ = LARGE_NETS[int(family[6:])]
+        return {family: serialize_lts(
+                    reachability_graph(random_brac_net(*shape), 100_000))}
     return {f"random_brac_net/{i}": serialize_lts(
                 reachability_graph(random_brac_net(i), 100_000))
             for i in range(10)}
@@ -178,17 +185,21 @@ def test_simplex_sees_no_strict_row(family, pipeline, tmp_path,
 
 
 def check_large(record: bool) -> int:
-    """Compare (or with ``record`` rewrite) the 3,200-marking report
-    digests of both pipelines, plain and pruned; 0 when every digest
-    holds."""
+    """Compare (or with ``record`` rewrite) the large report digests of
+    both pipelines, plain and, where `LARGE_NETS` says so, pruned; 0 when
+    every digest holds."""
     with tempfile.TemporaryDirectory() as tmp:
         got = {}
-        for pipeline in ("wpi", "brac"):
-            got.update(family_digests("large", pipeline, pathlib.Path(tmp)))
-            pruned = family_digests("large", pipeline, pathlib.Path(tmp),
-                                    "--prune")
-            got.update((f"{key}/prune", digest)
-                       for key, digest in pruned.items())
+        for markings, (_, prune) in LARGE_NETS.items():
+            family = f"large/{markings}"
+            for pipeline in ("wpi", "brac"):
+                got.update(family_digests(family, pipeline,
+                                          pathlib.Path(tmp)))
+                if prune:
+                    pruned = family_digests(family, pipeline,
+                                            pathlib.Path(tmp), "--prune")
+                    got.update((f"{key}/prune", digest)
+                               for key, digest in pruned.items())
     if record:
         LARGE_RECORD.write_text(json.dumps(got, indent=1, sort_keys=True)
                                 + "\n")
