@@ -22,6 +22,7 @@ from operator import not_, sub
 from typing import Iterator, Optional, Sequence
 
 _NAME = re.compile(r"[A-Za-z0-9_]+")
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 class LtsError(ValueError):
@@ -31,13 +32,14 @@ class LtsError(ValueError):
 def _lines(text: str | bytes, error: type[Exception]) -> Iterator[tuple]:
     """``(lineno, line, fields)`` for each line of UTF-8 ``text`` that
     holds more than a ``#`` comment, with the comment cut off and the line
-    stripped; an undecodable byte raises ``error``."""
+    stripped; an undecodable byte raises ``error``.  A line ends only at
+    ``\n``, ``\r\n`` or ``\r``."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise error(f"text is not UTF-8 at byte {exc.start}") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_LINE_END.split(text), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line, line.split()

@@ -383,6 +383,16 @@ def net_from_regions(labels: tuple[str, ...],
                     m0=tuple(spec.tokens for spec in places))
 
 
+def _number(digits: str, lineno: int) -> int:
+    """``digits``, ASCII digits only, as an int; one longer than `int`
+    converts raises `PetriNetError`."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PetriNetError(f"line {lineno}: number of {len(digits)} "
+                            "digits is too long") from None
+
+
 def parse_net(text: str | bytes) -> PetriNet:
     """Parse the `.pn` line format; errors carry line numbers."""
     places: dict[str, int] = {}
@@ -404,7 +414,7 @@ def parse_net(text: str | bytes) -> PetriNet:
                 raise PetriNetError(f"line {lineno}: expected "
                                     "'place <name> <tokens>'")
             places[new_id(parts[1], lineno)] = len(places)
-            tokens.append(int(parts[2]))
+            tokens.append(_number(parts[2], lineno))
         elif kind == "transition":
             if len(parts) != 2:
                 raise PetriNetError(f"line {lineno}: expected "
@@ -414,9 +424,10 @@ def parse_net(text: str | bytes) -> PetriNet:
             if len(parts) not in (3, 4):
                 raise PetriNetError(f"line {lineno}: expected "
                                     "'arc <from> <to> [weight]'")
-            weight = parts[3] if len(parts) == 4 else "1"
-            if not set(weight) <= _DIGITS or int(weight) < 1:
-                raise PetriNetError(f"line {lineno}: bad weight {weight!r}")
+            digits = parts[3] if len(parts) == 4 else "1"
+            weight = _number(digits, lineno) if set(digits) <= _DIGITS else 0
+            if weight < 1:
+                raise PetriNetError(f"line {lineno}: bad weight {digits!r}")
             src, dst = parts[1], parts[2]
             if src in places and dst in transitions:
                 arcs, key = consume, (places[src], transitions[dst])
@@ -428,7 +439,7 @@ def parse_net(text: str | bytes) -> PetriNet:
                                     "transition")
             if key in arcs:
                 raise PetriNetError(f"line {lineno}: duplicate arc")
-            arcs[key] = int(weight)
+            arcs[key] = weight
         else:
             raise PetriNetError(f"line {lineno}: unknown directive "
                                 f"{kind!r}")

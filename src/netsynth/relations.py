@@ -123,7 +123,8 @@ class RelationGraph:
 
     ``edges`` maps each unordered pair (i < j) to its edge; ``rep`` maps
     every original label to its equivalence-class representative and
-    ``classes`` lists class members per representative.
+    ``classes`` lists class members per representative.  Copies share
+    ``rep`` and ``classes``, which are never edited.
     """
 
     names: tuple[str, ...]
@@ -140,8 +141,7 @@ class RelationGraph:
 
     def copy(self) -> "RelationGraph":
         return RelationGraph(self.names, self.nodes, dict(self.edges),
-                             dict(self.rep),
-                             {k: tuple(v) for k, v in self.classes.items()})
+                             self.rep, self.classes)
 
     def edge(self, a: int, b: int) -> Edge:
         return self.edges[(a, b) if a < b else (b, a)]
@@ -294,6 +294,10 @@ def quotient_by_equivalence(graph: RelationGraph) \
         -> tuple[RelationGraph, dict[int, int]] | Contradiction:
     """Collapse equivalence classes to one representative each.
 
+    Equivalent labels are enabled at the same states, so the equivalence
+    edges form cliques: each label is rooted at its least equivalent
+    label, and edges that are not transitive raise ``ValueError``.
+
     Within a class, members must relate identically to every outside label
     once their doi edges are strengthened towards any resolved member edge;
     irreconcilable member edges are a contradiction.  A member carrying an
@@ -303,22 +307,17 @@ def quotient_by_equivalence(graph: RelationGraph) \
     ``graph`` is only read; the quotient holds the reconciled edge of each
     pair of representatives and no other edge.
     """
-    parent = {n: n for n in graph.nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), e in sorted(graph.edges.items()):
-        if e.kind == EQUIVALENT:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    ties = sorted(pair for pair, e in graph.edges.items()
+                  if e.kind == EQUIVALENT)
+    least = {n: n for n in graph.nodes}
+    for a, b in ties:
+        least[b] = min(least[b], a)
     classes: dict[int, list[int]] = {}
     for n in graph.nodes:
-        classes.setdefault(find(n), []).append(n)
+        classes.setdefault(least[n], []).append(n)
+    if any(least[a] != least[b] for a, b in ties) or len(ties) != sum(
+            len(m) * (len(m) - 1) // 2 for m in classes.values()):
+        raise ValueError("equivalence edges are not transitive")
 
     on_inclusion = {x for e in graph.edges.values()
                     if e.kind == INCLUDED and e.origin == ORIGINAL
@@ -326,8 +325,7 @@ def quotient_by_equivalence(graph: RelationGraph) \
     reps: dict[int, int] = {}
     by_rep: dict[int, tuple[int, ...]] = {}
     for root, members in sorted(classes.items()):
-        withinc = [m for m in members if m in on_inclusion]
-        rep = min(withinc) if withinc else min(members)
+        rep = min((m for m in members if m in on_inclusion), default=root)
         for m in members:
             reps[m] = rep
         by_rep[rep] = tuple(sorted(members))
@@ -352,9 +350,8 @@ def quotient_by_equivalence(graph: RelationGraph) \
         edges[(ra, rb)] = Edge(kind, lo, hi,
                                ORIGINAL if original else STRENGTHENED)
 
-    out = RelationGraph(graph.names, tuple(roots), edges, dict(reps),
-                        {r: by_rep[r] for r in roots})
-    return out, dict(reps)
+    return RelationGraph(graph.names, tuple(roots), edges, reps,
+                         {r: by_rep[r] for r in roots}), dict(reps)
 
 
 def _triangles(g: RelationGraph) \

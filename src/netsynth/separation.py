@@ -18,11 +18,12 @@ The counts of a region, and those of a witness the context checks, are
 summed along the tree, R(s) = R(parent) + F_t - B_t, in O(|S|).
 
 WPI systems add, relative to one label, comparability rows from the
-relation graph.  Its tie and disjoint rows are the same for every label,
-so the context builds them once per resolved graph and every system of
-that graph holds the same `Row` objects; only the label's included rows
-are built per system.  BRAC systems bound B and F to {0, 1} and pin whole
-blocks.
+relation graph.  A tie row depends only on the equivalence classes, and a
+disjoint row ``B_rep = 0`` only on its label, so the context builds the
+tie rows once per classes table and each disjoint row once per label,
+and every system holds the same `Row` objects; only the label's included
+rows are built per system.  BRAC systems bound B and F to {0, 1} and pin
+whole blocks.
 
 Separation is strict: an event separation needs R(s) < B_a, a state
 separation R(s1) != R(s2), which the pipelines split into its two signs.
@@ -185,8 +186,9 @@ class SystemContext:
         self.copies = len(self.key_states) + 2 * len(basis)
         self._rows: Optional[tuple[Row, ...]] = None
         self._dual: Optional[dict[int, list[int]]] = None
-        self._relations: Optional[tuple[RelationGraph, tuple[Row, ...],
-                                        dict[int, Row]]] = None
+        # tie rows by classes table, B_rep = 0 rows by label
+        self._ties: dict[tuple, tuple[Row, ...]] = {}
+        self._zero: dict[int, Row] = {}
 
     def __len__(self) -> int:
         return len(self.key_states) + len(self.basis)
@@ -283,26 +285,20 @@ class SystemContext:
                         tag=f"ssp:{self.lts.states[ssp.s1]}:"
                             f"{self.lts.states[ssp.s2]}")
 
-    def _relation_table(self, graph: RelationGraph) \
-            -> tuple[RelationGraph, tuple[Row, ...], dict[int, Row]]:
-        """``graph``, its tie rows and its ``B_rep = 0`` rows by
-        representative, kept for the last graph asked about, so that its
-        systems share them; a graph is not edited once it has systems."""
-        if self._relations is None or self._relations[0] is not graph:
-            ties = tuple(make_row({self.bvar[m]: 1, self.bvar[rep]: -1},
-                                  "=", 0, tag=f"tie:{self.lts.labels[m]}")
-                         for rep, members in sorted(graph.classes.items())
-                         for m in members if m != rep)
-            self._relations = (graph, ties, {})
-        return self._relations
-
     def class_tie_rows(self, graph: RelationGraph) -> tuple[Row, ...]:
         """Equal consume weights inside every equivalence class.
 
         Equivalent labels admit identical presets in any solution, and the
-        net assembly relies on it, so the tie is imposed in every system.
+        net assembly relies on it, so the tie is imposed in every system;
+        its rows are built once per classes table.
         """
-        return self._relation_table(graph)[1]
+        classes = tuple(sorted(graph.classes.items()))
+        if classes not in self._ties:
+            self._ties[classes] = tuple(
+                make_row({self.bvar[m]: 1, self.bvar[rep]: -1}, "=", 0,
+                         tag=f"tie:{self.lts.labels[m]}")
+                for rep, members in classes for m in members if m != rep)
+        return self._ties[classes]
 
     def relation_rows(self, graph: RelationGraph, label: int) -> list[Row]:
         """Comparability rows of all labels against ``label``'s class.
@@ -311,21 +307,20 @@ class SystemContext:
         weights towards the key; any other edge (doi, equivalent) raises
         ``ValueError``: quotient ``graph`` and resolve its doi edges first.
         """
-        _, ties, zero = self._relation_table(graph)
         key = graph.rep[label]
         bkey = self.bvar[key]
-        rows = list(ties)
+        rows = list(self.class_tie_rows(graph))
         for rep in graph.nodes:
             if rep == key:
                 continue
             edge = graph.edge(key, rep)
             brep = self.bvar[rep]
             if edge.kind == DISJOINT:
-                if rep not in zero:
-                    zero[rep] = make_row(
+                if rep not in self._zero:
+                    self._zero[rep] = make_row(
                         {brep: 1}, "=", 0,
                         tag=f"disjoint:{self.lts.labels[rep]}")
-                rows.append(zero[rep])
+                rows.append(self._zero[rep])
             elif edge.kind != INCLUDED:
                 raise ValueError(f"relation rows need resolved edges, not "
                                  f"{edge.kind} at {graph.names[rep]}")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from netsynth.linsys import (INFEASIBLE, LinearSystem,
@@ -280,21 +279,21 @@ def _separate(ctx: SystemContext, pool: list[Region],
             yield problem, tags
 
 
-def _candidates(ctx: SystemContext, reps: list[int],
-                essp_system: Callable[[ESSP], LinearSystem],
-                ssp_system: Callable[[SSP, int, str], LinearSystem]) \
+def _candidates(ctx: SystemContext, graph: RelationGraph, reps: list[int],
+                brac: bool) \
         -> Callable[[SeparationProblem], Iterator[tuple[str, LinearSystem]]]:
-    """One system per event separation; per state separation,
-    ``ssp_system(ssp, label, sign)`` for every label of ``reps`` and both
-    signs."""
+    """One `essp_system_wpi` per event separation, 0/1 under ``brac``; per
+    state separation, `ssp_system_wpi`, or `brac_ssp_system_freechoice`
+    under ``brac``, for every label of ``reps`` and both signs."""
     def systems(problem):
         if isinstance(problem, ESSP):
-            system = essp_system(problem)
+            system = essp_system_wpi(ctx, graph, problem, zero_one=brac)
             yield system.rows.parts[0].tag, system
             return
         for a in reps:
             for sign in ("<", ">"):
-                system = ssp_system(problem, a, sign)
+                system = (brac_ssp_system_freechoice if brac
+                          else ssp_system_wpi)(ctx, graph, problem, a, sign)
                 yield (f"{system.rows.parts[0].tag}:"
                        f"{ctx.lts.labels[a]}:{sign}", system)
     return systems
@@ -362,9 +361,7 @@ def _solve_wpi(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
         report.interpretations_tried += 1
         resolved = graph.resolved(doi_pairs, [
             pair for i, pair in enumerate(doi_pairs) if mask >> i & 1])
-        systems = _candidates(ctx, reps,
-                              partial(essp_system_wpi, ctx, resolved),
-                              partial(ssp_system_wpi, ctx, resolved))
+        systems = _candidates(ctx, resolved, reps, brac=False)
         pool: list[Region] = []
         problems = itertools.chain(
             essps, StatePartition(len(lts.states)).pairs(pool))
@@ -467,13 +464,8 @@ def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
         raise AssertionError("doi chains must be resolved")
 
     pool: list[Region] = []
-
-    def candidates(resolved: RelationGraph):
-        return _candidates(
-            ctx, reps, partial(essp_system_wpi, ctx, resolved, zero_one=True),
-            partial(brac_ssp_system_freechoice, ctx, resolved))
     # event separation reads every doi edge as disjoint
-    systems = candidates(graph.resolved(doi_pairs))
+    systems = _candidates(ctx, graph.resolved(doi_pairs), reps, brac=True)
 
     # feasible inclusion candidates and the shared region of each
     lam: dict[tuple[int, int], Region] = {}
@@ -550,7 +542,7 @@ def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
     leftovers = []
     for ssp, _ in _separate(ctx, pool,
                             StatePartition(len(lts.states)).pairs(pool),
-                            candidates(graph)):
+                            _candidates(ctx, graph, reps, brac=True)):
         if not blocks:
             raise _Unsolvable(_problem_witness(
                 ssp, lts, ["freechoice:all-labels"]))

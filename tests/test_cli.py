@@ -397,6 +397,15 @@ class TestCheck:
                                     "--class", "wpi"])
         assert code == 0
 
+    def test_number_too_long_for_int_exit_2(self, tmp_path, capsys):
+        """A token count of more digits than `int` converts is a format
+        error with its line, not an internal error."""
+        net = tmp_path / "big.pn"
+        net.write_text("transition t\nplace p " + "9" * 5000 + "\n")
+        assert run(["check", str(net), "--class", "wpi"]) == 2
+        assert capsys.readouterr().err == \
+            "error: line 2: number of 5000 digits is too long\n"
+
 
 class TestRgVerifyDot:
     def test_rg_output(self, tmp_path, capsys):

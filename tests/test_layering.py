@@ -4,7 +4,9 @@
 no other ``netsynth`` module, so the region layout stays with the callers.
 ``src/netsynth/petri.py`` knows nets and transition systems; of the
 package it imports ``netsynth.lts`` alone, so nets are assembled from
-places, not from regions.  And the package as a whole imports only the
+places, not from regions.  ``src/netsynth/relations.py`` also imports
+``netsynth.lts`` alone, so the relation calculus knows no solver, row or
+region.  And the package as a whole imports only the
 standard library and itself, function-local imports included, so
 ``import netsynth`` needs no third-party package.
 """
@@ -42,6 +44,10 @@ def test_linsys_imports_no_netsynth_module():
 
 def test_petri_imports_only_lts():
     assert package_imports("petri") == ["netsynth.lts"]
+
+
+def test_relations_imports_only_lts():
+    assert package_imports("relations") == ["netsynth.lts"]
 
 
 def foreign_imports(tree: ast.AST) -> list[str]:

@@ -143,6 +143,21 @@ class TestParse:
         with pytest.raises(LtsError, match="^text is not UTF-8 at byte 16$"):
             parse_lts(b"initial s0\ns0 a \xff1\n")
 
+    @pytest.mark.parametrize("mark", ["\f", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_comment_runs_to_the_line_end(self, mark):
+        """`str.splitlines` also breaks at ``mark``; the format does not,
+        so the comment's tail is no edge."""
+        lts = parse_lts(f"initial s0  # see{mark}s0 a s1\ns0 b s0\n")
+        assert named_edges(lts) == [("s0", "b", "s0")]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_error_line_counts_only_line_ends(self, end):
+        text = end.join(["initial s0", "s0 a s1 # \x85\u2028\f", "",
+                         "s1 b\x1cs0", "s1 c"]) + end
+        with pytest.raises(LtsError, match="^line 5: "):
+            parse_lts(text)
+
 
 def named_edges(lts):
     return [(lts.states[s], lts.labels[t], lts.states[s2])

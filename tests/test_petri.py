@@ -524,6 +524,24 @@ class TestNetFormat:
                            match="^text is not UTF-8 at byte 7$"):
             parse_net(b"place p\xff 1\n")
 
+    @pytest.mark.parametrize("mark", ["\f", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_comment_runs_to_the_line_end(self, mark):
+        """`str.splitlines` also breaks at ``mark``; the format does not,
+        so the comment's tail declares nothing."""
+        net = parse_net(f"place p 1  # see{mark}transition t\n")
+        assert (net.places, net.transitions) == (("p",), ())
+
+    @pytest.mark.parametrize("text, line", [
+        ("place p " + "9" * 5000 + "\n", 1),
+        ("place p 0\ntransition t\narc p t " + "9" * 5000 + "\n", 3),
+        ("place p 0\ntransition t\narc t p " + "9" * 5000 + "\n", 3)],
+        ids=["tokens", "consume-weight", "produce-weight"])
+    def test_number_too_long_for_int_rejected(self, text, line):
+        with pytest.raises(PetriNetError,
+                           match=f"^line {line}: number of 5000 digits"):
+            parse_net(text)
+
     def test_generated_nets_roundtrip(self):
         """The fixture nets, ``random_brac_net(0..99)`` and the nets both
         pipelines synthesise on the graphs of the latter."""

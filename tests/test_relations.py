@@ -173,6 +173,45 @@ class TestQuotient:
             RelationGraph(names, (0, 1, 2), edges))
         assert reps[0] == 1 and reps[1] == 1
 
+    @pytest.mark.parametrize("equivalent", [((0, 1), (1, 2)),
+                                            ((0, 1), (0, 2))],
+                             ids=["chain", "star"])
+    def test_intransitive_equivalence_refused(self, equivalent):
+        """Equivalence edges of a raw graph form cliques; a hand-built
+        graph whose edges do not is refused, not closed."""
+        edges = {pair: Edge(EQUIVALENT, *pair) for pair in equivalent}
+        for pair in {(0, 1), (0, 2), (1, 2)} - set(equivalent):
+            edges[pair] = Edge(DISJOINT, *pair)
+        with pytest.raises(ValueError, match="not transitive"):
+            quotient_by_equivalence(
+                RelationGraph(("a", "b", "c"), (0, 1, 2), edges))
+
+    def test_classes_are_equal_state_masks(self, fig1, genx, case6a,
+                                           case6b, brac7):
+        """On every raw graph without a contradiction, the classes are
+        the groups of labels enabled at the same states: the fixtures,
+        ``random_lts(0..299, 24, 6)`` and the roundtrip graphs of
+        ``random_brac_net(0..99)``."""
+        from netsynth.oracle import random_brac_net
+        from netsynth.petri import reachability_graph
+        inputs = [fig1, genx, case6a, case6b, brac7]
+        inputs += [random_lts(i, 24, 6) for i in range(300)]
+        inputs += [reachability_graph(random_brac_net(i), 2000)
+                   for i in range(100)]
+        quotiented = 0
+        for lts in inputs:
+            graph = build_relation_graph(lts)
+            if isinstance(graph, Contradiction):
+                continue
+            groups: dict[int, list[int]] = {}
+            for label, mask in enumerate(lts.state_masks):
+                groups.setdefault(mask, []).append(label)
+            quotient, _ = quotient_by_equivalence(graph)
+            assert sorted(quotient.classes.values()) == \
+                sorted(map(tuple, groups.values()))
+            quotiented += 1
+        assert quotiented > 200
+
 
 class TestResolved:
     """An interpretation of the doi edges as a resolved copy of the graph."""
