@@ -5,8 +5,7 @@ no strict or ``!=`` row (`netsynth.separation` builds each strict row as
 a unit margin).  Variables are plain column positions: a row holds
 ``(column, coefficient)`` pairs and a solution is one value per column, so
 the solver never sees a variable name (``dump_lp`` takes names only to
-print).  Rows are integral: ``make_row`` multiplies a rational row by the
-lcm of its denominators, once.
+print).  Rows are integral.
 
 Rows that many systems share can be one block, kept in compact form;
 a system holds its rows and blocks in order (`Rows`), which still reads
@@ -27,16 +26,14 @@ branch-and-bound gives bounded integer feasibility; it branches on the
 first fractional 0/1 column, then on the other columns in column order;
 its root is the system itself, and each other node the whole system
 with the node's bound rows appended.
-`fractions.Fraction` is left only in `make_row`'s rational input.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 _OPERATORS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
@@ -71,18 +68,13 @@ class Row:
         return _OPERATORS[self.rel](lhs, self.const * den)
 
 
-def make_row(coeffs: Mapping[int, int | Fraction], rel: str,
-             const: int | Fraction = 0, tag: str = "") -> Row:
-    """The row ``coeffs rel const`` times the lcm of its denominators."""
+def make_row(coeffs: Mapping[int, int], rel: str, const: int = 0,
+             tag: str = "") -> Row:
+    """The row ``coeffs rel const``, its zero coefficients dropped."""
     if rel not in RELATIONS:
         raise ValueError(f"unknown relation {rel!r}")
-    items = sorted((j, c) for j, c in coeffs.items() if c != 0)
-    if type(const) is int and all(type(c) is int for _, c in items):
-        return Row(tuple(items), rel, const, tag)
-    scale = lcm(const.denominator, *(c.denominator for _, c in items))
-    return Row(tuple((j, c.numerator * (scale // c.denominator))
-                     for j, c in items), rel,
-               const.numerator * (scale // const.denominator), tag)
+    return Row(tuple(sorted((j, c) for j, c in coeffs.items() if c != 0)),
+               rel, const, tag)
 
 
 class Rows:

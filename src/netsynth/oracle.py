@@ -26,20 +26,17 @@ def random_lts(seed: int, max_states: int = 8, max_labels: int = 4) -> Lts:
     label_names = [chr(ord("a") + i) for i in range(nl)]
     used: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int, int]] = []
-    actual = 1
     for i in range(1, n):
-        slots = [(j, l) for j in range(actual) for l in range(nl)
+        # states 0..i-1 use i - 1 of their i * nl slots, so one is free
+        slots = [(j, l) for j in range(i) for l in range(nl)
                  if (j, l) not in used]
-        if not slots:
-            break
         j, l = rng.choice(slots)
         used[(j, l)] = i
         edges.append((j, l, i))
-        actual += 1
-    for s in range(actual):
+    for s in range(n):
         for l in range(nl):
             if (s, l) not in used and rng.random() < 0.3:
-                target = rng.randrange(actual)
+                target = rng.randrange(n)
                 used[(s, l)] = target
                 edges.append((s, l, target))
     lines = ["initial s0"] + [f"s{s} {label_names[l]} s{t}"

@@ -4,11 +4,21 @@ import pathlib
 
 import pytest
 
-from netsynth.linsys import make_row
 from netsynth.lts import parse_lts
 from netsynth.petri import parse_net
 
+from reference import integer_row
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# the least LTSs of a census of every tiny LTS that take two paths of the
+# relation stage: case 6 where the more broadly enabled label, b, is no
+# self-loop, so a and b are disjoint; and equivalent labels b and c that
+# relate to a differently (an equivalence-conflict contradiction)
+CASE6_DISJOINT = ("initial s0\ns0 b s1\ns1 a s0\ns1 b s2\ns2 a s0\n"
+                  "s2 b s1\n")
+EQUIVALENCE_CONFLICT = ("initial s0\ns0 b s0\ns0 c s1\ns1 a s0\ns1 b s0\n"
+                        "s1 c s2\ns2 a s0\ns2 b s0\ns2 c s1\n")
 
 
 def fixture_text(name: str) -> str:
@@ -24,11 +34,11 @@ def load_net(name: str):
 
 
 def margin_row(coeffs, rel, const=0):
-    """`make_row` that also takes ``<`` and ``>`` and writes them as the
+    """`integer_row` that also takes ``<`` and ``>`` and writes them as the
     unit margin of the row scaled to integers: ``< c`` as ``<= c - 1``
     and ``> c`` as ``>= c + 1``."""
     shift = {"<": -1, ">": 1}.get(rel, 0)
-    row = make_row(coeffs, rel + "=" if shift else rel, const)
+    row = integer_row(coeffs, rel + "=" if shift else rel, const)
     return dataclasses.replace(row, const=row.const + shift)
 
 

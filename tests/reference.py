@@ -14,6 +14,10 @@ checked against, or stands in for, a part of ``src/netsynth``:
   without the integer re-substitution (`netsynth.linsys.Row.holds`,
   `LinearSystem.holds`) that `solve_rational` and `solve_integer` use.
 - `assignment` reads a `netsynth.linsys.Solution` witness as Fractions.
+- `integer_row` scales a row with rational coefficients or constant by
+  the lcm of its denominators and builds it with
+  `netsynth.linsys.make_row`, which takes integers only; the tests' rational
+  systems, the pivot families among them, are built through it.
 - `parikh_marks` computes R(s) = r0 + psi(s).(F - B) from each state's
   Parikh vector, O(|S|·|labels|); `netsynth.separation.Region.over` and
   `SystemContext.holds` sum R(parent) + F_t - B_t along the tree instead.
@@ -40,9 +44,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from math import lcm
+from typing import Iterator, Mapping, Optional, Sequence
 
-from netsynth.linsys import LinearSystem, Row, Solution
+from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, SpanningTree, spanning_tree
 from netsynth.petri import Marking, Mismatch, PetriNet, PetriNetError
 from netsynth.relations import (A_GTR_B, B_GTR_A, DISJOINT, DOI, EQUIV,
@@ -132,6 +137,17 @@ def satisfied_by(system: LinearSystem, values: Sequence[Fraction]) -> bool:
     if any(values[j] > 1 for j in system.zero_one):
         return False
     return all(evaluate(r, values) for r in system.rows)
+
+
+def integer_row(coeffs: Mapping[int, int | Fraction], rel: str,
+                const: int | Fraction = 0, tag: str = "") -> Row:
+    """`make_row` of the row ``coeffs rel const`` times the lcm of its
+    denominators; every entry of the row is an ``int``."""
+    values = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
+    const = Fraction(const)
+    scale = lcm(const.denominator, *(c.denominator for c in values.values()))
+    return make_row({j: int(c * scale) for j, c in values.items()}, rel,
+                    int(const * scale), tag)
 
 
 def assignment(solution: Solution) -> Optional[tuple[Fraction, ...]]:

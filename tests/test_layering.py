@@ -1,7 +1,8 @@
 """Lint: the lower layers of the package import little of it.
 
-``src/netsynth/linsys.py`` knows rows, columns and blocks only; it imports
-no other ``netsynth`` module, so the region layout stays with the callers.
+``src/netsynth/linsys.py`` knows integer rows, columns and blocks only; it
+imports no other ``netsynth`` module, so the region layout stays with the
+callers, and no ``fractions``.
 ``src/netsynth/petri.py`` knows nets and transition systems; of the
 package it imports ``netsynth.lts`` alone, so nets are assembled from
 places, not from regions.  ``src/netsynth/relations.py`` also imports
@@ -37,8 +38,13 @@ def package_imports(module: str) -> list[str]:
 
 
 def test_linsys_imports_no_netsynth_module():
-    names = imported_modules(ast.parse((SRC / "linsys.py").read_text()))
-    assert "fractions" in names
+    tree = ast.parse((SRC / "linsys.py").read_text())
+    names = imported_modules(tree)
+    # rows are integral: no Fraction, and no lcm to scale one
+    assert "math" in names and "fractions" not in names
+    assert "lcm" not in {alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom)
+                         for alias in node.names}
     assert package_imports("linsys") == []
 
 

@@ -18,7 +18,7 @@ from netsynth.petri import reachability_graph
 from netsynth.synthesis import synthesize_brac, synthesize_wpi
 
 from conftest import margin_row, rewrite_record
-from reference import assignment, satisfied_by
+from reference import assignment, integer_row, satisfied_by
 
 PIVOT_RECORD = pathlib.Path(__file__).parent / "fixtures" / \
     "pivot_digests.json"
@@ -49,9 +49,13 @@ INTRO = system([
 
 
 class TestMakeRow:
+    """`make_row` takes integer rows; `integer_row` (tests/reference.py)
+    scales a rational row to integers first, for the tests' rational
+    systems."""
+
     def test_rational_row_scaled_by_lcm(self):
-        row = make_row({0: Fraction(1, 2), 1: Fraction(-2, 3)}, "<=",
-                       Fraction(1, 3))
+        row = integer_row({0: Fraction(1, 2), 1: Fraction(-2, 3)}, "<=",
+                          Fraction(1, 3))
         assert row.coeffs == ((0, 3), (1, -4))
         assert (row.rel, row.const) == ("<=", 2)
 
@@ -68,16 +72,16 @@ class TestMakeRow:
         ({0: 5, 1: Fraction(-1)}, 2),
     ])
     def test_integer_input_keeps_scale_one(self, coeffs, const):
-        row = make_row(coeffs, ">=", const)
+        row = integer_row(coeffs, ">=", const)
         # not multiplied: the row as given
         assert row.const == const
         assert row.coeffs == tuple((j, c) for j, c in sorted(coeffs.items())
                                    if c)
         entries = [row.const] + [x for pair in row.coeffs for x in pair]
         assert all(type(x) is int for x in entries)
-        # the same row given in Fractions
-        assert row == make_row({j: Fraction(c) for j, c in coeffs.items()},
-                               ">=", Fraction(const))
+        # the same row given in integers
+        assert row == make_row({j: int(c) for j, c in coeffs.items()},
+                               ">=", int(const))
 
     def test_scaled_row_agrees_with_rational_row(self):
         # the unscaled row is evaluated here, apart from linsys
@@ -89,8 +93,8 @@ class TestMakeRow:
                       for _ in range(3)]
             const = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
             rel = rng.choice(RELATIONS)
-            sys_ = LinearSystem(3, (make_row(dict(enumerate(coeffs)), rel,
-                                             const),))
+            sys_ = LinearSystem(3, (integer_row(dict(enumerate(coeffs)),
+                                                rel, const),))
             for _ in range(4):
                 x = [Fraction(rng.randint(0, 4), rng.randint(1, 2))
                      for _ in range(3)]

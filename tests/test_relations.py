@@ -14,7 +14,9 @@ from netsynth.relations import (A_GTR_B, B_GTR_A, Contradiction, DISJOINT,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
+from netsynth.synthesis import relation_stage, synthesize_brac, synthesize_wpi
 
+from conftest import CASE6_DISJOINT, EQUIVALENCE_CONFLICT
 from reference import pair_relation, reference_relation_graph, w_in
 
 
@@ -645,3 +647,39 @@ class TestOnePassDeactivation:
             monkeypatch.setattr(module, "pair_relations", self.pairwise)
         assert got == outputs()
 
+
+
+class TestRelationStagePaths:
+    """The least census inputs that take case 6's disjoint branch and the
+    equivalence-conflict contradiction; the source-reachability lint runs
+    both, and these pin where both pipelines end."""
+
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac])
+    def test_case6_disjoint_ends_in_essp(self, synthesize):
+        lts = parse_lts(CASE6_DISJOINT)
+        assert not lts.self_loop_labels
+        b, a = lts.labels.index("b"), lts.labels.index("a")
+        assert classify_case(pair_relation(lts, a, b)) == 6
+        assert build_relation_graph(lts).edges == {
+            (b, a): Edge(DISJOINT, b, a)}
+        report = synthesize(lts)
+        assert report.outcome == "failure"
+        assert report.witness == {"kind": "essp", "state": "s0",
+                                  "label": "a",
+                                  "systems_tried": ["essp:s0:a"]}
+
+    @pytest.mark.parametrize("synthesize", [synthesize_wpi, synthesize_brac])
+    def test_equivalence_conflict(self, synthesize):
+        lts = parse_lts(EQUIVALENCE_CONFLICT)
+        contradiction = relation_stage(build_relation_graph(lts),
+                                       brac=synthesize is synthesize_brac)
+        assert contradiction == Contradiction(
+            (lts.labels.index("b"), lts.labels.index("a")),
+            "equivalence-conflict",
+            "equivalent labels relate differently to a")
+        report = synthesize(lts)
+        assert report.outcome == "failure"
+        assert report.witness == {
+            "kind": "contradiction", "rule": "equivalence-conflict",
+            "labels": ["b", "a"],
+            "detail": "equivalent labels relate differently to a"}

@@ -1,3 +1,4 @@
+import fractions
 import functools
 import hashlib
 import itertools
@@ -1033,7 +1034,9 @@ class TestWithoutFractions:
 
         def no_fraction(*args, **kwargs):
             raise AssertionError("a pipeline built a Fraction")
-        monkeypatch.setattr("netsynth.linsys.Fraction", no_fraction)
+        # no module of the package imports fractions; this catches a
+        # Fraction built anywhere
+        monkeypatch.setattr(fractions.Fraction, "__new__", no_fraction)
         assert self.report_bytes() == expected
 
 
