@@ -49,7 +49,7 @@ def _at_least_one(args, *names: str) -> None:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fp:
+        with open(path, "r", encoding="utf-8-sig") as fp:
             return fp.read()
     except OSError as exc:
         raise LtsError(f"cannot read {path}: {exc.strerror}")
@@ -65,21 +65,24 @@ def _write(*outputs: tuple[Optional[str], str]) -> None:
     followed), is written to a temporary name beside it; these are renamed
     into place, with the old file's mode and, where it can, its owner,
     once every write succeeded, and removed otherwise.  Other paths are
-    written through: a pipe or ``/dev/null`` takes the text, a directory
-    or a read-only file fails before any rename.
+    written through: a pipe or ``/dev/null`` takes the text.  A directory,
+    a read-only file or a file named twice fails before any rename.
     """
     stdout = [text for path, text in outputs if path in (None, "-")]
-    temps: dict[str, str] = {}  # temporary name -> its output path
+    temps: dict[str, str] = {}  # temporary name -> its output's real path
     try:
         for path, text in outputs:
             if path in (None, "-"):
                 continue
             name, exists = path, os.path.exists(path)
             if not exists or os.path.isfile(path) and os.access(path, os.W_OK):
-                head, tail = os.path.split(os.path.realpath(path))
+                real = os.path.realpath(path)
+                if real in temps.values():
+                    raise _OptionError(f"two outputs name {path}")
+                head, tail = os.path.split(real)
                 name = os.path.join(
                     head, f".{tail}.{os.getpid()}-{len(temps)}.tmp")
-                temps[name] = path
+                temps[name] = real
             with open(name, "w", encoding="utf-8") as fp:
                 fp.write(text)
             if name != path and exists:
@@ -88,7 +91,7 @@ def _write(*outputs: tuple[Optional[str], str]) -> None:
                 with contextlib.suppress(OSError):
                     os.chown(name, st.st_uid, st.st_gid)
         for name, path in list(temps.items()):
-            os.replace(name, os.path.realpath(path))
+            os.replace(name, path)
             del temps[name]
     except OSError as exc:
         raise _OptionError(f"cannot write {path}: {exc.strerror}")

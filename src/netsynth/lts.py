@@ -29,16 +29,10 @@ class LtsError(ValueError):
     """Raised for malformed `.lts` input or precondition violations."""
 
 
-def _lines(text: str | bytes, error: type[Exception]) -> Iterator[tuple]:
-    """``(lineno, line, fields)`` for each line of UTF-8 ``text`` that
-    holds more than a ``#`` comment, with the comment cut off and the line
-    stripped; an undecodable byte raises ``error``.  A line ends only at
-    ``\n``, ``\r\n`` or ``\r``."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise error(f"text is not UTF-8 at byte {exc.start}") from None
+def _lines(text: str) -> Iterator[tuple]:
+    """``(lineno, line, fields)`` for each line of ``text`` that holds
+    more than a ``#`` comment, with the comment cut off and the line
+    stripped.  A line ends only at ``\n``, ``\r\n`` or ``\r``."""
     for lineno, raw in enumerate(_LINE_END.split(text), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -180,7 +174,7 @@ class SpanningTree:
     unit: tuple[int, ...]
 
 
-def parse_lts(text: str | bytes) -> Lts:
+def parse_lts(text: str) -> Lts:
     """Parse the `.lts` line format.
 
     Raises `LtsError` with a line number on syntax errors, duplicate edges
@@ -198,7 +192,7 @@ def parse_lts(text: str | bytes) -> Lts:
             table[name] = len(table)
         return table[name]
 
-    for lineno, line, parts in _lines(text, LtsError):
+    for lineno, line, parts in _lines(text):
         # an edge may leave a state named "initial"; only a line of two
         # fields is the header
         if len(parts) == 2 and parts[0] == "initial":

@@ -393,7 +393,7 @@ def _number(digits: str, lineno: int) -> int:
                             "digits is too long") from None
 
 
-def parse_net(text: str | bytes) -> PetriNet:
+def parse_net(text: str) -> PetriNet:
     """Parse the `.pn` line format; errors carry line numbers."""
     places: dict[str, int] = {}
     tokens: list[int] = []
@@ -407,7 +407,7 @@ def parse_net(text: str | bytes) -> PetriNet:
             raise PetriNetError(f"line {lineno}: duplicate id {name!r}")
         return name
 
-    for lineno, _, parts in _lines(text, PetriNetError):
+    for lineno, _, parts in _lines(text):
         kind = parts[0]
         if kind == "place":
             if len(parts) != 3 or not set(parts[2]) <= _DIGITS:

@@ -301,11 +301,11 @@ def quotient_by_equivalence(graph: RelationGraph) \
     Within a class, members must relate identically to every outside label
     once their doi edges are strengthened towards any resolved member edge;
     irreconcilable member edges are a contradiction.  A member carrying an
-    original inclusion edge is preferred as representative so deactivation
+    inclusion edge is preferred as representative so deactivation
     arguments stay applicable.
 
-    ``graph`` is only read; the quotient holds the reconciled edge of each
-    pair of representatives and no other edge.
+    ``graph`` is the raw graph of `build_relation_graph`, and only read;
+    the quotient's edges are the reconciled edges of representative pairs.
     """
     ties = sorted(pair for pair, e in graph.edges.items()
                   if e.kind == EQUIVALENT)
@@ -319,9 +319,7 @@ def quotient_by_equivalence(graph: RelationGraph) \
             len(m) * (len(m) - 1) // 2 for m in classes.values()):
         raise ValueError("equivalence edges are not transitive")
 
-    on_inclusion = {x for e in graph.edges.values()
-                    if e.kind == INCLUDED and e.origin == ORIGINAL
-                    for x in (e.lo, e.hi)}
+    on_inclusion = {x for pair in graph.included_edges() for x in pair}
     reps: dict[int, int] = {}
     by_rep: dict[int, tuple[int, ...]] = {}
     for root, members in sorted(classes.items()):
@@ -334,21 +332,16 @@ def quotient_by_equivalence(graph: RelationGraph) \
     # reconcile member edges towards every outside class
     edges: dict[tuple[int, int], Edge] = {}
     for ra, rb in combinations(roots, 2):
-        codes = {(x, y): graph.code_from(x, y)
-                 for x in by_rep[ra] for y in by_rep[rb]}
-        combo = frozenset(codes.values())
+        combo = frozenset(graph.code_from(x, y)
+                          for x in by_rep[ra] for y in by_rep[rb])
         if combo not in _COMPATIBLE:
             return Contradiction(
                 (ra, rb), "equivalence-conflict",
                 "equivalent labels relate differently to "
                 f"{graph.names[rb]}")
-        target = _COMPATIBLE[combo]
-        original = any(code == target and graph.edge(x, y).origin == ORIGINAL
-                       for (x, y), code in codes.items())
-        kind, flip = _EDGE_OF_CODE[target]
+        kind, flip = _EDGE_OF_CODE[_COMPATIBLE[combo]]
         lo, hi = (rb, ra) if flip else (ra, rb)
-        edges[(ra, rb)] = Edge(kind, lo, hi,
-                               ORIGINAL if original else STRENGTHENED)
+        edges[(ra, rb)] = Edge(kind, lo, hi)
 
     return RelationGraph(graph.names, tuple(roots), edges, reps,
                          {r: by_rep[r] for r in roots}), dict(reps)

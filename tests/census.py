@@ -10,7 +10,7 @@ labels ``a, b, c``, and the edges are in (state, label) order.
 
 `SHAPES` (1 to 4 states with 1 or 2 labels, 1 or 2 states with 3)
 gives 21,464 LTSs, which `test_census.py` runs; `FULL_SHAPES` adds the
-3-state, 3-label shape, 100,884 LTSs in all, which take about 40 s.
+3-state, 3-label shape, 100,884 LTSs in all, which take about 45 s.
 This file runs the full census and prints, per shape and pipeline, the
 successes and the failures by witness kind, then the totals:
 
@@ -95,7 +95,8 @@ def main() -> None:
         for name, (_, verdicts) in run_shape(*shape).items():
             totals[name] += verdicts
             print(f"{shape[0]}x{shape[1]}  {name:4}  "
-                  f"{sum(verdicts.values()):6}  {dict(sorted(verdicts.items()))}")
+                  f"{sum(verdicts.values()):6}  "
+                  f"{dict(sorted(verdicts.items()))}")
         print(f"{shape[0]}x{shape[1]}  {time.perf_counter() - start:.1f} s")
     for name, verdicts in totals.items():
         print(f"all  {name:4}  {sum(verdicts.values()):6}  "

@@ -5,7 +5,7 @@ Every success must verify (`census.run_shape` raises otherwise).  One
 SHA-256 per shape and pipeline, over the sorted-key JSON report of each
 LTS, is pinned in ``fixtures/census_digests.json``, so a change that
 moves a verdict, a witness or a region names the shape it moved.  The
-verdict counts are pinned below.  Both pipelines take about 10 s.
+verdict counts are pinned below.  Both pipelines take about 12 s.
 
 ``PYTHONPATH=src python tests/test_census.py`` rewrites the record and
 prints the keys whose digests it changed.

@@ -253,6 +253,28 @@ class TestInvalidLts:
             f"error: cannot read {bad}: not UTF-8 text\n"
 
     @pytest.mark.parametrize("argv", [
+        ["validate", "FILE"],
+        ["synth", "FILE", "--class", "brac", "--report", "-"],
+        ["synth", "FILE", "--class", "wpi", "--report", "-"],
+        ["check", "NET", "--class", "brac"],
+    ], ids=["validate", "synth-brac", "synth-wpi", "check"])
+    def test_leading_bom_is_dropped(self, tmp_path, capsys, argv):
+        """A file that starts with a UTF-8 byte order mark reads as the
+        same file without it."""
+        plain = {"FILE": fx("fig1.lts"), "NET": fx("fig1-net.pn")}
+        bom = {key: tmp_path / pathlib.Path(path).name
+               for key, path in plain.items()}
+        for key, path in plain.items():
+            bom[key].write_text("\ufeff" + pathlib.Path(path).read_text(),
+                                encoding="utf-8")
+        results = []
+        for files in (plain, bom):
+            code = run([str(files.get(a, a)) for a in argv])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+    @pytest.mark.parametrize("argv", [
         ["synth", fx("brac7.lts"), "--class", "wpi", "--ssp-combo-cap", "0"],
         ["rg", fx("fig1-net.pn"), "--rg-cap", "0"],
     ], ids=["ssp-combo-cap", "rg-cap"])
@@ -378,6 +400,45 @@ class TestUnwritableOutput:
                     str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: cannot write {tmp_path}: ")
+
+    @pytest.mark.parametrize("old", [None, "old\n"], ids=["new", "existing"])
+    def test_one_file_named_twice_exit_2(self, tmp_path, capsys, old):
+        """Two outputs naming one regular or new file would lose the
+        first text: the run exits 2 and writes no file."""
+        out = tmp_path / "x"
+        if old is not None:
+            out.write_text(old)
+        code = run(["synth", fx("fig1.lts"), "--class", "brac",
+                    "-o", str(out), "--report", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: two outputs name {out}\n"
+        assert list(tmp_path.iterdir()) == ([] if old is None else [out])
+        if old is not None:
+            assert out.read_text() == old
+
+    def test_one_file_named_through_a_symlink_exit_2(self, tmp_path,
+                                                     capsys):
+        (tmp_path / "link").symlink_to("x.dot")
+        code = run(["synth", fx("fig1.lts"), "--class", "brac",
+                    "-o", str(tmp_path / "link"),
+                    "--dot", str(tmp_path / "x.dot")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: two outputs name {tmp_path / 'x.dot'}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+    @pytest.mark.parametrize("sink", ["/dev/null", "-"])
+    def test_stream_named_twice_is_written(self, tmp_path, capsys, sink):
+        """``/dev/null`` and standard output are no file: each output
+        goes to them in turn."""
+        code = run(["synth", fx("fig1.lts"), "--class", "brac",
+                    "-o", sink, "--report", sink])
+        assert code == 0
+        out = capsys.readouterr().out
+        if sink == "-":
+            assert out.startswith("place ") and out.endswith("}\n")
+        else:
+            assert out == ""
 
 
 class TestCheck:

@@ -116,9 +116,6 @@ class TestParse:
                            match="line 2: malformed initial header"):
             parse_lts(f"s0 a s1\n{line}\n")
 
-    def test_bytes_input(self, fig1):
-        assert parse_lts(serialize_lts(fig1).encode()) == fig1
-
     def test_bad_name_rejected(self):
         with pytest.raises(LtsError, match="line 2"):
             parse_lts("initial s0\ns0 a! s1\n")
@@ -138,10 +135,6 @@ class TestParse:
         text = "# header\ninitial s0  # trailing\ns0 a s1\n"
         lts = parse_lts(text)
         assert len(lts.edges) == 1
-
-    def test_undecodable_bytes_rejected(self):
-        with pytest.raises(LtsError, match="^text is not UTF-8 at byte 16$"):
-            parse_lts(b"initial s0\ns0 a \xff1\n")
 
     @pytest.mark.parametrize("mark", ["\f", "\x1c", "\x1d", "\x1e",
                                       "\x85", "\u2028", "\u2029"])

@@ -511,18 +511,10 @@ class TestNetFormat:
         with pytest.raises(PetriNetError, match=message):
             parse_net(text)
 
-    def test_bytes_input(self, fig1_net):
-        assert parse_net(serialize_net(fig1_net).encode()) == fig1_net
-
     def test_weighted_roundtrip(self):
         net = load_net("wrac-net")
         again = parse_net(serialize_net(net))
         assert again == net
-
-    def test_undecodable_bytes_rejected(self):
-        with pytest.raises(PetriNetError,
-                           match="^text is not UTF-8 at byte 7$"):
-            parse_net(b"place p\xff 1\n")
 
     @pytest.mark.parametrize("mark", ["\f", "\x1c", "\x1d", "\x1e",
                                       "\x85", "\u2028", "\u2029"])

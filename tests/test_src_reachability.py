@@ -106,15 +106,6 @@ ALLOWED = {
         "families of tests/test_linsys.py set one",
     ("linsys.solve_integer", "return Solution(CAP_EXCEEDED, pivots=pivots)"):
         "guard: `_region` keeps the default cap",
-    ("lts._lines", "try:"):
-        "guard: a library caller may pass bytes; the CLI decodes in `_read`",
-    ("lts._lines", 'text = text.decode("utf-8")'):
-        "guard: bytes come only from a library caller",
-    ("lts._lines", "except UnicodeDecodeError as exc:"):
-        "guard: bytes come only from a library caller",
-    ("lts._lines",
-     'raise error(f"text is not UTF-8 at byte {exc.start}") from None'):
-        "guard: bytes come only from a library caller",
     ("lts._Table.__get__", "return self"):
         "guard: the descriptor read on the class, as `help` does",
     ("lts.Lts.__post_init__",
@@ -443,10 +434,12 @@ def run_the_tool() -> list[int]:
             ["synth", str(made / "leftover.lts"), "--class", "brac",
              "--ssp-combo-cap", "1"],
             ["rg", str(FIXTURES / "fig1-net.pn"), "--rg-cap", "1"],
-            # a new file, the same file again, then a directory
+            # a new file, the same file again, a directory, then one
+            # file named by two outputs
             ["synth", fig1, "--class", "brac", "-o", net],
             ["synth", fig1, "--class", "brac", "-o", net],
             ["synth", fig1, "--class", "brac", "-o", net, "--report", tmp],
+            ["synth", fig1, "--class", "brac", "-o", net, "--report", net],
         ]
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
