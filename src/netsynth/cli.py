@@ -65,37 +65,48 @@ def _write(*outputs: tuple[Optional[str], str]) -> None:
     followed), is written to a temporary name beside it; these are renamed
     into place, with the old file's mode and, where it can, its owner,
     once every write succeeded, and removed otherwise.  Other paths are
-    written through: a pipe or ``/dev/null`` takes the text.  A directory,
-    a read-only file or a file named twice fails before any rename.
+    written through: a pipe or ``/dev/null`` takes the text once every
+    output is open and every temporary file written.  A directory, a
+    read-only file or a file named twice fails before any write.
     """
     stdout = [text for path, text in outputs if path in (None, "-")]
     temps: dict[str, str] = {}  # temporary name -> its output's real path
+    through = []  # (path, open file, text) of the outputs written through
     try:
         for path, text in outputs:
             if path in (None, "-"):
                 continue
-            name, exists = path, os.path.exists(path)
-            if not exists or os.path.isfile(path) and os.access(path, os.W_OK):
-                real = os.path.realpath(path)
-                if real in temps.values():
-                    raise _OptionError(f"two outputs name {path}")
-                head, tail = os.path.split(real)
-                name = os.path.join(
-                    head, f".{tail}.{os.getpid()}-{len(temps)}.tmp")
-                temps[name] = real
+            exists = os.path.exists(path)
+            if exists and not (os.path.isfile(path)
+                               and os.access(path, os.W_OK)):
+                through.append((path, open(path, "w", encoding="utf-8"),
+                                text))
+                continue
+            real = os.path.realpath(path)
+            if real in temps.values():
+                raise _OptionError(f"two outputs name {path}")
+            head, tail = os.path.split(real)
+            name = os.path.join(
+                head, f".{tail}.{os.getpid()}-{len(temps)}.tmp")
+            temps[name] = real
             with open(name, "w", encoding="utf-8") as fp:
                 fp.write(text)
-            if name != path and exists:
+            if exists:
                 st = os.stat(path)
                 os.chmod(name, stat.S_IMODE(st.st_mode))
                 with contextlib.suppress(OSError):
                     os.chown(name, st.st_uid, st.st_gid)
+        for path, fp, text in through:
+            with fp:
+                fp.write(text)
         for name, path in list(temps.items()):
             os.replace(name, path)
             del temps[name]
     except OSError as exc:
         raise _OptionError(f"cannot write {path}: {exc.strerror}")
     finally:
+        for _, fp, _ in through:
+            fp.close()
         for name in temps:
             with contextlib.suppress(OSError):
                 os.remove(name)

@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 _OPERATORS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
 RELATIONS = tuple(_OPERATORS)
@@ -50,8 +50,7 @@ _NEGATIVE = (0).__gt__
 _MAX_PIVOTS = 2_000_000
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One linear constraint ``sum(coef * x[column]) rel const``.
 
     Coefficients and constant are integers.
@@ -134,8 +133,7 @@ class LinearSystem:
                 and all(p.holds(num, den) for p in self.rows.parts))
 
 
-@dataclass
-class Solution:
+class Solution(NamedTuple):
     """A verdict and, when feasible, the witness ``x[j] = num[j] / den``:
     one integer numerator per column over one denominator ``den > 0``."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from operator import not_, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 _NAME = re.compile(r"[A-Za-z0-9_]+")
 _LINE_END = re.compile(r"\r\n|\r|\n")
@@ -45,8 +45,7 @@ def _check_name(name: str, lineno: int, error: type[Exception]) -> None:
         raise error(f"line {lineno}: bad name {name!r}")
 
 
-@dataclass(frozen=True)
-class ParikhVector:
+class ParikhVector(NamedTuple):
     """A cycle-basis vector: its nonzero ``(label, count)`` entries in label
     order.  Entries may be negative."""
 
@@ -128,8 +127,7 @@ class Lts:
                           self_loop_labels=frozenset(loops))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     deterministic: bool
     nondeterministic_witness: Optional[tuple[tuple[int, int, int],
                                              tuple[int, int, int]]]
@@ -151,8 +149,7 @@ class ValidationReport:
             raise LtsError(f"label {self.unused_labels[0]!r} is on no edge")
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     """BFS spanning tree with per-state Parikh vectors of the tree walks.
 
     ``parent`` maps every non-initial state to its (parent, label) tree

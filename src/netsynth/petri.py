@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from netsynth.lts import Lts, _check_name, _lines
 
@@ -171,8 +171,7 @@ def reachability_graph(net: PetriNet, cap: int = 100_000) -> Lts:
                initial=0)
 
 
-@dataclass(frozen=True)
-class NetClass:
+class NetClass(NamedTuple):
     """Structural class flags of one net."""
 
     plain: bool
@@ -187,7 +186,7 @@ class NetClass:
     brac: bool
 
     def flags(self) -> set[str]:
-        return {name.upper() for name, val in self.__dict__.items() if val}
+        return {name.upper() for name, val in self._asdict().items() if val}
 
     def has(self, name: str) -> bool:
         return getattr(self, name.lower())
@@ -259,8 +258,7 @@ def classify_net(net: PetriNet) -> NetClass:
                     wac=wac, ac=ac, rac=rac, brac=brac)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """First divergence found while pairing two transition systems."""
 
     reason: str
@@ -355,8 +353,7 @@ def realises(net: PetriNet, lts: Lts) -> bool:
     return len(queue) == len(lts.states)
 
 
-@dataclass(frozen=True)
-class PlaceSpec:
+class PlaceSpec(NamedTuple):
     """One net place: tokens plus per-label consume/produce weights."""
 
     tokens: int

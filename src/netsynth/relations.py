@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from netsynth.lts import Lts
 
@@ -92,16 +92,14 @@ _TRIANGLE: dict[tuple[int, int], tuple[int, Optional[str], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(NamedTuple):
     """Enabledness kind plus deactivation flag of an ordered label pair."""
 
     kind: str
     merge: bool
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(NamedTuple):
     """Witness that no target-class net can solve the LTS."""
 
     labels: tuple[int, ...]
@@ -109,8 +107,7 @@ class Contradiction:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     kind: str
     lo: int
     hi: int
@@ -429,8 +426,7 @@ def strengthen_brac(graph: RelationGraph) -> RelationGraph | Contradiction:
     return _strengthen(graph, brac=True)
 
 
-@dataclass(frozen=True)
-class MatchingFailure:
+class MatchingFailure(NamedTuple):
     unmatched: tuple[int, ...]
 
 

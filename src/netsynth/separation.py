@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import ge, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, ParikhVector, SpanningTree
@@ -77,8 +77,7 @@ def _tree_marks(tree: SpanningTree, r0: int,
     return marks
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A region (R, B, F): the count R(s) at every state in ``marks``, and
     consume weights B and produce weights F per label.  ``r0`` is R at the
     initial state."""

@@ -73,8 +73,7 @@ class SynthesisConfig:
                 raise ValueError(f"{name} must be at least 1")
 
 
-@dataclass
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     isomorphic: bool
     mismatch: Optional[str]
     classes: set[str]

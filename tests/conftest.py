@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 
@@ -39,7 +38,7 @@ def margin_row(coeffs, rel, const=0):
     and ``> c`` as ``>= c + 1``."""
     shift = {"<": -1, ">": 1}.get(rel, 0)
     row = integer_row(coeffs, rel + "=" if shift else rel, const)
-    return dataclasses.replace(row, const=row.const + shift)
+    return row._replace(const=row.const + shift)
 
 
 def rewrite_record(path: pathlib.Path, record: dict) -> None:

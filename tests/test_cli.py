@@ -427,6 +427,34 @@ class TestUnwritableOutput:
             f"error: two outputs name {tmp_path / 'x.dot'}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
+    @staticmethod
+    def synth_to_stdout_pipe(*outputs):
+        """`synth` fig1 with its net on ``/dev/stdout``, here a pipe."""
+        src = pathlib.Path(__file__).parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "netsynth.cli", "synth", fx("fig1.lts"),
+             "--class", "brac", "-o", "/dev/stdout", *outputs],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+
+    def test_pipe_not_written_when_a_file_fails(self, tmp_path):
+        """A write-through output (a pipe) gets no text when a later
+        file output cannot be written."""
+        missing = tmp_path / "missing" / "x"
+        proc = self.synth_to_stdout_pipe("--report", str(missing))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode().endswith(
+            f"error: cannot write {missing}: No such file or directory\n")
+
+    def test_pipe_not_written_when_a_file_is_named_twice(self, tmp_path):
+        out = tmp_path / "x"
+        proc = self.synth_to_stdout_pipe("--report", str(out),
+                                         "--dot", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == f"error: two outputs name {out}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("sink", ["/dev/null", "-"])
     def test_stream_named_twice_is_written(self, tmp_path, capsys, sink):
         """``/dev/null`` and standard output are no file: each output

@@ -481,11 +481,10 @@ class TestRegionMarks:
                 region.marks[s] - region.b[t] + region.f[t]
 
     def test_initial_count_must_match_marks(self, fig1):
-        from dataclasses import replace
         region = region_of(fig1, {"r0": 2, "b": {"a": 1}, "f": {"f": 1}})
         assert region.is_valid(fig1)
-        assert not replace(region, r0=3).is_valid(fig1)
-        assert not replace(region, marks=region.marks[1:]).is_valid(fig1)
+        assert not region._replace(r0=3).is_valid(fig1)
+        assert not region._replace(marks=region.marks[1:]).is_valid(fig1)
 
 
 @pytest.fixture(scope="module")

@@ -434,10 +434,11 @@ def run_the_tool() -> list[int]:
             ["synth", str(made / "leftover.lts"), "--class", "brac",
              "--ssp-combo-cap", "1"],
             ["rg", str(FIXTURES / "fig1-net.pn"), "--rg-cap", "1"],
-            # a new file, the same file again, a directory, then one
-            # file named by two outputs
+            # a new file, the same file again, a device, a directory,
+            # then one file named by two outputs
             ["synth", fig1, "--class", "brac", "-o", net],
             ["synth", fig1, "--class", "brac", "-o", net],
+            ["synth", fig1, "--class", "brac", "-o", os.devnull],
             ["synth", fig1, "--class", "brac", "-o", net, "--report", tmp],
             ["synth", fig1, "--class", "brac", "-o", net, "--report", net],
         ]

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 
@@ -560,7 +559,7 @@ class TestPrune:
         def verify_solution(net, lts, target_class):
             record = real(net, lts, target_class)
             return record if len(net.places) >= places \
-                else replace(record, target_ok=False)
+                else record._replace(target_ok=False)
         monkeypatch.setattr(netsynth.synthesis, "verify_solution",
                             verify_solution)
         out = tmp_path / "out.pn"
@@ -789,7 +788,7 @@ def _fail_matched_private_block(monkeypatch):
 def _fail_verification(monkeypatch):
     real = netsynth.synthesis.verify_solution
     monkeypatch.setattr("netsynth.synthesis.verify_solution",
-                        lambda *args: replace(real(*args), target_ok=False))
+                        lambda *args: real(*args)._replace(target_ok=False))
 
 
 class TestRareBracExits:
