@@ -65,8 +65,9 @@ def _write(*outputs: tuple[Optional[str], str]) -> None:
     followed), is written to a temporary name beside it; these are renamed
     into place, with the old file's mode and, where it can, its owner,
     once every write succeeded, and removed otherwise.  Other paths are
-    written through: a pipe or ``/dev/null`` takes the text once every
-    output is open and every temporary file written.  A directory, a
+    written through once every output is open and every temporary file
+    written, the pipes last, as a pipe cannot be un-written (a second
+    pipe can still fail after the first got its text).  A directory, a
     read-only file or a file named twice fails before any write.
     """
     stdout = [text for path, text in outputs if path in (None, "-")]
@@ -96,6 +97,8 @@ def _write(*outputs: tuple[Optional[str], str]) -> None:
                 os.chmod(name, stat.S_IMODE(st.st_mode))
                 with contextlib.suppress(OSError):
                     os.chown(name, st.st_uid, st.st_gid)
+        through.sort(key=lambda out: stat.S_ISFIFO(
+            os.fstat(out[1].fileno()).st_mode))
         for path, fp, text in through:
             with fp:
                 fp.write(text)

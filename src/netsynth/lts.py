@@ -1,8 +1,9 @@
 """Labelled transition systems: parsing, validation, spanning trees with
 their Parikh vectors, and cycle bases.
 
-An `Lts` fills its tables (out-edges, label and state bit masks,
-self-loop labels) together, in one lazy pass over its edges.
+An `Lts` fills its tables in two lazy passes over its edges: the bit
+masks and self-loop labels, and the out-edges.  Validation reads no
+out-edges unless its forward pass leaves a state unreached.
 
 A Parikh vector is a dense tuple of ints with one entry per label, in label
 order: the label counts of a tree walk, or their difference along an edge.
@@ -15,10 +16,12 @@ states and labels are declared implicitly, in first-appearance order.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import gcd
-from operator import not_, sub
+from operator import itemgetter, not_, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 _NAME = re.compile(r"[A-Za-z0-9_]+")
@@ -53,8 +56,8 @@ class ParikhVector(NamedTuple):
 
 
 class _Table(str):
-    """A table's name; as an `Lts` class attribute, the descriptor whose
-    first read fills every table into the instance's dict."""
+    """A mask table's name; as an `Lts` class attribute, the descriptor
+    whose first read fills the mask tables into the instance's dict."""
 
     def __get__(self, lts, owner=None):
         if lts is None:
@@ -70,8 +73,9 @@ class Lts:
     States, labels and edges are interned to dense indices in
     first-appearance order; all iteration is in index order.  No two
     states and no two labels share a name.  Instances are immutable and
-    safe to share.  Its tables (`_fill_tables`) are filled on the first
-    read of any, never when an instance is made or copied.
+    safe to share.  Its mask tables (`_fill_tables`) are filled on the
+    first read of any, and `out_edges` on its own first read, never when
+    an instance is made or copied.
     """
 
     states: tuple[str, ...]
@@ -89,42 +93,45 @@ class Lts:
             if not (0 <= s < n and 0 <= s2 < n and 0 <= t < m):
                 raise LtsError(f"edge ({s},{t},{s2}) out of range")
 
-    out_edges = _Table("out_edges")
     label_masks = _Table("label_masks")
     state_masks = _Table("state_masks")
     self_loop_labels = _Table("self_loop_labels")
 
     def _fill_tables(self) -> None:
-        """Fill the four tables in one pass over the edges.
+        """Fill the three mask tables in one pass over the edges.
 
-        ``out_edges[s]`` holds the edges leaving ``s``, in edge order.
         ``label_masks[s]`` is the sum of ``1 << a`` over the labels ``a``
         leaving ``s``, or -1 where two of its edges share a label; bit
         ``a`` stands for label ``a``.  ``state_masks[a]`` is the sum of
         ``1 << s`` over the states ``s`` enabling ``a``.
         ``self_loop_labels`` holds the labels of the edges ``s [a> s``.
         A state's edges share a label exactly when its mask has fewer
-        bits than it has edges, so the states are checked one by one only
+        bits than it has edges, so the edges are counted per state only
         when the masks' bits sum to less than the edge count.
         """
-        out: list[list[tuple[int, int, int]]] = [[] for _ in self.states]
         labels = [0] * len(self.states)
         states = [0] * len(self.labels)
         loops = set()
-        for e in self.edges:
-            s, t, s2 = e
-            out[s].append(e)
+        for s, t, s2 in self.edges:
             labels[s] |= 1 << t
             states[t] |= 1 << s
             if s == s2:
                 loops.add(t)
         if sum(map(int.bit_count, labels)) < len(self.edges):
-            labels = [m if m.bit_count() == len(es) else -1
-                      for m, es in zip(labels, out)]
-        vars(self).update(out_edges=tuple(map(tuple, out)),
-                          label_masks=tuple(labels),
+            counts = Counter(map(itemgetter(0), self.edges))
+            labels = [m if m.bit_count() == counts[s] else -1
+                      for s, m in enumerate(labels)]
+        vars(self).update(label_masks=tuple(labels),
                           state_masks=tuple(states),
                           self_loop_labels=frozenset(loops))
+
+    @cached_property
+    def out_edges(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """``out_edges[s]`` holds the edges leaving ``s``, in edge order."""
+        out: list[list[tuple[int, int, int]]] = [[] for _ in self.states]
+        for e in self.edges:
+            out[e[0]].append(e)
+        return tuple(map(tuple, out))
 
 
 class ValidationReport(NamedTuple):
@@ -241,17 +248,22 @@ def validate(lts: Lts) -> ValidationReport:
                 witness = (seen[key], e)
                 break
             seen[key] = e
-    out = lts.out_edges
-    reached = [False] * len(out)
+    n = len(lts.states)
+    reached = [False] * n
     reached[lts.initial] = True
-    # every state is appended once, when first reached, and visited later
-    order = [lts.initial]
-    for s in order:
-        for _, _, s2 in out[s]:
-            if not reached[s2]:
-                reached[s2] = True
-                order.append(s2)
-    unreachable = tuple(compress(range(len(out)), map(not_, reached)))
+    # reaches each state on a path whose edges the list holds in order
+    for s, _, s2 in lts.edges:
+        if reached[s]:
+            reached[s2] = True
+    if not all(reached):
+        # a BFS from the states reached appends each state once, when reached
+        order = list(compress(range(n), reached))
+        for s in order:
+            for _, _, s2 in lts.out_edges[s]:
+                if not reached[s2]:
+                    reached[s2] = True
+                    order.append(s2)
+    unreachable = tuple(compress(range(n), map(not_, reached)))
     return ValidationReport(
         deterministic=witness is None,
         nondeterministic_witness=witness,

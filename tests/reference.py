@@ -28,6 +28,10 @@ checked against, or stands in for, a part of ``src/netsynth``:
   yields only the pairs no pooled region separates.
 - `enumerate_separation_problems` lists every separation problem of an LTS,
   the problems the pipelines' regions must solve.
+- `reachable_states` is a breadth-first search over a successor map built
+  from the edges; `netsynth.lts.validate` takes one forward pass over the
+  edge list and searches `Lts.out_edges` only when that pass leaves a
+  state unreached.
 - `reference_isomorphic` pairs two systems by a walk that looks each
   successor up in a (state, label) -> target map and each state's labels
   up in its label mask; `netsynth.petri.isomorphic` reads the out-edges.
@@ -182,6 +186,22 @@ def fire(net: PetriNet, m: Marking, t: int) -> Marking:
                 f"{net.places[p]!r} holds {x} < {w}")
         out.append(x - w + net.produce.get((t, p), 0))
     return tuple(out)
+
+
+def reachable_states(lts: Lts) -> set[int]:
+    """The states a breadth-first search from the initial state reaches,
+    reading no table of the `Lts`."""
+    succ: dict[int, list[int]] = {}
+    for s, _, s2 in lts.edges:
+        succ.setdefault(s, []).append(s2)
+    reached = {lts.initial}
+    queue = [lts.initial]
+    for s in queue:
+        for s2 in succ.get(s, ()):
+            if s2 not in reached:
+                reached.add(s2)
+                queue.append(s2)
+    return reached
 
 
 def reference_isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:

@@ -455,6 +455,22 @@ class TestUnwritableOutput:
         assert proc.stderr.decode() == f"error: two outputs name {out}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full, a device whose writes fail")
+    def test_pipe_not_written_when_a_device_fails_its_write(self):
+        """A device that opens but fails while it is written is written
+        before the pipe, so the pipe gets no text."""
+        proc = self.synth_to_stdout_pipe("--report", "/dev/full")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode().endswith(
+            "error: cannot write /dev/full: No space left on device\n")
+
+    def test_pipe_written_beside_a_device(self):
+        proc = self.synth_to_stdout_pipe("--report", os.devnull)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"place ")
+
     @pytest.mark.parametrize("sink", ["/dev/null", "-"])
     def test_stream_named_twice_is_written(self, tmp_path, capsys, sink):
         """``/dev/null`` and standard output are no file: each output

@@ -16,7 +16,9 @@ from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
 from netsynth.separation import SystemContext
 
+from census import SHAPES, census
 from conftest import FIXTURES, load_lts
+from reference import reachable_states
 
 
 def names(lts, entries):
@@ -248,6 +250,75 @@ class TestValidate:
         assert unused > 0
 
 
+def edge_orders(lts, seed):
+    """``lts`` with its edges reversed, then with them shuffled by
+    ``seed``."""
+    shuffled = list(lts.edges)
+    random.Random(seed).shuffle(shuffled)
+    return [dataclasses.replace(lts, edges=edges)
+            for edges in (lts.edges[::-1], tuple(shuffled))]
+
+
+def without_state(lts, s):
+    """``lts`` with every edge into or out of ``s`` dropped."""
+    return dataclasses.replace(lts, edges=tuple(
+        e for e in lts.edges if s not in (e[0], e[2])))
+
+
+class TestReachabilityIgnoresEdgeOrder:
+    """`validate` reaches states in one forward pass over the edge list
+    and searches `Lts.out_edges` only when that pass leaves a state
+    unreached; in any edge order its report is the reference's, whose
+    reachability is a BFS over the edges (`reference.reachable_states`).
+    """
+
+    @staticmethod
+    def check(lts, seed):
+        """Checks ``lts`` and its `edge_orders`; returns on how many of
+        the three `validate` searched the out-edges."""
+        searched = 0
+        report = validate(lts)
+        for variant in [lts] + edge_orders(lts, seed):
+            assert validate(variant) == report == \
+                reference_validate(variant), variant
+            searched += "out_edges" in vars(variant)
+        return searched
+
+    def test_census(self):
+        lts_count = searched = 0
+        for shape in SHAPES:
+            for lts in census(*shape):
+                searched += self.check(lts, lts_count)
+                lts_count += 1
+                # numbered in BFS order, an edge list sorted by source
+                # state reaches every state in the forward pass
+                assert "out_edges" not in vars(lts)
+        assert lts_count == 21464
+        assert searched > 0
+
+    def test_random_lts_less_a_state(self):
+        """``random_lts(0..99, 24, 6)`` less each state but the initial
+        one in turn: the state dropped is never reached."""
+        removed = searched = 0
+        for seed in range(100):
+            lts = random_lts(seed, 24, 6)
+            for s in range(len(lts.states)):
+                if s == lts.initial:
+                    continue
+                less = without_state(lts, s)
+                searched += self.check(less, seed)
+                assert s in validate(less).unreachable_states
+                removed += 1
+        assert removed == 1096 and searched > 0
+
+    def test_reachable_after_a_later_edge(self):
+        # s1's edge out comes before the edge into s1
+        lts = parse_lts("initial s0\ns1 b s2\ns0 a s1\n")
+        report = validate(lts)
+        assert report.reachable and "out_edges" in vars(lts)
+        assert report == reference_validate(lts)
+
+
 class TestNames:
     @pytest.mark.parametrize("states, labels", [
         (("s0", "s0"), ("a", "b")),
@@ -339,6 +410,7 @@ class TestLtsMasks:
 
 
 TABLES = ("out_edges", "label_masks", "state_masks", "self_loop_labels")
+MASK_TABLES = TABLES[1:]
 
 
 def one_table(lts, name):
@@ -362,9 +434,10 @@ def filled_tables(lts):
 
 
 class TestOnePassTables:
-    """`Lts` fills its four tables in one pass, on the first read of any;
-    each must equal its own one-table definition, and neither making nor
-    copying an `Lts` may build one."""
+    """`Lts` fills its three mask tables in one pass, on the first read of
+    any, and `out_edges` alone, on its first read; each must equal its
+    own one-table definition, and neither making nor copying an `Lts` may
+    build one."""
 
     CASES = {
         "identical repeated edge": Lts(
@@ -387,6 +460,12 @@ class TestOnePassTables:
     def check(lts, first):
         assert filled_tables(lts) == []
         getattr(lts, first)
+        if first == "out_edges":
+            assert filled_tables(lts) == ["out_edges"]
+            lts.state_masks
+        else:
+            assert filled_tables(lts) == list(MASK_TABLES)
+            lts.out_edges
         assert filled_tables(lts) == list(TABLES)
         for name in TABLES:
             assert getattr(lts, name) == one_table(lts, name), name
@@ -417,7 +496,8 @@ class TestOnePassTables:
         lts = parse_lts("initial s0\ns0 a s1\ns1 b s0\ns1 c s1\n")
         assert filled_tables(lts) == []
         assert validate(lts).ok
-        assert filled_tables(lts) == list(TABLES)
+        # its edges list an edge into each state before one out of it
+        assert filled_tables(lts) == list(MASK_TABLES)
         copy = dataclasses.replace(lts)
         assert copy == lts and filled_tables(copy) == []
         made = Lts(states=lts.states, labels=lts.labels, edges=lts.edges,
@@ -802,14 +882,7 @@ def reference_validate(lts):
             witness = (seen[key], e)
             break
         seen[key] = e
-    reached = {lts.initial}
-    frontier = [lts.initial]
-    while frontier:
-        s = frontier.pop()
-        for _, _, s2 in lts.out_edges[s]:
-            if s2 not in reached:
-                reached.add(s2)
-                frontier.append(s2)
+    reached = reachable_states(lts)
     unreachable = tuple(s for s in range(len(lts.states)) if s not in reached)
     used = {t for _, t, _ in lts.edges}
     return ValidationReport(

@@ -263,6 +263,9 @@ LTS_FILES = {
                     "s2 b s3\n",
     "nondeterministic.lts": "initial s0\ns0 a s0\ns0 a s1\ns1 b s0\n",
     "unreachable.lts": "initial s0\ns0 a s0\ns1 a s0\n",
+    # reachable, but s1's edge out comes before the edge into s1, so
+    # `validate` searches the out-edges after its forward pass
+    "late-edge.lts": "initial s0\ns1 b s2\ns0 a s1\n",
     # the labels of the two nets below on other graphs, so that `verify`
     # finds each mismatch `isomorphic` names
     "ab-line.lts": "initial s0\ns0 a s1\ns1 b s2\n",
