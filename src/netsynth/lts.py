@@ -296,7 +296,9 @@ def spanning_tree(lts: Lts) -> SpanningTree:
             for _, t, s2 in lts.out_edges[s]:
                 if s2 in parikh:
                     continue
-                if s2 not in discovered or (s, t) < discovered[s2]:
+                # the frontier ascends: only the same source can win
+                d = discovered.get(s2)
+                if d is None or (d[0] == s and t < d[1]):
                     discovered[s2] = (s, t)
         for s2, (p, t) in discovered.items():
             vec = list(parikh[p])

@@ -9,7 +9,9 @@ vectors: one edge row R(s) >= B_a per distinct (Parikh vector of s, a),
 and one zero-effect row per cycle-basis vector.  These base rows are the
 same in every system, so `SystemContext` keeps them once, as (state,
 label) keys over the Parikh table, and is itself the block every system
-holds; no pipeline builds them as `Row` objects.
+holds; no pipeline builds them as `Row` objects.  Every edge is a key
+when the LTS is deterministic and its tree vectors are distinct, as the
+state equation M(s) = M0 + C.psi(s) makes them on a reachability graph.
 `SystemContext` alone fixes which column holds which variable;
 `solution_to_region` reads a solution vector back in the same layout.  A
 `Region` stores R at every state, computed once when it is made, so
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import ge, sub
+from operator import ge, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
@@ -157,7 +159,9 @@ class SystemContext:
     ``names`` spells the columns out for ``dump_lp``.  The context is also
     the block of base rows that every system holds (see `linsys.Rows`):
     one edge row R(s) >= B_t per ``(state, label)`` key, over the tree's
-    Parikh table, then one zero-effect row per cycle-basis vector.
+    Parikh table, then one zero-effect row per cycle-basis vector.  All
+    edges are keys, read off ``lts.edges`` with no dedupe, when the LTS is
+    deterministic and no two states share a tree vector (state equation).
     """
 
     def __init__(self, lts: Lts, tree: SpanningTree,
@@ -175,12 +179,16 @@ class SystemContext:
         # columns spell out psi(s) and the B columns add 1 at the label,
         # so these are exactly the edges with distinct coefficients.
         # psi(s) is keyed by its packed int, `SpanningTree.packed`.
-        first: dict[tuple[int, int], int] = {}
         packed = tree.packed
-        for s, t, _ in lts.edges:
-            first.setdefault((packed[s], t), s)
-        self.key_states = tuple(first.values())
-        self.key_labels = tuple(t for _, t in first)
+        if -1 not in lts.label_masks and len(set(packed)) == len(packed):
+            self.key_states = tuple(map(itemgetter(0), lts.edges))
+            self.key_labels = tuple(map(itemgetter(1), lts.edges))
+        else:
+            first: dict[tuple[int, int], int] = {}
+            for s, t, _ in lts.edges:
+                first.setdefault((packed[s], t), s)
+            self.key_states = tuple(first.values())
+            self.key_labels = tuple(t for _, t in first)
         # simplex copies: one per >= row, two per = row
         self.copies = len(self.key_states) + 2 * len(basis)
         self._rows: Optional[tuple[Row, ...]] = None

@@ -21,6 +21,10 @@ checked against, or stands in for, a part of ``src/netsynth``:
 - `parikh_marks` computes R(s) = r0 + psi(s).(F - B) from each state's
   Parikh vector, O(|S|·|labels|); `netsynth.separation.Region.over` and
   `SystemContext.holds` sum R(parent) + F_t - B_t along the tree instead.
+- `context_keys` keeps the first edge of each distinct (packed Parikh
+  vector of its source, label) pair, for any LTS;
+  `netsynth.separation.SystemContext` takes every edge as a key instead
+  when the LTS is deterministic and no two states share a tree vector.
 - `fire` fires one transition on a tuple marking, naming the first
   blocking place; `netsynth.petri.reachability_graph` and `realises` fire
   through the packed kernel instead.  `w_in` is a consume weight.
@@ -32,6 +36,10 @@ checked against, or stands in for, a part of ``src/netsynth``:
   from the edges; `netsynth.lts.validate` takes one forward pass over the
   edge list and searches `Lts.out_edges` only when that pass leaves a
   state unreached.
+- `tree_parents` gives each state the smallest (source, label) of the
+  edges into it from the states one step nearer the initial state;
+  `netsynth.lts.spanning_tree` walks the BFS frontier in ascending order
+  and compares labels only at the same source.
 - `reference_isomorphic` pairs two systems by a walk that looks each
   successor up in a (state, label) -> target map and each state's labels
   up in its label mask; `netsynth.petri.isomorphic` reads the out-edges.
@@ -170,6 +178,16 @@ def parikh_marks(tree: SpanningTree, r0: int, b: Sequence[int],
                  for psi in tree.parikh)
 
 
+def context_keys(lts: Lts, tree: SpanningTree) \
+        -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The states and labels of the edges that are the first with their
+    (``tree.packed`` of the source, label) pair, in edge order."""
+    first: dict[tuple[int, int], int] = {}
+    for s, t, _ in lts.edges:
+        first.setdefault((tree.packed[s], t), s)
+    return tuple(first.values()), tuple(t for _, t in first)
+
+
 def w_in(net: PetriNet, p: int, t: int) -> int:
     """The weight of the arc from place ``p`` to transition ``t``, or 0."""
     return net.consume.get((p, t), 0)
@@ -202,6 +220,23 @@ def reachable_states(lts: Lts) -> set[int]:
                 reached.add(s2)
                 queue.append(s2)
     return reached
+
+
+def tree_parents(lts: Lts) -> dict[int, tuple[int, int]]:
+    """Every state but the initial one -> the smallest ``(source,
+    label)`` of its edges from the states at one step less BFS depth."""
+    depth = {lts.initial: 0}
+    level = {lts.initial}
+    while level:
+        nxt = set()
+        for s, _, s2 in lts.edges:
+            if s in level and s2 not in depth:
+                depth[s2] = depth[s] + 1
+                nxt.add(s2)
+        level = nxt
+    return {s2: min((s, t) for s, t, s3 in lts.edges
+                    if s3 == s2 and depth.get(s) == depth[s2] - 1)
+            for s2 in depth if s2 != lts.initial}
 
 
 def reference_isomorphic(lts: Lts, other: Lts) -> dict[int, int] | Mismatch:

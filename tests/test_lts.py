@@ -18,7 +18,7 @@ from netsynth.separation import SystemContext
 
 from census import SHAPES, census
 from conftest import FIXTURES, load_lts
-from reference import reachable_states
+from reference import reachable_states, tree_parents
 
 
 def names(lts, entries):
@@ -537,6 +537,25 @@ class TestSpanningTree:
         tree = spanning_tree(lts)
         s3 = lts.states.index("s3")
         assert tree.parent[s3][0] == lts.states.index("s1")
+
+    def test_tiebreak_prefers_smaller_label_at_one_source(self):
+        # s0 reaches s1 by b, then by a, the smaller label
+        lts = parse_lts("initial s0\ns1 a s0\ns0 b s1\ns0 a s1\n")
+        tree = spanning_tree(lts)
+        assert tree.parent[1] == (0, lts.labels.index("a"))
+
+    def test_parents_in_three_edge_orders(self):
+        """Each parent is the smallest (source, label) one level up, on
+        ``random_lts(0..299, 24, 6)`` with its edges as given, reversed
+        and shuffled."""
+        rng = random.Random(50)
+        for i in range(300):
+            lts = random_lts(i, 24, 6)
+            shuffled = list(lts.edges)
+            rng.shuffle(shuffled)
+            for edges in (lts.edges, lts.edges[::-1], tuple(shuffled)):
+                order = Lts(lts.states, lts.labels, edges, lts.initial)
+                assert spanning_tree(order).parent == tree_parents(order), i
 
 
 class TestParikh:

@@ -309,6 +309,25 @@ class TestStrengthenWpi:
         assert not isinstance(out, Contradiction)
         assert out.edge(0, 1).kind == DOI
 
+    @pytest.mark.parametrize("ac,bc,original", [
+        (Edge(INCLUDED, 0, 2), Edge(DOI, 1, 2), DISJOINT),
+        (Edge(INCLUDED, 0, 2), Edge(DOI, 2, 1), "triangle-22"),
+        (Edge(INCLUDED, 2, 0), Edge(DOI, 2, 1), "triangle-23"),
+    ], ids=["rule17", "rule22", "rule23"])
+    def test_deactivation_rules_skip_a_strengthened_inclusion(
+            self, ac, bc, original):
+        """Rules 17, 22 and 23 fire at an original inclusion (0, 2) and
+        leave every edge as it is at a strengthened one."""
+        out = strengthen_wpi(triangle(Edge(DOI, 0, 1), ac, bc))
+        if isinstance(out, Contradiction):
+            assert out.rule == original
+        else:
+            assert out.edge(0, 1).kind == original
+        g = triangle(Edge(DOI, 0, 1), ac._replace(origin=STRENGTHENED), bc)
+        out = strengthen_wpi(g)
+        assert not isinstance(out, Contradiction)
+        assert out.edges == g.edges
+
     def test_indirect_resolution_through_provenance_triangles(self):
         # four labels: a doi b strengthened to inclusion via c; the
         # remaining doi edges toward d resolve through the c-triangles

@@ -6,7 +6,7 @@ import pytest
 
 from netsynth.linsys import (LinearSystem, Row, make_row, solve_integer,
                              solve_rational)
-from netsynth.lts import cycle_basis, parse_lts, spanning_tree
+from netsynth.lts import Lts, cycle_basis, parse_lts, spanning_tree
 from netsynth.relations import (DOI, EQUIVALENT, build_relation_graph,
                                 quotient_by_equivalence, strengthen_brac,
                                 strengthen_wpi)
@@ -19,7 +19,7 @@ from netsynth.separation import (ESSP, Region, SSP, SystemContext,
 
 from conftest import margin_row
 from reference import (OracleBound, assignment, brute_force_region,
-                       enumerate_separation_problems, evaluate,
+                       context_keys, enumerate_separation_problems, evaluate,
                        parikh_marks, satisfied_by, state_pairs)
 
 
@@ -827,3 +827,102 @@ class TestBaseBlock:
         assert list(extended.rows)[-1].tag == "ssp:s0:s1"
         assert list(system.rows)[1] == ctx.base_rows()[0]
         assert all(isinstance(r, Row) for r in system.rows)
+
+
+class TestContextKeys:
+    """`SystemContext` takes every edge as a key when the LTS is
+    deterministic and no two states share a tree vector, and otherwise
+    keeps the first edge of each (tree vector, label); both give the keys
+    of `context_keys`, the per-edge dedupe, in edge order."""
+
+    @staticmethod
+    def fast(lts, tree):
+        """Whether the context takes every edge as a key."""
+        return -1 not in lts.label_masks and \
+            len(set(tree.packed)) == len(tree.packed)
+
+    @staticmethod
+    def check(lts):
+        """Compare the context's keys with `context_keys`; return whether
+        every edge is a key."""
+        tree = spanning_tree(lts)
+        ctx = SystemContext(lts, tree, cycle_basis(lts, tree))
+        assert (ctx.key_states, ctx.key_labels) == \
+            context_keys(lts, tree), lts.edges
+        return len(ctx.key_states) == len(lts.edges)
+
+    def test_census(self):
+        # no two states of a census LTS share a tree vector
+        from census import SHAPES, census
+        assert all(self.check(lts) for shape in SHAPES
+                   for lts in census(*shape))
+
+    def test_random_lts_in_three_edge_orders(self):
+        from netsynth.oracle import random_lts
+        rng = random.Random(50)
+        merged = 0
+        for i in range(300):
+            lts = random_lts(i, 24, 6)
+            shuffled = list(lts.edges)
+            rng.shuffle(shuffled)
+            for edges in (lts.edges, lts.edges[::-1], tuple(shuffled)):
+                merged += not self.check(Lts(lts.states, lts.labels,
+                                             edges, lts.initial))
+        assert merged > 0
+
+    def test_roundtrip_and_ladder_graphs_key_every_edge(self):
+        from netsynth.oracle import random_brac_net
+        from netsynth.petri import reachability_graph
+        nets = [random_brac_net(i) for i in range(100)]
+        nets += [random_brac_net(s, 6, 4) for s in (44, 17, 38)]
+        for net in nets:
+            lts = reachability_graph(net, 100_000)
+            assert self.fast(lts, spanning_tree(lts))
+            assert self.check(lts)
+
+    def test_repeated_label_at_a_state(self):
+        """`Lts` takes two edges of one label at a state, which `validate`
+        reports; the tree vectors stay distinct, and the repeated
+        (state, label) is one key."""
+        for edges in (((0, 0, 1), (0, 0, 0), (1, 1, 0)),
+                      ((0, 0, 1), (1, 1, 0), (0, 0, 1))):
+            lts = Lts(("s0", "s1"), ("a", "b"), edges, 0)
+            tree = spanning_tree(lts)
+            assert len(set(tree.packed)) == 2
+            assert not self.check(lts)
+            assert context_keys(lts, tree) == ((0, 1), (0, 1))
+
+    def test_verdict_mix_takes_both_paths(self, monkeypatch):
+        """Of the contexts the two pipelines build on the inputs of the
+        benchmark's verdict-mix workload, some take every edge as a key
+        and some run the dedupe."""
+        import pathlib
+        import netsynth.synthesis
+        from netsynth.oracle import random_lts
+
+        class Built(Exception):
+            pass
+
+        prepare = netsynth.synthesis._prepare
+        contexts = []
+
+        def record(lts):
+            contexts.append(prepare(lts))
+            raise Built
+        monkeypatch.setattr(netsynth.synthesis, "_prepare", record)
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        inputs = [parse_lts(p.read_text())
+                  for p in sorted(fixtures.glob("*.lts"))]
+        inputs += [random_lts(i, 24, 6) for i in range(300)]
+        for lts in inputs:
+            for pipeline in (netsynth.synthesis.synthesize_brac,
+                             netsynth.synthesis.synthesize_wpi):
+                try:
+                    pipeline(lts)
+                except Built:
+                    pass
+        fast = [self.fast(ctx.lts, ctx.tree) for ctx in contexts]
+        assert any(fast) and not all(fast)
+        for ctx in contexts:
+            assert (ctx.key_states, ctx.key_labels) == \
+                context_keys(ctx.lts, ctx.tree)
