@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 synthesis impossible or a check failed (witness
 printed), 2 invalid input (a file that cannot be read or parsed, an
 output path that cannot be written, or a cap option below 1), 3 a
-configured cap was exceeded, 4 internal error (a solver limit or a broken
-invariant, whatever the exception; never a verdict).  Reports are
-deterministic JSON (schema 1, no timestamps): identical invocations
-produce byte-identical outputs.
+configured cap was exceeded, 4 internal error (a solver's pivot or node
+limit or a broken invariant, whatever the exception; never a verdict).
+Reports are deterministic JSON (schema 1, no timestamps): identical
+invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -266,8 +266,10 @@ def _parser() -> argparse.ArgumentParser:
                    help="output .pn file (default stdout)")
     p.add_argument("--dot", default=None, help="also write a dot rendering")
     p.add_argument("--report", default=None, help="write a JSON report")
-    p.add_argument("--selfloop-cap", type=int, default=12)
-    p.add_argument("--ssp-combo-cap", type=int, default=4096)
+    p.add_argument("--selfloop-cap", type=int,
+                   default=SynthesisConfig.selfloop_cap)
+    p.add_argument("--ssp-combo-cap", type=int,
+                   default=SynthesisConfig.ssp_combo_cap)
     p.add_argument("--prune", action="store_true",
                    help="greedily drop redundant places")
     p.set_defaults(func=_cmd_synth)

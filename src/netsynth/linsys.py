@@ -22,10 +22,11 @@ only where the pivot row is nonzero.  A solution is integer
 numerators over one positive denominator, re-substituted into the rows
 before it is returned.  Solutions of a system whose rows survive scaling
 up lift to integers by dividing out the gcd, and a 0/1-aware
-branch-and-bound gives bounded integer feasibility; it branches on the
+branch-and-bound decides integer feasibility; it branches on the
 first fractional 0/1 column, then on the other columns in column order;
 its root is the system itself, and each other node the whole system
-with the node's bound rows appended.
+with the node's bound rows appended.  Each solver returns a proved
+verdict, feasible or infeasible, or raises at its pivot or node limit.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ RELATIONS = tuple(_OPERATORS)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-CAP_EXCEEDED = "cap-exceeded"
 
 # x -> x < 0, to find Bland's entering column at C speed
 _NEGATIVE = (0).__gt__
@@ -332,22 +332,20 @@ def lift_homogeneous_to_integer(solution: Solution,
     return Solution(FEASIBLE, lifted, 1, solution.pivots)
 
 
-def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
+def solve_integer(system: LinearSystem) -> Solution:
     """Integer feasibility by branch-and-bound on the rational relaxation.
 
     0/1-flagged variables carry their bounds already.  A node branches on
     the first fractional 0/1 column, else on the first fractional other
     column, down-branch first.  The root node solves ``system`` itself;
     each other node is the whole system with its bound rows appended.
-    Branches pushing a lower bound beyond ``cap`` are pruned; if the search
-    ends infeasible after such pruning the result is reported as
-    cap-exceeded rather than infeasible.
+    The result is a proved verdict.  A search over an unbounded column
+    need not end, so a caller bounds such a column with rows.
     """
     parts = system.rows.parts
     order = sorted(system.zero_one) + [j for j in range(system.columns)
                                        if j not in system.zero_one]
     stack: list[tuple[Row, ...]] = [()]
-    capped = False
     pivots = 0
     nodes = 0
     while stack:
@@ -368,11 +366,5 @@ def solve_integer(system: LinearSystem, cap: int = 10 ** 9) -> Solution:
         lo = num[frac] // den
         up = bounds + (make_row({frac: 1}, ">=", lo + 1, tag="branch-up"),)
         down = bounds + (make_row({frac: 1}, "<=", lo, tag="branch-down"),)
-        if lo + 1 > cap:
-            capped = True
-        else:
-            stack.append(up)
-        stack.append(down)  # popped first: down-branch explored first
-    if capped:
-        return Solution(CAP_EXCEEDED, pivots=pivots)
+        stack += up, down  # down popped first: down-branch explored first
     return Solution(INFEASIBLE, pivots=pivots)

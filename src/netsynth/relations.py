@@ -49,12 +49,6 @@ _INC_FROM = 2   # c included in x
 _DOI_TO = 3     # doi(x, c)
 _DOI_FROM = 4   # doi(c, x)
 
-# the inverse of `RelationGraph.code_from`: code -> (edge kind, whether c
-# is the edge's lo)
-_EDGE_OF_CODE = {_NONE: (DISJOINT, False), _INC_TO: (INCLUDED, False),
-                 _INC_FROM: (INCLUDED, True), _DOI_TO: (DOI, False),
-                 _DOI_FROM: (DOI, True)}
-
 _CONTRA = "contra"
 
 # Triangle rule table over a doi edge (lo, hi) and a third label c, keyed by
@@ -273,17 +267,19 @@ def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
     return RelationGraph(lts.labels, tuple(range(len(lts.labels))), edges)
 
 
+# the member codes (`RelationGraph.code_from`) of a class pair (x, c) that
+# reconcile -> the reconciled edge's kind and whether c is its lo
 _COMPATIBLE = {
-    frozenset({_NONE}): _NONE,
-    frozenset({_NONE, _DOI_TO}): _NONE,
-    frozenset({_NONE, _DOI_FROM}): _NONE,
-    frozenset({_NONE, _DOI_TO, _DOI_FROM}): _NONE,
-    frozenset({_INC_TO}): _INC_TO,
-    frozenset({_INC_TO, _DOI_TO}): _INC_TO,
-    frozenset({_INC_FROM}): _INC_FROM,
-    frozenset({_INC_FROM, _DOI_FROM}): _INC_FROM,
-    frozenset({_DOI_TO}): _DOI_TO,
-    frozenset({_DOI_FROM}): _DOI_FROM,
+    frozenset({_NONE}): (DISJOINT, False),
+    frozenset({_NONE, _DOI_TO}): (DISJOINT, False),
+    frozenset({_NONE, _DOI_FROM}): (DISJOINT, False),
+    frozenset({_NONE, _DOI_TO, _DOI_FROM}): (DISJOINT, False),
+    frozenset({_INC_TO}): (INCLUDED, False),
+    frozenset({_INC_TO, _DOI_TO}): (INCLUDED, False),
+    frozenset({_INC_FROM}): (INCLUDED, True),
+    frozenset({_INC_FROM, _DOI_FROM}): (INCLUDED, True),
+    frozenset({_DOI_TO}): (DOI, False),
+    frozenset({_DOI_FROM}): (DOI, True),
 }
 
 
@@ -336,7 +332,7 @@ def quotient_by_equivalence(graph: RelationGraph) \
                 (ra, rb), "equivalence-conflict",
                 "equivalent labels relate differently to "
                 f"{graph.names[rb]}")
-        kind, flip = _EDGE_OF_CODE[_COMPATIBLE[combo]]
+        kind, flip = _COMPATIBLE[combo]
         lo, hi = (rb, ra) if flip else (ra, rb)
         edges[(ra, rb)] = Edge(kind, lo, hi)
 

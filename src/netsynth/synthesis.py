@@ -33,9 +33,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from netsynth.linsys import (INFEASIBLE, LinearSystem,
-                             lift_homogeneous_to_integer, solve_integer,
-                             solve_rational)
+from netsynth.linsys import (LinearSystem, lift_homogeneous_to_integer,
+                             solve_integer, solve_rational)
 from netsynth.lts import Lts, spanning_tree, cycle_basis, validate
 from netsynth.petri import (CapExceeded, Mismatch, PetriNet, classify_net,
                             isomorphic, net_from_regions, reachability_graph,
@@ -224,14 +223,14 @@ def relation_stage(graph: RelationGraph | Contradiction, brac: bool) \
 
 def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
     """The normalised region of a solution of ``system``, or None if it
-    has none; a solver limit raises ``RuntimeError``, never a verdict.
+    has none; a pivot or node limit raises ``RuntimeError``, not None.
 
-    A system with 0/1 columns is solved in integers.  R0 has coefficient 0
-    or 1 in every BRAC row and every entry is an integer, so at a basic
-    solution whose 0/1 columns are integral R0 is integral too: the search
-    never branches on R0 and needs no bound on it (were it to, it would
-    still be exact).  Any other system is solved over the rationals and
-    lifted to integers.
+    A system with 0/1 columns is solved in integers.  R0 is its one column
+    outside the 0/1 set, with coefficient 0 or 1 in every BRAC row, and
+    every entry is an integer, so at a basic solution whose 0/1 columns
+    are integral R0 is integral too: the search never branches on R0 and
+    needs no bound row on it.  Any other system is solved over the
+    rationals and lifted to integers.
     """
     if system.zero_one:
         solution = solve_integer(system)
@@ -239,10 +238,8 @@ def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
         solution = solve_rational(system)
         if solution.feasible:
             solution = lift_homogeneous_to_integer(solution, system)
-    if solution.status == INFEASIBLE:
-        return None
     if not solution.feasible:
-        raise RuntimeError(f"solver limit: {solution.status}")
+        return None
     region = normalize_region(solution_to_region(solution, ctx.tree), ctx.lts)
     if not region.is_valid(ctx.lts):
         raise AssertionError("a solved system gave an invalid region")

@@ -276,8 +276,7 @@ def test_criterion_8_oracle_equivalence():
                 feasible = any(solve_rational(s).feasible for s in systems)
                 if problems_checked % 10 == 0:
                     # homogeneous but for the margin: integers must agree
-                    integer = any(solve_integer(s, cap=64).feasible
-                                  for s in systems)
+                    integer = any(solve_integer(s).feasible for s in systems)
                     assert integer == feasible, (seed, problem)
                 if found is not None:
                     assert feasible, (seed, problem)

@@ -8,7 +8,8 @@ import threading
 
 import pytest
 
-from netsynth.cli import run
+from netsynth.cli import _parser, run
+from netsynth.synthesis import SynthesisConfig
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -167,17 +168,17 @@ class TestSynth:
 
     def test_solver_cap_exit_4_without_witness(self, tmp_path, monkeypatch,
                                                capsys):
-        # a branch-and-bound cap is no proof that a region is missing
-        from netsynth.linsys import CAP_EXCEEDED, Solution
-        monkeypatch.setattr("netsynth.synthesis.solve_integer",
-                            lambda system: Solution(CAP_EXCEEDED))
+        # a branch-and-bound node limit is no proof that a region is missing
+        def limit(system):
+            raise RuntimeError("branch-and-bound node limit exceeded")
+        monkeypatch.setattr("netsynth.synthesis.solve_integer", limit)
         report = tmp_path / "r.json"
         assert run(["synth", fx("fig1.lts"), "--class", "brac",
                     "--report", str(report)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == \
-            "internal error: RuntimeError: solver limit: cap-exceeded\n"
+        assert captured.err == "internal error: RuntimeError: " \
+            "branch-and-bound node limit exceeded\n"
         assert not report.exists()
 
     @pytest.mark.parametrize("name, cls, code", [("fig1", "brac", 0),
@@ -208,6 +209,13 @@ class TestSynth:
         payload = json.loads(report.read_text())
         assert (payload["outcome"], payload["cap"]) == \
             ("cap-exceeded", "selfloop-cap")
+
+    def test_cap_defaults_are_the_config_defaults(self):
+        args = _parser().parse_args(["synth", fx("fig1.lts"), "--class",
+                                     "wpi"])
+        cfg = SynthesisConfig()
+        assert (args.selfloop_cap, args.ssp_combo_cap) == \
+            (cfg.selfloop_cap, cfg.ssp_combo_cap)
 
     def test_selfloop_cap_below_one_exit_2(self, capsys):
         assert run(["synth", fx("brac7.lts"), "--class", "wpi",

@@ -9,8 +9,8 @@ from math import gcd, lcm
 import pytest
 
 from netsynth import linsys
-from netsynth.linsys import (CAP_EXCEEDED, FEASIBLE, INFEASIBLE, RELATIONS,
-                             LinearSystem, Row, _LEQ_COPIES, dump_lp,
+from netsynth.linsys import (FEASIBLE, INFEASIBLE, RELATIONS, LinearSystem,
+                             Row, _LEQ_COPIES, dump_lp,
                              lift_homogeneous_to_integer, make_row,
                              solve_integer, solve_rational)
 from netsynth.oracle import random_brac_net, random_lts
@@ -274,7 +274,7 @@ class TestLifting:
             sol = solve_rational(sys_)
             if not sol.feasible:
                 # homogeneous: integers cannot do better than rationals
-                assert solve_integer(sys_, cap=64).status != FEASIBLE
+                assert solve_integer(sys_).status != FEASIBLE
                 continue
             lifted = lift_homogeneous_to_integer(sol, sys_)
             assert satisfied_by(sys_, assignment(lifted))
@@ -325,15 +325,16 @@ class TestInteger:
         branch = solved[1].rows.parts[-1]
         assert branch.tag.startswith("branch-") and branch.coeffs == ((1, 1),)
 
-    def test_cap_exceeded_reported_distinctly(self):
-        # 3x - 3y = 1 admits rationals but integers only beyond any bound
-        sys_ = system([({"x": 3, "y": -3}, "=", 1)])
-        sol = solve_integer(sys_, cap=5)
-        assert sol.status == CAP_EXCEEDED
+    def test_bound_rows_end_an_unbounded_search(self):
+        # 3x - 3y = 1 admits rationals but no integers; without the bound
+        # rows the search need not end
+        sys_ = system([({"x": 3, "y": -3}, "=", 1), ({"x": 1}, "<=", 5),
+                       ({"y": 1}, "<=", 5)])
+        assert solve_integer(sys_).status == INFEASIBLE
 
-    def test_certain_infeasibility_not_capped(self):
+    def test_contradictory_bounds_integer_infeasible(self):
         sys_ = system([({"x": 1}, ">=", 1), ({"x": 1}, "<=", 0)])
-        assert solve_integer(sys_, cap=5).status == INFEASIBLE
+        assert solve_integer(sys_).status == INFEASIBLE
 
 
 class TestExhaustiveCrossCheck:

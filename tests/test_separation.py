@@ -325,8 +325,8 @@ class TestBracBlockSystems:
         ctx, graph = stage(fig1, brac=True)
         b, a = lid(fig1, "b"), lid(fig1, "a")
         sys1, sys2 = brac_block_systems(ctx, graph, (b, a))
-        sol1 = solve_integer(sys1, cap=30)
-        sol2 = solve_integer(sys2, cap=30)
+        sol1 = solve_integer(sys1)
+        sol2 = solve_integer(sys2)
         assert sol1.feasible and sol2.feasible
         # shared place consumed by both labels, private only by the wide one
         bb, ba = ctx.bvar[b], ctx.bvar[a]
@@ -337,8 +337,8 @@ class TestBracBlockSystems:
         ctx, graph = stage(fig1, brac=True)
         c, d = lid(fig1, "c"), lid(fig1, "d")
         sys1, sys2 = brac_block_systems(ctx, graph, (c, d))
-        assert solve_integer(sys1, cap=30).feasible
-        assert solve_integer(sys2, cap=30).feasible
+        assert solve_integer(sys1).feasible
+        assert solve_integer(sys2).feasible
 
     def test_block_without_private_problems_trivially_feasible(self):
         # wide label enabled wherever the narrow one is: no private rows
@@ -357,14 +357,14 @@ class TestBracBlockSystems:
         ctx, graph = stage(fig1, brac=True)
         b, a = lid(fig1, "b"), lid(fig1, "a")
         sys1, _ = brac_block_systems(ctx, graph, (b, a))
-        sol = solve_integer(sys1, cap=30)
+        sol = solve_integer(sys1)
         assert assignment(sol)[ctx.fvar[b]] == 0
 
     def test_self_loop_narrow_label_produce_free(self, brac7):
         ctx, graph = stage(brac7, brac=True)
         c, e = lid(brac7, "c"), lid(brac7, "e")
         sys1, _ = brac_block_systems(ctx, graph, (c, e))
-        sol = solve_integer(sys1, cap=30)
+        sol = solve_integer(sys1)
         assert sol.feasible
         # the self-loop keeps the shared place's count: consume = produce
         values = assignment(sol)
@@ -380,7 +380,7 @@ class TestBracFreechoice:
             for sign in ("<", ">"):
                 system = brac_ssp_system_freechoice(ctx, graph, ssp, rep,
                                                     sign)
-                if solve_integer(system, cap=30).feasible:
+                if solve_integer(system).feasible:
                     feasible.append((fig1.labels[rep], sign))
         assert feasible
 
@@ -389,7 +389,7 @@ class TestBracFreechoice:
         ssp = SSP(sid(fig1, "s4"), sid(fig1, "s5"))
         a = lid(fig1, "a")
         system = brac_ssp_system_freechoice(ctx, graph, ssp, a, ">")
-        sol = solve_integer(system, cap=30)
+        sol = solve_integer(system)
         if sol.feasible:
             for name in "abcd":
                 assert assignment(sol)[ctx.bvar[lid(fig1, name)]] == 0
@@ -403,7 +403,7 @@ class TestBracFreechoice:
             for sign in ("<", ">"):
                 system = brac_ssp_system_freechoice(ctx, graph, ssp, rep,
                                                     sign)
-                assert not solve_integer(system, cap=30).feasible
+                assert not solve_integer(system).feasible
 
 
 class TestRegionToPlace:

@@ -101,11 +101,6 @@ ALLOWED = {
     ("linsys.solve_integer",
      'raise RuntimeError("branch-and-bound node limit exceeded")'):
         "guard: the node limit, far above any search the tool makes",
-    ("linsys.solve_integer", "capped = True"):
-        "guard: `_region` keeps the default cap of 10**9; the pivot "
-        "families of tests/test_linsys.py set one",
-    ("linsys.solve_integer", "return Solution(CAP_EXCEEDED, pivots=pivots)"):
-        "guard: `_region` keeps the default cap",
     ("lts._Table.__get__", "return self"):
         "guard: the descriptor read on the class, as `help` does",
     ("lts.Lts.__post_init__",
@@ -212,9 +207,6 @@ ALLOWED = {
     ("synthesis.SynthesisConfig.__post_init__",
      'raise ValueError(f"{name} must be at least 1")'):
         "guard: `synth` refuses a cap below 1 first",
-    ("synthesis._region",
-     'raise RuntimeError(f"solver limit: {solution.status}")'):
-        "guard: `_region` keeps the default cap, so no solve is capped",
     ("synthesis._region",
      'raise AssertionError("a solved system gave an invalid region")'):
         "check: every solved region re-simulates every edge",

@@ -763,6 +763,32 @@ class TestBracIntegerSearch:
         assert True in verdicts and False in verdicts
         assert branches and all(row.coeffs[0][0] != 0 for row in branches)
 
+    def test_pipeline_never_branches_outside_zero_one(self, monkeypatch):
+        # `_region` solves these systems with no bound row on R0: at every
+        # node whose 0/1 columns are integral, R0 must be integral too
+        real = netsynth.linsys.solve_rational
+        feasible = []
+
+        def check(system):
+            solution = real(system)
+            others = set(range(system.columns)) - system.zero_one
+            assert len(others) == 1
+            if solution.feasible:
+                num, den = solution.num, solution.den
+                if all(num[j] % den == 0 for j in system.zero_one):
+                    assert all(num[j] % den == 0 for j in others)
+                feasible.append(solution)
+            return solution
+        monkeypatch.setattr("netsynth.linsys.solve_rational", check)
+        inputs = [parse_lts(p.read_text())
+                  for p in sorted(FIXTURES.glob("*.lts"))]
+        inputs += [random_lts(seed, 24, 6) for seed in range(300)]
+        inputs += [reachability_graph(random_brac_net(i), 2000)
+                   for i in range(100)]
+        for lts in inputs:
+            synthesize_brac(lts)
+        assert len(feasible) == 886
+
 
 def _fail_matching(monkeypatch):
     monkeypatch.setattr(
