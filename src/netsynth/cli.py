@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 synthesis impossible or a check failed (witness
 printed), 2 invalid input (a file that cannot be read or parsed, an
 output path that cannot be written, or a cap option below 1), 3 a
-configured cap was exceeded, 4 internal error (a solver's pivot or node
-limit or a broken invariant, whatever the exception; never a verdict).
+configured cap was exceeded, 4 internal error (a solver's pivot limit
+or a broken invariant, whatever the exception; never a verdict).
 Reports are deterministic JSON (schema 1, no timestamps): identical
 invocations produce byte-identical outputs.
 """

@@ -26,7 +26,7 @@ branch-and-bound decides integer feasibility; it branches on the
 first fractional 0/1 column, then on the other columns in column order;
 its root is the system itself, and each other node the whole system
 with the node's bound rows appended.  Each solver returns a proved
-verdict, feasible or infeasible, or raises at its pivot or node limit.
+verdict, feasible or infeasible, or raises at its pivot limit.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ INFEASIBLE = "infeasible"
 # x -> x < 0, to find Bland's entering column at C speed
 _NEGATIVE = (0).__gt__
 
-# Bland's rule guarantees termination; this only guards against solver bugs.
-_MAX_PIVOTS = 2_000_000
+# The pivot limit of a simplex and of an integer search over all its nodes;
+# it ends a search over an unbounded column.  5x the tests' largest search.
+_MAX_PIVOTS = 200_000
 
 
 class Row(NamedTuple):
@@ -340,23 +341,21 @@ def solve_integer(system: LinearSystem) -> Solution:
     column, down-branch first.  The root node solves ``system`` itself;
     each other node is the whole system with its bound rows appended.
     The result is a proved verdict.  A search over an unbounded column
-    need not end, so a caller bounds such a column with rows.
+    need not end: the pivot limit stops it unless a row bounds the column.
     """
     parts = system.rows.parts
     order = sorted(system.zero_one) + [j for j in range(system.columns)
                                        if j not in system.zero_one]
     stack: list[tuple[Row, ...]] = [()]
     pivots = 0
-    nodes = 0
     while stack:
         bounds = stack.pop()
-        nodes += 1
-        if nodes > 200_000:
-            raise RuntimeError("branch-and-bound node limit exceeded")
         relax = solve_rational(LinearSystem(
             system.columns, parts + bounds, system.zero_one)
             if bounds else system)
         pivots += relax.pivots
+        if pivots > _MAX_PIVOTS:
+            raise RuntimeError("pivot limit exceeded")
         if not relax.feasible:
             continue
         num, den = relax.num, relax.den

@@ -223,7 +223,7 @@ def relation_stage(graph: RelationGraph | Contradiction, brac: bool) \
 
 def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
     """The normalised region of a solution of ``system``, or None if it
-    has none; a pivot or node limit raises ``RuntimeError``, not None.
+    has none; the pivot limit raises ``RuntimeError``, not None.
 
     A system with 0/1 columns is solved in integers.  R0 is its one column
     outside the 0/1 set, with coefficient 0 or 1 in every BRAC row, and

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 
@@ -9,6 +10,7 @@ from netsynth.petri import parse_net
 from reference import integer_row
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
 # the least LTSs of a census of every tiny LTS that take two paths of the
 # relation stage: case 6 where the more broadly enabled label, b, is no
@@ -53,6 +55,14 @@ def rewrite_record(path: pathlib.Path, record: dict) -> None:
               key)
     print(f"{len(differ)} of {len(record)} keys differ from {path.name}")
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, loaded by path as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

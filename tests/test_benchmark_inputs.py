@@ -11,7 +11,7 @@ serialized as ``.lts`` or ``.pn`` text and joined in order:
 - ``scale-ladder``: ``random_brac_net(44|17|38, 6, 4)``.
 
 ``PYTHONPATH=src python tests/test_benchmark_inputs.py`` rewrites
-``fixtures/benchmark_input_digests.json``.
+``fixtures/benchmark_input_digests.json`` and prints the keys it changed.
 """
 
 import hashlib
@@ -21,6 +21,8 @@ import pathlib
 from netsynth.lts import serialize_lts
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph, serialize_net
+
+from conftest import rewrite_record
 
 RECORD = pathlib.Path(__file__).parent / "fixtures" / \
     "benchmark_input_digests.json"
@@ -49,4 +51,4 @@ def test_benchmark_inputs_unchanged():
 
 
 if __name__ == "__main__":
-    RECORD.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    rewrite_record(RECORD, digests())

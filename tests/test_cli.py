@@ -168,17 +168,18 @@ class TestSynth:
 
     def test_solver_cap_exit_4_without_witness(self, tmp_path, monkeypatch,
                                                capsys):
-        # a branch-and-bound node limit is no proof that a region is missing
+        # a search stopped at the pivot limit is no proof that a region is
+        # missing
         def limit(system):
-            raise RuntimeError("branch-and-bound node limit exceeded")
+            raise RuntimeError("pivot limit exceeded")
         monkeypatch.setattr("netsynth.synthesis.solve_integer", limit)
         report = tmp_path / "r.json"
         assert run(["synth", fx("fig1.lts"), "--class", "brac",
                     "--report", str(report)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "internal error: RuntimeError: " \
-            "branch-and-bound node limit exceeded\n"
+        assert captured.err == \
+            "internal error: RuntimeError: pivot limit exceeded\n"
         assert not report.exists()
 
     @pytest.mark.parametrize("name, cls, code", [("fig1", "brac", 0),

@@ -332,6 +332,26 @@ class TestInteger:
                        ({"y": 1}, "<=", 5)])
         assert solve_integer(sys_).status == INFEASIBLE
 
+    def test_pivot_limit_ends_a_runaway_search(self, monkeypatch):
+        # without the bound rows node k takes about k/2 pivots, so 5,000
+        # pivots end the search near node 100; past 300 nodes the tripwire
+        # fails the test rather than let a search that does not stop run on
+        class Tripwire(Exception):
+            pass
+        real = solve_rational
+        nodes = []
+
+        def count_node(s):
+            nodes.append(s)
+            if len(nodes) > 300:
+                raise Tripwire
+            return real(s)
+        monkeypatch.setattr("netsynth.linsys.solve_rational", count_node)
+        monkeypatch.setattr("netsynth.linsys._MAX_PIVOTS", 5_000)
+        with pytest.raises(RuntimeError, match="^pivot limit exceeded$"):
+            solve_integer(system([({"x": 3, "y": -3}, "=", 1)]))
+        assert 50 < len(nodes) < 200
+
     def test_contradictory_bounds_integer_infeasible(self):
         sys_ = system([({"x": 1}, ">=", 1), ({"x": 1}, "<=", 0)])
         assert solve_integer(sys_).status == INFEASIBLE

@@ -7,21 +7,12 @@ A method of a `NamedTuple` record is rebound on its class like any other.
 """
 
 import importlib
-import importlib.util
 import json
-import pathlib
 from types import SimpleNamespace
 
 import pytest
 
-TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_tracer
 
 
 def load_layers() -> dict[str, list[str]]:

@@ -6,7 +6,7 @@ A change to how the pair relations are computed must leave every entry
 of ``fixtures/relation_digests.json`` unchanged.
 
 ``PYTHONPATH=src python tests/test_relation_digests.py`` rewrites the
-record.
+record and prints the keys it changed.
 """
 
 import hashlib
@@ -16,6 +16,8 @@ import pathlib
 from netsynth.cli import run
 from netsynth.lts import serialize_lts
 from netsynth.oracle import random_lts
+
+from conftest import rewrite_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 RECORD = FIXTURES / "relation_digests.json"
@@ -54,4 +56,4 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as workdir:
         record = relation_digests(pathlib.Path(workdir))
-    RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    rewrite_record(RECORD, record)

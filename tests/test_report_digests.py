@@ -22,7 +22,8 @@ graphs of ``random_brac_net(44, 6, 4)`` (300 markings),
 about 9 s on the first and 34 s on the second, too long for the test
 suite, so that pin is checked by running this file:
 ``PYTHONPATH=src python tests/test_report_digests.py`` exits 0 when all
-six digests hold, and with ``--record`` rewrites them.
+six digests hold, and with ``--record`` rewrites them, printing the keys
+it changed.
 """
 
 import hashlib
@@ -37,6 +38,8 @@ from netsynth.cli import run
 from netsynth.lts import serialize_lts
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
+
+from conftest import rewrite_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 DIGESTS = json.loads((FIXTURES / "report_digests.json").read_text())
@@ -201,8 +204,7 @@ def check_large(record: bool) -> int:
                     got.update((f"{key}/prune", digest)
                                for key, digest in pruned.items())
     if record:
-        LARGE_RECORD.write_text(json.dumps(got, indent=1, sort_keys=True)
-                                + "\n")
+        rewrite_record(LARGE_RECORD, got)
         return 0
     expected = json.loads(LARGE_RECORD.read_text())
     changed = sorted(k for k in expected if got.get(k) != expected[k])

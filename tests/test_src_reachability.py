@@ -98,9 +98,9 @@ ALLOWED = {
     ("linsys.lift_homogeneous_to_integer",
      'raise AssertionError("lifted solution failed re-substitution")'):
         "check: the re-substitution of every lifted witness",
-    ("linsys.solve_integer",
-     'raise RuntimeError("branch-and-bound node limit exceeded")'):
-        "guard: the node limit, far above any search the tool makes",
+    ("linsys.solve_integer", 'raise RuntimeError("pivot limit exceeded")'):
+        "guard: the pipelines' searches branch only on 0/1 columns and "
+        "take at most 25 pivots",
     ("lts._Table.__get__", "return self"):
         "guard: the descriptor read on the class, as `help` does",
     ("lts.Lts.__post_init__",

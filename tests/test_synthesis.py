@@ -765,11 +765,20 @@ class TestBracIntegerSearch:
 
     def test_pipeline_never_branches_outside_zero_one(self, monkeypatch):
         # `_region` solves these systems with no bound row on R0: at every
-        # node whose 0/1 columns are integral, R0 must be integral too
+        # node whose 0/1 columns are integral, R0 must be integral too.
+        # Each search's nodes and pivots show the pivot limit's headroom.
         real = netsynth.linsys.solve_rational
-        feasible = []
+        real_search = netsynth.synthesis.solve_integer
+        feasible, nodes, searches = [], [], []
+
+        def search(system):
+            first = len(nodes)
+            solution = real_search(system)
+            searches.append((len(nodes) - first, solution.pivots))
+            return solution
 
         def check(system):
+            nodes.append(system)
             solution = real(system)
             others = set(range(system.columns)) - system.zero_one
             assert len(others) == 1
@@ -780,6 +789,7 @@ class TestBracIntegerSearch:
                 feasible.append(solution)
             return solution
         monkeypatch.setattr("netsynth.linsys.solve_rational", check)
+        monkeypatch.setattr("netsynth.synthesis.solve_integer", search)
         inputs = [parse_lts(p.read_text())
                   for p in sorted(FIXTURES.glob("*.lts"))]
         inputs += [random_lts(seed, 24, 6) for seed in range(300)]
@@ -788,6 +798,9 @@ class TestBracIntegerSearch:
         for lts in inputs:
             synthesize_brac(lts)
         assert len(feasible) == 886
+        assert searches and all(
+            n <= 3 and pivots < netsynth.linsys._MAX_PIVOTS // 1000
+            for n, pivots in searches)
 
 
 def _fail_matching(monkeypatch):

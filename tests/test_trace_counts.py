@@ -17,7 +17,6 @@ and prints the keys whose counts it changed.
 """
 
 import importlib
-import importlib.util
 import json
 import pathlib
 from types import SimpleNamespace
@@ -26,21 +25,12 @@ from netsynth.lts import parse_lts
 from netsynth.oracle import random_brac_net, random_lts
 from netsynth.petri import reachability_graph
 
-from conftest import rewrite_record
+from conftest import load_tracer, rewrite_record
 
-ROOT = pathlib.Path(__file__).parents[1]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 RECORD = FIXTURES / "trace_counts.json"
 MODULES = ("lts", "linsys", "relations", "separation", "petri", "synthesis",
            "oracle")
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def inputs() -> dict:

@@ -15,7 +15,7 @@ over the verify JSON of the pair and of each mutant, in that order, each
 preceded by the mutant's name, and the number of pairs that end in each
 mismatch reason.  A change to how a net is verified must keep every
 digest.  ``PYTHONPATH=src python tests/test_verification_digests.py``
-rewrites the record.
+rewrites the record and prints the keys it changed.
 """
 
 import collections
@@ -33,6 +33,8 @@ from netsynth.oracle import random_brac_net
 from netsynth.petri import (CapExceeded, PetriNet, isomorphic, parse_net,
                             reachability_graph, realises)
 from netsynth.synthesis import synthesize_brac, verify_solution
+
+from conftest import rewrite_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 RECORD = FIXTURES / "verification_digests.json"
@@ -194,5 +196,4 @@ def test_helper_writes_the_cli_bytes(name, tmp_path):
 
 
 if __name__ == "__main__":
-    RECORD.write_text(json.dumps(recorded(), indent=1, sort_keys=True)
-                      + "\n")
+    rewrite_record(RECORD, recorded())
