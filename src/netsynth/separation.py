@@ -5,13 +5,12 @@ weights to labels such that every edge fires like a Petri net place.  State
 separation demands different counts for two states, event separation
 demands an insufficient count where a label is disabled.  Both become
 linear systems over R(s0), B and F, expressed through spanning-tree Parikh
-vectors: one edge row R(s) >= B_a per distinct (Parikh vector of s, a),
-and one zero-effect row per cycle-basis vector.  These base rows are the
-same in every system, so `SystemContext` keeps them once, as (state,
-label) keys over the Parikh table, and is itself the block every system
-holds; no pipeline builds them as `Row` objects.  Every edge is a key
-when the LTS is deterministic and its tree vectors are distinct, as the
-state equation M(s) = M0 + C.psi(s) makes them on a reachability graph.
+vectors: one edge row R(s) >= B_a per edge s -a->, and one zero-effect
+row per cycle-basis vector.  These base rows are the same in every
+system, so `SystemContext` keeps them once, one (state, label) key per
+edge over the Parikh table, and is itself the block every system holds;
+no pipeline builds them as `Row` objects.  A repeated tree vector gives
+a repeated row, which moves no pivot.
 `SystemContext` alone fixes which column holds which variable;
 `solution_to_region` reads a solution vector back in the same layout.  A
 `Region` stores R at every state, computed once when it is made, so
@@ -159,9 +158,9 @@ class SystemContext:
     ``names`` spells the columns out for ``dump_lp``.  The context is also
     the block of base rows that every system holds (see `linsys.Rows`):
     one edge row R(s) >= B_t per ``(state, label)`` key, over the tree's
-    Parikh table, then one zero-effect row per cycle-basis vector.  All
-    edges are keys, read off ``lts.edges`` with no dedupe, when the LTS is
-    deterministic and no two states share a tree vector (state equation).
+    Parikh table, then one zero-effect row per cycle-basis vector.  Every
+    edge is a key; a repeated tree vector repeats a row, whose dual column
+    Bland's rule never enters before its twin's, so it moves no pivot.
     """
 
     def __init__(self, lts: Lts, tree: SpanningTree,
@@ -175,20 +174,8 @@ class SystemContext:
         self.names = ("R0",) + tuple(f"B_{x}" for x in lts.labels) \
             + tuple(f"F_{x}" for x in lts.labels)
         self.columns = len(self.names)
-        # one edge row per (psi(s), label), at its first edge: the F
-        # columns spell out psi(s) and the B columns add 1 at the label,
-        # so these are exactly the edges with distinct coefficients.
-        # psi(s) is keyed by its packed int, `SpanningTree.packed`.
-        packed = tree.packed
-        if -1 not in lts.label_masks and len(set(packed)) == len(packed):
-            self.key_states = tuple(map(itemgetter(0), lts.edges))
-            self.key_labels = tuple(map(itemgetter(1), lts.edges))
-        else:
-            first: dict[tuple[int, int], int] = {}
-            for s, t, _ in lts.edges:
-                first.setdefault((packed[s], t), s)
-            self.key_states = tuple(first.values())
-            self.key_labels = tuple(t for _, t in first)
+        self.key_states = tuple(map(itemgetter(0), lts.edges))
+        self.key_labels = tuple(map(itemgetter(1), lts.edges))
         # simplex copies: one per >= row, two per = row
         self.copies = len(self.key_states) + 2 * len(basis)
         self._rows: Optional[tuple[Row, ...]] = None
@@ -462,9 +449,9 @@ def solution_to_region(solution: Solution, tree: SpanningTree) -> Region:
 def normalize_region(region: Region, lts: Lts) -> Region:
     """Drop surplus tokens when every edge stays enabled.
 
-    Subtracting the minimum count from every state keeps all separation
-    answers (differences and shortfalls are preserved) but may violate
-    edge enabledness, in which case the region is returned unchanged.
+    Subtracting the least count keeps every separation answer but may
+    disable an edge; the region is then returned as it is.  No pipeline
+    calls it: a solved region has least count 0 or a tight edge row.
     """
     shift = min(region.marks)
     if shift <= 0:

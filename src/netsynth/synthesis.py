@@ -47,10 +47,10 @@ from netsynth.relations import (Contradiction, MatchingFailure,
 from netsynth.separation import (ESSP, Region, SSP, SeparationProblem,
                                  StatePartition, SystemContext,
                                  brac_block_systems,
-                                 brac_ssp_system_freechoice,
-                                 essp_system_wpi, normalize_region,
-                                 region_to_place, solution_to_region,
-                                 ssp_system_wpi)
+                                 brac_ssp_system_freechoice, essp_system_wpi,
+                                 # the tracer looks normalize_region up here
+                                 normalize_region, region_to_place,
+                                 solution_to_region, ssp_system_wpi)
 
 WPI = "wpi"
 BRAC = "brac"
@@ -222,15 +222,19 @@ def relation_stage(graph: RelationGraph | Contradiction, brac: bool) \
 
 
 def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
-    """The normalised region of a solution of ``system``, or None if it
-    has none; the pivot limit raises ``RuntimeError``, not None.
+    """The region of a solution of ``system``, or None if it has none;
+    the pivot limit raises ``RuntimeError``, not None.
 
     A system with 0/1 columns is solved in integers.  R0 is its one column
     outside the 0/1 set, with coefficient 0 or 1 in every BRAC row, and
     every entry is an integer, so at a basic solution whose 0/1 columns
     are integral R0 is integral too: the search never branches on R0 and
     needs no bound row on it.  Any other system is solved over the
-    rationals and lifted to integers.
+    rationals and lifted to integers.  No region is shifted: unless R0 =
+    0, a tight row of the basic witness holds R0, an edge row R(s) = B_t
+    that a shift breaks or a margin R(s) - B_a = -1.  That is R(s) = 0 in
+    BRAC (B_a <= 1); in WPI a tight edge row holds R0 too, else x would
+    be a multiple of e_R0, whose B = 0 breaks the margin.
     """
     if system.zero_one:
         solution = solve_integer(system)
@@ -240,7 +244,7 @@ def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
             solution = lift_homogeneous_to_integer(solution, system)
     if not solution.feasible:
         return None
-    region = normalize_region(solution_to_region(solution, ctx.tree), ctx.lts)
+    region = solution_to_region(solution, ctx.tree)
     if not region.is_valid(ctx.lts):
         raise AssertionError("a solved system gave an invalid region")
     return region

@@ -12,7 +12,9 @@ labels ``a, b, c``, and the edges are in (state, label) order.
 gives 21,464 LTSs, which `test_census.py` runs; `FULL_SHAPES` adds the
 3-state, 3-label shape, 100,884 LTSs in all, which take about 45 s.
 This file runs the full census and prints, per shape and pipeline, the
-successes and the failures by witness kind, then the totals:
+successes and the failures by witness kind, then the totals, and how many
+solved regions have least count 0, how many have a tight edge R(s) = B_t,
+and how many have neither (which must be none):
 
     PYTHONPATH=src python tests/census.py
 """
@@ -26,6 +28,7 @@ import json
 import time
 from typing import Iterator
 
+import netsynth.synthesis
 from netsynth.lts import Lts
 
 from small_nets import PIPELINES, witness_kind
@@ -88,7 +91,27 @@ def run_shape(states: int, labels: int) \
             for name in PIPELINES}
 
 
+def count_regions() -> collections.Counter:
+    """Wrap `netsynth.synthesis.solution_to_region` to count, from then
+    on, the solved regions with least count 0, those with a tight edge and
+    those with neither."""
+    real = netsynth.synthesis.solution_to_region
+    counts = collections.Counter()
+
+    def counted(solution, tree):
+        region = real(solution, tree)
+        zero = min(region.marks) == 0
+        tight = any(region.marks[s] == region.b[t]
+                    for s, t, _ in tree.lts.edges)
+        counts.update(zero=zero, tight=tight, neither=not (zero or tight),
+                      regions=1)
+        return region
+    netsynth.synthesis.solution_to_region = counted
+    return counts
+
+
 def main() -> None:
+    regions = count_regions()
     totals = {name: collections.Counter() for name in PIPELINES}
     for shape in FULL_SHAPES:
         start = time.perf_counter()
@@ -101,6 +124,8 @@ def main() -> None:
     for name, verdicts in totals.items():
         print(f"all  {name:4}  {sum(verdicts.values()):6}  "
               f"{dict(sorted(verdicts.items()))}")
+    print(f"regions {regions['regions']}: least count 0 {regions['zero']}, "
+          f"a tight edge {regions['tight']}, neither {regions['neither']}")
 
 
 if __name__ == "__main__":

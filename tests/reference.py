@@ -23,8 +23,10 @@ checked against, or stands in for, a part of ``src/netsynth``:
   `SystemContext.holds` sum R(parent) + F_t - B_t along the tree instead.
 - `context_keys` keeps the first edge of each distinct (packed Parikh
   vector of its source, label) pair, for any LTS;
-  `netsynth.separation.SystemContext` takes every edge as a key instead
-  when the LTS is deterministic and no two states share a tree vector.
+  `netsynth.separation.SystemContext` takes every edge as a key instead.
+  It keys the twin context of tests/test_separation.py's repeated-key
+  test, which solves each system of a context that repeats a key over
+  that twin too and expects the same solution.
 - `fire` fires one transition on a tuple marking, naming the first
   blocking place; `netsynth.petri.reachability_graph` and `realises` fire
   through the packed kernel instead.  `w_in` is a consume weight.

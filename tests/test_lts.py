@@ -938,19 +938,10 @@ def reference_tree(lts):
                                         for s in range(len(lts.states))))
 
 
-def reference_keys(lts, parikh):
-    """`SystemContext`'s first edge per ``(psi(s), label)``, keyed by the
-    Parikh tuple itself: ``(key_states, key_labels)``."""
-    first = {}
-    for s, t, _ in lts.edges:
-        first.setdefault((parikh[s], t), s)
-    return tuple(first.values()), tuple(t for _, t in first)
-
-
 def assert_front_end_matches_reference(lts, name=""):
-    """`validate`, `spanning_tree`, `cycle_basis` and the context's keys
-    equal the references; returns the report and, for a reachable LTS,
-    the tree and context."""
+    """`validate`, `spanning_tree` and `cycle_basis` equal the references
+    and the context's keys are the edges' sources and labels; returns the
+    report and, for a reachable LTS, the tree and context."""
     report = validate(lts)
     assert report == reference_validate(lts), name
     if not report.reachable:
@@ -961,8 +952,8 @@ def assert_front_end_matches_reference(lts, name=""):
     basis = cycle_basis(lts, tree)
     assert basis == reference_basis(ref), name
     ctx = SystemContext(lts, tree, basis)
-    assert (ctx.key_states, ctx.key_labels) == \
-        reference_keys(lts, ref.parikh), name
+    assert ctx.key_states == tuple(s for s, _, _ in lts.edges), name
+    assert ctx.key_labels == tuple(t for _, t, _ in lts.edges), name
     return report, tree, ctx
 
 
@@ -974,9 +965,9 @@ def path(edges):
 
 class TestFrontEndReference:
     """`validate` reads `Lts.label_masks`, `spanning_tree` leaves the
-    out-edges unsorted and packs the Parikh vectors, and `cycle_basis` and
-    `SystemContext` key on the packed ints; the results are those of the
-    references above."""
+    out-edges unsorted and packs the Parikh vectors, and `cycle_basis`
+    keys on the packed ints; the results are those of the references
+    above, and `SystemContext` takes every edge as a key."""
 
     def test_generated_graphs(self):
         for name, lts in basis_graphs().items():
@@ -1000,7 +991,7 @@ class TestFrontEndReference:
         assert lts.label_masks[0] == -1
         assert not report.deterministic and not report.ok
         assert report.nondeterministic_witness == ((0, 0, 1), (0, 0, 1))
-        assert ctx.key_states == (0,)
+        assert ctx.key_states == (0, 0)
         with pytest.raises(LtsError):
             report.raise_if_invalid()
 
@@ -1022,8 +1013,8 @@ class TestFrontEndReference:
         assert tree.parent == {1: (0, 0), 2: (0, 1)}
 
     def test_states_sharing_a_parikh_vector(self):
-        # s3 and s4 are both reached by a and b, so their c edges give one
-        # edge row, at s3's edge; no net's graph has such a pair
+        # s3 and s4 are both reached by a and b, so their c edges give
+        # two equal edge rows; no net's graph has such a pair
         lts = parse_lts("initial s0\ns0 a s1\ns0 b s2\ns1 b s3\ns2 a s4\n"
                         "s3 c s5\ns4 c s6\n")
         _, tree, ctx = assert_front_end_matches_reference(lts)
@@ -1032,8 +1023,8 @@ class TestFrontEndReference:
         assert tree.packed[s3] == tree.packed[s4]
         c = lts.labels.index("c")
         assert [s for s, t in zip(ctx.key_states, ctx.key_labels)
-                if t == c] == [s3]
-        assert len(ctx.key_states) == len(lts.edges) - 1
+                if t == c] == [s3, s4]
+        assert len(ctx.key_states) == len(lts.edges)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
     def test_one_label_path(self, k):

@@ -830,99 +830,104 @@ class TestBaseBlock:
 
 
 class TestContextKeys:
-    """`SystemContext` takes every edge as a key when the LTS is
-    deterministic and no two states share a tree vector, and otherwise
-    keeps the first edge of each (tree vector, label); both give the keys
-    of `context_keys`, the per-edge dedupe, in edge order."""
-
-    @staticmethod
-    def fast(lts, tree):
-        """Whether the context takes every edge as a key."""
-        return -1 not in lts.label_masks and \
-            len(set(tree.packed)) == len(tree.packed)
+    """`SystemContext` takes every edge as a key, in edge order.  Edges of
+    one label from states with one tree vector give equal edge rows, whose
+    repeated dual columns move no pivot: `context_keys`, which keeps the
+    first edge of each (tree vector, label), gives the same solves."""
 
     @staticmethod
     def check(lts):
-        """Compare the context's keys with `context_keys`; return whether
-        every edge is a key."""
+        """Assert that the context's keys are the edge columns; return
+        whether `context_keys` repeats a key of them."""
         tree = spanning_tree(lts)
         ctx = SystemContext(lts, tree, cycle_basis(lts, tree))
-        assert (ctx.key_states, ctx.key_labels) == \
-            context_keys(lts, tree), lts.edges
-        return len(ctx.key_states) == len(lts.edges)
+        assert ctx.key_states == tuple(s for s, _, _ in lts.edges)
+        assert ctx.key_labels == tuple(t for _, t, _ in lts.edges)
+        return len(context_keys(lts, tree)[0]) < len(lts.edges)
 
     def test_census(self):
         # no two states of a census LTS share a tree vector
         from census import SHAPES, census
-        assert all(self.check(lts) for shape in SHAPES
-                   for lts in census(*shape))
+        assert not any(self.check(lts) for shape in SHAPES
+                       for lts in census(*shape))
 
     def test_random_lts_in_three_edge_orders(self):
         from netsynth.oracle import random_lts
         rng = random.Random(50)
-        merged = 0
+        repeated = 0
         for i in range(300):
             lts = random_lts(i, 24, 6)
             shuffled = list(lts.edges)
             rng.shuffle(shuffled)
             for edges in (lts.edges, lts.edges[::-1], tuple(shuffled)):
-                merged += not self.check(Lts(lts.states, lts.labels,
-                                             edges, lts.initial))
-        assert merged > 0
+                repeated += self.check(Lts(lts.states, lts.labels,
+                                           edges, lts.initial))
+        assert repeated > 0
 
     def test_roundtrip_and_ladder_graphs_key_every_edge(self):
+        # the state equation makes a reachability graph's tree vectors
+        # distinct, so no key repeats
         from netsynth.oracle import random_brac_net
         from netsynth.petri import reachability_graph
         nets = [random_brac_net(i) for i in range(100)]
         nets += [random_brac_net(s, 6, 4) for s in (44, 17, 38)]
         for net in nets:
             lts = reachability_graph(net, 100_000)
-            assert self.fast(lts, spanning_tree(lts))
-            assert self.check(lts)
+            tree = spanning_tree(lts)
+            assert len(set(tree.packed)) == len(tree.packed)
+            assert not self.check(lts)
 
     def test_repeated_label_at_a_state(self):
         """`Lts` takes two edges of one label at a state, which `validate`
-        reports; the tree vectors stay distinct, and the repeated
-        (state, label) is one key."""
+        reports; the tree vectors stay distinct, both edges are keys, and
+        `context_keys` makes the repeated (state, label) one key."""
         for edges in (((0, 0, 1), (0, 0, 0), (1, 1, 0)),
                       ((0, 0, 1), (1, 1, 0), (0, 0, 1))):
             lts = Lts(("s0", "s1"), ("a", "b"), edges, 0)
             tree = spanning_tree(lts)
             assert len(set(tree.packed)) == 2
-            assert not self.check(lts)
+            assert self.check(lts)
             assert context_keys(lts, tree) == ((0, 1), (0, 1))
 
-    def test_verdict_mix_takes_both_paths(self, monkeypatch):
-        """Of the contexts the two pipelines build on the inputs of the
-        benchmark's verdict-mix workload, some take every edge as a key
-        and some run the dedupe."""
-        import pathlib
+    def test_repeated_keys_leave_every_solve_unchanged(self, monkeypatch):
+        """Every solve, branch-and-bound nodes included, of a context with
+        a repeated (tree vector, label) key gives the status, witness and
+        pivots of the same parts over a twin context keyed by
+        `context_keys`."""
+        import netsynth.linsys
         import netsynth.synthesis
         from netsynth.oracle import random_lts
+        solve = netsynth.linsys.solve_rational
+        twins = {}  # id -> (context, twin); the context keeps its id unique
+        compared = []
 
-        class Built(Exception):
-            pass
+        def twin_of(ctx):
+            if id(ctx) not in twins:
+                keys = context_keys(ctx.lts, ctx.tree)
+                twin = None
+                if keys != (ctx.key_states, ctx.key_labels):
+                    twin = SystemContext(ctx.lts, ctx.tree, ctx.basis)
+                    twin.key_states, twin.key_labels = keys
+                    twin.copies = len(keys[0]) + 2 * len(ctx.basis)
+                twins[id(ctx)] = ctx, twin
+            return twins[id(ctx)][1]
 
-        prepare = netsynth.synthesis._prepare
-        contexts = []
-
-        def record(lts):
-            contexts.append(prepare(lts))
-            raise Built
-        monkeypatch.setattr(netsynth.synthesis, "_prepare", record)
-        fixtures = pathlib.Path(__file__).parent / "fixtures"
-        inputs = [parse_lts(p.read_text())
-                  for p in sorted(fixtures.glob("*.lts"))]
-        inputs += [random_lts(i, 24, 6) for i in range(300)]
-        for lts in inputs:
-            for pipeline in (netsynth.synthesis.synthesize_brac,
-                             netsynth.synthesis.synthesize_wpi):
-                try:
-                    pipeline(lts)
-                except Built:
-                    pass
-        fast = [self.fast(ctx.lts, ctx.tree) for ctx in contexts]
-        assert any(fast) and not all(fast)
-        for ctx in contexts:
-            assert (ctx.key_states, ctx.key_labels) == \
-                context_keys(ctx.lts, ctx.tree)
+        def compare(system):
+            solution = solve(system)
+            ctx, = (p for p in system.rows.parts if not isinstance(p, Row))
+            twin = twin_of(ctx)
+            if twin is not None:
+                parts = tuple(twin if p is ctx else p
+                              for p in system.rows.parts)
+                compared.append((solution, solve(LinearSystem(
+                    system.columns, parts, system.zero_one))))
+            return solution
+        monkeypatch.setattr(netsynth.linsys, "solve_rational", compare)
+        monkeypatch.setattr(netsynth.synthesis, "solve_rational", compare)
+        for i in range(3000):
+            lts = random_lts(i, 24, 6)
+            netsynth.synthesis.synthesize_brac(lts)
+            netsynth.synthesis.synthesize_wpi(lts)
+        assert len(compared) >= 40
+        for solution, twin in compared:
+            assert solution == twin

@@ -194,16 +194,11 @@ ALLOWED = {
     ("separation.solution_to_region",
      'raise ValueError(f"non-integral value in column {j}: {v}/{den}")'):
         "guard: `_region` converts only integer solutions",
-    ("separation.normalize_region", "candidate = Region(region.r0 - shift, "
-     "region.b, region.f,"):
-        "perfbench: no solved region changes when shifted, so the "
-        "function waits for ROADMAP item 1 to drop it from the tracer",
-    ("separation.normalize_region", "if candidate.is_valid(lts):"):
-        "perfbench: see `normalize_region`'s shift",
-    ("separation.normalize_region", "return candidate"):
-        "perfbench: see `normalize_region`'s shift",
-    ("separation.normalize_region", "return region"):
-        "perfbench: see `normalize_region`'s shift",
+    "separation.normalize_region":
+        "perfbench: the tracer wraps it, and no pipeline calls it, as a "
+        "solved region has least count 0 or a tight edge row (tests/"
+        "test_synthesis.py::TestSolvedRegionsNeedNoShift); it waits for "
+        "ROADMAP item 1 to drop it from the tracer",
     ("synthesis.SynthesisConfig.__post_init__",
      'raise ValueError(f"{name} must be at least 1")'):
         "guard: `synth` refuses a cap below 1 first",

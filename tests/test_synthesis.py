@@ -21,7 +21,7 @@ from netsynth.relations import (Contradiction, MatchingFailure,
 from netsynth.separation import (ESSP, Region, SSP, StatePartition,
                                  SystemContext, brac_block_systems,
                                  brac_ssp_system_freechoice,
-                                 essp_system_wpi)
+                                 essp_system_wpi, normalize_region)
 from netsynth.synthesis import (SynthesisConfig, _prepare,
                                 relation_stage, synthesize_brac,
                                 synthesize_wpi, verify_solution)
@@ -1177,3 +1177,36 @@ class TestRelationRowsOncePerGraph:
         kinds = {tag.split(":")[0] for _, tag in built}
         assert kinds == {"tie", "disjoint"}
         assert max(built.values()) == 1
+
+
+class TestSolvedRegionsNeedNoShift:
+    """A witness is a basic solution, so unless R0 = 0 a tight row holds
+    R0: an edge row R(s) = B_t, or an event separation's margin, which
+    BRAC's B_a <= 1 makes R(s) = 0 and WPI's other homogeneous tight rows
+    cannot all miss.  So every solved region has least count 0 or a tight
+    edge, and `normalize_region`'s shift would leave it as it is."""
+
+    def test_every_region_has_a_zero_or_a_tight_edge(self, monkeypatch):
+        real = netsynth.synthesis.solution_to_region
+        kinds = set()
+
+        def check(solution, tree):
+            region = real(solution, tree)
+            zero = min(region.marks) == 0
+            tight = any(region.marks[s] == region.b[t]
+                        for s, t, _ in tree.lts.edges)
+            assert zero or tight, tree.lts.edges
+            assert normalize_region(region, tree.lts) == region
+            kinds.add((zero, tight))
+            return region
+        monkeypatch.setattr(netsynth.synthesis, "solution_to_region", check)
+        inputs = [parse_lts(p.read_text())
+                  for p in sorted(FIXTURES.glob("*.lts"))]
+        inputs += [reachability_graph(random_brac_net(i), 100_000)
+                   for i in range(100)]
+        inputs += [random_lts(i, 24, 6) for i in range(300)]
+        for lts in inputs:
+            synthesize_brac(lts)
+            synthesize_wpi(lts)
+        assert any(zero for zero, _ in kinds)
+        assert any(tight and not zero for zero, tight in kinds)
