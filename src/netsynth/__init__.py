@@ -12,7 +12,7 @@ from netsynth.lts import (Lts, SpanningTree, ParikhVector, ValidationReport,
 from netsynth.linsys import (LinearSystem, Row, Solution, make_row,
                              solve_rational, solve_integer,
                              lift_homogeneous_to_integer, dump_lp)
-from netsynth.relations import (PairRelation, RelationGraph, Contradiction,
+from netsynth.relations import (RelationGraph, Contradiction,
                                 classify_case, build_relation_graph,
                                 quotient_by_equivalence,
                                 strengthen_wpi, strengthen_brac,
@@ -21,7 +21,7 @@ from netsynth.separation import (SeparationProblem, Region,
                                  essp_system_wpi, ssp_system_wpi,
                                  brac_block_systems,
                                  brac_ssp_system_freechoice, region_to_place)
-from netsynth.petri import (PetriNet, Marking, NetClass,
+from netsynth.petri import (PetriNet, Marking,
                             reachability_graph, classify_net, isomorphic,
                             parse_net, serialize_net, render_dot)
 from netsynth.synthesis import (SynthesisConfig, SynthesisReport,

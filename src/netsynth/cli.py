@@ -25,7 +25,7 @@ from netsynth.petri import (CapExceeded, PetriNetError, classify_net,
                             serialize_net)
 from netsynth.relations import (DOI, INCLUDED, Contradiction,
                                 build_relation_graph, classify_case,
-                                pair_relations)
+                                scan_pairs)
 from netsynth.synthesis import (CAP_EXCEEDED, SynthesisConfig,
                                 relation_stage, synthesize_brac,
                                 synthesize_wpi, verify_solution)
@@ -39,12 +39,6 @@ INTERNAL = 4
 
 class _OptionError(Exception):
     """An option value the command cannot run with."""
-
-
-def _at_least_one(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) < 1:
-            raise _OptionError(f"{name} must be at least 1")
 
 
 def _read(path: str) -> str:
@@ -149,9 +143,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_relations(args) -> int:
     lts = _load_valid_lts(args.file)
-    pairs = [{"a": lts.labels[a], "b": lts.labels[b], "kind": rel.kind,
-              "merge": rel.merge, "case": classify_case(rel)}
-             for (a, b), rel in pair_relations(lts)]
+    pairs = [{"a": lts.labels[a], "b": lts.labels[b], "kind": kind,
+              "merge": bool(merge), "case": classify_case(kind, merge)}
+             for a, b, kind, merge in scan_pairs(lts)]
     contradictions = []
     graph_entries = []
     raw = build_relation_graph(lts)
@@ -181,10 +175,12 @@ def _cmd_relations(args) -> int:
 
 def _cmd_synth(args) -> int:
     lts = parse_lts(_read(args.file))
-    _at_least_one(args, "selfloop_cap", "ssp_combo_cap")
-    cfg = SynthesisConfig(selfloop_cap=args.selfloop_cap,
-                          ssp_combo_cap=args.ssp_combo_cap,
-                          prune=args.prune)
+    try:
+        cfg = SynthesisConfig(selfloop_cap=args.selfloop_cap,
+                              ssp_combo_cap=args.ssp_combo_cap,
+                              prune=args.prune)
+    except ValueError as exc:
+        raise _OptionError(str(exc)) from None
     run = synthesize_brac if args.target_class == "brac" else synthesize_wpi
     report = run(lts, cfg)
     outputs = []
@@ -212,14 +208,15 @@ def _cmd_synth(args) -> int:
 
 def _cmd_check(args) -> int:
     net = parse_net(_read(args.file))
-    flags = classify_net(net)
-    _write((args.json, _json({"schema": 1, "flags": sorted(flags.flags())})))
-    return OK if flags.has(args.target_class) else IMPOSSIBLE
+    classes = classify_net(net)
+    _write((args.json, _json({"schema": 1, "flags": sorted(classes)})))
+    return OK if args.target_class.upper() in classes else IMPOSSIBLE
 
 
 def _cmd_rg(args) -> int:
     net = parse_net(_read(args.file))
-    _at_least_one(args, "rg_cap")
+    if args.rg_cap < 1:
+        raise _OptionError("rg_cap must be at least 1")
     _write((args.output, serialize_lts(reachability_graph(net, args.rg_cap))))
     return OK
 

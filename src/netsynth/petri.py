@@ -113,17 +113,14 @@ def _kernel(net: PetriNet, order: Sequence[int], depth: int):
     eff = [e - x for e, x in zip(eff, need)]
     tests = [(1 << i, x, y) for i, (x, y) in enumerate(zip(need, guard))]
     guards = sum(unit) << (w - 1)
-    # per bit i the tests of hit[i], built on first use; the entry past
-    # the last bit holds every test, for m0
-    hits = [None] * len(order) + [tests]
+    # per bit i the tests of hit[i]; the entry past the last bit holds
+    # every test, for m0
+    hits = [[tests[j] for j in {j for p in ps for j in consumers[p]}]
+            for ps in changes] + [tests]
 
     def after(m: int, en: int, i: int) -> int:
-        hit = hits[i]
-        if hit is None:
-            hit = hits[i] = [tests[j] for j in {
-                j for p in changes[i] for j in consumers[p]}]
         m |= guards
-        for b, need_b, guard_b in hit:
+        for b, need_b, guard_b in hits[i]:
             if (m - need_b) & guard_b == guard_b:
                 en |= b
             else:
@@ -171,34 +168,15 @@ def reachability_graph(net: PetriNet, cap: int = 100_000) -> Lts:
                initial=0)
 
 
-class NetClass(NamedTuple):
-    """Structural class flags of one net."""
-
-    plain: bool
-    mg: bool
-    cf: bool
-    ec: bool
-    efc: bool
-    wpi: bool
-    wac: bool
-    ac: bool
-    rac: bool
-    brac: bool
-
-    def flags(self) -> set[str]:
-        return {name.upper() for name, val in self._asdict().items() if val}
-
-    def has(self, name: str) -> bool:
-        return getattr(self, name.lower())
-
-
 def _comparable(u: Sequence[int], v: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(u, v)) or \
         all(a >= b for a, b in zip(u, v))
 
 
-def classify_net(net: PetriNet) -> NetClass:
-    """Evaluate every class predicate by direct quantification.
+def classify_net(net: PetriNet) -> frozenset[str]:
+    """The names of the classes ``net`` is in (PLAIN, MG, CF, EC, EFC,
+    WPI, WAC, AC, RAC, BRAC), each predicate evaluated by direct
+    quantification.
 
     Marked graphs follow the standard definition: plain with at most one
     consumer and one producer per place.
@@ -254,8 +232,9 @@ def classify_net(net: PetriNet) -> NetClass:
             if not (ppost[p] == ppost[q] or n_block(p, q) or n_block(q, p)):
                 brac = False
     ac = wac and plain
-    return NetClass(plain=plain, mg=mg, cf=cf, ec=ec, efc=efc, wpi=wpi,
-                    wac=wac, ac=ac, rac=rac, brac=brac)
+    return frozenset(name for name, held in zip(
+        ("PLAIN", "MG", "CF", "EC", "EFC", "WPI", "WAC", "AC", "RAC", "BRAC"),
+        (plain, mg, cf, ec, efc, wpi, wac, ac, rac, brac)) if held)
 
 
 class Mismatch(NamedTuple):

@@ -6,9 +6,9 @@ six cases that fix the preset relation of the two transitions in any
 comparable-preset net: identical, properly included, disjoint, or, for
 self-loops, an unresolved "disjoint or included" (doi) edge.  One scan
 classifies every pair straight from the LTS's label and state masks and
-one disabled mask per label; `build_relation_graph` reads it without a
-`PairRelation` per pair and stops at the first pair that is enabled
-independently and deactivating (case 1), before it builds any edge.
+one disabled mask per label (`scan_pairs`); `build_relation_graph` reads
+it and stops at the first pair that is enabled independently and
+deactivating (case 1), before it builds any edge.
 
 Triangle rules then strengthen doi edges: some configurations force
 disjointness, some force inclusion, and some are contradictory, failing the
@@ -84,13 +84,6 @@ _TRIANGLE: dict[tuple[int, int], tuple[int, Optional[str], bool]] = {
     (_DOI_TO, _DOI_FROM): (24, None, False),
     (_DOI_FROM, _DOI_FROM): (25, None, False),
 }
-
-
-class PairRelation(NamedTuple):
-    """Enabledness kind plus deactivation flag of an ordered label pair."""
-
-    kind: str
-    merge: bool
 
 
 class Contradiction(NamedTuple):
@@ -174,16 +167,17 @@ class RelationGraph:
                       if e.kind == INCLUDED)
 
 
-def classify_case(rel: PairRelation) -> int:
-    """Map a pair relation to its case number 1..6."""
-    if rel.kind == INTERLEAVE:
-        return 1 if rel.merge else 2
-    if rel.kind == EQUIV:
-        return 3 if rel.merge else 4
-    return 5 if rel.merge else 6
+def classify_case(kind: str, merge: int) -> int:
+    """The case number 1..6 of a pair's enabledness kind and deactivation
+    flag."""
+    if kind == INTERLEAVE:
+        return 1 if merge else 2
+    if kind == EQUIV:
+        return 3 if merge else 4
+    return 5 if merge else 6
 
 
-def _scan_pairs(lts: Lts) -> Iterator[tuple[int, int, str, int]]:
+def scan_pairs(lts: Lts) -> Iterator[tuple[int, int, str, int]]:
     """Every label pair ``(a, b)``, ``a < b``, in index order, as
     ``(a, b, kind, merge)`` over a deterministic LTS: the enabledness
     kind, and ``merge`` 1 if one label deactivates the other, else 0.
@@ -215,19 +209,6 @@ def _scan_pairs(lts: Lts) -> Iterator[tuple[int, int, str, int]]:
             yield a, b, kind, off >> b & 1 or disabled[b] >> a & 1
 
 
-def pair_relations(lts: Lts) \
-        -> Iterator[tuple[tuple[int, int], PairRelation]]:
-    """Every label pair ``(a, b)``, ``a < b``, in index order, with its
-    `PairRelation`, over a deterministic LTS.
-
-    The pairs are `_scan_pairs`', as `build_relation_graph` reads them.
-    `pair_relation` in ``tests/reference.py`` scans one pair at a time, as
-    the reference.
-    """
-    for a, b, kind, merge in _scan_pairs(lts):
-        yield (a, b), PairRelation(kind, bool(merge))
-
-
 def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
     """Derive the preset-relation edge for every label pair.
 
@@ -235,11 +216,10 @@ def build_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
     contradiction: the scan stops at the first such pair, before any edge
     is built.  In case 6 the more broadly enabled label must be a
     self-loop for the unresolved doi edge to exist; otherwise the presets
-    are disjoint.  The pairs come from `_scan_pairs`, with no
-    `PairRelation` built.
+    are disjoint.  The pairs come from `scan_pairs`.
     """
     pairs = []
-    for pair in _scan_pairs(lts):
+    for pair in scan_pairs(lts):
         a, b, kind, merge = pair
         if merge and kind == INTERLEAVE:
             return Contradiction((a, b), "deactivating-interleave",

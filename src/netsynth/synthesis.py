@@ -75,7 +75,7 @@ class SynthesisConfig:
 class VerificationRecord(NamedTuple):
     isomorphic: bool
     mismatch: Optional[str]
-    classes: set[str]
+    classes: frozenset[str]
     target_ok: bool
 
     @property
@@ -187,10 +187,10 @@ def verify_solution(net: PetriNet, lts: Lts,
             found = Mismatch("state counts differ")
         if isinstance(found, Mismatch):
             mismatch = found.reason
-    flags = classify_net(net).flags()
-    target_ok = target_class.upper() in flags
+    classes = classify_net(net)
     return VerificationRecord(isomorphic=mismatch is None, mismatch=mismatch,
-                              classes=flags, target_ok=target_ok)
+                              classes=classes,
+                              target_ok=target_class.upper() in classes)
 
 
 def _verified_net(lts: Lts, regions: list[Region],

@@ -5,11 +5,12 @@ which import this module the way they import ``conftest``.  Each is
 checked against, or stands in for, a part of ``src/netsynth``:
 
 - `pair_relation` scans the edges and the (state, label) -> target map of
-  one label pair; it is the reference for `netsynth.relations.pair_relations`,
-  which finds every pair from the label and state masks in one pass.
-  `reference_relation_graph` builds the relation graph pair by pair from
-  it and `classify_case`, a `PairRelation` and an `Edge` per pair; it is
-  the reference for `netsynth.relations.build_relation_graph`.
+  one label pair and returns its `PairRelation`; it is the reference for
+  `netsynth.relations.scan_pairs`, which finds every pair from the label
+  and state masks in one pass.  `reference_relation_graph` builds the
+  relation graph pair by pair from it and `classify_case`, a
+  `PairRelation` and an `Edge` per pair; it is the reference for
+  `netsynth.relations.build_relation_graph`.
 - `evaluate` and `satisfied_by` check a row and a system in Fractions,
   without the integer re-substitution (`netsynth.linsys.Row.holds`,
   `LinearSystem.holds`) that `solve_rational` and `solve_integer` use.
@@ -59,18 +60,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
 from netsynth.lts import Lts, SpanningTree, spanning_tree
 from netsynth.petri import Marking, Mismatch, PetriNet, PetriNetError
 from netsynth.relations import (A_GTR_B, B_GTR_A, DISJOINT, DOI, EQUIV,
                                 EQUIVALENT, INCLUDED, INTERLEAVE,
-                                Contradiction, Edge, PairRelation,
-                                RelationGraph, classify_case)
+                                Contradiction, Edge, RelationGraph,
+                                classify_case)
 from netsynth.separation import ESSP, Region, SSP, SeparationProblem
 
 _OPERATORS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
+
+
+class PairRelation(NamedTuple):
+    """Enabledness kind plus deactivation flag of an ordered label pair."""
+
+    kind: str
+    merge: bool
 
 
 def pair_relation(lts: Lts, a: int, b: int) -> PairRelation:
@@ -110,7 +118,7 @@ def reference_relation_graph(lts: Lts) -> RelationGraph | Contradiction:
     for a in range(n):
         for b in range(a + 1, n):
             rel = pair_relation(lts, a, b)
-            case = classify_case(rel)
+            case = classify_case(rel.kind, rel.merge)
             # in cases 5 and 6, the label enabled in more states, and the
             # other
             wide, narrow = (b, a) if rel.kind == A_GTR_B else (a, b)

@@ -107,9 +107,9 @@ def distinct_graphs(nets: Iterable[PetriNet]) \
         if len(lts.labels) < len(net.transitions):
             continue
         kept += 1
-        flags = classify_net(net)
+        held = classify_net(net)
         _, classes = graphs.setdefault(graph_key(lts), (lts, set()))
-        classes.update(name for name in PIPELINES if flags.has(name))
+        classes.update(name for name in PIPELINES if name.upper() in held)
     return kept, graphs
 
 

@@ -61,8 +61,7 @@ def test_criterion_1_fig1_end_to_end(tmp_path):
         rg = reachability_graph(net)
         assert len(rg.states) == 15 and len(rg.edges) == 24
         assert isinstance(isomorphic(load_lts("fig1"), rg), dict)
-        flags = classify_net(net).flags()
-        assert {"BRAC", "WPI"} <= flags
+        assert {"BRAC", "WPI"} <= classify_net(net)
         payload = json.loads(report_path.read_text())
         assert payload["verification"]["isomorphic"]
 
@@ -177,7 +176,7 @@ def test_criterion_5_brac7_forced_inclusion(tmp_path):
         wc = consume_vector(net, "c")
         we = consume_vector(net, "e")
         assert all(x <= y for x, y in zip(wc, we)) and wc != we
-        assert "BRAC" in classify_net(net).flags()
+        assert "BRAC" in classify_net(net)
 
 
 def _random_general_net(seed: int) -> PetriNet:
@@ -200,24 +199,24 @@ def _random_general_net(seed: int) -> PetriNet:
 
 def test_criterion_6_class_predicates():
     with criterion(6, "class predicates and inclusion implications hold"):
-        assert classify_net(load_net("ec-net")).ec
+        assert "EC" in classify_net(load_net("ec-net"))
         middle = classify_net(load_net("wac-net"))
-        assert middle.wac and not middle.wpi
+        assert "WAC" in middle and "WPI" not in middle
         weighted_n = classify_net(load_net("wrac-net"))
-        assert weighted_n.wac and not weighted_n.wpi
+        assert "WAC" in weighted_n and "WPI" not in weighted_n
         swapped = classify_net(load_net("wrac-net-swapped"))
-        assert swapped.wpi and not swapped.wac
+        assert "WPI" in swapped and "WAC" not in swapped
         for seed in range(1000):
             net = random_brac_net(seed) if seed % 2 else \
                 _random_general_net(seed)
             f = classify_net(net)
-            assert not f.brac or (f.wpi and f.ac)
-            assert not f.rac or f.brac
-            assert not f.efc or (f.ec and f.plain)
-            assert not f.ec or f.wac
-            assert not f.cf or f.ec
-            assert not f.mg or f.cf
-            assert not f.ac or f.wac
+            assert "BRAC" not in f or {"WPI", "AC"} <= f
+            assert "RAC" not in f or "BRAC" in f
+            assert "EFC" not in f or {"EC", "PLAIN"} <= f
+            assert "EC" not in f or "WAC" in f
+            assert "CF" not in f or "EC" in f
+            assert "MG" not in f or "CF" in f
+            assert "AC" not in f or "WAC" in f
 
 
 def test_criterion_7_lp_sanity():

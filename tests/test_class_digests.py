@@ -44,7 +44,7 @@ def families() -> dict[str, Iterable[PetriNet]]:
 def class_lines() -> dict[str, list[str]]:
     """Family name -> per net, the sorted names of its classes, joined
     by commas."""
-    return {name: [",".join(sorted(classify_net(net).flags()))
+    return {name: [",".join(sorted(classify_net(net)))
                    for net in nets] for name, nets in families().items()}
 
 

@@ -144,42 +144,41 @@ class TestReachabilityPins:
 
 class TestClassify:
     def test_equal_conflict_net(self):
-        flags = classify_net(load_net("ec-net"))
-        assert flags.ec and flags.wac and not flags.plain
+        classes = classify_net(load_net("ec-net"))
+        assert {"EC", "WAC"} <= classes and "PLAIN" not in classes
 
     def test_increasing_postsets_net(self):
-        flags = classify_net(load_net("wac-net"))
-        assert flags.wac and not flags.wpi
+        classes = classify_net(load_net("wac-net"))
+        assert "WAC" in classes and "WPI" not in classes
 
     def test_weighted_n_shape_net(self):
-        flags = classify_net(load_net("wrac-net"))
-        assert flags.wac and not flags.wpi
+        classes = classify_net(load_net("wrac-net"))
+        assert "WAC" in classes and "WPI" not in classes
 
     def test_weight_swap_flips_classes(self):
-        flags = classify_net(load_net("wrac-net-swapped"))
-        assert flags.wpi and not flags.wac
+        classes = classify_net(load_net("wrac-net-swapped"))
+        assert "WPI" in classes and "WAC" not in classes
 
     def test_fig1_net_full_flags(self, fig1_net):
-        flags = classify_net(fig1_net)
-        assert flags.plain and flags.rac and flags.brac and flags.wpi
-        assert not flags.cf and not flags.ec
+        classes = classify_net(fig1_net)
+        assert {"PLAIN", "RAC", "BRAC", "WPI"} <= classes
+        assert not {"CF", "EC"} & classes
 
     def test_marked_graph(self):
         net = parse_net("place p 1\nplace q 0\ntransition t\n"
                         "transition u\narc p t\narc t q\narc q u\narc u p\n")
-        flags = classify_net(net)
-        assert flags.mg and flags.cf
+        assert {"MG", "CF"} <= classify_net(net)
 
     def test_implications_on_random_nets(self):
         for seed in range(150):
             f = classify_net(random_brac_net(seed))
-            assert not f.brac or (f.wpi and f.ac and f.plain)
-            assert not f.rac or f.brac
-            assert not f.efc or f.ec
-            assert not f.ec or f.wac
-            assert not f.cf or f.ec
-            assert not f.mg or f.cf
-            assert not f.ac or f.wac
+            assert "BRAC" not in f or {"WPI", "AC", "PLAIN"} <= f
+            assert "RAC" not in f or "BRAC" in f
+            assert "EFC" not in f or "EC" in f
+            assert "EC" not in f or "WAC" in f
+            assert "CF" not in f or "EC" in f
+            assert "MG" not in f or "CF" in f
+            assert "AC" not in f or "WAC" in f
 
 
 MISMATCH_CASES = [

@@ -7,10 +7,9 @@ from netsynth.lts import parse_lts
 from netsynth.oracle import random_lts
 from netsynth.relations import (A_GTR_B, B_GTR_A, Contradiction, DISJOINT,
                                 DOI, EQUIV, EQUIVALENT, Edge, INCLUDED,
-                                INTERLEAVE, MatchingFailure, PairRelation,
-                                RelationGraph, STRENGTHENED,
-                                build_relation_graph,
-                                classify_case, pair_relations,
+                                INTERLEAVE, MatchingFailure, RelationGraph,
+                                STRENGTHENED, build_relation_graph,
+                                classify_case, scan_pairs,
                                 quotient_by_equivalence,
                                 resolve_inclusion_matching, strengthen_brac,
                                 strengthen_wpi)
@@ -86,11 +85,11 @@ class TestClassifyCase:
         (A_GTR_B, False, 6), (B_GTR_A, False, 6),
     ])
     def test_mapping(self, kind, merge, case):
-        assert classify_case(PairRelation(kind, merge)) == case
+        assert classify_case(kind, merge) == case
 
     def test_genx_is_case_one(self, genx):
         r = rel(genx, "a", "b")
-        assert classify_case(r) == 1
+        assert classify_case(r.kind, r.merge) == 1
 
 
 class TestBuildGraph:
@@ -124,7 +123,7 @@ class TestBuildGraph:
                         "s1 b s0\ns2 b s3\ns3 b s2\n")
         assert not lts.self_loop_labels
         a, b = lts.labels.index("a"), lts.labels.index("b")
-        assert classify_case(pair_relation(lts, a, b)) == 6
+        assert classify_case(*pair_relation(lts, a, b)) == 6
         g = build_relation_graph(lts)
         assert g.edge(a, b) == Edge(DISJOINT, min(a, b), max(a, b))
 
@@ -582,7 +581,7 @@ class TestMatching:
 
 
 class TestOnePassDeactivation:
-    """`pair_relations`, behind the `relations` command, and
+    """`scan_pairs`, behind the `relations` command, and
     `build_relation_graph` read one scan that finds the deactivating pairs
     in one pass over the edges; `pair_relation`'s per-pair scan is the
     reference, and `reference_relation_graph` builds the graph from it
@@ -592,7 +591,7 @@ class TestOnePassDeactivation:
     @staticmethod
     def pairwise(lts):
         n = len(lts.labels)
-        return (((a, b), pair_relation(lts, a, b))
+        return ((a, b, *pair_relation(lts, a, b))
                 for a in range(n) for b in range(a + 1, n))
 
     @staticmethod
@@ -619,7 +618,7 @@ class TestOnePassDeactivation:
 
     def test_table_equals_pairwise_reference(self):
         for lts in self.inputs().values():
-            assert list(pair_relations(lts)) == list(self.pairwise(lts))
+            assert list(scan_pairs(lts)) == list(self.pairwise(lts))
 
     def test_graph_equals_pairwise_reference(self):
         kinds, first_pairs = set(), set()
@@ -663,7 +662,7 @@ class TestOnePassDeactivation:
             return out
         got = outputs()
         for module in (netsynth.relations, netsynth.cli):
-            monkeypatch.setattr(module, "pair_relations", self.pairwise)
+            monkeypatch.setattr(module, "scan_pairs", self.pairwise)
         assert got == outputs()
 
 
@@ -678,7 +677,7 @@ class TestRelationStagePaths:
         lts = parse_lts(CASE6_DISJOINT)
         assert not lts.self_loop_labels
         b, a = lts.labels.index("b"), lts.labels.index("a")
-        assert classify_case(pair_relation(lts, a, b)) == 6
+        assert classify_case(*pair_relation(lts, a, b)) == 6
         assert build_relation_graph(lts).edges == {
             (b, a): Edge(DISJOINT, b, a)}
         report = synthesize(lts)

@@ -199,9 +199,6 @@ ALLOWED = {
         "solved region has least count 0 or a tight edge row (tests/"
         "test_synthesis.py::TestSolvedRegionsNeedNoShift); it waits for "
         "ROADMAP item 1 to drop it from the tracer",
-    ("synthesis.SynthesisConfig.__post_init__",
-     'raise ValueError(f"{name} must be at least 1")'):
-        "guard: `synth` refuses a cap below 1 first",
     ("synthesis._region",
      'raise AssertionError("a solved system gave an invalid region")'):
         "check: every solved region re-simulates every edge",
@@ -426,6 +423,7 @@ def run_the_tool() -> list[int]:
             ["synth", str(made / "leftover.lts"), "--class", "brac",
              "--ssp-combo-cap", "1"],
             ["rg", str(FIXTURES / "fig1-net.pn"), "--rg-cap", "1"],
+            ["rg", str(FIXTURES / "fig1-net.pn"), "--rg-cap", "0"],
             # a new file, the same file again, a device, a directory,
             # then one file named by two outputs
             ["synth", fig1, "--class", "brac", "-o", net],
