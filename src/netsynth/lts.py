@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import compress
 from math import gcd
 from operator import itemgetter, not_, sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 _NAME = re.compile(r"[A-Za-z0-9_]+")
 _LINE_END = re.compile(r"\r\n|\r|\n")
@@ -334,6 +334,21 @@ def _primitive(vec: Sequence[int]) -> Sequence[int]:
     return [x // g for x in vec] if g > 1 else vec
 
 
+def echelon_reduce(vec: Sequence[int],
+                   rows: Iterable[tuple[int, Sequence[int]]]) \
+        -> Sequence[int]:
+    """``vec`` reduced against reduced echelon ``rows``, each a (pivot
+    column, dense row) pair with a positive pivot that the other rows are
+    zero at: each pivot is cleared by cross-multiplication, without
+    fractions, and the result divided by its gcd.  It is zero exactly
+    when ``vec`` lies in the rational span of the rows."""
+    for p, row in rows:
+        a = vec[p]
+        if a:
+            vec = _primitive([row[p] * x - a * y for x, y in zip(vec, row)])
+    return vec
+
+
 def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
     """Integer basis of the span of all chord Parikh vectors.
 
@@ -345,7 +360,7 @@ def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
 
     Each new vector is inserted into an integer echelon basis keyed by pivot
     column, without fractions (after Edmonds, 1967): it is reduced against
-    every pivot by cross-multiplication, and a nonzero remainder becomes a
+    every pivot by `echelon_reduce`, and a nonzero remainder becomes a
     new row whose pivot is eliminated from the rows already there.  Every
     row is divided by its gcd, with its pivot positive.  The rows are the
     reduced row echelon form of the span, which is canonical, as coprime
@@ -366,12 +381,7 @@ def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
         if key in seen:
             continue
         seen.add(key)
-        vec: Sequence[int] = parikh_of_edge(tree, edge)
-        for p, row in rows.items():
-            a = vec[p]
-            if a:
-                vec = _primitive([row[p] * x - a * y
-                                  for x, y in zip(vec, row)])
+        vec = echelon_reduce(parikh_of_edge(tree, edge), rows.items())
         lead = next((k for k, x in enumerate(vec) if x), None)
         if lead is None:
             continue

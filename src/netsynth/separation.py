@@ -26,6 +26,10 @@ and every system holds the same `Row` objects; only the label's included
 rows are built per system.  BRAC systems bound B and F to {0, 1} and pin
 whole blocks.
 
+No region separates two states whose Parikh difference lies in the
+cycle span (`SystemContext.separable`), so the pipelines build no
+system for such a pair.
+
 Separation is strict: an event separation needs R(s) < B_a, a state
 separation R(s1) != R(s2), which the pipelines split into its two signs.
 Each such row is built as a unit margin: R(s) - B_a <= -1, and
@@ -43,7 +47,7 @@ from operator import ge, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
-from netsynth.lts import Lts, ParikhVector, SpanningTree
+from netsynth.lts import Lts, ParikhVector, SpanningTree, echelon_reduce
 from netsynth.petri import PlaceSpec
 from netsynth.relations import DISJOINT, INCLUDED, RelationGraph
 
@@ -267,6 +271,10 @@ class SystemContext:
                         tag=f"essp:{self.lts.states[essp.state]}:"
                             f"{self.lts.labels[essp.label]}")
 
+    def ssp_tag(self, ssp: SSP) -> str:
+        """``ssp:<s1>:<s2>``, the tag of ``ssp``'s margin rows."""
+        return f"ssp:{self.lts.states[ssp.s1]}:{self.lts.states[ssp.s2]}"
+
     def ssp_row(self, ssp: SSP, sign: str) -> Row:
         """The unit margin of R(s1) - R(s2) ``sign`` 0: ``delta <= -1``
         for ``"<"`` and ``delta >= 1`` for ``">"``."""
@@ -276,8 +284,26 @@ class SystemContext:
         parikh = self.tree.parikh
         delta = map(sub, parikh[ssp.s1], parikh[ssp.s2])
         return make_row(self._effect_coeffs(enumerate(delta), {}), rel, const,
-                        tag=f"ssp:{self.lts.states[ssp.s1]}:"
-                            f"{self.lts.states[ssp.s2]}")
+                        tag=self.ssp_tag(ssp))
+
+    def separable(self, ssp: SSP) -> bool:
+        """Whether psi(s1) - psi(s2) lies outside the rational span of the
+        cycle basis, by `echelon_reduce` against its rows.  Inside it no
+        region of any net separates the pair, as R(s1) - R(s2) =
+        (psi(s1) - psi(s2)).(F - B) and F - B is zero on every cycle
+        vector: every system holding the cycle rows and a margin of the
+        pair is infeasible (Badouel, Bernardinello and Darondeau, "Petri
+        Net Synthesis", Springer 2015)."""
+        n = len(self.lts.labels)
+        rows = []
+        for gamma in self.basis:
+            row = [0] * n
+            for t, c in gamma.counts:
+                row[t] = c
+            rows.append((gamma.counts[0][0], row))
+        parikh = self.tree.parikh
+        return any(echelon_reduce(
+            list(map(sub, parikh[ssp.s1], parikh[ssp.s2])), rows))
 
     def class_tie_rows(self, graph: RelationGraph) -> tuple[Row, ...]:
         """Equal consume weights inside every equivalence class.

@@ -5,7 +5,9 @@ equivalence quotient, strengthening), then the spanning tree, cycle basis
 and system context, then separation solving.  The context is built only
 once the relation stage has returned a graph, so a contradiction (or, in
 WPI, the self-loop cap) costs no tree, basis or context.  State
-separation checks only the pairs that no pooled region separates yet.
+separation checks only the pairs that no pooled region separates yet,
+and a pair whose Parikh difference lies in the cycle span, which no
+region separates, gets no system at all.
 
 The comparable-preset target enumerates the residual doi interpretations
 (all-disjoint first) and solves one rational system per separation
@@ -252,14 +254,17 @@ def _region(ctx: SystemContext, system: LinearSystem) -> Optional[Region]:
 
 def _separate(ctx: SystemContext, pool: list[Region],
               problems: Iterable[SeparationProblem],
-              systems: Callable[[SeparationProblem],
-                                Iterator[tuple[str, LinearSystem]]]) \
+              systems: Callable[[SeparationProblem], Iterator[
+                  tuple[str, Optional[LinearSystem]]]]) \
         -> Iterator[tuple[SeparationProblem, list[str]]]:
     """Pool a region for every problem that no pooled region solves yet.
 
     ``systems(problem)`` builds the tagged candidate systems of a problem
     one at a time; the region of the first feasible one is pooled.  Yields
-    every problem no candidate solves, with the tags of those tried.
+    every problem no candidate solves, with the tags of those tried.  A
+    candidate without a system is one of a state pair in the cycle span
+    (`SystemContext.separable`), which no region separates: it is tried
+    without a solve.
 
     A region is pooled only for a problem that no pooled region solves,
     and it solves that problem, so it differs from every pooled region:
@@ -271,7 +276,7 @@ def _separate(ctx: SystemContext, pool: list[Region],
         tags = []
         for tag, system in systems(problem):
             tags.append(tag)
-            region = _region(ctx, system)
+            region = None if system is None else _region(ctx, system)
             if region is not None:
                 pool.append(region)
                 break
@@ -281,21 +286,25 @@ def _separate(ctx: SystemContext, pool: list[Region],
 
 def _candidates(ctx: SystemContext, graph: RelationGraph, reps: list[int],
                 brac: bool) \
-        -> Callable[[SeparationProblem], Iterator[tuple[str, LinearSystem]]]:
+        -> Callable[[SeparationProblem],
+                    Iterator[tuple[str, Optional[LinearSystem]]]]:
     """One `essp_system_wpi` per event separation, 0/1 under ``brac``; per
     state separation, `ssp_system_wpi`, or `brac_ssp_system_freechoice`
-    under ``brac``, for every label of ``reps`` and both signs."""
+    under ``brac``, for every label of ``reps`` and both signs.  A state
+    pair that is not `SystemContext.separable` gets the same tags with no
+    system: every system of it would be infeasible."""
     def systems(problem):
         if isinstance(problem, ESSP):
             system = essp_system_wpi(ctx, graph, problem, zero_one=brac)
             yield system.rows.parts[0].tag, system
             return
+        settled = not ctx.separable(problem)
+        build = brac_ssp_system_freechoice if brac else ssp_system_wpi
+        tag = ctx.ssp_tag(problem)
         for a in reps:
             for sign in ("<", ">"):
-                system = (brac_ssp_system_freechoice if brac
-                          else ssp_system_wpi)(ctx, graph, problem, a, sign)
-                yield (f"{system.rows.parts[0].tag}:"
-                       f"{ctx.lts.labels[a]}:{sign}", system)
+                yield (f"{tag}:{ctx.lts.labels[a]}:{sign}", None if settled
+                       else build(ctx, graph, problem, a, sign))
     return systems
 
 

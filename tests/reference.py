@@ -22,6 +22,11 @@ checked against, or stands in for, a part of ``src/netsynth``:
 - `parikh_marks` computes R(s) = r0 + psi(s).(F - B) from each state's
   Parikh vector, O(|S|·|labels|); `netsynth.separation.Region.over` and
   `SystemContext.holds` sum R(parent) + F_t - B_t along the tree instead.
+- `cycle_span` reduces the Parikh vector of every edge, in Fractions, to
+  the reduced row echelon form of the cycle span, and `in_cycle_span`
+  tests a state pair's Parikh difference against it; it is the reference
+  for `netsynth.separation.SystemContext.separable`, which reduces the
+  difference against the integer rows of `netsynth.lts.cycle_basis`.
 - `context_keys` keeps the first edge of each distinct (packed Parikh
   vector of its source, label) pair, for any LTS;
   `netsynth.separation.SystemContext` takes every edge as a key instead.
@@ -186,6 +191,48 @@ def parikh_marks(tree: SpanningTree, r0: int, b: Sequence[int],
     effect = tuple(map(operator.sub, f, b))
     return tuple(r0 + sum(map(operator.mul, psi, effect))
                  for psi in tree.parikh)
+
+
+def cycle_span(lts: Lts, tree: SpanningTree) -> list[list[Fraction]]:
+    """The span of the vectors psi(s) + 1_t - psi(s') of every edge
+    s -t-> s', in reduced row echelon form with unit pivots, in Fractions.
+    Every edge is reduced, not only the first with each vector."""
+    rows: list[list[Fraction]] = []
+    for s, t, s2 in lts.edges:
+        vec = [Fraction(x - y) for x, y in zip(tree.parikh[s],
+                                                tree.parikh[s2])]
+        vec[t] += 1
+        vec = _reduce(rows, vec)
+        pivot = next((k for k, x in enumerate(vec) if x), None)
+        if pivot is None:
+            continue
+        vec = [x / vec[pivot] for x in vec]
+        rows[:] = [[x - row[pivot] * y for x, y in zip(row, vec)]
+                   for row in rows]
+        rows.append(vec)
+    return rows
+
+
+def _reduce(rows: list[list[Fraction]],
+            vec: Sequence[Fraction]) -> list[Fraction]:
+    """``vec`` less its combination of the unit pivots of ``rows``."""
+    vec = list(vec)
+    for row in rows:
+        pivot = next(k for k, x in enumerate(row) if x)
+        vec = [x - vec[pivot] * y for x, y in zip(vec, row)]
+    return vec
+
+
+def in_cycle_span(lts: Lts, tree: SpanningTree, ssp: SSP,
+                  span: Optional[list[list[Fraction]]] = None) -> bool:
+    """Whether psi(s1) - psi(s2) lies in `cycle_span`, which ``span`` may
+    hold already; the reference for `SystemContext.separable`, its
+    negation."""
+    if span is None:
+        span = cycle_span(lts, tree)
+    delta = [Fraction(x - y) for x, y in zip(tree.parikh[ssp.s1],
+                                              tree.parikh[ssp.s2])]
+    return not any(_reduce(span, delta))
 
 
 def context_keys(lts: Lts, tree: SpanningTree) \

@@ -4,7 +4,10 @@ Pins the SHA-256 of ``repr(ctx.base_rows())`` and of the ``dump_lp`` text
 of the first system of each kind (ESSP, SSP, choice block, free-choice)
 that each pipeline builds, on every fixture, on the reachability graphs of
 ``random_brac_net(0..9)``, on those of the three scale-ladder nets and on
-two random LTSs whose pipelines reach the SSP and free-choice systems.  A
+three random LTSs whose pipelines reach the SSP and free-choice systems:
+``random_lts(23, 24, 6)`` and ``random_lts(331, 8, 4)`` on pairs in the
+cycle span, whose systems `first_system_dumps` builds itself, and
+``random_lts(245, 24, 6)`` on a pair outside it.  A
 change to how the rows are stored or handed to the solver must leave every
 digest in ``fixtures/row_digests.json`` unchanged.
 
@@ -39,7 +42,7 @@ BUILDERS = {"essp_system_wpi": "essp", "ssp_system_wpi": "ssp",
 # random_brac_net(seed, 6, 4) of each scale-ladder rung, by markings
 LADDER = {300: 44, 600: 17, 1296: 38}
 # random_lts(seed, states, labels) of the random_lts family
-RANDOM_LTS = ((23, 24, 6), (331, 8, 4))
+RANDOM_LTS = ((23, 24, 6), (331, 8, 4), (245, 24, 6))
 
 
 def sha256(text: str) -> str:
@@ -69,8 +72,11 @@ class _Built(Exception):
 
 def first_system_dumps(lts, pipeline: str, stop_after=None) -> dict:
     """Kind -> ``dump_lp`` text of the first system of that kind the
-    pipeline builds (both systems of a choice block).  With
-    ``stop_after``, the run ends once those kinds are built."""
+    pipeline builds (both systems of a choice block).  A state pair in
+    the cycle span gets candidates without systems; the first candidate
+    of the first such pair is built here, as the pipeline would have
+    built it before it settled such pairs.  With ``stop_after``, the run
+    ends once those kinds are built."""
     dumps = {}
 
     def wrap(name, builder):
@@ -87,10 +93,25 @@ def first_system_dumps(lts, pipeline: str, stop_after=None) -> dict:
             return result
         return build
 
+    def candidates(ctx, graph, reps, brac):
+        systems = real_candidates(ctx, graph, reps, brac)
+        name = "brac_ssp_system_freechoice" if brac else "ssp_system_wpi"
+
+        def settled_too(problem):
+            for tag, system in systems(problem):
+                if system is None and BUILDERS[name] not in dumps:
+                    # the first candidate of a settled pair: reps[0], "<"
+                    getattr(netsynth.synthesis, name)(ctx, graph, problem,
+                                                      reps[0], "<")
+                yield tag, system
+        return settled_too
+
     originals = {name: getattr(netsynth.synthesis, name)
                  for name in BUILDERS}
+    real_candidates = netsynth.synthesis._candidates
     for name, builder in originals.items():
         setattr(netsynth.synthesis, name, wrap(name, builder))
+    netsynth.synthesis._candidates = candidates
     try:
         getattr(netsynth.synthesis, "synthesize_" + pipeline)(lts)
     except _Built:
@@ -98,6 +119,7 @@ def first_system_dumps(lts, pipeline: str, stop_after=None) -> dict:
     finally:
         for name, builder in originals.items():
             setattr(netsynth.synthesis, name, builder)
+        netsynth.synthesis._candidates = real_candidates
     return dumps
 
 

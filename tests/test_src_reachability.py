@@ -3,10 +3,13 @@
 `run_the_tool` runs every CLI command on every fixture and on the small
 files of `LTS_FILES`, `NET_FILES` and `MALFORMED`, made for the paths and
 exits the fixtures miss; then both pipelines on the graphs of
-``random_brac_net(0..9)``, on ``random_lts(0..29, 24, 6)`` and on
+``random_brac_net(0..9)``, on ``random_lts(0..29, 24, 6)``, on
 ``random_lts(331, 8, 4)``, where BRAC assigns its leftover state
-separations to choice blocks.  `scan` records, through a `sys.settrace`
-line hook, every line of the package that runs meanwhile.
+separations to choice blocks, and on ``random_lts(245, 24, 6)`` and
+``random_lts(917, 5, 3)``, which build state-separation systems for
+pairs outside the cycle span, the second with a choice-free row.
+`scan` records, through a `sys.settrace` line hook, every line of the
+package that runs meanwhile.
 
 `executable` lists the lines a function's code maps an instruction to,
 its ``def`` line aside; module and class bodies run whole at import and
@@ -214,7 +217,7 @@ ALLOWED = {
      "raise _Unsolvable(_verification_witness(record))"):
         "check: every BRAC net verifies on the inputs seen",
     ("synthesis._assign_ssps_to_blocks", "solutions[si] = cache[key]"):
-        "no input: the success of the block assignment (ROADMAP item 5)",
+        "no input: the success of the block assignment (ROADMAP item 20)",
     ("synthesis._assign_ssps_to_blocks",
      "for si, region in solutions.items():"):
         "no input: the success of the block assignment",
@@ -438,7 +441,8 @@ def run_the_tool() -> list[int]:
     inputs = [reachability_graph(random_brac_net(seed))
               for seed in range(10)]
     inputs += [random_lts(seed, 24, 6) for seed in range(30)]
-    inputs.append(random_lts(331, 8, 4))
+    inputs += [random_lts(331, 8, 4), random_lts(245, 24, 6),
+               random_lts(917, 5, 3)]
     for lts in inputs:
         synthesize_wpi(lts)
         synthesize_brac(lts)

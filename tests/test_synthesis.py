@@ -978,19 +978,22 @@ class TestFreeChoiceWork:
 
     Without a choice block the first state separation that no
     free-choice place solves is the failure, so on a single-label ring
-    BRAC builds one system per sign for one pair.  With a block, every
-    leftover still reaches the block assignment search.
+    BRAC once built one system per sign for one pair.  With a block,
+    every leftover still reaches the block assignment search.  On these
+    three inputs the failing pair lies in the cycle span, so it is
+    settled (`SystemContext.separable` is False) and no system is built.
     """
 
-    @pytest.mark.parametrize("seed, n, k, built, assigned", [
-        (283, 24, 6, 2, []),
-        (47, 24, 6, 2, []),
-        (331, 8, 4, 4, [[SSP(2, 4)]]),
+    @pytest.mark.parametrize("seed, n, k, assigned", [
+        (283, 24, 6, []),
+        (47, 24, 6, []),
+        (331, 8, 4, [[SSP(2, 4)]]),
     ], ids=["ring-283", "ring-47", "blocks-331"])
-    def test_systems_built(self, seed, n, k, built, assigned, monkeypatch):
-        systems, leftovers = [], []
+    def test_systems_built(self, seed, n, k, assigned, monkeypatch):
+        systems, leftovers, settled = [], [], []
         real_system = netsynth.synthesis.brac_ssp_system_freechoice
         real_assign = netsynth.synthesis._assign_ssps_to_blocks
+        real_separable = SystemContext.separable
 
         def system(*args):
             systems.append(args)
@@ -999,14 +1002,23 @@ class TestFreeChoiceWork:
         def assign(ctx, pool, blocks, ssps, *args):
             leftovers.append(list(ssps))
             return real_assign(ctx, pool, blocks, ssps, *args)
+
+        def separable(ctx, ssp):
+            found = real_separable(ctx, ssp)
+            if not found:
+                settled.append([ctx.lts.states[ssp.s1],
+                                ctx.lts.states[ssp.s2]])
+            return found
         monkeypatch.setattr(
             "netsynth.synthesis.brac_ssp_system_freechoice", system)
         monkeypatch.setattr(
             "netsynth.synthesis._assign_ssps_to_blocks", assign)
+        monkeypatch.setattr(SystemContext, "separable", separable)
         report = synthesize_brac(random_lts(seed, n, k))
         assert report.witness["kind"] == "ssp"
-        assert len(systems) == built
+        assert systems == []
         assert leftovers == assigned
+        assert report.witness["states"] in settled
 
 
 class TestRelationStageExits:
