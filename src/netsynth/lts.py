@@ -361,7 +361,7 @@ def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
     Each new vector is inserted into an integer echelon basis keyed by pivot
     column, without fractions (after Edmonds, 1967): it is reduced against
     every pivot by `echelon_reduce`, and a nonzero remainder becomes a
-    new row whose pivot is eliminated from the rows already there.  Every
+    new row whose pivot the same step eliminates from the rows there.  Every
     row is divided by its gcd, with its pivot positive.  The rows are the
     reduced row echelon form of the span, which is canonical, as coprime
     integer vectors, in pivot order; skipping repeated vectors therefore
@@ -389,10 +389,7 @@ def cycle_basis(lts: Lts, tree: SpanningTree) -> list[ParikhVector]:
             vec = [-x for x in vec]
         vec = _primitive(vec)
         for p, row in rows.items():
-            a = row[lead]
-            if a:
-                rows[p] = _primitive([vec[lead] * x - a * y
-                                      for x, y in zip(row, vec)])
+            rows[p] = echelon_reduce(row, [(lead, vec)])
         rows[lead] = vec
     return [ParikhVector(tuple((k, x) for k, x in enumerate(rows[p]) if x))
             for p in sorted(rows)]

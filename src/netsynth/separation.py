@@ -28,7 +28,7 @@ whole blocks.
 
 No region separates two states whose Parikh difference lies in the
 cycle span (`SystemContext.separable`), so the pipelines build no
-system for such a pair.
+system holding a margin of such a pair, block systems included.
 
 Separation is strict: an event separation needs R(s) < B_a, a state
 separation R(s1) != R(s2), which the pipelines split into its two signs.

@@ -5,9 +5,9 @@ equivalence quotient, strengthening), then the spanning tree, cycle basis
 and system context, then separation solving.  The context is built only
 once the relation stage has returned a graph, so a contradiction (or, in
 WPI, the self-loop cap) costs no tree, basis or context.  State
-separation checks only the pairs that no pooled region separates yet,
-and a pair whose Parikh difference lies in the cycle span, which no
-region separates, gets no system at all.
+separation checks only the pairs that no pooled region separates yet.
+No system is built for a pair in the cycle span, which no region
+separates: no candidate, and no block-assignment group that holds it.
 
 The comparable-preset target enumerates the residual doi interpretations
 (all-disjoint first) and solves one rational system per separation
@@ -262,9 +262,8 @@ def _separate(ctx: SystemContext, pool: list[Region],
     ``systems(problem)`` builds the tagged candidate systems of a problem
     one at a time; the region of the first feasible one is pooled.  Yields
     every problem no candidate solves, with the tags of those tried.  A
-    candidate without a system is one of a state pair in the cycle span
-    (`SystemContext.separable`), which no region separates: it is tried
-    without a solve.
+    candidate without a system, of a pair that `SystemContext.separable`
+    rules out, is tried without a solve.
 
     A region is pooled only for a problem that no pooled region solves,
     and it solves that problem, so it differs from every pooled region:
@@ -572,10 +571,11 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: list[Region],
                            cfg: SynthesisConfig) -> None:
     """Re-solve block systems with disequality rows, in all combinations.
 
-    Each unsolved state separation is assigned to one block system with one
-    sign branch; combinations come in index order and count against the
-    combination cap.  Replaces the pooled block places once an assignment
-    works; otherwise raises the failure or the cap.
+    Each leftover takes one block system and one sign, in index order,
+    under the combination cap; a group holding a leftover that is not
+    `SystemContext.separable` is cached as None, with no system built.
+    Replaces the pooled block places once an assignment works; otherwise
+    raises the failure or the cap.
     """
     lts = ctx.lts
     # (system, pool index) of every block place, block by block
@@ -584,6 +584,7 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: list[Region],
     choices = [(si, sign) for si in range(len(targets))
                for sign in ("<", ">")]
     cache: dict[tuple, Optional[Region]] = {}
+    settled = {ssp for ssp in leftovers if not ctx.separable(ssp)}
     for combos, assignment in enumerate(
             itertools.product(choices, repeat=len(leftovers)), 1):
         if combos > cfg.ssp_combo_cap:
@@ -596,9 +597,11 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: list[Region],
             key = (si, frozenset((ssp.s1, ssp.s2, sign)
                                  for ssp, sign in extras))
             if key not in cache:
-                rows = targets[si][0].rows.parts + tuple(
-                    ctx.ssp_row(ssp, sign) for ssp, sign in extras)
-                cache[key] = _region(ctx, ctx.system(rows, zero_one=True))
+                cache[key] = None
+                if settled.isdisjoint(ssp for ssp, _ in extras):
+                    rows = targets[si][0].rows.parts + tuple(
+                        ctx.ssp_row(ssp, sign) for ssp, sign in extras)
+                    cache[key] = _region(ctx, ctx.system(rows, zero_one=True))
             if cache[key] is None:
                 break
             solutions[si] = cache[key]

@@ -3,11 +3,13 @@
 By the state equation R(s) = R0 + psi(s).(F - B), and as F - B is zero on
 every cycle vector, no region of any net separates two states whose
 Parikh difference lies in the rational span of the cycle basis.
-`SystemContext.separable` tests that membership, and
-`synthesis._candidates` gives such a pair its candidate tags without
-systems.  These tests build what the pipelines no longer build and check
-that it is infeasible, and check `separable` against the Fraction
-reference of ``tests/reference.py``.
+`SystemContext.separable` tests that membership.  `synthesis._candidates`
+gives such a pair its candidate tags without systems, and the block
+assignment (`synthesis._assign_ssps_to_blocks`) caches every group that
+holds such a leftover as infeasible without building its system.  These
+tests build what the pipelines no longer build and check that it is
+infeasible, and check `separable` against the Fraction reference of
+``tests/reference.py``.
 """
 
 import pathlib
@@ -15,13 +17,15 @@ import pathlib
 import pytest
 
 import netsynth.synthesis
+from netsynth.linsys import Row
 from netsynth.lts import parse_lts
 from netsynth.oracle import random_lts
 from netsynth.separation import (SSP, brac_ssp_system_freechoice,
                                  ssp_system_wpi)
-from netsynth.synthesis import (_prepare, _region, synthesize_brac,
-                                synthesize_wpi)
+from netsynth.synthesis import (_prepare, _region, _Unsolvable,
+                                synthesize_brac, synthesize_wpi)
 
+from census import SHAPES, census
 from reference import cycle_span, in_cycle_span
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -163,3 +167,83 @@ class TestHandBuilt:
         for synthesize in (synthesize_wpi, synthesize_brac):
             assert settled_candidates(lts, synthesize) == []
             assert synthesize(lts).ok
+
+
+def block_assignment_calls(lts) -> list:
+    """(ctx, pool, blocks, leftovers, cfg) of every
+    `_assign_ssps_to_blocks` call that ``synthesize_brac(lts)`` makes,
+    with a copy of the pool as the search got it."""
+    calls = []
+    real = netsynth.synthesis._assign_ssps_to_blocks
+
+    def assign(ctx, pool, blocks, leftovers, cfg):
+        calls.append((ctx, list(pool), blocks, leftovers, cfg))
+        return real(ctx, pool, blocks, leftovers, cfg)
+    netsynth.synthesis._assign_ssps_to_blocks = assign
+    try:
+        synthesize_brac(lts)
+    finally:
+        netsynth.synthesis._assign_ssps_to_blocks = real
+    return calls
+
+
+def search(call, monkeypatch, separable=None) -> tuple:
+    """The row tuples of the systems one block-assignment search builds,
+    in order, and its outcome: "success", or the witness and cap it
+    raises.  ``separable`` stands in for `SystemContext.separable`."""
+    ctx, pool, blocks, leftovers, cfg = call
+    built = []
+    build = ctx.system
+
+    def system(rows, zero_one=False):
+        built.append(rows)
+        return build(rows, zero_one)
+    with monkeypatch.context() as patch:
+        patch.setattr(ctx, "system", system)
+        if separable is not None:
+            patch.setattr(ctx, "separable", separable)
+        try:
+            netsynth.synthesis._assign_ssps_to_blocks(
+                ctx, list(pool), blocks, leftovers, cfg)
+            outcome = "success"
+        except _Unsolvable as exc:
+            outcome = (exc.witness, exc.cap)
+    return built, outcome
+
+
+def search_inputs(family: str) -> list:
+    """The LTSs of ``family`` on which BRAC reaches its block assignment:
+    ``random_lts(331, 8, 4)``, or every one of `census.SHAPES` that does."""
+    if family == "random_lts/331":
+        return [random_lts(331, 8, 4)]
+    return [lts for shape in SHAPES for lts in census(*shape)
+            if block_assignment_calls(lts)]
+
+
+@pytest.mark.parametrize("family, settled_groups",
+                         [("random_lts/331", 4), ("census", 16)])
+def test_block_assignment_settles_only_spanned_groups(family, settled_groups,
+                                                      monkeypatch):
+    """The search builds the systems it builds with every leftover taken
+    as `separable`, except those of the groups that hold a leftover in
+    the span, and ends the same way; each of those systems is
+    infeasible."""
+    count = 0
+    for lts in search_inputs(family):
+        for call in block_assignment_calls(lts):
+            ctx, _, _, leftovers, _ = call
+            spanned = {ctx.ssp_tag(ssp) for ssp in leftovers
+                       if in_cycle_span(lts, ctx.tree, ssp)}
+            before, before_outcome = search(call, monkeypatch,
+                                            separable=lambda ssp: True)
+            after, outcome = search(call, monkeypatch)
+            assert outcome == before_outcome != "success"
+            settled = [rows for rows in before if rows not in after]
+            assert after == [rows for rows in before if rows not in settled]
+            for rows in before:
+                tags = {part.tag for part in rows if isinstance(part, Row)}
+                assert bool(tags & spanned) is (rows in settled)
+            for rows in settled:
+                assert _region(ctx, ctx.system(rows, zero_one=True)) is None
+            count += len(settled)
+    assert count == settled_groups

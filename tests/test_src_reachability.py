@@ -216,6 +216,15 @@ ALLOWED = {
     ("synthesis._solve_brac",
      "raise _Unsolvable(_verification_witness(record))"):
         "check: every BRAC net verifies on the inputs seen",
+    ("synthesis._assign_ssps_to_blocks",
+     "rows = targets[si][0].rows.parts + tuple("):
+        "no input: a block-assignment group whose leftovers all lie outside "
+        "the cycle span; every input seen has a leftover in it (ROADMAP "
+        "item 20)",
+    ("synthesis._assign_ssps_to_blocks",
+     "cache[key] = _region(ctx, ctx.system(rows, zero_one=True))"):
+        "no input: a block-assignment group whose leftovers all lie outside "
+        "the cycle span",
     ("synthesis._assign_ssps_to_blocks", "solutions[si] = cache[key]"):
         "no input: the success of the block assignment (ROADMAP item 20)",
     ("synthesis._assign_ssps_to_blocks",
