@@ -283,18 +283,19 @@ def spanning_tree(lts: Lts) -> SpanningTree:
     smallest (source index, label index) wins, so the tree and everything
     derived from it is reproducible.
     """
-    states = range(len(lts.states))
-    w = len(lts.states).bit_length() + 1
+    n = len(lts.states)
+    w = n.bit_length() + 1
     unit = tuple(1 << (w * t) for t in range(len(lts.labels)))
     parent: dict[int, tuple[int, int]] = {}
-    parikh = {lts.initial: (0,) * len(lts.labels)}
-    packed = {lts.initial: 0}
+    parikh: list[Optional[tuple[int, ...]]] = [None] * n
+    packed = [0] * n
+    parikh[lts.initial] = (0,) * len(lts.labels)
     frontier = [lts.initial]
     while frontier:
         discovered: dict[int, tuple[int, int]] = {}
         for s in frontier:
             for _, t, s2 in lts.out_edges[s]:
-                if s2 in parikh:
+                if parikh[s2] is not None:
                     continue
                 # the frontier ascends: only the same source can win
                 d = discovered.get(s2)
@@ -307,13 +308,12 @@ def spanning_tree(lts: Lts) -> SpanningTree:
             packed[s2] = packed[p] + unit[t]
         parent.update(discovered)
         frontier = sorted(discovered)
-    missing = [s for s in states if s not in parikh]
+    missing = [s for s, vec in enumerate(parikh) if vec is None]
     if missing:
         raise LtsError(f"unreachable state {lts.states[missing[0]]!r}; "
                        "validate the LTS first")
-    return SpanningTree(lts=lts, parent=parent,
-                        parikh=tuple(parikh[s] for s in states),
-                        packed=tuple(packed[s] for s in states), unit=unit)
+    return SpanningTree(lts=lts, parent=parent, parikh=tuple(parikh),
+                        packed=tuple(packed), unit=unit)
 
 
 def parikh_of_edge(tree: SpanningTree,

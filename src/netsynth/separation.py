@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import ge, itemgetter, sub
+from operator import ge, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from netsynth.linsys import LinearSystem, Row, Solution, make_row
@@ -165,6 +165,9 @@ class SystemContext:
     Parikh table, then one zero-effect row per cycle-basis vector.  Every
     edge is a key; a repeated tree vector repeats a row, whose dual column
     Bland's rule never enters before its twin's, so it moves no pivot.
+    The cycle-basis vectors are kept once as (pivot column, dense row)
+    pairs, the reduced echelon rows `echelon_reduce` reads, for
+    `separable`, `holds`, `dual_columns` and `_lhs`.
     """
 
     def __init__(self, lts: Lts, tree: SpanningTree,
@@ -173,6 +176,12 @@ class SystemContext:
         self.tree = tree
         self.basis = basis
         n = len(lts.labels)
+        self._echelon = []
+        for gamma in basis:
+            row = [0] * n
+            for t, c in gamma.counts:
+                row[t] = c
+            self._echelon.append((gamma.counts[0][0], row))
         self.bvar = tuple(range(1, n + 1))
         self.fvar = tuple(range(n + 1, 2 * n + 1))
         self.names = ("R0",) + tuple(f"B_{x}" for x in lts.labels) \
@@ -228,8 +237,8 @@ class SystemContext:
         for s, t in zip(self.key_states, self.key_labels):
             yield (self._key_coeffs(s, t), ">=",
                    f"edge:{states[s]}:{labels[t]}")
-        for i, gamma in enumerate(self.basis):
-            yield self._effect_coeffs(gamma.counts, {}), "=", f"cycle:{i}"
+        for i, (_, row) in enumerate(self._echelon):
+            yield self._effect_coeffs(enumerate(row), {}), "=", f"cycle:{i}"
 
     def dual_columns(self) -> dict[int, list[int]]:
         """Column -> its entries in the dual tableau, as `linsys` writes
@@ -241,10 +250,8 @@ class SystemContext:
             consume = [[-x for x in c] for c in produce]
             for k, t in enumerate(self.key_labels):
                 consume[t][k] -= 1
-            for gamma in self.basis:
-                counts = dict(gamma.counts)
-                for t in range(len(self.bvar)):
-                    c = counts.get(t, 0)
+            for _, row in self._echelon:
+                for t, c in enumerate(row):
                     produce[t] += (-c, c)
                     consume[t] += (c, -c)
             self._dual = {0: [1] * keys + [0] * (self.copies - keys),
@@ -257,8 +264,7 @@ class SystemContext:
         are homogeneous, so this needs only ``num``, and R(s) once per
         state, along the tree."""
         effect = [num[f] - num[b] for b, f in zip(self.bvar, self.fvar)]
-        if any(sum(c * effect[t] for t, c in gamma.counts)
-               for gamma in self.basis):
+        if any(sum(map(mul, row, effect)) for _, row in self._echelon):
             return False
         marks = _tree_marks(self.tree, num[0], effect)
         consumed = [num[b] for b in self.bvar]
@@ -294,16 +300,9 @@ class SystemContext:
         vector: every system holding the cycle rows and a margin of the
         pair is infeasible (Badouel, Bernardinello and Darondeau, "Petri
         Net Synthesis", Springer 2015)."""
-        n = len(self.lts.labels)
-        rows = []
-        for gamma in self.basis:
-            row = [0] * n
-            for t, c in gamma.counts:
-                row[t] = c
-            rows.append((gamma.counts[0][0], row))
         parikh = self.tree.parikh
         return any(echelon_reduce(
-            list(map(sub, parikh[ssp.s1], parikh[ssp.s2])), rows))
+            list(map(sub, parikh[ssp.s1], parikh[ssp.s2])), self._echelon))
 
     def class_tie_rows(self, graph: RelationGraph) -> tuple[Row, ...]:
         """Equal consume weights inside every equivalence class.

@@ -7,7 +7,8 @@ once the relation stage has returned a graph, so a contradiction (or, in
 WPI, the self-loop cap) costs no tree, basis or context.  State
 separation checks only the pairs that no pooled region separates yet.
 No system is built for a pair in the cycle span, which no region
-separates: no candidate, and no block-assignment group that holds it.
+separates: its candidates have none, and a BRAC leftover in the span
+is the failure before any block assignment is searched.
 
 The comparable-preset target enumerates the residual doi interpretations
 (all-disjoint first) and solves one rational system per separation
@@ -15,9 +16,9 @@ problem.  The block-reduced target solves 0/1 integer systems: one
 shared and one private system per asymmetric choice block, per-problem
 systems for free labels, a feasibility probe plus maximum matching for
 self-loop inclusion edges, and a bounded assignment search for state
-separations that no free-choice place can solve.  Without a choice
-block, the first state pair that no free-choice place separates is the
-failure, and no later pair is tried.
+separations that no free-choice place can solve, all of them outside
+the cycle span.  Without a choice block, the first state pair that no
+free-choice place separates is the failure, and no later pair is tried.
 
 One frame, `_synthesize`, validates, runs the relation stage, reports
 and prunes for both pipelines.  It reports a relation contradiction
@@ -451,9 +452,10 @@ def synthesize_brac(lts: Lts, cfg: Optional[SynthesisConfig] = None) \
     disjoint when its problems stay solvable that way; otherwise one
     combined system per candidate target collects the feasible inclusion
     pairs and a maximum matching picks the interpretation.  Unsolved state
-    separations are assigned to choice blocks by bounded enumeration.
-    Without a block, the first state pair that no free-choice place
-    separates is the failure, and no later pair is tried.
+    separations are assigned to choice blocks by bounded enumeration,
+    unless one lies in the cycle span.  Without a block, the first state
+    pair that no free-choice place separates is the failure, and no later
+    pair is tried.
     """
     return _synthesize(lts, cfg, BRAC, _solve_brac)
 
@@ -544,9 +546,9 @@ def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
     for label in sorted(gate_regions):
         pool += gate_regions[label]
 
-    # state separation: free-choice first, then block assignment;
-    # only a block could take a leftover, so without one the first
-    # leftover is the failure
+    # state separation: free-choice first, then block assignment; only
+    # a block could take a leftover, and none takes one in the cycle
+    # span, so otherwise the first leftover is the failure
     leftovers = []
     for ssp, _ in _separate(ctx, pool,
                             StatePartition(len(lts.states)).pairs(pool),
@@ -555,8 +557,13 @@ def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
             raise _Unsolvable(_problem_witness(
                 ssp, lts, ["freechoice:all-labels"]))
         leftovers.append(ssp)
-    if leftovers:
-        _assign_ssps_to_blocks(ctx, pool, blocks, leftovers, cfg)
+    if leftovers and not (all(map(ctx.separable, leftovers)) and
+                          _assign_ssps_to_blocks(ctx, pool, blocks,
+                                                 leftovers, cfg)):
+        raise _Unsolvable(_problem_witness(
+            leftovers[0], lts,
+            [f"block:{lts.labels[lo]}:{lts.labels[hi]}"
+             for (lo, hi), _, _ in blocks]))
 
     net, record = _verified_net(lts, pool, BRAC)
     report.regions, report.verification = pool, record
@@ -568,23 +575,20 @@ def _solve_brac(lts: Lts, cfg: SynthesisConfig, graph: RelationGraph,
 
 def _assign_ssps_to_blocks(ctx: SystemContext, pool: list[Region],
                            blocks: list[_Block], leftovers: list[SSP],
-                           cfg: SynthesisConfig) -> None:
+                           cfg: SynthesisConfig) -> bool:
     """Re-solve block systems with disequality rows, in all combinations.
 
     Each leftover takes one block system and one sign, in index order,
-    under the combination cap; a group holding a leftover that is not
-    `SystemContext.separable` is cached as None, with no system built.
-    Replaces the pooled block places once an assignment works; otherwise
-    raises the failure or the cap.
+    under the combination cap, which raises.  The caller passes only
+    `SystemContext.separable` leftovers.  Replaces the pooled block places
+    and returns True once an assignment works; False if none does.
     """
-    lts = ctx.lts
     # (system, pool index) of every block place, block by block
     targets = [(system, index) for block in blocks
                for system, index in zip(block.systems, block.indices)]
     choices = [(si, sign) for si in range(len(targets))
                for sign in ("<", ">")]
     cache: dict[tuple, Optional[Region]] = {}
-    settled = {ssp for ssp in leftovers if not ctx.separable(ssp)}
     for combos, assignment in enumerate(
             itertools.product(choices, repeat=len(leftovers)), 1):
         if combos > cfg.ssp_combo_cap:
@@ -597,19 +601,14 @@ def _assign_ssps_to_blocks(ctx: SystemContext, pool: list[Region],
             key = (si, frozenset((ssp.s1, ssp.s2, sign)
                                  for ssp, sign in extras))
             if key not in cache:
-                cache[key] = None
-                if settled.isdisjoint(ssp for ssp, _ in extras):
-                    rows = targets[si][0].rows.parts + tuple(
-                        ctx.ssp_row(ssp, sign) for ssp, sign in extras)
-                    cache[key] = _region(ctx, ctx.system(rows, zero_one=True))
+                rows = targets[si][0].rows.parts + tuple(
+                    ctx.ssp_row(ssp, sign) for ssp, sign in extras)
+                cache[key] = _region(ctx, ctx.system(rows, zero_one=True))
             if cache[key] is None:
                 break
             solutions[si] = cache[key]
         else:
             for si, region in solutions.items():
                 pool[targets[si][1]] = region
-            return
-    raise _Unsolvable(_problem_witness(
-        leftovers[0], lts,
-        [f"block:{lts.labels[lo]}:{lts.labels[hi]}"
-         for (lo, hi), _, _ in blocks]))
+            return True
+    return False

@@ -4,11 +4,12 @@ By the state equation R(s) = R0 + psi(s).(F - B), and as F - B is zero on
 every cycle vector, no region of any net separates two states whose
 Parikh difference lies in the rational span of the cycle basis.
 `SystemContext.separable` tests that membership.  `synthesis._candidates`
-gives such a pair its candidate tags without systems, and the block
-assignment (`synthesis._assign_ssps_to_blocks`) caches every group that
-holds such a leftover as infeasible without building its system.  These
-tests build what the pipelines no longer build and check that it is
-infeasible, and check `separable` against the Fraction reference of
+gives such a pair its candidate tags without systems, and BRAC fails at
+its first leftover, without the block-assignment search
+(`synthesis._assign_ssps_to_blocks`), when a leftover lies in the span.
+These tests build what the pipelines no longer build and check that it
+is infeasible, run the search the gate skips and check that it finds
+nothing, and check `separable` against the Fraction reference of
 ``tests/reference.py``.
 """
 
@@ -17,12 +18,11 @@ import pathlib
 import pytest
 
 import netsynth.synthesis
-from netsynth.linsys import Row
 from netsynth.lts import parse_lts
 from netsynth.oracle import random_lts
-from netsynth.separation import (SSP, brac_ssp_system_freechoice,
-                                 ssp_system_wpi)
-from netsynth.synthesis import (_prepare, _region, _Unsolvable,
+from netsynth.separation import (SSP, SystemContext,
+                                 brac_ssp_system_freechoice, ssp_system_wpi)
+from netsynth.synthesis import (SynthesisConfig, _prepare, _region,
                                 synthesize_brac, synthesize_wpi)
 
 from census import SHAPES, census
@@ -169,81 +169,55 @@ class TestHandBuilt:
             assert synthesize(lts).ok
 
 
-def block_assignment_calls(lts) -> list:
-    """(ctx, pool, blocks, leftovers, cfg) of every
-    `_assign_ssps_to_blocks` call that ``synthesize_brac(lts)`` makes,
-    with a copy of the pool as the search got it."""
-    calls = []
-    real = netsynth.synthesis._assign_ssps_to_blocks
-
-    def assign(ctx, pool, blocks, leftovers, cfg):
-        calls.append((ctx, list(pool), blocks, leftovers, cfg))
-        return real(ctx, pool, blocks, leftovers, cfg)
-    netsynth.synthesis._assign_ssps_to_blocks = assign
-    try:
-        synthesize_brac(lts)
-    finally:
-        netsynth.synthesis._assign_ssps_to_blocks = real
-    return calls
-
-
-def search(call, monkeypatch, separable=None) -> tuple:
-    """The row tuples of the systems one block-assignment search builds,
-    in order, and its outcome: "success", or the witness and cap it
-    raises.  ``separable`` stands in for `SystemContext.separable`."""
-    ctx, pool, blocks, leftovers, cfg = call
-    built = []
-    build = ctx.system
-
-    def system(rows, zero_one=False):
-        built.append(rows)
-        return build(rows, zero_one)
-    with monkeypatch.context() as patch:
-        patch.setattr(ctx, "system", system)
-        if separable is not None:
-            patch.setattr(ctx, "separable", separable)
-        try:
-            netsynth.synthesis._assign_ssps_to_blocks(
-                ctx, list(pool), blocks, leftovers, cfg)
-            outcome = "success"
-        except _Unsolvable as exc:
-            outcome = (exc.witness, exc.cap)
-    return built, outcome
-
-
-def search_inputs(family: str) -> list:
-    """The LTSs of ``family`` on which BRAC reaches its block assignment:
+def block_leftover_inputs(family: str) -> list:
+    """The LTSs of ``family`` on which BRAC fails at a state separation
+    left to its choice blocks, whose witness holds only ``block:`` tags:
     ``random_lts(331, 8, 4)``, or every one of `census.SHAPES` that does."""
     if family == "random_lts/331":
         return [random_lts(331, 8, 4)]
-    return [lts for shape in SHAPES for lts in census(*shape)
-            if block_assignment_calls(lts)]
+    found = []
+    for shape in SHAPES:
+        for lts in census(*shape):
+            witness = synthesize_brac(lts).witness
+            if witness and witness["kind"] == "ssp" and all(
+                    tag.startswith("block:")
+                    for tag in witness["systems_tried"]):
+                found.append(lts)
+    return found
 
 
-@pytest.mark.parametrize("family, settled_groups",
-                         [("random_lts/331", 4), ("census", 16)])
-def test_block_assignment_settles_only_spanned_groups(family, settled_groups,
-                                                      monkeypatch):
-    """The search builds the systems it builds with every leftover taken
-    as `separable`, except those of the groups that hold a leftover in
-    the span, and ends the same way; each of those systems is
-    infeasible."""
-    count = 0
-    for lts in search_inputs(family):
-        for call in block_assignment_calls(lts):
-            ctx, _, _, leftovers, _ = call
-            spanned = {ctx.ssp_tag(ssp) for ssp in leftovers
-                       if in_cycle_span(lts, ctx.tree, ssp)}
-            before, before_outcome = search(call, monkeypatch,
-                                            separable=lambda ssp: True)
-            after, outcome = search(call, monkeypatch)
-            assert outcome == before_outcome != "success"
-            settled = [rows for rows in before if rows not in after]
-            assert after == [rows for rows in before if rows not in settled]
-            for rows in before:
-                tags = {part.tag for part in rows if isinstance(part, Row)}
-                assert bool(tags & spanned) is (rows in settled)
-            for rows in settled:
-                assert _region(ctx, ctx.system(rows, zero_one=True)) is None
-            count += len(settled)
-    assert count == settled_groups
+@pytest.mark.parametrize("family, count", [("random_lts/331", 1),
+                                           ("census", 4)])
+def test_leftover_in_the_span_skips_the_block_search(family, count,
+                                                     monkeypatch):
+    """BRAC never enters `_assign_ssps_to_blocks` on these inputs: each
+    leaves a state separation in the cycle span to its blocks, so a
+    combination cap of 1, 2 or 3 gives the default report.  With every
+    pair taken as `separable`, the search is entered with those
+    leftovers, finds no assignment, and the report is the same."""
+    real = netsynth.synthesis._assign_ssps_to_blocks
+    inputs = block_leftover_inputs(family)
+    assert len(inputs) == count
+    for lts in inputs:
+        calls = []
+
+        def assign(ctx, pool, blocks, leftovers, cfg):
+            found = real(ctx, pool, blocks, leftovers, cfg)
+            calls.append((ctx, leftovers, found))
+            return found
+        with monkeypatch.context() as patch:
+            patch.setattr(netsynth.synthesis, "_assign_ssps_to_blocks",
+                          assign)
+            report = synthesize_brac(lts).to_json(lts.labels)
+            for cap in (1, 2, 3):
+                assert synthesize_brac(lts, SynthesisConfig(
+                    ssp_combo_cap=cap)).to_json(lts.labels) == report
+            assert calls == []
+            patch.setattr(SystemContext, "separable", lambda ctx, ssp: True)
+            assert synthesize_brac(lts).to_json(lts.labels) == report
+        [(ctx, leftovers, found)] = calls
+        assert found is False
+        assert report["witness"]["states"] == [
+            lts.states[leftovers[0].s1], lts.states[leftovers[0].s2]]
+        assert any(in_cycle_span(lts, ctx.tree, ssp) for ssp in leftovers)
+

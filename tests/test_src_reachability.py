@@ -4,8 +4,8 @@
 files of `LTS_FILES`, `NET_FILES` and `MALFORMED`, made for the paths and
 exits the fixtures miss; then both pipelines on the graphs of
 ``random_brac_net(0..9)``, on ``random_lts(0..29, 24, 6)``, on
-``random_lts(331, 8, 4)``, where BRAC assigns its leftover state
-separations to choice blocks, and on ``random_lts(245, 24, 6)`` and
+``random_lts(331, 8, 4)``, where BRAC leaves a state separation in the
+cycle span to its choice blocks, and on ``random_lts(245, 24, 6)`` and
 ``random_lts(917, 5, 3)``, which build state-separation systems for
 pairs outside the cycle span, the second with a choice-free row.
 `scan` records, through a `sys.settrace` line hook, every line of the
@@ -216,24 +216,13 @@ ALLOWED = {
     ("synthesis._solve_brac",
      "raise _Unsolvable(_verification_witness(record))"):
         "check: every BRAC net verifies on the inputs seen",
-    ("synthesis._assign_ssps_to_blocks",
-     "rows = targets[si][0].rows.parts + tuple("):
-        "no input: a block-assignment group whose leftovers all lie outside "
-        "the cycle span; every input seen has a leftover in it (ROADMAP "
-        "item 20)",
-    ("synthesis._assign_ssps_to_blocks",
-     "cache[key] = _region(ctx, ctx.system(rows, zero_one=True))"):
-        "no input: a block-assignment group whose leftovers all lie outside "
-        "the cycle span",
-    ("synthesis._assign_ssps_to_blocks", "solutions[si] = cache[key]"):
-        "no input: the success of the block assignment (ROADMAP item 20)",
-    ("synthesis._assign_ssps_to_blocks",
-     "for si, region in solutions.items():"):
-        "no input: the success of the block assignment",
-    ("synthesis._assign_ssps_to_blocks", "pool[targets[si][1]] = region"):
-        "no input: the success of the block assignment",
-    ("synthesis._assign_ssps_to_blocks", "return"):
-        "no input: the success of the block assignment",
+    ("synthesis._solve_brac",
+     "if leftovers and not (all(map(ctx.separable, leftovers)) and"):
+        "no input: the call of the block-assignment search, which runs "
+        "only when every leftover lies outside the cycle span",
+    "synthesis._assign_ssps_to_blocks":
+        "no input: no known input leaves only separable leftovers, outside "
+        "the cycle span, to the choice blocks (ROADMAP item 20)",
 }
 
 # hand-written inputs for the paths the fixtures miss: file name -> text
